@@ -33,7 +33,7 @@ from .comparator import (build_comparator, build_fh_comparator,
                          comparator_inputs, int_to_bits)
 from .errors import (CapacityError, ConfigurationError, FramingError,
                      GapExhausted, HandshakeError, IntegrityError,
-                     ProtocolError, SessionAborted, UsageError)
+                     OopeError, ProtocolError, SessionAborted, UsageError)
 from .ope_state import MODE_DET, MODE_FH, OpeEntry, OpeTable, OpeTree
 from .ot import GROUP_DEFAULT, OtExtReceiver, OtExtSender
 from .rng import make_rng
@@ -227,7 +227,11 @@ class CspEngine:
                 st.pk_analyst = pk_da
 
     def serve(self, max_sessions=None):
-        """Accept encryption sessions until the analyst channel closes."""
+        """Accept requests until the analyst channel closes.
+
+        A request that fails with an OopeError is aborted towards the
+        analyst and the loop goes on; only a dead channel ends it.
+        """
         served = 0
         while max_sessions is None or served < max_sessions:
             try:
@@ -248,6 +252,8 @@ class CspEngine:
                                      column)
             except SessionAborted:
                 continue
+            except OopeError as e:
+                self.da_ch.abort(frame.session_id, str(e))
 
     def run_session(self, sid: bytes, op: int, column: str = DEFAULT_COLUMN):
         """Protocol main loop: h compare rounds, order assignment, upload."""
@@ -304,14 +310,11 @@ class CspEngine:
             self.da_ch.send(Frame(SESSION_DONE, sid))
             self.sessions_served += 1
             return ybar
-        except SessionAborted as e:
+        except SessionAborted:
             for action in reversed(undo):
                 action()
-            if not e.remote:  # locally raised: peers were already notified
-                raise
             raise
-        except (IntegrityError, ProtocolError, CapacityError,
-                ConfigurationError) as e:
+        except OopeError as e:
             for action in reversed(undo):
                 action()
             self.da_ch.abort(sid, str(e))
@@ -403,15 +406,12 @@ class CspEngine:
 
     def _rebalance(self, undo):
         table, tree = self.state.table, self.state.tree
-        old_children = {k: list(v) for k, v in tree._children.items()}
-        old_root, old_depth = tree.root, dict(tree._depth)
-        old_height = tree.height
+        shape = tree.snapshot()
         remap = ope_state.rebalance(table, tree)
 
         def restore():
             table.reassign_orders({v: k for k, v in remap.items()})
-            tree.root, tree.height = old_root, old_height
-            tree._children, tree._depth = old_children, old_depth
+            tree.restore(shape)
 
         undo.append(restore)
         col = self._column.encode()
@@ -441,14 +441,15 @@ class CspEngine:
         if self.params.mode == MODE_FH:
             entry.fh_min = paillier.encrypt(pk, ybar, self.rng, self.pool)
             entry.fh_max = paillier.encrypt(pk, ybar, self.rng, self.pool)
-        # BST descent by order lands exactly on the traversal's empty
-        # slot, and stays correct when a rebalance reshaped the tree
+        # Rebuilding keeps the height, and so every later session's round
+        # count, at ceil(log2(n+1)) whatever the insertion order.
+        shape = tree.snapshot()
         table.insert(entry)
-        tree.insert_bst(ybar)
+        tree.rebuild_balanced(table.orders())
 
         def restore():
             table.remove(ybar)
-            tree.rebuild_balanced(table.orders())
+            tree.restore(shape)
 
         undo.append(restore)
 
@@ -511,8 +512,7 @@ class CspEngine:
 
         from . import datastore
         if self.rows is None:
-            self.da_ch.abort(frame.session_id, "server holds no row store")
-            raise SessionAborted("server holds no row store")
+            raise ConfigurationError("server holds no row store")
         spec = json.loads(frame.payload.decode())
         query = datastore.RangeQuery(
             bounds={c: tuple(iv) for c, iv in spec["bounds"].items()},
@@ -615,7 +615,14 @@ class DoEngine:
                     self._reset_session()
             except SessionAborted:
                 self._reset_session()
-                continue
+            except OopeError as e:
+                # a frame this engine cannot use aborts its session; a
+                # dead channel ends the loop
+                if self.csp_ch.poisoned or self.da_ch.poisoned:
+                    return
+                self.csp_ch.abort(frame.session_id, str(e))
+                self.da_ch.abort(frame.session_id, str(e))
+                self._reset_session()
 
     def _reset_session(self):
         self._sid = NULL_SESSION

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DomainError, UsageError
+from .modexp import powmod
 from .paillier import is_probable_prime
 from .rng import make_rng
 from .wire import be_bytes, lp, read_int, read_lp, u32
@@ -44,7 +45,7 @@ def _hash_to_subgroup(p: int, q: int, label: bytes) -> int:
         digest = b"".join(hashlib.sha256(label + u32(ctr) + u32(i)).digest()
                           for i in range(p.bit_length() // 256 + 1))
         u = int.from_bytes(digest, "big") % p
-        v = pow(u, cofactor, p)
+        v = powmod(u, cofactor, p)
         if v != 1:
             return v
         ctr += 1
@@ -74,7 +75,7 @@ def gen_mac_params(modulus_bits: int = DEFAULT_MODULUS_BITS,
             break
     cofactor = (p - 1) // q
     while True:
-        g = pow(rng.randrange(2, p - 1), cofactor, p)
+        g = powmod(rng.randrange(2, p - 1), cofactor, p)
         if g != 1:
             break
     h_ped = _hash_to_subgroup(p, q, b"pedersen-h" + be_bytes(p)) \
@@ -83,32 +84,32 @@ def gen_mac_params(modulus_bits: int = DEFAULT_MODULUS_BITS,
 
 
 def dl_mac_make(x: int, params: MacParams) -> int:
-    return pow(params.g, x, params.p)
+    return powmod(params.g, x, params.p)
 
 
 def dl_mac_verify(mac: int, r: int, m: int, params: MacParams) -> bool:
     """Check mac * g^r == m (mod p), i.e. m opens g^(x+r)."""
-    return mac * pow(params.g, r, params.p) % params.p == m
+    return mac * powmod(params.g, r, params.p) % params.p == m
 
 
 def dl_open(x_plus_r: int, params: MacParams) -> int:
     """Owner-side opening g^(x+r) from the decrypted blinded plaintext."""
-    return pow(params.g, x_plus_r, params.p)
+    return powmod(params.g, x_plus_r, params.p)
 
 
 def ped_commit_make(x: int, a: int, params: MacParams) -> int:
     if params.h_ped is None:
         raise UsageError("parameters lack the Pedersen generator")
-    return pow(params.g, x, params.p) * pow(params.h_ped, a, params.p) \
-        % params.p
+    return powmod(params.g, x, params.p) * \
+        powmod(params.h_ped, a, params.p) % params.p
 
 
 def ped_open(x_plus_r: int, a_plus_rp: int, params: MacParams) -> int:
     """Owner-side opening g^(x+r) * h^(a+r')."""
     if params.h_ped is None:
         raise UsageError("parameters lack the Pedersen generator")
-    return pow(params.g, x_plus_r, params.p) * \
-        pow(params.h_ped, a_plus_rp, params.p) % params.p
+    return powmod(params.g, x_plus_r, params.p) * \
+        powmod(params.h_ped, a_plus_rp, params.p) % params.p
 
 
 def ped_verify(commitment: int, r: int, rp: int, m: int,
@@ -116,8 +117,8 @@ def ped_verify(commitment: int, r: int, rp: int, m: int,
     """Check commitment * g^r * h^r' == m (mod p)."""
     if params.h_ped is None:
         raise UsageError("parameters lack the Pedersen generator")
-    return commitment * pow(params.g, r, params.p) % params.p * \
-        pow(params.h_ped, rp, params.p) % params.p == m
+    return commitment * powmod(params.g, r, params.p) % params.p * \
+        powmod(params.h_ped, rp, params.p) % params.p == m
 
 
 def serialize_params(params: MacParams) -> bytes:

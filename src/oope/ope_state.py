@@ -170,6 +170,15 @@ class OpeTree:
                 return
             node = nxt
 
+    def snapshot(self):
+        """Copy of the current shape, for restore() on a rollback."""
+        return (self.root, self.height,
+                {k: list(v) for k, v in self._children.items()},
+                dict(self._depth))
+
+    def restore(self, shape):
+        self.root, self.height, self._children, self._depth = shape
+
     def in_order(self):
         out = []
 

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import ProtocolError
 from .garbling import LABEL_BYTES
+from .modexp import powmod
 from .rng import make_rng
 from .wire import be_bytes, u32, xor_bytes
 
@@ -64,7 +65,7 @@ class OtGroup:
         self.width = (p.bit_length() + 7) // 8
 
     def exp(self, base, e):
-        return pow(base, e, self.p)
+        return powmod(base, e, self.p)
 
     def hash_to_member(self, seed: bytes) -> int:
         # Squaring lands in the QR subgroup; the discrete log of the

@@ -7,6 +7,15 @@ and Q^2; the textbook single-exponentiation path is kept as a
 cross-check oracle.  Encryption can draw pre-generated r^N values from
 a RandomnessPool, which moves the expensive exponentiation out of the
 protocol's hot path.
+
+Every modular exponentiation here (encryption and pool filling, both
+CRT halves, the textbook path, hom_scale, Miller-Rabin) goes through
+modexp.powmod: GMP's mpz_powm_sec when libgmp loads, the built-in pow
+otherwise.  Both return identical results, and the GMP path runs in
+constant time with respect to the exponent, so the secret decryption
+exponents p-1, q-1 and lam do not leak through timing.  Randomness is
+still a full-range r drawn from Z_N*, so no distribution and no
+hardness assumption differs from textbook Paillier.
 """
 
 import hashlib
@@ -17,6 +26,7 @@ from dataclasses import dataclass
 
 from .errors import (ConfigurationError, DomainError, KeyMismatchError,
                      PrimeGenerationError)
+from .modexp import powmod
 from .rng import make_rng
 from .wire import be_bytes, fixed_bytes, lp, read_bytes, read_int, read_lp
 
@@ -55,7 +65,7 @@ def is_probable_prime(n: int, rng=None) -> bool:
         s += 1
     for _ in range(MR_ROUNDS):
         a = rng.randrange(2, n - 1)
-        x = pow(a, d, n)
+        x = powmod(a, d, n)
         if x in (1, n - 1):
             continue
         for _ in range(s - 1):
@@ -141,7 +151,7 @@ class RandomnessPool:
 
     def fill(self, count: int, rng=None):
         rng = rng or make_rng()
-        vals = [pow(_fresh_r(self.pk, rng), self.pk.n, self.pk.n_sq)
+        vals = [powmod(_fresh_r(self.pk, rng), self.pk.n, self.pk.n_sq)
                 for _ in range(count)]
         with self._lock:
             self._values.extend(vals)
@@ -193,7 +203,7 @@ def encrypt(pk: PaillierPublicKey, m: int, rng=None,
         if rn is None and not pool.allow_fallback:
             raise ConfigurationError("randomness pool exhausted")
     if rn is None:
-        rn = pow(_fresh_r(pk, rng or make_rng()), pk.n, pk.n_sq)
+        rn = powmod(_fresh_r(pk, rng or make_rng()), pk.n, pk.n_sq)
     value = (1 + m * pk.n) % pk.n_sq * rn % pk.n_sq
     return HomCiphertext(value, pk.key_id)
 
@@ -201,8 +211,10 @@ def encrypt(pk: PaillierPublicKey, m: int, rng=None,
 def decrypt(sk: PaillierPrivateKey, c: HomCiphertext) -> int:
     """CRT decryption; agrees with decrypt_direct on every ciphertext."""
     _check_key(sk.public, c)
-    mp = sk._crt_l(pow(c.value % sk.p_sq, sk.p - 1, sk.p_sq), sk.p) * sk.hp % sk.p
-    mq = sk._crt_l(pow(c.value % sk.q_sq, sk.q - 1, sk.q_sq), sk.q) * sk.hq % sk.q
+    mp = sk._crt_l(powmod(c.value % sk.p_sq, sk.p - 1, sk.p_sq), sk.p) \
+        * sk.hp % sk.p
+    mq = sk._crt_l(powmod(c.value % sk.q_sq, sk.q - 1, sk.q_sq), sk.q) \
+        * sk.hq % sk.q
     return mp + sk.p * ((mq - mp) * sk.p_inv_q % sk.q)
 
 
@@ -210,7 +222,7 @@ def decrypt_direct(sk: PaillierPrivateKey, c: HomCiphertext) -> int:
     """Textbook path: m = L(c^lam mod N^2) * mu mod N."""
     _check_key(sk.public, c)
     n = sk.public.n
-    u = pow(c.value, sk.lam, sk.public.n_sq)
+    u = powmod(c.value, sk.lam, sk.public.n_sq)
     return (u - 1) // n * sk.mu % n
 
 
@@ -227,7 +239,7 @@ def hom_scale(pk: PaillierPublicKey, c: HomCiphertext, s: int) -> HomCiphertext:
     _check_key(pk, c)
     if not 0 < s < pk.n:
         raise DomainError("scalar must lie in (0, N)")
-    return HomCiphertext(pow(c.value, s, pk.n_sq), pk.key_id)
+    return HomCiphertext(powmod(c.value, s, pk.n_sq), pk.key_id)
 
 
 def hom_sub(pk: PaillierPublicKey, c1: HomCiphertext,

@@ -1,5 +1,7 @@
 """Three-party sessions over loopback: correctness, hiding, aborts."""
 
+import math
+import time
 import warnings
 
 import pytest
@@ -7,7 +9,7 @@ import pytest
 from oracles import Mope2Oracle, min_max_orders, rank_interval_holds, \
     sandwich_holds
 
-from oope import paillier, transport
+from oope import datastore, paillier, transport
 from oope.cluster import LocalCluster, build_cluster
 from oope.engine import ProtocolParams
 from oope.errors import SessionAborted, UsageError
@@ -87,11 +89,19 @@ def test_round_count_always_equals_tree_height():
         # equality at the root specifically
         root_entry = ctx["table"].get(ctx["tree"].root)
         queries.append(paillier.decrypt(ctx["sk"], root_entry.cipher))
+        # ascending inserts, like timestamps, must not grow the tree
+        # beyond the balanced height
+        fresh = sorted(set(rng.sample(range(1 << 16), 60)) - set(data))
+        queries += fresh[:40]
         for xbar in queries:
             h = ctx["tree"].height
             before = len(cluster.csp.round_times_ns)
             cluster.encrypt(xbar)
             assert len(cluster.csp.round_times_ns) - before == h
+        n = len(ctx["table"])
+        assert n >= 60
+        assert ctx["tree"].height == math.ceil(math.log2(n + 1))
+        assert not cluster.errors
     finally:
         cluster.close()
 
@@ -125,6 +135,88 @@ def test_flipped_share_bit_detected_and_state_rolled_back():
         assert ctx["table"].orders() == orders_before
         # the cluster stays usable for the next session
         assert cluster.encrypt(15) == 6
+    finally:
+        cluster.close()
+
+
+@pytest.mark.parametrize("balance", [True, False])
+def test_aborted_insert_restores_tree_shape(balance):
+    params = small_params()
+    cluster, ctx = make_cluster(EXAMPLE, seed=41, params=params,
+                                balance=balance)
+    tree = ctx["tree"]
+    try:
+        shape = ({k: list(v) for k, v in tree._children.items()},
+                 tree.root, tree.height)
+        orders_before = ctx["table"].orders()
+        orig_send = cluster.da.csp_ch.send
+
+        def minmax_in_det_mode(frame):
+            # the server stores the upload, then refuses min/max in det
+            # mode and must roll the insert back
+            if frame.ftype == transport.SESSION_START:
+                frame = Frame(frame.ftype, frame.session_id,
+                              bytes([1]) + frame.payload[1:])
+            orig_send(frame)
+
+        cluster.da.csp_ch.send = minmax_in_det_mode
+        with pytest.raises(SessionAborted, match="frequency-hiding"):
+            cluster.encrypt(15)
+        cluster.da.csp_ch.send = orig_send
+        assert ctx["table"].orders() == orders_before
+        assert ({k: list(v) for k, v in tree._children.items()},
+                tree.root, tree.height) == shape
+        oracle = Mope2Oracle(params.m).load(EXAMPLE)
+        assert cluster.encrypt(15) == oracle.encrypt(15)
+        assert not cluster.errors
+    finally:
+        cluster.close()
+
+
+def test_unknown_column_query_aborts_and_service_continues():
+    params = small_params()
+    cluster, ctx = make_cluster(EXAMPLE, seed=43, params=params)
+    try:
+        cluster.csp.rows = datastore.RowStore(
+            public_columns=[], ope_columns=[""],
+            rows=[datastore.EncryptedRow(i, {}, {"": y})
+                  for i, (_, y) in enumerate(ctx["owner"].pairs)])
+        t0 = time.monotonic()
+        with pytest.raises(SessionAborted, match="unknown encoded column"):
+            cluster.da.query({"nope": (1, 5, True, True)})
+        assert time.monotonic() - t0 < 5
+        assert cluster.da.query({"": (0, params.m, True, True)}) == \
+            len(EXAMPLE)
+        assert cluster.encrypt(15) == \
+            Mope2Oracle(params.m).load(EXAMPLE).encrypt(15)
+        assert not cluster.errors
+    finally:
+        cluster.close()
+
+
+def test_truncated_randomized_node_aborts_and_owner_survives():
+    params = small_params()
+    cluster, ctx = make_cluster(EXAMPLE, seed=47, params=params)
+    try:
+        orders_before = ctx["table"].orders()
+        orig_send = cluster.csp.do_ch.send
+
+        def truncated(frame):
+            if frame.ftype == transport.RANDOMIZED_NODE:
+                frame = Frame(frame.ftype, frame.session_id,
+                              frame.payload[:10])
+            orig_send(frame)
+
+        cluster.csp.do_ch.send = truncated
+        t0 = time.monotonic()
+        with pytest.raises(SessionAborted, match="truncated"):
+            cluster.encrypt(15)
+        assert time.monotonic() - t0 < 5
+        cluster.csp.do_ch.send = orig_send
+        assert ctx["table"].orders() == orders_before
+        assert cluster.encrypt(15) == \
+            Mope2Oracle(params.m).load(EXAMPLE).encrypt(15)
+        assert not cluster.errors
     finally:
         cluster.close()
 
