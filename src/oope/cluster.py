@@ -10,8 +10,8 @@ for a batch of queries.
 import threading
 
 from . import ope_state, paillier, transport
-from .engine import (CspEngine, DaEngine, DoEngine, ProtocolParams,
-                     ServerState, make_node_tagger)
+from .engine import (DEFAULT_COLUMN, CspEngine, DaEngine, DoEngine,
+                     ProtocolParams, ServerState, make_node_tagger)
 from .ot import GROUP_DEFAULT
 from .rng import make_rng
 
@@ -24,56 +24,39 @@ def analyst_keygen(params: ProtocolParams, rng=None):
                            allow_small=True)
 
 
-class LocalCluster:
-    """All three roles in one process, linked by in-memory channels."""
+class _Cluster:
+    """The three engines; subclasses link them by channels."""
 
-    def __init__(self, state=None, sk=None, params: ProtocolParams = None,
-                 seed=None, mac_params=None, owner=None, da_keys=None,
-                 ot_group=GROUP_DEFAULT, csp_pool=None, record=False,
-                 states=None):
+    def __init__(self, states: dict, sk, params: ProtocolParams, seed=None,
+                 mac_params=None, owners: dict = None, da_keys=None,
+                 ot_group=GROUP_DEFAULT, csp_pool=None):
         rng = make_rng(seed)
         seeds = [rng.getrandbits(64) for _ in range(3)] if seed is not None \
             else [None, None, None]
-        self.csp = CspEngine(state, params, make_rng(seeds[0]), pool=csp_pool,
-                             states=states)
+        self.csp = CspEngine(states, params, make_rng(seeds[0]),
+                             pool=csp_pool)
         self.do = DoEngine(sk, params, make_rng(seeds[1]),
-                           mac_params=mac_params, owner=owner,
+                           mac_params=mac_params, owners=owners,
                            ot_group=ot_group)
         self.da = DaEngine(params, make_rng(seeds[2]), keys=da_keys,
                            ot_group=ot_group)
-
-        csp_do, do_csp = transport.loopback_pair("csp->do", "do->csp")
-        csp_da, da_csp = transport.loopback_pair("csp->da", "da->csp")
-        do_da, da_do = transport.loopback_pair("do->da", "da->do")
-        self.channels = [csp_do, do_csp, csp_da, da_csp, do_da, da_do]
-        if record:
-            for ch in self.channels:
-                ch.record = True
-
+        self.channels = []
         self.errors = []
-        self._threads = [
-            threading.Thread(target=self._run_csp, args=(csp_do, csp_da),
-                             daemon=True),
-            threading.Thread(target=self._run_do, args=(do_csp, do_da),
-                             daemon=True),
-        ]
-        for t in self._threads:
-            t.start()
-        self.da.attach(da_csp, da_do)
+        self._threads = []
 
-    def _run_csp(self, do_ch, da_ch):
-        try:
-            self.csp.attach(do_ch, da_ch)
-            self.csp.serve()
-        except Exception as e:  # surfaced via self.errors in tests
-            self.errors.append(e)
+    def _start(self, engine, connect):
+        """Run engine's serve loop on a daemon thread; connect() returns
+        the engine's two channels."""
+        def run():
+            try:
+                engine.attach(*connect())
+                engine.serve()
+            except Exception as e:  # surfaced via self.errors in tests
+                self.errors.append(e)
 
-    def _run_do(self, csp_ch, da_ch):
-        try:
-            self.do.attach(csp_ch, da_ch)
-            self.do.serve()
-        except Exception as e:
-            self.errors.append(e)
+        t = threading.Thread(target=run, daemon=True)
+        self._threads.append(t)
+        t.start()
 
     def encrypt(self, xbar, minmax=False, column=""):
         return self.da.encrypt(xbar, minmax=minmax, column=column)
@@ -95,94 +78,74 @@ class LocalCluster:
             t.join(timeout=5)
 
 
-class TcpCluster:
+class LocalCluster(_Cluster):
+    """All three roles in one process, linked by in-memory channels."""
+
+    def __init__(self, *args, record=False, **kwargs):
+        super().__init__(*args, **kwargs)
+        csp_do, do_csp = transport.loopback_pair("csp->do", "do->csp")
+        csp_da, da_csp = transport.loopback_pair("csp->da", "da->csp")
+        do_da, da_do = transport.loopback_pair("do->da", "da->do")
+        self.channels = [csp_do, do_csp, csp_da, da_csp, do_da, da_do]
+        for ch in self.channels:
+            ch.record = record
+        self._start(self.csp, lambda: (csp_do, csp_da))
+        self._start(self.do, lambda: (do_csp, do_da))
+        self.da.attach(da_csp, da_do)
+
+
+class TcpCluster(_Cluster):
     """The three roles over real sockets on localhost, one per thread.
 
-    The owner must reach the server before the analyst does; the
-    analyst therefore dials the owner (who is only listening once its
-    own server link stands) before dialing the server.
+    The server takes its first connection for the owner's, so the
+    analyst dials the server only once the owner's connection stands.
     """
 
-    def __init__(self, state=None, sk=None, params: ProtocolParams = None,
-                 seed=None, mac_params=None, owner=None, da_keys=None,
-                 ot_group=GROUP_DEFAULT, csp_pool=None, record=False,
-                 states=None, host="127.0.0.1"):
-        rng = make_rng(seed)
-        seeds = [rng.getrandbits(64) for _ in range(3)] if seed is not None \
-            else [None, None, None]
-        self.csp = CspEngine(state, params, make_rng(seeds[0]), pool=csp_pool,
-                             states=states)
-        self.do = DoEngine(sk, params, make_rng(seeds[1]),
-                           mac_params=mac_params, owner=owner,
-                           ot_group=ot_group)
-        self.da = DaEngine(params, make_rng(seeds[2]), keys=da_keys,
-                           ot_group=ot_group)
+    def __init__(self, *args, record=False, host="127.0.0.1", **kwargs):
+        super().__init__(*args, **kwargs)
         self._record = record
-        self.channels = []
-        self.errors = []
-
         csp_srv = transport.tcp_listen(host, 0)
         do_srv = transport.tcp_listen(host, 0)
         csp_port = csp_srv.getsockname()[1]
         do_port = do_srv.getsockname()[1]
+        do_dialed = threading.Event()
 
-        def run_csp():
-            try:
-                do_ch = transport.tcp_accept(csp_srv, "csp->do")
-                da_ch = transport.tcp_accept(csp_srv, "csp->da")
-                csp_srv.close()
-                self._track(do_ch, da_ch)
-                self.csp.attach(do_ch, da_ch)
-                self.csp.serve()
-            except Exception as e:
-                self.errors.append(e)
+        def csp_links():
+            do_ch = transport.tcp_accept(csp_srv, "csp->do")
+            da_ch = transport.tcp_accept(csp_srv, "csp->da")
+            csp_srv.close()
+            return self._track(do_ch, da_ch)
 
-        def run_do():
+        def do_links():
             try:
                 csp_ch = transport.tcp_connect(host, csp_port, "do->csp")
-                da_ch = transport.tcp_accept(do_srv, "do->da")
-                do_srv.close()
-                self._track(csp_ch, da_ch)
-                self.do.attach(csp_ch, da_ch)
-                self.do.serve()
-            except Exception as e:
-                self.errors.append(e)
+            finally:
+                do_dialed.set()
+            da_ch = transport.tcp_accept(do_srv, "do->da")
+            do_srv.close()
+            return self._track(csp_ch, da_ch)
 
-        self._threads = [threading.Thread(target=run_csp, daemon=True),
-                         threading.Thread(target=run_do, daemon=True)]
-        for t in self._threads:
-            t.start()
+        self._start(self.csp, csp_links)
+        self._start(self.do, do_links)
         do_ch = transport.tcp_connect(host, do_port, "da->do")
+        do_dialed.wait()
         csp_ch = transport.tcp_connect(host, csp_port, "da->csp")
-        self._track(csp_ch, do_ch)
-        self.da.attach(csp_ch, do_ch)
+        self.da.attach(*self._track(csp_ch, do_ch))
 
     def _track(self, *chs):
         for ch in chs:
             ch.record = self._record
             self.channels.append(ch)
-
-    def encrypt(self, xbar, minmax=False, column=""):
-        return self.da.encrypt(xbar, minmax=minmax, column=column)
-
-    def transcripts(self):
-        return {ch.name: list(ch.transcript) for ch in self.channels}
-
-    def close(self):
-        for ch in self.channels:
-            ch.close()
-        for t in self._threads:
-            t.join(timeout=5)
+        return chs
 
 
 def build_cluster(dataset, params: ProtocolParams, seed=None,
-                  balance=True, integrity_scheme=None, mac_params=None,
-                  ot_group=GROUP_DEFAULT, key_rng_seed=None, record=False,
-                  pool_size=0, transport_kind="loopback"):
+                  mac_params=None, ot_group=GROUP_DEFAULT, key_rng_seed=None,
+                  record=False, pool_size=0, transport_kind="loopback"):
     """Initialize owner state from a dataset and stand up a cluster.
 
     Returns (cluster, context) where the context keeps the pieces tests
-    need for oracle checks: keys, owner state, table, tree.
+    need for oracle checks: keys, owner state, table.
     """
     from . import integrity as integrity_mod
 
@@ -198,10 +161,10 @@ def build_cluster(dataset, params: ProtocolParams, seed=None,
         if mac_params is None:
             raise ValueError("integrity enabled but no MAC parameters given")
         tagger = make_node_tagger(params.integrity, mac_params, pk, rng)
-    owner, table, tree = ope_state.init_state(
+    owner, table = ope_state.init_state(
         dataset, params.m, pk, l=params.l, mode=params.mode, rng=rng,
-        balance=balance, tagger=tagger)
-    state = ServerState(table=table, tree=tree, pk_owner=pk)
+        tagger=tagger)
+    state = ServerState(table=table, pk_owner=pk)
     da_keys = analyst_keygen(params, make_rng(rng.getrandbits(64)
                                               if seed is not None else None)) \
         if params.mode == ope_state.MODE_FH else None
@@ -211,10 +174,12 @@ def build_cluster(dataset, params: ProtocolParams, seed=None,
         pool.fill(pool_size, make_rng(rng.getrandbits(64)
                                       if seed is not None else None))
     kind = TcpCluster if transport_kind == "tcp" else LocalCluster
-    cluster = kind(state, sk, params,
+    cluster = kind({DEFAULT_COLUMN: state}, sk, params,
                    seed=rng.getrandbits(64) if seed is not None else None,
-                   mac_params=mac_params, owner=owner, da_keys=da_keys,
-                   ot_group=ot_group, csp_pool=pool, record=record)
+                   mac_params=mac_params, owners={DEFAULT_COLUMN: owner},
+                   da_keys=da_keys, ot_group=ot_group, csp_pool=pool,
+                   record=record)
+    # "tree" is the table too: the benchmark reads ctx["tree"].height
     context = {"pk": pk, "sk": sk, "owner": owner, "table": table,
-               "tree": tree, "state": state, "da_keys": da_keys}
+               "tree": table, "state": state, "da_keys": da_keys}
     return cluster, context

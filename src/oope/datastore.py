@@ -18,15 +18,14 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import integrity, ope_state, paillier
-from .engine import ProtocolParams, ServerState, make_node_tagger
+from .engine import ProtocolParams
 from .errors import DomainError, IntegrityError
-from .ope_state import MODE_DET, OpeTable, OpeTree
+from .ope_state import MODE_DET, OpeTable
 from .rng import make_rng
-from .wire import fixed_bytes, read_bytes, read_int, read_lp, u16, u32
+from .wire import ORDER_BYTES, fixed_bytes, read_bytes, read_int, u16, u32
 
 ROWS_MAGIC = b"OPER"
 ROWS_VERSION = 1
-ORDER_BYTES = 16
 
 
 @dataclass
@@ -123,7 +122,7 @@ def exec_range(store: RowStore, query: RangeQuery):
     return [{c: row.public[c] for c in query.projection} for row in hits]
 
 
-def cleanup_da_entries(table: OpeTable, tree: OpeTree, session_ids=None):
+def cleanup_da_entries(table: OpeTable, session_ids=None):
     """Remove analyst-inserted entries; database rows are untouched.
 
     session_ids None removes every tagged entry.  Unknown ids are a
@@ -141,8 +140,6 @@ def cleanup_da_entries(table: OpeTable, tree: OpeTree, session_ids=None):
                 warnings.warn(f"no analyst entry for session {sid.hex()}")
     for order in victims:
         table.remove(order)
-    if victims:
-        tree.rebuild_balanced(table.orders())
     return len(victims)
 
 
@@ -151,13 +148,12 @@ def cleanup_da_entries(table: OpeTable, tree: OpeTree, session_ids=None):
 @dataclass
 class IngestResult:
     tables: dict   # column -> OpeTable
-    trees: dict    # column -> OpeTree
     owners: dict   # column -> OwnerState
     rows: RowStore
 
 
 def ingest(csv_path, ope_columns, m: int, pk, l: int, mode: str = MODE_DET,
-           rng=None, balance: bool = True, tagger=None) -> IngestResult:
+           rng=None, tagger=None) -> IngestResult:
     """Build per-column OPE state and the row store from a CSV file."""
     rng = rng or make_rng()
     with open(csv_path, newline="", encoding="utf-8") as fh:
@@ -193,12 +189,10 @@ def ingest(csv_path, ope_columns, m: int, pk, l: int, mode: str = MODE_DET,
                 values[c].append(v)
             raw_rows.append(named)
 
-    tables, trees, owners = {}, {}, {}
+    tables, owners = {}, {}
     for c in (ope_columns if header else []):
-        owner, table, tree = ope_state.init_state(
-            values[c], m, pk, l=l, mode=mode, rng=rng, balance=balance,
-            tagger=tagger)
-        tables[c], trees[c], owners[c] = table, tree, owner
+        owners[c], tables[c] = ope_state.init_state(
+            values[c], m, pk, l=l, mode=mode, rng=rng, tagger=tagger)
 
     store = RowStore(public_columns=public_cols,
                      ope_columns=list(ope_columns) if header else [])
@@ -216,7 +210,7 @@ def ingest(csv_path, ope_columns, m: int, pk, l: int, mode: str = MODE_DET,
             row_id=i,
             public={c: named[c] for c in public_cols},
             orders=orders))
-    return IngestResult(tables=tables, trees=trees, owners=owners, rows=store)
+    return IngestResult(tables=tables, owners=owners, rows=store)
 
 
 # --- persistence -------------------------------------------------------------

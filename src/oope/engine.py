@@ -1,14 +1,18 @@
 """Role state machines for oblivious order-preserving encryption.
 
-Three engines cooperate per session: the server (CSP) walks its tree
-and orchestrates, the key owner (DO) decrypts blinded nodes and
-generates comparison circuits, the analyst (DA) evaluates them.  Per
+Three engines cooperate per session: the server (CSP) searches its
+sorted table and orchestrates, the key owner (DO) decrypts blinded
+nodes and generates comparison circuits, the analyst (DA) evaluates
+them.  The search is an implicit binary search: the node of each round
+is the order at the midpoint of an index range that starts as the whole
+table and halves towards the side the comparison names, which visits
+exactly the nodes of the balanced mOPE tree over those orders.  Per
 round the server blinds the current node additively, owner and analyst
 compare the blinded values inside a garbled circuit whose outputs carry
 XOR masks from both, and the server unmasks the bits from the two share
 messages, cross-checking both reconstructions.  A session always runs
-exactly h = tree height comparison rounds; once the walk stops, the
-remaining rounds replay the same node so neither the owner nor the
+exactly h = ceil(log2(n+1)) comparison rounds; once the search stops,
+the remaining rounds replay the same node so neither the owner nor the
 analyst learns where the value landed.
 
 In frequency-hiding mode the circuit emits a single traversal bit that
@@ -24,6 +28,7 @@ session are dropped by session-id filtering in Channel.recv.
 """
 
 import hashlib
+import json
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -31,10 +36,10 @@ from typing import Optional
 from . import garbling, integrity, ope_state, paillier, transport
 from .comparator import (build_comparator, build_fh_comparator,
                          comparator_inputs, int_to_bits)
-from .errors import (CapacityError, ConfigurationError, FramingError,
-                     GapExhausted, HandshakeError, IntegrityError,
-                     OopeError, ProtocolError, SessionAborted, UsageError)
-from .ope_state import MODE_DET, MODE_FH, OpeEntry, OpeTable, OpeTree
+from .errors import (CapacityError, ConfigurationError, GapExhausted,
+                     HandshakeError, IntegrityError, OopeError,
+                     ProtocolError, SessionAborted, UsageError)
+from .ope_state import MODE_DET, MODE_FH, OpeEntry, OpeTable
 from .ot import GROUP_DEFAULT, OtExtReceiver, OtExtSender
 from .rng import make_rng
 from .transport import (CIPHER_UPLOAD, CLEANUP, CLEANUP_DONE, Frame,
@@ -110,18 +115,12 @@ class ProtocolParams:
 
 @dataclass
 class ServerState:
-    """One column's state at the server: the table, its tree, the key."""
+    """One column's state at the server: the table and the owner's key."""
 
     table: OpeTable
-    tree: OpeTree
     pk_owner: paillier.PaillierPublicKey
     pk_analyst: Optional[paillier.PaillierPublicKey] = None
 
-    @classmethod
-    def from_table(cls, table: OpeTable, pk_owner):
-        tree = OpeTree()
-        tree.rebuild_balanced(table.orders())
-        return cls(table=table, tree=tree, pk_owner=pk_owner)
 
 DEFAULT_COLUMN = ""
 
@@ -168,6 +167,57 @@ def make_node_tagger(scheme, mac_params, pk, rng):
     return tag
 
 
+def _ot_link(ch, session):
+    """send/recv callables carrying OT extension messages over ch.
+
+    Each message is tagged with the session current at the call and
+    numbered from a counter both directions share, so a reordered or
+    replayed message is a ProtocolError.
+    """
+    seq = 0
+
+    def send(blob):
+        nonlocal seq
+        ch.send(Frame(OT_MSG, session(), u32(seq) + blob))
+        seq += 1
+
+    def recv():
+        nonlocal seq
+        frame = ch.recv(OT_MSG, session=session())
+        got, _ = read_int(frame.payload, 0, 4)
+        if got != seq:
+            raise ProtocolError(f"OT message out of order ({got})")
+        seq += 1
+        return frame.payload[4:]
+
+    return send, recv
+
+
+def _query_from_spec(payload: bytes):
+    """RangeQuery from a QUERY_EXEC payload; anything malformed is a
+    ProtocolError, which the serve loop turns into ABORT."""
+    from . import datastore
+    try:
+        spec = json.loads(payload)
+    except ValueError:
+        raise ProtocolError("query spec is not JSON") from None
+    if not isinstance(spec, dict) or not isinstance(spec.get("bounds"), dict):
+        raise ProtocolError("query spec lacks a bounds object")
+    bounds = {}
+    for col, iv in spec["bounds"].items():
+        if not (isinstance(iv, list) and len(iv) == 4 and
+                all(v is None or type(v) is int for v in iv[:2]) and
+                all(type(v) is bool for v in iv[2:])):
+            raise ProtocolError(f"malformed interval for column {col!r}")
+        bounds[col] = tuple(iv)
+    projection = spec.get("projection")
+    if projection is not None and not (
+            isinstance(projection, list) and
+            all(isinstance(c, str) for c in projection)):
+        raise ProtocolError("projection must be a list of column names")
+    return datastore.RangeQuery(bounds=bounds, projection=projection)
+
+
 def _parse_ped_tag(blob, key_id):
     if not blob:
         raise IntegrityError("node lacks its integrity tag")
@@ -182,12 +232,10 @@ def _parse_ped_tag(blob, key_id):
 class CspEngine:
     """Holds the OPE state and orchestrates sessions one at a time."""
 
-    def __init__(self, state=None, params: ProtocolParams = None, rng=None,
-                 pool: paillier.RandomnessPool = None, states: dict = None):
+    def __init__(self, states: dict, params: ProtocolParams, rng=None,
+                 pool: paillier.RandomnessPool = None):
         params.validate()
-        if states is None:
-            states = {DEFAULT_COLUMN: state}
-        self.states = states
+        self.states = states  # column -> ServerState
         self.state = next(iter(states.values()))
         self._column = DEFAULT_COLUMN
         self.rows = None  # optional RowStore for query execution
@@ -199,7 +247,6 @@ class CspEngine:
         self.sessions_served = 0  # rate-limiting hook for host applications
         self.timers = _Timers()
         self.round_times_ns = []
-        self.on_rebalance = None  # callback(remap) for the row store
 
     def reset_timers(self):
         self.timers.clear()
@@ -230,13 +277,14 @@ class CspEngine:
         """Accept requests until the analyst channel closes.
 
         A request that fails with an OopeError is aborted towards the
-        analyst and the loop goes on; only a dead channel ends it.
+        analyst and the loop goes on; a stale abort or a frame that opens
+        no request is dropped.  Only a dead channel ends the loop.
         """
         served = 0
         while max_sessions is None or served < max_sessions:
             try:
                 frame = self.da_ch.recv(SESSION_START, QUERY_EXEC, CLEANUP)
-            except (FramingError, SessionAborted):
+            except (ProtocolError, SessionAborted):
                 if self.da_ch.poisoned:
                     return
                 continue
@@ -264,43 +312,40 @@ class CspEngine:
             raise SessionAborted(reason)
         self.state = self.states[column]
         self._column = column
-        table, tree = self.state.table, self.state.tree
+        table = self.state.table
         undo = []
         try:
-            node = tree.root
-            h = tree.height
-            b_e, b_g = 1, 0
-            fh_bit = 0
-            for _ in range(h):
+            # implicit binary search: the node is the order at the
+            # midpoint of [lo, hi); det moves only on inequality (b_e),
+            # fh always moves, and an empty half keeps the node
+            lo, hi = 0, len(table)
+            b_e, side = 1, 0
+            for _ in range(table.height):
                 t0 = time.perf_counter_ns()
+                mid = (lo + hi) // 2
                 if self.params.mode == MODE_FH:
-                    fh_bit = self._compare_round_fh(sid, node)
-                    nxt = tree.child(node, fh_bit)
-                    if nxt is not None:
-                        node = nxt
+                    side = self._compare_round_fh(sid, table.order_at(mid))
                 else:
-                    b_e, b_g = self._compare_round(sid, node)
-                    if b_e != 0:
-                        nxt = tree.child(node, b_g)
-                        if nxt is not None:
-                            node = nxt
+                    b_e, side = self._compare_round(sid, table.order_at(mid))
+                if b_e and side and mid + 1 < hi:
+                    lo = mid + 1
+                elif b_e and not side and lo < mid:
+                    hi = mid
                 self.round_times_ns.append(time.perf_counter_ns() - t0)
 
-            side = fh_bit if self.params.mode == MODE_FH else b_g
+            node = table.order_at((lo + hi) // 2) if table else None
+            is_known = False
             if node is None:
                 ybar = ope_state.assign_order(0, table.m)
-                is_known = False
-            elif self.params.mode == MODE_DET and b_e == 0:
-                ybar = node
-                is_known = True
+            elif b_e == 0:
+                ybar, is_known = node, True
             else:
-                ybar, node = self._encrypt_order(side, node, undo)
-                is_known = False
+                ybar = self._encrypt_order(side, node, undo)
 
             self.da_ch.send(Frame(ORDER_RESULT, sid, _offset_blob(ybar)))
             upload = self.da_ch.recv(CIPHER_UPLOAD, session=sid)
             if not is_known:
-                self._store_upload(sid, upload.payload, ybar, node, side, undo)
+                self._store_upload(sid, upload.payload, ybar, undo)
             if op == OP_ENCRYPT_MINMAX:
                 if self.params.mode != MODE_FH:
                     raise ProtocolError("min/max orders exist only in "
@@ -388,7 +433,7 @@ class CspEngine:
         direction = "right" if b_g else "left"
         y_l, y_r, _ = table.neighbors(node_order, direction)
         try:
-            return ope_state.assign_order(y_l, y_r), node_order
+            return ope_state.assign_order(y_l, y_r)
         except GapExhausted:
             if self.params.mode == MODE_FH:
                 raise CapacityError(
@@ -398,35 +443,28 @@ class CspEngine:
             node_order = remap[node_order]
             y_l, y_r, _ = table.neighbors(node_order, direction)
             try:
-                return ope_state.assign_order(y_l, y_r), node_order
+                return ope_state.assign_order(y_l, y_r)
             except GapExhausted:
                 # uniform respread left no room here: M is too dense
                 raise CapacityError("order space too dense for another "
                                     "entry at this position") from None
 
     def _rebalance(self, undo):
-        table, tree = self.state.table, self.state.tree
-        shape = tree.snapshot()
-        remap = ope_state.rebalance(table, tree)
-
-        def restore():
-            table.reassign_orders({v: k for k, v in remap.items()})
-            tree.restore(shape)
-
-        undo.append(restore)
+        table = self.state.table
+        remap = ope_state.rebalance(table)
+        undo.append(lambda: table.reassign_orders(
+            {v: k for k, v in remap.items()}))
         col = self._column.encode()
         payload = u16(len(col)) + col + u32(len(remap)) + b"".join(
             _offset_blob(a) + _offset_blob(b) for a, b in sorted(remap.items()))
         self.do_ch.send(Frame(REBALANCE, NULL_SESSION, payload))
         if self.rows is not None:
             self.rows.apply_remap(self._column, remap)
-        if self.on_rebalance:
-            self.on_rebalance(self._column, remap)
         return remap
 
-    def _store_upload(self, sid, payload, ybar, node_order, side, undo):
+    def _store_upload(self, sid, payload, ybar, undo):
         kind, off = read_int(payload, 0, 1)
-        table, tree = self.state.table, self.state.tree
+        table = self.state.table
         pk = self.state.pk_owner
         if kind == UPLOAD_UID:
             if not self.params.uid_upload or self.params.mode == MODE_FH:
@@ -441,17 +479,8 @@ class CspEngine:
         if self.params.mode == MODE_FH:
             entry.fh_min = paillier.encrypt(pk, ybar, self.rng, self.pool)
             entry.fh_max = paillier.encrypt(pk, ybar, self.rng, self.pool)
-        # Rebuilding keeps the height, and so every later session's round
-        # count, at ceil(log2(n+1)) whatever the insertion order.
-        shape = tree.snapshot()
         table.insert(entry)
-        tree.rebuild_balanced(table.orders())
-
-        def restore():
-            table.remove(ybar)
-            tree.restore(shape)
-
-        undo.append(restore)
+        undo.append(lambda: table.remove(ybar))
 
     # -- min/max order exchange --
 
@@ -508,16 +537,11 @@ class CspEngine:
                               fixed_bytes(randoms[1], width)))
 
     def _exec_query(self, frame):
-        import json
-
         from . import datastore
         if self.rows is None:
             raise ConfigurationError("server holds no row store")
-        spec = json.loads(frame.payload.decode())
-        query = datastore.RangeQuery(
-            bounds={c: tuple(iv) for c, iv in spec["bounds"].items()},
-            projection=spec.get("projection"))
-        result = datastore.exec_range(self.rows, query)
+        result = datastore.exec_range(self.rows,
+                                      _query_from_spec(frame.payload))
         self.da_ch.send(Frame(QUERY_RESULT, frame.session_id,
                               json.dumps(result).encode()))
 
@@ -529,7 +553,7 @@ class CspEngine:
                     for i in range(0, len(frame.payload), 16)]
         removed = 0
         for st in self.states.values():
-            removed += datastore.cleanup_da_entries(st.table, st.tree, sids)
+            removed += datastore.cleanup_da_entries(st.table, sids)
         self.da_ch.send(Frame(CLEANUP_DONE, frame.session_id, u32(removed)))
 
 
@@ -540,7 +564,7 @@ class DoEngine:
     """Decrypts blinded nodes, generates circuits, sends its shares."""
 
     def __init__(self, sk: paillier.PaillierPrivateKey, params: ProtocolParams,
-                 rng=None, mac_params=None, owner=None, owners=None,
+                 rng=None, mac_params=None, owners: dict = None,
                  ot_group=GROUP_DEFAULT):
         params.validate()
         if params.integrity != integrity.SCHEME_OFF and mac_params is None:
@@ -549,14 +573,12 @@ class DoEngine:
         self.params = params
         self.rng = rng or make_rng()
         self.mac_params = mac_params
-        self.owners = owners if owners is not None else \
-            ({DEFAULT_COLUMN: owner} if owner is not None else {})
+        self.owners = owners if owners is not None else {}  # column -> owner
         self.ot_group = ot_group
         self.circuit = params.build_circuit()
         self.pk_analyst = None
         self.timers = _Timers()
         self._sid = NULL_SESSION
-        self._ot_seq = 0
         self._fh_shares = (0, 0)
 
     def reset_timers(self):
@@ -576,21 +598,10 @@ class DoEngine:
                                           do_extra)
         if da_extra:
             self.pk_analyst, _ = paillier.parse_public_key(da_extra)
-        self.ot_sender = OtExtSender(self._ot_send, self._ot_recv, self.rng,
-                                     self.ot_group, self.params.ot_batch)
+        send, recv = _ot_link(self.da_ch, lambda: self._sid)
+        self.ot_sender = OtExtSender(send, recv, self.rng, self.ot_group,
+                                     self.params.ot_batch)
         self.ot_sender.setup()
-
-    def _ot_send(self, blob):
-        self.da_ch.send(Frame(OT_MSG, self._sid, u32(self._ot_seq) + blob))
-        self._ot_seq += 1
-
-    def _ot_recv(self):
-        frame = self.da_ch.recv(OT_MSG, session=self._sid)
-        seq, _ = read_int(frame.payload, 0, 4)
-        if seq != self._ot_seq:
-            raise ProtocolError(f"OT message out of order ({seq})")
-        self._ot_seq += 1
-        return frame.payload[4:]
 
     def serve(self, max_sessions=None):
         done = 0
@@ -598,10 +609,14 @@ class DoEngine:
             try:
                 frame = self.csp_ch.recv(RANDOMIZED_NODE, SESSION_DONE,
                                          MINMAX_TRIPLE, REBALANCE)
-            except FramingError:
-                return
             except SessionAborted:
                 self._reset_session()
+                continue
+            except ProtocolError:
+                # a frame of another type is dropped; a dead channel ends
+                # the loop
+                if self.csp_ch.poisoned:
+                    return
                 continue
             try:
                 if frame.ftype == RANDOMIZED_NODE:
@@ -758,7 +773,6 @@ class DaEngine:
         self.mac_params = None
         self.timers = _Timers()
         self._sid = NULL_SESSION
-        self._ot_seq = 0
         self._uids = {}
         self._current_xbar = None
 
@@ -782,22 +796,10 @@ class DaEngine:
         elif self.params.integrity != integrity.SCHEME_OFF:
             raise HandshakeError("integrity enabled but owner sent no "
                                  "verification parameters")
-        self.ot_receiver = OtExtReceiver(self._ot_send, self._ot_recv,
-                                         self.rng, self.ot_group,
+        send, recv = _ot_link(self.da_do_ch, lambda: self._sid)
+        self.ot_receiver = OtExtReceiver(send, recv, self.rng, self.ot_group,
                                          self.params.ot_batch)
         self.ot_receiver.setup()
-
-    def _ot_send(self, blob):
-        self.da_do_ch.send(Frame(OT_MSG, self._sid, u32(self._ot_seq) + blob))
-        self._ot_seq += 1
-
-    def _ot_recv(self):
-        frame = self.da_do_ch.recv(OT_MSG, session=self._sid)
-        seq, _ = read_int(frame.payload, 0, 4)
-        if seq != self._ot_seq:
-            raise ProtocolError(f"OT message out of order ({seq})")
-        self._ot_seq += 1
-        return frame.payload[4:]
 
     def encrypt(self, xbar: int, minmax: bool = False,
                 column: str = DEFAULT_COLUMN):
@@ -932,7 +934,6 @@ class DaEngine:
 
     def query(self, bounds: dict, projection=None):
         """Run a range query at the server over already-obtained orders."""
-        import json
         sid = bytes(self.rng.getrandbits(8) for _ in range(16))
         spec = {"bounds": {c: list(iv) for c, iv in bounds.items()},
                 "projection": projection}

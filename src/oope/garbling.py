@@ -14,7 +14,7 @@ in the tests for small widths.
 
 import hashlib
 
-from .comparator import AND, NOT, OR, XOR, BooleanCircuit, NONFREE_OPS
+from .comparator import AND, NOT, OR, XOR, BooleanCircuit
 from .errors import IntegrityError, ProtocolError
 from .wire import read_bytes, read_int, u16, u32, xor_bytes
 

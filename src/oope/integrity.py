@@ -21,7 +21,7 @@ from .errors import DomainError, UsageError
 from .modexp import powmod
 from .paillier import is_probable_prime
 from .rng import make_rng
-from .wire import be_bytes, lp, read_int, read_lp, u32
+from .wire import be_bytes, lp, read_lp, u32
 
 SCHEME_OFF, SCHEME_DLMAC, SCHEME_PEDERSEN = "off", "dlmac", "pedersen"
 DEFAULT_MODULUS_BITS = 2048

@@ -1,12 +1,20 @@
 """Mutable order-preserving encryption state.
 
 The table holds ⟨homomorphic ciphertext, order⟩ pairs sorted by order;
-the tree is a binary search tree over those orders used for traversal;
 the owner keeps the plaintext/order pairs.  Orders live in [1, M-1],
 with 0 and M acting as virtual neighbors of the extremes.  A fresh
 order is the midpoint (rounded up) of its neighbor gap; a unit gap
 signals GapExhausted and forces a rebalance that respreads all orders
 uniformly while keeping their relative ranks.
+
+The server stores no tree.  A session runs an implicit binary search
+over the sorted orders: it keeps an index range [lo, hi), starting at
+[0, n), compares against the order at mid = (lo+hi)//2 and narrows to
+[lo, mid) or [mid+1, hi).  Those midpoints are exactly the nodes of the
+balanced binary search tree built by picking the median as root and
+recursing on each half, so the search visits what a balanced mOPE tree
+would, and its depth, OpeTable.height, is ceil(log2(n+1)) whatever
+order the entries arrived in.
 
 Frequency-hiding mode stores one entry per plaintext occurrence plus
 per-entry ciphertexts of the plaintext's minimum and maximum order,
@@ -24,9 +32,8 @@ from . import paillier
 from .errors import (CapacityError, ConfigurationError, DomainError,
                      GapExhausted, IntegrityError, UsageError)
 from .rng import make_rng
-from .wire import fixed_bytes, read_bytes, read_int, u16, u32
+from .wire import ORDER_BYTES, fixed_bytes, read_bytes, read_int, u16, u32
 
-ORDER_BYTES = 16
 MODE_DET, MODE_FH = "det", "fh"
 TABLE_MAGIC = b"OPET"
 OWNER_MAGIC = b"OPEO"
@@ -63,8 +70,16 @@ class OpeTable:
     def __len__(self):
         return len(self._orders)
 
+    @property
+    def height(self) -> int:
+        """Rounds of the midpoint search: ceil(log2(n+1))."""
+        return len(self._orders).bit_length()
+
     def orders(self):
         return list(self._orders)
+
+    def order_at(self, index: int) -> int:
+        return self._orders[index]
 
     def entries(self):
         return [self._by_order[o] for o in self._orders]
@@ -117,98 +132,6 @@ class OpeTable:
         self._by_order = {e.order: e for e in entries}
 
 
-class OpeTree:
-    """BST over table orders; height counts nodes on the longest path."""
-
-    def __init__(self):
-        self.root = None
-        self._children = {}
-        self._depth = {}
-        self.height = 0
-
-    def __len__(self):
-        return len(self._children)
-
-    def child(self, order: int, go_right: int):
-        return self._children[order][1 if go_right else 0]
-
-    def insert_under(self, parent_order, go_right: int, order: int):
-        if order in self._children:
-            raise IntegrityError(f"tree already holds order {order}")
-        if parent_order is None:
-            if self.root is not None:
-                raise UsageError("tree already has a root")
-            self.root = order
-            self._children[order] = [None, None]
-            self._depth[order] = 0
-            self.height = 1
-            return
-        slot = 1 if go_right else 0
-        if self._children[parent_order][slot] is not None:
-            raise IntegrityError("tree slot already occupied")
-        if go_right and not order > parent_order:
-            raise IntegrityError("BST violation on right insert")
-        if not go_right and not order < parent_order:
-            raise IntegrityError("BST violation on left insert")
-        self._children[parent_order][slot] = order
-        self._children[order] = [None, None]
-        d = self._depth[parent_order] + 1
-        self._depth[order] = d
-        self.height = max(self.height, d + 1)
-
-    def insert_bst(self, order: int):
-        """Classic BST insertion from the root."""
-        if self.root is None:
-            self.insert_under(None, 0, order)
-            return
-        node = self.root
-        while True:
-            go_right = 1 if order > node else 0
-            nxt = self._children[node][go_right]
-            if nxt is None:
-                self.insert_under(node, go_right, order)
-                return
-            node = nxt
-
-    def snapshot(self):
-        """Copy of the current shape, for restore() on a rollback."""
-        return (self.root, self.height,
-                {k: list(v) for k, v in self._children.items()},
-                dict(self._depth))
-
-    def restore(self, shape):
-        self.root, self.height, self._children, self._depth = shape
-
-    def in_order(self):
-        out = []
-
-        def walk(node):
-            if node is None:
-                return
-            walk(self._children[node][0])
-            out.append(node)
-            walk(self._children[node][1])
-
-        walk(self.root)
-        return out
-
-    def rebuild_balanced(self, sorted_orders):
-        self.root = None
-        self._children = {}
-        self._depth = {}
-        self.height = 0
-
-        def build(lo, hi, parent, go_right):
-            if lo >= hi:
-                return
-            mid = (lo + hi) // 2
-            self.insert_under(parent, go_right, sorted_orders[mid])
-            build(lo, mid, sorted_orders[mid], 0)
-            build(mid + 1, hi, sorted_orders[mid], 1)
-
-        build(0, len(sorted_orders), None, 0)
-
-
 @dataclass
 class OwnerState:
     """The data owner's plaintext/order pairs."""
@@ -216,15 +139,6 @@ class OwnerState:
     m: int
     l: int
     pairs: list = field(default_factory=list)
-
-    def order_of(self, x: int):
-        for px, py in self.pairs:
-            if px == x:
-                return py
-        return None
-
-    def orders_of(self, x: int):
-        return sorted(py for px, py in self.pairs if px == x)
 
     def apply_remap(self, remap: dict):
         self.pairs = [(x, remap.get(y, y)) for x, y in self.pairs]
@@ -240,21 +154,7 @@ def assign_order(y_left: int, y_right: int) -> int:
     return y_left + (gap + 1) // 2
 
 
-def neighbors(table: OpeTable, node_order: int, direction: str):
-    return table.neighbors(node_order, direction)
-
-
-def insert_entry(table: OpeTable, tree: OpeTree, entry: OpeEntry,
-                 parent_order, go_right: int):
-    table.insert(entry)
-    try:
-        tree.insert_under(parent_order, go_right, entry.order)
-    except (IntegrityError, UsageError):
-        table.remove(entry.order)
-        raise
-
-
-def rebalance(table: OpeTable, tree: OpeTree) -> dict:
+def rebalance(table: OpeTable) -> dict:
     """Respread all orders uniformly across [1, M-1]; rank is preserved.
 
     Returns the old-order -> new-order map the owner needs to update its
@@ -270,7 +170,6 @@ def rebalance(table: OpeTable, tree: OpeTree) -> dict:
              (1 if (i + 1) * table.m % (n + 1) else 0)
              for i, y in enumerate(old)}
     table.reassign_orders(remap)
-    tree.rebuild_balanced(table.orders())
     return remap
 
 
@@ -299,15 +198,15 @@ def _local_insert_fh(sorted_pairs, x, m, rng):
 
 
 def init_state(dataset, m: int, pk: paillier.PaillierPublicKey, l: int,
-               mode: str = MODE_DET, rng=None, balance: bool = True,
+               mode: str = MODE_DET, rng=None,
                pool: paillier.RandomnessPool = None, tagger=None):
-    """Build owner state, table and tree from a plaintext dataset.
+    """Build owner state and table from a plaintext dataset.
 
-    Insertion follows the dataset's given order.  With balance=True the
-    tree is rebuilt balanced afterwards, which changes traversal paths
-    but never the assigned orders.  tagger, when given, is called with
-    each plaintext to produce the serialized integrity tag stored next
-    to the entry.
+    Orders are assigned in the dataset's given order.  The server's
+    search needs no further structure: its midpoint walk over the sorted
+    table is the balanced tree over these orders, whatever order they
+    were inserted in.  tagger, when given, is called with each plaintext
+    to produce the serialized integrity tag stored next to the entry.
     """
     dataset = list(dataset)
     n = len(dataset)
@@ -343,12 +242,10 @@ def init_state(dataset, m: int, pk: paillier.PaillierPublicKey, l: int,
                     sorted_pairs[i] = (px, ny)
                 owner.apply_remap(remap)
 
-    insertion_orders = []
     for x in dataset:
         y, is_new = place(x)
         if is_new:
             insort(sorted_pairs, (x, y))
-            insertion_orders.append(y)
         owner.pairs.append((x, y))
 
     table = OpeTable(m, l, mode, pk.key_bits, pk.key_id)
@@ -366,14 +263,7 @@ def init_state(dataset, m: int, pk: paillier.PaillierPublicKey, l: int,
         if tagger is not None:
             entry.node_tag = tagger(x)
         table.insert(entry)
-
-    tree = OpeTree()
-    if balance:
-        tree.rebuild_balanced(table.orders())
-    else:
-        for y in insertion_orders:
-            tree.insert_bst(y)
-    return owner, table, tree
+    return owner, table
 
 
 # --- persistence ------------------------------------------------------------
@@ -384,8 +274,6 @@ def init_state(dataset, m: int, pk: paillier.PaillierPublicKey, l: int,
 #              [fh_min record | fh_max record] | [tag 16B] |
 #              [node tag: len u32 | blob]
 #   sha256 trailer over everything above
-#
-# The tree is not persisted; it is rebuilt balanced on load.
 
 class _HashingWriter:
     def __init__(self, fh):

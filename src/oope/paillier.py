@@ -28,12 +28,11 @@ from .errors import (ConfigurationError, DomainError, KeyMismatchError,
                      PrimeGenerationError)
 from .modexp import powmod
 from .rng import make_rng
-from .wire import be_bytes, fixed_bytes, lp, read_bytes, read_int, read_lp
+from .wire import be_bytes, fixed_bytes, lp, read_int, read_lp
 
 STANDARD_KEY_BITS = (1024, 2048, 3072, 4096)
 MIN_TEST_KEY_BITS = 64
 MR_ROUNDS = 40  # per-round error <= 1/4, total <= 2^-80
-KEY_ID_BYTES = 32
 
 
 def _sieve(limit):
@@ -254,17 +253,6 @@ def _check_key(pk, c):
 
 
 # --- serialization ---------------------------------------------------------
-
-def serialize_ciphertext(c: HomCiphertext) -> bytes:
-    """Length-prefixed minimal big-endian residue followed by the key id."""
-    return lp(be_bytes(c.value)) + c.key_id
-
-
-def parse_ciphertext(buf: bytes, off: int = 0):
-    blob, off = read_lp(buf, off)
-    key_id, off = read_bytes(buf, off, KEY_ID_BYTES)
-    return HomCiphertext(int.from_bytes(blob, "big"), key_id), off
-
 
 def cipher_width(key_bits: int) -> int:
     """Fixed record width of a residue mod N^2, in bytes."""

@@ -16,7 +16,3 @@ def make_rng(seed=None) -> random.Random:
     if seed is None:
         return random.SystemRandom()
     return random.Random(seed)
-
-
-def random_bit(rng) -> int:
-    return rng.getrandbits(1)

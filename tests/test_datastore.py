@@ -152,25 +152,22 @@ def test_fh_interval_rewrite():
 def test_cleanup_restores_table_bytes(tmp_path, keys):
     pk, _ = keys
     result = ingest_example(tmp_path, keys)
-    table, tree = result.tables["X1"], result.trees["X1"]
+    table = result.tables["X1"]
     before = ope_state.table_to_bytes(table)
     sid = b"s" * 16
     entry = ope_state.OpeEntry(paillier.encrypt(pk, 15, make_rng(3)), 6,
                                tag=sid)
     table.insert(entry)
-    tree.insert_bst(6)
     assert ope_state.table_to_bytes(table) != before
-    removed = datastore.cleanup_da_entries(table, tree, [sid])
+    removed = datastore.cleanup_da_entries(table, [sid])
     assert removed == 1
     assert ope_state.table_to_bytes(table) == before
-    assert tree.in_order() == table.orders()
 
 
 def test_cleanup_unknown_session_warns(tmp_path, keys):
     result = ingest_example(tmp_path, keys)
     with pytest.warns(UserWarning):
         removed = datastore.cleanup_da_entries(result.tables["X1"],
-                                               result.trees["X1"],
                                                [b"z" * 16])
     assert removed == 0
 
@@ -178,12 +175,11 @@ def test_cleanup_unknown_session_warns(tmp_path, keys):
 def test_cleanup_all_tagged(tmp_path, keys):
     pk, _ = keys
     result = ingest_example(tmp_path, keys)
-    table, tree = result.tables["X1"], result.trees["X1"]
+    table = result.tables["X1"]
     for i, order in enumerate((6, 13)):
         table.insert(ope_state.OpeEntry(paillier.encrypt(pk, 1, make_rng(i)),
                                         order, tag=bytes([i]) * 16))
-        tree.insert_bst(order)
-    assert datastore.cleanup_da_entries(table, tree) == 2
+    assert datastore.cleanup_da_entries(table) == 2
     assert table.orders() == [4, 7, 11, 14, 21]
 
 

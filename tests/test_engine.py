@@ -9,8 +9,8 @@ import pytest
 from oracles import Mope2Oracle, min_max_orders, rank_interval_holds, \
     sandwich_holds
 
-from oope import datastore, paillier, transport
-from oope.cluster import LocalCluster, build_cluster
+from oope import datastore, ope_state, paillier, transport
+from oope.cluster import build_cluster
 from oope.engine import ProtocolParams
 from oope.errors import SessionAborted, UsageError
 from oope.ot import GROUP_TEST
@@ -82,25 +82,27 @@ def test_round_count_always_equals_tree_height():
     rng = make_rng(5)
     data = [rng.randrange(1 << 16) for _ in range(20)]
     cluster, ctx = make_cluster(data, seed=17)
+    table = ctx["table"]
     try:
         queries = [data[0],                     # equality at some node
                    0, (1 << 16) - 1,            # extremes
                    rng.randrange(1 << 16)]
-        # equality at the root specifically
-        root_entry = ctx["table"].get(ctx["tree"].root)
+        # equality at the first node of the search specifically
+        root_entry = table.get(table.order_at(len(table) // 2))
         queries.append(paillier.decrypt(ctx["sk"], root_entry.cipher))
-        # ascending inserts, like timestamps, must not grow the tree
-        # beyond the balanced height
+        # ascending inserts, like timestamps, must not lengthen the
+        # search beyond the balanced height
         fresh = sorted(set(rng.sample(range(1 << 16), 60)) - set(data))
         queries += fresh[:40]
         for xbar in queries:
-            h = ctx["tree"].height
+            h = table.height
+            assert h == len(table).bit_length()
             before = len(cluster.csp.round_times_ns)
             cluster.encrypt(xbar)
             assert len(cluster.csp.round_times_ns) - before == h
-        n = len(ctx["table"])
+        n = len(table)
         assert n >= 60
-        assert ctx["tree"].height == math.ceil(math.log2(n + 1))
+        assert table.height == math.ceil(math.log2(n + 1))
         assert not cluster.errors
     finally:
         cluster.close()
@@ -139,16 +141,11 @@ def test_flipped_share_bit_detected_and_state_rolled_back():
         cluster.close()
 
 
-@pytest.mark.parametrize("balance", [True, False])
-def test_aborted_insert_restores_tree_shape(balance):
+def test_aborted_insert_restores_table():
     params = small_params()
-    cluster, ctx = make_cluster(EXAMPLE, seed=41, params=params,
-                                balance=balance)
-    tree = ctx["tree"]
+    cluster, ctx = make_cluster(EXAMPLE, seed=41, params=params)
     try:
-        shape = ({k: list(v) for k, v in tree._children.items()},
-                 tree.root, tree.height)
-        orders_before = ctx["table"].orders()
+        table_before = ope_state.table_to_bytes(ctx["table"])
         orig_send = cluster.da.csp_ch.send
 
         def minmax_in_det_mode(frame):
@@ -163,9 +160,7 @@ def test_aborted_insert_restores_tree_shape(balance):
         with pytest.raises(SessionAborted, match="frequency-hiding"):
             cluster.encrypt(15)
         cluster.da.csp_ch.send = orig_send
-        assert ctx["table"].orders() == orders_before
-        assert ({k: list(v) for k, v in tree._children.items()},
-                tree.root, tree.height) == shape
+        assert ope_state.table_to_bytes(ctx["table"]) == table_before
         oracle = Mope2Oracle(params.m).load(EXAMPLE)
         assert cluster.encrypt(15) == oracle.encrypt(15)
         assert not cluster.errors
@@ -189,6 +184,41 @@ def test_unknown_column_query_aborts_and_service_continues():
             len(EXAMPLE)
         assert cluster.encrypt(15) == \
             Mope2Oracle(params.m).load(EXAMPLE).encrypt(15)
+        assert not cluster.errors
+    finally:
+        cluster.close()
+
+
+def test_malformed_requests_abort_and_serve_loops_survive():
+    params = small_params()
+    cluster, ctx = make_cluster(EXAMPLE, seed=45, params=params)
+    try:
+        cluster.csp.rows = datastore.RowStore(
+            public_columns=[], ope_columns=[""],
+            rows=[datastore.EncryptedRow(i, {}, {"": y})
+                  for i, (_, y) in enumerate(ctx["owner"].pairs)])
+        # a dead serve thread fails this test in seconds, not minutes
+        cluster.da.csp_ch.timeout = cluster.da.da_do_ch.timeout = 5
+        for i, spec in enumerate((b"{", b"[1]")):
+            sid = bytes([i + 1]) * 16
+            t0 = time.monotonic()
+            cluster.da.csp_ch.send(Frame(transport.QUERY_EXEC, sid, spec))
+            with pytest.raises(SessionAborted):
+                cluster.da.csp_ch.recv(transport.QUERY_RESULT, session=sid)
+            assert time.monotonic() - t0 < 5
+        t0 = time.monotonic()
+        with pytest.raises(SessionAborted, match="malformed interval"):
+            cluster.da.query({"": (1, 5)})
+        assert time.monotonic() - t0 < 5
+        # a frame of a type no request starts with, at the top of either
+        # serve loop, is dropped
+        stray = Frame(transport.SHARES, bytes([9]) * 16, b"\x00")
+        cluster.da.csp_ch.send(stray)
+        cluster.csp.do_ch.send(stray)
+        assert cluster.encrypt(15) == \
+            Mope2Oracle(params.m).load(EXAMPLE).encrypt(15)
+        assert cluster.da.query({"": (0, params.m, True, True)}) == \
+            len(EXAMPLE)
         assert not cluster.errors
     finally:
         cluster.close()

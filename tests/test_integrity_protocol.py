@@ -39,9 +39,10 @@ def test_honest_rounds_verify(scheme):
 def test_substituted_node_detected_before_evaluation(scheme):
     cluster, ctx = build(scheme, seed=103)
     try:
-        table, tree, pk = ctx["table"], ctx["tree"], ctx["pk"]
-        # server forges a ciphertext for the root but keeps the old tag
-        root = table.get(tree.root)
+        table, pk = ctx["table"], ctx["pk"]
+        # server forges a ciphertext for the first node of every search
+        # (the middle order) but keeps the old tag
+        root = table.get(table.order_at(len(table) // 2))
         root.cipher = paillier.encrypt(pk, 55, make_rng(1))
         for ch in cluster.channels:
             if ch.name == "da->do":
@@ -77,15 +78,16 @@ def test_analyst_uploads_are_tagged_and_verifiable(scheme):
 def test_state_untouched_after_detected_attack():
     cluster, ctx = build(integrity.SCHEME_PEDERSEN, seed=109)
     try:
-        table, tree, pk = ctx["table"], ctx["tree"], ctx["pk"]
+        table, pk = ctx["table"], ctx["pk"]
         orders = table.orders()
-        honest_cipher = table.get(tree.root).cipher
-        table.get(tree.root).cipher = paillier.encrypt(pk, 1, make_rng(2))
+        root = table.get(table.order_at(len(table) // 2))
+        honest_cipher = root.cipher
+        root.cipher = paillier.encrypt(pk, 1, make_rng(2))
         with pytest.raises(SessionAborted):
             cluster.encrypt(15)
         assert table.orders() == orders
         # restore and confirm the cluster still works
-        table.get(tree.root).cipher = honest_cipher
+        root.cipher = honest_cipher
         assert cluster.encrypt(15) == 6
     finally:
         cluster.close()

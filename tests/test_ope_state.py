@@ -1,14 +1,15 @@
-"""OPE table/tree state: order assignment, rebalance, persistence."""
+"""OPE table state: order assignment, rebalance, persistence."""
 
 import io
+import math
 
 import pytest
 
 from oope import ope_state, paillier
 from oope.errors import (CapacityError, ConfigurationError, GapExhausted,
                          IntegrityError, UsageError)
-from oope.ope_state import (OpeEntry, OpeTable, OpeTree, assign_order,
-                            init_state, insert_entry, neighbors, rebalance)
+from oope.ope_state import (OpeEntry, OpeTable, assign_order, init_state,
+                            rebalance)
 from oope.rng import make_rng
 
 EXAMPLE_DATA = [32, 20, 25, 69, 10]
@@ -20,13 +21,13 @@ def keys():
     return paillier.keygen(128, rng=make_rng(99), allow_small=True)
 
 
-def example_state(keys, balance=False):
+def example_state(keys):
     pk, _ = keys
     import warnings
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return init_state(EXAMPLE_DATA, EXAMPLE_M, pk, l=16,
-                          rng=make_rng(1), balance=balance)
+                          rng=make_rng(1))
 
 
 def test_assign_order_formula():
@@ -49,15 +50,20 @@ def test_assign_order_stays_inside_interval():
 
 
 def test_example_insertion_orders(keys):
-    owner, table, tree = example_state(keys)
+    owner, table = example_state(keys)
     want = {32: 14, 20: 7, 25: 11, 69: 21, 10: 4}
     assert dict(owner.pairs) == want
     assert table.orders() == [4, 7, 11, 14, 21]
-    # insertion-shaped tree reproduces the published layout
-    assert tree.root == 14
-    assert tree.child(14, 0) == 7 and tree.child(14, 1) == 21
-    assert tree.child(7, 0) == 4 and tree.child(7, 1) == 11
-    assert tree.height == 3
+    assert table.height == 3
+
+
+def test_height_is_balanced_depth(keys):
+    pk, _ = keys
+    table = OpeTable(1 << 20, 16, key_bits=pk.key_bits, key_id=pk.key_id)
+    c = paillier.encrypt(pk, 1, make_rng(1))
+    for n in range(70):
+        assert table.height == math.ceil(math.log2(n + 1))
+        table.insert(OpeEntry(c, n + 1))
 
 
 def test_singleton_dataset(keys):
@@ -65,20 +71,19 @@ def test_singleton_dataset(keys):
     import warnings
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        owner, table, tree = init_state([5], EXAMPLE_M, pk, l=16,
-                                        rng=make_rng(2))
+        owner, table = init_state([5], EXAMPLE_M, pk, l=16, rng=make_rng(2))
     assert table.orders() == [14]
-    assert tree.height == 1
+    assert table.height == 1
 
 
 def test_init_sorted_by_order_matches_sorted_by_plaintext(keys):
     pk, sk = keys
     rng = make_rng(5)
     data = [rng.randrange(1 << 16) for _ in range(1000)]
-    owner, table, tree = init_state(data, (1 << 40) - 3, pk, l=16, rng=rng)
+    owner, table = init_state(data, (1 << 40) - 3, pk, l=16, rng=rng)
     plain = [paillier.decrypt(sk, e.cipher) for e in table.entries()]
     assert plain == sorted(set(data))
-    assert tree.in_order() == table.orders()
+    assert table.height == len(table).bit_length()
     # order preservation with key access
     orders = table.orders()
     for i in range(len(orders) - 1):
@@ -98,64 +103,35 @@ def test_init_warns_on_power_of_two_m(keys):
 
 
 def test_neighbors_examples(keys):
-    _, table, _ = example_state(keys)
-    assert neighbors(table, 4, "left") == (0, 4, None)
-    y_l, y_r, e = neighbors(table, 21, "right")
+    _, table = example_state(keys)
+    assert table.neighbors(4, "left") == (0, 4, None)
+    y_l, y_r, e = table.neighbors(21, "right")
     assert (y_l, y_r, e) == (21, 28, None)
-    y_l, y_r, e = neighbors(table, 11, "left")
+    y_l, y_r, e = table.neighbors(11, "left")
     assert (y_l, y_r) == (7, 11) and e.order == 7
     with pytest.raises(UsageError):
-        neighbors(table, 5, "left")
-
-
-def test_insert_entry(keys):
-    pk, _ = keys
-    _, table, tree = example_state(keys)
-    entry = OpeEntry(paillier.encrypt(pk, 15, make_rng(3)), 6)
-    insert_entry(table, tree, entry, 4, 1)
-    assert table.orders() == [4, 6, 7, 11, 14, 21]
-    assert tree.child(4, 1) == 6
-    with pytest.raises(IntegrityError):
-        insert_entry(table, tree, OpeEntry(entry.cipher, 6), 4, 1)
-
-
-def test_insert_into_empty_tree():
-    tree = OpeTree()
-    tree.insert_under(None, 0, 10)
-    assert tree.root == 10 and tree.height == 1
-
-
-def test_bst_property_random_inserts():
-    rng = make_rng(7)
-    tree = OpeTree()
-    orders = rng.sample(range(1, 100000), 1000)
-    for y in orders:
-        tree.insert_bst(y)
-    assert tree.in_order() == sorted(orders)
+        table.neighbors(5, "left")
 
 
 def test_rebalance_single_entry(keys):
     pk, _ = keys
     table = OpeTable(28, 16, key_bits=pk.key_bits, key_id=pk.key_id)
     table.insert(OpeEntry(paillier.encrypt(pk, 9, make_rng(1)), 3))
-    tree = OpeTree()
-    tree.insert_bst(3)
-    remap = rebalance(table, tree)
+    remap = rebalance(table)
     assert remap == {3: 14}
     assert table.orders() == [14]
 
 
 def test_rebalance_preserves_rank(keys):
     pk, sk = keys
-    owner, table, tree = example_state(keys)
+    owner, table = example_state(keys)
     before = [(paillier.decrypt(sk, e.cipher), e.order) for e in table.entries()]
-    remap = rebalance(table, tree)
+    remap = rebalance(table)
     after = [(paillier.decrypt(sk, e.cipher), e.order) for e in table.entries()]
     assert [x for x, _ in before] == [x for x, _ in after]
     orders = [y for _, y in after]
     assert orders == sorted(orders)
     assert all(1 <= y <= table.m - 1 for y in orders)
-    assert tree.in_order() == orders
     owner.apply_remap(remap)
     assert sorted(owner.pairs) == sorted(
         (x, remap[y]) for x, y in dict(before).items())
@@ -164,12 +140,10 @@ def test_rebalance_preserves_rank(keys):
 def test_rebalance_capacity_error(keys):
     pk, _ = keys
     table = OpeTable(6, 16, key_bits=pk.key_bits, key_id=pk.key_id)
-    tree = OpeTree()
     for i, y in enumerate((1, 2, 3, 4, 5)):
         table.insert(OpeEntry(paillier.encrypt(pk, i, make_rng(i)), y))
-        tree.insert_bst(y)
     with pytest.raises(CapacityError):
-        rebalance(table, tree)
+        rebalance(table)
 
 
 def test_no_rebalance_for_uniform_inputs_with_large_m(keys):
@@ -201,8 +175,8 @@ def test_fh_init_duplicates_get_distinct_orders(keys):
     pk, sk = keys
     rng = make_rng(13)
     data = [7, 7, 7, 3, 3, 9]
-    owner, table, tree = init_state(data, (1 << 20) - 3, pk, l=16, mode="fh",
-                                    rng=rng)
+    owner, table = init_state(data, (1 << 20) - 3, pk, l=16, mode="fh",
+                              rng=rng)
     assert len(table) == 6
     orders = table.orders()
     assert len(set(orders)) == 6
@@ -220,7 +194,7 @@ def test_fh_init_duplicates_get_distinct_orders(keys):
 
 def test_table_serialization_roundtrip(keys):
     pk, _ = keys
-    _, table, _ = example_state(keys)
+    _, table = example_state(keys)
     table.entries()[0].tag = b"s" * 16
     blob = ope_state.table_to_bytes(table)
     table2 = ope_state.parse_table(blob)
@@ -237,7 +211,7 @@ def test_table_serialization_roundtrip(keys):
 
 def test_table_size_accounting(keys):
     pk, _ = keys
-    _, table, _ = example_state(keys)
+    _, table = example_state(keys)
     blob = ope_state.table_to_bytes(table)
     got = ope_state.serialized_table_size(len(table), pk.key_bits,
                                           table.m.bit_length())
@@ -247,7 +221,7 @@ def test_table_size_accounting(keys):
 
 
 def test_owner_serialization_roundtrip(keys):
-    owner, _, _ = example_state(keys)
+    owner, _ = example_state(keys)
     buf = io.BytesIO()
     ope_state.serialize_owner(owner, buf)
     owner2 = ope_state.parse_owner(buf.getvalue())
