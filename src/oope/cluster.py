@@ -2,9 +2,9 @@
 
 The server and owner engines run their serve loops on daemon threads;
 the analyst drives sessions from the caller's thread.  One cluster
-keeps its base-OT setup and randomness pools alive across every session
-it runs, which is also how a deployment would hold a connection open
-for a batch of queries.
+keeps its base-OT setup alive across every session it runs, which is
+also how a deployment would hold a connection open for a batch of
+queries.
 """
 
 import threading
@@ -29,12 +29,11 @@ class _Cluster:
 
     def __init__(self, states: dict, sk, params: ProtocolParams, seed=None,
                  mac_params=None, owners: dict = None, da_keys=None,
-                 ot_group=GROUP_DEFAULT, csp_pool=None):
+                 ot_group=GROUP_DEFAULT):
         rng = make_rng(seed)
         seeds = [rng.getrandbits(64) for _ in range(3)] if seed is not None \
             else [None, None, None]
-        self.csp = CspEngine(states, params, make_rng(seeds[0]),
-                             pool=csp_pool)
+        self.csp = CspEngine(states, params, make_rng(seeds[0]))
         self.do = DoEngine(sk, params, make_rng(seeds[1]),
                            mac_params=mac_params, owners=owners,
                            ot_group=ot_group)
@@ -141,7 +140,7 @@ class TcpCluster(_Cluster):
 
 def build_cluster(dataset, params: ProtocolParams, seed=None,
                   mac_params=None, ot_group=GROUP_DEFAULT, key_rng_seed=None,
-                  record=False, pool_size=0, transport_kind="loopback"):
+                  record=False, transport_kind="loopback"):
     """Initialize owner state from a dataset and stand up a cluster.
 
     Returns (cluster, context) where the context keeps the pieces tests
@@ -168,17 +167,11 @@ def build_cluster(dataset, params: ProtocolParams, seed=None,
     da_keys = analyst_keygen(params, make_rng(rng.getrandbits(64)
                                               if seed is not None else None)) \
         if params.mode == ope_state.MODE_FH else None
-    pool = None
-    if pool_size:
-        pool = paillier.RandomnessPool(pk)
-        pool.fill(pool_size, make_rng(rng.getrandbits(64)
-                                      if seed is not None else None))
     kind = TcpCluster if transport_kind == "tcp" else LocalCluster
     cluster = kind({DEFAULT_COLUMN: state}, sk, params,
                    seed=rng.getrandbits(64) if seed is not None else None,
                    mac_params=mac_params, owners={DEFAULT_COLUMN: owner},
-                   da_keys=da_keys, ot_group=ot_group, csp_pool=pool,
-                   record=record)
+                   da_keys=da_keys, ot_group=ot_group, record=record)
     # "tree" is the table too: the benchmark reads ctx["tree"].height
     context = {"pk": pk, "sk": sk, "owner": owner, "table": table,
                "tree": table, "state": state, "da_keys": da_keys}

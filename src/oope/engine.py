@@ -15,6 +15,19 @@ exactly h = ceil(log2(n+1)) comparison rounds; once the search stops,
 the remaining rounds replay the same node so neither the owner nor the
 analyst learns where the value landed.
 
+No full-size exponentiation waits on a peer where it need not.  A
+round's blind, r and Enc(r) (plus r' and Enc(r') under Pedersen),
+does not depend on the comparison, so the server makes it one round
+ahead: right after sending a round's frames and before waiting for its
+shares.  The blind made in a session's last round serves the next
+session's first.  A blind is spent once its round starts sending, so
+one that an abort leaves unsent serves a later round, and none is sent
+twice.  The analyst builds its whole upload right after SESSION_START,
+while the peers run the first round, and sends it unchanged once the
+order arrives.  The owner decrypts blinded nodes with the mod-P half of
+the CRT alone (paillier.decrypt).  These exponentiations release the
+interpreter lock, so they overlap the peers' work.
+
 In frequency-hiding mode the circuit emits a single traversal bit that
 hides equality behind a sticky shared coin, duplicates get fresh
 orders, and a follow-up exchange hands the analyst the minimum and
@@ -232,8 +245,7 @@ def _parse_ped_tag(blob, key_id):
 class CspEngine:
     """Holds the OPE state and orchestrates sessions one at a time."""
 
-    def __init__(self, states: dict, params: ProtocolParams, rng=None,
-                 pool: paillier.RandomnessPool = None):
+    def __init__(self, states: dict, params: ProtocolParams, rng=None):
         params.validate()
         self.states = states  # column -> ServerState
         self.state = next(iter(states.values()))
@@ -241,16 +253,14 @@ class CspEngine:
         self.rows = None  # optional RowStore for query execution
         self.params = params
         self.rng = rng or make_rng()
-        self.pool = pool
         self.do_ch = None
         self.da_ch = None
         self.sessions_served = 0  # rate-limiting hook for host applications
         self.timers = _Timers()
-        self.round_times_ns = []
+        self._blind = None  # the next round's blind, made but never sent
 
     def reset_timers(self):
         self.timers.clear()
-        self.round_times_ns.clear()
 
     def attach(self, do_ch, da_ch):
         self.do_ch = do_ch
@@ -321,7 +331,6 @@ class CspEngine:
             lo, hi = 0, len(table)
             b_e, side = 1, 0
             for _ in range(table.height):
-                t0 = time.perf_counter_ns()
                 mid = (lo + hi) // 2
                 if self.params.mode == MODE_FH:
                     side = self._compare_round_fh(sid, table.order_at(mid))
@@ -331,16 +340,15 @@ class CspEngine:
                     lo = mid + 1
                 elif b_e and not side and lo < mid:
                     hi = mid
-                self.round_times_ns.append(time.perf_counter_ns() - t0)
 
             node = table.order_at((lo + hi) // 2) if table else None
-            is_known = False
+            is_known, remap = False, None
             if node is None:
                 ybar = ope_state.assign_order(0, table.m)
             elif b_e == 0:
                 ybar, is_known = node, True
             else:
-                ybar = self._encrypt_order(side, node, undo)
+                ybar, remap = self._encrypt_order(side, node, undo)
 
             self.da_ch.send(Frame(ORDER_RESULT, sid, _offset_blob(ybar)))
             upload = self.da_ch.recv(CIPHER_UPLOAD, session=sid)
@@ -351,6 +359,10 @@ class CspEngine:
                     raise ProtocolError("min/max orders exist only in "
                                         "frequency-hiding mode")
                 self._min_max(sid, ybar)
+            if remap is not None:
+                # owner and row store follow a rebalance only once the
+                # session can no longer roll it back
+                self._publish_remap(remap)
             self.do_ch.send(Frame(SESSION_DONE, sid))
             self.da_ch.send(Frame(SESSION_DONE, sid))
             self.sessions_served += 1
@@ -368,15 +380,27 @@ class CspEngine:
 
     # -- rounds --
 
+    def _make_blind(self):
+        """(r, Enc(r), rp, Enc(rp)) for one round; rp and Enc(rp) blind
+        the commitment randomness and are None unless Pedersen."""
+        p = self.params
+        pk = self.state.pk_owner
+        t0 = time.perf_counter_ns()
+        r = self.rng.randrange(0, 1 << (p.l + p.k))
+        c_r = paillier.encrypt(pk, r, self.rng)
+        rp = c_rp = None
+        if p.integrity == integrity.SCHEME_PEDERSEN:
+            rp = self.rng.randrange(0, 1 << (p.mac_subgroup_bits + p.k))
+            c_rp = paillier.encrypt(pk, rp, self.rng)
+        self.timers.add("hom_ns", time.perf_counter_ns() - t0)
+        return r, c_r, rp, c_rp
+
     def _blind_node(self, sid, entry):
         p = self.params
-        r = self.rng.randrange(0, 1 << (p.l + p.k))
-        t0 = time.perf_counter_ns()
         pk = self.state.pk_owner
-        c_r = paillier.encrypt(pk, r, self.rng, self.pool)
-        blinded = paillier.hom_add(pk, entry.cipher, c_r)
-        self.timers.add("hom_ns", time.perf_counter_ns() - t0)
-        payload = paillier.cipher_record(blinded, pk.key_bits)
+        r, c_r, rp, c_rp = self._blind or self._make_blind()
+        payload = paillier.cipher_record(
+            paillier.hom_add(pk, entry.cipher, c_r), pk.key_bits)
         extra_da = b""
         if p.integrity == integrity.SCHEME_DLMAC:
             if not entry.node_tag:
@@ -384,15 +408,17 @@ class CspEngine:
             extra_da = lp(entry.node_tag)
         elif p.integrity == integrity.SCHEME_PEDERSEN:
             commit_blob, a_cipher = _parse_ped_tag(entry.node_tag, pk.key_id)
-            rp = self.rng.randrange(0, 1 << (p.mac_subgroup_bits + p.k))
-            c_rp = paillier.encrypt(pk, rp, self.rng, self.pool)
             payload += paillier.cipher_record(
                 paillier.hom_add(pk, a_cipher, c_rp), pk.key_bits)
             extra_da = lp(commit_blob) + fixed_bytes(rp, PED_BLIND_BYTES)
+        self._blind = None  # spent from the first send on, sent or not
         self.do_ch.send(Frame(RANDOMIZED_NODE, sid, payload))
         self.da_ch.send(Frame(RANDOM_OFFSET, sid, _offset_blob(r)))
         if p.integrity != integrity.SCHEME_OFF:
             self.da_ch.send(Frame(INTEGRITY_TAG, sid, extra_da))
+        # the next round's blind, in this session or the next, is made
+        # while owner and analyst work on this round
+        self._blind = self._make_blind()
 
     def _collect_shares(self, sid, n_bits):
         da = _unpack_bits(self.da_ch.recv(SHARES, session=sid).payload, n_bits)
@@ -429,11 +455,12 @@ class CspEngine:
     # -- order assignment and state updates --
 
     def _encrypt_order(self, b_g, node_order, undo):
+        """(fresh order, remap of the rebalance it needed or None)."""
         table = self.state.table
         direction = "right" if b_g else "left"
         y_l, y_r, _ = table.neighbors(node_order, direction)
         try:
-            return ope_state.assign_order(y_l, y_r)
+            return ope_state.assign_order(y_l, y_r), None
         except GapExhausted:
             if self.params.mode == MODE_FH:
                 raise CapacityError(
@@ -443,7 +470,7 @@ class CspEngine:
             node_order = remap[node_order]
             y_l, y_r, _ = table.neighbors(node_order, direction)
             try:
-                return ope_state.assign_order(y_l, y_r)
+                return ope_state.assign_order(y_l, y_r), remap
             except GapExhausted:
                 # uniform respread left no room here: M is too dense
                 raise CapacityError("order space too dense for another "
@@ -454,13 +481,16 @@ class CspEngine:
         remap = ope_state.rebalance(table)
         undo.append(lambda: table.reassign_orders(
             {v: k for k, v in remap.items()}))
+        return remap
+
+    def _publish_remap(self, remap):
+        """Hand a committed rebalance to the owner and the row store."""
         col = self._column.encode()
         payload = u16(len(col)) + col + u32(len(remap)) + b"".join(
             _offset_blob(a) + _offset_blob(b) for a, b in sorted(remap.items()))
         self.do_ch.send(Frame(REBALANCE, NULL_SESSION, payload))
         if self.rows is not None:
             self.rows.apply_remap(self._column, remap)
-        return remap
 
     def _store_upload(self, sid, payload, ybar, undo):
         kind, off = read_int(payload, 0, 1)
@@ -477,8 +507,8 @@ class CspEngine:
             if off < len(payload):
                 entry.node_tag, off = read_lp(payload, off)
         if self.params.mode == MODE_FH:
-            entry.fh_min = paillier.encrypt(pk, ybar, self.rng, self.pool)
-            entry.fh_max = paillier.encrypt(pk, ybar, self.rng, self.pool)
+            entry.fh_min = paillier.encrypt(pk, ybar, self.rng)
+            entry.fh_max = paillier.encrypt(pk, ybar, self.rng)
         table.insert(entry)
         undo.append(lambda: table.remove(ybar))
 
@@ -494,8 +524,8 @@ class CspEngine:
         def materialize(entry):
             if entry is not None:
                 return entry.cipher, entry.fh_min, entry.fh_max
-            c = paillier.encrypt(pk, sentinel, self.rng, self.pool)
-            zero = paillier.encrypt(pk, 0, self.rng, self.pool)
+            c = paillier.encrypt(pk, sentinel, self.rng)
+            zero = paillier.encrypt(pk, 0, self.rng)
             return c, zero, zero
 
         _, _, pred = table.neighbors(ybar, "left")
@@ -503,8 +533,6 @@ class CspEngine:
         return materialize(pred), materialize(succ)
 
     def _min_max(self, sid, ybar):
-        import math
-
         pk = self.state.pk_owner
         pk_da = self.state.pk_analyst
         if pk_da is None:
@@ -517,10 +545,7 @@ class CspEngine:
         for side, bound_c, extreme_c in ((0, pred_c, pred_min),
                                          (1, succ_c, succ_max)):
             s = self.rng.randrange(1, pk.n)
-            while True:
-                r = self.rng.randrange(1, pk.n)
-                if math.gcd(r, pk.n) == 1:
-                    break
+            r = paillier.fresh_r(pk, self.rng)
             randoms.append(r)
             d = paillier.hom_scale(pk, paillier.hom_sub(pk, bound_c, xbar_c),
                                    s)
@@ -661,15 +686,22 @@ class DoEngine:
         t0 = time.perf_counter_ns()
         cipher, off = paillier.parse_cipher_record(payload, 0,
                                                    self.sk.public.key_id)
-        v = paillier.decrypt(self.sk, cipher)
+        # x + r lies below this bound, far below P: the mod-P half of the
+        # CRT decrypts it, and the range check keeps its strength
+        # (paillier.decrypt)
+        bound = (1 << (p.l + p.k)) + (1 << p.l)
+        v = paillier.decrypt(self.sk, cipher, below=bound)
         self.timers.add("decrypt_ns", time.perf_counter_ns() - t0)
-        if not 0 <= v < (1 << (p.l + p.k)) + (1 << p.l):
+        if not 0 <= v < bound:
             self._abort(sid, "blinded node out of range")
         if p.integrity == integrity.SCHEME_PEDERSEN:
             a_cipher, off = paillier.parse_cipher_record(
                 payload, off, self.sk.public.key_id)
             t0 = time.perf_counter_ns()
-            a_blind = paillier.decrypt(self.sk, a_cipher)
+            # a + r' with a < q and r' < 2^(subgroup bits + k)
+            a_blind = paillier.decrypt(
+                self.sk, a_cipher,
+                below=(1 << (p.mac_subgroup_bits + p.k)) + self.mac_params.q)
             self.timers.add("decrypt_ns", time.perf_counter_ns() - t0)
             proof = integrity.ped_open(v, a_blind, self.mac_params)
             self.da_ch.send(Frame(INTEGRITY_PROOF, sid,
@@ -820,6 +852,11 @@ class DaEngine:
         self.csp_ch.send(Frame(SESSION_START, sid,
                                bytes([op]) + column.encode()))
         try:
+            # a cipher upload depends on xbar alone, so it is built while
+            # the peers run the first round; a uid is drawn only once the
+            # order is known
+            uid_upload = p.uid_upload and p.mode == MODE_DET
+            upload = None if uid_upload else self._cipher_upload(xbar)
             ybar = None
             while ybar is None:
                 frame = self.csp_ch.recv(RANDOM_OFFSET, ORDER_RESULT,
@@ -831,7 +868,9 @@ class DaEngine:
                 else:
                     self._round(sid, xbar,
                                 int.from_bytes(frame.payload, "big"))
-            self._upload(sid, xbar)
+            if uid_upload:
+                upload = self._uid_upload(xbar)
+            self.csp_ch.send(Frame(CIPHER_UPLOAD, sid, upload))
             if not minmax:
                 self.csp_ch.recv(SESSION_DONE, session=sid)
                 return ybar
@@ -908,13 +947,14 @@ class DaEngine:
                                _pack_bits([int(xbar != mine),
                                            int(xbar > mine)])))
 
-    def _upload(self, sid, xbar):
-        if self.params.uid_upload and self.params.mode == MODE_DET:
-            uid = bytes(self.rng.getrandbits(8) for _ in range(16))
-            self._uids[uid] = xbar
-            self.csp_ch.send(Frame(CIPHER_UPLOAD, sid,
-                                   bytes([UPLOAD_UID]) + uid))
-            return
+    def _uid_upload(self, xbar):
+        uid = bytes(self.rng.getrandbits(8) for _ in range(16))
+        self._uids[uid] = xbar
+        return bytes([UPLOAD_UID]) + uid
+
+    def _cipher_upload(self, xbar):
+        """CIPHER_UPLOAD payload: Enc(xbar), plus its DL-MAC or its
+        Pedersen commitment and Enc(a) under integrity."""
         cipher = paillier.encrypt(self.pk_owner, xbar, self.rng)
         payload = bytes([UPLOAD_CIPHER]) + \
             paillier.cipher_record(cipher, self.pk_owner.key_bits)
@@ -930,7 +970,7 @@ class DaEngine:
                     paillier.encrypt(self.pk_owner, a, self.rng),
                     self.pk_owner.key_bits)
             payload += lp(blob)
-        self.csp_ch.send(Frame(CIPHER_UPLOAD, sid, payload))
+        return payload
 
     def query(self, bounds: dict, projection=None):
         """Run a range query at the server over already-obtained orders."""

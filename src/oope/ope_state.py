@@ -23,8 +23,10 @@ which range queries need for rewriting.
 
 import hashlib
 import io
+import os
 import warnings
 from bisect import bisect_left, bisect_right, insort
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -198,8 +200,7 @@ def _local_insert_fh(sorted_pairs, x, m, rng):
 
 
 def init_state(dataset, m: int, pk: paillier.PaillierPublicKey, l: int,
-               mode: str = MODE_DET, rng=None,
-               pool: paillier.RandomnessPool = None, tagger=None):
+               mode: str = MODE_DET, rng=None, tagger=None):
     """Build owner state and table from a plaintext dataset.
 
     Orders are assigned in the dataset's given order.  The server's
@@ -207,6 +208,11 @@ def init_state(dataset, m: int, pk: paillier.PaillierPublicKey, l: int,
     table is the balanced tree over these orders, whatever order they
     were inserted in.  tagger, when given, is called with each plaintext
     to produce the serialized integrity tag stored next to the entry.
+
+    Every encryption's r is drawn on the calling thread, entry by entry
+    and interleaved with the tagger's draws, before any exponentiation
+    runs; the exponentiations then spread over the cores (_encrypt_all).
+    So a seeded table is the same on any number of cores.
     """
     dataset = list(dataset)
     n = len(dataset)
@@ -255,15 +261,43 @@ def init_state(dataset, m: int, pk: paillier.PaillierPublicKey, l: int,
         for x, y in sorted_pairs:
             run_min[x] = min(run_min.get(x, y), y)
             run_max[x] = max(run_max.get(x, y), y)
+    entries, jobs = [], []
     for x, y in sorted_pairs:
-        entry = OpeEntry(paillier.encrypt(pk, x, rng, pool), y)
-        if mode == MODE_FH:
-            entry.fh_min = paillier.encrypt(pk, run_min[x], rng, pool)
-            entry.fh_max = paillier.encrypt(pk, run_max[x], rng, pool)
+        # the plaintext, then fh's run minimum and maximum orders
+        plains = (x, run_min[x], run_max[x]) if mode == MODE_FH else (x,)
+        jobs.extend((v, paillier.fresh_r(pk, rng)) for v in plains)
+        entry = OpeEntry(None, y)
         if tagger is not None:
             entry.node_tag = tagger(x)
+        entries.append(entry)
+    ciphers = iter(_encrypt_all(pk, jobs))
+    for entry in entries:
+        entry.cipher = next(ciphers)
+        if mode == MODE_FH:
+            entry.fh_min, entry.fh_max = next(ciphers), next(ciphers)
         table.insert(entry)
     return owner, table
+
+
+def _encrypt_all(pk, jobs):
+    """paillier.encrypt of every (plaintext, r) job, in job order.
+
+    The jobs run in os.cpu_count() contiguous slices, one thread-pool
+    task per slice; powmod releases the interpreter lock, so the slices'
+    exponentiations run in parallel.
+    """
+    workers = min(os.cpu_count() or 1, len(jobs))
+
+    def run(chunk):
+        return [paillier.encrypt(pk, v, r=r) for v, r in chunk]
+
+    if workers <= 1:
+        return run(jobs)
+    size = -(-len(jobs) // workers)
+    with ThreadPoolExecutor(workers) as pool:
+        parts = pool.map(run, [jobs[i:i + size]
+                               for i in range(0, len(jobs), size)])
+        return [c for part in parts for c in part]
 
 
 # --- persistence ------------------------------------------------------------

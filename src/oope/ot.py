@@ -17,6 +17,7 @@ framed TCP channels.
 """
 
 import hashlib
+from collections import deque
 
 import numpy as np
 
@@ -172,8 +173,8 @@ class OtExtSender:
         self._s_bits = None
         self._s_bytes = None
         self._seeds = None
-        self._a0 = []
-        self._a1 = []
+        self._a0 = deque()
+        self._a1 = deque()
 
     def setup(self):
         self._s_bits = [self._rng.getrandbits(1) for _ in range(KAPPA)]
@@ -207,7 +208,7 @@ class OtExtSender:
         flips = _unpack_bits(self._recv(), n)
         out = []
         for (x0, x1), e in zip(pairs, flips):
-            a0, a1 = self._a0.pop(0), self._a1.pop(0)
+            a0, a1 = self._a0.popleft(), self._a1.popleft()
             pads = (a0, a1) if e == 0 else (a1, a0)
             out.append(xor_bytes(x0, pads[0]) + xor_bytes(x1, pads[1]))
         self._send(b"".join(out))
@@ -225,8 +226,8 @@ class OtExtReceiver:
         self._batch_size = batch
         self._batch = 0
         self._seed_pairs = None
-        self._rho = []
-        self._pads = []
+        self._rho = deque()
+        self._pads = deque()
 
     def setup(self):
         self._seed_pairs = [
@@ -260,8 +261,8 @@ class OtExtReceiver:
         """Receive the label selected by each choice bit."""
         n = len(choice_bits)
         self._ensure(n)
-        rho = [self._rho.pop(0) for _ in range(n)]
-        pads = [self._pads.pop(0) for _ in range(n)]
+        rho = [self._rho.popleft() for _ in range(n)]
+        pads = [self._pads.popleft() for _ in range(n)]
         self._send(_pack_bits([c ^ r for c, r in zip(choice_bits, rho)]))
         blob = self._recv()
         if len(blob) != 2 * n * LABEL_BYTES:

@@ -4,28 +4,39 @@ The generator is pinned to g = 1+N, which turns the usual g^m
 exponentiation into one modular multiplication, since
 (1+N)^m = 1+mN (mod N^2).  Decryption runs over the CRT factors P^2
 and Q^2; the textbook single-exponentiation path is kept as a
-cross-check oracle.  Encryption can draw pre-generated r^N values from
-a RandomnessPool, which moves the expensive exponentiation out of the
-protocol's hot path.
+cross-check oracle.
 
-Every modular exponentiation here (encryption and pool filling, both
-CRT halves, the textbook path, hom_scale, Miller-Rabin) goes through
-modexp.powmod: GMP's mpz_powm_sec when libgmp loads, the built-in pow
-otherwise.  Both return identical results, and the GMP path runs in
-constant time with respect to the exponent, so the secret decryption
-exponents p-1, q-1 and lam do not leak through timing.  Randomness is
-still a full-range r drawn from Z_N*, so no distribution and no
-hardness assumption differs from textbook Paillier.
+A caller that knows its plaintext lies below a bound no larger than P
+passes that bound to decrypt, which then runs the mod-P^2 half of the
+CRT alone and returns m mod P, half the work of a full decryption.
+The owner decrypts every blinded node this way: those plaintexts are
+below 2^(l+k+1), far below P.  A range check against the bound stays as
+strong as on the full CRT, because a plaintext m in [bound, N) whose
+residue s = m mod P falls below the bound makes m - s a nonzero
+multiple of P below N, so whoever chose m knew gcd(m - s, N) = P, a
+factor of N.
+
+encrypt draws a full-range r from Z_N* itself, or takes one the caller
+drew; the set-up draws every r on one thread in a fixed order and hands
+them to encrypt from several threads, so a seeded table is the same
+whatever the thread count.
+
+Every modular exponentiation here (encryption, both CRT halves, the
+textbook path, hom_scale, Miller-Rabin) goes through modexp.powmod:
+GMP's mpz_powm_sec when libgmp loads, the built-in pow otherwise.  Both
+return identical results, and the GMP path runs in constant time with
+respect to the exponent, so the secret decryption exponents p-1, q-1
+and lam do not leak through timing.  It also releases the interpreter
+lock, so an exponentiation on one thread overlaps work on another.
+Randomness is always a full-range r from Z_N*, so no distribution and
+no hardness assumption differs from textbook Paillier.
 """
 
 import hashlib
 import math
-import threading
-from collections import deque
 from dataclasses import dataclass
 
-from .errors import (ConfigurationError, DomainError, KeyMismatchError,
-                     PrimeGenerationError)
+from .errors import DomainError, KeyMismatchError, PrimeGenerationError
 from .modexp import powmod
 from .rng import make_rng
 from .wire import be_bytes, fixed_bytes, lp, read_int, read_lp
@@ -134,37 +145,8 @@ class HomCiphertext:
     key_id: bytes
 
 
-class RandomnessPool:
-    """Queue of precomputed r^N mod N^2 values, each consumed once.
-
-    Consumption is internally synchronized; when the pool runs dry the
-    caller falls back to on-demand generation unless allow_fallback is
-    False, in which case encryption raises ConfigurationError.
-    """
-
-    def __init__(self, pk: PaillierPublicKey, allow_fallback: bool = True):
-        self.pk = pk
-        self.allow_fallback = allow_fallback
-        self._values = deque()
-        self._lock = threading.Lock()
-
-    def fill(self, count: int, rng=None):
-        rng = rng or make_rng()
-        vals = [powmod(_fresh_r(self.pk, rng), self.pk.n, self.pk.n_sq)
-                for _ in range(count)]
-        with self._lock:
-            self._values.extend(vals)
-
-    def take(self):
-        with self._lock:
-            return self._values.popleft() if self._values else None
-
-    def __len__(self):
-        with self._lock:
-            return len(self._values)
-
-
-def _fresh_r(pk, rng):
+def fresh_r(pk: PaillierPublicKey, rng) -> int:
+    """Uniform r in Z_N*, the randomness of one encryption."""
     while True:
         r = rng.randrange(1, pk.n)
         if math.gcd(r, pk.n) == 1:
@@ -191,27 +173,38 @@ def keygen(key_bits: int, rng=None, allow_small: bool = False):
     return pk, PaillierPrivateKey(p, q, pk)
 
 
-def encrypt(pk: PaillierPublicKey, m: int, rng=None,
-            pool: RandomnessPool = None) -> HomCiphertext:
-    """Encrypt m in [0, N) as (1+mN) * r^N mod N^2."""
+def encrypt(pk: PaillierPublicKey, m: int, rng=None, r: int = None
+            ) -> HomCiphertext:
+    """Encrypt m in [0, N) as (1+mN) * r^N mod N^2.
+
+    r is drawn from Z_N* with rng unless the caller passes one it drew
+    the same way.
+    """
     if not 0 <= m < pk.n:
         raise DomainError(f"plaintext out of range [0, N)")
-    rn = None
-    if pool is not None:
-        rn = pool.take()
-        if rn is None and not pool.allow_fallback:
-            raise ConfigurationError("randomness pool exhausted")
-    if rn is None:
-        rn = powmod(_fresh_r(pk, rng or make_rng()), pk.n, pk.n_sq)
+    if r is None:
+        r = fresh_r(pk, rng or make_rng())
+    rn = powmod(r, pk.n, pk.n_sq)
     value = (1 + m * pk.n) % pk.n_sq * rn % pk.n_sq
     return HomCiphertext(value, pk.key_id)
 
 
-def decrypt(sk: PaillierPrivateKey, c: HomCiphertext) -> int:
-    """CRT decryption; agrees with decrypt_direct on every ciphertext."""
+def decrypt(sk: PaillierPrivateKey, c: HomCiphertext, below: int = None
+            ) -> int:
+    """CRT decryption; agrees with decrypt_direct on every ciphertext.
+
+    With below <= P only the mod-P^2 half runs and the result is
+    s = m mod P, which is m whenever m < below.  A plaintext m in
+    [below, N) gives s < below only when m >= P, and then m - s is a
+    nonzero multiple of P below N, so gcd(m - s, N) = P.  A caller's
+    range check against below therefore rejects every ciphertext the
+    full CRT would, unless the ciphertext's author can factor N.
+    """
     _check_key(sk.public, c)
     mp = sk._crt_l(powmod(c.value % sk.p_sq, sk.p - 1, sk.p_sq), sk.p) \
         * sk.hp % sk.p
+    if below is not None and below <= sk.p:
+        return mp
     mq = sk._crt_l(powmod(c.value % sk.q_sq, sk.q - 1, sk.q_sq), sk.q) \
         * sk.hq % sk.q
     return mp + sk.p * ((mq - mp) * sk.p_inv_q % sk.q)

@@ -81,8 +81,14 @@ def test_oracle_equivalence_random_datasets():
 def test_round_count_always_equals_tree_height():
     rng = make_rng(5)
     data = [rng.randrange(1 << 16) for _ in range(20)]
-    cluster, ctx = make_cluster(data, seed=17)
+    cluster, ctx = make_cluster(data, seed=17, record=True)
     table = ctx["table"]
+    to_owner = next(ch for ch in cluster.channels if ch.name == "csp->do")
+
+    def rounds_sent():
+        return sum(b[4] == transport.RANDOMIZED_NODE
+                   for b in to_owner.transcript)
+
     try:
         queries = [data[0],                     # equality at some node
                    0, (1 << 16) - 1,            # extremes
@@ -97,9 +103,9 @@ def test_round_count_always_equals_tree_height():
         for xbar in queries:
             h = table.height
             assert h == len(table).bit_length()
-            before = len(cluster.csp.round_times_ns)
+            before = rounds_sent()
             cluster.encrypt(xbar)
-            assert len(cluster.csp.round_times_ns) - before == h
+            assert rounds_sent() - before == h
         n = len(table)
         assert n >= 60
         assert table.height == math.ceil(math.log2(n + 1))
@@ -246,6 +252,145 @@ def test_truncated_randomized_node_aborts_and_owner_survives():
         assert ctx["table"].orders() == orders_before
         assert cluster.encrypt(15) == \
             Mope2Oracle(params.m).load(EXAMPLE).encrypt(15)
+        assert not cluster.errors
+    finally:
+        cluster.close()
+
+
+@pytest.mark.parametrize("plaintext", ["bound", "N-1"])
+def test_out_of_range_blinded_node_aborts_at_owner(plaintext):
+    # the owner decrypts blinded nodes mod P; a node at the bound or at
+    # N-1 must still fail its range check
+    params = small_params()
+    cluster, ctx = make_cluster(EXAMPLE, seed=49, params=params)
+    try:
+        pk = ctx["pk"]
+        value = {"bound": (1 << (params.l + params.k)) + (1 << params.l),
+                 "N-1": pk.n - 1}[plaintext]
+        orders_before = ctx["table"].orders()
+        orig_send = cluster.csp.do_ch.send
+
+        def substituted(frame):
+            if frame.ftype == transport.RANDOMIZED_NODE:
+                frame = Frame(frame.ftype, frame.session_id,
+                              paillier.cipher_record(
+                                  paillier.encrypt(pk, value, make_rng(1)),
+                                  pk.key_bits))
+            orig_send(frame)
+
+        cluster.csp.do_ch.send = substituted
+        t0 = time.monotonic()
+        with pytest.raises(SessionAborted, match="out of range"):
+            cluster.encrypt(15)
+        assert time.monotonic() - t0 < 5
+        cluster.csp.do_ch.send = orig_send
+        assert ctx["table"].orders() == orders_before
+        assert cluster.encrypt(15) == \
+            Mope2Oracle(params.m).load(EXAMPLE).encrypt(15)
+        assert not cluster.errors
+    finally:
+        cluster.close()
+
+
+def test_no_blind_is_sent_twice():
+    # blinds are made one round ahead, so one survives every abort; it
+    # may serve a later round, but no offset and no blinded node repeats
+    params = small_params()
+    data = list(range(100, 3100, 100))
+    cluster, ctx = make_cluster(data, seed=51, params=params, record=True)
+    try:
+        def sent(name, ftype):
+            ch = next(c for c in cluster.channels if c.name == name)
+            return [transport.decode_frame(b[4:]).payload
+                    for b in ch.transcript if b[4] == ftype]
+
+        orig_send = cluster.da.csp_ch.send
+
+        def flip_share(frame):
+            if frame.ftype == transport.SHARES:
+                frame = Frame(frame.ftype, frame.session_id,
+                              bytes([frame.payload[0] ^ 0b0100]))
+            orig_send(frame)
+
+        def minmax_in_det_mode(frame):
+            if frame.ftype == transport.SESSION_START:
+                frame = Frame(frame.ftype, frame.session_id,
+                              bytes([1]) + frame.payload[1:])
+            orig_send(frame)
+
+        h = ctx["table"].height
+        cluster.encrypt(150)
+        # aborted after its first round, then after its last one
+        for tamper, match in ((flip_share, "disagree"),
+                              (minmax_in_det_mode, "frequency-hiding")):
+            cluster.da.csp_ch.send = tamper
+            with pytest.raises(SessionAborted, match=match):
+                cluster.encrypt(250)
+            cluster.da.csp_ch.send = orig_send
+        for xbar in (250, 350, 1000, 5000):
+            cluster.encrypt(xbar)
+        offsets = sent("csp->da", transport.RANDOM_OFFSET)
+        nodes = sent("csp->do", transport.RANDOMIZED_NODE)
+        assert len(offsets) == len(nodes) >= h + 1 + h + 4 * h
+        assert len(set(offsets)) == len(offsets)
+        assert len(set(nodes)) == len(nodes)
+        assert not cluster.errors
+    finally:
+        cluster.close()
+
+
+def test_aborted_rebalance_leaves_owner_and_rows_on_table_orders(
+        monkeypatch):
+    params = small_params(m=19)
+    data = [10, 20, 30]
+    cluster, ctx = make_cluster(data, seed=23, params=params)
+    table, owner, sk = ctx["table"], ctx["owner"], ctx["sk"]
+    rows = datastore.RowStore(
+        public_columns=[], ope_columns=[""],
+        rows=[datastore.EncryptedRow(i, {}, {"": y})
+              for i, (_, y) in enumerate(owner.pairs)])
+    cluster.csp.rows = rows
+    oracle = Mope2Oracle(params.m).load(data)
+
+    def consistent():
+        # the owner applies a remap as it reads it from its channel; a
+        # session for a stored value changes nothing and makes sure it has
+        assert cluster.encrypt(10) == oracle.encrypt(10)
+        assert [r.orders[""] for r in rows.rows] == [y for _, y in owner.pairs]
+        for x, y in owner.pairs:
+            assert paillier.decrypt(sk, table.get(y).cipher) == x
+
+    try:
+        for xbar in (15, 17, 18):
+            assert cluster.encrypt(xbar) == oracle.encrypt(xbar)
+        consistent()
+        rebalances = []
+        real_rebalance = ope_state.rebalance
+
+        def counting_rebalance(t):
+            rebalances.append(len(t))
+            return real_rebalance(t)
+
+        monkeypatch.setattr(ope_state, "rebalance", counting_rebalance)
+        orig_send = cluster.da.csp_ch.send
+
+        def minmax_in_det_mode(frame):
+            # the server rebalances, stores the upload, then refuses
+            # min/max in det mode and rolls the session back
+            if frame.ftype == transport.SESSION_START:
+                frame = Frame(frame.ftype, frame.session_id,
+                              bytes([1]) + frame.payload[1:])
+            orig_send(frame)
+
+        cluster.da.csp_ch.send = minmax_in_det_mode
+        with pytest.raises(SessionAborted, match="frequency-hiding"):
+            cluster.encrypt(19)
+        cluster.da.csp_ch.send = orig_send
+        assert rebalances == [6]
+        consistent()
+        assert cluster.encrypt(19) == oracle.encrypt(19)
+        assert len(rebalances) == 2
+        consistent()
         assert not cluster.errors
     finally:
         cluster.close()

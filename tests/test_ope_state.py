@@ -2,10 +2,12 @@
 
 import io
 import math
+import os
+import threading
 
 import pytest
 
-from oope import ope_state, paillier
+from oope import engine, integrity, ope_state, paillier
 from oope.errors import (CapacityError, ConfigurationError, GapExhausted,
                          IntegrityError, UsageError)
 from oope.ope_state import (OpeEntry, OpeTable, assign_order, init_state,
@@ -190,6 +192,46 @@ def test_fh_init_duplicates_get_distinct_orders(keys):
         assert paillier.decrypt(sk, e.fh_max) == max(run)
     # every occurrence is present in the owner's pairs
     assert sorted(x for x, _ in owner.pairs) == sorted(data)
+
+
+@pytest.mark.parametrize("mode,tagged", [("det", False), ("fh", False),
+                                         ("det", True)])
+def test_setup_fan_out_matches_serial(keys, monkeypatch, mode, tagged):
+    pk, sk = keys
+    data = [make_rng(3).randrange(1 << 16) for _ in range(40)] + [7, 7, 7]
+    mac_params = integrity.gen_mac_params(256, 64, rng=make_rng(5)) \
+        if tagged else None
+
+    encrypt = paillier.encrypt
+    threads = set()
+
+    def recording_encrypt(*args, **kwargs):
+        threads.add(threading.get_ident())
+        return encrypt(*args, **kwargs)
+
+    monkeypatch.setattr(paillier, "encrypt", recording_encrypt)
+
+    def table_bytes(cores):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        threads.clear()
+        rng = make_rng(17)
+        tagger = engine.make_node_tagger(integrity.SCHEME_PEDERSEN,
+                                         mac_params, pk, rng) \
+            if tagged else None
+        _, table = init_state(data, (1 << 20) - 3, pk, l=16, mode=mode,
+                              rng=rng, tagger=tagger)
+        return ope_state.table_to_bytes(table)
+
+    serial = table_bytes(1)
+    assert threads == {threading.get_ident()}
+    assert table_bytes(3) == serial
+    assert len(threads) > 1
+    assert table_bytes(None) == serial
+    assert table_bytes(64) == serial
+    table = ope_state.parse_table(serial)
+    assert sorted(paillier.decrypt(sk, e.cipher)
+                  for e in table.entries()) == sorted(
+        data if mode == "fh" else set(data))
 
 
 def test_table_serialization_roundtrip(keys):

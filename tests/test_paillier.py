@@ -1,18 +1,24 @@
 """Homomorphic core: roundtrips, homomorphisms, optimizations, wire format."""
 
 import math
-import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oope import paillier
-from oope.errors import (ConfigurationError, DomainError, KeyMismatchError)
+from oope.errors import DomainError, KeyMismatchError
 from oope.rng import make_rng
 
 
 @pytest.fixture(scope="module")
 def keys():
     return paillier.keygen(256, rng=make_rng(7), allow_small=True)
+
+
+@pytest.fixture(scope="module")
+def key_sizes(keys):
+    return {256: keys, 2048: paillier.keygen(2048, rng=make_rng(61))}
 
 
 def test_keygen_rejects_nonstandard_sizes():
@@ -111,6 +117,37 @@ def test_crt_equals_direct(keys):
         assert paillier.decrypt(sk, c) == paillier.decrypt_direct(sk, c)
 
 
+@pytest.mark.parametrize("bits", [256, 2048])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_decrypt_below_equals_full_crt(key_sizes, bits, data):
+    pk, sk = key_sizes[bits]
+    # bounds up to P take the mod-P path, larger ones the full CRT
+    below = data.draw(st.integers(1, sk.p) | st.integers(sk.p + 1, pk.n),
+                      label="below")
+    for m in (data.draw(st.integers(0, below - 1), label="m"), below - 1):
+        c = paillier.encrypt(pk, m, make_rng(m))
+        assert paillier.decrypt(sk, c, below=below) == \
+            paillier.decrypt(sk, c) == m
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_decrypt_mod_p_passes_out_of_range_only_with_a_factor(keys, data):
+    # a plaintext at or above the bound decrypts below it only when its
+    # author knew the factor P of N
+    pk, sk = keys
+    below = data.draw(st.integers(1, sk.p), label="below")
+    m = data.draw(st.integers(below, pk.n - 1) |
+                  st.builds(lambda k, s: k * sk.p + s,
+                            st.integers(1, sk.q - 1), st.integers(0, below - 1)),
+                  label="m")
+    s = paillier.decrypt(sk, paillier.encrypt(pk, m, make_rng(m)), below=below)
+    assert s == m % sk.p
+    if s < below:
+        assert math.gcd(m - s, pk.n) == sk.p
+
+
 def test_fast_g_equals_textbook(keys):
     # (1+mN) * r^N == g^m * r^N with g = 1+N, for identical r
     pk, _ = keys
@@ -132,36 +169,6 @@ def test_key_mismatch_detected(keys):
         paillier.decrypt(sk2, c)
     with pytest.raises(KeyMismatchError):
         paillier.hom_add(pk2, c, paillier.encrypt(pk2, 1, make_rng(2)))
-
-
-def test_randomness_pool(keys):
-    pk, sk = keys
-    pool = paillier.RandomnessPool(pk)
-    pool.fill(3, make_rng(37))
-    assert len(pool) == 3
-    seen = set()
-    for _ in range(3):
-        c = paillier.encrypt(pk, 8, pool=pool)
-        assert c.value not in seen  # each pooled value used once
-        seen.add(c.value)
-        assert paillier.decrypt(sk, c) == 8
-    assert len(pool) == 0
-    # fallback keeps working when the pool is empty
-    assert paillier.decrypt(sk, paillier.encrypt(pk, 8, make_rng(3), pool)) == 8
-    strict = paillier.RandomnessPool(pk, allow_fallback=False)
-    with pytest.raises(ConfigurationError):
-        paillier.encrypt(pk, 8, pool=strict)
-
-
-def test_pooled_encryption_is_fast(keys):
-    # two modular multiplications per call; generous ceiling
-    pk, _ = keys
-    pool = paillier.RandomnessPool(pk)
-    pool.fill(200, make_rng(41))
-    t0 = time.perf_counter()
-    for _ in range(200):
-        paillier.encrypt(pk, 123, pool=pool)
-    assert (time.perf_counter() - t0) / 200 < 0.002
 
 
 def test_ciphertext_serialization_roundtrip(keys):
