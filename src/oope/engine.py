@@ -25,8 +25,10 @@ one that an abort leaves unsent serves a later round, and none is sent
 twice.  The analyst builds its whole upload right after SESSION_START,
 while the peers run the first round, and sends it unchanged once the
 order arrives.  The owner decrypts blinded nodes with the mod-P half of
-the CRT alone (paillier.decrypt).  These exponentiations release the
-interpreter lock, so they overlap the peers' work.
+the CRT alone (paillier.decrypt), since it range-checks them; the
+Pedersen a + r' has no range check and stays on the full CRT.  These
+exponentiations release the interpreter lock, so they overlap the
+peers' work.
 
 In frequency-hiding mode the circuit emits a single traversal bit that
 hides equality behind a sticky shared coin, duplicates get fresh
@@ -698,10 +700,9 @@ class DoEngine:
             a_cipher, off = paillier.parse_cipher_record(
                 payload, off, self.sk.public.key_id)
             t0 = time.perf_counter_ns()
-            # a + r' with a < q and r' < 2^(subgroup bits + k)
-            a_blind = paillier.decrypt(
-                self.sk, a_cipher,
-                below=(1 << (p.mac_subgroup_bits + p.k)) + self.mac_params.q)
+            # full CRT: the analyst chose a and nothing range-checks
+            # a + r', so a mod-P result would tell it whether a + r' < P
+            a_blind = paillier.decrypt(self.sk, a_cipher)
             self.timers.add("decrypt_ns", time.perf_counter_ns() - t0)
             proof = integrity.ped_open(v, a_blind, self.mac_params)
             self.da_ch.send(Frame(INTEGRITY_PROOF, sid,

@@ -199,6 +199,8 @@ def decrypt(sk: PaillierPrivateKey, c: HomCiphertext, below: int = None
     nonzero multiple of P below N, so gcd(m - s, N) = P.  A caller's
     range check against below therefore rejects every ciphertext the
     full CRT would, unless the ciphertext's author can factor N.
+    Without that check, whether s equals m tells whether m < P, so pass
+    below only for results the caller range-checks.
     """
     _check_key(sk.public, c)
     mp = sk._crt_l(powmod(c.value % sk.p_sq, sk.p - 1, sk.p_sq), sk.p) \

@@ -3,7 +3,7 @@ substituting server is caught before any circuit evaluation."""
 
 import pytest
 
-from oope import integrity, paillier, transport
+from oope import engine, integrity, paillier, transport
 from oope.cluster import build_cluster
 from oope.engine import ProtocolParams
 from oope.errors import SessionAborted
@@ -89,5 +89,58 @@ def test_state_untouched_after_detected_attack():
         # restore and confirm the cluster still works
         root.cipher = honest_cipher
         assert cluster.encrypt(15) == 6
+    finally:
+        cluster.close()
+
+
+def test_pedersen_blind_decrypts_on_full_crt():
+    # the analyst chooses a and learns r', so it knows a + r'; shifting
+    # that plaintext by P must fail authentication, or the outcome would
+    # tell it whether a + r' < P and, by bisection, the factor P of N
+    params = ProtocolParams(l=16, k=16, m=28, key_bits=512,
+                            integrity=integrity.SCHEME_PEDERSEN,
+                            mac_subgroup_bits=160)
+    cluster, ctx = build_cluster(DATA, params, seed=113, ot_group=GROUP_TEST,
+                                 mac_params=MAC_PARAMS)
+    try:
+        pk, sk = ctx["pk"], ctx["sk"]
+        # the owner's mod-P path would apply to this bound
+        assert (1 << (160 + params.k)) + MAC_PARAMS.q <= sk.p
+        orig_node, orig_proof = cluster.csp.do_ch.send, cluster.do.da_ch.send
+        shifted, proofs = [], []
+
+        def shift_a_blind(frame):
+            if frame.ftype == transport.RANDOMIZED_NODE:
+                cipher, off = paillier.parse_cipher_record(
+                    frame.payload, 0, pk.key_id)
+                a_cipher, _ = paillier.parse_cipher_record(
+                    frame.payload, off, pk.key_id)
+                a_cipher = paillier.hom_add(
+                    pk, a_cipher, paillier.encrypt(pk, sk.p, make_rng(3)))
+                shifted.append((paillier.decrypt_direct(sk, cipher),
+                                paillier.decrypt_direct(sk, a_cipher)))
+                frame = transport.Frame(
+                    frame.ftype, frame.session_id,
+                    frame.payload[:off] +
+                    paillier.cipher_record(a_cipher, pk.key_bits))
+            orig_node(frame)
+
+        def capture(frame):
+            if frame.ftype == transport.INTEGRITY_PROOF:
+                proofs.append(frame.payload)
+            orig_proof(frame)
+
+        cluster.csp.do_ch.send = shift_a_blind
+        cluster.do.da_ch.send = capture
+        with pytest.raises(SessionAborted, match="authentication"):
+            cluster.encrypt(15)
+        cluster.csp.do_ch.send = orig_node
+        cluster.do.da_ch.send = orig_proof
+        (v, a_blind), = shifted
+        assert a_blind >= sk.p
+        assert proofs == [engine.wire_group(
+            integrity.ped_open(v, a_blind, MAC_PARAMS), MAC_PARAMS)]
+        assert cluster.encrypt(15) == 6
+        assert not cluster.errors
     finally:
         cluster.close()
