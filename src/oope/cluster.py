@@ -60,12 +60,6 @@ class _Cluster:
     def encrypt(self, xbar, minmax=False, column=""):
         return self.da.encrypt(xbar, minmax=minmax, column=column)
 
-    def reset_timers(self):
-        for e in (self.csp, self.do, self.da):
-            e.reset_timers()
-        for ch in self.channels:
-            ch.wait_ns = 0
-
     def transcripts(self):
         """Sent-frame byte sequences, one list per directed channel."""
         return {ch.name: list(ch.transcript) for ch in self.channels}

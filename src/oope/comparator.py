@@ -18,6 +18,7 @@ holding x, evaluator = analyst holding xbar):
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import DomainError, UsageError
 
@@ -55,6 +56,12 @@ class BooleanCircuit:
 
     def nonfree_gates(self):
         return [g for g in self.gates if g.op in NONFREE_OPS]
+
+    @cached_property
+    def compiled(self):
+        """The gates as (op, a, b, out) tuples, for the garbling loops;
+        computed on first use, so build the circuit completely first."""
+        return tuple((g.op, g.a, g.b, g.out) for g in self.gates)
 
 
 def int_to_bits(v: int, width: int):

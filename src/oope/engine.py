@@ -30,6 +30,17 @@ Pedersen a + r' has no range check and stays on the full CRT.  These
 exponentiations release the interpreter lock, so they overlap the
 peers' work.
 
+A session that runs out of gaps rebalances the table at once but hands
+the remap to the owner (REBALANCE) only at its commit point, just
+before SESSION_DONE.  The owner acknowledges it with an empty
+REBALANCE, and the server applies the remap to its row store and ends
+the session only after that, so when the analyst's encrypt returns,
+owner, table and rows hold the same orders.
+
+Garbled labels are 128-bit ints (garbling); the owner hands its OT
+sender int label pairs and the analyst gets ints back from its OT
+receiver, so labels are bytes only inside GC_PAYLOAD and OT_MSG.
+
 In frequency-hiding mode the circuit emits a single traversal bit that
 hides equality behind a sticky shared coin, duplicates get fresh
 orders, and a follow-up exchange hands the analyst the minimum and
@@ -38,13 +49,14 @@ maximum order of its plaintext for query rewriting.
 Abort discipline: the party that detects a problem sends ABORT to both
 peers and stops; nobody forwards aborts except the analyst, which
 relays an owner-side abort to the server (the server never reads the
-owner channel while waiting on the analyst).  Stale aborts from a dead
+owner channel while waiting on the analyst), and the server, which
+relays an owner's abort in place of a REBALANCE acknowledgement to the
+analyst (then waiting on the server alone).  Stale aborts from a dead
 session are dropped by session-id filtering in Channel.recv.
 """
 
 import hashlib
 import json
-import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -155,11 +167,6 @@ def _unpack_bits(blob: bytes, n: int):
     return [(blob[0] >> i) & 1 for i in range(n)]
 
 
-class _Timers(dict):
-    def add(self, key, ns):
-        self[key] = self.get(key, 0) + ns
-
-
 def wire_group(v: int, mac_params) -> bytes:
     return fixed_bytes(v, (mac_params.p.bit_length() + 7) // 8)
 
@@ -258,11 +265,7 @@ class CspEngine:
         self.do_ch = None
         self.da_ch = None
         self.sessions_served = 0  # rate-limiting hook for host applications
-        self.timers = _Timers()
         self._blind = None  # the next round's blind, made but never sent
-
-    def reset_timers(self):
-        self.timers.clear()
 
     def attach(self, do_ch, da_ch):
         self.do_ch = do_ch
@@ -364,7 +367,7 @@ class CspEngine:
             if remap is not None:
                 # owner and row store follow a rebalance only once the
                 # session can no longer roll it back
-                self._publish_remap(remap)
+                self._publish_remap(sid, remap)
             self.do_ch.send(Frame(SESSION_DONE, sid))
             self.da_ch.send(Frame(SESSION_DONE, sid))
             self.sessions_served += 1
@@ -387,14 +390,12 @@ class CspEngine:
         the commitment randomness and are None unless Pedersen."""
         p = self.params
         pk = self.state.pk_owner
-        t0 = time.perf_counter_ns()
         r = self.rng.randrange(0, 1 << (p.l + p.k))
         c_r = paillier.encrypt(pk, r, self.rng)
         rp = c_rp = None
         if p.integrity == integrity.SCHEME_PEDERSEN:
             rp = self.rng.randrange(0, 1 << (p.mac_subgroup_bits + p.k))
             c_rp = paillier.encrypt(pk, rp, self.rng)
-        self.timers.add("hom_ns", time.perf_counter_ns() - t0)
         return r, c_r, rp, c_rp
 
     def _blind_node(self, sid, entry):
@@ -485,12 +486,20 @@ class CspEngine:
             {v: k for k, v in remap.items()}))
         return remap
 
-    def _publish_remap(self, remap):
-        """Hand a committed rebalance to the owner and the row store."""
+    def _publish_remap(self, sid, remap):
+        """Hand a committed rebalance to the owner and, once the owner
+        acknowledges it, to the row store; the session ends only after
+        both follow the table."""
         col = self._column.encode()
         payload = u16(len(col)) + col + u32(len(remap)) + b"".join(
             _offset_blob(a) + _offset_blob(b) for a, b in sorted(remap.items()))
-        self.do_ch.send(Frame(REBALANCE, NULL_SESSION, payload))
+        self.do_ch.send(Frame(REBALANCE, sid, payload))
+        try:
+            self.do_ch.recv(REBALANCE, session=sid)
+        except SessionAborted as e:
+            # the analyst now waits on the server alone
+            self.da_ch.abort(sid, e.reason)
+            raise
         if self.rows is not None:
             self.rows.apply_remap(self._column, remap)
 
@@ -604,12 +613,8 @@ class DoEngine:
         self.ot_group = ot_group
         self.circuit = params.build_circuit()
         self.pk_analyst = None
-        self.timers = _Timers()
         self._sid = NULL_SESSION
         self._fh_shares = (0, 0)
-
-    def reset_timers(self):
-        self.timers.clear()
 
     def attach(self, csp_ch, da_ch):
         self.csp_ch = csp_ch
@@ -652,6 +657,7 @@ class DoEngine:
                     self._min_max(frame)
                 elif frame.ftype == REBALANCE:
                     self._apply_remap(frame.payload)
+                    self.csp_ch.send(Frame(REBALANCE, frame.session_id))
                 else:
                     done += 1
                     self._reset_session()
@@ -685,7 +691,6 @@ class DoEngine:
         sid = frame.session_id
         p = self.params
         payload = frame.payload
-        t0 = time.perf_counter_ns()
         cipher, off = paillier.parse_cipher_record(payload, 0,
                                                    self.sk.public.key_id)
         # x + r lies below this bound, far below P: the mod-P half of the
@@ -693,17 +698,14 @@ class DoEngine:
         # (paillier.decrypt)
         bound = (1 << (p.l + p.k)) + (1 << p.l)
         v = paillier.decrypt(self.sk, cipher, below=bound)
-        self.timers.add("decrypt_ns", time.perf_counter_ns() - t0)
         if not 0 <= v < bound:
             self._abort(sid, "blinded node out of range")
         if p.integrity == integrity.SCHEME_PEDERSEN:
             a_cipher, off = paillier.parse_cipher_record(
                 payload, off, self.sk.public.key_id)
-            t0 = time.perf_counter_ns()
             # full CRT: the analyst chose a and nothing range-checks
             # a + r', so a mod-P result would tell it whether a + r' < P
             a_blind = paillier.decrypt(self.sk, a_cipher)
-            self.timers.add("decrypt_ns", time.perf_counter_ns() - t0)
             proof = integrity.ped_open(v, a_blind, self.mac_params)
             self.da_ch.send(Frame(INTEGRITY_PROOF, sid,
                                   wire_group(proof, self.mac_params)))
@@ -712,7 +714,6 @@ class DoEngine:
             self.da_ch.send(Frame(INTEGRITY_PROOF, sid,
                                   wire_group(proof, self.mac_params)))
 
-        t0 = time.perf_counter_ns()
         gc = garbling.GarbledCircuit(self.circuit, self.rng)
         if p.mode == MODE_FH:
             b_o = self.rng.getrandbits(1)
@@ -725,12 +726,8 @@ class DoEngine:
         else:
             b_o, bp_o = self.rng.getrandbits(1), self.rng.getrandbits(1)
             gen_bits = comparator_inputs(p.width, v, b_o, bp_o)
-        blob = garbling.payload(gc, gen_bits)
-        self.timers.add("garble_ns", time.perf_counter_ns() - t0)
-        self.da_ch.send(Frame(GC_PAYLOAD, sid, blob))
-        t0 = time.perf_counter_ns()
+        self.da_ch.send(Frame(GC_PAYLOAD, sid, garbling.payload(gc, gen_bits)))
         self.ot_sender.send_pairs(gc.eval_label_pairs())
-        self.timers.add("ot_ns", time.perf_counter_ns() - t0)
         result = self.da_ch.recv(GC_RESULT, session=sid)
         if p.mode == MODE_FH:
             b_masked = result.payload[0] & 1
@@ -755,9 +752,7 @@ class DoEngine:
                                                      self.pk_analyst.key_id)
         masked_extreme, off = paillier.parse_cipher_record(payload, off,
                                                            key_id)
-        t0 = time.perf_counter_ns()
         d = paillier.decrypt(self.sk, d_c)
-        self.timers.add("decrypt_ns", time.perf_counter_ns() - t0)
         if d == 0:
             # neighbor equals the analyst's plaintext: hand over its
             # stored extreme, re-encrypted under the analyst's key
@@ -804,13 +799,9 @@ class DaEngine:
         self.circuit = params.build_circuit()
         self.pk_owner = None
         self.mac_params = None
-        self.timers = _Timers()
         self._sid = NULL_SESSION
         self._uids = {}
         self._current_xbar = None
-
-    def reset_timers(self):
-        self.timers.clear()
 
     def attach(self, csp_ch, do_ch):
         self.csp_ch = csp_ch
@@ -884,6 +875,15 @@ class DaEngine:
             if e.remote and e.channel is self.da_do_ch:
                 self.csp_ch.abort(sid, e.reason)
             raise
+        except OopeError as e:
+            # a frame this engine cannot use, such as a malformed garbled
+            # payload, aborts the session at both peers, which would
+            # otherwise wait for our shares; a dead channel just ends it
+            if self.csp_ch.poisoned or self.da_do_ch.poisoned:
+                raise
+            self.csp_ch.abort(sid, str(e))
+            self.da_do_ch.abort(sid, str(e))
+            raise SessionAborted(str(e)) from e
         finally:
             self._sid = NULL_SESSION
 
@@ -910,8 +910,8 @@ class DaEngine:
         if p.integrity != integrity.SCHEME_OFF:
             self._verify_node(sid, r)
         gc_frame = self.da_do_ch.recv(GC_PAYLOAD, session=sid)
-        tables, decode_info, labels = garbling.parse_payload(self.circuit,
-                                                             gc_frame.payload)
+        tables, decode_info, gen_labels = garbling.parse_payload(
+            self.circuit, gc_frame.payload)
         if p.mode == MODE_FH:
             b_a = self.rng.getrandbits(1)
             r_xbar = self.rng.getrandbits(1)
@@ -920,14 +920,10 @@ class DaEngine:
         else:
             b_a, bp_a = self.rng.getrandbits(1), self.rng.getrandbits(1)
             bits = comparator_inputs(p.width, xbar + r, b_a, bp_a)
-        t0 = time.perf_counter_ns()
-        got = self.ot_receiver.receive_pairs(bits)
-        self.timers.add("ot_ns", time.perf_counter_ns() - t0)
-        labels.update(dict(zip(self.circuit.eval_inputs, got)))
-        t0 = time.perf_counter_ns()
-        out_labels = garbling.evaluate(self.circuit, tables, labels)
+        eval_labels = self.ot_receiver.receive_pairs(bits)
+        out_labels = garbling.evaluate(self.circuit, tables, gen_labels,
+                                       eval_labels)
         outputs = garbling.decode(decode_info, out_labels)
-        self.timers.add("eval_ns", time.perf_counter_ns() - t0)
         if p.mode == MODE_FH:
             b_masked = outputs[0]
             self._fh_shares = (outputs[1], outputs[2])

@@ -282,9 +282,11 @@ def init_state(dataset, m: int, pk: paillier.PaillierPublicKey, l: int,
 def _encrypt_all(pk, jobs):
     """paillier.encrypt of every (plaintext, r) job, in job order.
 
-    The jobs run in os.cpu_count() contiguous slices, one thread-pool
-    task per slice; powmod releases the interpreter lock, so the slices'
-    exponentiations run in parallel.
+    The jobs run in os.cpu_count() contiguous slices: the calling thread
+    runs the first, a thread pool the others; powmod releases the
+    interpreter lock, so the slices' exponentiations run in parallel.
+    The calling thread takes a slice itself because a pool reuses a
+    worker that went idle, so short slices could all queue on one thread.
     """
     workers = min(os.cpu_count() or 1, len(jobs))
 
@@ -294,10 +296,13 @@ def _encrypt_all(pk, jobs):
     if workers <= 1:
         return run(jobs)
     size = -(-len(jobs) // workers)
-    with ThreadPoolExecutor(workers) as pool:
-        parts = pool.map(run, [jobs[i:i + size]
-                               for i in range(0, len(jobs), size)])
-        return [c for part in parts for c in part]
+    first, *rest = [jobs[i:i + size] for i in range(0, len(jobs), size)]
+    with ThreadPoolExecutor(len(rest)) as pool:
+        futures = [pool.submit(run, chunk) for chunk in rest]
+        out = run(first)
+        for f in futures:
+            out.extend(f.result())
+        return out
 
 
 # --- persistence ------------------------------------------------------------

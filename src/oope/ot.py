@@ -11,6 +11,13 @@ Two layers:
   through XOR derandomization.  Base seeds are reused across batches
   with a per-batch nonce, which is fine against passive adversaries.
 
+Labels and the extension's one-time pads are 128-bit ints, so a
+transfer XORs natively; they become 16-byte big-endian fields only on
+the wire.  `send_pairs` takes (zero-label, one-label) int pairs and
+`receive_pairs` returns the chosen ints.  Each extension batch runs
+the column step t XOR (u AND s) and the row step q XOR s as single
+numpy operations over the whole bit matrix.
+
 Every protocol message is one bytes blob pushed through caller-supplied
 send/recv callables, so the same code runs over in-memory pipes and
 framed TCP channels.
@@ -139,15 +146,25 @@ def _prg(seed: bytes, nbytes: int, batch: int) -> bytes:
     return b"".join(blocks)[:nbytes]
 
 
-def _row_hash(batch: int, j: int, row: bytes) -> bytes:
-    return hashlib.sha256(b"iknp" + u32(batch) + u32(j) + row).digest()[:LABEL_BYTES]
+def _prg_matrix(seeds, nbytes: int, batch: int):
+    """One row of nbytes PRG output per seed, as a uint8 matrix."""
+    blob = b"".join(_prg(seed, nbytes, batch) for seed in seeds)
+    return np.frombuffer(blob, dtype=np.uint8).reshape(len(seeds), nbytes)
 
 
-def _transpose_bits(columns, m):
-    """KAPPA columns of m bits -> m rows of KAPPA bits (16 bytes each)."""
-    mat = np.frombuffer(b"".join(columns), dtype=np.uint8).reshape(KAPPA, m // 8)
-    rows = np.packbits(np.unpackbits(mat, axis=1).T, axis=1)
-    return [rows[j].tobytes() for j in range(m)]
+def _row_hashes(batch: int, rows) -> list:
+    """H(batch, j, row j) as a 128-bit int per row of an m x 16 matrix."""
+    prefix = b"iknp" + u32(batch)
+    blob = rows.tobytes()
+    sha = hashlib.sha256
+    return [int.from_bytes(sha(prefix + u32(j) + blob[o:o + LABEL_BYTES])
+                           .digest(), "big") >> 128
+            for j, o in enumerate(range(0, len(blob), LABEL_BYTES))]
+
+
+def _transpose_bits(cols):
+    """KAPPA x m/8 bit matrix -> m rows of KAPPA bits (16 bytes each)."""
+    return np.packbits(np.unpackbits(cols, axis=1).T, axis=1)
 
 
 def _pack_bits(bits):
@@ -155,8 +172,10 @@ def _pack_bits(bits):
 
 
 def _unpack_bits(blob, n):
-    return [int(b) for b in np.unpackbits(np.frombuffer(blob, dtype=np.uint8),
-                                          count=n)]
+    if len(blob) != (n + 7) // 8:
+        raise ProtocolError("OT choice vector has wrong size")
+    return np.unpackbits(np.frombuffer(blob, dtype=np.uint8),
+                         count=n).tolist()
 
 
 class OtExtSender:
@@ -170,31 +189,29 @@ class OtExtSender:
         self._group = group
         self._batch_size = batch
         self._batch = 0
-        self._s_bits = None
-        self._s_bytes = None
+        self._s_mask = None  # column i: 0xff where s_i = 1, else 0
+        self._s_row = None   # s packed into one 16-byte row
         self._seeds = None
         self._a0 = deque()
         self._a1 = deque()
 
     def setup(self):
-        self._s_bits = [self._rng.getrandbits(1) for _ in range(KAPPA)]
-        self._s_bytes = _pack_bits(self._s_bits)
-        self._seeds = base_ot_recv(self._send, self._recv, self._s_bits,
+        s_bits = [self._rng.getrandbits(1) for _ in range(KAPPA)]
+        self._s_mask = np.array(s_bits, dtype=np.uint8).reshape(KAPPA, 1) * 0xff
+        self._s_row = np.packbits(np.array(s_bits, dtype=np.uint8))
+        self._seeds = base_ot_recv(self._send, self._recv, s_bits,
                                    self._group, self._rng)
 
     def _extend(self, m):
         blob = self._recv()
         if len(blob) != KAPPA * m // 8:
             raise ProtocolError("OT extension matrix has wrong size")
-        cols = []
-        for i in range(KAPPA):
-            t = _prg(self._seeds[i], m // 8, self._batch)
-            u = blob[i * m // 8:(i + 1) * m // 8]
-            cols.append(xor_bytes(t, u) if self._s_bits[i] else t)
-        for j, row in enumerate(_transpose_bits(cols, m)):
-            self._a0.append(_row_hash(self._batch, j, row))
-            self._a1.append(_row_hash(self._batch, j,
-                                      xor_bytes(row, self._s_bytes)))
+        u = np.frombuffer(blob, dtype=np.uint8).reshape(KAPPA, m // 8)
+        # column i is t_i, or t_i XOR u_i where s_i = 1
+        q = _prg_matrix(self._seeds, m // 8, self._batch) ^ (u & self._s_mask)
+        rows = _transpose_bits(q)
+        self._a0.extend(_row_hashes(self._batch, rows))
+        self._a1.extend(_row_hashes(self._batch, rows ^ self._s_row))
         self._batch += 1
 
     def _ensure(self, n):
@@ -202,15 +219,16 @@ class OtExtSender:
             self._extend(max(self._batch_size, (n + 7) // 8 * 8))
 
     def send_pairs(self, pairs):
-        """Obliviously transfer one 16-byte label of each pair."""
+        """Obliviously transfer one 128-bit int label of each pair."""
         n = len(pairs)
         self._ensure(n)
         flips = _unpack_bits(self._recv(), n)
+        a0, a1 = self._a0.popleft, self._a1.popleft
         out = []
         for (x0, x1), e in zip(pairs, flips):
-            a0, a1 = self._a0.popleft(), self._a1.popleft()
-            pads = (a0, a1) if e == 0 else (a1, a0)
-            out.append(xor_bytes(x0, pads[0]) + xor_bytes(x1, pads[1]))
+            p0, p1 = (a1(), a0()) if e else (a0(), a1())
+            out.append(((x0 ^ p0) << 128 | x1 ^ p1).to_bytes(
+                2 * LABEL_BYTES, "big"))
         self._send(b"".join(out))
 
 
@@ -239,18 +257,13 @@ class OtExtReceiver:
 
     def _extend(self, m):
         rho = bytes(self._rng.getrandbits(8) for _ in range(m // 8))
-        t_cols = []
-        u_cols = []
-        for k0, k1 in self._seed_pairs:
-            t = _prg(k0, m // 8, self._batch)
-            t_cols.append(t)
-            u_cols.append(xor_bytes(xor_bytes(t, _prg(k1, m // 8, self._batch)),
-                                    rho))
-        self._send(b"".join(u_cols))
-        rho_bits = _unpack_bits(rho, m)
-        for j, row in enumerate(_transpose_bits(t_cols, m)):
-            self._rho.append(rho_bits[j])
-            self._pads.append(_row_hash(self._batch, j, row))
+        t = _prg_matrix([k0 for k0, _ in self._seed_pairs], m // 8,
+                        self._batch)
+        u = t ^ _prg_matrix([k1 for _, k1 in self._seed_pairs], m // 8,
+                            self._batch) ^ np.frombuffer(rho, dtype=np.uint8)
+        self._send(u.tobytes())
+        self._rho.extend(_unpack_bits(rho, m))
+        self._pads.extend(_row_hashes(self._batch, _transpose_bits(t)))
         self._batch += 1
 
     def _ensure(self, n):
@@ -258,7 +271,7 @@ class OtExtReceiver:
             self._extend(max(self._batch_size, (n + 7) // 8 * 8))
 
     def receive_pairs(self, choice_bits):
-        """Receive the label selected by each choice bit."""
+        """Receive the 128-bit int label selected by each choice bit."""
         n = len(choice_bits)
         self._ensure(n)
         rho = [self._rho.popleft() for _ in range(n)]
@@ -270,37 +283,6 @@ class OtExtReceiver:
         out = []
         for j, (c, pad) in enumerate(zip(choice_bits, pads)):
             start = (2 * j + c) * LABEL_BYTES
-            out.append(xor_bytes(blob[start:start + LABEL_BYTES], pad))
+            out.append(int.from_bytes(blob[start:start + LABEL_BYTES], "big")
+                       ^ pad)
         return out
-
-
-def ot_exchange(sender_label_pairs, receiver_choice_bits, rng=None,
-                group=GROUP_DEFAULT):
-    """White-box helper: run both OT ends in-process over queue pipes.
-
-    Exercises the full base-OT + extension + derandomization stack and
-    returns the labels the receiver obtained.
-    """
-    import queue
-    import threading
-
-    if len(sender_label_pairs) != len(receiver_choice_bits):
-        raise ProtocolError("one label pair required per choice bit")
-    rng = rng or make_rng()
-    to_sender, to_receiver = queue.Queue(), queue.Queue()
-    sender = OtExtSender(to_receiver.put, to_sender.get,
-                         make_rng(rng.getrandbits(64)), group)
-    receiver = OtExtReceiver(to_sender.put, to_receiver.get,
-                             make_rng(rng.getrandbits(64)), group)
-    result = {}
-
-    def run_receiver():
-        receiver.setup()
-        result["labels"] = receiver.receive_pairs(list(receiver_choice_bits))
-
-    t = threading.Thread(target=run_receiver)
-    t.start()
-    sender.setup()
-    sender.send_pairs(list(sender_label_pairs))
-    t.join()
-    return result["labels"]

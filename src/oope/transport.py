@@ -22,7 +22,7 @@ from .wire import read_bytes, read_int, u16, u32
 MAX_FRAME = 64 * 1024 * 1024
 SESSION_BYTES = 16
 NULL_SESSION = bytes(SESSION_BYTES)
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2  # 2: half-gates GC_PAYLOAD, acknowledged REBALANCE
 
 ROLE_CSP, ROLE_DO, ROLE_DA = 0, 1, 2
 ROLE_NAMES = {ROLE_CSP: "csp", ROLE_DO: "do", ROLE_DA: "da"}
@@ -90,7 +90,6 @@ class Channel:
         self.poisoned = False
         self.record = False
         self.transcript = []  # encoded frames this end sent
-        self.wait_ns = 0      # cumulative time blocked in recv
 
     def send(self, frame: Frame):
         if self.poisoned:
@@ -111,14 +110,11 @@ class Channel:
         while True:
             if self.poisoned:
                 raise FramingError("channel is poisoned")
-            t0 = time.perf_counter_ns()
             try:
                 body = self._recv_body()
             except FramingError:
                 self.poisoned = True
                 raise
-            finally:
-                self.wait_ns += time.perf_counter_ns() - t0
             frame = decode_frame(body)
             if session is not None and frame.session_id != session:
                 continue

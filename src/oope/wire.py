@@ -45,4 +45,6 @@ def lp(blob: bytes) -> bytes:
 
 
 def xor_bytes(a: bytes, b: bytes) -> bytes:
-    return bytes(x ^ y for x, y in zip(a, b))
+    """XOR of two byte strings of equal length."""
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(
+        len(a), "big")

@@ -12,7 +12,7 @@ from oracles import Mope2Oracle, min_max_orders, rank_interval_holds, \
 from oope import datastore, ope_state, paillier, transport
 from oope.cluster import build_cluster
 from oope.engine import ProtocolParams
-from oope.errors import SessionAborted, UsageError
+from oope.errors import ProtocolError, SessionAborted, UsageError
 from oope.ot import GROUP_TEST
 from oope.rng import make_rng
 from oope.transport import Frame
@@ -257,6 +257,40 @@ def test_truncated_randomized_node_aborts_and_owner_survives():
         cluster.close()
 
 
+@pytest.mark.parametrize("damage", ["short", "long", "tables"])
+def test_malformed_garbled_payload_aborts_at_analyst(damage):
+    params = small_params()
+    cluster, ctx = make_cluster(EXAMPLE, seed=53, params=params)
+    try:
+        orders_before = ctx["table"].orders()
+        tables_end = 10 + 32 * len(cluster.da.circuit.nonfree_gates())
+        orig_send = cluster.do.da_ch.send
+
+        def damaged(frame):
+            if frame.ftype == transport.GC_PAYLOAD:
+                blob = frame.payload
+                blob = {"short": blob[:-1], "long": blob + b"\0",
+                        "tables": blob[:10] +
+                        bytes(b ^ 0xff for b in blob[10:tables_end]) +
+                        blob[tables_end:]}[damage]
+                frame = Frame(frame.ftype, frame.session_id, blob)
+            orig_send(frame)
+
+        cluster.do.da_ch.send = damaged
+        t0 = time.monotonic()
+        match = "failed to decode" if damage == "tables" else "garbled payload"
+        with pytest.raises(SessionAborted, match=match):
+            cluster.encrypt(15)
+        assert time.monotonic() - t0 < 5
+        cluster.do.da_ch.send = orig_send
+        assert ctx["table"].orders() == orders_before
+        assert cluster.encrypt(15) == \
+            Mope2Oracle(params.m).load(EXAMPLE).encrypt(15)
+        assert not cluster.errors
+    finally:
+        cluster.close()
+
+
 @pytest.mark.parametrize("plaintext", ["bound", "N-1"])
 def test_out_of_range_blinded_node_aborts_at_owner(plaintext):
     # the owner decrypts blinded nodes mod P; a node at the bound or at
@@ -351,18 +385,32 @@ def test_aborted_rebalance_leaves_owner_and_rows_on_table_orders(
               for i, (_, y) in enumerate(owner.pairs)])
     cluster.csp.rows = rows
     oracle = Mope2Oracle(params.m).load(data)
+    real_apply = owner.apply_remap
 
-    def consistent():
-        # the owner applies a remap as it reads it from its channel; a
-        # session for a stored value changes nothing and makes sure it has
-        assert cluster.encrypt(10) == oracle.encrypt(10)
+    def slow_apply(remap):
+        # a slow owner makes a session that returns before its owner
+        # follows the table fail on every run, not just on some
+        time.sleep(0.2)
+        real_apply(remap)
+
+    monkeypatch.setattr(owner, "apply_remap", slow_apply)
+
+    def in_step():
+        # no settling session: the owner acknowledged every remap before
+        # the session that made it returned
         assert [r.orders[""] for r in rows.rows] == [y for _, y in owner.pairs]
         for x, y in owner.pairs:
             assert paillier.decrypt(sk, table.get(y).cipher) == x
 
+    def consistent():
+        # a session for a stored value changes nothing
+        assert cluster.encrypt(10) == oracle.encrypt(10)
+        in_step()
+
     try:
         for xbar in (15, 17, 18):
             assert cluster.encrypt(xbar) == oracle.encrypt(xbar)
+            in_step()
         consistent()
         rebalances = []
         real_rebalance = ope_state.rebalance
@@ -389,8 +437,48 @@ def test_aborted_rebalance_leaves_owner_and_rows_on_table_orders(
         assert rebalances == [6]
         consistent()
         assert cluster.encrypt(19) == oracle.encrypt(19)
+        in_step()
         assert len(rebalances) == 2
         consistent()
+        assert not cluster.errors
+    finally:
+        cluster.close()
+
+
+def test_owner_refusing_a_rebalance_aborts_and_rolls_back(monkeypatch):
+    params = small_params(m=19)
+    data = [10, 20, 30]
+    cluster, ctx = make_cluster(data, seed=23, params=params)
+    table, owner = ctx["table"], ctx["owner"]
+    rows = datastore.RowStore(
+        public_columns=[], ope_columns=[""],
+        rows=[datastore.EncryptedRow(i, {}, {"": y})
+              for i, (_, y) in enumerate(owner.pairs)])
+    cluster.csp.rows = rows
+    oracle = Mope2Oracle(params.m).load(data)
+    try:
+        for xbar in (15, 17):
+            assert cluster.encrypt(xbar) == oracle.encrypt(xbar)
+        table_before = ope_state.table_to_bytes(table)
+        pairs_before = list(owner.pairs)
+        real_apply = cluster.do._apply_remap
+
+        def refuse(payload):
+            raise ProtocolError("remap refused")
+
+        # the session for 18 needs a rebalance
+        monkeypatch.setattr(cluster.do, "_apply_remap", refuse)
+        t0 = time.monotonic()
+        with pytest.raises(SessionAborted, match="remap refused"):
+            cluster.encrypt(18)
+        assert time.monotonic() - t0 < 5
+        assert ope_state.table_to_bytes(table) == table_before
+        assert owner.pairs == pairs_before
+        assert [r.orders[""] for r in rows.rows] == [y for _, y in owner.pairs]
+        monkeypatch.setattr(cluster.do, "_apply_remap", real_apply)
+        assert cluster.encrypt(18) == oracle.encrypt(18)
+        assert owner.pairs != pairs_before
+        assert [r.orders[""] for r in rows.rows] == [y for _, y in owner.pairs]
         assert not cluster.errors
     finally:
         cluster.close()

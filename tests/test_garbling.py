@@ -1,21 +1,23 @@
 """Garbling scheme against the plain evaluator."""
 
+import operator
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oope import garbling
 from oope.comparator import (build_comparator, build_fh_comparator,
-                             comparator_inputs, eval_plain)
+                             comparator_inputs, eval_plain, int_to_bits)
 from oope.errors import IntegrityError, ProtocolError
 from oope.rng import make_rng
 
 
 def garbled_run(circuit, gc, gen_bits, eval_bits):
-    labels = dict(zip(circuit.gen_inputs, gc.encode(circuit.gen_inputs,
-                                                    gen_bits)))
-    pairs = gc.eval_label_pairs()
-    for w, pair, b in zip(circuit.eval_inputs, pairs, eval_bits):
-        labels[w] = pair[b]
-    out = garbling.evaluate(circuit, gc.tables, labels)
+    gen_labels = gc.encode(circuit.gen_inputs, gen_bits)
+    eval_labels = [pair[b] for pair, b in zip(gc.eval_label_pairs(),
+                                              eval_bits)]
+    out = garbling.evaluate(circuit, gc.tables, gen_labels, eval_labels)
     return garbling.decode(gc.decode_info, out)
 
 
@@ -61,11 +63,9 @@ def test_fresh_seeds_give_fresh_labels():
 def test_decode_rejects_corrupted_label():
     c = build_comparator(4)
     gc = garbling.GarbledCircuit(c, make_rng(9))
-    labels = dict(zip(c.gen_inputs, gc.encode(c.gen_inputs, [0] * 6)))
-    for w, pair in zip(c.eval_inputs, gc.eval_label_pairs()):
-        labels[w] = pair[0]
-    out = garbling.evaluate(c, gc.tables, labels)
-    corrupted = bytes([out[0][0] ^ 1]) + out[0][1:]
+    out = garbling.evaluate(c, gc.tables, gc.encode(c.gen_inputs, [0] * 6),
+                            [pair[0] for pair in gc.eval_label_pairs()])
+    corrupted = out[0] ^ (1 << 120)
     with pytest.raises(IntegrityError):
         garbling.decode(gc.decode_info, [corrupted, out[1]])
 
@@ -74,13 +74,11 @@ def test_wrong_label_fails_decoding():
     # evaluating with a non-chosen input label cannot produce decodable output
     c = build_comparator(4)
     gc = garbling.GarbledCircuit(c, make_rng(11))
-    labels = dict(zip(c.gen_inputs, gc.encode(c.gen_inputs, [0] * 6)))
-    pairs = gc.eval_label_pairs()
-    for w, pair in zip(c.eval_inputs, pairs):
-        labels[w] = pair[0]
+    eval_labels = [pair[0] for pair in gc.eval_label_pairs()]
     # swap one evaluator label for random garbage
-    labels[c.eval_inputs[0]] = bytes(16)
-    out = garbling.evaluate(c, gc.tables, labels)
+    eval_labels[0] = 0
+    out = garbling.evaluate(c, gc.tables, gc.encode(c.gen_inputs, [0] * 6),
+                            eval_labels)
     with pytest.raises(IntegrityError):
         garbling.decode(gc.decode_info, out)
 
@@ -93,7 +91,7 @@ def test_payload_roundtrip():
     tables, dec, gen_labels = garbling.parse_payload(c, blob)
     assert tables == gc.tables
     assert dec == gc.decode_info
-    assert list(gen_labels.values()) == gc.encode(c.gen_inputs, gen_bits)
+    assert gen_labels == gc.encode(c.gen_inputs, gen_bits)
     with pytest.raises(ProtocolError):
         garbling.parse_payload(build_comparator(5), blob)
 
@@ -105,3 +103,89 @@ def test_payload_size_is_input_independent():
     a = garbling.payload(gc, comparator_inputs(8, 0, 0, 0))
     b = garbling.payload(gc, comparator_inputs(8, 255, 1, 1))
     assert len(a) == len(b)
+
+
+WIDE = {"det": build_comparator(65), "fh": build_fh_comparator(65)}
+
+
+@pytest.mark.parametrize("kind", sorted(WIDE))
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), gen=st.integers(0, 2**71 - 1),
+       ev=st.integers(0, 2**69 - 1))
+def test_wide_circuits_match_plain(kind, seed, gen, ev):
+    c = WIDE[kind]
+    gen_bits = int_to_bits(gen, len(c.gen_inputs))
+    eval_bits = int_to_bits(ev, len(c.eval_inputs))
+    gc = garbling.GarbledCircuit(c, make_rng(seed))
+    tables, dec, gen_labels = garbling.parse_payload(
+        c, garbling.payload(gc, gen_bits))
+    eval_labels = [pair[b] for pair, b in zip(gc.eval_label_pairs(),
+                                              eval_bits)]
+    out = garbling.evaluate(c, tables, gen_labels, eval_labels)
+    assert garbling.decode(dec, out) == eval_plain(c, gen_bits, eval_bits)
+
+
+@pytest.mark.parametrize("kind", sorted(WIDE))
+def test_payload_length_formula(kind):
+    # two ciphertexts per non-free gate, two decode hashes per output
+    c = WIDE[kind]
+    expected = (10 + 32 * len(c.nonfree_gates()) + 32 * len(c.outputs) + 2 +
+                16 * len(c.gen_inputs))
+    rng = make_rng(21)
+    for _ in range(4):
+        gc = garbling.GarbledCircuit(c, rng)
+        gen_bits = [rng.getrandbits(1) for _ in c.gen_inputs]
+        assert len(garbling.payload(gc, gen_bits)) == expected
+    assert len(garbling.payload(gc, [0] * len(c.gen_inputs))) == expected
+    assert len(garbling.payload(gc, [1] * len(c.gen_inputs))) == expected
+
+
+@pytest.mark.parametrize("kind", sorted(WIDE))
+def test_payload_of_wrong_length_rejected(kind):
+    c = WIDE[kind]
+    blob = garbling.payload(garbling.GarbledCircuit(c, make_rng(23)),
+                            [1] * len(c.gen_inputs))
+    garbling.parse_payload(c, blob)
+    for bad in (blob[:-1], blob + b"\0"):
+        with pytest.raises(ProtocolError):
+            garbling.parse_payload(c, bad)
+
+
+def wire_values(circuit, gen_bits, eval_bits):
+    """Plain value of every wire, gate by gate."""
+    ops = {"XOR": operator.xor, "AND": operator.and_, "OR": operator.or_}
+    values = dict(zip(circuit.gen_inputs, gen_bits))
+    values.update(zip(circuit.eval_inputs, eval_bits))
+    for g in circuit.gates:
+        a = values[g.a]
+        values[g.out] = a ^ 1 if g.op == "NOT" else ops[g.op](a, values[g.b])
+    return values
+
+
+@pytest.mark.parametrize("kind", sorted(WIDE))
+def test_flipped_ciphertext_in_use_fails_decoding(kind):
+    # the evaluator reads T_G of a gate when its first input label has the
+    # low bit set, and T_E when its second does
+    c = WIDE[kind]
+    rng = make_rng(25)
+    gen_bits = [rng.getrandbits(1) for _ in c.gen_inputs]
+    eval_bits = [rng.getrandbits(1) for _ in c.eval_inputs]
+    gc = garbling.GarbledCircuit(c, rng)
+    gen_labels = gc.encode(c.gen_inputs, gen_bits)
+    eval_labels = [pair[b] for pair, b in zip(gc.eval_label_pairs(),
+                                              eval_bits)]
+    values = wire_values(c, gen_bits, eval_bits)
+    used = []
+    for j, g in enumerate(c.nonfree_gates()):
+        for t, wire in ((2 * j, g.a), (2 * j + 1, g.b)):
+            if gc.encode([wire], [values[wire]])[0] & 1:
+                used.append(t)
+    # both halves and both gate kinds are hit
+    assert {t % 2 for t in used} == {0, 1}
+    assert {c.nonfree_gates()[t // 2].op for t in used} == {"AND", "OR"}
+    for t in used:
+        tables = list(gc.tables)
+        tables[t] ^= 1 << rng.randrange(128)
+        out = garbling.evaluate(c, tables, gen_labels, eval_labels)
+        with pytest.raises(IntegrityError):
+            garbling.decode(gc.decode_info, out)
