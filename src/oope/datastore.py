@@ -291,7 +291,7 @@ def _params_dict(params: ProtocolParams) -> dict:
     return {"l": params.l, "k": params.k, "m": params.m, "mode": params.mode,
             "key_bits": params.key_bits, "integrity": params.integrity,
             "mac_subgroup_bits": params.mac_subgroup_bits,
-            "uid_upload": params.uid_upload, "ot_batch": params.ot_batch}
+            "uid_upload": params.uid_upload}
 
 
 def params_from_dict(d: dict) -> ProtocolParams:

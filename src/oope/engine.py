@@ -105,7 +105,6 @@ class ProtocolParams:
     integrity: str = _SCHEME_OFF
     mac_subgroup_bits: int = _DEFAULT_SUBGROUP_BITS
     uid_upload: bool = False
-    ot_batch: int = 2048
 
     @property
     def width(self) -> int:
@@ -172,7 +171,10 @@ def wire_group(v: int, mac_params) -> bytes:
 
 
 def make_node_tagger(scheme, mac_params, pk, rng):
-    """Owner-side closure tagging each plaintext at initialization."""
+    """Closure mapping a plaintext x to its serialized integrity tag: the
+    DL-MAC g^x, or the Pedersen commitment to x under a fresh a followed
+    by Enc(a).  The owner tags each plaintext at initialization and the
+    analyst its upload, so both build a tag the same way."""
     if scheme == integrity.SCHEME_OFF:
         return None
     if scheme == integrity.SCHEME_DLMAC:
@@ -288,22 +290,23 @@ class CspEngine:
             for st in self.states.values():
                 st.pk_analyst = pk_da
 
-    def serve(self, max_sessions=None):
+    def serve(self):
         """Accept requests until the analyst channel closes.
 
-        A request that fails with an OopeError is aborted towards the
-        analyst and the loop goes on; a stale abort or a frame that opens
-        no request is dropped.  Only a dead channel ends the loop.
+        The wait for the next request has no time limit; every other
+        receive has the channel's.  A request that fails with an
+        OopeError is aborted towards the analyst and the loop goes on; a
+        stale abort or a frame that opens no request is dropped.  Only a
+        dead channel ends the loop.
         """
-        served = 0
-        while max_sessions is None or served < max_sessions:
+        while True:
             try:
-                frame = self.da_ch.recv(SESSION_START, QUERY_EXEC, CLEANUP)
+                frame = self.da_ch.recv(SESSION_START, QUERY_EXEC, CLEANUP,
+                                        idle=True)
             except (ProtocolError, SessionAborted):
                 if self.da_ch.poisoned:
                     return
                 continue
-            served += 1
             try:
                 if frame.ftype == QUERY_EXEC:
                     self._exec_query(frame)
@@ -631,16 +634,16 @@ class DoEngine:
         if da_extra:
             self.pk_analyst, _ = paillier.parse_public_key(da_extra)
         send, recv = _ot_link(self.da_ch, lambda: self._sid)
-        self.ot_sender = OtExtSender(send, recv, self.rng, self.ot_group,
-                                     self.params.ot_batch)
+        self.ot_sender = OtExtSender(send, recv, self.rng, self.ot_group)
         self.ot_sender.setup()
 
-    def serve(self, max_sessions=None):
-        done = 0
-        while max_sessions is None or done < max_sessions:
+    def serve(self):
+        """Serve the server's requests until its channel closes; the wait
+        for the next one has no time limit."""
+        while True:
             try:
                 frame = self.csp_ch.recv(RANDOMIZED_NODE, SESSION_DONE,
-                                         MINMAX_TRIPLE, REBALANCE)
+                                         MINMAX_TRIPLE, REBALANCE, idle=True)
             except SessionAborted:
                 self._reset_session()
                 continue
@@ -659,7 +662,6 @@ class DoEngine:
                     self._apply_remap(frame.payload)
                     self.csp_ch.send(Frame(REBALANCE, frame.session_id))
                 else:
-                    done += 1
                     self._reset_session()
             except SessionAborted:
                 self._reset_session()
@@ -799,6 +801,7 @@ class DaEngine:
         self.circuit = params.build_circuit()
         self.pk_owner = None
         self.mac_params = None
+        self._tag = None  # make_node_tagger's closure under integrity
         self._sid = NULL_SESSION
         self._uids = {}
         self._current_xbar = None
@@ -820,9 +823,10 @@ class DaEngine:
         elif self.params.integrity != integrity.SCHEME_OFF:
             raise HandshakeError("integrity enabled but owner sent no "
                                  "verification parameters")
+        self._tag = make_node_tagger(self.params.integrity, self.mac_params,
+                                     self.pk_owner, self.rng)
         send, recv = _ot_link(self.da_do_ch, lambda: self._sid)
-        self.ot_receiver = OtExtReceiver(send, recv, self.rng, self.ot_group,
-                                         self.params.ot_batch)
+        self.ot_receiver = OtExtReceiver(send, recv, self.rng, self.ot_group)
         self.ot_receiver.setup()
 
     def encrypt(self, xbar: int, minmax: bool = False,
@@ -955,18 +959,8 @@ class DaEngine:
         cipher = paillier.encrypt(self.pk_owner, xbar, self.rng)
         payload = bytes([UPLOAD_CIPHER]) + \
             paillier.cipher_record(cipher, self.pk_owner.key_bits)
-        if self.params.integrity == integrity.SCHEME_DLMAC:
-            payload += lp(wire_group(
-                integrity.dl_mac_make(xbar, self.mac_params),
-                self.mac_params))
-        elif self.params.integrity == integrity.SCHEME_PEDERSEN:
-            a = self.rng.randrange(self.mac_params.q)
-            commit = integrity.ped_commit_make(xbar, a, self.mac_params)
-            blob = lp(wire_group(commit, self.mac_params)) + \
-                paillier.cipher_record(
-                    paillier.encrypt(self.pk_owner, a, self.rng),
-                    self.pk_owner.key_bits)
-            payload += lp(blob)
+        if self._tag is not None:
+            payload += lp(self._tag(xbar))
         return payload
 
     def query(self, bounds: dict, projection=None):

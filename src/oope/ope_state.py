@@ -39,11 +39,12 @@ from .wire import ORDER_BYTES, fixed_bytes, read_bytes, read_int, u16, u32
 MODE_DET, MODE_FH = "det", "fh"
 TABLE_MAGIC = b"OPET"
 OWNER_MAGIC = b"OPEO"
-TABLE_VERSION = 1
+TABLE_VERSION = 2  # 2: FLAG_UID entries
 
 FLAG_FH = 1
 FLAG_TAGGED = 2
 FLAG_NODETAG = 4
+FLAG_UID = 8  # an analyst's uid upload: no cipher record
 
 
 @dataclass
@@ -156,6 +157,12 @@ def assign_order(y_left: int, y_right: int) -> int:
     return y_left + (gap + 1) // 2
 
 
+def _uniform_orders(n: int, m: int) -> list:
+    """n orders spread uniformly across [1, M-1]: ceil(i*M/(n+1)) for
+    i = 1..n."""
+    return [-(-i * m // (n + 1)) for i in range(1, n + 1)]
+
+
 def rebalance(table: OpeTable) -> dict:
     """Respread all orders uniformly across [1, M-1]; rank is preserved.
 
@@ -167,20 +174,17 @@ def rebalance(table: OpeTable) -> dict:
         raise UsageError("cannot rebalance an empty table")
     if n >= table.m - 1:
         raise CapacityError("order space exhausted")
-    old = table.orders()
-    remap = {y: (i + 1) * table.m // (n + 1) +
-             (1 if (i + 1) * table.m % (n + 1) else 0)
-             for i, y in enumerate(old)}
+    remap = dict(zip(table.orders(), _uniform_orders(n, table.m)))
     table.reassign_orders(remap)
     return remap
 
 
-def _local_insert_det(sorted_pairs, x, m):
-    """mOPE2 order for x against sorted (plaintext, order) pairs.
+def _local_insert_det(sorted_pairs, xs, x, m):
+    """mOPE2 order for x against sorted (plaintext, order) pairs, whose
+    plaintexts are xs.
 
     Returns (order, is_new); duplicates reuse the existing order.
     """
-    xs = [p[0] for p in sorted_pairs]
     i = bisect_left(xs, x)
     if i < len(xs) and xs[i] == x:
         return sorted_pairs[i][1], False
@@ -189,9 +193,8 @@ def _local_insert_det(sorted_pairs, x, m):
     return assign_order(y_left, y_right), True
 
 
-def _local_insert_fh(sorted_pairs, x, m, rng):
+def _local_insert_fh(sorted_pairs, xs, x, m, rng):
     """mOPE3 placement: a coin-chosen gap inside or adjacent to x's run."""
-    xs = [p[0] for p in sorted_pairs]
     lo, hi = bisect_left(xs, x), bisect_right(xs, x)
     gap = rng.randint(lo, hi) if hi > lo else lo
     y_left = sorted_pairs[gap - 1][1] if gap > 0 else 0
@@ -223,35 +226,39 @@ def init_state(dataset, m: int, pk: paillier.PaillierPublicKey, l: int,
     rng = rng or make_rng()
     owner = OwnerState(m=m, l=l)
     sorted_pairs = []  # (plaintext, order), sorted by (plaintext, order)
+    xs = []  # the plaintexts of sorted_pairs, so an insert costs a memmove
 
     def place(x):
-        if not 0 <= x < (1 << l):
-            raise DomainError(f"plaintext {x} outside [0, 2^{l})")
-        while True:
-            try:
-                if mode == MODE_DET:
-                    y, is_new = _local_insert_det(sorted_pairs, x, m)
-                else:
-                    y, is_new = _local_insert_fh(sorted_pairs, x, m, rng), True
-                return y, is_new
-            except GapExhausted:
-                # local respread during initialization; fh ciphertexts are
-                # only computed afterwards, so this is safe in either mode
-                k = len(sorted_pairs)
-                if k >= m - 1:
-                    raise CapacityError("order space exhausted at init")
-                remap = {}
-                for i, (px, py) in enumerate(sorted_pairs):
-                    ny = (i + 1) * m // (k + 1) + \
-                        (1 if (i + 1) * m % (k + 1) else 0)
-                    remap[py] = ny
-                    sorted_pairs[i] = (px, ny)
-                owner.apply_remap(remap)
+        if mode == MODE_DET:
+            return _local_insert_det(sorted_pairs, xs, x, m)
+        return _local_insert_fh(sorted_pairs, xs, x, m, rng), True
+
+    def respread():
+        # local respread during initialization; fh ciphertexts are only
+        # computed afterwards, so this is safe in either mode
+        if len(sorted_pairs) >= m - 1:
+            raise CapacityError("order space exhausted at init")
+        new = _uniform_orders(len(sorted_pairs), m)
+        owner.apply_remap({py: ny for (_, py), ny in zip(sorted_pairs, new)})
+        sorted_pairs[:] = [(px, ny) for (px, _), ny in zip(sorted_pairs, new)]
 
     for x in dataset:
-        y, is_new = place(x)
+        if not 0 <= x < (1 << l):
+            raise DomainError(f"plaintext {x} outside [0, 2^{l})")
+        try:
+            y, is_new = place(x)
+        except GapExhausted:
+            respread()
+            try:
+                y, is_new = place(x)
+            except GapExhausted:
+                # a uniform respread left no room here: M is too dense
+                raise CapacityError("order space too dense for another "
+                                    "entry at this position") from None
         if is_new:
-            insort(sorted_pairs, (x, y))
+            i = bisect_right(sorted_pairs, (x, y))
+            sorted_pairs.insert(i, (x, y))
+            xs.insert(i, x)
         owner.pairs.append((x, y))
 
     table = OpeTable(m, l, mode, pk.key_bits, pk.key_id)
@@ -309,7 +316,7 @@ def _encrypt_all(pk, jobs):
 # Table file:
 #   magic | version u16 | l u16 | log2m u8 | mode u8 | key_bits u16 |
 #   M 16B | count u64 | key_id 32B
-#   per entry: order 16B | flags u8 | cipher record |
+#   per entry: order 16B | flags u8 | [cipher record, absent if UID] |
 #              [fh_min record | fh_max record] | [tag 16B] |
 #              [node tag: len u32 | blob]
 #   sha256 trailer over everything above
@@ -341,10 +348,12 @@ def serialize_table(table: OpeTable, fh=None) -> int:
     for e in table.entries():
         flags = (FLAG_FH if e.fh_min is not None else 0) | \
             (FLAG_TAGGED if e.tag is not None else 0) | \
-            (FLAG_NODETAG if e.node_tag is not None else 0)
+            (FLAG_NODETAG if e.node_tag is not None else 0) | \
+            (FLAG_UID if e.cipher is None else 0)
         w.write(fixed_bytes(e.order, ORDER_BYTES))
         w.write(bytes([flags]))
-        w.write(paillier.cipher_record(e.cipher, table.key_bits))
+        if e.cipher is not None:
+            w.write(paillier.cipher_record(e.cipher, table.key_bits))
         if e.fh_min is not None:
             w.write(paillier.cipher_record(e.fh_min, table.key_bits))
             w.write(paillier.cipher_record(e.fh_max, table.key_bits))
@@ -379,7 +388,9 @@ def parse_table(blob: bytes) -> OpeTable:
     for _ in range(count):
         order, off = read_int(blob, off, ORDER_BYTES)
         flags, off = read_int(blob, off, 1)
-        cipher, off = paillier.parse_cipher_record(blob, off, key_id)
+        cipher = None
+        if not flags & FLAG_UID:
+            cipher, off = paillier.parse_cipher_record(blob, off, key_id)
         entry = OpeEntry(cipher, order)
         if flags & FLAG_FH:
             entry.fh_min, off = paillier.parse_cipher_record(blob, off, key_id)

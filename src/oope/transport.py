@@ -3,8 +3,16 @@
 Frame layout: 4-byte big-endian length | 1-byte type | 16-byte session
 id | payload, where the length covers everything after itself.  Frames
 are capped at 64 MiB.  The same Frame/Channel surface runs over
-in-memory queues (loopback) and TCP sockets, and with seeded RNGs both
-transports produce byte-identical transcripts.
+in-memory queues (loopback_pair) and connected localhost sockets
+(tcp_pair), and with seeded RNGs both transports produce byte-identical
+transcripts.
+
+One receive-timeout rule holds on both transports: a receive that waits
+longer than Channel.timeout for its frame raises FramingError and
+poisons the channel, so a peer that stalls mid-session fails the
+waiting side.  The one exception is a serve loop's wait for its next
+request (recv with idle=True), which has no limit, because an idle
+peer is not a fault.
 
 A channel connects exactly two roles; the topology is the triangle
 CSP-DO, CSP-DA, DO-DA.  Garbled-circuit and OT traffic flows on the
@@ -13,7 +21,6 @@ DO-DA edge directly.
 
 import queue
 import socket
-import time
 from dataclasses import dataclass
 
 from .errors import FramingError, HandshakeError, ProtocolError, SessionAborted
@@ -85,6 +92,8 @@ def decode_frame(body: bytes) -> Frame:
 class Channel:
     """Ordered reliable frame stream between two roles."""
 
+    timeout = 120  # seconds a receive waits; instances may override it
+
     def __init__(self, name: str = ""):
         self.name = name
         self.poisoned = False
@@ -99,19 +108,25 @@ class Channel:
             self.transcript.append(blob)
         self._send_bytes(blob)
 
-    def recv(self, *expected: int, session: bytes = None) -> Frame:
+    def recv(self, *expected: int, session: bytes = None,
+             idle: bool = False) -> Frame:
         """Read the next frame, optionally checking its type.
 
         When a session id is given, frames left over from other (dead)
         sessions are dropped, so an aborted session cannot poison the
         next one.  Sessions on one channel never interleave, so a frame
         from a different session is always stale.
+
+        A frame that does not start arriving within self.timeout is a
+        FramingError that poisons the channel.  idle lifts that limit;
+        it marks a serve loop's wait for its next request.
         """
+        wait = None if idle else self.timeout
         while True:
             if self.poisoned:
                 raise FramingError("channel is poisoned")
             try:
-                body = self._recv_body()
+                body = self._recv_body(wait)
             except FramingError:
                 self.poisoned = True
                 raise
@@ -141,14 +156,14 @@ class Channel:
     def _send_bytes(self, blob: bytes):
         raise NotImplementedError
 
-    def _recv_body(self) -> bytes:
+    def _recv_body(self, timeout) -> bytes:
+        """The next frame's body; timeout (None: no limit) bounds the wait
+        for its first byte."""
         raise NotImplementedError
 
 
 class LoopbackChannel(Channel):
     """One end of an in-memory duplex queue pair."""
-
-    timeout = 120  # seconds; a blocked role indicates a protocol bug
 
     def __init__(self, inbox: queue.Queue, outbox: queue.Queue, name=""):
         super().__init__(name)
@@ -158,9 +173,9 @@ class LoopbackChannel(Channel):
     def _send_bytes(self, blob):
         self._outbox.put(blob)
 
-    def _recv_body(self):
+    def _recv_body(self, timeout):
         try:
-            blob = self._inbox.get(timeout=self.timeout)
+            blob = self._inbox.get(timeout=timeout)
         except queue.Empty:
             raise FramingError("channel receive timed out") from None
         if blob is None:
@@ -177,15 +192,21 @@ class LoopbackChannel(Channel):
 
 
 def loopback_pair(name_a="a", name_b="b"):
+    """Two ends of one in-memory duplex channel."""
     qa, qb = queue.Queue(), queue.Queue()
     return (LoopbackChannel(qa, qb, name_a), LoopbackChannel(qb, qa, name_b))
 
 
 class TcpChannel(Channel):
+    """One end of a connected TCP socket.  The socket carries the
+    channel's timeout, which also bounds a send to a peer that stopped
+    reading."""
+
     def __init__(self, sock: socket.socket, name=""):
         super().__init__(name)
         self._sock = sock
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        sock.settimeout(self.timeout)
 
     def _send_bytes(self, blob):
         try:
@@ -207,8 +228,11 @@ class TcpChannel(Channel):
             n -= len(chunk)
         return b"".join(chunks)
 
-    def _recv_body(self):
+    def _recv_body(self, timeout):
+        self._sock.settimeout(timeout)
         n = int.from_bytes(self._read_exact(4), "big")
+        # once a frame has begun, the rest of it is never idle
+        self._sock.settimeout(self.timeout)
         if n > MAX_FRAME:
             raise FramingError("oversize frame")
         return self._read_exact(n)
@@ -220,29 +244,14 @@ class TcpChannel(Channel):
             pass
 
 
-def tcp_listen(host: str, port: int) -> socket.socket:
-    srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    srv.bind((host, port))
-    srv.listen(8)
-    return srv
-
-
-def tcp_accept(srv: socket.socket, name="") -> TcpChannel:
-    sock, _ = srv.accept()
-    return TcpChannel(sock, name)
-
-
-def tcp_connect(host: str, port: int, name="", attempts=50,
-                delay=0.1) -> TcpChannel:
-    last = None
-    for _ in range(attempts):
-        try:
-            return TcpChannel(socket.create_connection((host, port), 10), name)
-        except OSError as e:
-            last = e
-            time.sleep(delay)
-    raise FramingError(f"cannot reach {host}:{port}: {last}")
+def tcp_pair(name_a="a", name_b="b"):
+    """Two ends of one connected localhost socket pair, made on the
+    calling thread: listen on a free port, connect, accept, close the
+    listener.  The first end is the one that dialed."""
+    with socket.create_server(("127.0.0.1", 0)) as srv:
+        dialer = socket.create_connection(srv.getsockname())
+        accepted, _ = srv.accept()
+    return TcpChannel(dialer, name_a), TcpChannel(accepted, name_b)
 
 
 # --- handshake --------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Three-party sessions over loopback: correctness, hiding, aborts."""
 
 import math
+import threading
 import time
 import warnings
 
@@ -12,7 +13,8 @@ from oracles import Mope2Oracle, min_max_orders, rank_interval_holds, \
 from oope import datastore, ope_state, paillier, transport
 from oope.cluster import build_cluster
 from oope.engine import ProtocolParams
-from oope.errors import ProtocolError, SessionAborted, UsageError
+from oope.errors import (ConfigurationError, FramingError, ProtocolError,
+                         SessionAborted, UsageError)
 from oope.ot import GROUP_TEST
 from oope.rng import make_rng
 from oope.transport import Frame
@@ -604,6 +606,71 @@ def test_uid_upload_mode():
         for xbar in (14, 16, 13):
             assert cluster.encrypt(xbar) == oracle.encrypt(xbar)
     finally:
+        cluster.close()
+
+
+def test_uid_upload_table_roundtrip():
+    params = small_params(m=28, uid_upload=True)
+    cluster, ctx = make_cluster(EXAMPLE, seed=37, params=params)
+    try:
+        cluster.encrypt(15)
+    finally:
+        cluster.close()
+    table = ctx["table"]
+    blob = ope_state.table_to_bytes(table)
+    parsed = ope_state.parse_table(blob)
+    fields = [(e.order, e.cipher, e.tag, e.node_tag) for e in table.entries()]
+    assert [(e.order, e.cipher, e.tag, e.node_tag)
+            for e in parsed.entries()] == fields
+    assert parsed.get(6).cipher is None and parsed.get(6).tag is not None
+    assert ope_state.table_to_bytes(parsed) == blob
+
+
+# --- transports and the receive timeout -------------------------------------
+
+def test_unknown_transport_kind_rejected():
+    with pytest.raises(ConfigurationError, match="'TCP'"):
+        make_cluster(EXAMPLE, transport_kind="TCP")
+
+
+@pytest.mark.parametrize("kind", ["loopback", "tcp"])
+def test_idle_cluster_outlives_the_receive_timeout(kind):
+    params = small_params()
+    cluster, _ = make_cluster(EXAMPLE, seed=71, params=params,
+                              transport_kind=kind)
+    try:
+        for ch in cluster.channels:
+            ch.timeout = 0.5
+        oracle = Mope2Oracle(params.m).load(EXAMPLE)
+        assert cluster.encrypt(15) == oracle.encrypt(15)
+        time.sleep(1.5)  # both serve loops wait for their next request
+        assert cluster.encrypt(40) == oracle.encrypt(40)
+        assert not any(ch.poisoned for ch in cluster.channels)
+        assert not cluster.errors
+    finally:
+        cluster.close()
+
+
+@pytest.mark.parametrize("kind", ["loopback", "tcp"])
+def test_owner_stalled_mid_session_fails_encrypt_in_time(kind):
+    cluster, _ = make_cluster(EXAMPLE, seed=73, transport_kind=kind)
+    release = threading.Event()
+    # without a timeout, closing the channels ends the wait, so a
+    # regression fails here rather than hangs
+    watchdog = threading.Timer(5, cluster.close)
+    try:
+        for ch in cluster.channels:
+            ch.timeout = 0.3
+        # the owner takes its round's node and never answers
+        cluster.do._round = lambda frame: release.wait(30)
+        watchdog.start()
+        t0 = time.monotonic()
+        with pytest.raises(FramingError, match="timed out"):
+            cluster.encrypt(15)
+        assert time.monotonic() - t0 < 10 * 0.3
+    finally:
+        watchdog.cancel()
+        release.set()
         cluster.close()
 
 

@@ -3,6 +3,7 @@
 import io
 import math
 import os
+import signal
 import threading
 
 import pytest
@@ -146,6 +147,24 @@ def test_rebalance_capacity_error(keys):
         table.insert(OpeEntry(paillier.encrypt(pk, i, make_rng(i)), y))
     with pytest.raises(CapacityError):
         rebalance(table)
+
+
+def test_init_unit_gap_after_respread_raises_capacity_error(keys):
+    pk, _ = keys
+    # 0 takes order 2 of M=3, 1 finds a unit gap above it, and the
+    # respread puts 0 back on 2
+
+    def hung(signum, frame):
+        raise TimeoutError("init_state did not return")
+
+    old = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(5)
+    try:
+        with pytest.raises(CapacityError):
+            init_state([0, 1], 3, pk, l=8)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def test_no_rebalance_for_uniform_inputs_with_large_m(keys):

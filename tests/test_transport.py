@@ -1,6 +1,7 @@
 """Framing, channels, handshake."""
 
 import threading
+import time
 
 import pytest
 
@@ -8,7 +9,7 @@ from oope import transport
 from oope.errors import (FramingError, HandshakeError, ProtocolError,
                          SessionAborted)
 from oope.rng import make_rng
-from oope.transport import Frame, handshake, loopback_pair
+from oope.transport import Frame, handshake, loopback_pair, tcp_pair
 
 
 def test_frame_roundtrip():
@@ -109,26 +110,54 @@ def test_handshake_digest_mismatch():
 
 
 def test_tcp_matches_loopback_bytes():
-    srv = transport.tcp_listen("127.0.0.1", 0)
-    port = srv.getsockname()[1]
-    out = {}
+    sid = b"y" * 16
+    order = Frame(transport.ORDER_RESULT, sid, b"\x00" * 16)
+    upload = Frame(transport.CIPHER_UPLOAD, sid, b"up")
+    transcripts = []
+    for pair in (loopback_pair, tcp_pair):
+        a, b = pair("a", "b")
+        try:
+            a.record = b.record = True
+            a.send(order)
+            assert b.recv(transport.ORDER_RESULT) == order
+            b.send(upload)
+            assert a.recv(transport.CIPHER_UPLOAD) == upload
+        finally:
+            a.close()
+            b.close()
+        assert (a.name, b.name) == ("a", "b")
+        transcripts.append((a.transcript, b.transcript))
+    assert transcripts[0] == transcripts[1] == \
+        ([order.encode()], [upload.encode()])
 
-    def server():
-        ch = transport.tcp_accept(srv)
-        out["frame"] = ch.recv(transport.ORDER_RESULT)
-        ch.send(Frame(transport.CIPHER_UPLOAD, b"y" * 16, b"up"))
-        ch.close()
 
-    t = threading.Thread(target=server)
-    t.start()
-    ch = transport.tcp_connect("127.0.0.1", port)
-    ch.record = True
-    f = Frame(transport.ORDER_RESULT, b"y" * 16, b"\x00" * 16)
-    ch.send(f)
-    got = ch.recv(transport.CIPHER_UPLOAD)
-    t.join()
-    srv.close()
-    ch.close()
-    assert out["frame"] == f
-    assert got.payload == b"up"
-    assert ch.transcript == [f.encode()]
+@pytest.mark.parametrize("pair", [loopback_pair, tcp_pair])
+def test_receive_timeout_poisons_except_when_idle(pair):
+    a, b = pair()
+    # without a timeout, closing the peer ends the wait, so a regression
+    # fails here rather than hangs
+    watchdog = threading.Timer(5, a.close)
+    try:
+        b.timeout = 0.2
+        watchdog.start()
+        t0 = time.monotonic()
+        with pytest.raises(FramingError, match="timed out"):
+            b.recv(transport.SHARES)
+        assert 0.15 < time.monotonic() - t0 < 2
+        assert b.poisoned
+    finally:
+        watchdog.cancel()
+        a.close()
+        b.close()
+    a, b = pair()
+    late = threading.Timer(0.6, a.send,
+                           [Frame(transport.SHARES, b"x" * 16, b"\x01")])
+    try:
+        b.timeout = 0.2
+        late.start()
+        assert b.recv(transport.SHARES, idle=True).payload == b"\x01"
+        assert not b.poisoned
+    finally:
+        late.cancel()
+        a.close()
+        b.close()
