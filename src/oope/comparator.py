@@ -164,8 +164,3 @@ def eval_plain(circuit: BooleanCircuit, gen_bits, eval_bits):
             raise UsageError(f"unknown gate op {g.op}")
     return tuple(values[w] for w in circuit.outputs)
 
-
-def comparator_inputs(width: int, value: int, mask_equal: int,
-                      mask_greater: int):
-    """Pack one party's inputs for the deterministic comparator."""
-    return int_to_bits(value, width) + [mask_equal & 1, mask_greater & 1]

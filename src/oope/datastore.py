@@ -10,7 +10,6 @@ be swept out again without touching the rows.
 
 import csv
 import hashlib
-import io
 import json
 import os
 import warnings
@@ -266,23 +265,6 @@ def parse_rows(blob: bytes) -> RowStore:
     return store
 
 
-def emit_rows(result, fmt: str = "csv") -> str:
-    """Query results as CSV or JSON lines."""
-    if isinstance(result, int):
-        if fmt == "json":
-            return json.dumps({"count": result}) + "\n"
-        return f"count\n{result}\n"
-    if fmt == "json":
-        return "".join(json.dumps(r, sort_keys=True) + "\n" for r in result)
-    out = io.StringIO()
-    cols = sorted(result[0]) if result else []
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(cols)
-    for r in result:
-        writer.writerow([r[c] for c in cols])
-    return out.getvalue()
-
-
 # --- state directories -------------------------------------------------------
 # Server dir:  params.json, rows.bin, table_<col>.bin
 # Owner dir:   params.json, key.bin, owner_<col>.bin, macparams.bin
@@ -292,10 +274,6 @@ def _params_dict(params: ProtocolParams) -> dict:
             "key_bits": params.key_bits, "integrity": params.integrity,
             "mac_subgroup_bits": params.mac_subgroup_bits,
             "uid_upload": params.uid_upload}
-
-
-def params_from_dict(d: dict) -> ProtocolParams:
-    return ProtocolParams(**d)
 
 
 def save_csp_state(path, params: ProtocolParams, tables: dict,
@@ -312,7 +290,7 @@ def save_csp_state(path, params: ProtocolParams, tables: dict,
 
 def load_csp_state(path):
     with open(os.path.join(path, "params.json")) as fh:
-        params = params_from_dict(json.load(fh))
+        params = ProtocolParams(**json.load(fh))
     with open(os.path.join(path, "rows.bin"), "rb") as fh:
         rows = parse_rows(fh.read())
     tables = {}
@@ -341,7 +319,7 @@ def save_do_state(path, params: ProtocolParams, sk, owners: dict,
 
 def load_do_state(path):
     with open(os.path.join(path, "params.json")) as fh:
-        params = params_from_dict(json.load(fh))
+        params = ProtocolParams(**json.load(fh))
     with open(os.path.join(path, "key.bin"), "rb") as fh:
         sk, _ = paillier.parse_private_key(fh.read())
     owners = {}

@@ -10,10 +10,15 @@ exactly the nodes of the balanced mOPE tree over those orders.  Per
 round the server blinds the current node additively, owner and analyst
 compare the blinded values inside a garbled circuit whose outputs carry
 XOR masks from both, and the server unmasks the bits from the two share
-messages, cross-checking both reconstructions.  A session always runs
-exactly h = ceil(log2(n+1)) comparison rounds; once the search stops,
-the remaining rounds replay the same node so neither the owner nor the
-analyst learns where the value landed.
+messages, cross-checking both reconstructions.  The round ends alike
+in both modes: owner and analyst each draw one mask bit per masked
+circuit output (ProtocolParams.masked_outputs: two in det, one in fh),
+the analyst returns the masked outputs to the owner (GC_RESULT), and
+each sends the server its masks and the outputs with its own mask taken
+off (SHARES).  A session always runs exactly h = ceil(log2(n+1))
+comparison rounds; once the search stops, the remaining rounds replay
+the same node so neither the owner nor the analyst learns where the
+value landed.
 
 No full-size exponentiation waits on a peer where it need not.  A
 round's blind, r and Enc(r) (plus r' and Enc(r') under Pedersen),
@@ -46,13 +51,19 @@ hides equality behind a sticky shared coin, duplicates get fresh
 orders, and a follow-up exchange hands the analyst the minimum and
 maximum order of its plaintext for query rewriting.
 
-Abort discipline: the party that detects a problem sends ABORT to both
-peers and stops; nobody forwards aborts except the analyst, which
-relays an owner-side abort to the server (the server never reads the
-owner channel while waiting on the analyst), and the server, which
-relays an owner's abort in place of a REBALANCE acknowledgement to the
-analyst (then waiting on the server alone).  Stale aborts from a dead
-session are dropped by session-id filtering in Channel.recv.
+Abort discipline: an engine raises a fault it finds itself and never
+aborts inline.  One handler per engine (run_session at the server, the
+serve loop at the owner, encrypt at the analyst) sends ABORT to both
+peers; the server's also rolls the session back.  A request the server
+cannot even start, such as a SESSION_START without its op byte, only
+concerns the analyst, and the server's serve loop aborts it there.  An
+abort received from a peer is passed on only where the third party may
+be waiting on a channel the sender did not use: the analyst relays an
+owner's abort to the server, which may be waiting on the analyst's
+shares, and the server relays an owner's abort to the analyst, which
+may be waiting on the server alone.  A bit vector of the wrong shape is
+a ProtocolError like any other malformed frame.  Stale aborts from a
+dead session are dropped by session-id filtering in Channel.recv.
 """
 
 import hashlib
@@ -61,8 +72,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import garbling, integrity, ope_state, paillier, transport
-from .comparator import (build_comparator, build_fh_comparator,
-                         comparator_inputs, int_to_bits)
+from .comparator import build_comparator, build_fh_comparator, int_to_bits
 from .errors import (CapacityError, ConfigurationError, GapExhausted,
                      HandshakeError, IntegrityError, OopeError,
                      ProtocolError, SessionAborted, UsageError)
@@ -111,6 +121,12 @@ class ProtocolParams:
         # compared values are x+r with r < 2^(l+k), so sums need one
         # extra carry bit
         return self.l + self.k + 1
+
+    @property
+    def masked_outputs(self) -> int:
+        # det's circuit emits [xbar != x] and [xbar > x], fh's one
+        # traversal bit, and its further outputs are next-round state
+        return 1 if self.mode == MODE_FH else 2
 
     def digest(self) -> bytes:
         blob = (b"oope-params" + u16(transport.PROTOCOL_VERSION) +
@@ -163,7 +179,18 @@ def _pack_bits(bits) -> bytes:
 
 
 def _unpack_bits(blob: bytes, n: int):
+    """The n bits _pack_bits packed into one byte; any other blob is a
+    ProtocolError."""
+    if len(blob) != 1 or blob[0] >> n:
+        raise ProtocolError(f"malformed {n}-bit vector")
     return [(blob[0] >> i) & 1 for i in range(n)]
+
+
+def _shares(masks, masked) -> bytes:
+    """SHARES payload: a party's mask bits, then each masked circuit
+    output with that party's mask taken off, so it still carries the
+    other party's."""
+    return _pack_bits(list(masks) + [m ^ b for m, b in zip(masked, masks)])
 
 
 def wire_group(v: int, mac_params) -> bytes:
@@ -313,26 +340,28 @@ class CspEngine:
                 elif frame.ftype == CLEANUP:
                     self._exec_cleanup(frame)
                 else:
+                    op, = _unpack_bits(frame.payload[:1], 1)
                     column = frame.payload[1:].decode("utf-8", "replace")
-                    self.run_session(frame.session_id, frame.payload[0],
-                                     column)
+                    self.run_session(frame.session_id, op, column)
             except SessionAborted:
                 continue
             except OopeError as e:
                 self.da_ch.abort(frame.session_id, str(e))
 
     def run_session(self, sid: bytes, op: int, column: str = DEFAULT_COLUMN):
-        """Protocol main loop: h compare rounds, order assignment, upload."""
-        if column not in self.states:
-            reason = f"unknown column {column!r}"
-            self.da_ch.abort(sid, reason)
-            self.do_ch.abort(sid, reason)
-            raise SessionAborted(reason)
-        self.state = self.states[column]
-        self._column = column
-        table = self.state.table
+        """Protocol main loop: h compare rounds, order assignment, upload.
+
+        A fault found here aborts the session at both peers; an abort
+        from the owner is passed on to the analyst, which may be waiting
+        on the server alone.  Either way the session is rolled back.
+        """
         undo = []
         try:
+            if column not in self.states:
+                raise ProtocolError(f"unknown column {column!r}")
+            self.state = self.states[column]
+            self._column = column
+            table = self.state.table
             # implicit binary search: the node is the order at the
             # midpoint of [lo, hi); det moves only on inequality (b_e),
             # fh always moves, and an empty half keeps the node
@@ -340,10 +369,7 @@ class CspEngine:
             b_e, side = 1, 0
             for _ in range(table.height):
                 mid = (lo + hi) // 2
-                if self.params.mode == MODE_FH:
-                    side = self._compare_round_fh(sid, table.order_at(mid))
-                else:
-                    b_e, side = self._compare_round(sid, table.order_at(mid))
+                b_e, side = self._compare_round(sid, table.order_at(mid))
                 if b_e and side and mid + 1 < hi:
                     lo = mid + 1
                 elif b_e and not side and lo < mid:
@@ -375,9 +401,11 @@ class CspEngine:
             self.da_ch.send(Frame(SESSION_DONE, sid))
             self.sessions_served += 1
             return ybar
-        except SessionAborted:
+        except SessionAborted as e:
             for action in reversed(undo):
                 action()
+            if e.remote and e.channel is self.do_ch:
+                self.da_ch.abort(sid, e.reason)
             raise
         except OopeError as e:
             for action in reversed(undo):
@@ -426,31 +454,22 @@ class CspEngine:
         # while owner and analyst work on this round
         self._blind = self._make_blind()
 
-    def _collect_shares(self, sid, n_bits):
-        da = _unpack_bits(self.da_ch.recv(SHARES, session=sid).payload, n_bits)
-        do = _unpack_bits(self.do_ch.recv(SHARES, session=sid).payload, n_bits)
-        return da, do
-
     def _compare_round(self, sid, node_order):
+        """(b_e, side) for one node.  Each output is rebuilt twice,
+        crosswise: one peer's masked output with its mask taken off,
+        XOR the other peer's mask."""
         entry = self.state.table.get(node_order)
         if entry.cipher is None:
             return self._uid_compare_round(sid, entry)
         self._blind_node(sid, entry)
-        da, do = self._collect_shares(sid, 4)
-        b_e = da[2] ^ do[0]
-        b_g = da[3] ^ do[1]
-        if b_e != (do[2] ^ da[0]) or b_g != (do[3] ^ da[1]):
+        n = self.params.masked_outputs
+        da = _unpack_bits(self.da_ch.recv(SHARES, session=sid).payload, 2 * n)
+        do = _unpack_bits(self.do_ch.recv(SHARES, session=sid).payload, 2 * n)
+        bits = [da[n + i] ^ do[i] for i in range(n)]
+        if bits != [do[n + i] ^ da[i] for i in range(n)]:
             raise IntegrityError("comparison share reconstructions disagree")
-        return b_e, b_g
-
-    def _compare_round_fh(self, sid, node_order):
-        entry = self.state.table.get(node_order)
-        self._blind_node(sid, entry)
-        da, do = self._collect_shares(sid, 2)
-        b = da[1] ^ do[0]
-        if b != (do[1] ^ da[0]):
-            raise IntegrityError("comparison share reconstructions disagree")
-        return b
+        # fh's one traversal bit always moves the search
+        return (1, bits[0]) if n == 1 else tuple(bits)
 
     def _uid_compare_round(self, sid, entry):
         # analyst-owned node: the analyst alone resolves the comparison
@@ -497,12 +516,7 @@ class CspEngine:
         payload = u16(len(col)) + col + u32(len(remap)) + b"".join(
             _offset_blob(a) + _offset_blob(b) for a, b in sorted(remap.items()))
         self.do_ch.send(Frame(REBALANCE, sid, payload))
-        try:
-            self.do_ch.recv(REBALANCE, session=sid)
-        except SessionAborted as e:
-            # the analyst now waits on the server alone
-            self.da_ch.abort(sid, e.reason)
-            raise
+        self.do_ch.recv(REBALANCE, session=sid)
         if self.rows is not None:
             self.rows.apply_remap(self._column, remap)
 
@@ -683,11 +697,6 @@ class DoEngine:
             self._sid = sid
             self._fh_shares = (0, 0)
 
-    def _abort(self, sid, reason):
-        self.csp_ch.abort(sid, reason)
-        self.da_ch.abort(sid, reason)
-        raise SessionAborted(reason)
-
     def _round(self, frame):
         self._begin(frame.session_id)
         sid = frame.session_id
@@ -701,7 +710,7 @@ class DoEngine:
         bound = (1 << (p.l + p.k)) + (1 << p.l)
         v = paillier.decrypt(self.sk, cipher, below=bound)
         if not 0 <= v < bound:
-            self._abort(sid, "blinded node out of range")
+            raise IntegrityError("blinded node out of range")
         if p.integrity == integrity.SCHEME_PEDERSEN:
             a_cipher, off = paillier.parse_cipher_record(
                 payload, off, self.sk.public.key_id)
@@ -717,28 +726,19 @@ class DoEngine:
                                   wire_group(proof, self.mac_params)))
 
         gc = garbling.GarbledCircuit(self.circuit, self.rng)
+        masks = [self.rng.getrandbits(1) for _ in range(p.masked_outputs)]
+        gen_bits = int_to_bits(v, p.width) + masks
         if p.mode == MODE_FH:
-            b_o = self.rng.getrandbits(1)
+            # coin bit, last round's state shares, this round's state masks
             r_x = self.rng.getrandbits(1)
-            s_e, s_r = self.rng.getrandbits(1), self.rng.getrandbits(1)
-            sh_e, sh_r = self._fh_shares
-            gen_bits = int_to_bits(v, p.width) + [b_o, r_x, sh_e, sh_r, s_e,
-                                                  s_r]
-            self._fh_shares = (s_e, s_r)
-        else:
-            b_o, bp_o = self.rng.getrandbits(1), self.rng.getrandbits(1)
-            gen_bits = comparator_inputs(p.width, v, b_o, bp_o)
+            fresh = (self.rng.getrandbits(1), self.rng.getrandbits(1))
+            gen_bits += [r_x, *self._fh_shares, *fresh]
+            self._fh_shares = fresh
         self.da_ch.send(Frame(GC_PAYLOAD, sid, garbling.payload(gc, gen_bits)))
         self.ot_sender.send_pairs(gc.eval_label_pairs())
         result = self.da_ch.recv(GC_RESULT, session=sid)
-        if p.mode == MODE_FH:
-            b_masked = result.payload[0] & 1
-            shares = [b_o, b_masked ^ b_o]
-        else:
-            ce_m = result.payload[0] & 1
-            cg_m = (result.payload[0] >> 1) & 1
-            shares = [b_o, bp_o, ce_m ^ b_o, cg_m ^ bp_o]
-        self.csp_ch.send(Frame(SHARES, sid, _pack_bits(shares)))
+        masked = _unpack_bits(result.payload, len(masks))
+        self.csp_ch.send(Frame(SHARES, sid, _shares(masks, masked)))
 
     def _min_max(self, frame):
         """Decrypt the blinded difference and forward the selected
@@ -905,9 +905,7 @@ class DaEngine:
             ok = integrity.ped_verify(int.from_bytes(commit_blob, "big"), r,
                                       rp, m, self.mac_params)
         if not ok:
-            self.csp_ch.abort(sid, "node authentication failed")
-            self.da_do_ch.abort(sid, "node authentication failed")
-            raise SessionAborted("node authentication failed")
+            raise IntegrityError("node authentication failed")
 
     def _round(self, sid, xbar, r):
         p = self.params
@@ -916,28 +914,19 @@ class DaEngine:
         gc_frame = self.da_do_ch.recv(GC_PAYLOAD, session=sid)
         tables, decode_info, gen_labels = garbling.parse_payload(
             self.circuit, gc_frame.payload)
+        n = p.masked_outputs
+        masks = [self.rng.getrandbits(1) for _ in range(n)]
+        bits = int_to_bits(xbar + r, p.width) + masks
         if p.mode == MODE_FH:
-            b_a = self.rng.getrandbits(1)
-            r_xbar = self.rng.getrandbits(1)
-            sh_e, sh_r = self._fh_shares
-            bits = int_to_bits(xbar + r, p.width) + [b_a, r_xbar, sh_e, sh_r]
-        else:
-            b_a, bp_a = self.rng.getrandbits(1), self.rng.getrandbits(1)
-            bits = comparator_inputs(p.width, xbar + r, b_a, bp_a)
+            # coin bit and last round's state shares
+            bits += [self.rng.getrandbits(1), *self._fh_shares]
         eval_labels = self.ot_receiver.receive_pairs(bits)
         out_labels = garbling.evaluate(self.circuit, tables, gen_labels,
                                        eval_labels)
         outputs = garbling.decode(decode_info, out_labels)
-        if p.mode == MODE_FH:
-            b_masked = outputs[0]
-            self._fh_shares = (outputs[1], outputs[2])
-            self.da_do_ch.send(Frame(GC_RESULT, sid, _pack_bits([b_masked])))
-            shares = [b_a, b_masked ^ b_a]
-        else:
-            ce_m, cg_m = outputs
-            self.da_do_ch.send(Frame(GC_RESULT, sid, _pack_bits([ce_m, cg_m])))
-            shares = [b_a, bp_a, ce_m ^ b_a, cg_m ^ bp_a]
-        self.csp_ch.send(Frame(SHARES, sid, _pack_bits(shares)))
+        masked, self._fh_shares = outputs[:n], outputs[n:]
+        self.da_do_ch.send(Frame(GC_RESULT, sid, _pack_bits(masked)))
+        self.csp_ch.send(Frame(SHARES, sid, _shares(masks, masked)))
 
     def _uid_round(self, frame):
         mine = self._uids.get(frame.payload[:16])

@@ -53,7 +53,7 @@ def _hash_to_subgroup(p: int, q: int, label: bytes) -> int:
 
 def gen_mac_params(modulus_bits: int = DEFAULT_MODULUS_BITS,
                    subgroup_bits: int = DEFAULT_SUBGROUP_BITS,
-                   rng=None, with_pedersen: bool = True) -> MacParams:
+                   rng=None) -> MacParams:
     """DSA-style group: p = q*t + 1 with q prime of subgroup_bits bits.
 
     h_ped is derived by hashing into the subgroup, so its discrete log
@@ -78,8 +78,7 @@ def gen_mac_params(modulus_bits: int = DEFAULT_MODULUS_BITS,
         g = powmod(rng.randrange(2, p - 1), cofactor, p)
         if g != 1:
             break
-    h_ped = _hash_to_subgroup(p, q, b"pedersen-h" + be_bytes(p)) \
-        if with_pedersen else None
+    h_ped = _hash_to_subgroup(p, q, b"pedersen-h" + be_bytes(p))
     return MacParams(p=p, q=q, g=g, h_ped=h_ped)
 
 

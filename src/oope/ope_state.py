@@ -410,32 +410,6 @@ def table_to_bytes(table: OpeTable) -> bytes:
     return buf.getvalue()
 
 
-def table_layout(key_bits: int, log2m: int, mode: str = MODE_DET) -> dict:
-    """Closed-form byte accounting for deterministic, untagged tables.
-
-    payload per entry is the storage formula (2*log2N + log2M)/8; the
-    rest of each record plus the header/trailer is framing overhead.
-    """
-    payload = 2 * key_bits // 8 + log2m // 8
-    record = ORDER_BYTES + 1 + 4 + paillier.cipher_width(key_bits)
-    if mode == MODE_FH:
-        record += 2 * (4 + paillier.cipher_width(key_bits))
-    header = len(TABLE_MAGIC) + 2 + 2 + 1 + 1 + 2 + 16 + 8 + 32 + 32
-    return {"payload_per_entry": payload,
-            "framing_per_entry": record - payload,
-            "header_bytes": header,
-            "record_bytes": record}
-
-
-def serialized_table_size(n: int, key_bits: int, log2m: int,
-                          mode: str = MODE_DET) -> dict:
-    lay = table_layout(key_bits, log2m, mode)
-    return {"payload_bytes": n * lay["payload_per_entry"],
-            "framing_bytes": n * lay["framing_per_entry"],
-            "header_bytes": lay["header_bytes"],
-            "total_bytes": n * lay["record_bytes"] + lay["header_bytes"]}
-
-
 def serialize_owner(owner: OwnerState, fh=None) -> int:
     w = _HashingWriter(fh)
     w.write(OWNER_MAGIC)
@@ -457,7 +431,9 @@ def parse_owner(blob: bytes) -> OwnerState:
         raise IntegrityError("owner state checksum mismatch")
     if blob[:4] != OWNER_MAGIC:
         raise IntegrityError("not an owner state file")
-    off = 4 + 2
+    version, off = read_int(blob, 4, 2)
+    if version != TABLE_VERSION:
+        raise IntegrityError(f"unsupported owner state version {version}")
     l, off = read_int(blob, off, 2)
     m, off = read_int(blob, off, 16)
     count, off = read_int(blob, off, 8)

@@ -3,7 +3,7 @@
 import pytest
 
 from oope.comparator import (build_comparator, build_fh_comparator,
-                             comparator_inputs, eval_plain, int_to_bits)
+                             eval_plain, int_to_bits)
 from oope.errors import DomainError, UsageError
 
 
@@ -13,8 +13,8 @@ def reference(x, xbar, bx, bpx, bxb, bpxb):
 
 def run(circuit, width, x, xbar, bx=0, bpx=0, bxb=0, bpxb=0):
     return eval_plain(circuit,
-                      comparator_inputs(width, x, bx, bpx),
-                      comparator_inputs(width, xbar, bxb, bpxb))
+                      int_to_bits(x, width) + [bx, bpx],
+                      int_to_bits(xbar, width) + [bxb, bpxb])
 
 
 def test_equal_inputs_no_masks():

@@ -198,14 +198,6 @@ def test_rows_serialization_roundtrip(tmp_path, keys):
         datastore.parse_rows(bad)
 
 
-def test_emit_rows_formats():
-    assert datastore.emit_rows(3) == "count\n3\n"
-    assert datastore.emit_rows(3, "json") == '{"count": 3}\n'
-    rows = [{"id": "a"}, {"id": "b"}]
-    assert datastore.emit_rows(rows) == "id\na\nb\n"
-    assert datastore.emit_rows(rows, "json") == '{"id": "a"}\n{"id": "b"}\n'
-
-
 def test_state_dir_roundtrip(tmp_path, keys):
     pk, sk = keys
     from oope.engine import ProtocolParams

@@ -293,6 +293,45 @@ def test_malformed_garbled_payload_aborts_at_analyst(damage):
         cluster.close()
 
 
+@pytest.mark.parametrize("mode", ["det", "fh"])
+@pytest.mark.parametrize("damage", ["session_start", "da_shares",
+                                    "do_shares", "gc_result_empty",
+                                    "gc_result_long"])
+def test_malformed_bit_vectors_abort_and_service_continues(mode, damage):
+    params = small_params(mode=mode)
+    cluster, ctx = make_cluster(EXAMPLE, seed=55, params=params)
+    try:
+        # a dead serve thread fails this test in seconds, not minutes
+        cluster.da.csp_ch.timeout = cluster.da.da_do_ch.timeout = 5
+        orders_before = ctx["table"].orders()
+        ftype, payload, end = {
+            "session_start": (transport.SESSION_START, b"", cluster.da.csp_ch),
+            "da_shares": (transport.SHARES, b"", cluster.da.csp_ch),
+            "do_shares": (transport.SHARES, b"", cluster.do.csp_ch),
+            "gc_result_empty": (transport.GC_RESULT, b"", cluster.da.da_do_ch),
+            "gc_result_long": (transport.GC_RESULT, b"\0\0",
+                               cluster.da.da_do_ch)}[damage]
+        orig_send = end.send
+
+        def damaged(frame):
+            if frame.ftype == ftype:
+                frame = Frame(frame.ftype, frame.session_id, payload)
+            orig_send(frame)
+
+        end.send = damaged
+        t0 = time.monotonic()
+        with pytest.raises(SessionAborted, match="bit vector"):
+            cluster.encrypt(15)
+        assert time.monotonic() - t0 < 5
+        end.send = orig_send
+        assert ctx["table"].orders() == orders_before
+        assert cluster.encrypt(15) == \
+            Mope2Oracle(params.m).load(EXAMPLE).encrypt(15)
+        assert not cluster.errors
+    finally:
+        cluster.close()
+
+
 @pytest.mark.parametrize("plaintext", ["bound", "N-1"])
 def test_out_of_range_blinded_node_aborts_at_owner(plaintext):
     # the owner decrypts blinded nodes mod P; a node at the bound or at

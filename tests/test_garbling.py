@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from oope import garbling
 from oope.comparator import (build_comparator, build_fh_comparator,
-                             comparator_inputs, eval_plain, int_to_bits)
+                             eval_plain, int_to_bits)
 from oope.errors import IntegrityError, ProtocolError
 from oope.rng import make_rng
 
@@ -86,7 +86,7 @@ def test_wrong_label_fails_decoding():
 def test_payload_roundtrip():
     c = build_comparator(4)
     gc = garbling.GarbledCircuit(c, make_rng(13))
-    gen_bits = comparator_inputs(4, 9, 1, 0)
+    gen_bits = int_to_bits(9, 4) + [1, 0]
     blob = garbling.payload(gc, gen_bits)
     tables, dec, gen_labels = garbling.parse_payload(c, blob)
     assert tables == gc.tables
@@ -100,8 +100,8 @@ def test_payload_size_is_input_independent():
     # frame sizes must not depend on the plaintext bits
     c = build_comparator(8)
     gc = garbling.GarbledCircuit(c, make_rng(15))
-    a = garbling.payload(gc, comparator_inputs(8, 0, 0, 0))
-    b = garbling.payload(gc, comparator_inputs(8, 255, 1, 1))
+    a = garbling.payload(gc, int_to_bits(0, 8) + [0, 0])
+    b = garbling.payload(gc, int_to_bits(255, 8) + [1, 1])
     assert len(a) == len(b)
 
 

@@ -1,5 +1,6 @@
 """OPE table state: order assignment, rebalance, persistence."""
 
+import hashlib
 import io
 import math
 import os
@@ -270,17 +271,6 @@ def test_table_serialization_roundtrip(keys):
         ope_state.parse_table(bad)
 
 
-def test_table_size_accounting(keys):
-    pk, _ = keys
-    _, table = example_state(keys)
-    blob = ope_state.table_to_bytes(table)
-    got = ope_state.serialized_table_size(len(table), pk.key_bits,
-                                          table.m.bit_length())
-    assert len(blob) == got["total_bytes"]
-    assert got["total_bytes"] == got["payload_bytes"] + \
-        got["framing_bytes"] + got["header_bytes"]
-
-
 def test_owner_serialization_roundtrip(keys):
     owner, _ = example_state(keys)
     buf = io.BytesIO()
@@ -288,3 +278,16 @@ def test_owner_serialization_roundtrip(keys):
     owner2 = ope_state.parse_owner(buf.getvalue())
     assert owner2.pairs == owner.pairs
     assert owner2.m == owner.m and owner2.l == owner.l
+
+
+def test_owner_file_of_another_version_refused(keys):
+    owner, _ = example_state(keys)
+    buf = io.BytesIO()
+    ope_state.serialize_owner(owner, buf)
+    body = buf.getvalue()[:-32]
+    assert body[4:6] == ope_state.TABLE_VERSION.to_bytes(2, "big")
+    body = body[:4] + (99).to_bytes(2, "big") + body[6:]
+    # a valid checksum over the wrong version
+    blob = body + hashlib.sha256(body).digest()
+    with pytest.raises(IntegrityError, match="version 99"):
+        ope_state.parse_owner(blob)

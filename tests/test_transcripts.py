@@ -1,20 +1,26 @@
 """Transport equivalence: seeded loopback and TCP runs byte-match."""
 
-from oope import transport
+import pytest
+
+from oope import integrity, transport
 from oope.cluster import build_cluster
 from oope.engine import ProtocolParams
 from oope.ot import GROUP_TEST
 from oope.rng import make_rng
 
 
+MAC_PARAMS = integrity.gen_mac_params(512, 160, rng=make_rng(77))
+
+
 def run(kind, seed=2024, queries=(77, 300, 77), data=None, minmax=False,
-        m=(1 << 20) - 3, mode="det"):
-    params = ProtocolParams(l=16, k=16, m=m, mode=mode, key_bits=256)
+        m=(1 << 20) - 3, mac_params=None, **params_kw):
+    params = ProtocolParams(l=16, k=16, m=m, key_bits=256, **params_kw)
     if data is None:
         rng = make_rng(99)
         data = [rng.randrange(1 << 16) for _ in range(30)]
     cluster, ctx = build_cluster(data, params, seed=seed, ot_group=GROUP_TEST,
-                                 record=True, transport_kind=kind)
+                                 mac_params=mac_params, record=True,
+                                 transport_kind=kind)
     try:
         orders = [cluster.encrypt(x, minmax=minmax) for x in queries]
         transcripts = cluster.transcripts()
@@ -53,6 +59,21 @@ def test_loopback_and_tcp_identical_fh_minmax():
                             queries=(100, 9, 50, 100), minmax=True,
                             mode="fh")
     assert any(b[4] == transport.MINMAX_TRIPLE for b in loop["csp->do"])
+
+
+@pytest.mark.parametrize("scheme", [integrity.SCHEME_DLMAC,
+                                    integrity.SCHEME_PEDERSEN])
+def test_loopback_and_tcp_identical_under_integrity(scheme):
+    loop = assert_identical(integrity=scheme, mac_subgroup_bits=160,
+                            mac_params=MAC_PARAMS)
+    assert any(b[4] == transport.INTEGRITY_PROOF for b in loop["do->da"])
+
+
+def test_loopback_and_tcp_identical_uid_upload():
+    # the second and third queries land next to the first one's uid node
+    loop = assert_identical(data=[32, 20, 25, 69, 10],
+                            queries=(15, 14, 16, 15), uid_upload=True)
+    assert any(b[4] == transport.UID_COMPARE for b in loop["csp->da"])
 
 
 def test_different_seeds_differ():
