@@ -15,7 +15,7 @@ import threading
 
 from . import ope_state, paillier, transport
 from .engine import (DEFAULT_COLUMN, CspEngine, DaEngine, DoEngine,
-                     ProtocolParams, ServerState, make_node_tagger)
+                     ProtocolParams, make_node_tagger)
 from .errors import ConfigurationError
 from .ot import GROUP_DEFAULT
 from .rng import make_rng
@@ -32,19 +32,21 @@ def analyst_keygen(params: ProtocolParams, rng=None):
 class LocalCluster:
     """The three engines in one process, linked by three channel pairs.
 
-    pair is the factory that makes each pair, transport.loopback_pair
-    or transport.tcp_pair; it is the only thing the transport changes.
-    All six channel ends exist before any role starts.
+    tables maps each column to its OpeTable; each must hold ciphertexts
+    under sk's public key (KeyMismatchError).  pair is the factory that
+    makes each pair, transport.loopback_pair or transport.tcp_pair; it
+    is the only thing the transport changes.  All six channel ends exist
+    before any role starts.
     """
 
-    def __init__(self, states: dict, sk, params: ProtocolParams, seed=None,
+    def __init__(self, tables: dict, sk, params: ProtocolParams, seed=None,
                  mac_params=None, owners: dict = None, da_keys=None,
                  ot_group=GROUP_DEFAULT, record=False,
                  pair=transport.loopback_pair):
         rng = make_rng(seed)
         seeds = [rng.getrandbits(64) for _ in range(3)] if seed is not None \
             else [None, None, None]
-        self.csp = CspEngine(states, params, make_rng(seeds[0]))
+        self.csp = CspEngine(tables, sk.public, params, make_rng(seeds[0]))
         self.do = DoEngine(sk, params, make_rng(seeds[1]),
                            mac_params=mac_params, owners=owners,
                            ot_group=ot_group)
@@ -121,14 +123,13 @@ def build_cluster(dataset, params: ProtocolParams, seed=None,
     owner, table = ope_state.init_state(
         dataset, params.m, pk, l=params.l, mode=params.mode, rng=rng,
         tagger=make_node_tagger(params.integrity, mac_params, pk, rng))
-    state = ServerState(table=table, pk_owner=pk)
     da_keys = analyst_keygen(params, make_rng(subseed())) \
         if params.mode == ope_state.MODE_FH else None
-    cluster = LocalCluster({DEFAULT_COLUMN: state}, sk, params,
+    cluster = LocalCluster({DEFAULT_COLUMN: table}, sk, params,
                            seed=subseed(), mac_params=mac_params,
                            owners={DEFAULT_COLUMN: owner}, da_keys=da_keys,
                            ot_group=ot_group, record=record, pair=pair)
     # "tree" is the table too: the benchmark reads ctx["tree"].height
     context = {"pk": pk, "sk": sk, "owner": owner, "table": table,
-               "tree": table, "state": state, "da_keys": da_keys}
+               "tree": table}
     return cluster, context

@@ -9,19 +9,19 @@ be swept out again without touching the rows.
 """
 
 import csv
-import hashlib
 import json
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from . import integrity, ope_state, paillier
 from .engine import ProtocolParams
-from .errors import DomainError, IntegrityError
+from .errors import DomainError
 from .ope_state import MODE_DET, OpeTable
 from .rng import make_rng
-from .wire import ORDER_BYTES, fixed_bytes, read_bytes, read_int, u16, u32
+from .wire import (ORDER_BYTES, fixed_bytes, read_bytes, read_int, read_lp,
+                   seal, u16, u32, unseal)
 
 ROWS_MAGIC = b"OPER"
 ROWS_VERSION = 1
@@ -213,124 +213,120 @@ def ingest(csv_path, ope_columns, m: int, pk, l: int, mode: str = MODE_DET,
 
 
 # --- persistence -------------------------------------------------------------
+# Row store file, sealed (wire.seal) under ROWS_MAGIC:
+#   meta: len u32 | JSON {"public": [...], "ope": [...]} | count u64
+#   per row: row_id u32 | per public column: len u16 | UTF-8 |
+#            per encoded column: order 16B
 
-def serialize_rows(store: RowStore, fh=None) -> int:
-    w = ope_state._HashingWriter(fh)
-    w.write(ROWS_MAGIC)
-    w.write(u16(ROWS_VERSION))
+def serialize_rows(store: RowStore) -> bytes:
     meta = json.dumps({"public": store.public_columns,
                        "ope": store.ope_columns}).encode()
-    w.write(u32(len(meta)))
-    w.write(meta)
-    w.write(len(store.rows).to_bytes(8, "big"))
+    out = [u32(len(meta)), meta, len(store.rows).to_bytes(8, "big")]
     for row in store.rows:
-        w.write(u32(row.row_id))
+        out.append(u32(row.row_id))
         for c in store.public_columns:
             blob = row.public[c].encode()
-            w.write(u16(len(blob)))
-            w.write(blob)
-        for c in store.ope_columns:
-            w.write(fixed_bytes(row.orders[c], ORDER_BYTES))
-    digest = w.hash.digest()
-    if fh is not None:
-        fh.write(digest)
-    return w.written + len(digest)
+            out += [u16(len(blob)), blob]
+        out += [fixed_bytes(row.orders[c], ORDER_BYTES)
+                for c in store.ope_columns]
+    return seal(ROWS_MAGIC, ROWS_VERSION, b"".join(out))
 
 
 def parse_rows(blob: bytes) -> RowStore:
-    if len(blob) < 32 or hashlib.sha256(blob[:-32]).digest() != blob[-32:]:
-        raise IntegrityError("row store checksum mismatch")
-    if blob[:4] != ROWS_MAGIC:
-        raise IntegrityError("not a row store file")
-    off = 4
-    version, off = read_int(blob, off, 2)
-    if version != ROWS_VERSION:
-        raise IntegrityError(f"unsupported row store version {version}")
-    n, off = read_int(blob, off, 4)
-    meta = json.loads(blob[off:off + n])
-    off += n
-    count, off = read_int(blob, off, 8)
+    body = unseal(blob, ROWS_MAGIC, ROWS_VERSION)
+    meta, off = read_lp(body, 0)
+    meta = json.loads(meta)
+    count, off = read_int(body, off, 8)
     store = RowStore(public_columns=meta["public"], ope_columns=meta["ope"])
     for _ in range(count):
-        row_id, off = read_int(blob, off, 4)
+        row_id, off = read_int(body, off, 4)
         public = {}
         for c in store.public_columns:
-            ln, off = read_int(blob, off, 2)
-            raw, off = read_bytes(blob, off, ln)
+            ln, off = read_int(body, off, 2)
+            raw, off = read_bytes(body, off, ln)
             public[c] = raw.decode()
         orders = {}
         for c in store.ope_columns:
-            orders[c], off = read_int(blob, off, ORDER_BYTES)
+            orders[c], off = read_int(body, off, ORDER_BYTES)
         store.rows.append(EncryptedRow(row_id, public, orders))
     return store
 
 
 # --- state directories -------------------------------------------------------
-# Server dir:  params.json, rows.bin, table_<col>.bin
-# Owner dir:   params.json, key.bin, owner_<col>.bin, macparams.bin
+# Server dir:  params.json, pk.bin, rows.bin, table_<col>.bin
+# Owner dir:   params.json, key.bin, owner_<col>.bin, [macparams.bin]
+# Every .bin file is sealed (wire.seal).  pk.bin, key.bin and
+# macparams.bin seal the owner's public key, its private key and the
+# MAC parameters in the encodings the handshake uses; a server dir holds
+# everything a CspEngine needs, an owner dir everything a DoEngine needs.
 
-def _params_dict(params: ProtocolParams) -> dict:
-    return {"l": params.l, "k": params.k, "m": params.m, "mode": params.mode,
-            "key_bits": params.key_bits, "integrity": params.integrity,
-            "mac_subgroup_bits": params.mac_subgroup_bits,
-            "uid_upload": params.uid_upload}
+PK_MAGIC, KEY_MAGIC, MAC_MAGIC = b"OPEP", b"OPEK", b"OPEM"
+KEY_FILE_VERSION = 1
 
 
-def save_csp_state(path, params: ProtocolParams, tables: dict,
+def _write(path, name, blob: bytes):
+    with open(os.path.join(path, name), "wb") as fh:
+        fh.write(blob)
+
+
+def _read(path, name) -> bytes:
+    with open(os.path.join(path, name), "rb") as fh:
+        return fh.read()
+
+
+def _columns(path, prefix):
+    """{column: blob} of every <prefix><column>.bin file in path."""
+    return {name[len(prefix):-4]: _read(path, name)
+            for name in sorted(os.listdir(path))
+            if name.startswith(prefix) and name.endswith(".bin")}
+
+
+def save_csp_state(path, params: ProtocolParams, pk, tables: dict,
                    rows: RowStore):
     os.makedirs(path, exist_ok=True)
-    with open(os.path.join(path, "params.json"), "w") as fh:
-        json.dump(_params_dict(params), fh, indent=1)
-    with open(os.path.join(path, "rows.bin"), "wb") as fh:
-        serialize_rows(rows, fh)
+    _write(path, "params.json", json.dumps(asdict(params), indent=1).encode())
+    _write(path, "pk.bin", seal(PK_MAGIC, KEY_FILE_VERSION,
+                                paillier.serialize_public_key(pk)))
+    _write(path, "rows.bin", serialize_rows(rows))
     for col, table in tables.items():
-        with open(os.path.join(path, f"table_{col}.bin"), "wb") as fh:
-            ope_state.serialize_table(table, fh)
+        _write(path, f"table_{col}.bin", ope_state.serialize_table(table))
 
 
 def load_csp_state(path):
-    with open(os.path.join(path, "params.json")) as fh:
-        params = ProtocolParams(**json.load(fh))
-    with open(os.path.join(path, "rows.bin"), "rb") as fh:
-        rows = parse_rows(fh.read())
-    tables = {}
-    for name in sorted(os.listdir(path)):
-        if name.startswith("table_") and name.endswith(".bin"):
-            with open(os.path.join(path, name), "rb") as fh:
-                tables[name[len("table_"):-4]] = ope_state.parse_table(
-                    fh.read())
-    return params, tables, rows
+    """(params, pk, tables, rows); a table under another key than pk is a
+    KeyMismatchError."""
+    params = ProtocolParams(**json.loads(_read(path, "params.json")))
+    pk, _ = paillier.parse_public_key(
+        unseal(_read(path, "pk.bin"), PK_MAGIC, KEY_FILE_VERSION))
+    tables = {col: ope_state.parse_table(blob)
+              for col, blob in _columns(path, "table_").items()}
+    ope_state.check_key(tables, pk)
+    return params, pk, tables, parse_rows(_read(path, "rows.bin"))
 
 
 def save_do_state(path, params: ProtocolParams, sk, owners: dict,
                   mac_params=None):
     os.makedirs(path, exist_ok=True)
-    with open(os.path.join(path, "params.json"), "w") as fh:
-        json.dump(_params_dict(params), fh, indent=1)
-    with open(os.path.join(path, "key.bin"), "wb") as fh:
-        fh.write(paillier.serialize_private_key(sk))
+    _write(path, "params.json", json.dumps(asdict(params), indent=1).encode())
+    _write(path, "key.bin", seal(KEY_MAGIC, KEY_FILE_VERSION,
+                                 paillier.serialize_private_key(sk)))
     for col, owner in owners.items():
-        with open(os.path.join(path, f"owner_{col}.bin"), "wb") as fh:
-            ope_state.serialize_owner(owner, fh)
+        _write(path, f"owner_{col}.bin", ope_state.serialize_owner(owner))
     if mac_params is not None:
-        with open(os.path.join(path, "macparams.bin"), "wb") as fh:
-            fh.write(integrity.serialize_params(mac_params))
+        _write(path, "macparams.bin", seal(MAC_MAGIC, KEY_FILE_VERSION,
+                                           integrity.serialize_params(
+                                               mac_params)))
 
 
 def load_do_state(path):
-    with open(os.path.join(path, "params.json")) as fh:
-        params = ProtocolParams(**json.load(fh))
-    with open(os.path.join(path, "key.bin"), "rb") as fh:
-        sk, _ = paillier.parse_private_key(fh.read())
-    owners = {}
-    for name in sorted(os.listdir(path)):
-        if name.startswith("owner_") and name.endswith(".bin"):
-            with open(os.path.join(path, name), "rb") as fh:
-                owners[name[len("owner_"):-4]] = ope_state.parse_owner(
-                    fh.read())
+    """(params, sk, owners, mac_params or None)."""
+    params = ProtocolParams(**json.loads(_read(path, "params.json")))
+    sk, _ = paillier.parse_private_key(
+        unseal(_read(path, "key.bin"), KEY_MAGIC, KEY_FILE_VERSION))
+    owners = {col: ope_state.parse_owner(blob)
+              for col, blob in _columns(path, "owner_").items()}
     mac_params = None
-    mp_path = os.path.join(path, "macparams.bin")
-    if os.path.exists(mp_path):
-        with open(mp_path, "rb") as fh:
-            mac_params, _ = integrity.parse_params(fh.read())
+    if os.path.exists(os.path.join(path, "macparams.bin")):
+        mac_params, _ = integrity.parse_params(
+            unseal(_read(path, "macparams.bin"), MAC_MAGIC, KEY_FILE_VERSION))
     return params, sk, owners, mac_params

@@ -68,15 +68,15 @@ dead session are dropped by session-id filtering in Channel.recv.
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
-from typing import Optional
 
 from . import garbling, integrity, ope_state, paillier, transport
 from .comparator import build_comparator, build_fh_comparator, int_to_bits
 from .errors import (CapacityError, ConfigurationError, GapExhausted,
                      HandshakeError, IntegrityError, OopeError,
                      ProtocolError, SessionAborted, UsageError)
-from .ope_state import MODE_DET, MODE_FH, OpeEntry, OpeTable
+from .ope_state import MODE_DET, MODE_FH, OpeEntry
 from .ot import GROUP_DEFAULT, OtExtReceiver, OtExtSender
 from .rng import make_rng
 from .transport import (CIPHER_UPLOAD, CLEANUP, CLEANUP_DONE, Frame,
@@ -153,15 +153,6 @@ class ProtocolParams:
         if self.mode == MODE_FH:
             return build_fh_comparator(self.width)
         return build_comparator(self.width)
-
-
-@dataclass
-class ServerState:
-    """One column's state at the server: the table and the owner's key."""
-
-    table: OpeTable
-    pk_owner: paillier.PaillierPublicKey
-    pk_analyst: Optional[paillier.PaillierPublicKey] = None
 
 
 DEFAULT_COLUMN = ""
@@ -281,13 +272,20 @@ def _parse_ped_tag(blob, key_id):
 # Server engine
 
 class CspEngine:
-    """Holds the OPE state and orchestrates sessions one at a time."""
+    """Holds the OPE tables and orchestrates sessions one at a time.
 
-    def __init__(self, states: dict, params: ProtocolParams, rng=None):
+    tables maps each column to its OpeTable; every table holds
+    ciphertexts under pk, the owner's public key (KeyMismatchError
+    otherwise).
+    """
+
+    def __init__(self, tables: dict, pk: paillier.PaillierPublicKey,
+                 params: ProtocolParams, rng=None):
         params.validate()
-        self.states = states  # column -> ServerState
-        self.state = next(iter(states.values()))
-        self._column = DEFAULT_COLUMN
+        ope_state.check_key(tables, pk)
+        self.tables = tables
+        self.pk = pk
+        self.pk_analyst = None  # the analyst's key, for min/max only
         self.rows = None  # optional RowStore for query execution
         self.params = params
         self.rng = rng or make_rng()
@@ -304,18 +302,16 @@ class CspEngine:
         if role != transport.ROLE_DO:
             raise HandshakeError("expected the owner on the first connection")
         pk_do, _ = paillier.parse_public_key(do_extra)
-        if pk_do.key_id != self.state.pk_owner.key_id:
+        if pk_do.key_id != self.pk.key_id:
             raise HandshakeError("owner key does not match server state")
-        extra = paillier.serialize_public_key(self.state.pk_owner)
+        extra = paillier.serialize_public_key(self.pk)
         role, da_extra = transport.handshake(da_ch, transport.ROLE_CSP, digest,
                                              extra)
         if role != transport.ROLE_DA:
             raise HandshakeError("expected the analyst on the second "
                                  "connection")
         if da_extra:
-            pk_da, _ = paillier.parse_public_key(da_extra)
-            for st in self.states.values():
-                st.pk_analyst = pk_da
+            self.pk_analyst, _ = paillier.parse_public_key(da_extra)
 
     def serve(self):
         """Accept requests until the analyst channel closes.
@@ -357,11 +353,9 @@ class CspEngine:
         """
         undo = []
         try:
-            if column not in self.states:
+            table = self.tables.get(column)
+            if table is None:
                 raise ProtocolError(f"unknown column {column!r}")
-            self.state = self.states[column]
-            self._column = column
-            table = self.state.table
             # implicit binary search: the node is the order at the
             # midpoint of [lo, hi); det moves only on inequality (b_e),
             # fh always moves, and an empty half keeps the node
@@ -369,7 +363,8 @@ class CspEngine:
             b_e, side = 1, 0
             for _ in range(table.height):
                 mid = (lo + hi) // 2
-                b_e, side = self._compare_round(sid, table.order_at(mid))
+                b_e, side = self._compare_round(sid, table.get(
+                    table.order_at(mid)))
                 if b_e and side and mid + 1 < hi:
                     lo = mid + 1
                 elif b_e and not side and lo < mid:
@@ -382,21 +377,21 @@ class CspEngine:
             elif b_e == 0:
                 ybar, is_known = node, True
             else:
-                ybar, remap = self._encrypt_order(side, node, undo)
+                ybar, remap = self._encrypt_order(table, side, node, undo)
 
             self.da_ch.send(Frame(ORDER_RESULT, sid, _offset_blob(ybar)))
             upload = self.da_ch.recv(CIPHER_UPLOAD, session=sid)
             if not is_known:
-                self._store_upload(sid, upload.payload, ybar, undo)
+                self._store_upload(sid, table, upload.payload, ybar, undo)
             if op == OP_ENCRYPT_MINMAX:
                 if self.params.mode != MODE_FH:
                     raise ProtocolError("min/max orders exist only in "
                                         "frequency-hiding mode")
-                self._min_max(sid, ybar)
+                self._min_max(sid, table, ybar)
             if remap is not None:
                 # owner and row store follow a rebalance only once the
                 # session can no longer roll it back
-                self._publish_remap(sid, remap)
+                self._publish_remap(sid, column, remap)
             self.do_ch.send(Frame(SESSION_DONE, sid))
             self.da_ch.send(Frame(SESSION_DONE, sid))
             self.sessions_served += 1
@@ -420,7 +415,7 @@ class CspEngine:
         """(r, Enc(r), rp, Enc(rp)) for one round; rp and Enc(rp) blind
         the commitment randomness and are None unless Pedersen."""
         p = self.params
-        pk = self.state.pk_owner
+        pk = self.pk
         r = self.rng.randrange(0, 1 << (p.l + p.k))
         c_r = paillier.encrypt(pk, r, self.rng)
         rp = c_rp = None
@@ -431,7 +426,7 @@ class CspEngine:
 
     def _blind_node(self, sid, entry):
         p = self.params
-        pk = self.state.pk_owner
+        pk = self.pk
         r, c_r, rp, c_rp = self._blind or self._make_blind()
         payload = paillier.cipher_record(
             paillier.hom_add(pk, entry.cipher, c_r), pk.key_bits)
@@ -454,11 +449,10 @@ class CspEngine:
         # while owner and analyst work on this round
         self._blind = self._make_blind()
 
-    def _compare_round(self, sid, node_order):
+    def _compare_round(self, sid, entry):
         """(b_e, side) for one node.  Each output is rebuilt twice,
         crosswise: one peer's masked output with its mask taken off,
         XOR the other peer's mask."""
-        entry = self.state.table.get(node_order)
         if entry.cipher is None:
             return self._uid_compare_round(sid, entry)
         self._blind_node(sid, entry)
@@ -479,9 +473,8 @@ class CspEngine:
 
     # -- order assignment and state updates --
 
-    def _encrypt_order(self, b_g, node_order, undo):
+    def _encrypt_order(self, table, b_g, node_order, undo):
         """(fresh order, remap of the rebalance it needed or None)."""
-        table = self.state.table
         direction = "right" if b_g else "left"
         y_l, y_r, _ = table.neighbors(node_order, direction)
         try:
@@ -491,7 +484,9 @@ class CspEngine:
                 raise CapacityError(
                     "unit gap requires a rebalance, which frequency-hiding "
                     "state does not support") from None
-            remap = self._rebalance(undo)
+            remap = ope_state.rebalance(table)
+            undo.append(lambda: table.reassign_orders(
+                {v: k for k, v in remap.items()}))
             node_order = remap[node_order]
             y_l, y_r, _ = table.neighbors(node_order, direction)
             try:
@@ -501,29 +496,21 @@ class CspEngine:
                 raise CapacityError("order space too dense for another "
                                     "entry at this position") from None
 
-    def _rebalance(self, undo):
-        table = self.state.table
-        remap = ope_state.rebalance(table)
-        undo.append(lambda: table.reassign_orders(
-            {v: k for k, v in remap.items()}))
-        return remap
-
-    def _publish_remap(self, sid, remap):
+    def _publish_remap(self, sid, column, remap):
         """Hand a committed rebalance to the owner and, once the owner
         acknowledges it, to the row store; the session ends only after
         both follow the table."""
-        col = self._column.encode()
+        col = column.encode()
         payload = u16(len(col)) + col + u32(len(remap)) + b"".join(
             _offset_blob(a) + _offset_blob(b) for a, b in sorted(remap.items()))
         self.do_ch.send(Frame(REBALANCE, sid, payload))
         self.do_ch.recv(REBALANCE, session=sid)
         if self.rows is not None:
-            self.rows.apply_remap(self._column, remap)
+            self.rows.apply_remap(column, remap)
 
-    def _store_upload(self, sid, payload, ybar, undo):
+    def _store_upload(self, sid, table, payload, ybar, undo):
         kind, off = read_int(payload, 0, 1)
-        table = self.state.table
-        pk = self.state.pk_owner
+        pk = self.pk
         if kind == UPLOAD_UID:
             if not self.params.uid_upload or self.params.mode == MODE_FH:
                 raise ProtocolError("uid upload not allowed by configuration")
@@ -542,11 +529,10 @@ class CspEngine:
 
     # -- min/max order exchange --
 
-    def _neighbor_ciphers(self, ybar):
+    def _neighbor_ciphers(self, table, ybar):
         """Entries around the fresh order; a virtual bound becomes a
         ciphertext of 2^l, which never equals an analyst plaintext."""
-        table = self.state.table
-        pk = self.state.pk_owner
+        pk = self.pk
         sentinel = 1 << self.params.l
 
         def materialize(entry):
@@ -560,14 +546,14 @@ class CspEngine:
         _, _, succ = table.neighbors(ybar, "right")
         return materialize(pred), materialize(succ)
 
-    def _min_max(self, sid, ybar):
-        pk = self.state.pk_owner
-        pk_da = self.state.pk_analyst
+    def _min_max(self, sid, table, ybar):
+        pk = self.pk
+        pk_da = self.pk_analyst
         if pk_da is None:
             raise ProtocolError("analyst public key missing for min/max")
         (pred_c, pred_min, _), (succ_c, _, succ_max) = \
-            self._neighbor_ciphers(ybar)
-        xbar_c = self.state.table.get(ybar).cipher
+            self._neighbor_ciphers(table, ybar)
+        xbar_c = table.get(ybar).cipher
         width = pk.key_bits // 8
         randoms = []
         for side, bound_c, extreme_c in ((0, pred_c, pred_min),
@@ -605,8 +591,8 @@ class CspEngine:
             sids = [frame.payload[i:i + 16]
                     for i in range(0, len(frame.payload), 16)]
         removed = 0
-        for st in self.states.values():
-            removed += datastore.cleanup_da_entries(st.table, sids)
+        for table in self.tables.values():
+            removed += datastore.cleanup_da_entries(table, sids)
         self.da_ch.send(Frame(CLEANUP_DONE, frame.session_id, u32(removed)))
 
 
@@ -971,19 +957,28 @@ class DaEngine:
         return int.from_bytes(frame.payload, "big")
 
     def _recv_min_max(self, sid):
+        """(cmin, cmax) from one MINMAX_RANDOMS of two key-width r's, each
+        a unit mod N, and one MINMAX_SELECTED for each side; anything
+        else is a ProtocolError."""
         pk_da, sk_da = self.keys
         n_do = self.pk_owner.n
         width = self.pk_owner.key_bits // 8
-        frame = self.csp_ch.recv(MINMAX_RANDOMS, session=sid)
-        r1 = int.from_bytes(frame.payload[:width], "big")
-        r2 = int.from_bytes(frame.payload[width:], "big")
+        randoms = self.csp_ch.recv(MINMAX_RANDOMS, session=sid).payload
+        if len(randoms) != 2 * width:
+            raise ProtocolError("min/max randoms of the wrong length")
+        inverses = []
+        for off in (0, width):
+            r = int.from_bytes(randoms[off:off + width], "big")
+            if not 1 <= r < n_do or math.gcd(r, n_do) != 1:
+                raise ProtocolError("min/max random is not a unit mod N")
+            inverses.append(pow(r, -1, n_do))
         got = {}
         for _ in range(2):
             sel = self.da_do_ch.recv(MINMAX_SELECTED, session=sid)
             side, off = read_int(sel.payload, 0, 1)
+            if side not in (0, 1) or side in got:
+                raise ProtocolError(f"unexpected min/max side {side}")
             cipher, _ = paillier.parse_cipher_record(sel.payload, off,
                                                      pk_da.key_id)
             got[side] = paillier.decrypt(sk_da, cipher)
-        cmin = got[0] * pow(r1, -1, n_do) % n_do
-        cmax = got[1] * pow(r2, -1, n_do) % n_do
-        return cmin, cmax
+        return tuple(got[side] * inverses[side] % n_do for side in (0, 1))

@@ -15,9 +15,8 @@ variant is semantically hiding.
 
 import hashlib
 from dataclasses import dataclass
-from typing import Optional
 
-from .errors import DomainError, UsageError
+from .errors import DomainError, ProtocolError
 from .modexp import powmod
 from .paillier import is_probable_prime
 from .rng import make_rng
@@ -35,7 +34,7 @@ class MacParams:
     p: int       # modulus
     q: int       # subgroup order
     g: int       # subgroup generator
-    h_ped: Optional[int] = None  # second generator, Pedersen only
+    h_ped: int   # second generator, for Pedersen commitments
 
 
 def _hash_to_subgroup(p: int, q: int, label: bytes) -> int:
@@ -97,16 +96,12 @@ def dl_open(x_plus_r: int, params: MacParams) -> int:
 
 
 def ped_commit_make(x: int, a: int, params: MacParams) -> int:
-    if params.h_ped is None:
-        raise UsageError("parameters lack the Pedersen generator")
     return powmod(params.g, x, params.p) * \
         powmod(params.h_ped, a, params.p) % params.p
 
 
 def ped_open(x_plus_r: int, a_plus_rp: int, params: MacParams) -> int:
     """Owner-side opening g^(x+r) * h^(a+r')."""
-    if params.h_ped is None:
-        raise UsageError("parameters lack the Pedersen generator")
     return powmod(params.g, x_plus_r, params.p) * \
         powmod(params.h_ped, a_plus_rp, params.p) % params.p
 
@@ -114,24 +109,22 @@ def ped_open(x_plus_r: int, a_plus_rp: int, params: MacParams) -> int:
 def ped_verify(commitment: int, r: int, rp: int, m: int,
                params: MacParams) -> bool:
     """Check commitment * g^r * h^r' == m (mod p)."""
-    if params.h_ped is None:
-        raise UsageError("parameters lack the Pedersen generator")
     return commitment * powmod(params.g, r, params.p) % params.p * \
         powmod(params.h_ped, rp, params.p) % params.p == m
 
 
 def serialize_params(params: MacParams) -> bytes:
-    return lp(be_bytes(params.p)) + lp(be_bytes(params.q)) + \
-        lp(be_bytes(params.g)) + \
-        lp(be_bytes(params.h_ped) if params.h_ped is not None else b"")
+    return b"".join(lp(be_bytes(v)) for v in
+                    (params.p, params.q, params.g, params.h_ped))
 
 
 def parse_params(buf: bytes, off: int = 0):
-    pb, off = read_lp(buf, off)
-    qb, off = read_lp(buf, off)
-    gb, off = read_lp(buf, off)
-    hb, off = read_lp(buf, off)
-    return MacParams(p=int.from_bytes(pb, "big"),
-                     q=int.from_bytes(qb, "big"),
-                     g=int.from_bytes(gb, "big"),
-                     h_ped=int.from_bytes(hb, "big") if hb else None), off
+    """(MacParams, offset after them); the owner's handshake blob, so an
+    empty field is a ProtocolError."""
+    fields = []
+    for _ in range(4):
+        blob, off = read_lp(buf, off)
+        if not blob:
+            raise ProtocolError("MAC parameters with an empty field")
+        fields.append(int.from_bytes(blob, "big"))
+    return MacParams(*fields), off

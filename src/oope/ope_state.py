@@ -21,8 +21,6 @@ per-entry ciphertexts of the plaintext's minimum and maximum order,
 which range queries need for rewriting.
 """
 
-import hashlib
-import io
 import os
 import warnings
 from bisect import bisect_left, bisect_right, insort
@@ -32,14 +30,17 @@ from typing import Optional
 
 from . import paillier
 from .errors import (CapacityError, ConfigurationError, DomainError,
-                     GapExhausted, IntegrityError, UsageError)
+                     GapExhausted, IntegrityError, KeyMismatchError,
+                     UsageError)
 from .rng import make_rng
-from .wire import ORDER_BYTES, fixed_bytes, read_bytes, read_int, u16, u32
+from .wire import (ORDER_BYTES, fixed_bytes, read_bytes, read_int, seal, u16,
+                   u32, unseal)
 
 MODE_DET, MODE_FH = "det", "fh"
 TABLE_MAGIC = b"OPET"
 OWNER_MAGIC = b"OPEO"
-TABLE_VERSION = 2  # 2: FLAG_UID entries
+TABLE_VERSION = 3  # 2: FLAG_UID entries; 3: sealed, no l or mode
+OWNER_VERSION = 3  # 3: sealed, no l or M
 
 FLAG_FH = 1
 FLAG_TAGGED = 2
@@ -60,11 +61,8 @@ class OpeEntry:
 class OpeTable:
     """Entries sorted ascending by order; orders are unique."""
 
-    def __init__(self, m: int, l: int, mode: str = MODE_DET,
-                 key_bits: int = 0, key_id: bytes = b""):
+    def __init__(self, m: int, key_bits: int = 0, key_id: bytes = b""):
         self.m = m
-        self.l = l
-        self.mode = mode
         self.key_bits = key_bits
         self.key_id = key_id
         self._orders = []
@@ -135,12 +133,18 @@ class OpeTable:
         self._by_order = {e.order: e for e in entries}
 
 
+def check_key(tables: dict, pk: paillier.PaillierPublicKey):
+    """KeyMismatchError unless every table (column -> OpeTable) holds
+    ciphertexts under pk."""
+    for column, table in tables.items():
+        if table.key_id != pk.key_id:
+            raise KeyMismatchError(f"table {column!r} belongs to another key")
+
+
 @dataclass
 class OwnerState:
     """The data owner's plaintext/order pairs."""
 
-    m: int
-    l: int
     pairs: list = field(default_factory=list)
 
     def apply_remap(self, remap: dict):
@@ -224,7 +228,7 @@ def init_state(dataset, m: int, pk: paillier.PaillierPublicKey, l: int,
     if m & (m - 1) == 0:
         warnings.warn("M is a power of two; orders may leak tree positions")
     rng = rng or make_rng()
-    owner = OwnerState(m=m, l=l)
+    owner = OwnerState()
     sorted_pairs = []  # (plaintext, order), sorted by (plaintext, order)
     xs = []  # the plaintexts of sorted_pairs, so an insert costs a memmove
 
@@ -261,7 +265,7 @@ def init_state(dataset, m: int, pk: paillier.PaillierPublicKey, l: int,
             xs.insert(i, x)
         owner.pairs.append((x, y))
 
-    table = OpeTable(m, l, mode, pk.key_bits, pk.key_id)
+    table = OpeTable(m, pk.key_bits, pk.key_id)
     if mode == MODE_FH:
         run_min = {}
         run_max = {}
@@ -313,133 +317,75 @@ def _encrypt_all(pk, jobs):
 
 
 # --- persistence ------------------------------------------------------------
-# Table file:
-#   magic | version u16 | l u16 | log2m u8 | mode u8 | key_bits u16 |
-#   M 16B | count u64 | key_id 32B
+# Both files are sealed (wire.seal): magic | version u16 | body | SHA-256.
+# Table body:
+#   key_bits u16 | M 16B | count u64 | key_id 32B
 #   per entry: order 16B | flags u8 | [cipher record, absent if UID] |
 #              [fh_min record | fh_max record] | [tag 16B] |
 #              [node tag: len u32 | blob]
-#   sha256 trailer over everything above
+# Owner body:
+#   count u64 | per pair: plaintext 16B | order 16B
 
-class _HashingWriter:
-    def __init__(self, fh):
-        self.fh = fh
-        self.hash = hashlib.sha256()
-        self.written = 0
-
-    def write(self, blob: bytes):
-        if self.fh is not None:
-            self.fh.write(blob)
-        self.hash.update(blob)
-        self.written += len(blob)
-
-
-def serialize_table(table: OpeTable, fh=None) -> int:
-    """Write the table; returns the byte count (fh=None just counts)."""
-    w = _HashingWriter(fh)
-    w.write(TABLE_MAGIC)
-    w.write(u16(TABLE_VERSION))
-    w.write(u16(table.l))
-    w.write(bytes([table.m.bit_length(), 0 if table.mode == MODE_DET else 1]))
-    w.write(u16(table.key_bits))
-    w.write(fixed_bytes(table.m, 16))
-    w.write(len(table).to_bytes(8, "big"))
-    w.write(table.key_id or bytes(32))
+def serialize_table(table: OpeTable) -> bytes:
+    out = [u16(table.key_bits), fixed_bytes(table.m, 16),
+           len(table).to_bytes(8, "big"), table.key_id or bytes(32)]
     for e in table.entries():
         flags = (FLAG_FH if e.fh_min is not None else 0) | \
             (FLAG_TAGGED if e.tag is not None else 0) | \
             (FLAG_NODETAG if e.node_tag is not None else 0) | \
             (FLAG_UID if e.cipher is None else 0)
-        w.write(fixed_bytes(e.order, ORDER_BYTES))
-        w.write(bytes([flags]))
+        out += [fixed_bytes(e.order, ORDER_BYTES), bytes([flags])]
         if e.cipher is not None:
-            w.write(paillier.cipher_record(e.cipher, table.key_bits))
+            out.append(paillier.cipher_record(e.cipher, table.key_bits))
         if e.fh_min is not None:
-            w.write(paillier.cipher_record(e.fh_min, table.key_bits))
-            w.write(paillier.cipher_record(e.fh_max, table.key_bits))
+            out += [paillier.cipher_record(e.fh_min, table.key_bits),
+                    paillier.cipher_record(e.fh_max, table.key_bits)]
         if e.tag is not None:
-            w.write(e.tag)
+            out.append(e.tag)
         if e.node_tag is not None:
-            w.write(u32(len(e.node_tag)))
-            w.write(e.node_tag)
-    digest = w.hash.digest()
-    if fh is not None:
-        fh.write(digest)
-    return w.written + len(digest)
+            out += [u32(len(e.node_tag)), e.node_tag]
+    return seal(TABLE_MAGIC, TABLE_VERSION, b"".join(out))
 
 
 def parse_table(blob: bytes) -> OpeTable:
-    if len(blob) < 32 or hashlib.sha256(blob[:-32]).digest() != blob[-32:]:
-        raise IntegrityError("table file checksum mismatch")
-    if blob[:4] != TABLE_MAGIC:
-        raise IntegrityError("not a table file")
-    off = 4
-    version, off = read_int(blob, off, 2)
-    if version != TABLE_VERSION:
-        raise IntegrityError(f"unsupported table version {version}")
-    l, off = read_int(blob, off, 2)
-    _log2m, off = read_int(blob, off, 1)
-    mode_flag, off = read_int(blob, off, 1)
-    key_bits, off = read_int(blob, off, 2)
-    m, off = read_int(blob, off, 16)
-    count, off = read_int(blob, off, 8)
-    key_id, off = read_bytes(blob, off, 32)
-    table = OpeTable(m, l, MODE_FH if mode_flag else MODE_DET, key_bits, key_id)
+    body = unseal(blob, TABLE_MAGIC, TABLE_VERSION)
+    key_bits, off = read_int(body, 0, 2)
+    m, off = read_int(body, off, 16)
+    count, off = read_int(body, off, 8)
+    key_id, off = read_bytes(body, off, 32)
+    table = OpeTable(m, key_bits, key_id)
     for _ in range(count):
-        order, off = read_int(blob, off, ORDER_BYTES)
-        flags, off = read_int(blob, off, 1)
+        order, off = read_int(body, off, ORDER_BYTES)
+        flags, off = read_int(body, off, 1)
         cipher = None
         if not flags & FLAG_UID:
-            cipher, off = paillier.parse_cipher_record(blob, off, key_id)
+            cipher, off = paillier.parse_cipher_record(body, off, key_id)
         entry = OpeEntry(cipher, order)
         if flags & FLAG_FH:
-            entry.fh_min, off = paillier.parse_cipher_record(blob, off, key_id)
-            entry.fh_max, off = paillier.parse_cipher_record(blob, off, key_id)
+            entry.fh_min, off = paillier.parse_cipher_record(body, off, key_id)
+            entry.fh_max, off = paillier.parse_cipher_record(body, off, key_id)
         if flags & FLAG_TAGGED:
-            entry.tag, off = read_bytes(blob, off, 16)
+            entry.tag, off = read_bytes(body, off, 16)
         if flags & FLAG_NODETAG:
-            n, off = read_int(blob, off, 4)
-            entry.node_tag, off = read_bytes(blob, off, n)
+            n, off = read_int(body, off, 4)
+            entry.node_tag, off = read_bytes(body, off, n)
         table.insert(entry)
     return table
 
 
-def table_to_bytes(table: OpeTable) -> bytes:
-    buf = io.BytesIO()
-    serialize_table(table, buf)
-    return buf.getvalue()
-
-
-def serialize_owner(owner: OwnerState, fh=None) -> int:
-    w = _HashingWriter(fh)
-    w.write(OWNER_MAGIC)
-    w.write(u16(TABLE_VERSION))
-    w.write(u16(owner.l))
-    w.write(fixed_bytes(owner.m, 16))
-    w.write(len(owner.pairs).to_bytes(8, "big"))
-    for x, y in owner.pairs:
-        w.write(fixed_bytes(x, 16))
-        w.write(fixed_bytes(y, ORDER_BYTES))
-    digest = w.hash.digest()
-    if fh is not None:
-        fh.write(digest)
-    return w.written + len(digest)
+def serialize_owner(owner: OwnerState) -> bytes:
+    body = len(owner.pairs).to_bytes(8, "big") + b"".join(
+        fixed_bytes(x, 16) + fixed_bytes(y, ORDER_BYTES)
+        for x, y in owner.pairs)
+    return seal(OWNER_MAGIC, OWNER_VERSION, body)
 
 
 def parse_owner(blob: bytes) -> OwnerState:
-    if len(blob) < 32 or hashlib.sha256(blob[:-32]).digest() != blob[-32:]:
-        raise IntegrityError("owner state checksum mismatch")
-    if blob[:4] != OWNER_MAGIC:
-        raise IntegrityError("not an owner state file")
-    version, off = read_int(blob, 4, 2)
-    if version != TABLE_VERSION:
-        raise IntegrityError(f"unsupported owner state version {version}")
-    l, off = read_int(blob, off, 2)
-    m, off = read_int(blob, off, 16)
-    count, off = read_int(blob, off, 8)
-    owner = OwnerState(m=m, l=l)
+    body = unseal(blob, OWNER_MAGIC, OWNER_VERSION)
+    count, off = read_int(body, 0, 8)
+    owner = OwnerState()
     for _ in range(count):
-        x, off = read_int(blob, off, 16)
-        y, off = read_int(blob, off, ORDER_BYTES)
+        x, off = read_int(body, off, 16)
+        y, off = read_int(body, off, ORDER_BYTES)
         owner.pairs.append((x, y))
     return owner

@@ -1,8 +1,11 @@
 """Byte-level encoding helpers (big-endian throughout)."""
 
-from .errors import FramingError
+import hashlib
+
+from .errors import FramingError, IntegrityError
 
 ORDER_BYTES = 16  # orders travel as 16-byte big-endian integers
+SEAL_DIGEST_BYTES = 32
 
 
 def u16(v: int) -> bytes:
@@ -48,3 +51,26 @@ def xor_bytes(a: bytes, b: bytes) -> bytes:
     """XOR of two byte strings of equal length."""
     return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(
         len(a), "big")
+
+
+def seal(magic: bytes, version: int, body: bytes) -> bytes:
+    """A state file: magic 4 B | version u16 | body | SHA-256 over all
+    of it.  Files use it; frames on the wire do not."""
+    head = magic + u16(version) + body
+    return head + hashlib.sha256(head).digest()
+
+
+def unseal(blob: bytes, magic: bytes, version: int) -> bytes:
+    """The body of a sealed file; a bad checksum, magic or version is an
+    IntegrityError."""
+    head = blob[:-SEAL_DIGEST_BYTES]
+    if len(head) < 6 or hashlib.sha256(head).digest() != \
+            blob[-SEAL_DIGEST_BYTES:]:
+        raise IntegrityError(f"{magic.decode()} file checksum mismatch")
+    if head[:4] != magic:
+        raise IntegrityError(f"not a {magic.decode()} file")
+    got = int.from_bytes(head[4:6], "big")
+    if got != version:
+        raise IntegrityError(
+            f"unsupported {magic.decode()} file version {got}")
+    return head[6:]

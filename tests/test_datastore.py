@@ -1,15 +1,17 @@
 """Ingestion, row store, range queries, analyst-entry cleanup."""
 
-import io
+import shutil
 import warnings
 
 import pytest
 
-from oope import datastore, ope_state, paillier
+from oope import datastore, engine, integrity, ope_state, paillier
 from oope.datastore import RangeQuery, exec_range, ingest, \
     interval_from_predicate, merge_intervals
-from oope.errors import DomainError, IntegrityError
+from oope.engine import ProtocolParams
+from oope.errors import DomainError, IntegrityError, KeyMismatchError
 from oope.rng import make_rng
+from oope.wire import seal
 
 
 @pytest.fixture(scope="module")
@@ -153,15 +155,15 @@ def test_cleanup_restores_table_bytes(tmp_path, keys):
     pk, _ = keys
     result = ingest_example(tmp_path, keys)
     table = result.tables["X1"]
-    before = ope_state.table_to_bytes(table)
+    before = ope_state.serialize_table(table)
     sid = b"s" * 16
     entry = ope_state.OpeEntry(paillier.encrypt(pk, 15, make_rng(3)), 6,
                                tag=sid)
     table.insert(entry)
-    assert ope_state.table_to_bytes(table) != before
+    assert ope_state.serialize_table(table) != before
     removed = datastore.cleanup_da_entries(table, [sid])
     assert removed == 1
-    assert ope_state.table_to_bytes(table) == before
+    assert ope_state.serialize_table(table) == before
 
 
 def test_cleanup_unknown_session_warns(tmp_path, keys):
@@ -183,32 +185,16 @@ def test_cleanup_all_tagged(tmp_path, keys):
     assert table.orders() == [4, 7, 11, 14, 21]
 
 
-def test_rows_serialization_roundtrip(tmp_path, keys):
-    result = ingest_example(tmp_path, keys)
-    buf = io.BytesIO()
-    datastore.serialize_rows(result.rows, buf)
-    store = datastore.parse_rows(buf.getvalue())
-    assert store.public_columns == result.rows.public_columns
-    assert store.ope_columns == result.rows.ope_columns
-    assert [(r.row_id, r.public, r.orders) for r in store.rows] == \
-        [(r.row_id, r.public, r.orders) for r in result.rows.rows]
-    blob = buf.getvalue()
-    bad = blob[:50] + bytes([blob[50] ^ 1]) + blob[51:]
-    with pytest.raises(IntegrityError):
-        datastore.parse_rows(bad)
-
-
 def test_state_dir_roundtrip(tmp_path, keys):
     pk, sk = keys
-    from oope.engine import ProtocolParams
     result = ingest_example(tmp_path, keys)
     params = ProtocolParams(l=16, k=16, m=28, key_bits=pk.key_bits)
-    csp_dir = str(tmp_path / "csp")
-    do_dir = str(tmp_path / "do")
-    datastore.save_csp_state(csp_dir, params, result.tables, result.rows)
+    csp_dir = tmp_path / "csp"
+    do_dir = tmp_path / "do"
+    datastore.save_csp_state(csp_dir, params, pk, result.tables, result.rows)
     datastore.save_do_state(do_dir, params, sk, result.owners)
-    params2, tables2, rows2 = datastore.load_csp_state(csp_dir)
-    assert params2 == params
+    params2, pk2, tables2, rows2 = datastore.load_csp_state(csp_dir)
+    assert params2 == params and pk2 == pk
     assert tables2["X1"].orders() == result.tables["X1"].orders()
     assert len(rows2.rows) == 5
     params3, sk2, owners2, mac2 = datastore.load_do_state(do_dir)
@@ -217,3 +203,87 @@ def test_state_dir_roundtrip(tmp_path, keys):
     assert mac2 is None
     c = paillier.encrypt(pk, 7, make_rng(2))
     assert paillier.decrypt(sk2, c) == 7
+
+
+def test_table_under_another_key_refused(tmp_path, keys):
+    pk, _ = keys
+    result = ingest_example(tmp_path, keys)
+    other, _ = paillier.keygen(128, rng=make_rng(6), allow_small=True)
+    params = ProtocolParams(l=16, k=16, m=28, key_bits=pk.key_bits)
+    datastore.save_csp_state(tmp_path, params, pk, result.tables, result.rows)
+    datastore.load_csp_state(tmp_path)
+    _, table = ope_state.init_state([1, 2], 28, other, l=16, rng=make_rng(7))
+    (tmp_path / "table_Y.bin").write_bytes(ope_state.serialize_table(table))
+    with pytest.raises(KeyMismatchError, match="'Y'"):
+        datastore.load_csp_state(tmp_path)
+
+
+# --- sealed state files ------------------------------------------------------
+
+# file kind -> (state directory, file name)
+STATE_FILES = {
+    "table-det": ("csp", "table_det.bin"),
+    "table-fh": ("csp", "table_fh.bin"),
+    "table-tagged": ("csp", "table_tagged.bin"),
+    "table-uid": ("csp", "table_uid.bin"),
+    "rows": ("csp", "rows.bin"),
+    "pk": ("csp", "pk.bin"),
+    "owner": ("do", "owner_X1.bin"),
+    "key": ("do", "key.bin"),
+    "macparams": ("do", "macparams.bin"),
+}
+SAVE_LOAD = {"csp": (datastore.save_csp_state, datastore.load_csp_state),
+             "do": (datastore.save_do_state, datastore.load_do_state)}
+
+
+@pytest.fixture(scope="module")
+def state_dirs(tmp_path_factory, keys):
+    """A server and an owner directory holding every file kind."""
+    pk, sk = keys
+    root = tmp_path_factory.mktemp("state")
+    rng = make_rng(11)
+    result = ingest_example(root, keys)
+    mac_params = integrity.gen_mac_params(256, 64, rng=rng)
+    tagger = engine.make_node_tagger(integrity.SCHEME_DLMAC, mac_params, pk,
+                                     rng)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        _, fh = ope_state.init_state([3, 5, 5, 5, 9], 64, pk, l=16,
+                                     mode=ope_state.MODE_FH, rng=rng)
+        _, tagged = ope_state.init_state([3, 5, 9], 64, pk, l=16, rng=rng,
+                                         tagger=tagger)
+        _, uid = ope_state.init_state([3, 9], 64, pk, l=16, rng=rng)
+    tagged.insert(ope_state.OpeEntry(paillier.encrypt(pk, 7, rng), 40,
+                                     tag=b"s" * 16, node_tag=tagger(7)))
+    uid.insert(ope_state.OpeEntry(None, 30, tag=b"u" * 16))
+    tables = {"det": result.tables["X1"], "fh": fh, "tagged": tagged,
+              "uid": uid}
+    params = ProtocolParams(l=16, k=16, m=28, key_bits=pk.key_bits)
+    datastore.save_csp_state(root / "csp", params, pk, tables, result.rows)
+    datastore.save_do_state(root / "do", params, sk, result.owners,
+                            mac_params)
+    return root
+
+
+@pytest.mark.parametrize("kind", sorted(STATE_FILES))
+def test_sealed_state_file(state_dirs, tmp_path, kind):
+    side, name = STATE_FILES[kind]
+    save, load = SAVE_LOAD[side]
+    blob = (state_dirs / side / name).read_bytes()
+    # serialize(parse(blob)) == blob: load the directory, save it again
+    save(tmp_path / "again", *load(state_dirs / side))
+    assert (tmp_path / "again" / name).read_bytes() == blob
+
+    magic, version, body = blob[:4], int.from_bytes(blob[4:6], "big"), \
+        blob[6:-32]
+    assert seal(magic, version, body) == blob
+    damaged = [blob[:i] + bytes([blob[i] ^ 1 << i % 8]) + blob[i + 1:]
+               for i in range(len(blob))]
+    damaged += [blob[:-1], blob[:len(blob) // 2], b"",
+                seal(b"OPEX", version, body), seal(magic, version + 1, body)]
+    work = tmp_path / side
+    shutil.copytree(state_dirs / side, work)
+    for bad in damaged:
+        (work / name).write_bytes(bad)
+        with pytest.raises(IntegrityError):
+            load(work)

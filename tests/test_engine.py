@@ -11,10 +11,10 @@ from oracles import Mope2Oracle, min_max_orders, rank_interval_holds, \
     sandwich_holds
 
 from oope import datastore, ope_state, paillier, transport
-from oope.cluster import build_cluster
-from oope.engine import ProtocolParams
-from oope.errors import (ConfigurationError, FramingError, ProtocolError,
-                         SessionAborted, UsageError)
+from oope.cluster import LocalCluster, build_cluster
+from oope.engine import DEFAULT_COLUMN, ProtocolParams
+from oope.errors import (ConfigurationError, FramingError, KeyMismatchError,
+                         ProtocolError, SessionAborted, UsageError)
 from oope.ot import GROUP_TEST
 from oope.rng import make_rng
 from oope.transport import Frame
@@ -153,7 +153,7 @@ def test_aborted_insert_restores_table():
     params = small_params()
     cluster, ctx = make_cluster(EXAMPLE, seed=41, params=params)
     try:
-        table_before = ope_state.table_to_bytes(ctx["table"])
+        table_before = ope_state.serialize_table(ctx["table"])
         orig_send = cluster.da.csp_ch.send
 
         def minmax_in_det_mode(frame):
@@ -168,7 +168,7 @@ def test_aborted_insert_restores_table():
         with pytest.raises(SessionAborted, match="frequency-hiding"):
             cluster.encrypt(15)
         cluster.da.csp_ch.send = orig_send
-        assert ope_state.table_to_bytes(ctx["table"]) == table_before
+        assert ope_state.serialize_table(ctx["table"]) == table_before
         oracle = Mope2Oracle(params.m).load(EXAMPLE)
         assert cluster.encrypt(15) == oracle.encrypt(15)
         assert not cluster.errors
@@ -500,7 +500,7 @@ def test_owner_refusing_a_rebalance_aborts_and_rolls_back(monkeypatch):
     try:
         for xbar in (15, 17):
             assert cluster.encrypt(xbar) == oracle.encrypt(xbar)
-        table_before = ope_state.table_to_bytes(table)
+        table_before = ope_state.serialize_table(table)
         pairs_before = list(owner.pairs)
         real_apply = cluster.do._apply_remap
 
@@ -513,7 +513,7 @@ def test_owner_refusing_a_rebalance_aborts_and_rolls_back(monkeypatch):
         with pytest.raises(SessionAborted, match="remap refused"):
             cluster.encrypt(18)
         assert time.monotonic() - t0 < 5
-        assert ope_state.table_to_bytes(table) == table_before
+        assert ope_state.serialize_table(table) == table_before
         assert owner.pairs == pairs_before
         assert [r.orders[""] for r in rows.rows] == [y for _, y in owner.pairs]
         monkeypatch.setattr(cluster.do, "_apply_remap", real_apply)
@@ -656,13 +656,64 @@ def test_uid_upload_table_roundtrip():
     finally:
         cluster.close()
     table = ctx["table"]
-    blob = ope_state.table_to_bytes(table)
+    blob = ope_state.serialize_table(table)
     parsed = ope_state.parse_table(blob)
     fields = [(e.order, e.cipher, e.tag, e.node_tag) for e in table.entries()]
     assert [(e.order, e.cipher, e.tag, e.node_tag)
             for e in parsed.entries()] == fields
     assert parsed.get(6).cipher is None and parsed.get(6).tag is not None
-    assert ope_state.table_to_bytes(parsed) == blob
+    assert ope_state.serialize_table(parsed) == blob
+
+
+def test_cluster_restored_from_state_dirs(tmp_path):
+    params = small_params(m=19)
+    data = [10, 20, 30]
+    oracle = Mope2Oracle(params.m).load(data)
+    cluster, ctx = make_cluster(data, seed=89, params=params)
+    try:
+        for xbar in (15, 17):
+            assert cluster.encrypt(xbar) == oracle.encrypt(xbar)
+    finally:
+        cluster.close()
+    table, owner = ctx["table"], ctx["owner"]
+    rows = datastore.RowStore([], [DEFAULT_COLUMN], [
+        datastore.EncryptedRow(i, {}, {DEFAULT_COLUMN: y})
+        for i, (_, y) in enumerate(owner.pairs)])
+    datastore.save_csp_state(tmp_path / "csp", params, ctx["pk"],
+                             {DEFAULT_COLUMN: table}, rows)
+    datastore.save_do_state(tmp_path / "do", params, ctx["sk"],
+                            {DEFAULT_COLUMN: owner})
+    params2, pk, tables, rows = datastore.load_csp_state(tmp_path / "csp")
+    params3, sk, owners, mac_params = datastore.load_do_state(tmp_path / "do")
+    assert params2 == params3 == params and pk == sk.public
+    assert ope_state.serialize_table(tables[DEFAULT_COLUMN]) == \
+        ope_state.serialize_table(table)
+
+    restored = LocalCluster(tables, sk, params, seed=90, owners=owners,
+                            mac_params=mac_params, ot_group=GROUP_TEST)
+    restored.csp.rows = rows
+    try:
+        # 18 and 19 exhaust their gap: a rebalance in the restored cluster
+        for xbar in (18, 19, 16, 20):
+            assert restored.encrypt(xbar) == oracle.encrypt(xbar)
+        # the owner's pairs moved with the rebalance; the saved ones did not
+        assert owners[DEFAULT_COLUMN].pairs != owner.pairs
+        orders = set(tables[DEFAULT_COLUMN].orders())
+        assert {y for _, y in owners[DEFAULT_COLUMN].pairs} <= orders
+        assert {r.orders[DEFAULT_COLUMN] for r in rows.rows} <= orders
+        assert restored.da.query({DEFAULT_COLUMN: (None, None, True, True)}) \
+            == len(data)
+        assert not restored.errors
+    finally:
+        restored.close()
+
+
+def test_cluster_refuses_a_table_under_another_key():
+    cluster, ctx = make_cluster(EXAMPLE, seed=91)
+    cluster.close()
+    _, sk = paillier.keygen(256, rng=make_rng(92), allow_small=True)
+    with pytest.raises(KeyMismatchError, match="'col'"):
+        LocalCluster({"col": ctx["table"]}, sk, small_params())
 
 
 # --- transports and the receive timeout -------------------------------------
@@ -790,6 +841,52 @@ def test_fh_minmax_duplicate_tracks_run_extremes():
         want = min_max_orders(pairs_after, 20)
         assert (cmin, cmax) == want
         assert cmin in (lo, ybar) and cmax in (hi, ybar)
+    finally:
+        cluster.close()
+
+
+@pytest.mark.parametrize("damage", ["zeroed_randoms", "repeated_side"])
+def test_malformed_minmax_frames_abort_and_service_continues(damage):
+    data = [10, 20, 30]
+    cluster, ctx = make_cluster(data, seed=93, params=fh_params(),
+                                record=True)
+    try:
+        cluster.da.csp_ch.timeout = cluster.da.da_do_ch.timeout = 5
+        ftype, end, reason = {
+            "zeroed_randoms": (transport.MINMAX_RANDOMS, cluster.csp.da_ch,
+                               "not a unit"),
+            "repeated_side": (transport.MINMAX_SELECTED, cluster.do.da_ch,
+                              "side 0")}[damage]
+        orig_send = end.send
+
+        def damaged(frame):
+            if frame.ftype == ftype:
+                # zero every random, or claim side 0 for both selections
+                payload = bytes(len(frame.payload)) \
+                    if ftype == transport.MINMAX_RANDOMS \
+                    else b"\0" + frame.payload[1:]
+                frame = Frame(frame.ftype, frame.session_id, payload)
+            orig_send(frame)
+
+        end.send = damaged
+        t0 = time.monotonic()
+        with pytest.raises(SessionAborted, match=reason):
+            cluster.encrypt(25, minmax=True)
+        assert time.monotonic() - t0 < 5
+        end.send = orig_send
+        sent = cluster.transcripts()
+        for name in ("da->csp", "da->do"):
+            assert transport.ABORT in {blob[4] for blob in sent[name]}
+        # the server commits its insert before the analyst reads the
+        # min/max frames, so the aborted session's 25 stays in the table
+        assert len(ctx["table"]) == len(data) + 1
+        ybar, cmin, cmax = cluster.encrypt(15, minmax=True)
+        assert cmin == cmax == ybar
+        sk = ctx["sk"]
+        pairs = [(paillier.decrypt(sk, e.cipher), e.order)
+                 for e in ctx["table"].entries()]
+        assert rank_interval_holds(pairs, 15, ybar)
+        assert not cluster.errors
     finally:
         cluster.close()
 

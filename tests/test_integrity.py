@@ -3,8 +3,9 @@
 import pytest
 
 from oope import integrity
-from oope.errors import UsageError
+from oope.errors import ProtocolError
 from oope.rng import make_rng
+from oope.wire import be_bytes, lp
 
 # small test group; production defaults are 2048/256
 PARAMS = integrity.gen_mac_params(512, 160, rng=make_rng(42))
@@ -85,16 +86,16 @@ def test_pedersen_hiding():
     assert len(seen) == 100
 
 
-def test_pedersen_requires_h():
-    bare = integrity.MacParams(p=PARAMS.p, q=PARAMS.q, g=PARAMS.g)
-    with pytest.raises(UsageError):
-        integrity.ped_commit_make(1, 2, bare)
-
-
 def test_params_serialization():
     blob = integrity.serialize_params(PARAMS)
     parsed, off = integrity.parse_params(blob)
     assert parsed == PARAMS and off == len(blob)
-    bare = integrity.MacParams(p=PARAMS.p, q=PARAMS.q, g=PARAMS.g)
-    parsed2, _ = integrity.parse_params(integrity.serialize_params(bare))
-    assert parsed2.h_ped is None
+
+
+@pytest.mark.parametrize("field", ["p", "q", "g", "h_ped"])
+def test_params_with_an_empty_field_rejected(field):
+    blob = b"".join(
+        lp(b"" if name == field else be_bytes(getattr(PARAMS, name)))
+        for name in ("p", "q", "g", "h_ped"))
+    with pytest.raises(ProtocolError, match="empty field"):
+        integrity.parse_params(blob)

@@ -1,7 +1,5 @@
 """OPE table state: order assignment, rebalance, persistence."""
 
-import hashlib
-import io
 import math
 import os
 import signal
@@ -15,6 +13,7 @@ from oope.errors import (CapacityError, ConfigurationError, GapExhausted,
 from oope.ope_state import (OpeEntry, OpeTable, assign_order, init_state,
                             rebalance)
 from oope.rng import make_rng
+from oope.wire import seal, unseal
 
 EXAMPLE_DATA = [32, 20, 25, 69, 10]
 EXAMPLE_M = 28
@@ -63,7 +62,7 @@ def test_example_insertion_orders(keys):
 
 def test_height_is_balanced_depth(keys):
     pk, _ = keys
-    table = OpeTable(1 << 20, 16, key_bits=pk.key_bits, key_id=pk.key_id)
+    table = OpeTable(1 << 20, key_bits=pk.key_bits, key_id=pk.key_id)
     c = paillier.encrypt(pk, 1, make_rng(1))
     for n in range(70):
         assert table.height == math.ceil(math.log2(n + 1))
@@ -119,7 +118,7 @@ def test_neighbors_examples(keys):
 
 def test_rebalance_single_entry(keys):
     pk, _ = keys
-    table = OpeTable(28, 16, key_bits=pk.key_bits, key_id=pk.key_id)
+    table = OpeTable(28, key_bits=pk.key_bits, key_id=pk.key_id)
     table.insert(OpeEntry(paillier.encrypt(pk, 9, make_rng(1)), 3))
     remap = rebalance(table)
     assert remap == {3: 14}
@@ -143,7 +142,7 @@ def test_rebalance_preserves_rank(keys):
 
 def test_rebalance_capacity_error(keys):
     pk, _ = keys
-    table = OpeTable(6, 16, key_bits=pk.key_bits, key_id=pk.key_id)
+    table = OpeTable(6, key_bits=pk.key_bits, key_id=pk.key_id)
     for i, y in enumerate((1, 2, 3, 4, 5)):
         table.insert(OpeEntry(paillier.encrypt(pk, i, make_rng(i)), y))
     with pytest.raises(CapacityError):
@@ -240,7 +239,7 @@ def test_setup_fan_out_matches_serial(keys, monkeypatch, mode, tagged):
             if tagged else None
         _, table = init_state(data, (1 << 20) - 3, pk, l=16, mode=mode,
                               rng=rng, tagger=tagger)
-        return ope_state.table_to_bytes(table)
+        return ope_state.serialize_table(table)
 
     serial = table_bytes(1)
     assert threads == {threading.get_ident()}
@@ -254,40 +253,11 @@ def test_setup_fan_out_matches_serial(keys, monkeypatch, mode, tagged):
         data if mode == "fh" else set(data))
 
 
-def test_table_serialization_roundtrip(keys):
-    pk, _ = keys
-    _, table = example_state(keys)
-    table.entries()[0].tag = b"s" * 16
-    blob = ope_state.table_to_bytes(table)
-    table2 = ope_state.parse_table(blob)
-    assert table2.orders() == table.orders()
-    assert table2.m == table.m and table2.l == table.l
-    assert [e.cipher for e in table2.entries()] == \
-        [e.cipher for e in table.entries()]
-    assert table2.entries()[0].tag == b"s" * 16
-    # corruption is caught
-    bad = blob[:40] + bytes([blob[40] ^ 1]) + blob[41:]
-    with pytest.raises(IntegrityError):
-        ope_state.parse_table(bad)
-
-
-def test_owner_serialization_roundtrip(keys):
-    owner, _ = example_state(keys)
-    buf = io.BytesIO()
-    ope_state.serialize_owner(owner, buf)
-    owner2 = ope_state.parse_owner(buf.getvalue())
-    assert owner2.pairs == owner.pairs
-    assert owner2.m == owner.m and owner2.l == owner.l
-
-
 def test_owner_file_of_another_version_refused(keys):
     owner, _ = example_state(keys)
-    buf = io.BytesIO()
-    ope_state.serialize_owner(owner, buf)
-    body = buf.getvalue()[:-32]
-    assert body[4:6] == ope_state.TABLE_VERSION.to_bytes(2, "big")
-    body = body[:4] + (99).to_bytes(2, "big") + body[6:]
+    body = unseal(ope_state.serialize_owner(owner), ope_state.OWNER_MAGIC,
+                  ope_state.OWNER_VERSION)
     # a valid checksum over the wrong version
-    blob = body + hashlib.sha256(body).digest()
+    blob = seal(ope_state.OWNER_MAGIC, 99, body)
     with pytest.raises(IntegrityError, match="version 99"):
         ope_state.parse_owner(blob)
