@@ -14,19 +14,11 @@ deployment would hold a connection open for a batch of queries.
 import threading
 
 from . import ope_state, paillier, transport
-from .engine import (DEFAULT_COLUMN, CspEngine, DaEngine, DoEngine,
-                     ProtocolParams, make_node_tagger)
+from .engine import (BOUND_HIGH, BOUND_LOW, DEFAULT_COLUMN, CspEngine,
+                     DaEngine, DoEngine, ProtocolParams, make_node_tagger)
 from .errors import ConfigurationError
 from .ot import GROUP_DEFAULT
 from .rng import make_rng
-
-
-def analyst_keygen(params: ProtocolParams, rng=None):
-    """Analyst keypair; its modulus strictly dominates the owner's so
-    cross-key re-encryptions in the min/max exchange never overflow."""
-    from .engine import DA_KEY_EXTRA_BITS
-    return paillier.keygen(params.key_bits + DA_KEY_EXTRA_BITS, rng=rng,
-                           allow_small=True)
 
 
 class LocalCluster:
@@ -40,7 +32,7 @@ class LocalCluster:
     """
 
     def __init__(self, tables: dict, sk, params: ProtocolParams, seed=None,
-                 mac_params=None, owners: dict = None, da_keys=None,
+                 mac_params=None, owners: dict = None,
                  ot_group=GROUP_DEFAULT, record=False,
                  pair=transport.loopback_pair):
         rng = make_rng(seed)
@@ -50,8 +42,7 @@ class LocalCluster:
         self.do = DoEngine(sk, params, make_rng(seeds[1]),
                            mac_params=mac_params, owners=owners,
                            ot_group=ot_group)
-        self.da = DaEngine(params, make_rng(seeds[2]), keys=da_keys,
-                           ot_group=ot_group)
+        self.da = DaEngine(params, make_rng(seeds[2]), ot_group=ot_group)
         csp_do, do_csp = pair("csp->do", "do->csp")
         csp_da, da_csp = pair("csp->da", "da->csp")
         do_da, da_do = pair("do->da", "da->do")
@@ -78,8 +69,16 @@ class LocalCluster:
         self._threads.append(t)
         t.start()
 
-    def encrypt(self, xbar, minmax=False, column=""):
-        return self.da.encrypt(xbar, minmax=minmax, column=column)
+    def encrypt(self, xbar, minmax=False, column=DEFAULT_COLUMN):
+        """xbar's order, inserted if new; with minmax, the triple (order,
+        lowest order of a plaintext >= xbar, highest order of one <=
+        xbar) from an encrypt and two bound sessions, as the benchmark's
+        fh workload asks for it."""
+        ybar = self.da.encrypt(xbar, column=column)
+        if not minmax:
+            return ybar
+        return (ybar, self.da.bound(xbar, BOUND_LOW, column),
+                self.da.bound(xbar, BOUND_HIGH, column))
 
     def transcripts(self):
         """Sent-frame byte sequences, one list per directed channel."""
@@ -111,6 +110,8 @@ def build_cluster(dataset, params: ProtocolParams, seed=None,
     pair = PAIR_FACTORIES.get(transport_kind)
     if pair is None:
         raise ConfigurationError(f"unknown transport {transport_kind!r}")
+    if params.integrity != integrity_mod.SCHEME_OFF and mac_params is None:
+        raise ConfigurationError("integrity enabled but no MAC parameters")
     rng = make_rng(seed)
 
     def subseed():
@@ -118,16 +119,12 @@ def build_cluster(dataset, params: ProtocolParams, seed=None,
 
     pk, sk = paillier.keygen(params.key_bits, rng=make_rng(subseed()),
                              allow_small=True)
-    if params.integrity != integrity_mod.SCHEME_OFF and mac_params is None:
-        raise ValueError("integrity enabled but no MAC parameters given")
     owner, table = ope_state.init_state(
         dataset, params.m, pk, l=params.l, mode=params.mode, rng=rng,
         tagger=make_node_tagger(params.integrity, mac_params, pk, rng))
-    da_keys = analyst_keygen(params, make_rng(subseed())) \
-        if params.mode == ope_state.MODE_FH else None
     cluster = LocalCluster({DEFAULT_COLUMN: table}, sk, params,
                            seed=subseed(), mac_params=mac_params,
-                           owners={DEFAULT_COLUMN: owner}, da_keys=da_keys,
+                           owners={DEFAULT_COLUMN: owner},
                            ot_group=ot_group, record=record, pair=pair)
     # "tree" is the table too: the benchmark reads ctx["tree"].height
     context = {"pk": pk, "sk": sk, "owner": owner, "table": table,

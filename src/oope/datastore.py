@@ -59,8 +59,9 @@ def interval_from_predicate(op: str, order_or_pair, fh: bool = False):
     order interval.
 
     Deterministic mode gets a single order; frequency-hiding mode gets
-    the bound's (c_min, c_max) pair, since < b must cut below every copy
-    of b and <= b must reach above all of them.
+    the pair (engine.DaEngine.bound(b, BOUND_LOW), bound(b, BOUND_HIGH)),
+    since < b must cut below every copy of b and <= b must reach above
+    all of them; for an absent b the pair is the orders around its gap.
     """
     if fh:
         cmin, cmax = order_or_pair

@@ -47,15 +47,32 @@ sender int label pairs and the analyst gets ints back from its OT
 receiver, so labels are bytes only inside GC_PAYLOAD and OT_MSG.
 
 In frequency-hiding mode the circuit emits a single traversal bit that
-hides equality behind a sticky shared coin, duplicates get fresh
-orders, and a follow-up exchange hands the analyst the minimum and
-maximum order of its plaintext for query rewriting.
+hides equality behind a sticky shared coin, and duplicates get fresh
+orders.  A range query over such orders needs, for each end, the lowest
+or highest order among all copies of a value; the analyst's bound op
+finds it by the same search, as a frequency-hiding OPE client does
+(Kerschbaum, CCS 2015), and nothing stores it.  BOUND_LOW gives the
+lowest order of a plaintext >= xbar and BOUND_HIGH the highest order of
+one <= xbar.  In fh mode the analyst starts its state shares as if
+equality had already been seen, with coin = side, so the traversal bit
+is [xbar > x] for BOUND_LOW (ties go left) and [xbar >= x] for
+BOUND_HIGH (ties go right), and the search ends at the gap between the
+plaintexts the bound excludes and those it includes.  The server
+answers with the order on the included side of that gap, or the
+virtual end (M for BOUND_LOW, 0 for BOUND_HIGH) when there is none, so
+an inclusive interval over it selects nothing; in det mode a stored
+value answers with its own order.  A bound sends no upload, and the
+server inserts nothing, rebalances nothing and has nothing to roll
+back.  Leakage: the server learns the bound's position, which a
+QUERY_EXEC over it reveals anyway.  The owner garbles the same circuit
+and sees the same frames, of the same lengths, as in an encrypt
+session, so it learns nothing about which op runs.
 
 Abort discipline: an engine raises a fault it finds itself and never
 aborts inline.  One handler per engine (run_session at the server, the
-serve loop at the owner, encrypt at the analyst) sends ABORT to both
+serve loop at the owner, _session at the analyst) sends ABORT to both
 peers; the server's also rolls the session back.  A request the server
-cannot even start, such as a SESSION_START without its op byte, only
+cannot even start, such as a SESSION_START naming no known op, only
 concerns the analyst, and the server's serve loop aborts it there.  An
 abort received from a peer is passed on only where the third party may
 be waiting on a channel the sender did not use: the analyst relays an
@@ -68,7 +85,6 @@ dead session are dropped by session-id filtering in Channel.recv.
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 
 from . import garbling, integrity, ope_state, paillier, transport
@@ -81,22 +97,22 @@ from .ot import GROUP_DEFAULT, OtExtReceiver, OtExtSender
 from .rng import make_rng
 from .transport import (CIPHER_UPLOAD, CLEANUP, CLEANUP_DONE, Frame,
                         GC_PAYLOAD, GC_RESULT, QUERY_EXEC, QUERY_RESULT,
-                        INTEGRITY_PROOF, INTEGRITY_TAG, MINMAX_RANDOMS,
-                        MINMAX_SELECTED, MINMAX_TRIPLE, NULL_SESSION,
+                        INTEGRITY_PROOF, INTEGRITY_TAG, NULL_SESSION,
                         ORDER_RESULT, OT_MSG, RANDOM_OFFSET, RANDOMIZED_NODE,
                         REBALANCE, SESSION_DONE, SESSION_START, SHARES,
                         UID_COMPARE)
 from .wire import fixed_bytes, lp, read_bytes, read_int, read_lp, u16, u32
 
-OP_ENCRYPT = 0
-OP_ENCRYPT_MINMAX = 1
+BOUND_LOW, BOUND_HIGH = 0, 1  # which end of a range a bound closes
+
+# SESSION_START's op byte; a bound's is OP_BOUND_LOW + side
+OP_ENCRYPT, OP_BOUND_LOW, OP_BOUND_HIGH = 0, 1, 2
 
 UPLOAD_CIPHER = 0
 UPLOAD_UID = 1
 
 OFFSET_BYTES = 16      # additive blinding offsets on the wire
 PED_BLIND_BYTES = 64   # commitment-randomness blinding offsets
-DA_KEY_EXTRA_BITS = 64  # analyst modulus strictly dominates the owner's
 
 
 _SCHEME_OFF = integrity.SCHEME_OFF
@@ -260,6 +276,21 @@ def _query_from_spec(payload: bytes):
     return datastore.RangeQuery(bounds=bounds, projection=projection)
 
 
+def _bound_order(table, op, node, b_e, b_g):
+    """A bound session's answer from where its search ended: a det node
+    equal to the value (b_e == 0) answers itself; otherwise the search
+    ended beside the gap where the value would go, and the answer is
+    the order right of that gap for OP_BOUND_LOW, left of it for
+    OP_BOUND_HIGH, a virtual end (M or 0) included."""
+    if node is None:
+        gap = (0, table.m)
+    elif b_e == 0:
+        return node
+    else:
+        gap = table.neighbors(node, "right" if b_g else "left")[:2]
+    return gap[1] if op == OP_BOUND_LOW else gap[0]
+
+
 def _parse_ped_tag(blob, key_id):
     if not blob:
         raise IntegrityError("node lacks its integrity tag")
@@ -285,7 +316,6 @@ class CspEngine:
         ope_state.check_key(tables, pk)
         self.tables = tables
         self.pk = pk
-        self.pk_analyst = None  # the analyst's key, for min/max only
         self.rows = None  # optional RowStore for query execution
         self.params = params
         self.rng = rng or make_rng()
@@ -305,13 +335,10 @@ class CspEngine:
         if pk_do.key_id != self.pk.key_id:
             raise HandshakeError("owner key does not match server state")
         extra = paillier.serialize_public_key(self.pk)
-        role, da_extra = transport.handshake(da_ch, transport.ROLE_CSP, digest,
-                                             extra)
+        role, _ = transport.handshake(da_ch, transport.ROLE_CSP, digest, extra)
         if role != transport.ROLE_DA:
             raise HandshakeError("expected the analyst on the second "
                                  "connection")
-        if da_extra:
-            self.pk_analyst, _ = paillier.parse_public_key(da_extra)
 
     def serve(self):
         """Accept requests until the analyst channel closes.
@@ -336,7 +363,9 @@ class CspEngine:
                 elif frame.ftype == CLEANUP:
                     self._exec_cleanup(frame)
                 else:
-                    op, = _unpack_bits(frame.payload[:1], 1)
+                    op = frame.payload[0] if frame.payload else None
+                    if op not in (OP_ENCRYPT, OP_BOUND_LOW, OP_BOUND_HIGH):
+                        raise ProtocolError("SESSION_START names no known op")
                     column = frame.payload[1:].decode("utf-8", "replace")
                     self.run_session(frame.session_id, op, column)
             except SessionAborted:
@@ -345,7 +374,8 @@ class CspEngine:
                 self.da_ch.abort(frame.session_id, str(e))
 
     def run_session(self, sid: bytes, op: int, column: str = DEFAULT_COLUMN):
-        """Protocol main loop: h compare rounds, order assignment, upload.
+        """Protocol main loop: h compare rounds, then an encrypt's order
+        and upload, or a bound's order alone.
 
         A fault found here aborts the session at both peers; an abort
         from the owner is passed on to the analyst, which may be waiting
@@ -372,7 +402,9 @@ class CspEngine:
 
             node = table.order_at((lo + hi) // 2) if table else None
             is_known, remap = False, None
-            if node is None:
+            if op != OP_ENCRYPT:
+                ybar = _bound_order(table, op, node, b_e, side)
+            elif node is None:
                 ybar = ope_state.assign_order(0, table.m)
             elif b_e == 0:
                 ybar, is_known = node, True
@@ -380,14 +412,10 @@ class CspEngine:
                 ybar, remap = self._encrypt_order(table, side, node, undo)
 
             self.da_ch.send(Frame(ORDER_RESULT, sid, _offset_blob(ybar)))
-            upload = self.da_ch.recv(CIPHER_UPLOAD, session=sid)
-            if not is_known:
-                self._store_upload(sid, table, upload.payload, ybar, undo)
-            if op == OP_ENCRYPT_MINMAX:
-                if self.params.mode != MODE_FH:
-                    raise ProtocolError("min/max orders exist only in "
-                                        "frequency-hiding mode")
-                self._min_max(sid, table, ybar)
+            if op == OP_ENCRYPT:
+                upload = self.da_ch.recv(CIPHER_UPLOAD, session=sid)
+                if not is_known:
+                    self._store_upload(sid, table, upload.payload, ybar, undo)
             if remap is not None:
                 # owner and row store follow a rebalance only once the
                 # session can no longer roll it back
@@ -521,59 +549,8 @@ class CspEngine:
             entry = OpeEntry(cipher, ybar, tag=sid)
             if off < len(payload):
                 entry.node_tag, off = read_lp(payload, off)
-        if self.params.mode == MODE_FH:
-            entry.fh_min = paillier.encrypt(pk, ybar, self.rng)
-            entry.fh_max = paillier.encrypt(pk, ybar, self.rng)
         table.insert(entry)
         undo.append(lambda: table.remove(ybar))
-
-    # -- min/max order exchange --
-
-    def _neighbor_ciphers(self, table, ybar):
-        """Entries around the fresh order; a virtual bound becomes a
-        ciphertext of 2^l, which never equals an analyst plaintext."""
-        pk = self.pk
-        sentinel = 1 << self.params.l
-
-        def materialize(entry):
-            if entry is not None:
-                return entry.cipher, entry.fh_min, entry.fh_max
-            c = paillier.encrypt(pk, sentinel, self.rng)
-            zero = paillier.encrypt(pk, 0, self.rng)
-            return c, zero, zero
-
-        _, _, pred = table.neighbors(ybar, "left")
-        _, _, succ = table.neighbors(ybar, "right")
-        return materialize(pred), materialize(succ)
-
-    def _min_max(self, sid, table, ybar):
-        pk = self.pk
-        pk_da = self.pk_analyst
-        if pk_da is None:
-            raise ProtocolError("analyst public key missing for min/max")
-        (pred_c, pred_min, _), (succ_c, _, succ_max) = \
-            self._neighbor_ciphers(table, ybar)
-        xbar_c = table.get(ybar).cipher
-        width = pk.key_bits // 8
-        randoms = []
-        for side, bound_c, extreme_c in ((0, pred_c, pred_min),
-                                         (1, succ_c, succ_max)):
-            s = self.rng.randrange(1, pk.n)
-            r = paillier.fresh_r(pk, self.rng)
-            randoms.append(r)
-            d = paillier.hom_scale(pk, paillier.hom_sub(pk, bound_c, xbar_c),
-                                   s)
-            masked_y = paillier.encrypt(pk_da, ybar * r % pk.n, self.rng)
-            masked_extreme = paillier.hom_scale(pk, extreme_c, r)
-            self.do_ch.send(Frame(
-                MINMAX_TRIPLE, sid,
-                bytes([side])
-                + paillier.cipher_record(d, pk.key_bits)
-                + paillier.cipher_record(masked_y, pk_da.key_bits)
-                + paillier.cipher_record(masked_extreme, pk.key_bits)))
-        self.da_ch.send(Frame(MINMAX_RANDOMS, sid,
-                              fixed_bytes(randoms[0], width) +
-                              fixed_bytes(randoms[1], width)))
 
     def _exec_query(self, frame):
         from . import datastore
@@ -615,7 +592,6 @@ class DoEngine:
         self.owners = owners if owners is not None else {}  # column -> owner
         self.ot_group = ot_group
         self.circuit = params.build_circuit()
-        self.pk_analyst = None
         self._sid = NULL_SESSION
         self._fh_shares = (0, 0)
 
@@ -629,10 +605,7 @@ class DoEngine:
         if self.mac_params is not None and \
                 self.params.integrity != integrity.SCHEME_OFF:
             do_extra = integrity.serialize_params(self.mac_params)
-        _, da_extra = transport.handshake(da_ch, transport.ROLE_DO, digest,
-                                          do_extra)
-        if da_extra:
-            self.pk_analyst, _ = paillier.parse_public_key(da_extra)
+        transport.handshake(da_ch, transport.ROLE_DO, digest, do_extra)
         send, recv = _ot_link(self.da_ch, lambda: self._sid)
         self.ot_sender = OtExtSender(send, recv, self.rng, self.ot_group)
         self.ot_sender.setup()
@@ -643,7 +616,7 @@ class DoEngine:
         while True:
             try:
                 frame = self.csp_ch.recv(RANDOMIZED_NODE, SESSION_DONE,
-                                         MINMAX_TRIPLE, REBALANCE, idle=True)
+                                         REBALANCE, idle=True)
             except SessionAborted:
                 self._reset_session()
                 continue
@@ -656,8 +629,6 @@ class DoEngine:
             try:
                 if frame.ftype == RANDOMIZED_NODE:
                     self._round(frame)
-                elif frame.ftype == MINMAX_TRIPLE:
-                    self._min_max(frame)
                 elif frame.ftype == REBALANCE:
                     self._apply_remap(frame.payload)
                     self.csp_ch.send(Frame(REBALANCE, frame.session_id))
@@ -726,37 +697,6 @@ class DoEngine:
         masked = _unpack_bits(result.payload, len(masks))
         self.csp_ch.send(Frame(SHARES, sid, _shares(masks, masked)))
 
-    def _min_max(self, frame):
-        """Decrypt the blinded difference and forward the selected
-        analyst-key ciphertext for one side."""
-        if self.pk_analyst is None:
-            raise ProtocolError("analyst public key missing for min/max")
-        self._begin(frame.session_id)
-        payload = frame.payload
-        side, off = read_int(payload, 0, 1)
-        key_id = self.sk.public.key_id
-        d_c, off = paillier.parse_cipher_record(payload, off, key_id)
-        masked_y, off = paillier.parse_cipher_record(payload, off,
-                                                     self.pk_analyst.key_id)
-        masked_extreme, off = paillier.parse_cipher_record(payload, off,
-                                                           key_id)
-        d = paillier.decrypt(self.sk, d_c)
-        if d == 0:
-            # neighbor equals the analyst's plaintext: hand over its
-            # stored extreme, re-encrypted under the analyst's key
-            v = paillier.decrypt(self.sk, masked_extreme)
-            out = paillier.encrypt(self.pk_analyst, v, self.rng)
-        else:
-            # fresh order is the extreme; re-randomize so the analyst
-            # cannot correlate with the server's ciphertext
-            out = paillier.hom_add(
-                self.pk_analyst, masked_y,
-                paillier.encrypt(self.pk_analyst, 0, self.rng))
-        self.da_ch.send(Frame(
-            MINMAX_SELECTED, frame.session_id,
-            bytes([side]) + paillier.cipher_record(out,
-                                                   self.pk_analyst.key_bits)))
-
     def _apply_remap(self, payload):
         n, off = read_int(payload, 0, 2)
         column, off = read_bytes(payload, off, n)
@@ -777,12 +717,11 @@ class DoEngine:
 class DaEngine:
     """Holds the query plaintext; evaluates circuits and collects orders."""
 
-    def __init__(self, params: ProtocolParams, rng=None, keys=None,
+    def __init__(self, params: ProtocolParams, rng=None,
                  ot_group=GROUP_DEFAULT):
         params.validate()
         self.params = params
         self.rng = rng or make_rng()
-        self.keys = keys  # analyst (pk, sk), needed for min/max outputs
         self.ot_group = ot_group
         self.circuit = params.build_circuit()
         self.pk_owner = None
@@ -796,14 +735,9 @@ class DaEngine:
         self.csp_ch = csp_ch
         self.da_do_ch = do_ch
         digest = self.params.digest()
-        extra = b""
-        if self.keys is not None:
-            extra = paillier.serialize_public_key(self.keys[0])
-        _, csp_extra = transport.handshake(csp_ch, transport.ROLE_DA, digest,
-                                           extra)
+        _, csp_extra = transport.handshake(csp_ch, transport.ROLE_DA, digest)
         self.pk_owner, _ = paillier.parse_public_key(csp_extra)
-        _, do_extra = transport.handshake(do_ch, transport.ROLE_DA, digest,
-                                          extra)
+        _, do_extra = transport.handshake(do_ch, transport.ROLE_DA, digest)
         if do_extra:
             self.mac_params, _ = integrity.parse_params(do_extra)
         elif self.params.integrity != integrity.SCHEME_OFF:
@@ -815,30 +749,40 @@ class DaEngine:
         self.ot_receiver = OtExtReceiver(send, recv, self.rng, self.ot_group)
         self.ot_receiver.setup()
 
-    def encrypt(self, xbar: int, minmax: bool = False,
-                column: str = DEFAULT_COLUMN):
-        """Run one session; returns the order (plus min/max when asked)."""
+    def encrypt(self, xbar: int, column: str = DEFAULT_COLUMN):
+        """Run one session; returns xbar's order, inserted if new."""
+        return self._session(OP_ENCRYPT, xbar, column)
+
+    def bound(self, xbar: int, side: int, column: str = DEFAULT_COLUMN):
+        """Run one session that inserts nothing; returns the lowest order
+        of a stored plaintext >= xbar (side BOUND_LOW) or the highest
+        order of one <= xbar (BOUND_HIGH), and M or 0 when there is
+        none."""
+        if side not in (BOUND_LOW, BOUND_HIGH):
+            raise UsageError(f"unknown bound side {side!r}")
+        return self._session(OP_BOUND_LOW + side, xbar, column)
+
+    def _session(self, op, xbar, column):
         p = self.params
         if not 0 <= xbar < (1 << p.l):
             raise UsageError(f"query plaintext outside [0, 2^{p.l})")
-        if minmax and p.mode != MODE_FH:
-            raise UsageError(
-                "min/max orders exist only in frequency-hiding mode")
-        if minmax and self.keys is None:
-            raise UsageError("analyst keys required for min/max")
         sid = bytes(self.rng.getrandbits(8) for _ in range(16))
         self._sid = sid
         self._current_xbar = xbar
-        self._fh_shares = (1, 0)  # no equality yet; coin share zero
-        op = OP_ENCRYPT_MINMAX if minmax else OP_ENCRYPT
+        encrypt = op == OP_ENCRYPT
+        # fh state shares (no equality yet, coin): a bound starts as if
+        # equality had been seen, with coin = side
+        self._fh_shares = (1, 0) if encrypt else (0, op - OP_BOUND_LOW)
         self.csp_ch.send(Frame(SESSION_START, sid,
                                bytes([op]) + column.encode()))
         try:
             # a cipher upload depends on xbar alone, so it is built while
             # the peers run the first round; a uid is drawn only once the
             # order is known
-            uid_upload = p.uid_upload and p.mode == MODE_DET
-            upload = None if uid_upload else self._cipher_upload(xbar)
+            uid_upload = encrypt and p.uid_upload and p.mode == MODE_DET
+            upload = None
+            if encrypt and not uid_upload:
+                upload = self._cipher_upload(xbar)
             ybar = None
             while ybar is None:
                 frame = self.csp_ch.recv(RANDOM_OFFSET, ORDER_RESULT,
@@ -852,13 +796,10 @@ class DaEngine:
                                 int.from_bytes(frame.payload, "big"))
             if uid_upload:
                 upload = self._uid_upload(xbar)
-            self.csp_ch.send(Frame(CIPHER_UPLOAD, sid, upload))
-            if not minmax:
-                self.csp_ch.recv(SESSION_DONE, session=sid)
-                return ybar
-            cmin, cmax = self._recv_min_max(sid)
+            if encrypt:
+                self.csp_ch.send(Frame(CIPHER_UPLOAD, sid, upload))
             self.csp_ch.recv(SESSION_DONE, session=sid)
-            return ybar, cmin, cmax
+            return ybar
         except SessionAborted as e:
             # the server never reads the owner channel while waiting on
             # us, so relay owner-side aborts
@@ -955,30 +896,3 @@ class DaEngine:
         self.csp_ch.send(Frame(transport.CLEANUP, sid, payload))
         frame = self.csp_ch.recv(transport.CLEANUP_DONE, session=sid)
         return int.from_bytes(frame.payload, "big")
-
-    def _recv_min_max(self, sid):
-        """(cmin, cmax) from one MINMAX_RANDOMS of two key-width r's, each
-        a unit mod N, and one MINMAX_SELECTED for each side; anything
-        else is a ProtocolError."""
-        pk_da, sk_da = self.keys
-        n_do = self.pk_owner.n
-        width = self.pk_owner.key_bits // 8
-        randoms = self.csp_ch.recv(MINMAX_RANDOMS, session=sid).payload
-        if len(randoms) != 2 * width:
-            raise ProtocolError("min/max randoms of the wrong length")
-        inverses = []
-        for off in (0, width):
-            r = int.from_bytes(randoms[off:off + width], "big")
-            if not 1 <= r < n_do or math.gcd(r, n_do) != 1:
-                raise ProtocolError("min/max random is not a unit mod N")
-            inverses.append(pow(r, -1, n_do))
-        got = {}
-        for _ in range(2):
-            sel = self.da_do_ch.recv(MINMAX_SELECTED, session=sid)
-            side, off = read_int(sel.payload, 0, 1)
-            if side not in (0, 1) or side in got:
-                raise ProtocolError(f"unexpected min/max side {side}")
-            cipher, _ = paillier.parse_cipher_record(sel.payload, off,
-                                                     pk_da.key_id)
-            got[side] = paillier.decrypt(sk_da, cipher)
-        return tuple(got[side] * inverses[side] % n_do for side in (0, 1))

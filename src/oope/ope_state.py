@@ -16,9 +16,10 @@ recursing on each half, so the search visits what a balanced mOPE tree
 would, and its depth, OpeTable.height, is ceil(log2(n+1)) whatever
 order the entries arrived in.
 
-Frequency-hiding mode stores one entry per plaintext occurrence plus
-per-entry ciphertexts of the plaintext's minimum and maximum order,
-which range queries need for rewriting.
+Frequency-hiding mode stores one entry, one ciphertext, per plaintext
+occurrence.  A range query's ends, the lowest or highest order among
+the copies of a value, are found by a search (engine.DaEngine.bound), so the
+table stores no run extremes.
 """
 
 import os
@@ -39,10 +40,9 @@ from .wire import (ORDER_BYTES, fixed_bytes, read_bytes, read_int, seal, u16,
 MODE_DET, MODE_FH = "det", "fh"
 TABLE_MAGIC = b"OPET"
 OWNER_MAGIC = b"OPEO"
-TABLE_VERSION = 3  # 2: FLAG_UID entries; 3: sealed, no l or mode
+TABLE_VERSION = 4  # 2: FLAG_UID; 3: sealed, no l or mode; 4: no fh extremes
 OWNER_VERSION = 3  # 3: sealed, no l or M
 
-FLAG_FH = 1
 FLAG_TAGGED = 2
 FLAG_NODETAG = 4
 FLAG_UID = 8  # an analyst's uid upload: no cipher record
@@ -52,8 +52,6 @@ FLAG_UID = 8  # an analyst's uid upload: no cipher record
 class OpeEntry:
     cipher: paillier.HomCiphertext
     order: int
-    fh_min: Optional[paillier.HomCiphertext] = None
-    fh_max: Optional[paillier.HomCiphertext] = None
     tag: Optional[bytes] = None       # session id of an analyst insert
     node_tag: Optional[bytes] = None  # serialized integrity tag
 
@@ -238,7 +236,7 @@ def init_state(dataset, m: int, pk: paillier.PaillierPublicKey, l: int,
         return _local_insert_fh(sorted_pairs, xs, x, m, rng), True
 
     def respread():
-        # local respread during initialization; fh ciphertexts are only
+        # local respread during initialization; ciphertexts are only
         # computed afterwards, so this is safe in either mode
         if len(sorted_pairs) >= m - 1:
             raise CapacityError("order space exhausted at init")
@@ -266,26 +264,15 @@ def init_state(dataset, m: int, pk: paillier.PaillierPublicKey, l: int,
         owner.pairs.append((x, y))
 
     table = OpeTable(m, pk.key_bits, pk.key_id)
-    if mode == MODE_FH:
-        run_min = {}
-        run_max = {}
-        for x, y in sorted_pairs:
-            run_min[x] = min(run_min.get(x, y), y)
-            run_max[x] = max(run_max.get(x, y), y)
     entries, jobs = [], []
     for x, y in sorted_pairs:
-        # the plaintext, then fh's run minimum and maximum orders
-        plains = (x, run_min[x], run_max[x]) if mode == MODE_FH else (x,)
-        jobs.extend((v, paillier.fresh_r(pk, rng)) for v in plains)
+        jobs.append((x, paillier.fresh_r(pk, rng)))
         entry = OpeEntry(None, y)
         if tagger is not None:
             entry.node_tag = tagger(x)
         entries.append(entry)
-    ciphers = iter(_encrypt_all(pk, jobs))
-    for entry in entries:
-        entry.cipher = next(ciphers)
-        if mode == MODE_FH:
-            entry.fh_min, entry.fh_max = next(ciphers), next(ciphers)
+    for entry, cipher in zip(entries, _encrypt_all(pk, jobs)):
+        entry.cipher = cipher
         table.insert(entry)
     return owner, table
 
@@ -321,8 +308,8 @@ def _encrypt_all(pk, jobs):
 # Table body:
 #   key_bits u16 | M 16B | count u64 | key_id 32B
 #   per entry: order 16B | flags u8 | [cipher record, absent if UID] |
-#              [fh_min record | fh_max record] | [tag 16B] |
-#              [node tag: len u32 | blob]
+#              [tag 16B] | [node tag: len u32 | blob]
+# Flags: FLAG_TAGGED, FLAG_NODETAG, FLAG_UID; bit 1 is retired.
 # Owner body:
 #   count u64 | per pair: plaintext 16B | order 16B
 
@@ -330,16 +317,12 @@ def serialize_table(table: OpeTable) -> bytes:
     out = [u16(table.key_bits), fixed_bytes(table.m, 16),
            len(table).to_bytes(8, "big"), table.key_id or bytes(32)]
     for e in table.entries():
-        flags = (FLAG_FH if e.fh_min is not None else 0) | \
-            (FLAG_TAGGED if e.tag is not None else 0) | \
+        flags = (FLAG_TAGGED if e.tag is not None else 0) | \
             (FLAG_NODETAG if e.node_tag is not None else 0) | \
             (FLAG_UID if e.cipher is None else 0)
         out += [fixed_bytes(e.order, ORDER_BYTES), bytes([flags])]
         if e.cipher is not None:
             out.append(paillier.cipher_record(e.cipher, table.key_bits))
-        if e.fh_min is not None:
-            out += [paillier.cipher_record(e.fh_min, table.key_bits),
-                    paillier.cipher_record(e.fh_max, table.key_bits)]
         if e.tag is not None:
             out.append(e.tag)
         if e.node_tag is not None:
@@ -361,9 +344,6 @@ def parse_table(blob: bytes) -> OpeTable:
         if not flags & FLAG_UID:
             cipher, off = paillier.parse_cipher_record(body, off, key_id)
         entry = OpeEntry(cipher, order)
-        if flags & FLAG_FH:
-            entry.fh_min, off = paillier.parse_cipher_record(body, off, key_id)
-            entry.fh_max, off = paillier.parse_cipher_record(body, off, key_id)
         if flags & FLAG_TAGGED:
             entry.tag, off = read_bytes(body, off, 16)
         if flags & FLAG_NODETAG:

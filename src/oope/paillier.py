@@ -236,12 +236,6 @@ def hom_scale(pk: PaillierPublicKey, c: HomCiphertext, s: int) -> HomCiphertext:
     return HomCiphertext(powmod(c.value, s, pk.n_sq), pk.key_id)
 
 
-def hom_sub(pk: PaillierPublicKey, c1: HomCiphertext,
-            c2: HomCiphertext) -> HomCiphertext:
-    """Ciphertext of (m1 - m2) mod N, via c1 * c2^(N-1)."""
-    return hom_add(pk, c1, hom_scale(pk, c2, pk.n - 1))
-
-
 def _check_key(pk, c):
     if c.key_id != pk.key_id:
         raise KeyMismatchError("ciphertext belongs to a different key")

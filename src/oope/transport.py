@@ -47,6 +47,9 @@ GC_RESULT = 0x14
 SHARES = 0x15
 ORDER_RESULT = 0x16
 CIPHER_UPLOAD = 0x17
+# no code sends the MINMAX_* types any more (range bounds are found by
+# search, engine.DaEngine.bound); their numbers stay reserved, and the
+# benchmark still enumerates them until its next revision
 MINMAX_TRIPLE = 0x20
 MINMAX_RANDOMS = 0x21
 MINMAX_SELECTED = 0x22

@@ -66,6 +66,15 @@ def sandwich_holds(decrypted_sorted, ybar, xbar):
     return True
 
 
+def bound_orders(pairs, a, b, m):
+    """Ends of the order interval holding every plaintext in [a, b],
+    over (x, y) pairs: the lowest order of a plaintext >= a, M when
+    there is none, and the highest order of one <= b, 0 when there is
+    none."""
+    return (min((y for x, y in pairs if x >= a), default=m),
+            max((y for x, y in pairs if x <= b), default=0))
+
+
 def min_max_orders(pairs, x):
     """Eq-style min/max order of a plaintext over (x, y) pairs."""
     ys = [py for px, py in pairs if px == x]

@@ -1,5 +1,6 @@
 """Three-party sessions over loopback: correctness, hiding, aborts."""
 
+import contextlib
 import math
 import threading
 import time
@@ -7,12 +8,14 @@ import warnings
 
 import pytest
 
-from oracles import Mope2Oracle, min_max_orders, rank_interval_holds, \
-    sandwich_holds
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+from oracles import Mope2Oracle, bound_orders, min_max_orders, \
+    rank_interval_holds, sandwich_holds
 
-from oope import datastore, ope_state, paillier, transport
+from oope import datastore, integrity, ope_state, paillier, transport
 from oope.cluster import LocalCluster, build_cluster
-from oope.engine import DEFAULT_COLUMN, ProtocolParams
+from oope.engine import BOUND_HIGH, BOUND_LOW, DEFAULT_COLUMN, ProtocolParams
 from oope.errors import (ConfigurationError, FramingError, KeyMismatchError,
                          ProtocolError, SessionAborted, UsageError)
 from oope.ot import GROUP_TEST
@@ -56,6 +59,12 @@ def test_inserted_entries_are_tagged_and_decrypt(example_cluster):
     table, sk = ctx["table"], ctx["sk"]
     tagged = [e for e in table.entries() if e.tag is not None]
     assert {paillier.decrypt(sk, e.cipher) for e in tagged} == {15, 100}
+
+
+def test_bound_rejects_an_unknown_side(example_cluster):
+    cluster, _ = example_cluster
+    with pytest.raises(UsageError, match="side"):
+        cluster.da.bound(25, 2)
 
 
 def test_oracle_equivalence_random_datasets():
@@ -149,25 +158,31 @@ def test_flipped_share_bit_detected_and_state_rolled_back():
         cluster.close()
 
 
+@contextlib.contextmanager
+def failing_after_upload(cluster):
+    """The server stores each upload, then fails its session, which must
+    roll the insert back."""
+    real = cluster.csp._store_upload
+
+    def store_then_fail(*args):
+        real(*args)
+        raise ProtocolError("fault after the upload")
+
+    cluster.csp._store_upload = store_then_fail
+    try:
+        yield
+    finally:
+        del cluster.csp._store_upload
+
+
 def test_aborted_insert_restores_table():
     params = small_params()
     cluster, ctx = make_cluster(EXAMPLE, seed=41, params=params)
     try:
         table_before = ope_state.serialize_table(ctx["table"])
-        orig_send = cluster.da.csp_ch.send
-
-        def minmax_in_det_mode(frame):
-            # the server stores the upload, then refuses min/max in det
-            # mode and must roll the insert back
-            if frame.ftype == transport.SESSION_START:
-                frame = Frame(frame.ftype, frame.session_id,
-                              bytes([1]) + frame.payload[1:])
-            orig_send(frame)
-
-        cluster.da.csp_ch.send = minmax_in_det_mode
-        with pytest.raises(SessionAborted, match="frequency-hiding"):
+        with failing_after_upload(cluster), \
+                pytest.raises(SessionAborted, match="after the upload"):
             cluster.encrypt(15)
-        cluster.da.csp_ch.send = orig_send
         assert ope_state.serialize_table(ctx["table"]) == table_before
         oracle = Mope2Oracle(params.m).load(EXAMPLE)
         assert cluster.encrypt(15) == oracle.encrypt(15)
@@ -294,9 +309,9 @@ def test_malformed_garbled_payload_aborts_at_analyst(damage):
 
 
 @pytest.mark.parametrize("mode", ["det", "fh"])
-@pytest.mark.parametrize("damage", ["session_start", "da_shares",
-                                    "do_shares", "gc_result_empty",
-                                    "gc_result_long"])
+@pytest.mark.parametrize("damage", ["session_start", "session_op",
+                                    "da_shares", "do_shares",
+                                    "gc_result_empty", "gc_result_long"])
 def test_malformed_bit_vectors_abort_and_service_continues(mode, damage):
     params = small_params(mode=mode)
     cluster, ctx = make_cluster(EXAMPLE, seed=55, params=params)
@@ -304,13 +319,17 @@ def test_malformed_bit_vectors_abort_and_service_continues(mode, damage):
         # a dead serve thread fails this test in seconds, not minutes
         cluster.da.csp_ch.timeout = cluster.da.da_do_ch.timeout = 5
         orders_before = ctx["table"].orders()
+        # an empty SESSION_START or one whose op byte names no op
         ftype, payload, end = {
             "session_start": (transport.SESSION_START, b"", cluster.da.csp_ch),
+            "session_op": (transport.SESSION_START, b"\3", cluster.da.csp_ch),
             "da_shares": (transport.SHARES, b"", cluster.da.csp_ch),
             "do_shares": (transport.SHARES, b"", cluster.do.csp_ch),
             "gc_result_empty": (transport.GC_RESULT, b"", cluster.da.da_do_ch),
             "gc_result_long": (transport.GC_RESULT, b"\0\0",
                                cluster.da.da_do_ch)}[damage]
+        reason = "no known op" if ftype == transport.SESSION_START \
+            else "bit vector"
         orig_send = end.send
 
         def damaged(frame):
@@ -320,7 +339,7 @@ def test_malformed_bit_vectors_abort_and_service_continues(mode, damage):
 
         end.send = damaged
         t0 = time.monotonic()
-        with pytest.raises(SessionAborted, match="bit vector"):
+        with pytest.raises(SessionAborted, match=reason):
             cluster.encrypt(15)
         assert time.monotonic() - t0 < 5
         end.send = orig_send
@@ -387,21 +406,16 @@ def test_no_blind_is_sent_twice():
                               bytes([frame.payload[0] ^ 0b0100]))
             orig_send(frame)
 
-        def minmax_in_det_mode(frame):
-            if frame.ftype == transport.SESSION_START:
-                frame = Frame(frame.ftype, frame.session_id,
-                              bytes([1]) + frame.payload[1:])
-            orig_send(frame)
-
         h = ctx["table"].height
         cluster.encrypt(150)
         # aborted after its first round, then after its last one
-        for tamper, match in ((flip_share, "disagree"),
-                              (minmax_in_det_mode, "frequency-hiding")):
-            cluster.da.csp_ch.send = tamper
-            with pytest.raises(SessionAborted, match=match):
-                cluster.encrypt(250)
-            cluster.da.csp_ch.send = orig_send
+        cluster.da.csp_ch.send = flip_share
+        with pytest.raises(SessionAborted, match="disagree"):
+            cluster.encrypt(250)
+        cluster.da.csp_ch.send = orig_send
+        with failing_after_upload(cluster), \
+                pytest.raises(SessionAborted, match="after the upload"):
+            cluster.encrypt(250)
         for xbar in (250, 350, 1000, 5000):
             cluster.encrypt(xbar)
         offsets = sent("csp->da", transport.RANDOM_OFFSET)
@@ -461,20 +475,11 @@ def test_aborted_rebalance_leaves_owner_and_rows_on_table_orders(
             return real_rebalance(t)
 
         monkeypatch.setattr(ope_state, "rebalance", counting_rebalance)
-        orig_send = cluster.da.csp_ch.send
-
-        def minmax_in_det_mode(frame):
-            # the server rebalances, stores the upload, then refuses
-            # min/max in det mode and rolls the session back
-            if frame.ftype == transport.SESSION_START:
-                frame = Frame(frame.ftype, frame.session_id,
-                              bytes([1]) + frame.payload[1:])
-            orig_send(frame)
-
-        cluster.da.csp_ch.send = minmax_in_det_mode
-        with pytest.raises(SessionAborted, match="frequency-hiding"):
+        # the server rebalances, stores the upload, then fails and rolls
+        # the session back
+        with failing_after_upload(cluster), \
+                pytest.raises(SessionAborted, match="after the upload"):
             cluster.encrypt(19)
-        cluster.da.csp_ch.send = orig_send
         assert rebalances == [6]
         consistent()
         assert cluster.encrypt(19) == oracle.encrypt(19)
@@ -723,6 +728,14 @@ def test_unknown_transport_kind_rejected():
         make_cluster(EXAMPLE, transport_kind="TCP")
 
 
+@pytest.mark.parametrize("scheme", [integrity.SCHEME_DLMAC,
+                                    integrity.SCHEME_PEDERSEN])
+def test_integrity_without_mac_params_rejected(scheme):
+    params = small_params(integrity=scheme, mac_subgroup_bits=64)
+    with pytest.raises(ConfigurationError, match="no MAC parameters"):
+        make_cluster(EXAMPLE, params=params)
+
+
 @pytest.mark.parametrize("kind", ["loopback", "tcp"])
 def test_idle_cluster_outlives_the_receive_timeout(kind):
     params = small_params()
@@ -845,56 +858,105 @@ def test_fh_minmax_duplicate_tracks_run_extremes():
         cluster.close()
 
 
-@pytest.mark.parametrize("damage", ["zeroed_randoms", "repeated_side"])
-def test_malformed_minmax_frames_abort_and_service_continues(damage):
-    data = [10, 20, 30]
-    cluster, ctx = make_cluster(data, seed=93, params=fh_params(),
-                                record=True)
-    try:
-        cluster.da.csp_ch.timeout = cluster.da.da_do_ch.timeout = 5
-        ftype, end, reason = {
-            "zeroed_randoms": (transport.MINMAX_RANDOMS, cluster.csp.da_ch,
-                               "not a unit"),
-            "repeated_side": (transport.MINMAX_SELECTED, cluster.do.da_ch,
-                              "side 0")}[damage]
-        orig_send = end.send
+def rows_of(owner):
+    """A row store with one row per owner pair, in ingestion order."""
+    return datastore.RowStore(
+        public_columns=[], ope_columns=[DEFAULT_COLUMN],
+        rows=[datastore.EncryptedRow(i, {}, {DEFAULT_COLUMN: y})
+              for i, (_, y) in enumerate(owner.pairs)])
 
-        def damaged(frame):
-            if frame.ftype == ftype:
-                # zero every random, or claim side 0 for both selections
-                payload = bytes(len(frame.payload)) \
-                    if ftype == transport.MINMAX_RANDOMS \
-                    else b"\0" + frame.payload[1:]
-                frame = Frame(frame.ftype, frame.session_id, payload)
-            orig_send(frame)
 
-        end.send = damaged
-        t0 = time.monotonic()
-        with pytest.raises(SessionAborted, match=reason):
-            cluster.encrypt(25, minmax=True)
-        assert time.monotonic() - t0 < 5
-        end.send = orig_send
-        sent = cluster.transcripts()
-        for name in ("da->csp", "da->do"):
-            assert transport.ABORT in {blob[4] for blob in sent[name]}
-        # the server commits its insert before the analyst reads the
-        # min/max frames, so the aborted session's 25 stays in the table
-        assert len(ctx["table"]) == len(data) + 1
-        ybar, cmin, cmax = cluster.encrypt(15, minmax=True)
-        assert cmin == cmax == ybar
-        sk = ctx["sk"]
+RUN_VALUES = (10, 20, 30, 40)
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@example(mode="fh", small_m=False, data=[], repeated=(25, 1), inserts=[],
+         ranges=[(0, 50)])
+@example(mode="fh", small_m=False, data=[10, 20, 20, 20, 30],
+         repeated=(20, 4), inserts=[], ranges=[(20, 20), (15, 25)])
+@given(mode=st.sampled_from(["det", "fh"]), small_m=st.booleans(),
+       data=st.lists(st.sampled_from(RUN_VALUES), max_size=10),
+       repeated=st.tuples(st.sampled_from(RUN_VALUES + (25,)),
+                          st.integers(1, 4)),
+       inserts=st.lists(st.integers(0, 50), max_size=3),
+       ranges=st.lists(st.tuples(st.integers(0, 50), st.integers(0, 50)),
+                       min_size=1, max_size=3))
+def test_bounds_match_rank_oracle_and_count_rows(mode, small_m, data,
+                                                 repeated, inserts, ranges):
+    # duplicate-heavy runs, one value inserted again and again, then
+    # other values; range ends between 0 and 50 are often absent.  Det
+    # at M=67 also rebalances, and the rows follow.
+    m = 67 if small_m and mode == "det" else (1 << 20) - 3
+    cluster, ctx = make_cluster(data, seed=71,
+                                params=small_params(mode=mode, m=m))
+    table, sk = ctx["table"], ctx["sk"]
+    cluster.csp.rows = rows_of(ctx["owner"])
+
+    def count(interval):
+        return cluster.da.query({DEFAULT_COLUMN: interval})
+
+    def check_ranges():
+        before = ope_state.serialize_table(table)
         pairs = [(paillier.decrypt(sk, e.cipher), e.order)
-                 for e in ctx["table"].entries()]
-        assert rank_interval_holds(pairs, 15, ybar)
+                 for e in table.entries()]
+        for a, b in map(sorted, ranges):
+            ends = {v: (cluster.da.bound(v, BOUND_LOW),
+                        cluster.da.bound(v, BOUND_HIGH)) for v in (a, b)}
+            low, high = ends[a][0], ends[b][1]
+            assert (low, high) == bound_orders(pairs, a, b, m)
+            assert count((low, high, True, True)) == \
+                sum(a <= x <= b for x in data)
+            # each predicate's rewrite over one value's pair of bounds
+            for op, holds in (("<", b.__gt__), ("<=", b.__ge__),
+                              (">", a.__lt__), (">=", a.__le__)):
+                v = b if op.startswith("<") else a
+                interval = datastore.interval_from_predicate(op, ends[v],
+                                                             fh=True)
+                assert count(interval) == sum(map(holds, data))
+        # a bound inserts nothing
+        assert ope_state.serialize_table(table) == before
+
+    try:
+        check_ranges()
+        x, times = repeated
+        for _ in range(times):
+            cluster.encrypt(x)
+        check_ranges()
+        for x in inserts:
+            cluster.encrypt(x)
+        check_ranges()
         assert not cluster.errors
     finally:
         cluster.close()
 
 
-def test_fh_minmax_requires_fh_mode():
-    cluster, _ = make_cluster(EXAMPLE, seed=67, params=small_params(m=28))
-    try:
-        with pytest.raises(UsageError):
-            cluster.encrypt(15, minmax=True)
-    finally:
-        cluster.close()
+@pytest.mark.parametrize("scheme", [integrity.SCHEME_OFF,
+                                    integrity.SCHEME_PEDERSEN])
+def test_owner_cannot_tell_a_bound_from_an_encrypt(scheme):
+    # the same seeded table and OT state, one session each: the frames
+    # the owner sends and receives in either bound session have the
+    # types and lengths of those in an encrypt session
+    mac_params = None if scheme == integrity.SCHEME_OFF else \
+        integrity.gen_mac_params(512, 64, rng=make_rng(3))
+    params = fh_params(integrity=scheme, mac_subgroup_bits=64)
+    owner_ends = ("csp->do", "do->csp", "do->da", "da->do")
+
+    def owner_view(session):
+        cluster, _ = make_cluster([10, 20, 20, 30, 40, 40, 40], seed=79,
+                                  params=params, mac_params=mac_params,
+                                  record=True)
+        try:
+            start = {n: len(v) for n, v in cluster.transcripts().items()}
+            session(cluster)
+            assert not cluster.errors
+            return [(name, blob[4], len(blob))
+                    for name, blobs in cluster.transcripts().items()
+                    if name in owner_ends for blob in blobs[start[name]:]]
+        finally:
+            cluster.close()
+
+    encrypt = owner_view(lambda c: c.encrypt(20))
+    assert ("csp->do", transport.SESSION_DONE, 21) in encrypt
+    for side in (BOUND_LOW, BOUND_HIGH):
+        assert owner_view(lambda c: c.da.bound(20, side)) == encrypt

@@ -97,18 +97,6 @@ def test_hom_scale(keys):
         assert paillier.decrypt(sk, c) == m * s % pk.n
 
 
-def test_blinded_difference_zero_iff_equal(keys):
-    # (x_i - xbar) * s is zero mod N exactly when x_i == xbar
-    pk, sk = keys
-    rng = make_rng(19)
-    for x_i in range(8):
-        for xbar in range(8):
-            diff = paillier.hom_sub(pk, paillier.encrypt(pk, x_i, rng),
-                                    paillier.encrypt(pk, xbar, rng))
-            d = paillier.hom_scale(pk, diff, rng.randrange(1, pk.n))
-            assert (paillier.decrypt(sk, d) == 0) == (x_i == xbar)
-
-
 def test_crt_equals_direct(keys):
     pk, sk = keys
     rng = make_rng(23)

@@ -3,8 +3,9 @@
 import pytest
 
 from oope import integrity, transport
-from oope.cluster import build_cluster
-from oope.engine import ProtocolParams
+from oope.cluster import LocalCluster, build_cluster
+from oope.engine import (BOUND_HIGH, BOUND_LOW, OP_BOUND_HIGH, OP_BOUND_LOW,
+                         OP_ENCRYPT, ProtocolParams)
 from oope.ot import GROUP_TEST
 from oope.rng import make_rng
 
@@ -12,8 +13,9 @@ from oope.rng import make_rng
 MAC_PARAMS = integrity.gen_mac_params(512, 160, rng=make_rng(77))
 
 
-def run(kind, seed=2024, queries=(77, 300, 77), data=None, minmax=False,
-        m=(1 << 20) - 3, mac_params=None, **params_kw):
+def run(kind, seed=2024, queries=(77, 300, 77), data=None,
+        session=LocalCluster.encrypt, m=(1 << 20) - 3, mac_params=None,
+        **params_kw):
     params = ProtocolParams(l=16, k=16, m=m, key_bits=256, **params_kw)
     if data is None:
         rng = make_rng(99)
@@ -22,7 +24,7 @@ def run(kind, seed=2024, queries=(77, 300, 77), data=None, minmax=False,
                                  mac_params=mac_params, record=True,
                                  transport_kind=kind)
     try:
-        orders = [cluster.encrypt(x, minmax=minmax) for x in queries]
+        orders = [session(cluster, x) for x in queries]
         transcripts = cluster.transcripts()
     finally:
         cluster.close()
@@ -54,11 +56,21 @@ def test_loopback_and_tcp_identical_across_rebalances():
     assert rebalances
 
 
-def test_loopback_and_tcp_identical_fh_minmax():
+def bounds_and_encrypt(cluster, x):
+    return (cluster.da.bound(x, BOUND_LOW), cluster.da.bound(x, BOUND_HIGH),
+            cluster.encrypt(x))
+
+
+@pytest.mark.parametrize("mode", ["det", "fh"])
+def test_loopback_and_tcp_identical_bound(mode):
+    # 50 is absent at its bounds; 9 and 100 are runs in fh
     loop = assert_identical(data=[5, 9, 9, 100, 100, 100, 300],
-                            queries=(100, 9, 50, 100), minmax=True,
-                            mode="fh")
-    assert any(b[4] == transport.MINMAX_TRIPLE for b in loop["csp->do"])
+                            queries=(100, 9, 50, 100),
+                            session=bounds_and_encrypt, mode=mode)
+    starts = [b[21] for b in loop["da->csp"] if b[4] == transport.SESSION_START]
+    assert starts == [OP_BOUND_LOW, OP_BOUND_HIGH, OP_ENCRYPT] * 4
+    # only the encrypts upload
+    assert sum(b[4] == transport.CIPHER_UPLOAD for b in loop["da->csp"]) == 4
 
 
 @pytest.mark.parametrize("scheme", [integrity.SCHEME_DLMAC,
