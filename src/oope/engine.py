@@ -20,20 +20,22 @@ comparison rounds; once the search stops, the remaining rounds replay
 the same node so neither the owner nor the analyst learns where the
 value landed.
 
-No full-size exponentiation waits on a peer where it need not.  A
-round's blind, r and Enc(r) (plus r' and Enc(r') under Pedersen),
-does not depend on the comparison, so the server makes it one round
-ahead: right after sending a round's frames and before waiting for its
-shares.  The blind made in a session's last round serves the next
-session's first.  A blind is spent once its round starts sending, so
-one that an abort leaves unsent serves a later round, and none is sent
-twice.  The analyst builds its whole upload right after SESSION_START,
-while the peers run the first round, and sends it unchanged once the
-order arrives.  The owner decrypts blinded nodes with the mod-P half of
-the CRT alone (paillier.decrypt), since it range-checks them; the
-Pedersen a + r' has no range check and stays on the full CRT.  These
-exponentiations release the interpreter lock, so they overlap the
-peers' work.
+No exponentiation waits on a peer where it need not.  Encryptions use
+short exponents (paillier): each is one 256-bit exponentiation of the
+key's fixed h^N instead of a full-size r^N, about a seventh of the
+work on a 2048-bit key.  A round's blind, r and Enc(r) (plus r' and
+Enc(r') under Pedersen), does not depend on the comparison, so the
+server still makes it one round ahead: right after sending a round's
+frames and before waiting for its shares.  The blind made in a
+session's last round serves the next session's first.  A blind is
+spent once its round starts sending, so one that an abort leaves
+unsent serves a later round, and none is sent twice.  The analyst
+builds its whole upload right after SESSION_START, while the peers run
+the first round, and sends it unchanged once the order arrives.  The
+owner decrypts blinded nodes with the mod-P half of the CRT alone
+(paillier.decrypt), since it range-checks them; the Pedersen a + r'
+has no range check and stays on the full CRT.  These exponentiations
+release the interpreter lock, so they overlap the peers' work.
 
 A session that runs out of gaps rebalances the table at once but hands
 the remap to the owner (REBALANCE) only at its commit point, just

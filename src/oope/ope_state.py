@@ -214,10 +214,12 @@ def init_state(dataset, m: int, pk: paillier.PaillierPublicKey, l: int,
     were inserted in.  tagger, when given, is called with each plaintext
     to produce the serialized integrity tag stored next to the entry.
 
-    Every encryption's r is drawn on the calling thread, entry by entry
-    and interleaved with the tagger's draws, before any exponentiation
-    runs; the exponentiations then spread over the cores (_encrypt_all).
-    So a seeded table is the same on any number of cores.
+    Every encryption's short exponent alpha (paillier.fresh_alpha) is
+    drawn on the calling thread, entry by entry and interleaved with the
+    tagger's draws, and the key's h^N is computed there once, before any
+    worker runs; the exponentiations then spread over the cores
+    (_encrypt_all).  So a seeded table is the same on any number of
+    cores, and no worker recomputes h^N.
     """
     dataset = list(dataset)
     n = len(dataset)
@@ -266,11 +268,12 @@ def init_state(dataset, m: int, pk: paillier.PaillierPublicKey, l: int,
     table = OpeTable(m, pk.key_bits, pk.key_id)
     entries, jobs = [], []
     for x, y in sorted_pairs:
-        jobs.append((x, paillier.fresh_r(pk, rng)))
+        jobs.append((x, paillier.fresh_alpha(rng)))
         entry = OpeEntry(None, y)
         if tagger is not None:
             entry.node_tag = tagger(x)
         entries.append(entry)
+    pk.h_n  # cached here, so the workers share it
     for entry, cipher in zip(entries, _encrypt_all(pk, jobs)):
         entry.cipher = cipher
         table.insert(entry)
@@ -278,7 +281,7 @@ def init_state(dataset, m: int, pk: paillier.PaillierPublicKey, l: int,
 
 
 def _encrypt_all(pk, jobs):
-    """paillier.encrypt of every (plaintext, r) job, in job order.
+    """paillier.encrypt of every (plaintext, alpha) job, in job order.
 
     The jobs run in os.cpu_count() contiguous slices: the calling thread
     runs the first, a thread pool the others; powmod releases the
@@ -289,7 +292,7 @@ def _encrypt_all(pk, jobs):
     workers = min(os.cpu_count() or 1, len(jobs))
 
     def run(chunk):
-        return [paillier.encrypt(pk, v, r=r) for v, r in chunk]
+        return [paillier.encrypt(pk, v, alpha=a) for v, a in chunk]
 
     if workers <= 1:
         return run(jobs)

@@ -218,6 +218,21 @@ def test_table_under_another_key_refused(tmp_path, keys):
         datastore.load_csp_state(tmp_path)
 
 
+def test_public_key_copies_share_h_n(state_dirs, keys):
+    # h^N depends on N alone, so the analyst's parsed key and a restored
+    # server encrypt byte-equal ciphertexts from equally seeded rngs
+    pk, _ = keys
+    parsed, _ = paillier.parse_public_key(paillier.serialize_public_key(pk))
+    _, restored, _, _ = datastore.load_csp_state(state_dirs / "csp")
+    assert parsed is not pk and restored is not pk
+    assert parsed.h_n == restored.h_n == pk.h_n
+    for m in (0, 7, pk.n - 1):
+        records = {paillier.cipher_record(paillier.encrypt(key, m, make_rng(m)),
+                                          pk.key_bits)
+                   for key in (pk, parsed, restored)}
+        assert len(records) == 1
+
+
 # --- sealed state files ------------------------------------------------------
 
 # file kind -> (state directory, file name)

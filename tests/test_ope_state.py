@@ -247,6 +247,25 @@ def test_setup_fan_out_matches_serial(keys, monkeypatch, mode, tagged):
         data if mode == "fh" else set(data))
 
 
+def test_setup_derives_h_n_once_on_the_calling_thread(keys, monkeypatch):
+    pk, sk = keys
+    fresh, _ = paillier.parse_public_key(paillier.serialize_public_key(pk))
+    derive = paillier._derive_h
+    calls = []
+
+    def recording_derive(n):
+        calls.append(threading.get_ident())
+        return derive(n)
+
+    monkeypatch.setattr(paillier, "_derive_h", recording_derive)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    _, table = init_state(range(0, 60, 3), (1 << 20) - 3, fresh, l=16,
+                          rng=make_rng(4))
+    assert calls == [threading.get_ident()]
+    assert [paillier.decrypt(sk, e.cipher) for e in table.entries()] == \
+        list(range(0, 60, 3))
+
+
 def test_owner_file_of_another_version_refused(keys):
     owner, _ = example_state(keys)
     body = unseal(ope_state.serialize_owner(owner), ope_state.OWNER_MAGIC,

@@ -1,6 +1,7 @@
 """Homomorphic core: roundtrips, homomorphisms, optimizations, wire format."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -134,6 +135,69 @@ def test_decrypt_mod_p_passes_out_of_range_only_with_a_factor(keys, data):
     assert s == m % sk.p
     if s < below:
         assert math.gcd(m - s, pk.n) == sk.p
+
+
+def textbook_encrypt(pk, m, rng):
+    """Full-range Paillier, (1+mN) * r^N mod N^2 with r uniform in Z_N*:
+    the oracle for the short-exponent encrypt."""
+    while True:
+        r = rng.randrange(1, pk.n)
+        if math.gcd(r, pk.n) == 1:
+            break
+    value = (1 + m * pk.n) * pow(r, pk.n, pk.n_sq) % pk.n_sq
+    return paillier.HomCiphertext(value, pk.key_id)
+
+
+@pytest.mark.parametrize("bits", [256, 2048])
+def test_short_exponent_agrees_with_full_range_oracle(key_sizes, bits):
+    pk, sk = key_sizes[bits]
+    rng = make_rng(bits)
+    below = 1 << 66  # at most P on both key sizes: the mod-P path
+    for m in (0, 1, below - 1, rng.randrange(below), rng.randrange(pk.n)):
+        short = paillier.encrypt(pk, m, rng)
+        full = textbook_encrypt(pk, m, rng)
+        for c in (short, full):
+            assert paillier.decrypt(sk, c) == \
+                paillier.decrypt_direct(sk, c) == m
+            if m < below:
+                assert paillier.decrypt(sk, c, below=below) == m
+        m2 = rng.randrange(pk.n)
+        mixed = paillier.hom_add(pk, short, textbook_encrypt(pk, m2, rng))
+        assert paillier.decrypt(sk, mixed) == (m + m2) % pk.n
+        assert paillier.decrypt(sk, paillier.hom_add(
+            pk, full, paillier.encrypt(pk, m2, rng))) == (m + m2) % pk.n
+
+
+def test_alpha_draws_lie_in_range(keys):
+    pk, _ = keys
+    asked = []
+
+    class RecordingRng(random.Random):
+        def randrange(self, *args):
+            asked.append(args)
+            return super().randrange(*args)
+
+    rng = RecordingRng(59)
+    alphas = [paillier.fresh_alpha(rng) for _ in range(2000)]
+    assert set(asked) == {(1, 1 << paillier.ALPHA_BITS)}
+    assert all(1 <= a < 1 << 256 for a in alphas)
+    assert max(a.bit_length() for a in alphas) == 256
+    # encrypt draws the same alpha itself and takes one from its caller
+    for a in (1, alphas[0], (1 << 256) - 1):
+        c = paillier.encrypt(pk, 5, alpha=a)
+        assert c.value == (1 + 5 * pk.n) * pow(pk.h_n, a, pk.n_sq) % pk.n_sq
+    assert paillier.encrypt(pk, 5, make_rng(3)) == \
+        paillier.encrypt(pk, 5, alpha=paillier.fresh_alpha(make_rng(3)))
+
+
+def test_h_n_is_a_fixed_nth_residue_of_n(key_sizes):
+    # h^N is an N-th residue (order dividing lam) and not 1, the same on
+    # every key object over N, and differs between moduli
+    for pk, sk in key_sizes.values():
+        assert pk.h_n != 1 and math.gcd(pk.h_n, pk.n) == 1
+        assert pow(pk.h_n, sk.lam, pk.n_sq) == 1
+        assert paillier.PaillierPublicKey(pk.n, pk.key_bits).h_n == pk.h_n
+    assert key_sizes[256][0].h_n != key_sizes[2048][0].h_n
 
 
 def test_fast_g_equals_textbook(keys):
