@@ -1,4 +1,4 @@
-"""Boolean comparator circuits and their reference evaluator.
+"""Boolean comparator circuits.
 
 One circuit computes both the inequality bit [xbar != x] and the
 greater-than bit [xbar > x] over w-bit inputs, then XORs each output
@@ -20,7 +20,7 @@ holding x, evaluator = analyst holding xbar):
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import DomainError, UsageError
+from .errors import DomainError
 
 XOR, AND, OR, NOT = "XOR", "AND", "OR", "NOT"
 NONFREE_OPS = (AND, OR)
@@ -138,29 +138,4 @@ def build_fh_comparator(width: int) -> BooleanCircuit:
                  c.emit(XOR, c.emit(AND, prev_e, b_e), s_e),
                  c.emit(XOR, chosen, s_r)]
     return c
-
-
-def eval_plain(circuit: BooleanCircuit, gen_bits, eval_bits):
-    """Reference gate-by-gate evaluation; the garbling oracle."""
-    if len(gen_bits) != len(circuit.gen_inputs) or \
-            len(eval_bits) != len(circuit.eval_inputs):
-        raise UsageError("incomplete input assignment")
-    values = {}
-    for w, b in zip(circuit.gen_inputs, gen_bits):
-        values[w] = b & 1
-    for w, b in zip(circuit.eval_inputs, eval_bits):
-        values[w] = b & 1
-    for g in circuit.gates:
-        a = values[g.a]
-        if g.op == NOT:
-            values[g.out] = a ^ 1
-        elif g.op == XOR:
-            values[g.out] = a ^ values[g.b]
-        elif g.op == AND:
-            values[g.out] = a & values[g.b]
-        elif g.op == OR:
-            values[g.out] = a | values[g.b]
-        else:
-            raise UsageError(f"unknown gate op {g.op}")
-    return tuple(values[w] for w in circuit.outputs)
 

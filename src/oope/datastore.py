@@ -12,12 +12,12 @@ import csv
 import json
 import os
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 from . import integrity, ope_state, paillier
 from .engine import ProtocolParams
-from .errors import DomainError
+from .errors import ConfigurationError, DomainError
 from .ope_state import MODE_DET, OpeTable
 from .rng import make_rng
 from .wire import (ORDER_BYTES, fixed_bytes, read_bytes, read_int, read_lp,
@@ -282,6 +282,22 @@ def _columns(path, prefix):
             if name.startswith(prefix) and name.endswith(".bin")}
 
 
+def _load_params(path) -> ProtocolParams:
+    """The directory's params.json; a field ProtocolParams does not
+    have or a value it rejects, such as a retired option that an older
+    version saved, is a ConfigurationError."""
+    spec = json.loads(_read(path, "params.json"))
+    known = {f.name for f in fields(ProtocolParams)}
+    if not isinstance(spec, dict):
+        raise ConfigurationError("params.json holds no object")
+    unknown = sorted(set(spec) - known)
+    if unknown:
+        raise ConfigurationError(f"params.json has unknown fields {unknown}")
+    params = ProtocolParams(**spec)
+    params.validate()
+    return params
+
+
 def save_csp_state(path, params: ProtocolParams, pk, tables: dict,
                    rows: RowStore):
     os.makedirs(path, exist_ok=True)
@@ -296,7 +312,7 @@ def save_csp_state(path, params: ProtocolParams, pk, tables: dict,
 def load_csp_state(path):
     """(params, pk, tables, rows); a table under another key than pk is a
     KeyMismatchError."""
-    params = ProtocolParams(**json.loads(_read(path, "params.json")))
+    params = _load_params(path)
     pk, _ = paillier.parse_public_key(
         unseal(_read(path, "pk.bin"), PK_MAGIC, KEY_FILE_VERSION))
     tables = {col: ope_state.parse_table(blob)
@@ -321,7 +337,7 @@ def save_do_state(path, params: ProtocolParams, sk, owners: dict,
 
 def load_do_state(path):
     """(params, sk, owners, mac_params or None)."""
-    params = ProtocolParams(**json.loads(_read(path, "params.json")))
+    params = _load_params(path)
     sk, _ = paillier.parse_private_key(
         unseal(_read(path, "key.bin"), KEY_MAGIC, KEY_FILE_VERSION))
     owners = {col: ope_state.parse_owner(blob)

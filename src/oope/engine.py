@@ -16,9 +16,11 @@ circuit output (ProtocolParams.masked_outputs: two in det, one in fh),
 the analyst returns the masked outputs to the owner (GC_RESULT), and
 each sends the server its masks and the outputs with its own mask taken
 off (SHARES).  A session always runs exactly h = ceil(log2(n+1))
-comparison rounds; once the search stops, the remaining rounds replay
-the same node so neither the owner nor the analyst learns where the
-value landed.
+comparison rounds, in every mode and for every op, and each of them
+sends the owner one blinded node; once the search stops, the remaining
+rounds replay the same node so neither the owner nor the analyst learns
+where the value landed.  The analyst learns only the order, and the
+owner nothing about the query.
 
 No exponentiation waits on a peer where it need not.  Encryptions use
 short exponents (paillier): each is one 256-bit exponentiation of the
@@ -31,18 +33,22 @@ session's last round serves the next session's first.  A blind is
 spent once its round starts sending, so one that an abort leaves
 unsent serves a later round, and none is sent twice.  The analyst
 builds its whole upload right after SESSION_START, while the peers run
-the first round, and sends it unchanged once the order arrives.  The
+the first round, and sends it unchanged once the order arrives.
+CIPHER_UPLOAD is Enc(xbar) as one cipher record, followed under
+Pedersen by its node tag (the commitment and Enc(a)), and nothing else.
+Every cipher record is exactly paillier.cipher_width bytes wide, so a
+malformed upload aborts the session instead of reaching the table.  The
 owner decrypts blinded nodes with the mod-P half of the CRT alone
 (paillier.decrypt), since it range-checks them; the Pedersen a + r'
 has no range check and stays on the full CRT.  These exponentiations
 release the interpreter lock, so they overlap the peers' work.
 
-A session that runs out of gaps rebalances the table at once but hands
-the remap to the owner (REBALANCE) only at its commit point, just
-before SESSION_DONE.  The owner acknowledges it with an empty
-REBALANCE, and the server applies the remap to its row store and ends
-the session only after that, so when the analyst's encrypt returns,
-owner, table and rows hold the same orders.
+A session that runs out of gaps, in either mode, rebalances the table
+at once but hands the remap to the owner (REBALANCE) only at its commit
+point, just before SESSION_DONE.  The owner acknowledges it with an
+empty REBALANCE, and the server applies the remap to its row store and
+ends the session only after that, so when the analyst's encrypt
+returns, owner, table and rows hold the same orders.
 
 Garbled labels are 128-bit ints (garbling); the owner hands its OT
 sender int label pairs and the analyst gets ints back from its OT
@@ -101,17 +107,13 @@ from .transport import (CIPHER_UPLOAD, CLEANUP, CLEANUP_DONE, Frame,
                         GC_PAYLOAD, GC_RESULT, QUERY_EXEC, QUERY_RESULT,
                         INTEGRITY_PROOF, INTEGRITY_TAG, NULL_SESSION,
                         ORDER_RESULT, OT_MSG, RANDOM_OFFSET, RANDOMIZED_NODE,
-                        REBALANCE, SESSION_DONE, SESSION_START, SHARES,
-                        UID_COMPARE)
+                        REBALANCE, SESSION_DONE, SESSION_START, SHARES)
 from .wire import fixed_bytes, lp, read_bytes, read_int, read_lp, u16, u32
 
 BOUND_LOW, BOUND_HIGH = 0, 1  # which end of a range a bound closes
 
 # SESSION_START's op byte; a bound's is OP_BOUND_LOW + side
 OP_ENCRYPT, OP_BOUND_LOW, OP_BOUND_HIGH = 0, 1, 2
-
-UPLOAD_CIPHER = 0
-UPLOAD_UID = 1
 
 OFFSET_BYTES = 16      # additive blinding offsets on the wire
 PED_BLIND_BYTES = 64   # commitment-randomness blinding offsets
@@ -132,7 +134,6 @@ class ProtocolParams:
     key_bits: int = 2048
     integrity: str = _SCHEME_OFF
     mac_subgroup_bits: int = _DEFAULT_SUBGROUP_BITS
-    uid_upload: bool = False
 
     @property
     def width(self) -> int:
@@ -150,22 +151,21 @@ class ProtocolParams:
         blob = (b"oope-params" + u16(transport.PROTOCOL_VERSION) +
                 u16(self.l) + u16(self.k) + fixed_bytes(self.m, 16) +
                 self.mode.encode() + b"|" + self.integrity.encode() +
-                bytes([self.uid_upload]) + u16(self.key_bits) +
-                u16(self.mac_subgroup_bits))
+                u16(self.key_bits) + u16(self.mac_subgroup_bits))
         return hashlib.sha256(blob).digest()
 
     def validate(self):
         if self.mode not in (MODE_DET, MODE_FH):
             raise ConfigurationError(f"unknown mode {self.mode!r}")
+        if self.integrity not in integrity.SCHEMES:
+            raise ConfigurationError(
+                f"unknown integrity scheme {self.integrity!r}")
         if self.integrity == integrity.SCHEME_PEDERSEN and \
                 self.key_bits < self.mac_subgroup_bits + self.k + 8:
             raise ConfigurationError(
                 "key too small to blind commitment randomness")
         if self.mac_subgroup_bits + self.k > 8 * PED_BLIND_BYTES:
             raise ConfigurationError("commitment blinding exceeds wire width")
-        if self.uid_upload and self.mode == MODE_FH:
-            raise ConfigurationError(
-                "uid upload is excluded from frequency-hiding mode")
 
     def build_circuit(self):
         if self.mode == MODE_FH:
@@ -207,17 +207,12 @@ def wire_group(v: int, mac_params) -> bytes:
 
 
 def make_node_tagger(scheme, mac_params, pk, rng):
-    """Closure mapping a plaintext x to its serialized integrity tag: the
-    DL-MAC g^x, or the Pedersen commitment to x under a fresh a followed
-    by Enc(a).  The owner tags each plaintext at initialization and the
-    analyst its upload, so both build a tag the same way."""
+    """Closure mapping a plaintext x to its serialized integrity tag, the
+    Pedersen commitment to x under a fresh a followed by Enc(a), or None
+    with integrity off.  The owner tags each plaintext at initialization
+    and the analyst its upload, so both build a tag the same way."""
     if scheme == integrity.SCHEME_OFF:
         return None
-    if scheme == integrity.SCHEME_DLMAC:
-        def tag(x):
-            return wire_group(integrity.dl_mac_make(x, mac_params),
-                              mac_params)
-        return tag
 
     def tag(x):
         a = rng.randrange(mac_params.q)
@@ -293,11 +288,16 @@ def _bound_order(table, op, node, b_e, b_g):
     return gap[1] if op == OP_BOUND_LOW else gap[0]
 
 
-def _parse_ped_tag(blob, key_id):
+def _parse_ped_tag(blob, pk):
+    """(commitment blob, Enc(a)) of a node tag; the tag holds nothing
+    else."""
     if not blob:
         raise IntegrityError("node lacks its integrity tag")
     commit, off = read_lp(blob, 0)
-    a_cipher, off = paillier.parse_cipher_record(blob, off, key_id)
+    a_cipher, off = paillier.parse_cipher_record(blob, off, pk.key_id,
+                                                 pk.key_bits)
+    if off != len(blob):
+        raise ProtocolError("node tag has trailing bytes")
     return commit, a_cipher
 
 
@@ -323,7 +323,6 @@ class CspEngine:
         self.rng = rng or make_rng()
         self.do_ch = None
         self.da_ch = None
-        self.sessions_served = 0  # rate-limiting hook for host applications
         self._blind = None  # the next round's blind, made but never sent
 
     def attach(self, do_ch, da_ch):
@@ -424,7 +423,6 @@ class CspEngine:
                 self._publish_remap(sid, column, remap)
             self.do_ch.send(Frame(SESSION_DONE, sid))
             self.da_ch.send(Frame(SESSION_DONE, sid))
-            self.sessions_served += 1
             return ybar
         except SessionAborted as e:
             for action in reversed(undo):
@@ -460,21 +458,17 @@ class CspEngine:
         r, c_r, rp, c_rp = self._blind or self._make_blind()
         payload = paillier.cipher_record(
             paillier.hom_add(pk, entry.cipher, c_r), pk.key_bits)
-        extra_da = b""
-        if p.integrity == integrity.SCHEME_DLMAC:
-            if not entry.node_tag:
-                raise IntegrityError("node lacks its integrity tag")
-            extra_da = lp(entry.node_tag)
-        elif p.integrity == integrity.SCHEME_PEDERSEN:
-            commit_blob, a_cipher = _parse_ped_tag(entry.node_tag, pk.key_id)
+        pedersen = p.integrity == integrity.SCHEME_PEDERSEN
+        if pedersen:
+            commit_blob, a_cipher = _parse_ped_tag(entry.node_tag, pk)
             payload += paillier.cipher_record(
                 paillier.hom_add(pk, a_cipher, c_rp), pk.key_bits)
-            extra_da = lp(commit_blob) + fixed_bytes(rp, PED_BLIND_BYTES)
         self._blind = None  # spent from the first send on, sent or not
         self.do_ch.send(Frame(RANDOMIZED_NODE, sid, payload))
         self.da_ch.send(Frame(RANDOM_OFFSET, sid, _offset_blob(r)))
-        if p.integrity != integrity.SCHEME_OFF:
-            self.da_ch.send(Frame(INTEGRITY_TAG, sid, extra_da))
+        if pedersen:
+            self.da_ch.send(Frame(INTEGRITY_TAG, sid, lp(commit_blob) +
+                                  fixed_bytes(rp, PED_BLIND_BYTES)))
         # the next round's blind, in this session or the next, is made
         # while owner and analyst work on this round
         self._blind = self._make_blind()
@@ -483,8 +477,6 @@ class CspEngine:
         """(b_e, side) for one node.  Each output is rebuilt twice,
         crosswise: one peer's masked output with its mask taken off,
         XOR the other peer's mask."""
-        if entry.cipher is None:
-            return self._uid_compare_round(sid, entry)
         self._blind_node(sid, entry)
         n = self.params.masked_outputs
         da = _unpack_bits(self.da_ch.recv(SHARES, session=sid).payload, 2 * n)
@@ -495,12 +487,6 @@ class CspEngine:
         # fh's one traversal bit always moves the search
         return (1, bits[0]) if n == 1 else tuple(bits)
 
-    def _uid_compare_round(self, sid, entry):
-        # analyst-owned node: the analyst alone resolves the comparison
-        self.da_ch.send(Frame(UID_COMPARE, sid, entry.tag))
-        bits = _unpack_bits(self.da_ch.recv(SHARES, session=sid).payload, 2)
-        return bits[0], bits[1]
-
     # -- order assignment and state updates --
 
     def _encrypt_order(self, table, b_g, node_order, undo):
@@ -510,10 +496,6 @@ class CspEngine:
         try:
             return ope_state.assign_order(y_l, y_r), None
         except GapExhausted:
-            if self.params.mode == MODE_FH:
-                raise CapacityError(
-                    "unit gap requires a rebalance, which frequency-hiding "
-                    "state does not support") from None
             remap = ope_state.rebalance(table)
             undo.append(lambda: table.reassign_orders(
                 {v: k for k, v in remap.items()}))
@@ -539,18 +521,19 @@ class CspEngine:
             self.rows.apply_remap(column, remap)
 
     def _store_upload(self, sid, table, payload, ybar, undo):
-        kind, off = read_int(payload, 0, 1)
+        """Insert the analyst's CIPHER_UPLOAD: Enc(xbar), then under
+        Pedersen its node tag, and nothing else."""
         pk = self.pk
-        if kind == UPLOAD_UID:
-            if not self.params.uid_upload or self.params.mode == MODE_FH:
-                raise ProtocolError("uid upload not allowed by configuration")
-            uid, off = read_bytes(payload, off, 16)
-            entry = OpeEntry(None, ybar, tag=uid)
-        else:
-            cipher, off = paillier.parse_cipher_record(payload, off, pk.key_id)
-            entry = OpeEntry(cipher, ybar, tag=sid)
-            if off < len(payload):
-                entry.node_tag, off = read_lp(payload, off)
+        cipher, off = paillier.parse_cipher_record(payload, 0, pk.key_id,
+                                                   pk.key_bits)
+        entry = OpeEntry(cipher, ybar, tag=sid)
+        if self.params.integrity == integrity.SCHEME_PEDERSEN:
+            entry.node_tag, off = read_lp(payload, off)
+            # checked now: a malformed tag stored here would abort every
+            # later session that visits the node
+            _parse_ped_tag(entry.node_tag, pk)
+        if off != len(payload):
+            raise ProtocolError("upload has trailing bytes")
         table.insert(entry)
         undo.append(lambda: table.remove(ybar))
 
@@ -661,8 +644,9 @@ class DoEngine:
         sid = frame.session_id
         p = self.params
         payload = frame.payload
-        cipher, off = paillier.parse_cipher_record(payload, 0,
-                                                   self.sk.public.key_id)
+        pk = self.sk.public
+        cipher, off = paillier.parse_cipher_record(payload, 0, pk.key_id,
+                                                   pk.key_bits)
         # x + r lies below this bound, far below P: the mod-P half of the
         # CRT decrypts it, and the range check keeps its strength
         # (paillier.decrypt)
@@ -672,15 +656,11 @@ class DoEngine:
             raise IntegrityError("blinded node out of range")
         if p.integrity == integrity.SCHEME_PEDERSEN:
             a_cipher, off = paillier.parse_cipher_record(
-                payload, off, self.sk.public.key_id)
+                payload, off, pk.key_id, pk.key_bits)
             # full CRT: the analyst chose a and nothing range-checks
             # a + r', so a mod-P result would tell it whether a + r' < P
             a_blind = paillier.decrypt(self.sk, a_cipher)
             proof = integrity.ped_open(v, a_blind, self.mac_params)
-            self.da_ch.send(Frame(INTEGRITY_PROOF, sid,
-                                  wire_group(proof, self.mac_params)))
-        elif p.integrity == integrity.SCHEME_DLMAC:
-            proof = integrity.dl_open(v, self.mac_params)
             self.da_ch.send(Frame(INTEGRITY_PROOF, sid,
                                   wire_group(proof, self.mac_params)))
 
@@ -730,8 +710,6 @@ class DaEngine:
         self.mac_params = None
         self._tag = None  # make_node_tagger's closure under integrity
         self._sid = NULL_SESSION
-        self._uids = {}
-        self._current_xbar = None
 
     def attach(self, csp_ch, do_ch):
         self.csp_ch = csp_ch
@@ -770,7 +748,6 @@ class DaEngine:
             raise UsageError(f"query plaintext outside [0, 2^{p.l})")
         sid = bytes(self.rng.getrandbits(8) for _ in range(16))
         self._sid = sid
-        self._current_xbar = xbar
         encrypt = op == OP_ENCRYPT
         # fh state shares (no equality yet, coin): a bound starts as if
         # equality had been seen, with coin = side
@@ -778,26 +755,16 @@ class DaEngine:
         self.csp_ch.send(Frame(SESSION_START, sid,
                                bytes([op]) + column.encode()))
         try:
-            # a cipher upload depends on xbar alone, so it is built while
-            # the peers run the first round; a uid is drawn only once the
-            # order is known
-            uid_upload = encrypt and p.uid_upload and p.mode == MODE_DET
-            upload = None
-            if encrypt and not uid_upload:
-                upload = self._cipher_upload(xbar)
-            ybar = None
-            while ybar is None:
+            # the upload depends on xbar alone, so it is built while the
+            # peers run the first round
+            upload = self._cipher_upload(xbar) if encrypt else None
+            while True:
                 frame = self.csp_ch.recv(RANDOM_OFFSET, ORDER_RESULT,
-                                         UID_COMPARE, session=sid)
+                                         session=sid)
                 if frame.ftype == ORDER_RESULT:
-                    ybar = int.from_bytes(frame.payload, "big")
-                elif frame.ftype == UID_COMPARE:
-                    self._uid_round(frame)
-                else:
-                    self._round(sid, xbar,
-                                int.from_bytes(frame.payload, "big"))
-            if uid_upload:
-                upload = self._uid_upload(xbar)
+                    break
+                self._round(sid, xbar, int.from_bytes(frame.payload, "big"))
+            ybar = int.from_bytes(frame.payload, "big")
             if encrypt:
                 self.csp_ch.send(Frame(CIPHER_UPLOAD, sid, upload))
             self.csp_ch.recv(SESSION_DONE, session=sid)
@@ -824,16 +791,10 @@ class DaEngine:
         tag_frame = self.csp_ch.recv(INTEGRITY_TAG, session=sid)
         proof_frame = self.da_do_ch.recv(INTEGRITY_PROOF, session=sid)
         m = int.from_bytes(proof_frame.payload, "big")
-        if self.params.integrity == integrity.SCHEME_DLMAC:
-            mac_blob, _ = read_lp(tag_frame.payload, 0)
-            ok = integrity.dl_mac_verify(int.from_bytes(mac_blob, "big"), r,
-                                         m, self.mac_params)
-        else:
-            commit_blob, off = read_lp(tag_frame.payload, 0)
-            rp, off = read_int(tag_frame.payload, off, PED_BLIND_BYTES)
-            ok = integrity.ped_verify(int.from_bytes(commit_blob, "big"), r,
-                                      rp, m, self.mac_params)
-        if not ok:
+        commit_blob, off = read_lp(tag_frame.payload, 0)
+        rp, off = read_int(tag_frame.payload, off, PED_BLIND_BYTES)
+        if not integrity.ped_verify(int.from_bytes(commit_blob, "big"), r, rp,
+                                    m, self.mac_params):
             raise IntegrityError("node authentication failed")
 
     def _round(self, sid, xbar, r):
@@ -857,26 +818,11 @@ class DaEngine:
         self.da_do_ch.send(Frame(GC_RESULT, sid, _pack_bits(masked)))
         self.csp_ch.send(Frame(SHARES, sid, _shares(masks, masked)))
 
-    def _uid_round(self, frame):
-        mine = self._uids.get(frame.payload[:16])
-        if mine is None:
-            raise ProtocolError("server referenced an unknown uid node")
-        xbar = self._current_xbar
-        self.csp_ch.send(Frame(SHARES, frame.session_id,
-                               _pack_bits([int(xbar != mine),
-                                           int(xbar > mine)])))
-
-    def _uid_upload(self, xbar):
-        uid = bytes(self.rng.getrandbits(8) for _ in range(16))
-        self._uids[uid] = xbar
-        return bytes([UPLOAD_UID]) + uid
-
     def _cipher_upload(self, xbar):
-        """CIPHER_UPLOAD payload: Enc(xbar), plus its DL-MAC or its
-        Pedersen commitment and Enc(a) under integrity."""
+        """CIPHER_UPLOAD payload: Enc(xbar), plus under Pedersen its
+        commitment and Enc(a)."""
         cipher = paillier.encrypt(self.pk_owner, xbar, self.rng)
-        payload = bytes([UPLOAD_CIPHER]) + \
-            paillier.cipher_record(cipher, self.pk_owner.key_bits)
+        payload = paillier.cipher_record(cipher, self.pk_owner.key_bits)
         if self._tag is not None:
             payload += lp(self._tag(xbar))
         return payload

@@ -34,7 +34,8 @@ so a payload is exactly 10 + 32·tables + 32·outputs + 2 + 16·labels
 bytes long, whatever the input bits.
 
 Correctness contract: decode(d, evaluate(F, T, encode(gen wires, x),
-labels of y)) equals eval_plain(circuit, x, y) for every input, checked
+labels of y)) equals the gate-by-gate evaluation of the circuit on
+(x, y) for every input (eval_plain in tests/oracles.py), checked
 exhaustively in the tests for small widths.
 """
 

@@ -40,12 +40,12 @@ from .wire import (ORDER_BYTES, fixed_bytes, read_bytes, read_int, seal, u16,
 MODE_DET, MODE_FH = "det", "fh"
 TABLE_MAGIC = b"OPET"
 OWNER_MAGIC = b"OPEO"
-TABLE_VERSION = 4  # 2: FLAG_UID; 3: sealed, no l or mode; 4: no fh extremes
+# 3: sealed, no l or mode; 4: no fh extremes; 5: every entry has a cipher
+TABLE_VERSION = 5
 OWNER_VERSION = 3  # 3: sealed, no l or M
 
 FLAG_TAGGED = 2
 FLAG_NODETAG = 4
-FLAG_UID = 8  # an analyst's uid upload: no cipher record
 
 
 @dataclass
@@ -266,17 +266,14 @@ def init_state(dataset, m: int, pk: paillier.PaillierPublicKey, l: int,
         owner.pairs.append((x, y))
 
     table = OpeTable(m, pk.key_bits, pk.key_id)
-    entries, jobs = [], []
-    for x, y in sorted_pairs:
+    jobs, node_tags = [], []
+    for x, _ in sorted_pairs:
         jobs.append((x, paillier.fresh_alpha(rng)))
-        entry = OpeEntry(None, y)
-        if tagger is not None:
-            entry.node_tag = tagger(x)
-        entries.append(entry)
+        node_tags.append(tagger(x) if tagger is not None else None)
     pk.h_n  # cached here, so the workers share it
-    for entry, cipher in zip(entries, _encrypt_all(pk, jobs)):
-        entry.cipher = cipher
-        table.insert(entry)
+    for (_, y), node_tag, cipher in zip(sorted_pairs, node_tags,
+                                        _encrypt_all(pk, jobs)):
+        table.insert(OpeEntry(cipher, y, node_tag=node_tag))
     return owner, table
 
 
@@ -310,9 +307,11 @@ def _encrypt_all(pk, jobs):
 # Both files are sealed (wire.seal): magic | version u16 | body | SHA-256.
 # Table body:
 #   key_bits u16 | M 16B | count u64 | key_id 32B
-#   per entry: order 16B | flags u8 | [cipher record, absent if UID] |
+#   per entry: order 16B | flags u8 | cipher record |
 #              [tag 16B] | [node tag: len u32 | blob]
-# Flags: FLAG_TAGGED, FLAG_NODETAG, FLAG_UID; bit 1 is retired.
+# A cipher record is len u32 | residue of exactly
+# paillier.cipher_width(key_bits) bytes; every entry has one.
+# Flags: FLAG_TAGGED, FLAG_NODETAG; bits 1 and 8 are retired.
 # Owner body:
 #   count u64 | per pair: plaintext 16B | order 16B
 
@@ -321,11 +320,9 @@ def serialize_table(table: OpeTable) -> bytes:
            len(table).to_bytes(8, "big"), table.key_id or bytes(32)]
     for e in table.entries():
         flags = (FLAG_TAGGED if e.tag is not None else 0) | \
-            (FLAG_NODETAG if e.node_tag is not None else 0) | \
-            (FLAG_UID if e.cipher is None else 0)
-        out += [fixed_bytes(e.order, ORDER_BYTES), bytes([flags])]
-        if e.cipher is not None:
-            out.append(paillier.cipher_record(e.cipher, table.key_bits))
+            (FLAG_NODETAG if e.node_tag is not None else 0)
+        out += [fixed_bytes(e.order, ORDER_BYTES), bytes([flags]),
+                paillier.cipher_record(e.cipher, table.key_bits)]
         if e.tag is not None:
             out.append(e.tag)
         if e.node_tag is not None:
@@ -343,9 +340,8 @@ def parse_table(blob: bytes) -> OpeTable:
     for _ in range(count):
         order, off = read_int(body, off, ORDER_BYTES)
         flags, off = read_int(body, off, 1)
-        cipher = None
-        if not flags & FLAG_UID:
-            cipher, off = paillier.parse_cipher_record(body, off, key_id)
+        cipher, off = paillier.parse_cipher_record(body, off, key_id,
+                                                   key_bits)
         entry = OpeEntry(cipher, order)
         if flags & FLAG_TAGGED:
             entry.tag, off = read_bytes(body, off, 16)

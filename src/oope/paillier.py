@@ -3,8 +3,9 @@
 The generator is pinned to g = 1+N, which turns the usual g^m
 exponentiation into one modular multiplication, since
 (1+N)^m = 1+mN (mod N^2).  Decryption runs over the CRT factors P^2
-and Q^2; the textbook single-exponentiation path is kept as a
-cross-check oracle.
+and Q^2.  The textbook single-exponentiation path, m = L(c^lam) * mu,
+is no part of the protocol; it lives with the test oracles
+(tests/oracles.py, decrypt_direct) as the cross-check for decrypt.
 
 A caller that knows its plaintext lies below a bound no larger than P
 passes that bound to decrypt, which then runs the mod-P^2 half of the
@@ -31,7 +32,7 @@ decisional composite residuosity assumption together with DJN's
 short-exponent assumption: that (h^N)^alpha for a 2*kappa-bit alpha is
 indistinguishable from a uniform N-th residue.  Decryption and the
 homomorphisms are unchanged, and a textbook ciphertext with a
-full-range r decrypts alike (the tests keep that path as the oracle).
+full-range r decrypts alike (the textbook oracle checks both).
 
 encrypt draws alpha itself, or takes one the caller drew with
 fresh_alpha; the set-up draws every alpha on one thread in a fixed
@@ -39,7 +40,7 @@ order and hands them to encrypt from several threads, so a seeded
 table is the same whatever the thread count.
 
 Every modular exponentiation here (encryption, h^N, both CRT halves,
-the textbook path, hom_scale, Miller-Rabin) goes through modexp.powmod:
+hom_scale, Miller-Rabin) goes through modexp.powmod:
 GMP's mpz_powm_sec when libgmp loads, the built-in pow otherwise.  Both
 return identical results, and the GMP path runs in constant time with
 respect to the exponent, so the secret decryption exponents p-1, q-1
@@ -54,7 +55,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import DomainError, KeyMismatchError, PrimeGenerationError
+from .errors import (DomainError, KeyMismatchError, PrimeGenerationError,
+                     ProtocolError)
 from .modexp import powmod
 from .rng import make_rng
 from .wire import be_bytes, fixed_bytes, lp, read_int, read_lp
@@ -233,7 +235,7 @@ def encrypt(pk: PaillierPublicKey, m: int, rng=None, alpha: int = None
 
 def decrypt(sk: PaillierPrivateKey, c: HomCiphertext, below: int = None
             ) -> int:
-    """CRT decryption; agrees with decrypt_direct on every ciphertext.
+    """CRT decryption; agrees with the textbook path on every ciphertext.
 
     With below <= P only the mod-P^2 half runs and the result is
     s = m mod P, which is m whenever m < below.  A plaintext m in
@@ -252,14 +254,6 @@ def decrypt(sk: PaillierPrivateKey, c: HomCiphertext, below: int = None
     mq = sk._crt_l(powmod(c.value % sk.q_sq, sk.q - 1, sk.q_sq), sk.q) \
         * sk.hq % sk.q
     return mp + sk.p * ((mq - mp) * sk.p_inv_q % sk.q)
-
-
-def decrypt_direct(sk: PaillierPrivateKey, c: HomCiphertext) -> int:
-    """Textbook path: m = L(c^lam mod N^2) * mu mod N."""
-    _check_key(sk.public, c)
-    n = sk.public.n
-    u = powmod(c.value, sk.lam, sk.public.n_sq)
-    return (u - 1) // n * sk.mu % n
 
 
 def hom_add(pk: PaillierPublicKey, c1: HomCiphertext,
@@ -295,8 +289,14 @@ def cipher_record(c: HomCiphertext, key_bits: int) -> bytes:
     return lp(fixed_bytes(c.value, cipher_width(key_bits)))
 
 
-def parse_cipher_record(buf: bytes, off: int, key_id: bytes):
+def parse_cipher_record(buf: bytes, off: int, key_id: bytes, key_bits: int):
+    """(ciphertext, offset after its record); a record of any width but
+    cipher_width(key_bits) is a ProtocolError."""
     blob, off = read_lp(buf, off)
+    width = cipher_width(key_bits)
+    if len(blob) != width:
+        raise ProtocolError(
+            f"cipher record of {len(blob)} bytes, expected {width}")
     return HomCiphertext(int.from_bytes(blob, "big"), key_id), off
 
 

@@ -29,7 +29,9 @@ from .wire import read_bytes, read_int, u16, u32
 MAX_FRAME = 64 * 1024 * 1024
 SESSION_BYTES = 16
 NULL_SESSION = bytes(SESSION_BYTES)
-PROTOCOL_VERSION = 2  # 2: half-gates GC_PAYLOAD, acknowledged REBALANCE
+# 2: half-gates GC_PAYLOAD, acknowledged REBALANCE; 3: no uid upload, so
+# CIPHER_UPLOAD lost its kind byte and ProtocolParams its uid field
+PROTOCOL_VERSION = 3
 
 ROLE_CSP, ROLE_DO, ROLE_DA = 0, 1, 2
 ROLE_NAMES = {ROLE_CSP: "csp", ROLE_DO: "do", ROLE_DA: "da"}
@@ -56,6 +58,10 @@ MINMAX_SELECTED = 0x22
 INTEGRITY_TAG = 0x30
 INTEGRITY_PROOF = 0x31
 REBALANCE = 0x32
+# no code sends UID_COMPARE any more: the analyst-resolved comparison
+# against a node it uploaded as a bare uid skipped the owner, who could
+# then count the rounds it missed.  The number stays reserved, and the
+# benchmark still counts it as a round until its next revision.
 UID_COMPARE = 0x33
 QUERY_EXEC = 0x40
 QUERY_RESULT = 0x41
@@ -260,7 +266,7 @@ def tcp_pair(name_a="a", name_b="b"):
 # --- handshake --------------------------------------------------------------
 # HELLO payload: role u8 | version u16 | params digest 32B | extra (lp blob).
 # Both ends send first, then verify the peer; a digest mismatch means the
-# two ends disagree about (l, k, M, mode, integrity) and must not talk.
+# two ends disagree about a ProtocolParams field and must not talk.
 
 def handshake(channel: Channel, role: int, params_digest: bytes,
               extra: bytes = b"") -> tuple:

@@ -1,10 +1,16 @@
 """Plaintext-side reference oracles, independent of the protocol path.
 
 The order oracle works over a sorted list with direct integer
-comparisons; it never builds a tree, never blinds, never garbles.
+comparisons; it never builds a tree, never blinds, never garbles.  The
+circuit oracle evaluates a comparator gate by gate in the clear, and
+the decryption oracle is textbook Paillier without the CRT.
 """
 
 import bisect
+
+from oope.comparator import AND, NOT, OR, XOR
+from oope.errors import KeyMismatchError, UsageError
+from oope.modexp import powmod
 
 
 def midpoint(y_left, y_right):
@@ -79,3 +85,38 @@ def min_max_orders(pairs, x):
     """Eq-style min/max order of a plaintext over (x, y) pairs."""
     ys = [py for px, py in pairs if px == x]
     return (min(ys), max(ys)) if ys else (None, None)
+
+
+def decrypt_direct(sk, c):
+    """Textbook Paillier decryption, m = L(c^lam mod N^2) * mu mod N:
+    the cross-check for paillier.decrypt's CRT paths."""
+    if c.key_id != sk.public.key_id:
+        raise KeyMismatchError("ciphertext belongs to a different key")
+    n = sk.public.n
+    return (powmod(c.value, sk.lam, sk.public.n_sq) - 1) // n * sk.mu % n
+
+
+def eval_plain(circuit, gen_bits, eval_bits):
+    """Gate-by-gate evaluation of a comparator in the clear: the
+    garbling oracle."""
+    if len(gen_bits) != len(circuit.gen_inputs) or \
+            len(eval_bits) != len(circuit.eval_inputs):
+        raise UsageError("incomplete input assignment")
+    values = {}
+    for w, b in zip(circuit.gen_inputs, gen_bits):
+        values[w] = b & 1
+    for w, b in zip(circuit.eval_inputs, eval_bits):
+        values[w] = b & 1
+    for g in circuit.gates:
+        a = values[g.a]
+        if g.op == NOT:
+            values[g.out] = a ^ 1
+        elif g.op == XOR:
+            values[g.out] = a ^ values[g.b]
+        elif g.op == AND:
+            values[g.out] = a & values[g.b]
+        elif g.op == OR:
+            values[g.out] = a | values[g.b]
+        else:
+            raise UsageError(f"unknown gate op {g.op}")
+    return tuple(values[w] for w in circuit.outputs)

@@ -2,8 +2,9 @@
 
 import pytest
 
-from oope.comparator import (build_comparator, build_fh_comparator,
-                             eval_plain, int_to_bits)
+from oracles import eval_plain
+
+from oope.comparator import build_comparator, build_fh_comparator, int_to_bits
 from oope.errors import DomainError, UsageError
 
 

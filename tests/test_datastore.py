@@ -1,5 +1,6 @@
 """Ingestion, row store, range queries, analyst-entry cleanup."""
 
+import json
 import shutil
 import warnings
 
@@ -9,7 +10,8 @@ from oope import datastore, engine, integrity, ope_state, paillier
 from oope.datastore import RangeQuery, exec_range, ingest, \
     interval_from_predicate, merge_intervals
 from oope.engine import ProtocolParams
-from oope.errors import DomainError, IntegrityError, KeyMismatchError
+from oope.errors import (ConfigurationError, DomainError, IntegrityError,
+                         KeyMismatchError)
 from oope.rng import make_rng
 from oope.wire import seal
 
@@ -240,7 +242,6 @@ STATE_FILES = {
     "table-det": ("csp", "table_det.bin"),
     "table-fh": ("csp", "table_fh.bin"),
     "table-tagged": ("csp", "table_tagged.bin"),
-    "table-uid": ("csp", "table_uid.bin"),
     "rows": ("csp", "rows.bin"),
     "pk": ("csp", "pk.bin"),
     "owner": ("do", "owner_X1.bin"),
@@ -259,25 +260,37 @@ def state_dirs(tmp_path_factory, keys):
     rng = make_rng(11)
     result = ingest_example(root, keys)
     mac_params = integrity.gen_mac_params(256, 64, rng=rng)
-    tagger = engine.make_node_tagger(integrity.SCHEME_DLMAC, mac_params, pk,
-                                     rng)
+    tagger = engine.make_node_tagger(integrity.SCHEME_PEDERSEN, mac_params,
+                                     pk, rng)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         _, fh = ope_state.init_state([3, 5, 5, 5, 9], 64, pk, l=16,
                                      mode=ope_state.MODE_FH, rng=rng)
         _, tagged = ope_state.init_state([3, 5, 9], 64, pk, l=16, rng=rng,
                                          tagger=tagger)
-        _, uid = ope_state.init_state([3, 9], 64, pk, l=16, rng=rng)
     tagged.insert(ope_state.OpeEntry(paillier.encrypt(pk, 7, rng), 40,
                                      tag=b"s" * 16, node_tag=tagger(7)))
-    uid.insert(ope_state.OpeEntry(None, 30, tag=b"u" * 16))
-    tables = {"det": result.tables["X1"], "fh": fh, "tagged": tagged,
-              "uid": uid}
+    tables = {"det": result.tables["X1"], "fh": fh, "tagged": tagged}
     params = ProtocolParams(l=16, k=16, m=28, key_bits=pk.key_bits)
     datastore.save_csp_state(root / "csp", params, pk, tables, result.rows)
     datastore.save_do_state(root / "do", params, sk, result.owners,
                             mac_params)
     return root
+
+
+@pytest.mark.parametrize("side", sorted(SAVE_LOAD))
+@pytest.mark.parametrize("edit, match", [
+    ({"uid_upload": False}, "unknown fields"),
+    ({"integrity": "dlmac"}, "integrity scheme"),
+])
+def test_state_dir_with_retired_params_rejected(state_dirs, tmp_path, side,
+                                                 edit, match):
+    work = tmp_path / side
+    shutil.copytree(state_dirs / side, work)
+    spec = json.loads((work / "params.json").read_text())
+    (work / "params.json").write_text(json.dumps(dict(spec, **edit)))
+    with pytest.raises(ConfigurationError, match=match):
+        SAVE_LOAD[side][1](work)
 
 
 @pytest.mark.parametrize("kind", sorted(STATE_FILES))

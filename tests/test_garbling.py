@@ -5,10 +5,10 @@ import operator
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import eval_plain
 
 from oope import garbling
-from oope.comparator import (build_comparator, build_fh_comparator,
-                             eval_plain, int_to_bits)
+from oope.comparator import build_comparator, build_fh_comparator, int_to_bits
 from oope.errors import IntegrityError, ProtocolError
 from oope.rng import make_rng
 

@@ -1,4 +1,4 @@
-"""Node MACs and commitments: completeness, tamper detection, hiding."""
+"""Node commitments: completeness, tamper detection, hiding."""
 
 import pytest
 
@@ -18,33 +18,6 @@ def test_group_shape():
     assert pow(g, q, p) == 1 and g != 1
     assert pow(PARAMS.h_ped, q, p) == 1 and PARAMS.h_ped != 1
     assert PARAMS.h_ped != g
-
-
-def test_dl_mac_zero_offset():
-    mac = integrity.dl_mac_make(1234, PARAMS)
-    assert integrity.dl_mac_verify(mac, 0, mac, PARAMS)
-
-
-def test_dl_mac_honest_rounds():
-    rng = make_rng(1)
-    for _ in range(50):
-        x = rng.randrange(1 << 32)
-        r = rng.randrange(1 << 64)
-        mac = integrity.dl_mac_make(x, PARAMS)
-        m = integrity.dl_open(x + r, PARAMS)
-        assert integrity.dl_mac_verify(mac, r, m, PARAMS)
-
-
-def test_dl_mac_detects_substitution():
-    rng = make_rng(2)
-    for _ in range(50):
-        x = rng.randrange(1 << 32)
-        x_fake = (x + 1 + rng.randrange(1 << 16)) % (1 << 32)
-        r = rng.randrange(1 << 64)
-        mac = integrity.dl_mac_make(x, PARAMS)
-        # server substitutes the node but forwards the old mac
-        m = integrity.dl_open(x_fake + r, PARAMS)
-        assert not integrity.dl_mac_verify(mac, r, m, PARAMS)
 
 
 def test_pedersen_zero_offsets():

@@ -2,6 +2,7 @@
 substituting server is caught before any circuit evaluation."""
 
 import pytest
+from oracles import decrypt_direct
 
 from oope import engine, integrity, paillier, transport
 from oope.cluster import build_cluster
@@ -9,6 +10,7 @@ from oope.engine import ProtocolParams
 from oope.errors import SessionAborted
 from oope.ot import GROUP_TEST
 from oope.rng import make_rng
+from oope.wire import lp, read_lp
 
 MAC_PARAMS = integrity.gen_mac_params(512, 160, rng=make_rng(77))
 DATA = [32, 20, 25, 69, 10]
@@ -21,8 +23,7 @@ def build(scheme, seed):
                          mac_params=MAC_PARAMS)
 
 
-@pytest.mark.parametrize("scheme", [integrity.SCHEME_DLMAC,
-                                    integrity.SCHEME_PEDERSEN])
+@pytest.mark.parametrize("scheme", [integrity.SCHEME_PEDERSEN])
 def test_honest_rounds_verify(scheme):
     cluster, ctx = build(scheme, seed=101)
     try:
@@ -34,8 +35,7 @@ def test_honest_rounds_verify(scheme):
         cluster.close()
 
 
-@pytest.mark.parametrize("scheme", [integrity.SCHEME_DLMAC,
-                                    integrity.SCHEME_PEDERSEN])
+@pytest.mark.parametrize("scheme", [integrity.SCHEME_PEDERSEN])
 def test_substituted_node_detected_before_evaluation(scheme):
     cluster, ctx = build(scheme, seed=103)
     try:
@@ -60,8 +60,7 @@ def test_substituted_node_detected_before_evaluation(scheme):
         cluster.close()
 
 
-@pytest.mark.parametrize("scheme", [integrity.SCHEME_DLMAC,
-                                    integrity.SCHEME_PEDERSEN])
+@pytest.mark.parametrize("scheme", [integrity.SCHEME_PEDERSEN])
 def test_analyst_uploads_are_tagged_and_verifiable(scheme):
     cluster, ctx = build(scheme, seed=107)
     try:
@@ -70,6 +69,39 @@ def test_analyst_uploads_are_tagged_and_verifiable(scheme):
         assert entry.node_tag
         # a follow-up session traverses the analyst-inserted node fine
         assert cluster.encrypt(14) == 5
+        assert not cluster.errors
+    finally:
+        cluster.close()
+
+
+def test_upload_with_an_oversize_node_tag_aborts():
+    # the server cannot check the commitment, but it refuses an Enc(a)
+    # of the wrong width before the tag reaches the table, where every
+    # later session that visited the node would abort
+    cluster, ctx = build(integrity.SCHEME_PEDERSEN, seed=111)
+    try:
+        table, pk = ctx["table"], ctx["pk"]
+        orders = table.orders()
+        orig_send = cluster.da.csp_ch.send
+
+        def widen(frame):
+            # upload: Enc(xbar) record | lp(node tag); node tag:
+            # lp(commitment) | Enc(a) record, which gains a byte
+            if frame.ftype == transport.CIPHER_UPLOAD:
+                end = 4 + paillier.cipher_width(pk.key_bits)
+                node_tag, _ = read_lp(frame.payload, end)
+                commit, off = read_lp(node_tag, 0)
+                node_tag = lp(commit) + lp(b"\0" + node_tag[off + 4:])
+                frame = transport.Frame(frame.ftype, frame.session_id,
+                                        frame.payload[:end] + lp(node_tag))
+            orig_send(frame)
+
+        cluster.da.csp_ch.send = widen
+        with pytest.raises(SessionAborted, match="cipher record"):
+            cluster.encrypt(15)
+        cluster.da.csp_ch.send = orig_send
+        assert table.orders() == orders
+        assert cluster.encrypt(15) == 6
         assert not cluster.errors
     finally:
         cluster.close()
@@ -112,13 +144,13 @@ def test_pedersen_blind_decrypts_on_full_crt():
         def shift_a_blind(frame):
             if frame.ftype == transport.RANDOMIZED_NODE:
                 cipher, off = paillier.parse_cipher_record(
-                    frame.payload, 0, pk.key_id)
+                    frame.payload, 0, pk.key_id, pk.key_bits)
                 a_cipher, _ = paillier.parse_cipher_record(
-                    frame.payload, off, pk.key_id)
+                    frame.payload, off, pk.key_id, pk.key_bits)
                 a_cipher = paillier.hom_add(
                     pk, a_cipher, paillier.encrypt(pk, sk.p, make_rng(3)))
-                shifted.append((paillier.decrypt_direct(sk, cipher),
-                                paillier.decrypt_direct(sk, a_cipher)))
+                shifted.append((decrypt_direct(sk, cipher),
+                                decrypt_direct(sk, a_cipher)))
                 frame = transport.Frame(
                     frame.ftype, frame.session_id,
                     frame.payload[:off] +

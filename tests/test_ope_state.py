@@ -9,11 +9,11 @@ import pytest
 
 from oope import engine, integrity, ope_state, paillier
 from oope.errors import (CapacityError, ConfigurationError, GapExhausted,
-                         IntegrityError, UsageError)
+                         IntegrityError, ProtocolError, UsageError)
 from oope.ope_state import (OpeEntry, OpeTable, assign_order, init_state,
                             rebalance)
 from oope.rng import make_rng
-from oope.wire import seal, unseal
+from oope.wire import ORDER_BYTES, lp, seal, unseal
 
 EXAMPLE_DATA = [32, 20, 25, 69, 10]
 EXAMPLE_M = 28
@@ -274,3 +274,18 @@ def test_owner_file_of_another_version_refused(keys):
     blob = seal(ope_state.OWNER_MAGIC, 99, body)
     with pytest.raises(IntegrityError, match="version 99"):
         ope_state.parse_owner(blob)
+
+
+def test_table_file_with_a_cipher_record_of_another_width_refused(keys):
+    # correctly sealed, but the first entry's record is one byte wider
+    # than cipher_width: parse_table refuses it, so no residue that
+    # serialize_table cannot write back enters a table
+    _, table = example_state(keys)
+    body = unseal(ope_state.serialize_table(table), ope_state.TABLE_MAGIC,
+                  ope_state.TABLE_VERSION)
+    start = 2 + 16 + 8 + 32 + ORDER_BYTES + 1  # header, order, flags
+    end = start + 4 + paillier.cipher_width(table.key_bits)
+    wide = body[:start] + lp(b"\0" + body[start + 4:end]) + body[end:]
+    with pytest.raises(ProtocolError, match="cipher record"):
+        ope_state.parse_table(seal(ope_state.TABLE_MAGIC,
+                                   ope_state.TABLE_VERSION, wide))

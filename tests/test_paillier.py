@@ -6,10 +6,12 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import decrypt_direct
 
 from oope import paillier
-from oope.errors import DomainError, KeyMismatchError
+from oope.errors import DomainError, KeyMismatchError, ProtocolError
 from oope.rng import make_rng
+from oope.wire import lp
 
 
 @pytest.fixture(scope="module")
@@ -103,7 +105,7 @@ def test_crt_equals_direct(keys):
     rng = make_rng(23)
     for _ in range(100):
         c = paillier.encrypt(pk, rng.randrange(pk.n), rng)
-        assert paillier.decrypt(sk, c) == paillier.decrypt_direct(sk, c)
+        assert paillier.decrypt(sk, c) == decrypt_direct(sk, c)
 
 
 @pytest.mark.parametrize("bits", [256, 2048])
@@ -158,7 +160,7 @@ def test_short_exponent_agrees_with_full_range_oracle(key_sizes, bits):
         full = textbook_encrypt(pk, m, rng)
         for c in (short, full):
             assert paillier.decrypt(sk, c) == \
-                paillier.decrypt_direct(sk, c) == m
+                decrypt_direct(sk, c) == m
             if m < below:
                 assert paillier.decrypt(sk, c, below=below) == m
         m2 = rng.randrange(pk.n)
@@ -228,8 +230,13 @@ def test_ciphertext_serialization_roundtrip(keys):
     c = paillier.encrypt(pk, 1234, make_rng(43))
     rec = paillier.cipher_record(c, pk.key_bits)
     assert len(rec) == 4 + paillier.cipher_width(pk.key_bits)
-    parsed, off = paillier.parse_cipher_record(rec, 0, pk.key_id)
+    parsed, off = paillier.parse_cipher_record(rec, 0, pk.key_id,
+                                               pk.key_bits)
     assert parsed == c and off == len(rec)
+    # a record one byte wider or narrower is refused, whatever its value
+    for blob in (b"\0" + rec[4:], rec[5:]):
+        with pytest.raises(ProtocolError, match="cipher record"):
+            paillier.parse_cipher_record(lp(blob), 0, pk.key_id, pk.key_bits)
 
 
 def test_key_serialization_roundtrip(keys):

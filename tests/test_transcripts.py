@@ -73,19 +73,11 @@ def test_loopback_and_tcp_identical_bound(mode):
     assert sum(b[4] == transport.CIPHER_UPLOAD for b in loop["da->csp"]) == 4
 
 
-@pytest.mark.parametrize("scheme", [integrity.SCHEME_DLMAC,
-                                    integrity.SCHEME_PEDERSEN])
+@pytest.mark.parametrize("scheme", [integrity.SCHEME_PEDERSEN])
 def test_loopback_and_tcp_identical_under_integrity(scheme):
     loop = assert_identical(integrity=scheme, mac_subgroup_bits=160,
                             mac_params=MAC_PARAMS)
     assert any(b[4] == transport.INTEGRITY_PROOF for b in loop["do->da"])
-
-
-def test_loopback_and_tcp_identical_uid_upload():
-    # the second and third queries land next to the first one's uid node
-    loop = assert_identical(data=[32, 20, 25, 69, 10],
-                            queries=(15, 14, 16, 15), uid_upload=True)
-    assert any(b[4] == transport.UID_COMPARE for b in loop["csp->da"])
 
 
 def test_different_seeds_differ():
