@@ -32,16 +32,14 @@ class LocalCluster:
     """
 
     def __init__(self, tables: dict, sk, params: ProtocolParams, seed=None,
-                 mac_params=None, owners: dict = None,
-                 ot_group=GROUP_DEFAULT, record=False,
+                 mac_params=None, ot_group=GROUP_DEFAULT, record=False,
                  pair=transport.loopback_pair):
         rng = make_rng(seed)
         seeds = [rng.getrandbits(64) for _ in range(3)] if seed is not None \
             else [None, None, None]
         self.csp = CspEngine(tables, sk.public, params, make_rng(seeds[0]))
         self.do = DoEngine(sk, params, make_rng(seeds[1]),
-                           mac_params=mac_params, owners=owners,
-                           ot_group=ot_group)
+                           mac_params=mac_params, ot_group=ot_group)
         self.da = DaEngine(params, make_rng(seeds[2]), ot_group=ot_group)
         csp_do, do_csp = pair("csp->do", "do->csp")
         csp_da, da_csp = pair("csp->da", "da->csp")
@@ -102,8 +100,10 @@ def build_cluster(dataset, params: ProtocolParams, seed=None,
 
     transport_kind names the pair factory (PAIR_FACTORIES); any other
     name is a ConfigurationError.  Returns (cluster, context) where the
-    context keeps the pieces tests need for oracle checks: keys, owner
-    state, table.
+    context keeps the pieces tests need for oracle checks: keys, table,
+    and as "owner" the plaintext/order pairs set-up assigned.  The owner
+    engine holds no orders, so those pairs do not follow a rebalance;
+    the table and a row store built from them do.
     """
     from . import integrity as integrity_mod
 
@@ -124,7 +124,6 @@ def build_cluster(dataset, params: ProtocolParams, seed=None,
         tagger=make_node_tagger(params.integrity, mac_params, pk, rng))
     cluster = LocalCluster({DEFAULT_COLUMN: table}, sk, params,
                            seed=subseed(), mac_params=mac_params,
-                           owners={DEFAULT_COLUMN: owner},
                            ot_group=ot_group, record=record, pair=pair)
     # "tree" is the table too: the benchmark reads ctx["tree"].height
     context = {"pk": pk, "sk": sk, "owner": owner, "table": table,

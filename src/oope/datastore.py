@@ -148,7 +148,6 @@ def cleanup_da_entries(table: OpeTable, session_ids=None):
 @dataclass
 class IngestResult:
     tables: dict   # column -> OpeTable
-    owners: dict   # column -> OwnerState
     rows: RowStore
 
 
@@ -196,21 +195,13 @@ def ingest(csv_path, ope_columns, m: int, pk, l: int, mode: str = MODE_DET,
 
     store = RowStore(public_columns=public_cols,
                      ope_columns=list(ope_columns) if header else [])
-    det_orders = {c: dict(owners[c].pairs) for c in store.ope_columns}
     for i, named in enumerate(raw_rows):
-        orders = {}
-        for c in store.ope_columns:
-            if mode == MODE_DET:
-                orders[c] = det_orders[c][int(named[c])]
-            else:
-                # one table entry per occurrence: the owner's pairs are
-                # in the original ingestion order
-                orders[c] = owners[c].pairs[i][1]
+        # set-up's pairs are in row order, one per row in either mode
         store.rows.append(EncryptedRow(
             row_id=i,
             public={c: named[c] for c in public_cols},
-            orders=orders))
-    return IngestResult(tables=tables, owners=owners, rows=store)
+            orders={c: owners[c].pairs[i][1] for c in store.ope_columns}))
+    return IngestResult(tables=tables, rows=store)
 
 
 # --- persistence -------------------------------------------------------------
@@ -255,11 +246,12 @@ def parse_rows(blob: bytes) -> RowStore:
 
 # --- state directories -------------------------------------------------------
 # Server dir:  params.json, pk.bin, rows.bin, table_<col>.bin
-# Owner dir:   params.json, key.bin, owner_<col>.bin, [macparams.bin]
+# Owner dir:   params.json, key.bin, [macparams.bin]
 # Every .bin file is sealed (wire.seal).  pk.bin, key.bin and
 # macparams.bin seal the owner's public key, its private key and the
 # MAC parameters in the encodings the handshake uses; a server dir holds
 # everything a CspEngine needs, an owner dir everything a DoEngine needs.
+# The owner keeps no orders, so its dir holds none.
 
 PK_MAGIC, KEY_MAGIC, MAC_MAGIC = b"OPEP", b"OPEK", b"OPEM"
 KEY_FILE_VERSION = 1
@@ -283,16 +275,26 @@ def _columns(path, prefix):
 
 
 def _load_params(path) -> ProtocolParams:
-    """The directory's params.json; a field ProtocolParams does not
-    have or a value it rejects, such as a retired option that an older
-    version saved, is a ConfigurationError."""
-    spec = json.loads(_read(path, "params.json"))
-    known = {f.name for f in fields(ProtocolParams)}
+    """The directory's params.json; a file that is not a JSON object, a
+    field ProtocolParams does not have, a value of another type than the
+    field's default (a bool is no int) or a value it rejects, such as a
+    retired option that an older version saved, is a
+    ConfigurationError."""
+    try:
+        spec = json.loads(_read(path, "params.json"))
+    except ValueError as e:
+        raise ConfigurationError(f"params.json is not JSON: {e}") from None
     if not isinstance(spec, dict):
         raise ConfigurationError("params.json holds no object")
-    unknown = sorted(set(spec) - known)
+    defaults = {f.name: f.default for f in fields(ProtocolParams)}
+    unknown = sorted(set(spec) - set(defaults))
     if unknown:
         raise ConfigurationError(f"params.json has unknown fields {unknown}")
+    for name, value in spec.items():
+        if type(value) is not type(defaults[name]):
+            raise ConfigurationError(
+                f"params.json field {name!r} is not of type "
+                f"{type(defaults[name]).__name__}")
     params = ProtocolParams(**spec)
     params.validate()
     return params
@@ -321,14 +323,11 @@ def load_csp_state(path):
     return params, pk, tables, parse_rows(_read(path, "rows.bin"))
 
 
-def save_do_state(path, params: ProtocolParams, sk, owners: dict,
-                  mac_params=None):
+def save_do_state(path, params: ProtocolParams, sk, mac_params=None):
     os.makedirs(path, exist_ok=True)
     _write(path, "params.json", json.dumps(asdict(params), indent=1).encode())
     _write(path, "key.bin", seal(KEY_MAGIC, KEY_FILE_VERSION,
                                  paillier.serialize_private_key(sk)))
-    for col, owner in owners.items():
-        _write(path, f"owner_{col}.bin", ope_state.serialize_owner(owner))
     if mac_params is not None:
         _write(path, "macparams.bin", seal(MAC_MAGIC, KEY_FILE_VERSION,
                                            integrity.serialize_params(
@@ -336,14 +335,12 @@ def save_do_state(path, params: ProtocolParams, sk, owners: dict,
 
 
 def load_do_state(path):
-    """(params, sk, owners, mac_params or None)."""
+    """(params, sk, mac_params or None)."""
     params = _load_params(path)
     sk, _ = paillier.parse_private_key(
         unseal(_read(path, "key.bin"), KEY_MAGIC, KEY_FILE_VERSION))
-    owners = {col: ope_state.parse_owner(blob)
-              for col, blob in _columns(path, "owner_").items()}
     mac_params = None
     if os.path.exists(os.path.join(path, "macparams.bin")):
         mac_params, _ = integrity.parse_params(
             unseal(_read(path, "macparams.bin"), MAC_MAGIC, KEY_FILE_VERSION))
-    return params, sk, owners, mac_params
+    return params, sk, mac_params

@@ -44,11 +44,13 @@ has no range check and stays on the full CRT.  These exponentiations
 release the interpreter lock, so they overlap the peers' work.
 
 A session that runs out of gaps, in either mode, rebalances the table
-at once but hands the remap to the owner (REBALANCE) only at its commit
-point, just before SESSION_DONE.  The owner acknowledges it with an
-empty REBALANCE, and the server applies the remap to its row store and
-ends the session only after that, so when the analyst's encrypt
-returns, owner, table and rows hold the same orders.
+at once and applies the same remap to its row store at its commit
+point, just before SESSION_DONE; an abort before then rolls the table
+back and leaves the rows alone, so table and rows move together.  A
+rebalance stays on the server, as in mOPE, where the key holder keeps
+no encodings: the owner keeps no orders after set-up and sees nothing
+of a rebalance.  The remap would show it every order in the table, the
+analyst's included, each between two of its own plaintexts.
 
 Garbled labels are 128-bit ints (garbling); the owner hands its OT
 sender int label pairs and the analyst gets ints back from its OT
@@ -107,8 +109,8 @@ from .transport import (CIPHER_UPLOAD, CLEANUP, CLEANUP_DONE, Frame,
                         GC_PAYLOAD, GC_RESULT, QUERY_EXEC, QUERY_RESULT,
                         INTEGRITY_PROOF, INTEGRITY_TAG, NULL_SESSION,
                         ORDER_RESULT, OT_MSG, RANDOM_OFFSET, RANDOMIZED_NODE,
-                        REBALANCE, SESSION_DONE, SESSION_START, SHARES)
-from .wire import fixed_bytes, lp, read_bytes, read_int, read_lp, u16, u32
+                        SESSION_DONE, SESSION_START, SHARES)
+from .wire import fixed_bytes, lp, read_int, read_lp, u16, u32
 
 BOUND_LOW, BOUND_HIGH = 0, 1  # which end of a range a bound closes
 
@@ -284,7 +286,7 @@ def _bound_order(table, op, node, b_e, b_g):
     elif b_e == 0:
         return node
     else:
-        gap = table.neighbors(node, "right" if b_g else "left")[:2]
+        gap = table.neighbors(node, "right" if b_g else "left")
     return gap[1] if op == OP_BOUND_LOW else gap[0]
 
 
@@ -417,10 +419,10 @@ class CspEngine:
                 upload = self.da_ch.recv(CIPHER_UPLOAD, session=sid)
                 if not is_known:
                     self._store_upload(sid, table, upload.payload, ybar, undo)
-            if remap is not None:
-                # owner and row store follow a rebalance only once the
-                # session can no longer roll it back
-                self._publish_remap(sid, column, remap)
+            if remap is not None and self.rows is not None:
+                # the row store follows a rebalance only once the session
+                # can no longer roll it back
+                self.rows.apply_remap(column, remap)
             self.do_ch.send(Frame(SESSION_DONE, sid))
             self.da_ch.send(Frame(SESSION_DONE, sid))
             return ybar
@@ -492,7 +494,7 @@ class CspEngine:
     def _encrypt_order(self, table, b_g, node_order, undo):
         """(fresh order, remap of the rebalance it needed or None)."""
         direction = "right" if b_g else "left"
-        y_l, y_r, _ = table.neighbors(node_order, direction)
+        y_l, y_r = table.neighbors(node_order, direction)
         try:
             return ope_state.assign_order(y_l, y_r), None
         except GapExhausted:
@@ -500,25 +502,13 @@ class CspEngine:
             undo.append(lambda: table.reassign_orders(
                 {v: k for k, v in remap.items()}))
             node_order = remap[node_order]
-            y_l, y_r, _ = table.neighbors(node_order, direction)
+            y_l, y_r = table.neighbors(node_order, direction)
             try:
                 return ope_state.assign_order(y_l, y_r), remap
             except GapExhausted:
                 # uniform respread left no room here: M is too dense
                 raise CapacityError("order space too dense for another "
                                     "entry at this position") from None
-
-    def _publish_remap(self, sid, column, remap):
-        """Hand a committed rebalance to the owner and, once the owner
-        acknowledges it, to the row store; the session ends only after
-        both follow the table."""
-        col = column.encode()
-        payload = u16(len(col)) + col + u32(len(remap)) + b"".join(
-            _offset_blob(a) + _offset_blob(b) for a, b in sorted(remap.items()))
-        self.do_ch.send(Frame(REBALANCE, sid, payload))
-        self.do_ch.recv(REBALANCE, session=sid)
-        if self.rows is not None:
-            self.rows.apply_remap(column, remap)
 
     def _store_upload(self, sid, table, payload, ybar, undo):
         """Insert the analyst's CIPHER_UPLOAD: Enc(xbar), then under
@@ -565,8 +555,7 @@ class DoEngine:
     """Decrypts blinded nodes, generates circuits, sends its shares."""
 
     def __init__(self, sk: paillier.PaillierPrivateKey, params: ProtocolParams,
-                 rng=None, mac_params=None, owners: dict = None,
-                 ot_group=GROUP_DEFAULT):
+                 rng=None, mac_params=None, ot_group=GROUP_DEFAULT):
         params.validate()
         if params.integrity != integrity.SCHEME_OFF and mac_params is None:
             raise ConfigurationError("integrity enabled but no MAC parameters")
@@ -574,7 +563,6 @@ class DoEngine:
         self.params = params
         self.rng = rng or make_rng()
         self.mac_params = mac_params
-        self.owners = owners if owners is not None else {}  # column -> owner
         self.ot_group = ot_group
         self.circuit = params.build_circuit()
         self._sid = NULL_SESSION
@@ -601,7 +589,7 @@ class DoEngine:
         while True:
             try:
                 frame = self.csp_ch.recv(RANDOMIZED_NODE, SESSION_DONE,
-                                         REBALANCE, idle=True)
+                                         idle=True)
             except SessionAborted:
                 self._reset_session()
                 continue
@@ -614,9 +602,6 @@ class DoEngine:
             try:
                 if frame.ftype == RANDOMIZED_NODE:
                     self._round(frame)
-                elif frame.ftype == REBALANCE:
-                    self._apply_remap(frame.payload)
-                    self.csp_ch.send(Frame(REBALANCE, frame.session_id))
                 else:
                     self._reset_session()
             except SessionAborted:
@@ -678,19 +663,6 @@ class DoEngine:
         result = self.da_ch.recv(GC_RESULT, session=sid)
         masked = _unpack_bits(result.payload, len(masks))
         self.csp_ch.send(Frame(SHARES, sid, _shares(masks, masked)))
-
-    def _apply_remap(self, payload):
-        n, off = read_int(payload, 0, 2)
-        column, off = read_bytes(payload, off, n)
-        count, off = read_int(payload, off, 4)
-        remap = {}
-        for _ in range(count):
-            old, off = read_int(payload, off, OFFSET_BYTES)
-            new, off = read_int(payload, off, OFFSET_BYTES)
-            remap[old] = new
-        owner = self.owners.get(column.decode("utf-8", "replace"))
-        if owner is not None:
-            owner.apply_remap(remap)
 
 
 # ---------------------------------------------------------------------------

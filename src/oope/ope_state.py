@@ -1,11 +1,14 @@
 """Mutable order-preserving encryption state.
 
-The table holds ⟨homomorphic ciphertext, order⟩ pairs sorted by order;
-the owner keeps the plaintext/order pairs.  Orders live in [1, M-1],
-with 0 and M acting as virtual neighbors of the extremes.  A fresh
-order is the midpoint (rounded up) of its neighbor gap; a unit gap
-signals GapExhausted and forces a rebalance that respreads all orders
-uniformly while keeping their relative ranks.
+The table holds ⟨homomorphic ciphertext, order⟩ pairs sorted by order.
+Set-up assigns the owner's plaintext/order pairs (OwnerState), from
+which the table and the row store are built; the owner keeps no orders
+afterwards, and a rebalance moves only the table and the row store.
+Orders live in [1, M-1], with 0 and M acting as virtual neighbors of
+the extremes.  A fresh order is the midpoint (rounded up) of its
+neighbor gap; a unit gap signals GapExhausted and forces a rebalance
+that respreads all orders uniformly while keeping their relative
+ranks.
 
 The server stores no tree.  A session runs an implicit binary search
 over the sorted orders: it keeps an index range [lo, hi), starting at
@@ -39,10 +42,8 @@ from .wire import (ORDER_BYTES, fixed_bytes, read_bytes, read_int, seal, u16,
 
 MODE_DET, MODE_FH = "det", "fh"
 TABLE_MAGIC = b"OPET"
-OWNER_MAGIC = b"OPEO"
 # 3: sealed, no l or mode; 4: no fh extremes; 5: every entry has a cipher
 TABLE_VERSION = 5
-OWNER_VERSION = 3  # 3: sealed, no l or M
 
 FLAG_TAGGED = 2
 FLAG_NODETAG = 4
@@ -107,20 +108,16 @@ class OpeTable:
         return entry
 
     def neighbors(self, node_order: int, direction: str):
-        """(y_left, y_right, neighbor entry or None for a virtual bound)."""
+        """(y_left, y_right): node_order and its neighbor's order in
+        direction, a virtual bound (0 or M) at either end."""
         if node_order not in self._by_order:
             raise UsageError(f"order {node_order} not present")
         i = bisect_left(self._orders, node_order)
         if direction == "left":
-            if i == 0:
-                return 0, node_order, None
-            y = self._orders[i - 1]
-            return y, node_order, self._by_order[y]
+            return (self._orders[i - 1] if i else 0), node_order
         if direction == "right":
-            if i == len(self._orders) - 1:
-                return node_order, self.m, None
-            y = self._orders[i + 1]
-            return node_order, y, self._by_order[y]
+            last = i == len(self._orders) - 1
+            return node_order, (self.m if last else self._orders[i + 1])
         raise UsageError("direction must be 'left' or 'right'")
 
     def reassign_orders(self, remap: dict):
@@ -141,7 +138,7 @@ def check_key(tables: dict, pk: paillier.PaillierPublicKey):
 
 @dataclass
 class OwnerState:
-    """The data owner's plaintext/order pairs."""
+    """The plaintext/order pairs set-up assigns, in dataset order."""
 
     pairs: list = field(default_factory=list)
 
@@ -168,8 +165,8 @@ def _uniform_orders(n: int, m: int) -> list:
 def rebalance(table: OpeTable) -> dict:
     """Respread all orders uniformly across [1, M-1]; rank is preserved.
 
-    Returns the old-order -> new-order map the owner needs to update its
-    pairs (and the row store its column values).
+    Returns the old-order -> new-order map the row store needs to update
+    its column values.
     """
     n = len(table)
     if n == 0:
@@ -304,7 +301,8 @@ def _encrypt_all(pk, jobs):
 
 
 # --- persistence ------------------------------------------------------------
-# Both files are sealed (wire.seal): magic | version u16 | body | SHA-256.
+# The table file is sealed (wire.seal): magic | version u16 | body |
+# SHA-256.  The owner keeps no orders, so it has no file here.
 # Table body:
 #   key_bits u16 | M 16B | count u64 | key_id 32B
 #   per entry: order 16B | flags u8 | cipher record |
@@ -312,8 +310,6 @@ def _encrypt_all(pk, jobs):
 # A cipher record is len u32 | residue of exactly
 # paillier.cipher_width(key_bits) bytes; every entry has one.
 # Flags: FLAG_TAGGED, FLAG_NODETAG; bits 1 and 8 are retired.
-# Owner body:
-#   count u64 | per pair: plaintext 16B | order 16B
 
 def serialize_table(table: OpeTable) -> bytes:
     out = [u16(table.key_bits), fixed_bytes(table.m, 16),
@@ -350,21 +346,3 @@ def parse_table(blob: bytes) -> OpeTable:
             entry.node_tag, off = read_bytes(body, off, n)
         table.insert(entry)
     return table
-
-
-def serialize_owner(owner: OwnerState) -> bytes:
-    body = len(owner.pairs).to_bytes(8, "big") + b"".join(
-        fixed_bytes(x, 16) + fixed_bytes(y, ORDER_BYTES)
-        for x, y in owner.pairs)
-    return seal(OWNER_MAGIC, OWNER_VERSION, body)
-
-
-def parse_owner(blob: bytes) -> OwnerState:
-    body = unseal(blob, OWNER_MAGIC, OWNER_VERSION)
-    count, off = read_int(body, 0, 8)
-    owner = OwnerState()
-    for _ in range(count):
-        x, off = read_int(body, off, 16)
-        y, off = read_int(body, off, ORDER_BYTES)
-        owner.pairs.append((x, y))
-    return owner

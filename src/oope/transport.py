@@ -30,8 +30,10 @@ MAX_FRAME = 64 * 1024 * 1024
 SESSION_BYTES = 16
 NULL_SESSION = bytes(SESSION_BYTES)
 # 2: half-gates GC_PAYLOAD, acknowledged REBALANCE; 3: no uid upload, so
-# CIPHER_UPLOAD lost its kind byte and ProtocolParams its uid field
-PROTOCOL_VERSION = 3
+# CIPHER_UPLOAD lost its kind byte and ProtocolParams its uid field;
+# 4: no REBALANCE, so a version-3 server fails at HELLO instead of
+# waiting for an acknowledgement no owner sends
+PROTOCOL_VERSION = 4
 
 ROLE_CSP, ROLE_DO, ROLE_DA = 0, 1, 2
 ROLE_NAMES = {ROLE_CSP: "csp", ROLE_DO: "do", ROLE_DA: "da"}
@@ -57,6 +59,10 @@ MINMAX_RANDOMS = 0x21
 MINMAX_SELECTED = 0x22
 INTEGRITY_TAG = 0x30
 INTEGRITY_PROOF = 0x31
+# no code sends REBALANCE any more: a rebalance stays on the server, and
+# the remap it sent showed the owner every order in the table.  The
+# number stays reserved, and the benchmark still enumerates it until its
+# next revision.
 REBALANCE = 0x32
 # no code sends UID_COMPARE any more: the analyst-resolved comparison
 # against a node it uploaded as a bare uid skipped the owner, who could

@@ -1,6 +1,7 @@
 """Ingestion, row store, range queries, analyst-entry cleanup."""
 
 import json
+import os
 import shutil
 import warnings
 
@@ -28,6 +29,15 @@ def write_csv(tmp_path, text, name="data.csv"):
 
 
 EXAMPLE_CSV = "id,X1\nr0,32\nr1,20\nr2,25\nr3,69\nr4,10\n"
+EXAMPLE_X1 = [32, 20, 25, 69, 10]
+
+
+def decrypted_rows(store, tables, sk):
+    """{column: the plaintext each row's order decrypts to through the
+    column's table, in row order}."""
+    return {c: [paillier.decrypt(sk, tables[c].get(row.orders[c]).cipher)
+                for row in store.rows]
+            for c in store.ope_columns}
 
 
 def ingest_example(tmp_path, keys, **kw):
@@ -82,11 +92,9 @@ def test_ingest_random_matches_sort_oracle(tmp_path, keys):
     plain = [paillier.decrypt(sk, e.cipher)
              for e in result.tables["X1"].entries()]
     assert plain == sorted(plain)
-    # row orders are consistent with the plaintexts
-    owner = dict(result.owners["X1"].pairs)
-    for row, line in zip(result.rows.rows, rows[1:]):
-        x = int(line.split(",")[1])
-        assert row.orders["X1"] == owner[x]
+    # every row's order decrypts, through the table, to its plaintext
+    assert decrypted_rows(result.rows, result.tables, sk)["X1"] == \
+        [int(line.split(",")[1]) for line in rows[1:]]
 
 
 def test_exec_range_example(tmp_path, keys):
@@ -110,17 +118,19 @@ def test_exec_range_example(tmp_path, keys):
 
 
 def test_exec_range_matches_plaintext_oracle(tmp_path, keys):
-    pk, _ = keys
+    pk, sk = keys
     rng = make_rng(11)
     xs = [rng.randrange(100) for _ in range(300)]
     text = "X1\n" + "".join(f"{x}\n" for x in xs)
     result = ingest(write_csv(tmp_path, text), ["X1"], (1 << 30) - 9, pk,
                     l=16, rng=rng)
-    owner = dict(result.owners["X1"].pairs)
+    assert decrypted_rows(result.rows, result.tables, sk)["X1"] == xs
+    order_of = {paillier.decrypt(sk, e.cipher): e.order
+                for e in result.tables["X1"].entries()}
     for bound in (0, 1, 17, 50, 99):
-        if bound not in owner:
+        if bound not in order_of:
             continue
-        y = owner[bound]
+        y = order_of[bound]
         got = exec_range(result.rows, RangeQuery(
             bounds={"X1": interval_from_predicate("<", y)}))
         assert got == sum(1 for x in xs if x < bound)
@@ -194,15 +204,16 @@ def test_state_dir_roundtrip(tmp_path, keys):
     csp_dir = tmp_path / "csp"
     do_dir = tmp_path / "do"
     datastore.save_csp_state(csp_dir, params, pk, result.tables, result.rows)
-    datastore.save_do_state(do_dir, params, sk, result.owners)
+    datastore.save_do_state(do_dir, params, sk)
     params2, pk2, tables2, rows2 = datastore.load_csp_state(csp_dir)
     assert params2 == params and pk2 == pk
     assert tables2["X1"].orders() == result.tables["X1"].orders()
-    assert len(rows2.rows) == 5
-    params3, sk2, owners2, mac2 = datastore.load_do_state(do_dir)
+    params3, sk2, mac2 = datastore.load_do_state(do_dir)
     assert params3 == params
-    assert owners2["X1"].pairs == result.owners["X1"].pairs
+    assert sorted(os.listdir(do_dir)) == ["key.bin", "params.json"]
     assert mac2 is None
+    # the restored rows, table and key agree on every row's plaintext
+    assert decrypted_rows(rows2, tables2, sk2) == {"X1": EXAMPLE_X1}
     c = paillier.encrypt(pk, 7, make_rng(2))
     assert paillier.decrypt(sk2, c) == 7
 
@@ -244,7 +255,6 @@ STATE_FILES = {
     "table-tagged": ("csp", "table_tagged.bin"),
     "rows": ("csp", "rows.bin"),
     "pk": ("csp", "pk.bin"),
-    "owner": ("do", "owner_X1.bin"),
     "key": ("do", "key.bin"),
     "macparams": ("do", "macparams.bin"),
 }
@@ -273,8 +283,7 @@ def state_dirs(tmp_path_factory, keys):
     tables = {"det": result.tables["X1"], "fh": fh, "tagged": tagged}
     params = ProtocolParams(l=16, k=16, m=28, key_bits=pk.key_bits)
     datastore.save_csp_state(root / "csp", params, pk, tables, result.rows)
-    datastore.save_do_state(root / "do", params, sk, result.owners,
-                            mac_params)
+    datastore.save_do_state(root / "do", params, sk, mac_params)
     return root
 
 
@@ -282,6 +291,9 @@ def state_dirs(tmp_path_factory, keys):
 @pytest.mark.parametrize("edit, match", [
     ({"uid_upload": False}, "unknown fields"),
     ({"integrity": "dlmac"}, "integrity scheme"),
+    ({"l": "16"}, "'l' is not of type int"),
+    ({"l": True}, "'l' is not of type int"),
+    ({"mode": 0}, "'mode' is not of type str"),
 ])
 def test_state_dir_with_retired_params_rejected(state_dirs, tmp_path, side,
                                                  edit, match):
@@ -290,6 +302,16 @@ def test_state_dir_with_retired_params_rejected(state_dirs, tmp_path, side,
     spec = json.loads((work / "params.json").read_text())
     (work / "params.json").write_text(json.dumps(dict(spec, **edit)))
     with pytest.raises(ConfigurationError, match=match):
+        SAVE_LOAD[side][1](work)
+
+
+@pytest.mark.parametrize("side", sorted(SAVE_LOAD))
+def test_state_dir_with_truncated_params_rejected(state_dirs, tmp_path, side):
+    work = tmp_path / side
+    shutil.copytree(state_dirs / side, work)
+    text = (work / "params.json").read_text()
+    (work / "params.json").write_text(text[:len(text) // 2])
+    with pytest.raises(ConfigurationError, match="not JSON"):
         SAVE_LOAD[side][1](work)
 
 

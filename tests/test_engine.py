@@ -472,34 +472,28 @@ def test_no_blind_is_sent_twice():
         cluster.close()
 
 
-def test_aborted_rebalance_leaves_owner_and_rows_on_table_orders(
-        monkeypatch):
+def test_aborted_rebalance_leaves_rows_on_table_orders(monkeypatch):
     params = small_params(m=19)
     data = [10, 20, 30]
     cluster, ctx = make_cluster(data, seed=23, params=params)
-    table, owner, sk = ctx["table"], ctx["owner"], ctx["sk"]
-    rows = datastore.RowStore(
-        public_columns=[], ope_columns=[""],
-        rows=[datastore.EncryptedRow(i, {}, {"": y})
-              for i, (_, y) in enumerate(owner.pairs)])
+    table, sk = ctx["table"], ctx["sk"]
+    rows = rows_of(ctx["owner"])
     cluster.csp.rows = rows
     oracle = Mope2Oracle(params.m).load(data)
-    real_apply = owner.apply_remap
+    real_apply = rows.apply_remap
 
-    def slow_apply(remap):
-        # a slow owner makes a session that returns before its owner
-        # follows the table fail on every run, not just on some
+    def slow_apply(column, remap):
+        # a slow row store makes a session that returns before its rows
+        # follow the table fail on every run, not just on some
         time.sleep(0.2)
-        real_apply(remap)
+        real_apply(column, remap)
 
-    monkeypatch.setattr(owner, "apply_remap", slow_apply)
+    monkeypatch.setattr(rows, "apply_remap", slow_apply)
 
     def in_step():
-        # no settling session: the owner acknowledged every remap before
-        # the session that made it returned
-        assert [r.orders[""] for r in rows.rows] == [y for _, y in owner.pairs]
-        for x, y in owner.pairs:
-            assert paillier.decrypt(sk, table.get(y).cipher) == x
+        # no settling session: the rows followed every remap before the
+        # session that made it returned
+        assert row_plaintexts(rows, table, sk) == data
 
     def consistent():
         # a session for a stored value changes nothing
@@ -511,14 +505,7 @@ def test_aborted_rebalance_leaves_owner_and_rows_on_table_orders(
             assert cluster.encrypt(xbar) == oracle.encrypt(xbar)
             in_step()
         consistent()
-        rebalances = []
-        real_rebalance = ope_state.rebalance
-
-        def counting_rebalance(t):
-            rebalances.append(len(t))
-            return real_rebalance(t)
-
-        monkeypatch.setattr(ope_state, "rebalance", counting_rebalance)
+        rebalances = count_rebalances(monkeypatch)
         # the server rebalances, stores the upload, then fails and rolls
         # the session back
         with failing_after_upload(cluster), \
@@ -530,45 +517,6 @@ def test_aborted_rebalance_leaves_owner_and_rows_on_table_orders(
         in_step()
         assert len(rebalances) == 2
         consistent()
-        assert not cluster.errors
-    finally:
-        cluster.close()
-
-
-def test_owner_refusing_a_rebalance_aborts_and_rolls_back(monkeypatch):
-    params = small_params(m=19)
-    data = [10, 20, 30]
-    cluster, ctx = make_cluster(data, seed=23, params=params)
-    table, owner = ctx["table"], ctx["owner"]
-    rows = datastore.RowStore(
-        public_columns=[], ope_columns=[""],
-        rows=[datastore.EncryptedRow(i, {}, {"": y})
-              for i, (_, y) in enumerate(owner.pairs)])
-    cluster.csp.rows = rows
-    oracle = Mope2Oracle(params.m).load(data)
-    try:
-        for xbar in (15, 17):
-            assert cluster.encrypt(xbar) == oracle.encrypt(xbar)
-        table_before = ope_state.serialize_table(table)
-        pairs_before = list(owner.pairs)
-        real_apply = cluster.do._apply_remap
-
-        def refuse(payload):
-            raise ProtocolError("remap refused")
-
-        # the session for 18 needs a rebalance
-        monkeypatch.setattr(cluster.do, "_apply_remap", refuse)
-        t0 = time.monotonic()
-        with pytest.raises(SessionAborted, match="remap refused"):
-            cluster.encrypt(18)
-        assert time.monotonic() - t0 < 5
-        assert ope_state.serialize_table(table) == table_before
-        assert owner.pairs == pairs_before
-        assert [r.orders[""] for r in rows.rows] == [y for _, y in owner.pairs]
-        monkeypatch.setattr(cluster.do, "_apply_remap", real_apply)
-        assert cluster.encrypt(18) == oracle.encrypt(18)
-        assert owner.pairs != pairs_before
-        assert [r.orders[""] for r in rows.rows] == [y for _, y in owner.pairs]
         assert not cluster.errors
     finally:
         cluster.close()
@@ -599,6 +547,8 @@ def test_rebalance_mid_session():
     params = small_params(m=19)
     data = [10, 20, 30]
     cluster, ctx = make_cluster(data, seed=23, params=params)
+    rows = rows_of(ctx["owner"])
+    cluster.csp.rows = rows
     try:
         oracle = Mope2Oracle(params.m).load(data)
         for xbar in (15, 17, 18, 19, 16):
@@ -608,13 +558,49 @@ def test_rebalance_mid_session():
                       for e in ctx["table"].entries())
         plain = [x for _, x in decs]
         assert plain == sorted(plain)
-        # the owner mirror followed the remap
-        owner_orders = dict(ctx["owner"].pairs)
-        for x, y in owner_orders.items():
-            assert ctx["table"].get(y) is not None
+        # the row store followed the remap
+        assert row_plaintexts(rows, ctx["table"], sk) == data
         assert not cluster.errors
     finally:
         cluster.close()
+
+
+def test_owner_view_does_not_depend_on_rebalancing(monkeypatch):
+    # a rebalance stays on the server: per session, the owner gets the
+    # same frames of the same lengths from the server, and sends it the
+    # same ones, whether the session rebalanced or not
+    params = small_params(m=67)
+    data = [9000, 100, 52000, 7, 31000, 2500, 640, 12000]
+    cluster, ctx = make_cluster(data, seed=61, params=params, record=True)
+    table = ctx["table"]
+    rebalances = count_rebalances(monkeypatch)
+    views = {}  # table height -> [(rebalanced, owner's frames)]
+
+    def sent(name, start):
+        return [(blob[4], len(blob))
+                for blob in cluster.transcripts()[name][start[name]:]]
+
+    try:
+        for xbar in range(1000, 51000, 2500):
+            start = {n: len(v) for n, v in cluster.transcripts().items()}
+            height, before = table.height, len(rebalances)
+            cluster.encrypt(xbar)
+            to_owner, from_owner = sent("csp->do", start), \
+                sent("do->csp", start)
+            assert {t for t, _ in to_owner} <= {transport.RANDOMIZED_NODE,
+                                                transport.SESSION_DONE,
+                                                transport.ABORT}
+            assert {t for t, _ in from_owner} == {transport.SHARES}
+            views.setdefault(height, []).append(
+                (len(rebalances) > before, to_owner, from_owner))
+        assert not cluster.errors
+    finally:
+        cluster.close()
+    assert rebalances
+    mixed = [h for h, v in views.items() if len({r for r, *_ in v}) == 2]
+    assert mixed, "no height saw sessions with and without a rebalance"
+    for sessions in views.values():
+        assert len({(tuple(a), tuple(b)) for _, a, b in sessions}) == 1
 
 
 def test_masked_bits_look_uniform():
@@ -670,42 +656,41 @@ def test_owner_view_is_blinded():
         cluster.close()
 
 
-def test_cluster_restored_from_state_dirs(tmp_path):
+def test_cluster_restored_from_state_dirs(tmp_path, monkeypatch):
     params = small_params(m=19)
     data = [10, 20, 30]
     oracle = Mope2Oracle(params.m).load(data)
     cluster, ctx = make_cluster(data, seed=89, params=params)
+    cluster.csp.rows = rows_of(ctx["owner"])
     try:
         for xbar in (15, 17):
             assert cluster.encrypt(xbar) == oracle.encrypt(xbar)
     finally:
         cluster.close()
-    table, owner = ctx["table"], ctx["owner"]
-    rows = datastore.RowStore([], [DEFAULT_COLUMN], [
-        datastore.EncryptedRow(i, {}, {DEFAULT_COLUMN: y})
-        for i, (_, y) in enumerate(owner.pairs)])
+    table = ctx["table"]
     datastore.save_csp_state(tmp_path / "csp", params, ctx["pk"],
-                             {DEFAULT_COLUMN: table}, rows)
-    datastore.save_do_state(tmp_path / "do", params, ctx["sk"],
-                            {DEFAULT_COLUMN: owner})
+                             {DEFAULT_COLUMN: table}, cluster.csp.rows)
+    datastore.save_do_state(tmp_path / "do", params, ctx["sk"])
     params2, pk, tables, rows = datastore.load_csp_state(tmp_path / "csp")
-    params3, sk, owners, mac_params = datastore.load_do_state(tmp_path / "do")
+    params3, sk, mac_params = datastore.load_do_state(tmp_path / "do")
     assert params2 == params3 == params and pk == sk.public
     assert ope_state.serialize_table(tables[DEFAULT_COLUMN]) == \
         ope_state.serialize_table(table)
+    saved = [r.orders[DEFAULT_COLUMN] for r in rows.rows]
 
-    restored = LocalCluster(tables, sk, params, seed=90, owners=owners,
+    restored = LocalCluster(tables, sk, params, seed=90,
                             mac_params=mac_params, ot_group=GROUP_TEST)
     restored.csp.rows = rows
+    rebalances = count_rebalances(monkeypatch)
     try:
         # 18 and 19 exhaust their gap: a rebalance in the restored cluster
         for xbar in (18, 19, 16, 20):
             assert restored.encrypt(xbar) == oracle.encrypt(xbar)
-        # the owner's pairs moved with the rebalance; the saved ones did not
-        assert owners[DEFAULT_COLUMN].pairs != owner.pairs
-        orders = set(tables[DEFAULT_COLUMN].orders())
-        assert {y for _, y in owners[DEFAULT_COLUMN].pairs} <= orders
-        assert {r.orders[DEFAULT_COLUMN] for r in rows.rows} <= orders
+        assert rebalances
+        # the rows moved with the rebalance and still decrypt, through
+        # the table, to the data
+        assert [r.orders[DEFAULT_COLUMN] for r in rows.rows] != saved
+        assert row_plaintexts(rows, tables[DEFAULT_COLUMN], sk) == data
         assert restored.da.query({DEFAULT_COLUMN: (None, None, True, True)}) \
             == len(data)
         assert not restored.errors
@@ -858,11 +843,31 @@ def test_fh_minmax_duplicate_tracks_run_extremes():
 
 
 def rows_of(owner):
-    """A row store with one row per owner pair, in ingestion order."""
+    """A row store with one row per pair set-up assigned, in ingestion
+    order."""
     return datastore.RowStore(
         public_columns=[], ope_columns=[DEFAULT_COLUMN],
         rows=[datastore.EncryptedRow(i, {}, {DEFAULT_COLUMN: y})
               for i, (_, y) in enumerate(owner.pairs)])
+
+
+def row_plaintexts(rows, table, sk):
+    """The plaintext each row's order decrypts to through table."""
+    return [paillier.decrypt(sk, table.get(r.orders[DEFAULT_COLUMN]).cipher)
+            for r in rows.rows]
+
+
+def count_rebalances(monkeypatch):
+    """A list that gets the table size of every later rebalance."""
+    sizes = []
+    real = ope_state.rebalance
+
+    def counting(table):
+        sizes.append(len(table))
+        return real(table)
+
+    monkeypatch.setattr(ope_state, "rebalance", counting)
+    return sizes
 
 
 RUN_VALUES = (10, 20, 30, 40)

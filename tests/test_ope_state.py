@@ -9,7 +9,7 @@ import pytest
 
 from oope import engine, integrity, ope_state, paillier
 from oope.errors import (CapacityError, ConfigurationError, GapExhausted,
-                         IntegrityError, ProtocolError, UsageError)
+                         ProtocolError, UsageError)
 from oope.ope_state import (OpeEntry, OpeTable, assign_order, init_state,
                             rebalance)
 from oope.rng import make_rng
@@ -107,11 +107,10 @@ def test_init_warns_on_power_of_two_m(keys):
 
 def test_neighbors_examples(keys):
     _, table = example_state(keys)
-    assert table.neighbors(4, "left") == (0, 4, None)
-    y_l, y_r, e = table.neighbors(21, "right")
-    assert (y_l, y_r, e) == (21, 28, None)
-    y_l, y_r, e = table.neighbors(11, "left")
-    assert (y_l, y_r) == (7, 11) and e.order == 7
+    assert table.neighbors(4, "left") == (0, 4)
+    assert table.neighbors(21, "right") == (21, 28)
+    assert table.neighbors(11, "left") == (7, 11)
+    assert table.neighbors(11, "right") == (11, 14)
     with pytest.raises(UsageError):
         table.neighbors(5, "left")
 
@@ -264,16 +263,6 @@ def test_setup_derives_h_n_once_on_the_calling_thread(keys, monkeypatch):
     assert calls == [threading.get_ident()]
     assert [paillier.decrypt(sk, e.cipher) for e in table.entries()] == \
         list(range(0, 60, 3))
-
-
-def test_owner_file_of_another_version_refused(keys):
-    owner, _ = example_state(keys)
-    body = unseal(ope_state.serialize_owner(owner), ope_state.OWNER_MAGIC,
-                  ope_state.OWNER_VERSION)
-    # a valid checksum over the wrong version
-    blob = seal(ope_state.OWNER_MAGIC, 99, body)
-    with pytest.raises(IntegrityError, match="version 99"):
-        ope_state.parse_owner(blob)
 
 
 def test_table_file_with_a_cipher_record_of_another_width_refused(keys):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from oope import integrity, transport
+from oope import integrity, ope_state, transport
 from oope.cluster import LocalCluster, build_cluster
 from oope.engine import (BOUND_HIGH, BOUND_LOW, OP_BOUND_HIGH, OP_BOUND_LOW,
                          OP_ENCRYPT, ProtocolParams)
@@ -47,13 +47,24 @@ def test_loopback_and_tcp_transcripts_identical():
     assert sum(len(v) for v in loop.values()) > 50
 
 
-def test_loopback_and_tcp_identical_across_rebalances():
+def test_loopback_and_tcp_identical_across_rebalances(monkeypatch):
     # an order space of 67 for up to 18 entries runs out of unit gaps
+    rebalances = []
+    real_rebalance = ope_state.rebalance
+
+    def counting_rebalance(table):
+        rebalances.append(len(table))
+        return real_rebalance(table)
+
+    monkeypatch.setattr(ope_state, "rebalance", counting_rebalance)
     loop = assert_identical(data=[9000, 100, 52000, 7, 31000, 2500, 640,
                                   12000],
                             queries=range(1000, 51000, 5000), m=67)
-    rebalances = [b for b in loop["csp->do"] if b[4] == transport.REBALANCE]
-    assert rebalances
+    # both runs rebalanced alike, and neither told anyone
+    assert rebalances and rebalances[:len(rebalances) // 2] == \
+        rebalances[len(rebalances) // 2:]
+    assert not any(b[4] == transport.REBALANCE
+                   for blobs in loop.values() for b in blobs)
 
 
 def bounds_and_encrypt(cluster, x):
