@@ -43,14 +43,18 @@ owner decrypts blinded nodes with the mod-P half of the CRT alone
 has no range check and stays on the full CRT.  These exponentiations
 release the interpreter lock, so they overlap the peers' work.
 
-A session that runs out of gaps, in either mode, rebalances the table
-at once and applies the same remap to its row store at its commit
-point, just before SESSION_DONE; an abort before then rolls the table
-back and leaves the rows alone, so table and rows move together.  A
-rebalance stays on the server, as in mOPE, where the key holder keeps
-no encodings: the owner keeps no orders after set-up and sees nothing
-of a rebalance.  The remap would show it every order in the table, the
-analyst's included, each between two of its own plaintexts.
+The search ends at a node; a new value goes into the gap at the index
+left or right of it, and ope_state.place gives its order by the rule
+set-up uses.  When that gap is a unit gap, in either mode, place
+rebalances the table at once, and the session applies the same remap
+to its row store at its commit point, just before SESSION_DONE.  An
+abort before then rolls the table back and leaves the rows alone, so
+table and rows move together; a rebalance that still leaves no room is
+rolled back by place itself.  A rebalance stays on the server, as in
+mOPE, where the key holder keeps no encodings: the owner keeps no
+orders after set-up and sees nothing of a rebalance.  The remap would
+show it every order in the table, the analyst's included, each between
+two of its own plaintexts.
 
 Garbled labels are 128-bit ints (garbling); the owner hands its OT
 sender int label pairs and the analyst gets ints back from its OT
@@ -99,9 +103,8 @@ from dataclasses import dataclass
 
 from . import garbling, integrity, ope_state, paillier, transport
 from .comparator import build_comparator, build_fh_comparator, int_to_bits
-from .errors import (CapacityError, ConfigurationError, GapExhausted,
-                     HandshakeError, IntegrityError, OopeError,
-                     ProtocolError, SessionAborted, UsageError)
+from .errors import (ConfigurationError, HandshakeError, IntegrityError,
+                     OopeError, ProtocolError, SessionAborted, UsageError)
 from .ope_state import MODE_DET, MODE_FH, OpeEntry
 from .ot import GROUP_DEFAULT, OtExtReceiver, OtExtSender
 from .rng import make_rng
@@ -157,6 +160,17 @@ class ProtocolParams:
         return hashlib.sha256(blob).digest()
 
     def validate(self):
+        for name in ("l", "k", "key_bits", "mac_subgroup_bits"):
+            if not 0 < getattr(self, name) < 1 << 16:
+                raise ConfigurationError(f"{name} must lie in [1, 2^16)")
+        if not 3 <= self.m < 1 << 128:
+            raise ConfigurationError("m must lie in [3, 2^128)")
+        # an offset r < 2^(l+k) goes on the wire in OFFSET_BYTES, and a
+        # blinded x + r < 2^(l+k+1) must stay below the key's modulus
+        if self.l + self.k > 8 * OFFSET_BYTES:
+            raise ConfigurationError("l + k exceeds the offset wire width")
+        if self.l + self.k + 2 > self.key_bits:
+            raise ConfigurationError("key too small for l + k")
         if self.mode not in (MODE_DET, MODE_FH):
             raise ConfigurationError(f"unknown mode {self.mode!r}")
         if self.integrity not in integrity.SCHEMES:
@@ -275,21 +289,6 @@ def _query_from_spec(payload: bytes):
     return datastore.RangeQuery(bounds=bounds, projection=projection)
 
 
-def _bound_order(table, op, node, b_e, b_g):
-    """A bound session's answer from where its search ended: a det node
-    equal to the value (b_e == 0) answers itself; otherwise the search
-    ended beside the gap where the value would go, and the answer is
-    the order right of that gap for OP_BOUND_LOW, left of it for
-    OP_BOUND_HIGH, a virtual end (M or 0) included."""
-    if node is None:
-        gap = (0, table.m)
-    elif b_e == 0:
-        return node
-    else:
-        gap = table.neighbors(node, "right" if b_g else "left")
-    return gap[1] if op == OP_BOUND_LOW else gap[0]
-
-
 def _parse_ped_tag(blob, pk):
     """(commitment blob, Enc(a)) of a node tag; the tag holds nothing
     else."""
@@ -403,16 +402,21 @@ class CspEngine:
                 elif b_e and not side and lo < mid:
                     hi = mid
 
-            node = table.order_at((lo + hi) // 2) if table else None
-            is_known, remap = False, None
-            if op != OP_ENCRYPT:
-                ybar = _bound_order(table, op, node, b_e, side)
-            elif node is None:
-                ybar = ope_state.assign_order(0, table.m)
-            elif b_e == 0:
-                ybar, is_known = node, True
+            # the search ended at node j; a new value goes into the gap
+            # at index i, left of j or right of it
+            j = (lo + hi) // 2
+            i = j + side
+            is_known, remap = b_e == 0, None
+            if is_known:
+                ybar = table.order_at(j)
+            elif op != OP_ENCRYPT:
+                # a bound answers the included side of its gap
+                ybar = table.gap(i)[1 if op == OP_BOUND_LOW else 0]
             else:
-                ybar, remap = self._encrypt_order(table, side, node, undo)
+                ybar, remap = ope_state.place(table, i)
+                if remap is not None:
+                    undo.append(lambda: table.reassign_orders(
+                        {v: k for k, v in remap.items()}))
 
             self.da_ch.send(Frame(ORDER_RESULT, sid, _offset_blob(ybar)))
             if op == OP_ENCRYPT:
@@ -489,26 +493,7 @@ class CspEngine:
         # fh's one traversal bit always moves the search
         return (1, bits[0]) if n == 1 else tuple(bits)
 
-    # -- order assignment and state updates --
-
-    def _encrypt_order(self, table, b_g, node_order, undo):
-        """(fresh order, remap of the rebalance it needed or None)."""
-        direction = "right" if b_g else "left"
-        y_l, y_r = table.neighbors(node_order, direction)
-        try:
-            return ope_state.assign_order(y_l, y_r), None
-        except GapExhausted:
-            remap = ope_state.rebalance(table)
-            undo.append(lambda: table.reassign_orders(
-                {v: k for k, v in remap.items()}))
-            node_order = remap[node_order]
-            y_l, y_r = table.neighbors(node_order, direction)
-            try:
-                return ope_state.assign_order(y_l, y_r), remap
-            except GapExhausted:
-                # uniform respread left no room here: M is too dense
-                raise CapacityError("order space too dense for another "
-                                    "entry at this position") from None
+    # -- state updates --
 
     def _store_upload(self, sid, table, payload, ybar, undo):
         """Insert the analyst's CIPHER_UPLOAD: Enc(xbar), then under

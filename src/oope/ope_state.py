@@ -1,14 +1,17 @@
 """Mutable order-preserving encryption state.
 
 The table holds ⟨homomorphic ciphertext, order⟩ pairs sorted by order.
-Set-up assigns the owner's plaintext/order pairs (OwnerState), from
-which the table and the row store are built; the owner keeps no orders
-afterwards, and a rebalance moves only the table and the row store.
-Orders live in [1, M-1], with 0 and M acting as virtual neighbors of
-the extremes.  A fresh order is the midpoint (rounded up) of its
-neighbor gap; a unit gap signals GapExhausted and forces a rebalance
-that respreads all orders uniformly while keeping their relative
-ranks.
+Orders live in [1, M-1].  A new entry goes in at an index of the table,
+and its gap is the pair of orders either side of that index, with 0 and
+M as the virtual ends (OpeTable.gap).  One rule, place, gives every new
+order, at set-up and in a session alike: the midpoint (rounded up) of
+its gap.  A unit gap signals GapExhausted; place then rebalances once,
+respreading all orders uniformly while keeping their ranks, and tries
+again.  If the gap is still a unit gap, place puts the table back on
+its old orders and raises CapacityError.  Set-up also returns the
+owner's plaintext/order pairs (OwnerState), from which the row store is
+built; the owner keeps no orders afterwards, and a rebalance moves only
+the table and the row store.
 
 The server stores no tree.  A session runs an implicit binary search
 over the sorted orders: it keeps an index range [lo, hi), starting at
@@ -90,9 +93,6 @@ class OpeTable:
         except KeyError:
             raise UsageError(f"order {order} not present") from None
 
-    def __contains__(self, order):
-        return order in self._by_order
-
     def insert(self, entry: OpeEntry):
         if entry.order in self._by_order:
             raise IntegrityError(f"order collision at {entry.order}")
@@ -107,18 +107,12 @@ class OpeTable:
         del self._by_order[order]
         return entry
 
-    def neighbors(self, node_order: int, direction: str):
-        """(y_left, y_right): node_order and its neighbor's order in
-        direction, a virtual bound (0 or M) at either end."""
-        if node_order not in self._by_order:
-            raise UsageError(f"order {node_order} not present")
-        i = bisect_left(self._orders, node_order)
-        if direction == "left":
-            return (self._orders[i - 1] if i else 0), node_order
-        if direction == "right":
-            last = i == len(self._orders) - 1
-            return node_order, (self.m if last else self._orders[i + 1])
-        raise UsageError("direction must be 'left' or 'right'")
+    def gap(self, index: int):
+        """(y_left, y_right): the orders either side of index, where a
+        new entry at index would go, with 0 and M as the virtual ends."""
+        left = self._orders[index - 1] if index else 0
+        right = self._orders[index] if index < len(self._orders) else self.m
+        return left, right
 
     def reassign_orders(self, remap: dict):
         entries = self.entries()
@@ -141,9 +135,6 @@ class OwnerState:
     """The plaintext/order pairs set-up assigns, in dataset order."""
 
     pairs: list = field(default_factory=list)
-
-    def apply_remap(self, remap: dict):
-        self.pairs = [(x, remap.get(y, y)) for x, y in self.pairs]
 
 
 def assign_order(y_left: int, y_right: int) -> int:
@@ -178,45 +169,45 @@ def rebalance(table: OpeTable) -> dict:
     return remap
 
 
-def _local_insert_det(sorted_pairs, xs, x, m):
-    """mOPE2 order for x against sorted (plaintext, order) pairs, whose
-    plaintexts are xs.
-
-    Returns (order, is_new); duplicates reuse the existing order.
-    """
-    i = bisect_left(xs, x)
-    if i < len(xs) and xs[i] == x:
-        return sorted_pairs[i][1], False
-    y_left = sorted_pairs[i - 1][1] if i > 0 else 0
-    y_right = sorted_pairs[i][1] if i < len(xs) else m
-    return assign_order(y_left, y_right), True
-
-
-def _local_insert_fh(sorted_pairs, xs, x, m, rng):
-    """mOPE3 placement: a coin-chosen gap inside or adjacent to x's run."""
-    lo, hi = bisect_left(xs, x), bisect_right(xs, x)
-    gap = rng.randint(lo, hi) if hi > lo else lo
-    y_left = sorted_pairs[gap - 1][1] if gap > 0 else 0
-    y_right = sorted_pairs[gap][1] if gap < len(xs) else m
-    return assign_order(y_left, y_right)
+def place(table: OpeTable, index: int):
+    """(order, remap or None) for a new entry at index: the midpoint of
+    its gap.  A unit gap rebalances the table once, and remap is that
+    rebalance's map.  If the gap is still a unit gap, the table goes
+    back on its old orders and the error is CapacityError."""
+    try:
+        return assign_order(*table.gap(index)), None
+    except GapExhausted:
+        remap = rebalance(table)
+    try:
+        return assign_order(*table.gap(index)), remap
+    except GapExhausted:
+        # a uniform respread left no room here: M is too dense
+        table.reassign_orders({v: k for k, v in remap.items()})
+        raise CapacityError("order space too dense for another "
+                            "entry at this position") from None
 
 
 def init_state(dataset, m: int, pk: paillier.PaillierPublicKey, l: int,
                mode: str = MODE_DET, rng=None, tagger=None):
     """Build owner state and table from a plaintext dataset.
 
-    Orders are assigned in the dataset's given order.  The server's
-    search needs no further structure: its midpoint walk over the sorted
-    table is the balanced tree over these orders, whatever order they
-    were inserted in.  tagger, when given, is called with each plaintext
-    to produce the serialized integrity tag stored next to the entry.
+    Each plaintext is placed in the dataset's given order, straight into
+    the table, by the rule a session uses (place): det finds its index
+    by bisection and a duplicate reuses its entry; fh puts each
+    occurrence at a coin-chosen index inside or beside its value's run.
+    The server's search needs no further structure: its midpoint walk
+    over the sorted table is the balanced tree over these orders,
+    whatever order they were inserted in.  tagger, when given, is called
+    with each plaintext to produce the serialized integrity tag stored
+    next to the entry.
 
-    Every encryption's short exponent alpha (paillier.fresh_alpha) is
-    drawn on the calling thread, entry by entry and interleaved with the
-    tagger's draws, and the key's h^N is computed there once, before any
-    worker runs; the exponentiations then spread over the cores
-    (_encrypt_all).  So a seeded table is the same on any number of
-    cores, and no worker recomputes h^N.
+    Ciphertexts and tags are filled in once every order is placed, in
+    table order.  Every encryption's short exponent alpha
+    (paillier.fresh_alpha) is drawn on the calling thread, entry by
+    entry and interleaved with the tagger's draws, and the key's h^N is
+    computed there once, before any worker runs; the exponentiations
+    then spread over the cores (_encrypt_all).  So a seeded table is the
+    same on any number of cores, and no worker recomputes h^N.
     """
     dataset = list(dataset)
     n = len(dataset)
@@ -225,53 +216,35 @@ def init_state(dataset, m: int, pk: paillier.PaillierPublicKey, l: int,
     if m & (m - 1) == 0:
         warnings.warn("M is a power of two; orders may leak tree positions")
     rng = rng or make_rng()
-    owner = OwnerState()
-    sorted_pairs = []  # (plaintext, order), sorted by (plaintext, order)
-    xs = []  # the plaintexts of sorted_pairs, so an insert costs a memmove
-
-    def place(x):
-        if mode == MODE_DET:
-            return _local_insert_det(sorted_pairs, xs, x, m)
-        return _local_insert_fh(sorted_pairs, xs, x, m, rng), True
-
-    def respread():
-        # local respread during initialization; ciphertexts are only
-        # computed afterwards, so this is safe in either mode
-        if len(sorted_pairs) >= m - 1:
-            raise CapacityError("order space exhausted at init")
-        new = _uniform_orders(len(sorted_pairs), m)
-        owner.apply_remap({py: ny for (_, py), ny in zip(sorted_pairs, new)})
-        sorted_pairs[:] = [(px, ny) for (px, _), ny in zip(sorted_pairs, new)]
-
+    table = OpeTable(m, pk.key_bits, pk.key_id)
+    xs = []  # the plaintexts in table order, for bisect
+    placed = []  # each dataset value's entry
     for x in dataset:
         if not 0 <= x < (1 << l):
             raise DomainError(f"plaintext {x} outside [0, 2^{l})")
-        try:
-            y, is_new = place(x)
-        except GapExhausted:
-            respread()
-            try:
-                y, is_new = place(x)
-            except GapExhausted:
-                # a uniform respread left no room here: M is too dense
-                raise CapacityError("order space too dense for another "
-                                    "entry at this position") from None
-        if is_new:
-            i = bisect_right(sorted_pairs, (x, y))
-            sorted_pairs.insert(i, (x, y))
-            xs.insert(i, x)
-        owner.pairs.append((x, y))
+        i = bisect_left(xs, x)
+        if mode == MODE_DET and i < len(xs) and xs[i] == x:
+            placed.append(table.get(table.order_at(i)))
+            continue
+        if mode == MODE_FH:
+            hi = bisect_right(xs, x, i)
+            if hi > i:
+                i = rng.randint(i, hi)
+        entry = OpeEntry(None, place(table, i)[0])
+        table.insert(entry)
+        xs.insert(i, x)
+        placed.append(entry)
 
-    table = OpeTable(m, pk.key_bits, pk.key_id)
+    entries = table.entries()
     jobs, node_tags = [], []
-    for x, _ in sorted_pairs:
+    for x in xs:
         jobs.append((x, paillier.fresh_alpha(rng)))
         node_tags.append(tagger(x) if tagger is not None else None)
     pk.h_n  # cached here, so the workers share it
-    for (_, y), node_tag, cipher in zip(sorted_pairs, node_tags,
-                                        _encrypt_all(pk, jobs)):
-        table.insert(OpeEntry(cipher, y, node_tag=node_tag))
-    return owner, table
+    for entry, node_tag, cipher in zip(entries, node_tags,
+                                       _encrypt_all(pk, jobs)):
+        entry.cipher, entry.node_tag = cipher, node_tag
+    return OwnerState([(x, e.order) for x, e in zip(dataset, placed)]), table
 
 
 def _encrypt_all(pk, jobs):

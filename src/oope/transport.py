@@ -36,7 +36,6 @@ NULL_SESSION = bytes(SESSION_BYTES)
 PROTOCOL_VERSION = 4
 
 ROLE_CSP, ROLE_DO, ROLE_DA = 0, 1, 2
-ROLE_NAMES = {ROLE_CSP: "csp", ROLE_DO: "do", ROLE_DA: "da"}
 
 # frame types
 HELLO = 0x01

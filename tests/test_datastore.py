@@ -294,6 +294,7 @@ def state_dirs(tmp_path_factory, keys):
     ({"l": "16"}, "'l' is not of type int"),
     ({"l": True}, "'l' is not of type int"),
     ({"mode": 0}, "'mode' is not of type str"),
+    ({"l": 70000}, "l must lie in"),
 ])
 def test_state_dir_with_retired_params_rejected(state_dirs, tmp_path, side,
                                                  edit, match):

@@ -522,6 +522,32 @@ def test_aborted_rebalance_leaves_rows_on_table_orders(monkeypatch):
         cluster.close()
 
 
+def test_rebalance_that_leaves_no_room_rolls_back(monkeypatch):
+    # at M=11 the uniform respread of six entries still leaves 19 a unit
+    # gap: the session rebalances, aborts, and the table goes back
+    params = small_params(m=11)
+    data = [10, 20, 30]
+    cluster, ctx = make_cluster(data, seed=23, params=params)
+    table, sk = ctx["table"], ctx["sk"]
+    rows = rows_of(ctx["owner"])
+    cluster.csp.rows = rows
+    oracle = Mope2Oracle(params.m).load(data)
+    try:
+        for xbar in (15, 17, 18):
+            assert cluster.encrypt(xbar) == oracle.encrypt(xbar)
+        before = ope_state.serialize_table(table)
+        rebalances = count_rebalances(monkeypatch)
+        with pytest.raises(SessionAborted, match="too dense"):
+            cluster.encrypt(19)
+        assert rebalances == [6]
+        assert ope_state.serialize_table(table) == before
+        assert row_plaintexts(rows, table, sk) == data
+        assert cluster.encrypt(10) == oracle.encrypt(10)
+        assert not cluster.errors
+    finally:
+        cluster.close()
+
+
 def test_every_single_share_bit_flip_detected():
     for bit in range(4):
         cluster, _ = make_cluster(EXAMPLE, seed=13 + bit,

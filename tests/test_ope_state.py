@@ -11,7 +11,7 @@ from oope import engine, integrity, ope_state, paillier
 from oope.errors import (CapacityError, ConfigurationError, GapExhausted,
                          ProtocolError, UsageError)
 from oope.ope_state import (OpeEntry, OpeTable, assign_order, init_state,
-                            rebalance)
+                            place, rebalance)
 from oope.rng import make_rng
 from oope.wire import ORDER_BYTES, lp, seal, unseal
 
@@ -105,20 +105,54 @@ def test_init_warns_on_power_of_two_m(keys):
         init_state([1, 2], 32, pk, l=16, rng=make_rng(1))
 
 
-def test_neighbors_examples(keys):
-    _, table = example_state(keys)
-    assert table.neighbors(4, "left") == (0, 4)
-    assert table.neighbors(21, "right") == (21, 28)
-    assert table.neighbors(11, "left") == (7, 11)
-    assert table.neighbors(11, "right") == (11, 14)
-    with pytest.raises(UsageError):
-        table.neighbors(5, "left")
+def test_gap_examples(keys):
+    _, table = example_state(keys)  # orders [4, 7, 11, 14, 21], M=28
+    assert table.gap(0) == (0, 4)
+    assert table.gap(5) == (21, 28)
+    assert table.gap(2) == (7, 11)
+    assert table.gap(3) == (11, 14)
+    assert OpeTable(28).gap(0) == (0, 28)
+
+
+def table_on(keys, m, orders):
+    pk, _ = keys
+    table = OpeTable(m, key_bits=pk.key_bits, key_id=pk.key_id)
+    for i, y in enumerate(orders):
+        table.insert(OpeEntry(paillier.encrypt(pk, i, make_rng(i)), y))
+    return table
+
+
+def test_place_takes_the_midpoint_of_its_gap(keys):
+    _, table = example_state(keys)  # orders [4, 7, 11, 14, 21], M=28
+    before = ope_state.serialize_table(table)
+    assert place(table, 2) == (9, None)
+    assert place(table, 5) == (25, None)
+    assert ope_state.serialize_table(table) == before
+
+
+def test_place_rebalances_a_unit_gap_once(keys, monkeypatch):
+    table = table_on(keys, 28, [4, 5, 21])
+    calls = []
+    monkeypatch.setattr(ope_state, "rebalance",
+                        lambda t: calls.append(1) or rebalance(t))
+    # (4, 5) is a unit gap; the respread puts the entries on 7, 14, 21
+    assert place(table, 1) == (11, {4: 7, 5: 14, 21: 21})
+    assert table.orders() == [7, 14, 21]
+    assert calls == [1]
+
+
+def test_place_without_room_restores_the_table(keys):
+    # three entries respread over M=6 sit on 2, 3, 5: (2, 3) is still a
+    # unit gap, so the table goes back on 1, 2, 4
+    table = table_on(keys, 6, [1, 2, 4])
+    before = ope_state.serialize_table(table)
+    with pytest.raises(CapacityError, match="too dense"):
+        place(table, 1)
+    assert ope_state.serialize_table(table) == before
 
 
 def test_rebalance_single_entry(keys):
-    pk, _ = keys
-    table = OpeTable(28, key_bits=pk.key_bits, key_id=pk.key_id)
-    table.insert(OpeEntry(paillier.encrypt(pk, 9, make_rng(1)), 3))
+    table = table_on(keys, 28, [3])
     remap = rebalance(table)
     assert remap == {3: 14}
     assert table.orders() == [14]
@@ -126,7 +160,7 @@ def test_rebalance_single_entry(keys):
 
 def test_rebalance_preserves_rank(keys):
     pk, sk = keys
-    owner, table = example_state(keys)
+    _, table = example_state(keys)
     before = [(paillier.decrypt(sk, e.cipher), e.order) for e in table.entries()]
     remap = rebalance(table)
     after = [(paillier.decrypt(sk, e.cipher), e.order) for e in table.entries()]
@@ -134,16 +168,11 @@ def test_rebalance_preserves_rank(keys):
     orders = [y for _, y in after]
     assert orders == sorted(orders)
     assert all(1 <= y <= table.m - 1 for y in orders)
-    owner.apply_remap(remap)
-    assert sorted(owner.pairs) == sorted(
-        (x, remap[y]) for x, y in dict(before).items())
+    assert [remap[y] for _, y in before] == orders
 
 
 def test_rebalance_capacity_error(keys):
-    pk, _ = keys
-    table = OpeTable(6, key_bits=pk.key_bits, key_id=pk.key_id)
-    for i, y in enumerate((1, 2, 3, 4, 5)):
-        table.insert(OpeEntry(paillier.encrypt(pk, i, make_rng(i)), y))
+    table = table_on(keys, 6, [1, 2, 3, 4, 5])
     with pytest.raises(CapacityError):
         rebalance(table)
 

@@ -31,3 +31,30 @@ def test_every_field_enters_the_digest():
 def test_unknown_integrity_scheme_rejected(scheme):
     with pytest.raises(ConfigurationError, match="integrity scheme"):
         ProtocolParams(integrity=scheme).validate()
+
+
+@pytest.mark.parametrize("fields, match", [
+    ({"l": 70000}, "l must lie in"),
+    ({"l": -1}, "l must lie in"),
+    ({"l": 0, "k": 0}, "l must lie in"),
+    ({"key_bits": 0}, "key_bits must lie in"),
+    ({"mac_subgroup_bits": 1 << 16}, "mac_subgroup_bits must lie in"),
+    ({"m": 1 << 130}, "m must lie in"),
+    ({"m": 2}, "m must lie in"),
+    ({"l": 64, "k": 65}, "offset wire width"),
+    ({"l": 32, "k": 32, "key_bits": 65}, "key too small"),
+])
+def test_out_of_range_fields_rejected(fields, match):
+    # each of these once passed validate, then made digest() or the
+    # first session raise an untyped OverflowError
+    with pytest.raises(ConfigurationError, match=match):
+        ProtocolParams(**fields).validate()
+
+
+@pytest.mark.parametrize("fields", [
+    {}, {"m": 3}, {"m": (1 << 128) - 1}, {"l": 64, "k": 64, "key_bits": 130},
+])
+def test_fields_at_their_limits_accepted(fields):
+    params = ProtocolParams(**fields)
+    params.validate()
+    assert len(params.digest()) == 32
