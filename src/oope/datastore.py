@@ -254,7 +254,8 @@ def parse_rows(blob: bytes) -> RowStore:
 # The owner keeps no orders, so its dir holds none.
 
 PK_MAGIC, KEY_MAGIC, MAC_MAGIC = b"OPEP", b"OPEK", b"OPEM"
-KEY_FILE_VERSION = 1
+# 2: subgroup keys; pk.bin adds h, key.bin adds t_p, t_q and h
+KEY_FILE_VERSION = 2
 
 
 def _write(path, name, blob: bytes):

@@ -38,10 +38,15 @@ CIPHER_UPLOAD is Enc(xbar) as one cipher record, followed under
 Pedersen by its node tag (the commitment and Enc(a)), and nothing else.
 Every cipher record is exactly paillier.cipher_width bytes wide, so a
 malformed upload aborts the session instead of reaching the table.  The
-owner decrypts blinded nodes with the mod-P half of the CRT alone
-(paillier.decrypt), since it range-checks them; the Pedersen a + r'
-has no range check and stays on the full CRT.  These exponentiations
-release the interpreter lock, so they overlap the peers' work.
+owner decrypts each blinded node with the mod-P half of the CRT alone,
+one exponentiation mod P^2 by the 256-bit subgroup order t_p
+(paillier.decrypt), since it range-checks the result; the Pedersen
+a + r' has no range check and stays on the full CRT, by t_p and t_q.
+A node whose randomness lies outside the key's subgroup fails that
+decryption with an IntegrityError and aborts the session as an
+out-of-range node does, so no a + r' decrypted from one reaches
+INTEGRITY_PROOF.  These exponentiations release the interpreter lock,
+so they overlap the peers' work.
 
 The search ends at a node; a new value goes into the gap at the index
 left or right of it, and ope_state.place gives its order by the rule

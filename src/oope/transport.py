@@ -32,8 +32,9 @@ NULL_SESSION = bytes(SESSION_BYTES)
 # 2: half-gates GC_PAYLOAD, acknowledged REBALANCE; 3: no uid upload, so
 # CIPHER_UPLOAD lost its kind byte and ProtocolParams its uid field;
 # 4: no REBALANCE, so a version-3 server fails at HELLO instead of
-# waiting for an acknowledgement no owner sends
-PROTOCOL_VERSION = 4
+# waiting for an acknowledgement no owner sends; 5: the public key
+# carries the subgroup generator h, so a key travels as key_bits | N | h
+PROTOCOL_VERSION = 5
 
 ROLE_CSP, ROLE_DO, ROLE_DA = 0, 1, 2
 

@@ -14,7 +14,7 @@ from oope.engine import ProtocolParams
 from oope.errors import (ConfigurationError, DomainError, IntegrityError,
                          KeyMismatchError)
 from oope.rng import make_rng
-from oope.wire import seal
+from oope.wire import be_bytes, fixed_bytes, lp, seal
 
 
 @pytest.fixture(scope="module")
@@ -232,12 +232,15 @@ def test_table_under_another_key_refused(tmp_path, keys):
 
 
 def test_public_key_copies_share_h_n(state_dirs, keys):
-    # h^N depends on N alone, so the analyst's parsed key and a restored
-    # server encrypt byte-equal ciphertexts from equally seeded rngs
+    # h travels in the key, on the wire and in pk.bin, so the analyst's
+    # parsed key and a restored server encrypt byte-equal ciphertexts
+    # from equally seeded rngs
     pk, _ = keys
     parsed, _ = paillier.parse_public_key(paillier.serialize_public_key(pk))
     _, restored, _, _ = datastore.load_csp_state(state_dirs / "csp")
+    _, sk_restored, _ = datastore.load_do_state(state_dirs / "do")
     assert parsed is not pk and restored is not pk
+    assert parsed.h == restored.h == sk_restored.public.h == pk.h
     assert parsed.h_n == restored.h_n == pk.h_n
     for m in (0, 7, pk.n - 1):
         records = {paillier.cipher_record(paillier.encrypt(key, m, make_rng(m)),
@@ -338,3 +341,19 @@ def test_sealed_state_file(state_dirs, tmp_path, kind):
         (work / name).write_bytes(bad)
         with pytest.raises(IntegrityError):
             load(work)
+
+
+@pytest.mark.parametrize("kind", ["pk", "key"])
+def test_version_1_key_file_refused(state_dirs, tmp_path, keys, kind):
+    # version 1 sealed keys without h: key_bits | N and key_bits | P | Q
+    pk, sk = keys
+    side, name = STATE_FILES[kind]
+    magic = (state_dirs / side / name).read_bytes()[:4]
+    values = (pk.n,) if kind == "pk" else (sk.p, sk.q)
+    body = fixed_bytes(pk.key_bits, 2) + b"".join(
+        lp(be_bytes(v)) for v in values)
+    work = tmp_path / side
+    shutil.copytree(state_dirs / side, work)
+    (work / name).write_bytes(seal(magic, 1, body))
+    with pytest.raises(IntegrityError, match="file version 1"):
+        SAVE_LOAD[side][1](work)

@@ -11,13 +11,15 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from oracles import Mope2Oracle, bound_orders, min_max_orders, \
-    rank_interval_holds, sandwich_holds
+    rank_interval_holds, sandwich_holds, textbook_encrypt
 
 from oope import datastore, integrity, ope_state, paillier, transport
 from oope.cluster import LocalCluster, build_cluster
-from oope.engine import BOUND_HIGH, BOUND_LOW, DEFAULT_COLUMN, ProtocolParams
-from oope.errors import (ConfigurationError, FramingError, KeyMismatchError,
-                         ProtocolError, SessionAborted, UsageError)
+from oope.engine import (BOUND_HIGH, BOUND_LOW, DEFAULT_COLUMN, CspEngine,
+                         DoEngine, ProtocolParams)
+from oope.errors import (ConfigurationError, FramingError, HandshakeError,
+                         KeyMismatchError, OopeError, ProtocolError,
+                         SessionAborted, UsageError)
 from oope.ot import GROUP_TEST
 from oope.rng import make_rng
 from oope.transport import Frame
@@ -395,36 +397,87 @@ def test_malformed_bit_vectors_abort_and_service_continues(mode, damage):
         cluster.close()
 
 
-@pytest.mark.parametrize("plaintext", ["bound", "N-1"])
+@pytest.mark.parametrize("plaintext", ["bound", "N-1", "full-range r"])
 def test_out_of_range_blinded_node_aborts_at_owner(plaintext):
     # the owner decrypts blinded nodes mod P; a node at the bound or at
-    # N-1 must still fail its range check
+    # N-1 must still fail its range check, and one in range whose
+    # randomness lies outside the key's subgroup must fail decryption
     params = small_params()
     cluster, ctx = make_cluster(EXAMPLE, seed=49, params=params)
     try:
         pk = ctx["pk"]
-        value = {"bound": (1 << (params.l + params.k)) + (1 << params.l),
-                 "N-1": pk.n - 1}[plaintext]
+        bound = (1 << (params.l + params.k)) + (1 << params.l)
+        cipher, reason = {
+            "bound": (paillier.encrypt(pk, bound, make_rng(1)),
+                      "out of range"),
+            "N-1": (paillier.encrypt(pk, pk.n - 1, make_rng(1)),
+                    "out of range"),
+            "full-range r": (textbook_encrypt(pk, 5, make_rng(1)),
+                             "subgroup")}[plaintext]
         orders_before = ctx["table"].orders()
         orig_send = cluster.csp.do_ch.send
 
         def substituted(frame):
             if frame.ftype == transport.RANDOMIZED_NODE:
                 frame = Frame(frame.ftype, frame.session_id,
-                              paillier.cipher_record(
-                                  paillier.encrypt(pk, value, make_rng(1)),
-                                  pk.key_bits))
+                              paillier.cipher_record(cipher, pk.key_bits))
             orig_send(frame)
 
         cluster.csp.do_ch.send = substituted
         t0 = time.monotonic()
-        with pytest.raises(SessionAborted, match="out of range"):
+        with pytest.raises(SessionAborted, match=reason):
             cluster.encrypt(15)
         assert time.monotonic() - t0 < 5
         cluster.csp.do_ch.send = orig_send
         assert ctx["table"].orders() == orders_before
         assert cluster.encrypt(15) == \
             Mope2Oracle(params.m).load(EXAMPLE).encrypt(15)
+        assert not cluster.errors
+    finally:
+        cluster.close()
+
+
+@pytest.mark.parametrize("upload", ["out-of-range", "outside-subgroup"])
+def test_hostile_upload_poisons_its_node_until_cleanup(upload):
+    # the server cannot check an upload, so one that decrypts out of
+    # range, or not at all since its randomness lies outside <h^N>,
+    # aborts every later session that visits its node (here the root, so
+    # every session) and leaves the table as it was; cleaning up the
+    # upload's session restores service
+    params = small_params()
+    data = list(range(100, 800, 100))
+    cluster, ctx = make_cluster(data, seed=3, params=params)
+    try:
+        pk = ctx["pk"]
+        cipher, reason = {
+            "out-of-range": (paillier.encrypt(pk, 450 + (1 << 70),
+                                              make_rng(5)), "out of range"),
+            "outside-subgroup": (textbook_encrypt(pk, 450, make_rng(5)),
+                                 "subgroup")}[upload]
+        orig_send = cluster.da.csp_ch.send
+        hostile = []
+
+        def substituted(frame):
+            if frame.ftype == transport.CIPHER_UPLOAD:
+                hostile.append(frame.session_id)
+                frame = Frame(frame.ftype, frame.session_id,
+                              paillier.cipher_record(cipher, pk.key_bits))
+            orig_send(frame)
+
+        cluster.da.csp_ch.send = substituted
+        cluster.encrypt(450)
+        cluster.da.csp_ch.send = orig_send
+        table_before = ope_state.serialize_table(ctx["table"])
+        for op in (lambda: cluster.encrypt(50), lambda: cluster.encrypt(350),
+                   lambda: cluster.encrypt(450), lambda: cluster.encrypt(750),
+                   lambda: cluster.da.bound(550, BOUND_LOW)):
+            with pytest.raises(SessionAborted, match=reason):
+                op()
+            assert ope_state.serialize_table(ctx["table"]) == table_before
+        assert cluster.da.cleanup(hostile) == 1
+        oracle = Mope2Oracle(params.m).load(data)
+        for xbar in (50, 350, 450, 750):
+            assert cluster.encrypt(xbar) == oracle.encrypt(xbar)
         assert not cluster.errors
     finally:
         cluster.close()
@@ -730,6 +783,42 @@ def test_cluster_refuses_a_table_under_another_key():
     _, sk = paillier.keygen(256, rng=make_rng(92), allow_small=True)
     with pytest.raises(KeyMismatchError, match="'col'"):
         LocalCluster({"col": ctx["table"]}, sk, small_params())
+
+
+def test_server_with_another_h_refuses_the_owner_at_hello():
+    # the same N under another generator of the same subgroup: key_id
+    # covers h, so the server refuses the owner's key at HELLO
+    params = small_params()
+    pk, sk = paillier.keygen(params.key_bits, rng=make_rng(93),
+                             allow_small=True)
+    other = paillier.PaillierPublicKey(pk.n, pk.key_bits, pk.h * pk.h % pk.n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        _, table = ope_state.init_state(EXAMPLE, params.m, other, l=params.l,
+                                        rng=make_rng(94))
+    csp = CspEngine({DEFAULT_COLUMN: table}, other, params, make_rng(95))
+    do = DoEngine(sk, params, make_rng(96), ot_group=GROUP_TEST)
+    csp_do, do_csp = transport.loopback_pair()
+    csp_da, da_csp = transport.loopback_pair()
+    do_da, da_do = transport.loopback_pair()
+    owner_errors = []
+
+    def owner():
+        try:
+            do.attach(do_csp, do_da)
+        except OopeError as e:
+            owner_errors.append(e)
+
+    t = threading.Thread(target=owner, daemon=True)
+    t.start()
+    try:
+        with pytest.raises(HandshakeError, match="owner key does not match"):
+            csp.attach(csp_do, csp_da)
+    finally:
+        for ch in (csp_do, do_csp, csp_da, da_csp, do_da, da_do):
+            ch.close()
+        t.join(timeout=5)
+    assert not t.is_alive() and len(owner_errors) == 1
 
 
 # --- transports and the receive timeout -------------------------------------

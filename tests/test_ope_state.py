@@ -276,20 +276,25 @@ def test_setup_fan_out_matches_serial(keys, monkeypatch, mode, tagged):
 
 
 def test_setup_derives_h_n_once_on_the_calling_thread(keys, monkeypatch):
+    # a freshly parsed key has no h^N yet; set-up computes it once, on
+    # the calling thread, before any worker's encryption uses it
     pk, sk = keys
     fresh, _ = paillier.parse_public_key(paillier.serialize_public_key(pk))
-    derive = paillier._derive_h
+    powmod = paillier.powmod
     calls = []
 
-    def recording_derive(n):
-        calls.append(threading.get_ident())
-        return derive(n)
+    def recording_powmod(base, exp, mod):
+        calls.append((threading.get_ident(), base == fresh.h and
+                      exp == fresh.n and mod == fresh.n_sq))
+        return powmod(base, exp, mod)
 
-    monkeypatch.setattr(paillier, "_derive_h", recording_derive)
+    monkeypatch.setattr(paillier, "powmod", recording_powmod)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     _, table = init_state(range(0, 60, 3), (1 << 20) - 3, fresh, l=16,
                           rng=make_rng(4))
-    assert calls == [threading.get_ident()]
+    assert calls[0] == (threading.get_ident(), True)
+    assert not any(is_h_n for _, is_h_n in calls[1:])
+    assert len(calls) == 1 + 20 and len({t for t, _ in calls[1:]}) > 1
     assert [paillier.decrypt(sk, e.cipher) for e in table.entries()] == \
         list(range(0, 60, 3))
 

@@ -6,12 +6,13 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import decrypt_direct
+from oracles import decrypt_direct, textbook_encrypt
 
 from oope import paillier
-from oope.errors import DomainError, KeyMismatchError, ProtocolError
+from oope.errors import (DomainError, IntegrityError, KeyMismatchError,
+                         ProtocolError)
 from oope.rng import make_rng
-from oope.wire import lp
+from oope.wire import be_bytes, fixed_bytes, lp
 
 
 @pytest.fixture(scope="module")
@@ -139,35 +140,46 @@ def test_decrypt_mod_p_passes_out_of_range_only_with_a_factor(keys, data):
         assert math.gcd(m - s, pk.n) == sk.p
 
 
-def textbook_encrypt(pk, m, rng):
-    """Full-range Paillier, (1+mN) * r^N mod N^2 with r uniform in Z_N*:
-    the oracle for the short-exponent encrypt."""
-    while True:
-        r = rng.randrange(1, pk.n)
-        if math.gcd(r, pk.n) == 1:
-            break
-    value = (1 + m * pk.n) * pow(r, pk.n, pk.n_sq) % pk.n_sq
-    return paillier.HomCiphertext(value, pk.key_id)
-
-
 @pytest.mark.parametrize("bits", [256, 2048])
 def test_short_exponent_agrees_with_full_range_oracle(key_sizes, bits):
+    # lam-decryption is the oracle for everything encrypt and hom_add
+    # make; a textbook ciphertext, whose r^N lies outside <h^N>, is a
+    # valid Paillier ciphertext that decrypt refuses on both paths
     pk, sk = key_sizes[bits]
     rng = make_rng(bits)
     below = 1 << 66  # at most P on both key sizes: the mod-P path
     for m in (0, 1, below - 1, rng.randrange(below), rng.randrange(pk.n)):
         short = paillier.encrypt(pk, m, rng)
-        full = textbook_encrypt(pk, m, rng)
-        for c in (short, full):
-            assert paillier.decrypt(sk, c) == \
-                decrypt_direct(sk, c) == m
-            if m < below:
-                assert paillier.decrypt(sk, c, below=below) == m
+        assert paillier.decrypt(sk, short) == decrypt_direct(sk, short) == m
+        if m < below:
+            assert paillier.decrypt(sk, short, below=below) == m
         m2 = rng.randrange(pk.n)
+        total = paillier.hom_add(pk, short, paillier.encrypt(pk, m2, rng))
+        assert paillier.decrypt(sk, total) == decrypt_direct(sk, total) \
+            == (m + m2) % pk.n
+        full = textbook_encrypt(pk, m, rng)
         mixed = paillier.hom_add(pk, short, textbook_encrypt(pk, m2, rng))
-        assert paillier.decrypt(sk, mixed) == (m + m2) % pk.n
-        assert paillier.decrypt(sk, paillier.hom_add(
-            pk, full, paillier.encrypt(pk, m2, rng))) == (m + m2) % pk.n
+        for c, want in ((full, m), (mixed, (m + m2) % pk.n)):
+            assert decrypt_direct(sk, c) == want
+            for kw in ({}, {"below": below}):
+                with pytest.raises(IntegrityError, match="subgroup"):
+                    paillier.decrypt(sk, c, **kw)
+
+
+def test_membership_is_checked_per_crt_half(keys):
+    # randomness outside <h^N> mod Q alone: the mod-P path returns m mod
+    # P, which lam-decryption gives too, and the full path refuses it
+    pk, sk = keys
+    rng = make_rng(67)
+    c = paillier.encrypt(pk, 1234, rng)
+    # w = 1 mod P^2, and mod Q^2 an N-th power outside <h^N>
+    r_q = textbook_encrypt(pk, 0, rng).value % sk.q_sq
+    w = 1 + sk.p_sq * ((r_q - 1) * pow(sk.p_sq, -1, sk.q_sq) % sk.q_sq)
+    bad = paillier.HomCiphertext(c.value * w % pk.n_sq, pk.key_id)
+    assert decrypt_direct(sk, bad) == 1234
+    assert paillier.decrypt(sk, bad, below=1 << 20) == 1234
+    with pytest.raises(IntegrityError, match="subgroup"):
+        paillier.decrypt(sk, bad)
 
 
 def test_alpha_draws_lie_in_range(keys):
@@ -192,14 +204,23 @@ def test_alpha_draws_lie_in_range(keys):
         paillier.encrypt(pk, 5, alpha=paillier.fresh_alpha(make_rng(3)))
 
 
-def test_h_n_is_a_fixed_nth_residue_of_n(key_sizes):
-    # h^N is an N-th residue (order dividing lam) and not 1, the same on
-    # every key object over N, and differs between moduli
-    for pk, sk in key_sizes.values():
-        assert pk.h_n != 1 and math.gcd(pk.h_n, pk.n) == 1
-        assert pow(pk.h_n, sk.lam, pk.n_sq) == 1
-        assert paillier.PaillierPublicKey(pk.n, pk.key_bits).h_n == pk.h_n
-    assert key_sizes[256][0].h_n != key_sizes[2048][0].h_n
+@pytest.mark.parametrize("bits", [64, 256, 2048])
+def test_keygen_builds_a_subgroup_key(key_sizes, bits):
+    pk, sk = key_sizes[bits] if bits in key_sizes else \
+        paillier.keygen(bits, rng=make_rng(bits), allow_small=True)
+    p, q, t_p, t_q, h, n = sk.p, sk.q, sk.t_p, sk.t_q, pk.h, pk.n
+    t_bits = min(256, bits // 4)
+    for t in (t_p, t_q):
+        assert t.bit_length() == t_bits and paillier.is_probable_prime(t)
+    assert t_p != t_q
+    assert (p - 1) % (2 * t_p) == 0 and (q - 1) % (2 * t_q) == 0
+    assert n == p * q and n.bit_length() == bits
+    # h has order t_p*t_q mod N, and t_p alone factors N
+    assert pow(h, t_p * t_q, n) == 1
+    assert pow(h, t_p, q) != 1 and pow(h, t_q, p) != 1
+    assert math.gcd(pow(h, t_p, n) - 1, n) == p
+    assert math.gcd(pow(h, t_q, n) - 1, n) == q
+    assert pk.h_n == pow(h, n, pk.n_sq)
 
 
 def test_fast_g_equals_textbook(keys):
@@ -242,10 +263,138 @@ def test_ciphertext_serialization_roundtrip(keys):
 def test_key_serialization_roundtrip(keys):
     pk, sk = keys
     pk2, _ = paillier.parse_public_key(paillier.serialize_public_key(pk))
-    assert pk2 == pk and pk2.key_id == pk.key_id
+    assert pk2 == pk and pk2.key_id == pk.key_id and pk2.h == pk.h
     sk2, _ = paillier.parse_private_key(paillier.serialize_private_key(sk))
+    assert sk2.public == pk and (sk2.t_p, sk2.t_q) == (sk.t_p, sk.t_q)
     c = paillier.encrypt(pk, 99, make_rng(47))
     assert paillier.decrypt(sk2, c) == 99
+
+
+def test_key_equality_and_id_cover_h(keys):
+    pk, _ = keys
+    other = paillier.PaillierPublicKey(pk.n, pk.key_bits, pk.h * pk.h % pk.n)
+    assert other != pk and other.key_id != pk.key_id
+    assert hash(other) != hash(pk)
+    assert len({pk, other, paillier.PaillierPublicKey(
+        pk.n, pk.key_bits, pk.h)}) == 2
+
+
+def key_blob(key_bits, *values):
+    """A key encoding: key_bits u16, then each value length-prefixed."""
+    return fixed_bytes(key_bits, 2) + b"".join(lp(be_bytes(v)) for v in values)
+
+
+def test_public_key_with_h_outside_z_n_star_refused(keys):
+    pk, sk = keys
+    for h in (0, 1, pk.n, pk.n + 1, sk.p, 2 * sk.q):
+        with pytest.raises(ProtocolError, match="outside"):
+            paillier.parse_public_key(key_blob(pk.key_bits, pk.n, h))
+
+
+def test_private_key_that_is_no_subgroup_key_refused(keys):
+    pk, sk = keys
+    p, q, t_p, t_q, h = sk.p, sk.q, sk.t_p, sk.t_q, pk.h
+    h_1_mod_p = 1 + p * ((h - 1) * pow(p, -1, q) % q)  # order t_q alone
+    for values in ((p, q, t_p + 2, t_q, h), (p, q, t_p, 0, h),
+                   (p, q, t_q, t_p, h), (p, p, t_p, t_p, h),
+                   (p, q, t_p, t_q, h_1_mod_p), (p, q, t_p, t_q, 2)):
+        with pytest.raises(ProtocolError, match="subgroup key"):
+            paillier.parse_private_key(key_blob(pk.key_bits, *values))
+    # another generator of the same subgroup is a subgroup key
+    h2 = h * h % pk.n
+    sk2, _ = paillier.parse_private_key(key_blob(pk.key_bits, p, q, t_p, t_q,
+                                                 h2))
+    assert sk2.public.h == h2
+
+
+def test_fast_g_equals_textbook(keys):
+    # (1+mN) * r^N == g^m * r^N with g = 1+N, for identical r
+    pk, _ = keys
+    rng = make_rng(29)
+    for _ in range(20):
+        m = rng.randrange(pk.n)
+        r = rng.randrange(1, pk.n)
+        rn = pow(r, pk.n, pk.n_sq)
+        fast = (1 + m * pk.n) % pk.n_sq * rn % pk.n_sq
+        textbook = pow(1 + pk.n, m, pk.n_sq) * rn % pk.n_sq
+        assert fast == textbook
+
+
+def test_key_mismatch_detected(keys):
+    pk, sk = keys
+    pk2, sk2 = paillier.keygen(256, rng=make_rng(31), allow_small=True)
+    c = paillier.encrypt(pk, 5, make_rng(1))
+    with pytest.raises(KeyMismatchError):
+        paillier.decrypt(sk2, c)
+    with pytest.raises(KeyMismatchError):
+        paillier.hom_add(pk2, c, paillier.encrypt(pk2, 1, make_rng(2)))
+
+
+def test_ciphertext_serialization_roundtrip(keys):
+    pk, _ = keys
+    c = paillier.encrypt(pk, 1234, make_rng(43))
+    rec = paillier.cipher_record(c, pk.key_bits)
+    assert len(rec) == 4 + paillier.cipher_width(pk.key_bits)
+    parsed, off = paillier.parse_cipher_record(rec, 0, pk.key_id,
+                                               pk.key_bits)
+    assert parsed == c and off == len(rec)
+    # a record one byte wider or narrower is refused, whatever its value
+    for blob in (b"\0" + rec[4:], rec[5:]):
+        with pytest.raises(ProtocolError, match="cipher record"):
+            paillier.parse_cipher_record(lp(blob), 0, pk.key_id, pk.key_bits)
+
+
+def test_key_serialization_roundtrip(keys):
+    pk, sk = keys
+    pk2, _ = paillier.parse_public_key(paillier.serialize_public_key(pk))
+    assert pk2 == pk and pk2.key_id == pk.key_id and pk2.h == pk.h
+    sk2, _ = paillier.parse_private_key(paillier.serialize_private_key(sk))
+    assert sk2.public == pk and (sk2.t_p, sk2.t_q) == (sk.t_p, sk.t_q)
+    c = paillier.encrypt(pk, 99, make_rng(47))
+    assert paillier.decrypt(sk2, c) == 99
+
+
+def test_key_equality_and_id_cover_h(keys):
+    pk, _ = keys
+    other = paillier.PaillierPublicKey(pk.n, pk.key_bits, pk.h * pk.h % pk.n)
+    assert other != pk and other.key_id != pk.key_id
+    assert hash(other) != hash(pk)
+    assert len({pk, other, paillier.PaillierPublicKey(
+        pk.n, pk.key_bits, pk.h)}) == 2
+
+
+def public_key_blob(key_bits, n, h):
+    return fixed_bytes(key_bits, 2) + lp(be_bytes(n)) + lp(be_bytes(h))
+
+
+def test_public_key_with_h_outside_z_n_star_refused(keys):
+    pk, sk = keys
+    for h in (0, 1, pk.n, pk.n + 1, sk.p, 2 * sk.q):
+        with pytest.raises(ProtocolError, match="outside"):
+            paillier.parse_public_key(public_key_blob(pk.key_bits, pk.n, h))
+
+
+def test_private_key_that_is_no_subgroup_key_refused(keys):
+    pk, sk = keys
+    # h squared keeps its order; any other change breaks a check
+    cases = {"h^2": (sk.p, sk.q, sk.t_p, sk.t_q, pk.h * pk.h % pk.n)}
+    for name, values in {
+            "t_p": (sk.p, sk.q, sk.t_p + 2, sk.t_q, pk.h),
+            "t_q=0": (sk.p, sk.q, sk.t_p, 0, pk.h),
+            "swapped": (sk.p, sk.q, sk.t_q, sk.t_p, pk.h),
+            "p=q": (sk.p, sk.p, sk.t_p, sk.t_p, pk.h),
+            "h=1 mod P": (sk.p, sk.q, sk.t_p, sk.t_q,
+                          1 + sk.p * (pk.h * pow(sk.p, -1, sk.q) % sk.q)),
+            "h of full order": (sk.p, sk.q, sk.t_p, sk.t_q, 2)}.items():
+        blob = fixed_bytes(pk.key_bits, 2) + b"".join(
+            lp(be_bytes(v)) for v in values)
+        with pytest.raises(ProtocolError, match="subgroup key"):
+            paillier.parse_private_key(blob)
+        cases.pop(name, None)
+    (p, q, t_p, t_q, h), = cases.values()
+    blob = fixed_bytes(pk.key_bits, 2) + b"".join(
+        lp(be_bytes(v)) for v in (p, q, t_p, t_q, h))
+    assert paillier.parse_private_key(blob)[0].public.h == h
 
 
 def test_coprimality_of_ciphertexts(keys):
