@@ -58,10 +58,33 @@ class BooleanCircuit:
         return [g for g in self.gates if g.op in NONFREE_OPS]
 
     @cached_property
-    def compiled(self):
-        """The gates as (op, a, b, out) tuples, for the garbling loops;
-        computed on first use, so build the circuit completely first."""
-        return tuple((g.op, g.a, g.b, g.out) for g in self.gates)
+    def schedule(self):
+        """The gates by AND-depth, for the garbling loops: one
+        (free, nonfree) step per depth d, where free holds the free
+        gates at depth d as (op, a, b, out) tuples, in gate order, and
+        nonfree the non-free gates at depth d + 1 as (op, a, b, out, j),
+        j being the gate's index among the non-free gates.  Run in
+        order, every input is ready before its gate: a free gate's come
+        from earlier in its step or from earlier steps, a non-free
+        gate's from its step's free gates or earlier steps, so a step's
+        non-free gates can be hashed together.  Computed on first use,
+        so build the circuit completely first."""
+        depth = [0] * self.n_wires
+        free, nonfree = [[]], [[]]
+        j = 0
+        for g in self.gates:
+            d = max(depth[g.a], depth[g.b]) if g.b >= 0 else depth[g.a]
+            if g.op in NONFREE_OPS:
+                depth[g.out] = d + 1
+                if d + 1 == len(free):
+                    free.append([])
+                    nonfree.append([])
+                nonfree[d].append((g.op, g.a, g.b, g.out, j))
+                j += 1
+            else:
+                depth[g.out] = d
+                free[d].append((g.op, g.a, g.b, g.out))
+        return tuple((tuple(f), tuple(n)) for f, n in zip(free, nonfree))
 
 
 def int_to_bits(v: int, width: int):

@@ -65,6 +65,18 @@ Garbled labels are 128-bit ints (garbling); the owner hands its OT
 sender int label pairs and the analyst gets ints back from its OT
 receiver, so labels are bytes only inside GC_PAYLOAD and OT_MSG.
 
+The owner garbles ahead.  It keeps a pool of garbled comparators: one
+garbling.GarbledCircuit, whose garbling.BATCH = 32 instances were
+garbled in one pass, each with its own Δ and labels.  The round that
+finds the pool empty garbles the next batch, so about one round in 32
+carries the refill and set-up garbles nothing.  A round pops its
+instance before it sends anything.  An instance serves one round only,
+and one popped by a round that then aborts is dropped with it, never
+sent.  Garbled tables do not depend on the owner's input, only the
+labels chosen for its bits do, so an instance garbled ahead is the
+same as one garbled in its round.  Gates and IKNP rows hash with
+fixed-key AES through libcrypto (garbling, ot).
+
 In frequency-hiding mode the circuit emits a single traversal bit that
 hides equality behind a sticky shared coin, and duplicates get fresh
 orders.  A range query over such orders needs, for each end, the lowest
@@ -555,6 +567,7 @@ class DoEngine:
         self.mac_params = mac_params
         self.ot_group = ot_group
         self.circuit = params.build_circuit()
+        self._garbled = ()  # the pool: a garbling.GarbledCircuit batch
         self._sid = NULL_SESSION
         self._fh_shares = (0, 0)
 
@@ -639,7 +652,11 @@ class DoEngine:
             self.da_ch.send(Frame(INTEGRITY_PROOF, sid,
                                   wire_group(proof, self.mac_params)))
 
-        gc = garbling.GarbledCircuit(self.circuit, self.rng)
+        if not self._garbled:
+            self._garbled = garbling.GarbledCircuit(self.circuit, self.rng)
+        # popped before anything is sent: an instance serves one round,
+        # and one an abort leaves unsent is dropped with it
+        gc = self._garbled.pop()
         masks = [self.rng.getrandbits(1) for _ in range(p.masked_outputs)]
         gen_bits = int_to_bits(v, p.width) + masks
         if p.mode == MODE_FH:

@@ -11,6 +11,21 @@ Two layers:
   through XOR derandomization.  Base seeds are reused across batches
   with a per-batch nonce, which is fine against passive adversaries.
 
+The extension's pads for row j are H(q_j, i_j) and H(q_j ⊕ s, i_j) at
+the sender, where s is its secret base-OT choice vector, and the
+receiver knows one of them as H(t_j, i_j), t_j being its own row j.
+H is the fixed-key AES hash of garbling, H(x, i) = π(π(x) ⊕ i) ⊕ π(x)
+(aes.tccr), which Guo, Katz, Wang and Yu (S&P 2020) prove tweakable
+circular correlation robust when π is an ideal permutation.  IKNP needs
+less: H(x ⊕ s, i) must look random to whoever chose x but does not know
+s, as long as no tweak repeats under one s.  Row j of batch b hashes
+under the tweak i_j = 2^127 | b·2^32 | j, which is distinct for every
+row of every batch, and whose top bit keeps it apart from the gate
+tweaks 2j and 2j + 1 of garbling.  A receiver that sees q pads and
+makes p AES calls of its own tells them from random with probability
+about q·p/2^128.  Each side hashes all rows of an extension batch in
+one aes.tccr call, one pair of AES calls.
+
 Labels and the extension's one-time pads are 128-bit ints, so a
 transfer XORs natively; they become 16-byte big-endian fields only on
 the wire.  `send_pairs` takes (zero-label, one-label) int pairs and
@@ -28,6 +43,7 @@ from collections import deque
 
 import numpy as np
 
+from . import aes
 from .errors import ProtocolError
 from .garbling import LABEL_BYTES
 from .modexp import powmod
@@ -152,14 +168,19 @@ def _prg_matrix(seeds, nbytes: int, batch: int):
     return np.frombuffer(blob, dtype=np.uint8).reshape(len(seeds), nbytes)
 
 
-def _row_hashes(batch: int, rows) -> list:
-    """H(batch, j, row j) as a 128-bit int per row of an m x 16 matrix."""
-    prefix = b"iknp" + u32(batch)
-    blob = rows.tobytes()
-    sha = hashlib.sha256
-    return [int.from_bytes(sha(prefix + u32(j) + blob[o:o + LABEL_BYTES])
-                           .digest(), "big") >> 128
-            for j, o in enumerate(range(0, len(blob), LABEL_BYTES))]
+def _row_hashes(batch: int, *matrices) -> list:
+    """H(row j, 2^127 | batch·2^32 | j) (aes.tccr) as a 128-bit int per
+    row j of each m x 16 matrix, one list per matrix, in one call."""
+    m = len(matrices[0])
+    tweaks = np.tile(np.frombuffer((1 << 127 | batch << 32).to_bytes(
+        LABEL_BYTES, "big"), dtype=np.uint8), (m, 1))
+    tweaks[:, -4:] = np.arange(m, dtype=">u4").view(np.uint8).reshape(m, 4)
+    blob = b"".join([rows.tobytes() for rows in matrices])
+    hashes = aes.tccr(blob, int.from_bytes(
+        tweaks.tobytes() * len(matrices), "big")).to_bytes(len(blob), "big")
+    values = [int.from_bytes(hashes[o:o + LABEL_BYTES], "big")
+              for o in range(0, len(blob), LABEL_BYTES)]
+    return [values[i:i + m] for i in range(0, len(values), m)]
 
 
 def _transpose_bits(cols):
@@ -210,8 +231,9 @@ class OtExtSender:
         # column i is t_i, or t_i XOR u_i where s_i = 1
         q = _prg_matrix(self._seeds, m // 8, self._batch) ^ (u & self._s_mask)
         rows = _transpose_bits(q)
-        self._a0.extend(_row_hashes(self._batch, rows))
-        self._a1.extend(_row_hashes(self._batch, rows ^ self._s_row))
+        a0, a1 = _row_hashes(self._batch, rows, rows ^ self._s_row)
+        self._a0.extend(a0)
+        self._a1.extend(a1)
         self._batch += 1
 
     def _ensure(self, n):
@@ -222,11 +244,16 @@ class OtExtSender:
         """Obliviously transfer one 128-bit int label of each pair."""
         n = len(pairs)
         self._ensure(n)
-        flips = _unpack_bits(self._recv(), n)
+        blob = self._recv()
+        # the receiver spent n pads to send blob: spend them here too
+        # before checking it, or a malformed vector leaves the two
+        # queues out of step for every later transfer
         a0, a1 = self._a0.popleft, self._a1.popleft
+        pads = [(a0(), a1()) for _ in range(n)]
         out = []
-        for (x0, x1), e in zip(pairs, flips):
-            p0, p1 = (a1(), a0()) if e else (a0(), a1())
+        for (x0, x1), (p0, p1), e in zip(pairs, pads, _unpack_bits(blob, n)):
+            if e:
+                p0, p1 = p1, p0
             out.append(((x0 ^ p0) << 128 | x1 ^ p1).to_bytes(
                 2 * LABEL_BYTES, "big"))
         self._send(b"".join(out))
@@ -256,14 +283,14 @@ class OtExtReceiver:
                      self._group, self._rng)
 
     def _extend(self, m):
-        rho = bytes(self._rng.getrandbits(8) for _ in range(m // 8))
+        rho = self._rng.getrandbits(m).to_bytes(m // 8, "big")
         t = _prg_matrix([k0 for k0, _ in self._seed_pairs], m // 8,
                         self._batch)
         u = t ^ _prg_matrix([k1 for _, k1 in self._seed_pairs], m // 8,
                             self._batch) ^ np.frombuffer(rho, dtype=np.uint8)
         self._send(u.tobytes())
         self._rho.extend(_unpack_bits(rho, m))
-        self._pads.extend(_row_hashes(self._batch, _transpose_bits(t)))
+        self._pads.extend(_row_hashes(self._batch, _transpose_bits(t))[0])
         self._batch += 1
 
     def _ensure(self, n):

@@ -148,3 +148,37 @@ def test_gate_counts():
     c = build_comparator(6)
     assert len([g for g in c.gates if g.op == "OR"]) == 5
     assert len([g for g in c.gates if g.op == "AND"]) == 6
+
+
+@pytest.mark.parametrize("build", [build_comparator, build_fh_comparator])
+@pytest.mark.parametrize("width", [1, 2, 5, 65])
+def test_schedule_runs_every_gate_once_with_inputs_ready(build, width):
+    c = build(width)
+    gates = [(g.op, g.a, g.b, g.out) for g in c.gates]
+    nonfree = [(g.op, g.a, g.b, g.out) for g in c.nonfree_gates()]
+    ready = set(c.gen_inputs + c.eval_inputs)
+    seen = []
+    for free, hashed in c.schedule:
+        for op, a, b, out in free:
+            assert a in ready and (op == "NOT" or b in ready)
+            ready.add(out)
+            seen.append((op, a, b, out))
+        # a step's non-free gates are hashed together: all their inputs
+        # are ready before any of them runs
+        assert all(a in ready and b in ready for _, a, b, _, _ in hashed)
+        for op, a, b, out, j in hashed:
+            assert nonfree[j] == (op, a, b, out)
+            ready.add(out)
+            seen.append((op, a, b, out))
+    assert sorted(seen) == sorted(gates) and len(set(seen)) == len(gates)
+    assert not c.schedule[-1][1]
+    # one hashing step per level of the circuit's AND-depth, no more
+    depth = dict.fromkeys(c.gen_inputs + c.eval_inputs, 0)
+    for g in c.gates:
+        d = max(depth[g.a], depth.get(g.b, 0))
+        depth[g.out] = d + (g.op in ("AND", "OR"))
+    assert sum(1 for _, hashed in c.schedule if hashed) == \
+        max(depth.values())
+    if build is build_comparator:
+        # the two ripple chains are width gates deep
+        assert max(depth.values()) == width

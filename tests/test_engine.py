@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from oracles import Mope2Oracle, bound_orders, min_max_orders, \
     rank_interval_holds, sandwich_holds, textbook_encrypt
 
-from oope import datastore, integrity, ope_state, paillier, transport
+from oope import (datastore, garbling, integrity, ope_state, paillier,
+                  transport)
 from oope.cluster import LocalCluster, build_cluster
 from oope.engine import (BOUND_HIGH, BOUND_LOW, DEFAULT_COLUMN, CspEngine,
                          DoEngine, ProtocolParams)
@@ -520,6 +521,58 @@ def test_no_blind_is_sent_twice():
         assert len(offsets) == len(nodes) >= h + 1 + h + 4 * h
         assert len(set(offsets)) == len(offsets)
         assert len(set(nodes)) == len(nodes)
+        assert not cluster.errors
+    finally:
+        cluster.close()
+
+
+def test_no_garbled_instance_is_sent_twice():
+    # the owner garbles garbling.BATCH instances at a time and pops one
+    # per round; one an aborted round took is dropped, so no garbled
+    # table repeats across aborts and batch refills
+    params = small_params()
+    data = list(range(100, 3100, 100))
+    cluster, ctx = make_cluster(data, seed=52, params=params, record=True)
+    oracle = Mope2Oracle(params.m).load(data)
+    try:
+        ch = next(c for c in cluster.channels if c.name == "do->da")
+        tables_end = 10 + 32 * len(cluster.da.circuit.nonfree_gates())
+        orig_send = cluster.da.csp_ch.send
+        orig_ot_send = cluster.da.da_do_ch.send
+
+        def flip_share(frame):
+            if frame.ftype == transport.SHARES:
+                frame = Frame(frame.ftype, frame.session_id,
+                              bytes([frame.payload[0] ^ 0b0100]))
+            orig_send(frame)
+
+        def short_flips(frame):
+            # the owner has sent this round's GC_PAYLOAD when it finds
+            # the analyst's OT choice vector one byte short
+            if frame.ftype == transport.OT_MSG:
+                frame = Frame(frame.ftype, frame.session_id,
+                              frame.payload[:-1])
+            orig_ot_send(frame)
+
+        assert cluster.encrypt(150) == oracle.encrypt(150)
+        cluster.da.csp_ch.send = flip_share
+        with pytest.raises(SessionAborted, match="disagree"):
+            cluster.encrypt(250)
+        cluster.da.csp_ch.send = orig_send
+        with failing_after_upload(cluster), \
+                pytest.raises(SessionAborted, match="after the upload"):
+            cluster.encrypt(250)
+        cluster.da.da_do_ch.send = short_flips
+        with pytest.raises(SessionAborted, match="choice vector"):
+            cluster.encrypt(250)
+        cluster.da.da_do_ch.send = orig_ot_send
+        # the OT extension's pads stayed in step, so service goes on
+        for xbar in (250, 350, 1000, 5000, 7000, 9000, 11000):
+            assert cluster.encrypt(xbar) == oracle.encrypt(xbar)
+        tables = [transport.decode_frame(b[4:]).payload[10:tables_end]
+                  for b in ch.transcript if b[4] == transport.GC_PAYLOAD]
+        assert len(tables) > garbling.BATCH
+        assert len(set(tables)) == len(tables)
         assert not cluster.errors
     finally:
         cluster.close()
