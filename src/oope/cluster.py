@@ -117,8 +117,7 @@ def build_cluster(dataset, params: ProtocolParams, seed=None,
     def subseed():
         return rng.getrandbits(64) if seed is not None else None
 
-    pk, sk = paillier.keygen(params.key_bits, rng=make_rng(subseed()),
-                             allow_small=True)
+    pk, sk = paillier.keygen(params.key_bits, rng=make_rng(subseed()))
     owner, table = ope_state.init_state(
         dataset, params.m, pk, l=params.l, mode=params.mode, rng=rng,
         tagger=make_node_tagger(params.integrity, mac_params, pk, rng))

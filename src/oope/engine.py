@@ -50,16 +50,15 @@ so they overlap the peers' work.
 
 The search ends at a node; a new value goes into the gap at the index
 left or right of it, and ope_state.place gives its order by the rule
-set-up uses.  When that gap is a unit gap, in either mode, place
-rebalances the table at once, and the session applies the same remap
-to its row store at its commit point, just before SESSION_DONE.  An
-abort before then rolls the table back and leaves the rows alone, so
-table and rows move together; a rebalance that still leaves no room is
-rolled back by place itself.  A rebalance stays on the server, as in
-mOPE, where the key holder keeps no encodings: the owner keeps no
-orders after set-up and sees nothing of a rebalance.  The remap would
-show it every order in the table, the analyst's included, each between
-two of its own plaintexts.
+set-up uses.  On a unit gap, in either mode, place also returns a
+rebalance's remap of every order, and changes nothing itself.  The
+server applies the remap to the table and the row store, and inserts
+the entry, at one commit point after a session's last read
+(CspEngine.run_session), so an abort has nothing to roll back.  A
+rebalance stays on the server, as in mOPE, where the key holder keeps
+no encodings: the owner keeps no orders after set-up and sees nothing
+of a rebalance.  The remap would show it every order in the table, the
+analyst's included, each between two of its own plaintexts.
 
 Garbled labels are 128-bit ints (garbling); the owner hands its OT
 sender int label pairs and the analyst gets ints back from its OT
@@ -89,29 +88,30 @@ equality had already been seen, with coin = side, so the traversal bit
 is [xbar > x] for BOUND_LOW (ties go left) and [xbar >= x] for
 BOUND_HIGH (ties go right), and the search ends at the gap between the
 plaintexts the bound excludes and those it includes.  The server
-answers with the order on the included side of that gap, or the
-virtual end (M for BOUND_LOW, 0 for BOUND_HIGH) when there is none, so
-an inclusive interval over it selects nothing; in det mode a stored
-value answers with its own order.  A bound sends no upload, and the
-server inserts nothing, rebalances nothing and has nothing to roll
-back.  Leakage: the server learns the bound's position, which a
-QUERY_EXEC over it reveals anyway.  The owner garbles the same circuit
-and sees the same frames, of the same lengths, as in an encrypt
-session, so it learns nothing about which op runs.
+answers with the order on the included side of that gap, or the virtual
+end (M for BOUND_LOW, 0 for BOUND_HIGH) when there is none, so an
+inclusive interval over it selects nothing; in det mode a stored value
+answers with its own order.  A bound sends no upload, and the server
+inserts nothing and rebalances nothing.  Leakage: the server learns the
+bound's position, which a QUERY_EXEC over it reveals anyway.  The owner
+garbles the same circuit and sees the same frames, of the same lengths,
+as in an encrypt session, so it learns nothing about which op runs.
 
 Abort discipline: an engine raises a fault it finds itself and never
 aborts inline.  One handler per engine (run_session at the server, the
 serve loop at the owner, _session at the analyst) sends ABORT to both
-peers; the server's also rolls the session back.  A request the server
-cannot even start, such as a SESSION_START naming no known op, only
-concerns the analyst, and the server's serve loop aborts it there.  An
-abort received from a peer is passed on only where the third party may
-be waiting on a channel the sender did not use: the analyst relays an
+peers, and none has state to roll back.  A request the server cannot
+even start, such as a SESSION_START naming no known op, only concerns
+the analyst, and the server's serve loop aborts it there.  An abort
+received from a peer is passed on only where the third party may be
+waiting on a channel the sender did not use: the analyst relays an
 owner's abort to the server, which may be waiting on the analyst's
 shares, and the server relays an owner's abort to the analyst, which
 may be waiting on the server alone.  A bit vector of the wrong shape is
-a ProtocolError like any other malformed frame.  Stale aborts from a
-dead session are dropped by session-id filtering in Channel.recv.
+a ProtocolError like any other malformed frame, and so is a
+RANDOM_OFFSET or ORDER_RESULT of the wrong width or out of range.
+Stale aborts from a dead session are dropped by session-id filtering in
+Channel.recv.
 """
 
 import hashlib
@@ -211,6 +211,15 @@ DEFAULT_COLUMN = ""
 
 def _offset_blob(v: int) -> bytes:
     return fixed_bytes(v, OFFSET_BYTES)
+
+
+def _read_offset(frame, bound: int) -> int:
+    """The value _offset_blob put in frame; a ProtocolError unless it is
+    OFFSET_BYTES wide and below bound."""
+    v = int.from_bytes(frame.payload, "big")
+    if len(frame.payload) != OFFSET_BYTES or v >= bound:
+        raise ProtocolError(f"malformed {transport.type_name(frame.ftype)}")
+    return v
 
 
 def _pack_bits(bits) -> bytes:
@@ -393,14 +402,15 @@ class CspEngine:
                 self.da_ch.abort(frame.session_id, str(e))
 
     def run_session(self, sid: bytes, op: int, column: str = DEFAULT_COLUMN):
-        """Protocol main loop: h compare rounds, then an encrypt's order
-        and upload, or a bound's order alone.
+        """Protocol main loop: h compare rounds, an encrypt's order and
+        upload or a bound's order alone, then the commit point.
 
-        A fault found here aborts the session at both peers; an abort
-        from the owner is passed on to the analyst, which may be waiting
-        on the server alone.  Either way the session is rolled back.
+        A fault before the commit aborts the session at both peers; an
+        abort from the owner is passed on to the analyst, which may be
+        waiting on the server alone.  A fault after it, such as a failed
+        SESSION_DONE send, rolls nothing back: the entry stays, tagged
+        with its session id, for DaEngine.cleanup to remove.
         """
-        undo = []
         try:
             table = self.tables.get(column)
             if table is None:
@@ -423,42 +433,38 @@ class CspEngine:
             # at index i, left of j or right of it
             j = (lo + hi) // 2
             i = j + side
-            is_known, remap = b_e == 0, None
-            if is_known:
+            remap = entry = None
+            if not b_e:
                 ybar = table.order_at(j)
             elif op != OP_ENCRYPT:
                 # a bound answers the included side of its gap
                 ybar = table.gap(i)[1 if op == OP_BOUND_LOW else 0]
             else:
                 ybar, remap = ope_state.place(table, i)
-                if remap is not None:
-                    undo.append(lambda: table.reassign_orders(
-                        {v: k for k, v in remap.items()}))
 
             self.da_ch.send(Frame(ORDER_RESULT, sid, _offset_blob(ybar)))
             if op == OP_ENCRYPT:
                 upload = self.da_ch.recv(CIPHER_UPLOAD, session=sid)
-                if not is_known:
-                    self._store_upload(sid, table, upload.payload, ybar, undo)
-            if remap is not None and self.rows is not None:
-                # the row store follows a rebalance only once the session
-                # can no longer roll it back
-                self.rows.apply_remap(column, remap)
-            self.do_ch.send(Frame(SESSION_DONE, sid))
-            self.da_ch.send(Frame(SESSION_DONE, sid))
-            return ybar
+                if b_e:
+                    entry = self._parse_upload(sid, upload.payload, ybar)
         except SessionAborted as e:
-            for action in reversed(undo):
-                action()
             if e.remote and e.channel is self.do_ch:
                 self.da_ch.abort(sid, e.reason)
             raise
         except OopeError as e:
-            for action in reversed(undo):
-                action()
             self.da_ch.abort(sid, str(e))
             self.do_ch.abort(sid, str(e))
             raise SessionAborted(str(e)) from e
+
+        # the commit point
+        if remap is not None:
+            table.reassign_orders(remap)
+            if self.rows is not None:
+                self.rows.apply_remap(column, remap)
+        if entry is not None:
+            table.insert(entry)
+        self.da_ch.send(Frame(SESSION_DONE, sid))
+        return ybar
 
     # -- rounds --
 
@@ -512,9 +518,9 @@ class CspEngine:
 
     # -- state updates --
 
-    def _store_upload(self, sid, table, payload, ybar, undo):
-        """Insert the analyst's CIPHER_UPLOAD: Enc(xbar), then under
-        Pedersen its node tag, and nothing else."""
+    def _parse_upload(self, sid, payload, ybar) -> OpeEntry:
+        """The entry at order ybar from the analyst's CIPHER_UPLOAD:
+        Enc(xbar), then under Pedersen its node tag, and nothing else."""
         pk = self.pk
         cipher, off = paillier.parse_cipher_record(payload, 0, pk.key_id,
                                                    pk.key_bits)
@@ -526,8 +532,7 @@ class CspEngine:
             _parse_ped_tag(entry.node_tag, pk)
         if off != len(payload):
             raise ProtocolError("upload has trailing bytes")
-        table.insert(entry)
-        undo.append(lambda: table.remove(ybar))
+        return entry
 
     def _exec_query(self, frame):
         from . import datastore
@@ -559,8 +564,14 @@ class DoEngine:
     def __init__(self, sk: paillier.PaillierPrivateKey, params: ProtocolParams,
                  rng=None, mac_params=None, ot_group=GROUP_DEFAULT):
         params.validate()
-        if params.integrity != integrity.SCHEME_OFF and mac_params is None:
-            raise ConfigurationError("integrity enabled but no MAC parameters")
+        if params.integrity != integrity.SCHEME_OFF:
+            if mac_params is None:
+                raise ConfigurationError(
+                    "integrity enabled but no MAC parameters")
+            # r' < 2^(mac_subgroup_bits + k) must blind every a < q
+            if mac_params.q.bit_length() != params.mac_subgroup_bits:
+                raise ConfigurationError("MAC group's q is not "
+                                         "mac_subgroup_bits wide")
         self.sk = sk
         self.params = params
         self.rng = rng or make_rng()
@@ -587,14 +598,13 @@ class DoEngine:
         self.ot_sender.setup()
 
     def serve(self):
-        """Serve the server's requests until its channel closes; the wait
-        for the next one has no time limit."""
+        """Serve the server's blinded nodes until its channel closes; the
+        wait for the next one has no time limit.  A node under a new
+        session id starts that session (_begin); no frame ends one."""
         while True:
             try:
-                frame = self.csp_ch.recv(RANDOMIZED_NODE, SESSION_DONE,
-                                         idle=True)
+                frame = self.csp_ch.recv(RANDOMIZED_NODE, idle=True)
             except SessionAborted:
-                self._reset_session()
                 continue
             except ProtocolError:
                 # a frame of another type is dropped; a dead channel ends
@@ -603,12 +613,9 @@ class DoEngine:
                     return
                 continue
             try:
-                if frame.ftype == RANDOMIZED_NODE:
-                    self._round(frame)
-                else:
-                    self._reset_session()
+                self._round(frame)
             except SessionAborted:
-                self._reset_session()
+                pass
             except OopeError as e:
                 # a frame this engine cannot use aborts its session; a
                 # dead channel ends the loop
@@ -616,11 +623,6 @@ class DoEngine:
                     return
                 self.csp_ch.abort(frame.session_id, str(e))
                 self.da_ch.abort(frame.session_id, str(e))
-                self._reset_session()
-
-    def _reset_session(self):
-        self._sid = NULL_SESSION
-        self._fh_shares = (0, 0)
 
     def _begin(self, sid):
         if sid != self._sid:
@@ -699,6 +701,9 @@ class DaEngine:
         _, do_extra = transport.handshake(do_ch, transport.ROLE_DA, digest)
         if do_extra:
             self.mac_params, _ = integrity.parse_params(do_extra)
+            if self.mac_params.q.bit_length() != self.params.mac_subgroup_bits:
+                raise HandshakeError("owner's MAC group's q is not "
+                                     "mac_subgroup_bits wide")
         elif self.params.integrity != integrity.SCHEME_OFF:
             raise HandshakeError("integrity enabled but owner sent no "
                                  "verification parameters")
@@ -742,8 +747,8 @@ class DaEngine:
                                          session=sid)
                 if frame.ftype == ORDER_RESULT:
                     break
-                self._round(sid, xbar, int.from_bytes(frame.payload, "big"))
-            ybar = int.from_bytes(frame.payload, "big")
+                self._round(sid, xbar, _read_offset(frame, 1 << (p.l + p.k)))
+            ybar = _read_offset(frame, p.m + 1)
             if encrypt:
                 self.csp_ch.send(Frame(CIPHER_UPLOAD, sid, upload))
             self.csp_ch.recv(SESSION_DONE, session=sid)

@@ -5,13 +5,13 @@ Orders live in [1, M-1].  A new entry goes in at an index of the table,
 and its gap is the pair of orders either side of that index, with 0 and
 M as the virtual ends (OpeTable.gap).  One rule, place, gives every new
 order, at set-up and in a session alike: the midpoint (rounded up) of
-its gap.  A unit gap signals GapExhausted; place then rebalances once,
-respreading all orders uniformly while keeping their ranks, and tries
-again.  If the gap is still a unit gap, place puts the table back on
-its old orders and raises CapacityError.  Set-up also returns the
+its gap.  On a unit gap (GapExhausted), place takes the gap at the
+same index among the orders of a uniform, rank-keeping respread
+(rebalance), and a unit gap there is a CapacityError.  Neither changes
+the table: the respread comes back as an old -> new map for the caller
+to apply to the table and the row store.  Set-up also returns the
 owner's plaintext/order pairs (OwnerState), from which the row store is
-built; the owner keeps no orders afterwards, and a rebalance moves only
-the table and the row store.
+built; the owner keeps no orders afterwards.
 
 The server stores no tree.  A session runs an implicit binary search
 over the sorted orders: it keeps an index range [lo, hi), starting at
@@ -58,6 +58,12 @@ class OpeEntry:
     order: int
     tag: Optional[bytes] = None       # session id of an analyst insert
     node_tag: Optional[bytes] = None  # serialized integrity tag
+
+
+def _gap(orders: list, index: int, m: int):
+    left = orders[index - 1] if index else 0
+    right = orders[index] if index < len(orders) else m
+    return left, right
 
 
 class OpeTable:
@@ -110,9 +116,7 @@ class OpeTable:
     def gap(self, index: int):
         """(y_left, y_right): the orders either side of index, where a
         new entry at index would go, with 0 and M as the virtual ends."""
-        left = self._orders[index - 1] if index else 0
-        right = self._orders[index] if index < len(self._orders) else self.m
-        return left, right
+        return _gap(self._orders, index, self.m)
 
     def reassign_orders(self, remap: dict):
         entries = self.entries()
@@ -154,35 +158,30 @@ def _uniform_orders(n: int, m: int) -> list:
 
 
 def rebalance(table: OpeTable) -> dict:
-    """Respread all orders uniformly across [1, M-1]; rank is preserved.
-
-    Returns the old-order -> new-order map the row store needs to update
-    its column values.
-    """
+    """The old -> new map of a uniform respread of every order across
+    [1, M-1] that keeps their ranks; the table is left as it is."""
     n = len(table)
     if n == 0:
         raise UsageError("cannot rebalance an empty table")
     if n >= table.m - 1:
         raise CapacityError("order space exhausted")
-    remap = dict(zip(table.orders(), _uniform_orders(n, table.m)))
-    table.reassign_orders(remap)
-    return remap
+    return dict(zip(table.orders(), _uniform_orders(n, table.m)))
 
 
 def place(table: OpeTable, index: int):
     """(order, remap or None) for a new entry at index: the midpoint of
-    its gap.  A unit gap rebalances the table once, and remap is that
-    rebalance's map.  If the gap is still a unit gap, the table goes
-    back on its old orders and the error is CapacityError."""
+    its gap, or on a unit gap, of the gap at index among the orders of
+    remap, a rebalance.  The table is never changed; a unit gap among
+    the respread orders is a CapacityError."""
     try:
         return assign_order(*table.gap(index)), None
     except GapExhausted:
         remap = rebalance(table)
     try:
-        return assign_order(*table.gap(index)), remap
+        return assign_order(*_gap(list(remap.values()), index, table.m)), \
+            remap
     except GapExhausted:
         # a uniform respread left no room here: M is too dense
-        table.reassign_orders({v: k for k, v in remap.items()})
         raise CapacityError("order space too dense for another "
                             "entry at this position") from None
 
@@ -230,7 +229,10 @@ def init_state(dataset, m: int, pk: paillier.PaillierPublicKey, l: int,
             hi = bisect_right(xs, x, i)
             if hi > i:
                 i = rng.randint(i, hi)
-        entry = OpeEntry(None, place(table, i)[0])
+        order, remap = place(table, i)
+        if remap is not None:
+            table.reassign_orders(remap)
+        entry = OpeEntry(None, order)
         table.insert(entry)
         xs.insert(i, x)
         placed.append(entry)

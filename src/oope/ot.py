@@ -53,7 +53,7 @@ from .wire import be_bytes, u32, xor_bytes
 KAPPA = 128  # extension security parameter = base OT count
 EXPONENT_BITS = 256
 SEED_BYTES = 32
-DEFAULT_BATCH = 2048
+BATCH = 2048  # OTs per extension, unless one transfer needs more
 
 # RFC 3526 group 15 (3072-bit MODP); >= 128-bit strength.
 _P_3072 = int(
@@ -202,13 +202,11 @@ def _unpack_bits(blob, n):
 class OtExtSender:
     """Holds label pairs; the peer picks one of each without revealing which."""
 
-    def __init__(self, send, recv, rng=None, group=GROUP_DEFAULT,
-                 batch=DEFAULT_BATCH):
+    def __init__(self, send, recv, rng=None, group=GROUP_DEFAULT):
         self._send = send
         self._recv = recv
         self._rng = rng or make_rng()
         self._group = group
-        self._batch_size = batch
         self._batch = 0
         self._s_mask = None  # column i: 0xff where s_i = 1, else 0
         self._s_row = None   # s packed into one 16-byte row
@@ -238,7 +236,7 @@ class OtExtSender:
 
     def _ensure(self, n):
         while len(self._a0) < n:
-            self._extend(max(self._batch_size, (n + 7) // 8 * 8))
+            self._extend(max(BATCH, (n + 7) // 8 * 8))
 
     def send_pairs(self, pairs):
         """Obliviously transfer one 128-bit int label of each pair."""
@@ -262,13 +260,11 @@ class OtExtSender:
 class OtExtReceiver:
     """Chooses one label per pair by choice bit; sender stays oblivious."""
 
-    def __init__(self, send, recv, rng=None, group=GROUP_DEFAULT,
-                 batch=DEFAULT_BATCH):
+    def __init__(self, send, recv, rng=None, group=GROUP_DEFAULT):
         self._send = send
         self._recv = recv
         self._rng = rng or make_rng()
         self._group = group
-        self._batch_size = batch
         self._batch = 0
         self._seed_pairs = None
         self._rho = deque()
@@ -295,7 +291,7 @@ class OtExtReceiver:
 
     def _ensure(self, n):
         while len(self._rho) < n:
-            self._extend(max(self._batch_size, (n + 7) // 8 * 8))
+            self._extend(max(BATCH, (n + 7) // 8 * 8))
 
     def receive_pairs(self, choice_bits):
         """Receive the 128-bit int label selected by each choice bit."""

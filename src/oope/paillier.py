@@ -28,7 +28,7 @@ it gives the ciphertext 1+mN, which shows m.
 h generates a small subgroup of Z_N*, in the RSA-subgroup setting of
 Groth ("Cryptography in subgroups of Z_n*", TCC 2005), the idea behind
 Paillier's scheme 3 (EUROCRYPT 1999).  keygen draws primes t_p and t_q
-of min(256, key_bits/4) bits (256 on every standard key size), then
+of min(256, key_bits/4) bits (256 from 1024-bit keys up), then
 P = 2*t_p*u_p + 1 and Q = 2*t_q*u_q + 1, and publishes
 h = CRT(x_p^((P-1)/t_p), x_q^((Q-1)/t_q)), of order t_p*t_q mod N.  The
 public key is (N, h) and key_id hashes both; h^N is computed once per
@@ -81,11 +81,10 @@ from .modexp import powmod
 from .rng import make_rng
 from .wire import be_bytes, fixed_bytes, lp, read_int, read_lp
 
-STANDARD_KEY_BITS = (1024, 2048, 3072, 4096)
-MIN_TEST_KEY_BITS = 64
+MIN_KEY_BITS = 64
 MR_ROUNDS = 40  # per-round error <= 1/4, total <= 2^-80
 ALPHA_BITS = 256  # 2*kappa bits of encryption exponent, kappa = 128
-MAX_SUBGROUP_BITS = 256  # t_p and t_q, on every standard key size
+MAX_SUBGROUP_BITS = 256  # t_p and t_q, from 1024-bit keys up
 
 
 def _sieve(limit):
@@ -210,15 +209,13 @@ def fresh_alpha(rng) -> int:
     return rng.randrange(1, 1 << ALPHA_BITS)
 
 
-def keygen(key_bits: int, rng=None, allow_small: bool = False):
+def keygen(key_bits: int, rng=None):
     """Generate a key pair; decrypt(encrypt(m)) == m for m in [0, N).
 
-    key_bits outside the standard set is refused unless allow_small is
-    given (test builds only).
+    key_bits must be even and at least MIN_KEY_BITS.
     """
-    if key_bits not in STANDARD_KEY_BITS:
-        if not allow_small or key_bits < MIN_TEST_KEY_BITS or key_bits % 2:
-            raise DomainError(f"unsupported key size {key_bits}")
+    if key_bits < MIN_KEY_BITS or key_bits % 2:
+        raise DomainError(f"unsupported key size {key_bits}")
     rng = rng or make_rng()
     half = key_bits // 2
     t_bits = min(MAX_SUBGROUP_BITS, key_bits // 4)

@@ -34,8 +34,9 @@ NULL_SESSION = bytes(SESSION_BYTES)
 # 4: no REBALANCE, so a version-3 server fails at HELLO instead of
 # waiting for an acknowledgement no owner sends; 5: the public key
 # carries the subgroup generator h, so a key travels as key_bits | N | h;
-# 6: garbled gates and IKNP rows hash with fixed-key AES, not SHA-256
-PROTOCOL_VERSION = 6
+# 6: garbled gates and IKNP rows hash with fixed-key AES, not SHA-256;
+# 7: the server sends the owner no SESSION_DONE
+PROTOCOL_VERSION = 7
 
 ROLE_CSP, ROLE_DO, ROLE_DA = 0, 1, 2
 

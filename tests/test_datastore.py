@@ -19,7 +19,7 @@ from oope.wire import be_bytes, fixed_bytes, lp, seal
 
 @pytest.fixture(scope="module")
 def keys():
-    return paillier.keygen(128, rng=make_rng(5), allow_small=True)
+    return paillier.keygen(128, rng=make_rng(5))
 
 
 def write_csv(tmp_path, text, name="data.csv"):
@@ -221,7 +221,7 @@ def test_state_dir_roundtrip(tmp_path, keys):
 def test_table_under_another_key_refused(tmp_path, keys):
     pk, _ = keys
     result = ingest_example(tmp_path, keys)
-    other, _ = paillier.keygen(128, rng=make_rng(6), allow_small=True)
+    other, _ = paillier.keygen(128, rng=make_rng(6))
     params = ProtocolParams(l=16, k=16, m=28, key_bits=pk.key_bits)
     datastore.save_csp_state(tmp_path, params, pk, result.tables, result.rows)
     datastore.load_csp_state(tmp_path)

@@ -164,19 +164,19 @@ def test_flipped_share_bit_detected_and_state_rolled_back():
 
 @contextlib.contextmanager
 def failing_after_upload(cluster):
-    """The server stores each upload, then fails its session, which must
-    roll the insert back."""
-    real = cluster.csp._store_upload
+    """The server parses each upload, then fails its session before the
+    commit point, which must leave the table as it was."""
+    real = cluster.csp._parse_upload
 
-    def store_then_fail(*args):
+    def parse_then_fail(*args):
         real(*args)
         raise ProtocolError("fault after the upload")
 
-    cluster.csp._store_upload = store_then_fail
+    cluster.csp._parse_upload = parse_then_fail
     try:
         yield
     finally:
-        del cluster.csp._store_upload
+        del cluster.csp._parse_upload
 
 
 def test_aborted_insert_restores_table():
@@ -612,8 +612,8 @@ def test_aborted_rebalance_leaves_rows_on_table_orders(monkeypatch):
             in_step()
         consistent()
         rebalances = count_rebalances(monkeypatch)
-        # the server rebalances, stores the upload, then fails and rolls
-        # the session back
+        # the server finds a unit gap, parses the upload, then fails
+        # before its commit point
         with failing_after_upload(cluster), \
                 pytest.raises(SessionAborted, match="after the upload"):
             cluster.encrypt(19)
@@ -649,6 +649,83 @@ def test_rebalance_that_leaves_no_room_rolls_back(monkeypatch):
         assert ope_state.serialize_table(table) == before
         assert row_plaintexts(rows, table, sk) == data
         assert cluster.encrypt(10) == oracle.encrypt(10)
+        assert not cluster.errors
+    finally:
+        cluster.close()
+
+
+def test_failed_session_done_leaves_rows_on_table_orders(monkeypatch):
+    # the server's SESSION_DONE send fails once, after a session that
+    # rebalances: its commit stands, entry and remap alike, so every row
+    # still decrypts through the table and the next encrypt is right
+    params = small_params(m=19)
+    data = [10, 20, 30]
+    cluster, ctx = make_cluster(data, seed=23, params=params)
+    table, sk = ctx["table"], ctx["sk"]
+    rows = rows_of(ctx["owner"])
+    cluster.csp.rows = rows
+    oracle = Mope2Oracle(params.m).load(data)
+    real_send = cluster.csp.da_ch.send
+
+    def failing_done(frame):
+        if frame.ftype == transport.SESSION_DONE:
+            cluster.csp.da_ch.send = real_send
+            raise FramingError("SESSION_DONE send failed")
+        real_send(frame)
+
+    try:
+        for xbar in (15, 17, 18):
+            assert cluster.encrypt(xbar) == oracle.encrypt(xbar)
+        rebalances = count_rebalances(monkeypatch)
+        cluster.csp.da_ch.send = failing_done
+        with pytest.raises(SessionAborted, match="SESSION_DONE send failed"):
+            cluster.encrypt(19)
+        assert rebalances == [6]
+        assert row_plaintexts(rows, table, sk) == data
+        oracle.encrypt(19)
+        assert table.orders() == oracle.ys
+        assert cluster.encrypt(16) == oracle.encrypt(16)
+        assert row_plaintexts(rows, table, sk) == data
+        assert not cluster.errors
+    finally:
+        cluster.close()
+
+
+# damage -> (frame type the server sends the analyst, payload edit), at
+# l = k = 16 and M = 2^20 - 3
+OFFSET_DAMAGE = {
+    "offset-empty": (transport.RANDOM_OFFSET, lambda p: b""),
+    "offset-long": (transport.RANDOM_OFFSET, lambda p: p + b"\0"),
+    "offset-too-large": (transport.RANDOM_OFFSET,
+                         lambda p: (1 << 32).to_bytes(16, "big")),
+    "order-long": (transport.ORDER_RESULT, lambda p: b"\0" + p),
+    "order-above-m": (transport.ORDER_RESULT,
+                      lambda p: (1 << 20).to_bytes(16, "big")),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(OFFSET_DAMAGE))
+def test_malformed_offset_or_order_aborts_before_the_commit(damage):
+    ftype, edit = OFFSET_DAMAGE[damage]
+    params = small_params()
+    data = [32, 20, 25, 69, 10, 500, 900, 4000]
+    cluster, ctx = make_cluster(data, seed=5, params=params)
+    try:
+        table_before = ope_state.serialize_table(ctx["table"])
+        orig_send = cluster.csp.da_ch.send
+
+        def damaged(frame):
+            if frame.ftype == ftype:
+                frame = Frame(ftype, frame.session_id, edit(frame.payload))
+            orig_send(frame)
+
+        cluster.csp.da_ch.send = damaged
+        with pytest.raises(SessionAborted, match="malformed"):
+            cluster.encrypt(15)
+        cluster.csp.da_ch.send = orig_send
+        assert ope_state.serialize_table(ctx["table"]) == table_before
+        assert cluster.encrypt(15) == \
+            Mope2Oracle(params.m).load(data).encrypt(15)
         assert not cluster.errors
     finally:
         cluster.close()
@@ -720,7 +797,6 @@ def test_owner_view_does_not_depend_on_rebalancing(monkeypatch):
             to_owner, from_owner = sent("csp->do", start), \
                 sent("do->csp", start)
             assert {t for t, _ in to_owner} <= {transport.RANDOMIZED_NODE,
-                                                transport.SESSION_DONE,
                                                 transport.ABORT}
             assert {t for t, _ in from_owner} == {transport.SHARES}
             views.setdefault(height, []).append(
@@ -833,7 +909,7 @@ def test_cluster_restored_from_state_dirs(tmp_path, monkeypatch):
 def test_cluster_refuses_a_table_under_another_key():
     cluster, ctx = make_cluster(EXAMPLE, seed=91)
     cluster.close()
-    _, sk = paillier.keygen(256, rng=make_rng(92), allow_small=True)
+    _, sk = paillier.keygen(256, rng=make_rng(92))
     with pytest.raises(KeyMismatchError, match="'col'"):
         LocalCluster({"col": ctx["table"]}, sk, small_params())
 
@@ -842,8 +918,7 @@ def test_server_with_another_h_refuses_the_owner_at_hello():
     # the same N under another generator of the same subgroup: key_id
     # covers h, so the server refuses the owner's key at HELLO
     params = small_params()
-    pk, sk = paillier.keygen(params.key_bits, rng=make_rng(93),
-                             allow_small=True)
+    pk, sk = paillier.keygen(params.key_bits, rng=make_rng(93))
     other = paillier.PaillierPublicKey(pk.n, pk.key_bits, pk.h * pk.h % pk.n)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -1131,6 +1206,8 @@ def test_owner_cannot_tell_a_bound_from_an_encrypt(scheme):
             cluster.close()
 
     encrypt = owner_view(lambda c: c.encrypt(20))
-    assert ("csp->do", transport.SESSION_DONE, 21) in encrypt
+    # no SESSION_DONE: the server sends the owner nodes only
+    assert {t for name, t, _ in encrypt if name == "csp->do"} == \
+        {transport.RANDOMIZED_NODE}
     for side in (BOUND_LOW, BOUND_HIGH):
         assert owner_view(lambda c: c.da.bound(20, side)) == encrypt

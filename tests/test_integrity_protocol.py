@@ -1,13 +1,15 @@
 """Node-authentication inside the protocol: honest rounds pass, a
 substituting server is caught before any circuit evaluation."""
 
+import threading
+
 import pytest
 from oracles import decrypt_direct
 
 from oope import engine, integrity, paillier, transport
 from oope.cluster import build_cluster
 from oope.engine import ProtocolParams
-from oope.errors import SessionAborted
+from oope.errors import ConfigurationError, HandshakeError, SessionAborted
 from oope.ot import GROUP_TEST
 from oope.rng import make_rng
 from oope.wire import lp, read_lp
@@ -176,3 +178,37 @@ def test_pedersen_blind_decrypts_on_full_crt():
         assert not cluster.errors
     finally:
         cluster.close()
+
+
+@pytest.mark.parametrize("bits", [64, 200])
+def test_subgroup_bits_must_match_the_mac_group(bits):
+    # at 64 bits the server's r' < 2^80 would blind an a < 2^160, and the
+    # owner's a + r' would show a's top bits
+    params = ProtocolParams(l=16, k=16, m=28, key_bits=256,
+                            integrity=integrity.SCHEME_PEDERSEN,
+                            mac_subgroup_bits=bits)
+    pk, sk = paillier.keygen(256, rng=make_rng(5))
+    with pytest.raises(ConfigurationError, match="mac_subgroup_bits"):
+        engine.DoEngine(sk, params, mac_params=MAC_PARAMS)
+    # an owner that sends the 160-bit group anyway fails at HELLO
+    da_csp, csp_da = transport.loopback_pair()
+    da_do, do_da = transport.loopback_pair()
+    peers = [threading.Thread(target=transport.handshake, daemon=True,
+                              args=(ch, role, params.digest(), extra))
+             for ch, role, extra in (
+                 (csp_da, transport.ROLE_CSP,
+                  paillier.serialize_public_key(pk)),
+                 (do_da, transport.ROLE_DO,
+                  integrity.serialize_params(MAC_PARAMS)))]
+    for t in peers:
+        t.start()
+    analyst = engine.DaEngine(params, make_rng(6), ot_group=GROUP_TEST)
+    try:
+        with pytest.raises(HandshakeError, match="mac_subgroup_bits"):
+            analyst.attach(da_csp, da_do)
+    finally:
+        for ch in (da_csp, csp_da, da_do, do_da):
+            ch.close()
+        for t in peers:
+            t.join(timeout=5)
+    assert not any(t.is_alive() for t in peers)

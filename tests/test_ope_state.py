@@ -21,7 +21,7 @@ EXAMPLE_M = 28
 
 @pytest.fixture(scope="module")
 def keys():
-    return paillier.keygen(128, rng=make_rng(99), allow_small=True)
+    return paillier.keygen(128, rng=make_rng(99))
 
 
 def example_state(keys):
@@ -132,18 +132,20 @@ def test_place_takes_the_midpoint_of_its_gap(keys):
 
 def test_place_rebalances_a_unit_gap_once(keys, monkeypatch):
     table = table_on(keys, 28, [4, 5, 21])
+    before = ope_state.serialize_table(table)
     calls = []
     monkeypatch.setattr(ope_state, "rebalance",
                         lambda t: calls.append(1) or rebalance(t))
-    # (4, 5) is a unit gap; the respread puts the entries on 7, 14, 21
+    # (4, 5) is a unit gap; the respread would put the entries on 7, 14,
+    # 21, and the new one goes between the first two
     assert place(table, 1) == (11, {4: 7, 5: 14, 21: 21})
-    assert table.orders() == [7, 14, 21]
     assert calls == [1]
+    assert ope_state.serialize_table(table) == before
 
 
 def test_place_without_room_restores_the_table(keys):
     # three entries respread over M=6 sit on 2, 3, 5: (2, 3) is still a
-    # unit gap, so the table goes back on 1, 2, 4
+    # unit gap, and the table stays on 1, 2, 4
     table = table_on(keys, 6, [1, 2, 4])
     before = ope_state.serialize_table(table)
     with pytest.raises(CapacityError, match="too dense"):
@@ -153,16 +155,19 @@ def test_place_without_room_restores_the_table(keys):
 
 def test_rebalance_single_entry(keys):
     table = table_on(keys, 28, [3])
-    remap = rebalance(table)
-    assert remap == {3: 14}
-    assert table.orders() == [14]
+    before = ope_state.serialize_table(table)
+    assert rebalance(table) == {3: 14}
+    assert ope_state.serialize_table(table) == before
 
 
 def test_rebalance_preserves_rank(keys):
     pk, sk = keys
     _, table = example_state(keys)
     before = [(paillier.decrypt(sk, e.cipher), e.order) for e in table.entries()]
+    blob = ope_state.serialize_table(table)
     remap = rebalance(table)
+    assert ope_state.serialize_table(table) == blob
+    table.reassign_orders(remap)
     after = [(paillier.decrypt(sk, e.cipher), e.order) for e in table.entries()]
     assert [x for x, _ in before] == [x for x, _ in after]
     orders = [y for _, y in after]

@@ -103,12 +103,12 @@ def test_ot_exchange_length_mismatch():
         ot_exchange([(0, (1 << 128) - 1)], [0, 1], make_rng(0))
 
 
-def test_extension_survives_multiple_batches():
+def test_extension_survives_multiple_batches(monkeypatch):
     # force several small extension batches over one base-OT setup
+    monkeypatch.setattr(ot, "BATCH", 8)
     (s_send, s_recv), (r_send, r_recv) = pipe_pair()
-    sender = ot.OtExtSender(s_send, s_recv, make_rng(1), ot.GROUP_TEST, batch=8)
-    receiver = ot.OtExtReceiver(r_send, r_recv, make_rng(2), ot.GROUP_TEST,
-                                batch=8)
+    sender = ot.OtExtSender(s_send, s_recv, make_rng(1), ot.GROUP_TEST)
+    receiver = ot.OtExtReceiver(r_send, r_recv, make_rng(2), ot.GROUP_TEST)
     rng = make_rng(3)
     rounds = []
     for _ in range(5):
@@ -129,6 +129,7 @@ def test_extension_survives_multiple_batches():
     got = run_both(send_side, receive_side)
     for (pairs, bits), labels in zip(rounds, got):
         assert labels == [p[b] for p, b in zip(pairs, bits)]
+    assert sender._batch == receiver._batch > 1
 
 
 def test_receiver_cannot_use_wrong_pad():

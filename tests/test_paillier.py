@@ -17,7 +17,7 @@ from oope.wire import be_bytes, fixed_bytes, lp
 
 @pytest.fixture(scope="module")
 def keys():
-    return paillier.keygen(256, rng=make_rng(7), allow_small=True)
+    return paillier.keygen(256, rng=make_rng(7))
 
 
 @pytest.fixture(scope="module")
@@ -26,14 +26,13 @@ def key_sizes(keys):
 
 
 def test_keygen_rejects_nonstandard_sizes():
-    with pytest.raises(DomainError):
-        paillier.keygen(512)
-    with pytest.raises(DomainError):
-        paillier.keygen(30, allow_small=True)
+    for bits in (30, 62, 129):
+        with pytest.raises(DomainError):
+            paillier.keygen(bits)
 
 
 def test_keygen_modulus_bit_length():
-    pk, _ = paillier.keygen(128, rng=make_rng(1), allow_small=True)
+    pk, _ = paillier.keygen(128, rng=make_rng(1))
     assert pk.n.bit_length() == 128
     assert pk.n % 2 == 1
 
@@ -207,7 +206,7 @@ def test_alpha_draws_lie_in_range(keys):
 @pytest.mark.parametrize("bits", [64, 256, 2048])
 def test_keygen_builds_a_subgroup_key(key_sizes, bits):
     pk, sk = key_sizes[bits] if bits in key_sizes else \
-        paillier.keygen(bits, rng=make_rng(bits), allow_small=True)
+        paillier.keygen(bits, rng=make_rng(bits))
     p, q, t_p, t_q, h, n = sk.p, sk.q, sk.t_p, sk.t_q, pk.h, pk.n
     t_bits = min(256, bits // 4)
     for t in (t_p, t_q):
@@ -238,7 +237,7 @@ def test_fast_g_equals_textbook(keys):
 
 def test_key_mismatch_detected(keys):
     pk, sk = keys
-    pk2, sk2 = paillier.keygen(256, rng=make_rng(31), allow_small=True)
+    pk2, sk2 = paillier.keygen(256, rng=make_rng(31))
     c = paillier.encrypt(pk, 5, make_rng(1))
     with pytest.raises(KeyMismatchError):
         paillier.decrypt(sk2, c)
@@ -322,7 +321,7 @@ def test_fast_g_equals_textbook(keys):
 
 def test_key_mismatch_detected(keys):
     pk, sk = keys
-    pk2, sk2 = paillier.keygen(256, rng=make_rng(31), allow_small=True)
+    pk2, sk2 = paillier.keygen(256, rng=make_rng(31))
     c = paillier.encrypt(pk, 5, make_rng(1))
     with pytest.raises(KeyMismatchError):
         paillier.decrypt(sk2, c)
