@@ -1,14 +1,16 @@
-"""Wiring of the three roles in one process, over loopback queues or
-localhost TCP sockets.
+"""Wiring of the three roles in one process, over a Unix socket pair or
+localhost TCP sockets per link.
 
 One class, LocalCluster, wires either transport.  The server and owner
 engines run their serve loops on daemon threads; the analyst drives
 sessions from the caller's thread.  The roles talk over three channel
 pairs, which a pair factory (transport.loopback_pair or
 transport.tcp_pair) makes on the calling thread before any role starts,
-so no role waits on another to listen or dial.  One cluster keeps its
-base-OT setup alive across every session it runs, which is also how a
-deployment would hold a connection open for a batch of queries.
+so no role waits on another to listen or dial.  Closing the cluster
+closes every channel, and each serve loop ends when its socket does.
+One cluster keeps its base-OT setup alive across every session it runs,
+which is also how a deployment would hold a connection open for a batch
+of queries.
 """
 
 import threading

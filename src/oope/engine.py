@@ -713,8 +713,15 @@ class DaEngine:
         self.ot_receiver = OtExtReceiver(send, recv, self.rng, self.ot_group)
         self.ot_receiver.setup()
 
+    def _new_sid(self) -> bytes:
+        return bytes(self.rng.getrandbits(8) for _ in range(16))
+
     def encrypt(self, xbar: int, column: str = DEFAULT_COLUMN):
-        """Run one session; returns xbar's order, inserted if new."""
+        """Run one session; returns xbar's order, inserted if new.
+
+        A SessionAborted names the session in its session_id: a failure
+        after the server's commit point leaves the entry in the table,
+        and cleanup([session_id]) removes it."""
         return self._session(OP_ENCRYPT, xbar, column)
 
     def bound(self, xbar: int, side: int, column: str = DEFAULT_COLUMN):
@@ -730,7 +737,7 @@ class DaEngine:
         p = self.params
         if not 0 <= xbar < (1 << p.l):
             raise UsageError(f"query plaintext outside [0, 2^{p.l})")
-        sid = bytes(self.rng.getrandbits(8) for _ in range(16))
+        sid = self._new_sid()
         self._sid = sid
         encrypt = op == OP_ENCRYPT
         # fh state shares (no equality yet, coin): a bound starts as if
@@ -758,6 +765,7 @@ class DaEngine:
             # us, so relay owner-side aborts
             if e.remote and e.channel is self.da_do_ch:
                 self.csp_ch.abort(sid, e.reason)
+            e.session_id = sid
             raise
         except OopeError as e:
             # a frame this engine cannot use, such as a malformed garbled
@@ -767,7 +775,7 @@ class DaEngine:
                 raise
             self.csp_ch.abort(sid, str(e))
             self.da_do_ch.abort(sid, str(e))
-            raise SessionAborted(str(e)) from e
+            raise SessionAborted(str(e), session_id=sid) from e
         finally:
             self._sid = NULL_SESSION
 
@@ -813,7 +821,7 @@ class DaEngine:
 
     def query(self, bounds: dict, projection=None):
         """Run a range query at the server over already-obtained orders."""
-        sid = bytes(self.rng.getrandbits(8) for _ in range(16))
+        sid = self._new_sid()
         spec = {"bounds": {c: list(iv) for c, iv in bounds.items()},
                 "projection": projection}
         self.csp_ch.send(Frame(transport.QUERY_EXEC, sid,
@@ -823,7 +831,7 @@ class DaEngine:
 
     def cleanup(self, session_ids=None) -> int:
         """Ask the server to drop analyst-inserted table entries."""
-        sid = bytes(self.rng.getrandbits(8) for _ in range(16))
+        sid = self._new_sid()
         payload = b"".join(session_ids) if session_ids else b""
         self.csp_ch.send(Frame(transport.CLEANUP, sid, payload))
         frame = self.csp_ch.recv(transport.CLEANUP_DONE, session=sid)

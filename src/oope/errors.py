@@ -48,11 +48,12 @@ class FramingError(ProtocolError):
 class SessionAborted(OopeError):
     """The session was aborted, locally or by a peer."""
 
-    def __init__(self, reason: str, remote: bool = False):
+    def __init__(self, reason: str, remote: bool = False, session_id=None):
         super().__init__(reason)
         self.reason = reason
         self.remote = remote
         self.channel = None  # which channel delivered a remote abort
+        self.session_id = session_id  # the analyst's, for DaEngine.cleanup
 
 
 class PrimeGenerationError(OopeError):

@@ -34,8 +34,8 @@ the column step t XOR (u AND s) and the row step q XOR s as single
 numpy operations over the whole bit matrix.
 
 Every protocol message is one bytes blob pushed through caller-supplied
-send/recv callables, so the same code runs over in-memory pipes and
-framed TCP channels.
+send/recv callables, so the same code runs over a framed channel and,
+in unit tests, over in-memory pipes.
 """
 
 import hashlib
@@ -193,8 +193,10 @@ def _pack_bits(bits):
 
 
 def _unpack_bits(blob, n):
-    if len(blob) != (n + 7) // 8:
-        raise ProtocolError("OT choice vector has wrong size")
+    """The n bits _pack_bits packed; a blob of the wrong size, or one
+    with a padding bit set after the n-th, is a ProtocolError."""
+    if len(blob) != (n + 7) // 8 or n % 8 and blob[-1] & (0xff >> n % 8):
+        raise ProtocolError("malformed OT choice vector")
     return np.unpackbits(np.frombuffer(blob, dtype=np.uint8),
                          count=n).tolist()
 

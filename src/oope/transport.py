@@ -2,25 +2,26 @@
 
 Frame layout: 4-byte big-endian length | 1-byte type | 16-byte session
 id | payload, where the length covers everything after itself.  Frames
-are capped at 64 MiB.  The same Frame/Channel surface runs over
-in-memory queues (loopback_pair) and connected localhost sockets
-(tcp_pair), and with seeded RNGs both transports produce byte-identical
-transcripts.
+are capped at 64 MiB.  A Channel is one end of a connected stream
+socket: a Unix socket pair in one process (loopback_pair) or a
+localhost TCP connection (tcp_pair).  Both carry the same bytes, so with
+seeded RNGs the two transports produce byte-identical transcripts.
 
-One receive-timeout rule holds on both transports: a receive that waits
-longer than Channel.timeout for its frame raises FramingError and
+One receive-timeout rule holds, the socket's own.  A receive that
+waits longer than Channel.timeout for its frame raises FramingError and
 poisons the channel, so a peer that stalls mid-session fails the
 waiting side.  The one exception is a serve loop's wait for its next
 request (recv with idle=True), which has no limit, because an idle
-peer is not a fault.
+peer is not a fault.  Closing a channel closes its socket: the peer's
+next receive sees the stream end, which also ends its serve loop.
 
 A channel connects exactly two roles; the topology is the triangle
 CSP-DO, CSP-DA, DO-DA.  Garbled-circuit and OT traffic flows on the
 DO-DA edge directly.
 """
 
-import queue
 import socket
+import struct
 from dataclasses import dataclass
 
 from .errors import FramingError, HandshakeError, ProtocolError, SessionAborted
@@ -106,16 +107,39 @@ def decode_frame(body: bytes) -> Frame:
                  body[1 + SESSION_BYTES:])
 
 
+def _timeval(seconds) -> bytes:
+    """A struct timeval for SO_RCVTIMEO/SO_SNDTIMEO; None (no limit) is 0."""
+    seconds = seconds or 0
+    return struct.pack("ll", int(seconds), int(seconds % 1 * 1e6))
+
+
 class Channel:
-    """Ordered reliable frame stream between two roles."""
+    """One end of an ordered reliable frame stream between two roles,
+    over a connected stream socket.
+
+    The socket blocks, and the kernel applies the channel's timeout to
+    each read and write (SO_RCVTIMEO, SO_SNDTIMEO), so a send to a peer
+    that stopped reading fails too.  A Python socket timeout would poll
+    before every call, and each extra call gives up the interpreter
+    lock, which the other roles' threads may then hold for a whole
+    switch interval.  For the same reason one read takes whatever has
+    arrived, and frames are cut from that buffer.
+    """
 
     timeout = 120  # seconds a receive waits; instances may override it
 
-    def __init__(self, name: str = ""):
+    def __init__(self, sock: socket.socket, name: str = ""):
         self.name = name
         self.poisoned = False
         self.record = False
         self.transcript = []  # encoded frames this end sent
+        self._sock = sock
+        self._buf = bytearray()  # bytes read but not yet returned
+        if sock.family == socket.AF_INET:  # AF_UNIX refuses TCP_NODELAY
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        sock.setblocking(True)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO,
+                        _timeval(self.timeout))
 
     def send(self, frame: Frame):
         if self.poisoned:
@@ -123,7 +147,11 @@ class Channel:
         blob = frame.encode()
         if self.record:
             self.transcript.append(blob)
-        self._send_bytes(blob)
+        try:
+            self._sock.sendall(blob)
+        except OSError as e:
+            self.poisoned = True
+            raise FramingError(f"send failed: {e}") from e
 
     def recv(self, *expected: int, session: bytes = None,
              idle: bool = False) -> Frame:
@@ -136,14 +164,18 @@ class Channel:
 
         A frame that does not start arriving within self.timeout is a
         FramingError that poisons the channel.  idle lifts that limit;
-        it marks a serve loop's wait for its next request.
+        it marks a serve loop's wait for its next request.  Once a frame
+        has begun, the rest of it is never idle.
         """
         wait = None if idle else self.timeout
         while True:
             if self.poisoned:
                 raise FramingError("channel is poisoned")
             try:
-                body = self._recv_body(wait)
+                n = int.from_bytes(self._read_exact(4, wait), "big")
+                if n > MAX_FRAME:
+                    raise FramingError("oversize frame")
+                body = self._read_exact(n, self.timeout)
             except FramingError:
                 self.poisoned = True
                 raise
@@ -161,104 +193,48 @@ class Channel:
                     f"expected {want}, received {type_name(frame.ftype)}")
             return frame
 
+    def _read_exact(self, n, timeout):
+        """The stream's next n bytes, each socket read waiting at most
+        timeout (None: no limit); a socket error, a timeout or the
+        stream's end is a FramingError."""
+        buf = self._buf
+        try:
+            if len(buf) < n:
+                self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO,
+                                      _timeval(timeout))
+            while len(buf) < n:
+                chunk = self._sock.recv(1 << 16)
+                if not chunk:
+                    raise FramingError("channel closed")
+                buf += chunk
+        except BlockingIOError:  # SO_RCVTIMEO expired
+            raise FramingError("channel receive timed out") from None
+        except OSError as e:
+            raise FramingError(f"recv failed: {e}") from e
+        out = bytes(buf[:n])
+        del buf[:n]
+        return out
+
     def abort(self, session_id: bytes, reason: str):
         try:
             self.send(Frame(ABORT, session_id, reason.encode()))
-        except (FramingError, OSError):
+        except FramingError:
             pass
 
     def close(self):
-        pass
-
-    def _send_bytes(self, blob: bytes):
-        raise NotImplementedError
-
-    def _recv_body(self, timeout) -> bytes:
-        """The next frame's body; timeout (None: no limit) bounds the wait
-        for its first byte."""
-        raise NotImplementedError
-
-
-class LoopbackChannel(Channel):
-    """One end of an in-memory duplex queue pair."""
-
-    def __init__(self, inbox: queue.Queue, outbox: queue.Queue, name=""):
-        super().__init__(name)
-        self._inbox = inbox
-        self._outbox = outbox
-
-    def _send_bytes(self, blob):
-        self._outbox.put(blob)
-
-    def _recv_body(self, timeout):
+        """Shut the socket down and close it: the peer sees the stream
+        end, and a receive blocked on this end returns."""
         try:
-            blob = self._inbox.get(timeout=timeout)
-        except queue.Empty:
-            raise FramingError("channel receive timed out") from None
-        if blob is None:
-            raise FramingError("channel closed")
-        n = int.from_bytes(blob[:4], "big")
-        if n > MAX_FRAME:
-            raise FramingError("oversize frame")
-        if len(blob) != 4 + n:
-            raise FramingError("truncated frame")
-        return blob[4:]
-
-    def close(self):
-        self._outbox.put(None)
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # closed already, or the peer is gone
+        self._sock.close()
 
 
 def loopback_pair(name_a="a", name_b="b"):
-    """Two ends of one in-memory duplex channel."""
-    qa, qb = queue.Queue(), queue.Queue()
-    return (LoopbackChannel(qa, qb, name_a), LoopbackChannel(qb, qa, name_b))
-
-
-class TcpChannel(Channel):
-    """One end of a connected TCP socket.  The socket carries the
-    channel's timeout, which also bounds a send to a peer that stopped
-    reading."""
-
-    def __init__(self, sock: socket.socket, name=""):
-        super().__init__(name)
-        self._sock = sock
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        sock.settimeout(self.timeout)
-
-    def _send_bytes(self, blob):
-        try:
-            self._sock.sendall(blob)
-        except OSError as e:
-            self.poisoned = True
-            raise FramingError(f"send failed: {e}") from e
-
-    def _read_exact(self, n):
-        chunks = []
-        while n:
-            try:
-                chunk = self._sock.recv(min(n, 1 << 20))
-            except OSError as e:
-                raise FramingError(f"recv failed: {e}") from e
-            if not chunk:
-                raise FramingError("connection closed mid-frame")
-            chunks.append(chunk)
-            n -= len(chunk)
-        return b"".join(chunks)
-
-    def _recv_body(self, timeout):
-        self._sock.settimeout(timeout)
-        n = int.from_bytes(self._read_exact(4), "big")
-        # once a frame has begun, the rest of it is never idle
-        self._sock.settimeout(self.timeout)
-        if n > MAX_FRAME:
-            raise FramingError("oversize frame")
-        return self._read_exact(n)
-
-    def close(self):
-        try:
-            self._sock.close()
-        except OSError:
-            pass
+    """Two ends of one connected Unix socket pair."""
+    sock_a, sock_b = socket.socketpair()
+    return Channel(sock_a, name_a), Channel(sock_b, name_b)
 
 
 def tcp_pair(name_a="a", name_b="b"):
@@ -268,7 +244,7 @@ def tcp_pair(name_a="a", name_b="b"):
     with socket.create_server(("127.0.0.1", 0)) as srv:
         dialer = socket.create_connection(srv.getsockname())
         accepted, _ = srv.accept()
-    return TcpChannel(dialer, name_a), TcpChannel(accepted, name_b)
+    return Channel(dialer, name_a), Channel(accepted, name_b)
 
 
 # --- handshake --------------------------------------------------------------

@@ -554,6 +554,17 @@ def test_no_garbled_instance_is_sent_twice():
                               frame.payload[:-1])
             orig_ot_send(frame)
 
+        def padded_flips(frame):
+            # a 35-bit choice vector, after its 4-byte sequence number,
+            # with a padding bit of its last byte set, which
+            # np.unpackbits(count=35) would ignore
+            if frame.ftype == transport.OT_MSG and len(frame.payload) == 9:
+                frame = Frame(frame.ftype, frame.session_id,
+                              frame.payload[:-1] +
+                              bytes([frame.payload[-1] | 1]))
+            orig_ot_send(frame)
+
+        assert params.width + params.masked_outputs == 35
         assert cluster.encrypt(150) == oracle.encrypt(150)
         cluster.da.csp_ch.send = flip_share
         with pytest.raises(SessionAborted, match="disagree"):
@@ -562,9 +573,10 @@ def test_no_garbled_instance_is_sent_twice():
         with failing_after_upload(cluster), \
                 pytest.raises(SessionAborted, match="after the upload"):
             cluster.encrypt(250)
-        cluster.da.da_do_ch.send = short_flips
-        with pytest.raises(SessionAborted, match="choice vector"):
-            cluster.encrypt(250)
+        for damage in (short_flips, padded_flips):
+            cluster.da.da_do_ch.send = damage
+            with pytest.raises(SessionAborted, match="choice vector"):
+                cluster.encrypt(250)
         cluster.da.da_do_ch.send = orig_ot_send
         # the OT extension's pads stayed in step, so service goes on
         for xbar in (250, 350, 1000, 5000, 7000, 9000, 11000):
@@ -678,13 +690,19 @@ def test_failed_session_done_leaves_rows_on_table_orders(monkeypatch):
             assert cluster.encrypt(xbar) == oracle.encrypt(xbar)
         rebalances = count_rebalances(monkeypatch)
         cluster.csp.da_ch.send = failing_done
-        with pytest.raises(SessionAborted, match="SESSION_DONE send failed"):
+        with pytest.raises(SessionAborted,
+                           match="SESSION_DONE send failed") as aborted:
             cluster.encrypt(19)
         assert rebalances == [6]
         assert row_plaintexts(rows, table, sk) == data
         oracle.encrypt(19)
         assert table.orders() == oracle.ys
         assert cluster.encrypt(16) == oracle.encrypt(16)
+        assert row_plaintexts(rows, table, sk) == data
+        # the abort names the session, so the analyst can remove its entry
+        assert cluster.da.cleanup([aborted.value.session_id]) == 1
+        assert 19 not in [paillier.decrypt(sk, table.get(y).cipher)
+                          for y in table.orders()]
         assert row_plaintexts(rows, table, sk) == data
         assert not cluster.errors
     finally:

@@ -207,8 +207,10 @@ def test_subgroup_bits_must_match_the_mac_group(bits):
         with pytest.raises(HandshakeError, match="mac_subgroup_bits"):
             analyst.attach(da_csp, da_do)
     finally:
-        for ch in (da_csp, csp_da, da_do, do_da):
-            ch.close()
-        for t in peers:
+        # each peer reads the analyst's HELLO on its own end, so it is
+        # joined before that end closes
+        for t, ends in zip(peers, ((da_csp, csp_da), (da_do, do_da))):
             t.join(timeout=5)
+            for ch in ends:
+                ch.close()
     assert not any(t.is_alive() for t in peers)

@@ -57,7 +57,13 @@ def ot_exchange(sender_label_pairs, receiver_choice_bits, rng,
 
     def send_side():
         sender.setup()
-        sender.send_pairs(list(sender_label_pairs))
+        try:
+            sender.send_pairs(list(sender_label_pairs))
+        except ProtocolError:
+            # a rejected choice vector ends the receiver's wait, as the
+            # ABORT frame does in a session
+            s_send(b"")
+            raise
 
     def receive_side():
         receiver.setup()

@@ -6,10 +6,28 @@ import time
 import pytest
 
 from oope import transport
+from oope.cluster import PAIR_FACTORIES, build_cluster
+from oope.engine import ProtocolParams
 from oope.errors import (FramingError, HandshakeError, ProtocolError,
                          SessionAborted)
+from oope.ot import GROUP_TEST
 from oope.rng import make_rng
 from oope.transport import Frame, handshake, loopback_pair, tcp_pair
+
+
+@pytest.fixture
+def loopback():
+    """loopback_pair, with every pair it made closed after the test."""
+    made = []
+
+    def make():
+        made.append(loopback_pair())
+        return made[-1]
+
+    yield make
+    for a, b in made:
+        a.close()
+        b.close()
 
 
 def test_frame_roundtrip():
@@ -19,32 +37,32 @@ def test_frame_roundtrip():
     assert transport.decode_frame(blob[4:]) == f
 
 
-def test_loopback_roundtrip():
-    a, b = loopback_pair()
+def test_loopback_roundtrip(loopback):
+    a, b = loopback()
     payload = bytes(range(40))
     a.send(Frame(transport.GC_PAYLOAD, b"x" * 16, payload))
     got = b.recv(transport.GC_PAYLOAD)
     assert got.payload == payload and got.session_id == b"x" * 16
 
 
-def test_unexpected_type_names_both_tags():
-    a, b = loopback_pair()
+def test_unexpected_type_names_both_tags(loopback):
+    a, b = loopback()
     a.send(Frame(transport.SHARES, b"x" * 16))
     with pytest.raises(ProtocolError, match="ORDER_RESULT.*SHARES"):
         b.recv(transport.ORDER_RESULT)
 
 
-def test_abort_frame_raises():
-    a, b = loopback_pair()
+def test_abort_frame_raises(loopback):
+    a, b = loopback()
     a.abort(b"x" * 16, "share inconsistency")
     with pytest.raises(SessionAborted, match="share inconsistency"):
         b.recv(transport.SHARES)
 
 
-def test_per_session_fifo_random_interleavings():
+def test_per_session_fifo_random_interleavings(loopback):
     rng = make_rng(3)
     for _ in range(20):
-        a, b = loopback_pair()
+        a, b = loopback()
         sids = [b"A" * 16, b"B" * 16]
         sent = {s: [] for s in sids}
         for i in range(30):
@@ -58,27 +76,73 @@ def test_per_session_fifo_random_interleavings():
         assert got == sent
 
 
-def test_truncated_frame_poisons_channel():
-    a, b = loopback_pair()
-    b._inbox.put(b"\x00\x00\x00\x40\x10trunc")  # declared 64, short body
-    with pytest.raises(FramingError):
-        b.recv()
-    assert b.poisoned
-    with pytest.raises(FramingError):
-        b.recv()
-    with pytest.raises(FramingError):
-        b.send(Frame(transport.SHARES, b"x" * 16))
+@pytest.mark.parametrize("pair", [loopback_pair, tcp_pair])
+def test_truncated_frame_poisons_channel(pair):
+    a, b = pair()
+    try:
+        a._sock.sendall(b"\x00\x00\x00\x40\x10trunc")  # declared 64
+        a.close()  # the stream ends before the rest of the body
+        with pytest.raises(FramingError, match="closed"):
+            b.recv()
+        assert b.poisoned
+        with pytest.raises(FramingError):
+            b.recv()
+        with pytest.raises(FramingError):
+            b.send(Frame(transport.SHARES, b"x" * 16))
+    finally:
+        a.close()
+        b.close()
 
 
-def test_oversize_frame_rejected():
-    a, b = loopback_pair()
-    b._inbox.put((transport.MAX_FRAME + 1).to_bytes(4, "big") + b"\x10")
-    with pytest.raises(FramingError):
-        b.recv()
+@pytest.mark.parametrize("pair", [loopback_pair, tcp_pair])
+def test_oversize_frame_rejected(pair):
+    a, b = pair()
+    try:
+        a._sock.sendall((transport.MAX_FRAME + 1).to_bytes(4, "big") + b"\x10")
+        with pytest.raises(FramingError, match="oversize"):
+            b.recv()
+        assert b.poisoned
+    finally:
+        a.close()
+        b.close()
 
 
-def test_handshake_agrees():
-    a, b = loopback_pair()
+@pytest.mark.parametrize("pair", [loopback_pair, tcp_pair])
+def test_close_ends_a_receive_waiting_on_that_end(pair):
+    a, b = pair()
+    errors = []
+
+    def wait():
+        try:
+            b.recv(idle=True)
+        except FramingError as e:
+            errors.append(e)
+
+    t = threading.Thread(target=wait)
+    t.start()
+    try:
+        time.sleep(0.1)
+        b.close()
+        t.join(timeout=5)
+        assert not t.is_alive() and len(errors) == 1
+    finally:
+        a.close()
+        t.join(timeout=5)
+
+
+@pytest.mark.parametrize("kind", sorted(PAIR_FACTORIES))
+def test_cluster_close_ends_both_serve_threads(kind):
+    params = ProtocolParams(l=16, k=16, m=(1 << 20) - 3, key_bits=256)
+    cluster, _ = build_cluster([100, 200, 300], params, seed=4,
+                               ot_group=GROUP_TEST, transport_kind=kind)
+    cluster.encrypt(150)
+    cluster.close()
+    assert not any(t.is_alive() for t in cluster._threads)
+    assert cluster.errors == []
+
+
+def test_handshake_agrees(loopback):
+    a, b = loopback()
     digest = b"d" * 32
     out = {}
 
@@ -93,8 +157,8 @@ def test_handshake_agrees():
     assert out["res"] == (transport.ROLE_CSP, b"csp-extra")
 
 
-def test_handshake_digest_mismatch():
-    a, b = loopback_pair()
+def test_handshake_digest_mismatch(loopback):
+    a, b = loopback()
 
     def other():
         try:
