@@ -296,7 +296,7 @@ def _query_from_spec(payload: bytes):
     from . import datastore
     try:
         spec = json.loads(payload)
-    except ValueError:
+    except (ValueError, RecursionError):  # the latter: nested too deep
         raise ProtocolError("query spec is not JSON") from None
     if not isinstance(spec, dict) or not isinstance(spec.get("bounds"), dict):
         raise ProtocolError("query spec lacks a bounds object")
@@ -321,8 +321,7 @@ def _parse_ped_tag(blob, pk):
     if not blob:
         raise IntegrityError("node lacks its integrity tag")
     commit, off = read_lp(blob, 0)
-    a_cipher, off = paillier.parse_cipher_record(blob, off, pk.key_id,
-                                                 pk.key_bits)
+    a_cipher, off = paillier.parse_cipher_record(blob, off, pk.key_bits)
     if off != len(blob):
         raise ProtocolError("node tag has trailing bytes")
     return commit, a_cipher
@@ -422,8 +421,7 @@ class CspEngine:
             b_e, side = 1, 0
             for _ in range(table.height):
                 mid = (lo + hi) // 2
-                b_e, side = self._compare_round(sid, table.get(
-                    table.order_at(mid)))
+                b_e, side = self._compare_round(sid, table.entry_at(mid))
                 if b_e and side and mid + 1 < hi:
                     lo = mid + 1
                 elif b_e and not side and lo < mid:
@@ -435,7 +433,7 @@ class CspEngine:
             i = j + side
             remap = entry = None
             if not b_e:
-                ybar = table.order_at(j)
+                ybar = table.entry_at(j).order
             elif op != OP_ENCRYPT:
                 # a bound answers the included side of its gap
                 ybar = table.gap(i)[1 if op == OP_BOUND_LOW else 0]
@@ -522,8 +520,7 @@ class CspEngine:
         """The entry at order ybar from the analyst's CIPHER_UPLOAD:
         Enc(xbar), then under Pedersen its node tag, and nothing else."""
         pk = self.pk
-        cipher, off = paillier.parse_cipher_record(payload, 0, pk.key_id,
-                                                   pk.key_bits)
+        cipher, off = paillier.parse_cipher_record(payload, 0, pk.key_bits)
         entry = OpeEntry(cipher, ybar, tag=sid)
         if self.params.integrity == integrity.SCHEME_PEDERSEN:
             entry.node_tag, off = read_lp(payload, off)
@@ -635,8 +632,7 @@ class DoEngine:
         p = self.params
         payload = frame.payload
         pk = self.sk.public
-        cipher, off = paillier.parse_cipher_record(payload, 0, pk.key_id,
-                                                   pk.key_bits)
+        cipher, off = paillier.parse_cipher_record(payload, 0, pk.key_bits)
         # x + r lies below this bound, far below P: the mod-P half of the
         # CRT decrypts it, and the range check keeps its strength
         # (paillier.decrypt)
@@ -645,8 +641,8 @@ class DoEngine:
         if not 0 <= v < bound:
             raise IntegrityError("blinded node out of range")
         if p.integrity == integrity.SCHEME_PEDERSEN:
-            a_cipher, off = paillier.parse_cipher_record(
-                payload, off, pk.key_id, pk.key_bits)
+            a_cipher, off = paillier.parse_cipher_record(payload, off,
+                                                         pk.key_bits)
             # full CRT: the analyst chose a and nothing range-checks
             # a + r', so a mod-P result would tell it whether a + r' < P
             a_blind = paillier.decrypt(self.sk, a_cipher)
@@ -827,7 +823,13 @@ class DaEngine:
         self.csp_ch.send(Frame(transport.QUERY_EXEC, sid,
                                json.dumps(spec).encode()))
         frame = self.csp_ch.recv(transport.QUERY_RESULT, session=sid)
-        return json.loads(frame.payload.decode())
+        try:
+            result = json.loads(frame.payload.decode())
+        except (ValueError, RecursionError):  # not UTF-8, or too deep
+            raise ProtocolError("query result is not JSON") from None
+        if type(result) not in (int, list):
+            raise ProtocolError("query result is neither a count nor rows")
+        return result
 
     def cleanup(self, session_ids=None) -> int:
         """Ask the server to drop analyst-inserted table entries."""
@@ -835,4 +837,6 @@ class DaEngine:
         payload = b"".join(session_ids) if session_ids else b""
         self.csp_ch.send(Frame(transport.CLEANUP, sid, payload))
         frame = self.csp_ch.recv(transport.CLEANUP_DONE, session=sid)
+        if len(frame.payload) != 4:
+            raise ProtocolError("CLEANUP_DONE is not a u32 count")
         return int.from_bytes(frame.payload, "big")

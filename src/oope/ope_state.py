@@ -1,17 +1,18 @@
 """Mutable order-preserving encryption state.
 
-The table holds ⟨homomorphic ciphertext, order⟩ pairs sorted by order.
-Orders live in [1, M-1].  A new entry goes in at an index of the table,
-and its gap is the pair of orders either side of that index, with 0 and
-M as the virtual ends (OpeTable.gap).  One rule, place, gives every new
-order, at set-up and in a session alike: the midpoint (rounded up) of
-its gap.  On a unit gap (GapExhausted), place takes the gap at the
-same index among the orders of a uniform, rank-keeping respread
-(rebalance), and a unit gap there is a CapacityError.  Neither changes
-the table: the respread comes back as an old -> new map for the caller
-to apply to the table and the row store.  Set-up also returns the
-owner's plaintext/order pairs (OwnerState), from which the row store is
-built; the owner keeps no orders afterwards.
+The table (OpeTable) is one list of entries sorted by order, each a
+slotted OpeEntry holding a Paillier ciphertext as a plain int, its order
+and two optional tags.  Orders live in [1, M-1].  A new entry goes in at
+an index of the table, and its gap is the pair of orders either side of
+that index, with 0 and M as the virtual ends (OpeTable.gap).  One rule,
+place, gives every new order, at set-up and in a session alike: the
+midpoint (rounded up) of its gap.  On a unit gap (GapExhausted), place
+takes the gap at the same index among the orders of a uniform,
+rank-keeping respread (rebalance), and a unit gap there is a
+CapacityError.  Neither changes the table: the respread comes back as an
+old -> new map for the caller to apply to the table and the row store.
+Set-up also returns the owner's plaintext/order pairs (OwnerState), from
+which the row store is built; the owner keeps no orders afterwards.
 
 The server stores no tree.  A session runs an implicit binary search
 over the sorted orders: it keeps an index range [lo, hi), starting at
@@ -30,9 +31,10 @@ table stores no run extremes.
 
 import os
 import warnings
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Optional
 
 from . import paillier
@@ -52,78 +54,77 @@ FLAG_TAGGED = 2
 FLAG_NODETAG = 4
 
 
-@dataclass
+@dataclass(slots=True)
 class OpeEntry:
-    cipher: paillier.HomCiphertext
+    cipher: int  # Paillier ciphertext, a residue mod N^2
     order: int
     tag: Optional[bytes] = None       # session id of an analyst insert
     node_tag: Optional[bytes] = None  # serialized integrity tag
 
 
-def _gap(orders: list, index: int, m: int):
-    left = orders[index - 1] if index else 0
-    right = orders[index] if index < len(orders) else m
-    return left, right
+_ORDER = attrgetter("order")
 
 
 class OpeTable:
-    """Entries sorted ascending by order; orders are unique."""
+    """One list of entries sorted by order, bisected to find one; orders
+    are unique.  key_id names the key of every ciphertext (check_key)."""
 
     def __init__(self, m: int, key_bits: int = 0, key_id: bytes = b""):
         self.m = m
         self.key_bits = key_bits
         self.key_id = key_id
-        self._orders = []
-        self._by_order = {}
+        self._entries = []
 
     def __len__(self):
-        return len(self._orders)
+        return len(self._entries)
 
     @property
     def height(self) -> int:
         """Rounds of the midpoint search: ceil(log2(n+1))."""
-        return len(self._orders).bit_length()
+        return len(self._entries).bit_length()
 
     def orders(self):
-        return list(self._orders)
-
-    def order_at(self, index: int) -> int:
-        return self._orders[index]
+        return [e.order for e in self._entries]
 
     def entries(self):
-        return [self._by_order[o] for o in self._orders]
+        return list(self._entries)
+
+    def entry_at(self, index: int) -> OpeEntry:
+        return self._entries[index]
+
+    def _index(self, order: int) -> int:
+        """The index of the entry at order; UsageError if none is."""
+        i = bisect_left(self._entries, order, key=_ORDER)
+        if i == len(self._entries) or self._entries[i].order != order:
+            raise UsageError(f"order {order} not present")
+        return i
 
     def get(self, order: int) -> OpeEntry:
-        try:
-            return self._by_order[order]
-        except KeyError:
-            raise UsageError(f"order {order} not present") from None
+        return self._entries[self._index(order)]
 
     def insert(self, entry: OpeEntry):
-        if entry.order in self._by_order:
-            raise IntegrityError(f"order collision at {entry.order}")
         if not 1 <= entry.order <= self.m - 1:
             raise DomainError("order outside [1, M-1]")
-        insort(self._orders, entry.order)
-        self._by_order[entry.order] = entry
+        i = bisect_left(self._entries, entry.order, key=_ORDER)
+        if i < len(self._entries) and self._entries[i].order == entry.order:
+            raise IntegrityError(f"order collision at {entry.order}")
+        self._entries.insert(i, entry)
 
     def remove(self, order: int) -> OpeEntry:
-        entry = self.get(order)
-        self._orders.pop(bisect_left(self._orders, order))
-        del self._by_order[order]
-        return entry
+        return self._entries.pop(self._index(order))
 
     def gap(self, index: int):
         """(y_left, y_right): the orders either side of index, where a
         new entry at index would go, with 0 and M as the virtual ends."""
-        return _gap(self._orders, index, self.m)
+        left = self._entries[index - 1].order if index else 0
+        right = self._entries[index].order if index < len(self) else self.m
+        return left, right
 
     def reassign_orders(self, remap: dict):
-        entries = self.entries()
-        for e in entries:
+        """Move each entry from order o to remap[o].  A rebalance keeps
+        ranks, so the list stays sorted and is not sorted again."""
+        for e in self._entries:
             e.order = remap[e.order]
-        self._orders = sorted(remap[o] for o in self._orders)
-        self._by_order = {e.order: e for e in entries}
 
 
 def check_key(tables: dict, pk: paillier.PaillierPublicKey):
@@ -177,9 +178,9 @@ def place(table: OpeTable, index: int):
         return assign_order(*table.gap(index)), None
     except GapExhausted:
         remap = rebalance(table)
+    respread = [0, *remap.values(), table.m]
     try:
-        return assign_order(*_gap(list(remap.values()), index, table.m)), \
-            remap
+        return assign_order(respread[index], respread[index + 1]), remap
     except GapExhausted:
         # a uniform respread left no room here: M is too dense
         raise CapacityError("order space too dense for another "
@@ -223,7 +224,7 @@ def init_state(dataset, m: int, pk: paillier.PaillierPublicKey, l: int,
             raise DomainError(f"plaintext {x} outside [0, 2^{l})")
         i = bisect_left(xs, x)
         if mode == MODE_DET and i < len(xs) and xs[i] == x:
-            placed.append(table.get(table.order_at(i)))
+            placed.append(table.entry_at(i))
             continue
         if mode == MODE_FH:
             hi = bisect_right(xs, x, i)
@@ -237,13 +238,12 @@ def init_state(dataset, m: int, pk: paillier.PaillierPublicKey, l: int,
         xs.insert(i, x)
         placed.append(entry)
 
-    entries = table.entries()
     jobs, node_tags = [], []
     for x in xs:
         jobs.append((x, paillier.fresh_alpha(rng)))
         node_tags.append(tagger(x) if tagger is not None else None)
     pk.h_n  # cached here, so the workers share it
-    for entry, node_tag, cipher in zip(entries, node_tags,
+    for entry, node_tag, cipher in zip(table.entries(), node_tags,
                                        _encrypt_all(pk, jobs)):
         entry.cipher, entry.node_tag = cipher, node_tag
     return OwnerState([(x, e.order) for x, e in zip(dataset, placed)]), table
@@ -311,8 +311,7 @@ def parse_table(blob: bytes) -> OpeTable:
     for _ in range(count):
         order, off = read_int(body, off, ORDER_BYTES)
         flags, off = read_int(body, off, 1)
-        cipher, off = paillier.parse_cipher_record(body, off, key_id,
-                                                   key_bits)
+        cipher, off = paillier.parse_cipher_record(body, off, key_bits)
         entry = OpeEntry(cipher, order)
         if flags & FLAG_TAGGED:
             entry.tag, off = read_bytes(body, off, 16)

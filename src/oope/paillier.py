@@ -7,6 +7,12 @@ and Q^2.  The textbook single-exponentiation path, m = L(c^lam) * mu,
 is no part of the protocol; it lives with the test oracles
 (tests/oracles.py, decrypt_direct) as the cross-check for decrypt.
 
+A ciphertext is a plain int, its residue mod N^2, and names no key.
+Key identity is checked where keys meet outside input: the server
+checks the owner's key at HELLO, and each table names its key
+(ope_state.check_key).  A ciphertext decrypted under another key is an
+IntegrityError (see below); hom_add over two keys goes undetected.
+
 A caller that knows its plaintext lies below a bound no larger than P
 passes that bound to decrypt, which then runs the mod-P^2 half of the
 CRT alone and returns m mod P, half the work of a full decryption.
@@ -72,11 +78,10 @@ thread overlaps work on another.
 
 import hashlib
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import (DomainError, IntegrityError, KeyMismatchError,
-                     PrimeGenerationError, ProtocolError)
+from .errors import (DomainError, IntegrityError, PrimeGenerationError,
+                     ProtocolError)
 from .modexp import powmod
 from .rng import make_rng
 from .wire import be_bytes, fixed_bytes, lp, read_int, read_lp
@@ -195,14 +200,6 @@ class PaillierPrivateKey:
         self.hq = pow(t_q * p, -1, q)
 
 
-@dataclass(frozen=True)
-class HomCiphertext:
-    """A Paillier ciphertext: residue mod N^2 plus the owning key's id."""
-
-    value: int
-    key_id: bytes
-
-
 def fresh_alpha(rng) -> int:
     """Uniform alpha in [1, 2^ALPHA_BITS), the randomness of one
     encryption; 0 is excluded since it leaves 1+mN unblinded."""
@@ -235,8 +232,7 @@ def keygen(key_bits: int, rng=None):
     return pk, PaillierPrivateKey(p, q, t_p, t_q, pk)
 
 
-def encrypt(pk: PaillierPublicKey, m: int, rng=None, alpha: int = None
-            ) -> HomCiphertext:
+def encrypt(pk: PaillierPublicKey, m: int, rng=None, alpha: int = None) -> int:
     """Encrypt m in [0, N) as (1+mN) * (h^N)^alpha mod N^2.
 
     alpha is drawn with fresh_alpha from rng unless the caller passes
@@ -247,8 +243,7 @@ def encrypt(pk: PaillierPublicKey, m: int, rng=None, alpha: int = None
     if alpha is None:
         alpha = fresh_alpha(rng or make_rng())
     rn = powmod(pk.h_n, alpha, pk.n_sq)
-    value = (1 + m * pk.n) % pk.n_sq * rn % pk.n_sq
-    return HomCiphertext(value, pk.key_id)
+    return (1 + m * pk.n) % pk.n_sq * rn % pk.n_sq
 
 
 def _decrypt_half(c: int, r: int, r_sq: int, t: int, inv: int) -> int:
@@ -261,8 +256,7 @@ def _decrypt_half(c: int, r: int, r_sq: int, t: int, inv: int) -> int:
     return u // r * inv % r
 
 
-def decrypt(sk: PaillierPrivateKey, c: HomCiphertext, below: int = None
-            ) -> int:
+def decrypt(sk: PaillierPrivateKey, c: int, below: int = None) -> int:
     """CRT decryption with the exponents t_p and t_q.
 
     Agrees with the textbook path on every ciphertext whose randomness
@@ -279,33 +273,23 @@ def decrypt(sk: PaillierPrivateKey, c: HomCiphertext, below: int = None
     whether m < P, so pass below only for results the caller
     range-checks.
     """
-    _check_key(sk.public, c)
-    mp = _decrypt_half(c.value, sk.p, sk.p_sq, sk.t_p, sk.hp)
+    mp = _decrypt_half(c, sk.p, sk.p_sq, sk.t_p, sk.hp)
     if below is not None and below <= sk.p:
         return mp
-    mq = _decrypt_half(c.value, sk.q, sk.q_sq, sk.t_q, sk.hq)
+    mq = _decrypt_half(c, sk.q, sk.q_sq, sk.t_q, sk.hq)
     return mp + sk.p * ((mq - mp) * sk.p_inv_q % sk.q)
 
 
-def hom_add(pk: PaillierPublicKey, c1: HomCiphertext,
-            c2: HomCiphertext) -> HomCiphertext:
+def hom_add(pk: PaillierPublicKey, c1: int, c2: int) -> int:
     """Ciphertext of (m1 + m2) mod N."""
-    _check_key(pk, c1)
-    _check_key(pk, c2)
-    return HomCiphertext(c1.value * c2.value % pk.n_sq, pk.key_id)
+    return c1 * c2 % pk.n_sq
 
 
-def hom_scale(pk: PaillierPublicKey, c: HomCiphertext, s: int) -> HomCiphertext:
+def hom_scale(pk: PaillierPublicKey, c: int, s: int) -> int:
     """Ciphertext of (m * s) mod N for 0 < s < N."""
-    _check_key(pk, c)
     if not 0 < s < pk.n:
         raise DomainError("scalar must lie in (0, N)")
-    return HomCiphertext(powmod(c.value, s, pk.n_sq), pk.key_id)
-
-
-def _check_key(pk, c):
-    if c.key_id != pk.key_id:
-        raise KeyMismatchError("ciphertext belongs to a different key")
+    return powmod(c, s, pk.n_sq)
 
 
 # --- serialization ---------------------------------------------------------
@@ -315,12 +299,12 @@ def cipher_width(key_bits: int) -> int:
     return 2 * key_bits // 8
 
 
-def cipher_record(c: HomCiphertext, key_bits: int) -> bytes:
+def cipher_record(c: int, key_bits: int) -> bytes:
     """Fixed-width residue record used inside frames and table files."""
-    return lp(fixed_bytes(c.value, cipher_width(key_bits)))
+    return lp(fixed_bytes(c, cipher_width(key_bits)))
 
 
-def parse_cipher_record(buf: bytes, off: int, key_id: bytes, key_bits: int):
+def parse_cipher_record(buf: bytes, off: int, key_bits: int):
     """(ciphertext, offset after its record); a record of any width but
     cipher_width(key_bits) is a ProtocolError."""
     blob, off = read_lp(buf, off)
@@ -328,7 +312,7 @@ def parse_cipher_record(buf: bytes, off: int, key_id: bytes, key_bits: int):
     if len(blob) != width:
         raise ProtocolError(
             f"cipher record of {len(blob)} bytes, expected {width}")
-    return HomCiphertext(int.from_bytes(blob, "big"), key_id), off
+    return int.from_bytes(blob, "big"), off
 
 
 def _ints(*values) -> bytes:
@@ -351,9 +335,12 @@ def serialize_public_key(pk: PaillierPublicKey) -> bytes:
 
 def parse_public_key(buf: bytes, off: int = 0):
     """(public key, offset after it); an h outside (1, N) or sharing a
-    factor with N is a ProtocolError."""
+    factor with N, or a key_bits other than N's width, is a
+    ProtocolError."""
     key_bits, off = read_int(buf, off, 2)
     (n, h), off = _read_ints(buf, off, 2)
+    if n.bit_length() != key_bits:
+        raise ProtocolError(f"N labelled as {key_bits} bits")
     if not 1 < h < n or math.gcd(h, n) != 1:
         raise ProtocolError("public key's h lies outside Z_N*")
     return PaillierPublicKey(n, key_bits, h), off
@@ -367,11 +354,13 @@ def serialize_private_key(sk: PaillierPrivateKey) -> bytes:
 
 def parse_private_key(buf: bytes, off: int = 0):
     """(private key, offset after it); a key whose 2*t_p does not divide
-    P-1 (2*t_q, Q-1), or whose h does not have order t_p*t_q mod N, is a
-    ProtocolError."""
+    P-1 (2*t_q, Q-1), or whose h does not have order t_p*t_q mod N, or
+    whose key_bits is not N's width, is a ProtocolError."""
     key_bits, off = read_int(buf, off, 2)
     (p, q, t_p, t_q, h), off = _read_ints(buf, off, 5)
     n = p * q
+    if n.bit_length() != key_bits:
+        raise ProtocolError(f"N labelled as {key_bits} bits")
     if min(t_p, t_q) < 2 or p == q or (p - 1) % (2 * t_p) or \
             (q - 1) % (2 * t_q) or not 1 < h < n or \
             powmod(h, t_p * t_q, n) != 1 or 1 in (h % p, h % q):

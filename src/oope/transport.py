@@ -7,11 +7,11 @@ socket: a Unix socket pair in one process (loopback_pair) or a
 localhost TCP connection (tcp_pair).  Both carry the same bytes, so with
 seeded RNGs the two transports produce byte-identical transcripts.
 
-One receive-timeout rule holds, the socket's own.  A receive that
-waits longer than Channel.timeout for its frame raises FramingError and
-poisons the channel, so a peer that stalls mid-session fails the
-waiting side.  The one exception is a serve loop's wait for its next
-request (recv with idle=True), which has no limit, because an idle
+One timeout rule holds, the socket's own.  A receive that waits longer
+than Channel.timeout for its frame, or a send for room, raises
+FramingError and poisons the channel, so a peer that stalls mid-session
+fails the waiting side.  The one exception is a serve loop's wait for its
+next request (recv with idle=True), which has no limit, because an idle
 peer is not a fault.  Closing a channel closes its socket: the peer's
 next receive sees the stream end, which also ends its serve loop.
 
@@ -117,16 +117,14 @@ class Channel:
     """One end of an ordered reliable frame stream between two roles,
     over a connected stream socket.
 
-    The socket blocks, and the kernel applies the channel's timeout to
-    each read and write (SO_RCVTIMEO, SO_SNDTIMEO), so a send to a peer
-    that stopped reading fails too.  A Python socket timeout would poll
-    before every call, and each extra call gives up the interpreter
-    lock, which the other roles' threads may then hold for a whole
-    switch interval.  For the same reason one read takes whatever has
-    arrived, and frames are cut from that buffer.
+    The socket blocks, and the kernel applies timeout, 120 s unless
+    assigned, to each read and write (SO_RCVTIMEO, SO_SNDTIMEO), so a
+    send to a peer that stopped reading fails too.  A Python socket
+    timeout would poll before every call, and each extra call gives up
+    the interpreter lock, which the other roles' threads may then hold
+    for a whole switch interval.  For the same reason one read takes
+    whatever has arrived, and frames are cut from that buffer.
     """
-
-    timeout = 120  # seconds a receive waits; instances may override it
 
     def __init__(self, sock: socket.socket, name: str = ""):
         self.name = name
@@ -138,8 +136,17 @@ class Channel:
         if sock.family == socket.AF_INET:  # AF_UNIX refuses TCP_NODELAY
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         sock.setblocking(True)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO,
-                        _timeval(self.timeout))
+        self.timeout = 120
+
+    @property
+    def timeout(self):
+        return self._timeout
+
+    @timeout.setter
+    def timeout(self, seconds):
+        self._timeout = seconds
+        self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO,
+                              _timeval(seconds))
 
     def send(self, frame: Frame):
         if self.poisoned:

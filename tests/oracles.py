@@ -10,9 +10,8 @@ import bisect
 import math
 
 from oope.comparator import AND, NOT, OR, XOR
-from oope.errors import KeyMismatchError, UsageError
+from oope.errors import UsageError
 from oope.modexp import powmod
-from oope.paillier import HomCiphertext
 
 
 def midpoint(y_left, y_right):
@@ -97,20 +96,17 @@ def textbook_encrypt(pk, m, rng):
         r = rng.randrange(1, pk.n)
         if math.gcd(r, pk.n) == 1:
             break
-    value = (1 + m * pk.n) * pow(r, pk.n, pk.n_sq) % pk.n_sq
-    return HomCiphertext(value, pk.key_id)
+    return (1 + m * pk.n) * pow(r, pk.n, pk.n_sq) % pk.n_sq
 
 
 def decrypt_direct(sk, c):
     """Textbook Paillier decryption, m = L(c^lam mod N^2) * mu mod N with
     lam = lcm(P-1, Q-1): the cross-check for paillier.decrypt's CRT
     paths, defined on every ciphertext in Z_N^2*."""
-    if c.key_id != sk.public.key_id:
-        raise KeyMismatchError("ciphertext belongs to a different key")
     n = sk.public.n
     lam = math.lcm(sk.p - 1, sk.q - 1)
     mu = pow(lam, -1, n)  # L((1+N)^lam mod N^2) = lam mod N
-    return (powmod(c.value, lam, sk.public.n_sq) - 1) // n * mu % n
+    return (powmod(c, lam, sk.public.n_sq) - 1) // n * mu % n
 
 
 def eval_plain(circuit, gen_bits, eval_bits):

@@ -109,7 +109,7 @@ def test_round_count_always_equals_tree_height():
                    0, (1 << 16) - 1,            # extremes
                    rng.randrange(1 << 16)]
         # equality at the first node of the search specifically
-        root_entry = table.get(table.order_at(len(table) // 2))
+        root_entry = table.entry_at(len(table) // 2)
         queries.append(paillier.decrypt(ctx["sk"], root_entry.cipher))
         # ascending inserts, like timestamps, must not lengthen the
         # search beyond the balanced height
@@ -269,7 +269,8 @@ def test_malformed_requests_abort_and_serve_loops_survive():
                   for i, (_, y) in enumerate(ctx["owner"].pairs)])
         # a dead serve thread fails this test in seconds, not minutes
         cluster.da.csp_ch.timeout = cluster.da.da_do_ch.timeout = 5
-        for i, spec in enumerate((b"{", b"[1]")):
+        # the third nests too deep for the JSON parser
+        for i, spec in enumerate((b"{", b"[1]", b"[" * 100000)):
             sid = bytes([i + 1]) * 16
             t0 = time.monotonic()
             cluster.da.csp_ch.send(Frame(transport.QUERY_EXEC, sid, spec))
@@ -749,6 +750,46 @@ def test_malformed_offset_or_order_aborts_before_the_commit(damage):
         cluster.close()
 
 
+# damage -> (frame type the server answers the analyst with, payload)
+REPLY_DAMAGE = {
+    "result-not-utf8": (transport.QUERY_RESULT, b"\xff\xfe"),
+    "result-not-json": (transport.QUERY_RESULT, b"{"),
+    "result-an-object": (transport.QUERY_RESULT, b'{"count": 1}'),
+    "result-a-float": (transport.QUERY_RESULT, b"1.5"),
+    "result-too-deep": (transport.QUERY_RESULT, b"[" * 100000),
+    "cleanup-short": (transport.CLEANUP_DONE, b"\0\0\1"),
+    "cleanup-long": (transport.CLEANUP_DONE, b"\0\0\0\0\1"),
+}
+
+
+def test_malformed_query_or_cleanup_reply_is_a_protocol_error():
+    params = small_params()
+    cluster, ctx = make_cluster(EXAMPLE, seed=41, params=params)
+    try:
+        cluster.csp.rows = rows_of(ctx["owner"])
+        everything = {"": (0, params.m, True, True)}
+        orig_send = cluster.csp.da_ch.send
+        for damage, (ftype, payload) in sorted(REPLY_DAMAGE.items()):
+            def damaged(frame, ftype=ftype, payload=payload):
+                if frame.ftype == ftype:
+                    frame = Frame(ftype, frame.session_id, payload)
+                orig_send(frame)
+
+            cluster.csp.da_ch.send = damaged
+            with pytest.raises(ProtocolError) as err:
+                if ftype == transport.QUERY_RESULT:
+                    cluster.da.query(everything)
+                else:
+                    cluster.da.cleanup()
+            assert type(err.value) is ProtocolError, damage
+            cluster.csp.da_ch.send = orig_send
+            assert cluster.da.query(everything) == len(EXAMPLE)
+            assert cluster.da.cleanup() == 0
+        assert not cluster.errors
+    finally:
+        cluster.close()
+
+
 def test_every_single_share_bit_flip_detected():
     for bit in range(4):
         cluster, _ = make_cluster(EXAMPLE, seed=13 + bit,
@@ -872,7 +913,7 @@ def test_owner_view_is_blinded():
                 f = transport.decode_frame(blob[4:])
                 if f.ftype == transport.RANDOMIZED_NODE:
                     c, _ = paillier.parse_cipher_record(
-                        f.payload, 0, sk.public.key_id, sk.public.key_bits)
+                        f.payload, 0, sk.public.key_bits)
                     vals.append(paillier.decrypt(sk, c))
         assert len(vals) == 40
         span = 1 << (params.l + params.k)

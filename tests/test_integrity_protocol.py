@@ -44,7 +44,7 @@ def test_substituted_node_detected_before_evaluation(scheme):
         table, pk = ctx["table"], ctx["pk"]
         # server forges a ciphertext for the first node of every search
         # (the middle order) but keeps the old tag
-        root = table.get(table.order_at(len(table) // 2))
+        root = table.entry_at(len(table) // 2)
         root.cipher = paillier.encrypt(pk, 55, make_rng(1))
         for ch in cluster.channels:
             if ch.name == "da->do":
@@ -114,7 +114,7 @@ def test_state_untouched_after_detected_attack():
     try:
         table, pk = ctx["table"], ctx["pk"]
         orders = table.orders()
-        root = table.get(table.order_at(len(table) // 2))
+        root = table.entry_at(len(table) // 2)
         honest_cipher = root.cipher
         root.cipher = paillier.encrypt(pk, 1, make_rng(2))
         with pytest.raises(SessionAborted):
@@ -146,9 +146,9 @@ def test_pedersen_blind_decrypts_on_full_crt():
         def shift_a_blind(frame):
             if frame.ftype == transport.RANDOMIZED_NODE:
                 cipher, off = paillier.parse_cipher_record(
-                    frame.payload, 0, pk.key_id, pk.key_bits)
+                    frame.payload, 0, pk.key_bits)
                 a_cipher, _ = paillier.parse_cipher_record(
-                    frame.payload, off, pk.key_id, pk.key_bits)
+                    frame.payload, off, pk.key_bits)
                 a_cipher = paillier.hom_add(
                     pk, a_cipher, paillier.encrypt(pk, sk.p, make_rng(3)))
                 shifted.append((decrypt_direct(sk, cipher),

@@ -6,10 +6,13 @@ import signal
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oope import engine, integrity, ope_state, paillier
-from oope.errors import (CapacityError, ConfigurationError, GapExhausted,
-                         ProtocolError, UsageError)
+from oope.errors import (CapacityError, ConfigurationError, DomainError,
+                         GapExhausted, IntegrityError, ProtocolError,
+                         UsageError)
 from oope.ope_state import (OpeEntry, OpeTable, assign_order, init_state,
                             place, rebalance)
 from oope.rng import make_rng
@@ -317,3 +320,71 @@ def test_table_file_with_a_cipher_record_of_another_width_refused(keys):
     with pytest.raises(ProtocolError, match="cipher record"):
         ope_state.parse_table(seal(ope_state.TABLE_MAGIC,
                                    ope_state.TABLE_VERSION, wide))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), m=st.integers(3, 48))
+def test_table_invariants_hold_against_a_sorted_list_model(data, m):
+    # a small M makes unit gaps, rebalances and full tables common
+    table = OpeTable(m, key_bits=64, key_id=bytes(range(32)))
+    model = {}  # order -> (cipher, tag, node tag)
+    blobs = st.none() | st.binary(min_size=16, max_size=16)
+
+    def gap(orders, i):
+        return (orders[i - 1] if i else 0,
+                orders[i] if i < len(orders) else m)
+
+    def new_entry(order):
+        entry = OpeEntry(data.draw(st.integers(0, (1 << 128) - 1)), order,
+                         data.draw(blobs), data.draw(blobs))
+        model[order] = (entry.cipher, entry.tag, entry.node_tag)
+        return entry
+
+    for _ in range(data.draw(st.integers(0, 30))):
+        orders = sorted(model)
+        op = data.draw(st.sampled_from(["insert", "remove", "place"]))
+        if op == "insert" and len(orders) < m - 1:
+            order = data.draw(st.integers(1, m - 1).filter(
+                lambda o: o not in model))
+            table.insert(new_entry(order))
+        elif op == "remove" and orders:
+            order = data.draw(st.sampled_from(orders))
+            assert table.remove(order).cipher == model.pop(order)[0]
+        elif op == "place":
+            index = data.draw(st.integers(0, len(orders)))
+            try:
+                order, remap = place(table, index)
+            except CapacityError:
+                continue
+            if remap is not None:
+                table.reassign_orders(remap)
+                model = {remap[o]: v for o, v in model.items()}
+                orders = sorted(model)
+            left, right = gap(orders, index)
+            assert left < order < right
+            table.insert(new_entry(order))
+
+        orders = sorted(model)
+        assert table.orders() == orders and len(table) == len(orders)
+        assert all(a < b for a, b in zip(orders, orders[1:]))
+        for i, o in enumerate(orders):
+            entry = table.entry_at(i)
+            assert entry.order == o and table.get(o) is entry
+            assert (entry.cipher, entry.tag, entry.node_tag) == model[o]
+        for i in range(len(orders) + 1):
+            assert table.gap(i) == gap(orders, i)
+        for o in [o for o in range(m + 1) if o not in model][:2]:
+            with pytest.raises(UsageError, match="not present"):
+                table.get(o)
+        for o in orders[:1]:
+            with pytest.raises(IntegrityError, match="collision"):
+                table.insert(OpeEntry(0, o))
+        for o in (0, m):
+            with pytest.raises(DomainError):
+                table.insert(OpeEntry(0, o))
+        copy = ope_state.parse_table(ope_state.serialize_table(table))
+        assert [(e.order, e.cipher, e.tag, e.node_tag)
+                for e in copy.entries()] == \
+            [(o, *model[o]) for o in orders]
+        assert (copy.m, copy.key_bits, copy.key_id) == \
+            (m, 64, table.key_id)

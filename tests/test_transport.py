@@ -225,3 +225,25 @@ def test_receive_timeout_poisons_except_when_idle(pair):
         late.cancel()
         a.close()
         b.close()
+
+
+@pytest.mark.parametrize("pair", [loopback_pair, tcp_pair])
+def test_send_timeout_follows_the_instance_timeout(pair):
+    a, b = pair()
+    # b never reads; without a send timeout, closing b ends the wait, so
+    # a regression fails here rather than hangs
+    watchdog = threading.Timer(5, b.close)
+    try:
+        a.timeout = 0.2
+        watchdog.start()
+        t0 = time.monotonic()
+        with pytest.raises(FramingError, match="send failed"):
+            for _ in range(64):
+                a.send(Frame(transport.GC_PAYLOAD, b"x" * 16,
+                             bytes(1 << 20)))
+        assert time.monotonic() - t0 < 1.5
+        assert a.poisoned
+    finally:
+        watchdog.cancel()
+        a.close()
+        b.close()
