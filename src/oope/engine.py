@@ -22,18 +22,45 @@ rounds replay the same node so neither the owner nor the analyst learns
 where the value landed.  The analyst learns only the order, and the
 owner nothing about the query.
 
+A round is four one-way flights: the node (RANDOMIZED_NODE), the
+garbled circuit with the OT reply behind it (GC_PAYLOAD), the masked
+outputs (GC_RESULT) and the shares (SHARES), five frames in all.  The
+analyst's OT choices for a round are xbar + r, its mask bits and, in
+fh, its coin and the state shares the previous round gave it, so they
+are known before the round's circuit exists.  The server therefore
+sends the analyst every offset of the session at once, h 16-byte
+records in one RANDOM_OFFSET right after the first node, and the
+analyst sends its first flips as one OT_MSG as soon as it has them;
+each later round's flips ride at the end of the previous round's
+GC_RESULT (ot: the flips are one-time padded by the pool's rho, so
+sending them early shows nothing).  The owner takes in a session's
+first flips before anything in its first round can abort.  The last
+GC_RESULT carries flips too, for a phantom transfer over random
+choices that never runs, so every GC_RESULT has one length and the
+owner, which cannot tell the last round, spends the same n pads on
+each, whether its frame parses or not.  An encrypt session over a
+non-empty table is 5h + 6 frames (SESSION_START, RANDOM_OFFSET, the
+first OT_MSG, ORDER_RESULT, CIPHER_UPLOAD and SESSION_DONE besides the
+rounds; a bound sends no upload) and 4h + 2 flights from SESSION_START
+to ORDER_RESULT, plus Pedersen's INTEGRITY_TAG and INTEGRITY_PROOF per
+round and the OT extension batches, which travel on the flights the
+next flips do.
+
 No exponentiation waits on a peer where it need not.  Encryptions use
 short exponents (paillier): each is one 256-bit exponentiation of the
 key's fixed h^N instead of a full-size r^N, about a seventh of the
 work on a 2048-bit key.  A round's blind, r and Enc(r) (plus r' and
 Enc(r') under Pedersen), does not depend on the comparison, so the
 server still makes it one round ahead: right after sending a round's
-frames and before waiting for its shares.  The blind made in a
-session's last round serves the next session's first.  A blind is
-spent once its round starts sending, so one that an abort leaves
-unsent serves a later round, and none is sent twice.  The analyst
-builds its whole upload right after SESSION_START, while the peers run
-the first round, and sends it unchanged once the order arrives.
+frames and before waiting for its shares.  A session draws all its
+offsets r at its start, since they go out with the first node, and
+encrypts each a round ahead.  A blind is spent once its offset is sent,
+even if the session then aborts before its node is, so no r blinds two
+nodes and no offset the analyst has seen returns.  Only the blind made
+in a session's last round, whose offset nobody has seen, serves the
+next session's first.  The analyst builds its whole upload right after
+it sends its first flips, while the peers run the first round, and
+sends it unchanged once the order arrives.
 CIPHER_UPLOAD is Enc(xbar) as one cipher record, followed under
 Pedersen by its node tag (the commitment and Enc(a)), and nothing else.
 Every cipher record is exactly paillier.cipher_width bytes wide, so a
@@ -62,7 +89,7 @@ analyst's included, each between two of its own plaintexts.
 
 Garbled labels are 128-bit ints (garbling); the owner hands its OT
 sender int label pairs and the analyst gets ints back from its OT
-receiver, so labels are bytes only inside GC_PAYLOAD and OT_MSG.
+receiver, so labels are bytes only inside GC_PAYLOAD.
 
 The owner garbles ahead.  It keeps a pool of garbled comparators: one
 garbling.GarbledCircuit, whose garbling.BATCH = 32 instances were
@@ -102,16 +129,21 @@ aborts inline.  One handler per engine (run_session at the server, the
 serve loop at the owner, _session at the analyst) sends ABORT to both
 peers, and none has state to roll back.  A request the server cannot
 even start, such as a SESSION_START naming no known op, only concerns
-the analyst, and the server's serve loop aborts it there.  An abort
-received from a peer is passed on only where the third party may be
-waiting on a channel the sender did not use: the analyst relays an
-owner's abort to the server, which may be waiting on the analyst's
-shares, and the server relays an owner's abort to the analyst, which
-may be waiting on the server alone.  A bit vector of the wrong shape is
+the analyst, and the server's serve loop aborts it there.  Each engine
+passes an abort received from one peer on to the other, which may be
+waiting on a channel the sender did not use: the server waits on the
+analyst's shares first, and the analyst, which has every offset, waits
+on the owner alone between rounds, so the owner relays the server's
+aborts, even those its serve loop reads while idle.  A remote
+SessionAborted carries the session id it names, which the relay
+repeats.  A relayed abort that finds its session over is dropped as
+stale.  Whatever the abort, both OT pad pools stay in step: the
+analyst spends pads only on flips it sends, and the owner spends the
+same pads as soon as it reads them.  A bit vector of the wrong shape is
 a ProtocolError like any other malformed frame, and so is a
-RANDOM_OFFSET or ORDER_RESULT of the wrong width or out of range.
-Stale aborts from a dead session are dropped by session-id filtering in
-Channel.recv.
+RANDOM_OFFSET that is empty, not whole records or out of range, or an
+ORDER_RESULT of the wrong width or out of range.  Stale aborts from a
+dead session are dropped by session-id filtering in Channel.recv.
 """
 
 import hashlib
@@ -213,13 +245,23 @@ def _offset_blob(v: int) -> bytes:
     return fixed_bytes(v, OFFSET_BYTES)
 
 
-def _read_offset(frame, bound: int) -> int:
-    """The value _offset_blob put in frame; a ProtocolError unless it is
-    OFFSET_BYTES wide and below bound."""
-    v = int.from_bytes(frame.payload, "big")
-    if len(frame.payload) != OFFSET_BYTES or v >= bound:
+def _read_offsets(frame, bound: int, count: int = None) -> list:
+    """The values _offset_blob put in frame, one OFFSET_BYTES record
+    each; a ProtocolError unless there is at least one record (exactly
+    count if given) and each lies below bound."""
+    blob = frame.payload
+    values = [int.from_bytes(blob[i:i + OFFSET_BYTES], "big")
+              for i in range(0, len(blob), OFFSET_BYTES)]
+    if not blob or len(blob) % OFFSET_BYTES or max(values) >= bound or \
+            count not in (None, len(values)):
         raise ProtocolError(f"malformed {transport.type_name(frame.ftype)}")
-    return v
+    return values
+
+
+def _other(channel, a, b):
+    """Of a role's two channel ends a and b, the one that is not
+    channel: where an abort received on channel is passed on."""
+    return b if channel is a else a
 
 
 def _pack_bits(bits) -> bytes:
@@ -404,24 +446,41 @@ class CspEngine:
         """Protocol main loop: h compare rounds, an encrypt's order and
         upload or a bound's order alone, then the commit point.
 
-        A fault before the commit aborts the session at both peers; an
-        abort from the owner is passed on to the analyst, which may be
-        waiting on the server alone.  A fault after it, such as a failed
-        SESSION_DONE send, rolls nothing back: the entry stays, tagged
-        with its session id, for DaEngine.cleanup to remove.
+        A fault before the commit aborts the session at both peers, and
+        an abort from one peer is passed on to the other.  A fault after
+        it, such as a failed SESSION_DONE send, rolls nothing back: the
+        entry stays, tagged with its session id, for DaEngine.cleanup to
+        remove.
         """
         try:
             table = self.tables.get(column)
             if table is None:
                 raise ProtocolError(f"unknown column {column!r}")
+            h = table.height
+            if h:
+                # the first blind is spent from the first send on, sent
+                # or not; the other rounds' offsets go out with the first
+                # node, and their encryptions are made a round ahead
+                blind, self._blind = self._blind or self._make_blind(), None
+                offsets = [blind[0]] + [self._draw_offset()
+                                        for _ in range(h - 1)]
             # implicit binary search: the node is the order at the
             # midpoint of [lo, hi); det moves only on inequality (b_e),
             # fh always moves, and an empty half keeps the node
             lo, hi = 0, len(table)
             b_e, side = 1, 0
-            for _ in range(table.height):
+            for rnd in range(h):
                 mid = (lo + hi) // 2
-                b_e, side = self._compare_round(sid, table.entry_at(mid))
+                self._blind_node(sid, table.entry_at(mid), blind,
+                                 offsets if rnd == 0 else None)
+                # the next round's blind is made while owner and analyst
+                # work on this round; the last round's, whose offset
+                # nobody has seen, serves the next session
+                if rnd + 1 < h:
+                    blind = self._make_blind(offsets[rnd + 1])
+                else:
+                    self._blind = self._make_blind()
+                b_e, side = self._shares(sid)
                 if b_e and side and mid + 1 < hi:
                     lo = mid + 1
                 elif b_e and not side and lo < mid:
@@ -446,8 +505,8 @@ class CspEngine:
                 if b_e:
                     entry = self._parse_upload(sid, upload.payload, ybar)
         except SessionAborted as e:
-            if e.remote and e.channel is self.do_ch:
-                self.da_ch.abort(sid, e.reason)
+            if e.remote:
+                _other(e.channel, self.do_ch, self.da_ch).abort(sid, e.reason)
             raise
         except OopeError as e:
             self.da_ch.abort(sid, str(e))
@@ -466,12 +525,18 @@ class CspEngine:
 
     # -- rounds --
 
-    def _make_blind(self):
-        """(r, Enc(r), rp, Enc(rp)) for one round; rp and Enc(rp) blind
-        the commitment randomness and are None unless Pedersen."""
+    def _draw_offset(self):
+        p = self.params
+        return self.rng.randrange(0, 1 << (p.l + p.k))
+
+    def _make_blind(self, r=None):
+        """(r, Enc(r), rp, Enc(rp)) for one round, with a fresh r unless
+        given; rp and Enc(rp) blind the commitment randomness and are
+        None unless Pedersen."""
         p = self.params
         pk = self.pk
-        r = self.rng.randrange(0, 1 << (p.l + p.k))
+        if r is None:
+            r = self._draw_offset()
         c_r = paillier.encrypt(pk, r, self.rng)
         rp = c_rp = None
         if p.integrity == integrity.SCHEME_PEDERSEN:
@@ -479,32 +544,31 @@ class CspEngine:
             c_rp = paillier.encrypt(pk, rp, self.rng)
         return r, c_r, rp, c_rp
 
-    def _blind_node(self, sid, entry):
-        p = self.params
+    def _blind_node(self, sid, entry, blind, offsets=None):
+        """Send the owner entry blinded by blind, and the analyst the
+        session's offsets with the first node, then under Pedersen the
+        node's commitment and rp."""
         pk = self.pk
-        r, c_r, rp, c_rp = self._blind or self._make_blind()
+        r, c_r, rp, c_rp = blind
         payload = paillier.cipher_record(
             paillier.hom_add(pk, entry.cipher, c_r), pk.key_bits)
-        pedersen = p.integrity == integrity.SCHEME_PEDERSEN
+        pedersen = self.params.integrity == integrity.SCHEME_PEDERSEN
         if pedersen:
             commit_blob, a_cipher = _parse_ped_tag(entry.node_tag, pk)
             payload += paillier.cipher_record(
                 paillier.hom_add(pk, a_cipher, c_rp), pk.key_bits)
-        self._blind = None  # spent from the first send on, sent or not
         self.do_ch.send(Frame(RANDOMIZED_NODE, sid, payload))
-        self.da_ch.send(Frame(RANDOM_OFFSET, sid, _offset_blob(r)))
+        if offsets:
+            self.da_ch.send(Frame(RANDOM_OFFSET, sid, b"".join(
+                map(_offset_blob, offsets))))
         if pedersen:
             self.da_ch.send(Frame(INTEGRITY_TAG, sid, lp(commit_blob) +
                                   fixed_bytes(rp, PED_BLIND_BYTES)))
-        # the next round's blind, in this session or the next, is made
-        # while owner and analyst work on this round
-        self._blind = self._make_blind()
 
-    def _compare_round(self, sid, entry):
-        """(b_e, side) for one node.  Each output is rebuilt twice,
-        crosswise: one peer's masked output with its mask taken off,
-        XOR the other peer's mask."""
-        self._blind_node(sid, entry)
+    def _shares(self, sid):
+        """(b_e, side) from the round's two SHARES.  Each output is
+        rebuilt twice, crosswise: one peer's masked output with its mask
+        taken off, XOR the other peer's mask."""
         n = self.params.masked_outputs
         da = _unpack_bits(self.da_ch.recv(SHARES, session=sid).payload, 2 * n)
         do = _unpack_bits(self.do_ch.recv(SHARES, session=sid).payload, 2 * n)
@@ -590,18 +654,22 @@ class DoEngine:
                 self.params.integrity != integrity.SCHEME_OFF:
             do_extra = integrity.serialize_params(self.mac_params)
         transport.handshake(da_ch, transport.ROLE_DO, digest, do_extra)
-        send, recv = _ot_link(self.da_ch, lambda: self._sid)
-        self.ot_sender = OtExtSender(send, recv, self.rng, self.ot_group)
+        self._ot_send, self._ot_recv = _ot_link(self.da_ch, lambda: self._sid)
+        self.ot_sender = OtExtSender(self._ot_send, self._ot_recv, self.rng,
+                                     self.ot_group)
         self.ot_sender.setup()
 
     def serve(self):
         """Serve the server's blinded nodes until its channel closes; the
         wait for the next one has no time limit.  A node under a new
-        session id starts that session (_begin); no frame ends one."""
+        session id starts that session; no frame ends one.  An abort
+        from either peer is passed on to the other: the analyst waits on
+        this engine alone between rounds."""
         while True:
             try:
                 frame = self.csp_ch.recv(RANDOMIZED_NODE, idle=True)
-            except SessionAborted:
+            except SessionAborted as e:
+                self.da_ch.abort(e.session_id, e.reason)
                 continue
             except ProtocolError:
                 # a frame of another type is dropped; a dead channel ends
@@ -611,8 +679,9 @@ class DoEngine:
                 continue
             try:
                 self._round(frame)
-            except SessionAborted:
-                pass
+            except SessionAborted as e:
+                if e.remote:
+                    self.csp_ch.abort(frame.session_id, e.reason)
             except OopeError as e:
                 # a frame this engine cannot use aborts its session; a
                 # dead channel ends the loop
@@ -621,15 +690,18 @@ class DoEngine:
                 self.csp_ch.abort(frame.session_id, str(e))
                 self.da_ch.abort(frame.session_id, str(e))
 
-    def _begin(self, sid):
+    def _round(self, frame):
+        sid = frame.session_id
+        p = self.params
+        n = len(self.circuit.eval_inputs)
         if sid != self._sid:
             self._sid = sid
             self._fh_shares = (0, 0)
-
-    def _round(self, frame):
-        self._begin(frame.session_id)
-        sid = frame.session_id
-        p = self.params
+            # the analyst sent the session's first OT flips once it had
+            # the offsets: they are taken in before anything here can
+            # abort, or the two pad pools would fall out of step
+            self.ot_sender.reserve(n)
+            self.ot_sender.accept(self._ot_recv(), n)
         payload = frame.payload
         pk = self.sk.public
         cipher, off = paillier.parse_cipher_record(payload, 0, pk.key_bits)
@@ -663,10 +735,18 @@ class DoEngine:
             fresh = (self.rng.getrandbits(1), self.rng.getrandbits(1))
             gen_bits += [r_x, *self._fh_shares, *fresh]
             self._fh_shares = fresh
-        self.da_ch.send(Frame(GC_PAYLOAD, sid, garbling.payload(gc, gen_bits)))
-        self.ot_sender.send_pairs(gc.eval_label_pairs())
-        result = self.da_ch.recv(GC_RESULT, session=sid)
-        masked = _unpack_bits(result.payload, len(masks))
+        # the OT reply rides behind the garbled circuit
+        self.da_ch.send(Frame(
+            GC_PAYLOAD, sid, garbling.payload(gc, gen_bits) +
+            self.ot_sender.send_pairs(gc.eval_label_pairs())))
+        # GC_RESULT: the masked outputs, then the flips of the next
+        # round's transfer, or of a phantom one after the last round.  The
+        # analyst spent n pads on them, so they are spent here whatever
+        # the frame holds.
+        self.ot_sender.reserve(n)
+        result = self.da_ch.recv(GC_RESULT, session=sid).payload
+        self.ot_sender.accept(result[1:], n)
+        masked = _unpack_bits(result[:1], len(masks))
         self.csp_ch.send(Frame(SHARES, sid, _shares(masks, masked)))
 
 
@@ -687,6 +767,7 @@ class DaEngine:
         self.mac_params = None
         self._tag = None  # make_node_tagger's closure under integrity
         self._sid = NULL_SESSION
+        self._masks = None  # mask bits of the round whose flips are out
 
     def attach(self, csp_ch, do_ch):
         self.csp_ch = csp_ch
@@ -705,8 +786,9 @@ class DaEngine:
                                  "verification parameters")
         self._tag = make_node_tagger(self.params.integrity, self.mac_params,
                                      self.pk_owner, self.rng)
-        send, recv = _ot_link(self.da_do_ch, lambda: self._sid)
-        self.ot_receiver = OtExtReceiver(send, recv, self.rng, self.ot_group)
+        self._ot_send, recv = _ot_link(self.da_do_ch, lambda: self._sid)
+        self.ot_receiver = OtExtReceiver(self._ot_send, recv, self.rng,
+                                         self.ot_group)
         self.ot_receiver.setup()
 
     def _new_sid(self) -> bytes:
@@ -742,25 +824,30 @@ class DaEngine:
         self.csp_ch.send(Frame(SESSION_START, sid,
                                bytes([op]) + column.encode()))
         try:
-            # the upload depends on xbar alone, so it is built while the
-            # peers run the first round
+            # every round's offset, or at once the order of an empty table
+            frame = self.csp_ch.recv(RANDOM_OFFSET, ORDER_RESULT,
+                                     session=sid)
+            offsets = []
+            if frame.ftype == RANDOM_OFFSET:
+                offsets = _read_offsets(frame, 1 << (p.l + p.k))
+                # the first round's OT flips go out before the upload,
+                # which depends on xbar alone, is built
+                self._ot_send(self._choose(xbar, offsets[0]))
             upload = self._cipher_upload(xbar) if encrypt else None
-            while True:
-                frame = self.csp_ch.recv(RANDOM_OFFSET, ORDER_RESULT,
-                                         session=sid)
-                if frame.ftype == ORDER_RESULT:
-                    break
-                self._round(sid, xbar, _read_offset(frame, 1 << (p.l + p.k)))
-            ybar = _read_offset(frame, p.m + 1)
+            for r, next_r in zip(offsets, offsets[1:] + [None]):
+                self._round(sid, xbar, r, next_r)
+            if offsets:
+                frame = self.csp_ch.recv(ORDER_RESULT, session=sid)
+            ybar, = _read_offsets(frame, p.m + 1, count=1)
             if encrypt:
                 self.csp_ch.send(Frame(CIPHER_UPLOAD, sid, upload))
             self.csp_ch.recv(SESSION_DONE, session=sid)
             return ybar
         except SessionAborted as e:
-            # the server never reads the owner channel while waiting on
-            # us, so relay owner-side aborts
-            if e.remote and e.channel is self.da_do_ch:
-                self.csp_ch.abort(sid, e.reason)
+            # each peer may be waiting on this engine alone
+            if e.remote:
+                _other(e.channel, self.csp_ch, self.da_do_ch).abort(
+                    sid, e.reason)
             e.session_id = sid
             raise
         except OopeError as e:
@@ -785,25 +872,45 @@ class DaEngine:
                                     m, self.mac_params):
             raise IntegrityError("node authentication failed")
 
-    def _round(self, sid, xbar, r):
+    def _choose(self, xbar, r):
+        """The OT flips of the round blinded by r, whose mask bits (and fh
+        coin) are drawn here; with r None, of a phantom transfer over
+        random choices, which keeps GC_RESULT one length in every
+        round."""
+        p = self.params
+        if r is None:
+            bits = [self.rng.getrandbits(1)
+                    for _ in self.circuit.eval_inputs]
+        else:
+            self._masks = [self.rng.getrandbits(1)
+                           for _ in range(p.masked_outputs)]
+            bits = int_to_bits(xbar + r, p.width) + self._masks
+            if p.mode == MODE_FH:
+                # coin bit and last round's state shares
+                bits += [self.rng.getrandbits(1), *self._fh_shares]
+        return self.ot_receiver.choose(bits)
+
+    def _round(self, sid, xbar, r, next_r):
+        """The round blinded by r, whose OT flips the owner already has;
+        GC_RESULT carries those of the round blinded by next_r."""
         p = self.params
         if p.integrity != integrity.SCHEME_OFF:
             self._verify_node(sid, r)
-        gc_frame = self.da_do_ch.recv(GC_PAYLOAD, session=sid)
+        payload = self.da_do_ch.recv(GC_PAYLOAD, session=sid).payload
+        # the garbled circuit, then the OT reply, one label pair per input
+        split = len(payload) - \
+            2 * garbling.LABEL_BYTES * len(self.circuit.eval_inputs)
         tables, decode_info, gen_labels = garbling.parse_payload(
-            self.circuit, gc_frame.payload)
-        n = p.masked_outputs
-        masks = [self.rng.getrandbits(1) for _ in range(n)]
-        bits = int_to_bits(xbar + r, p.width) + masks
-        if p.mode == MODE_FH:
-            # coin bit and last round's state shares
-            bits += [self.rng.getrandbits(1), *self._fh_shares]
-        eval_labels = self.ot_receiver.receive_pairs(bits)
+            self.circuit, payload[:max(split, 0)])
+        eval_labels = self.ot_receiver.receive_pairs(payload[split:])
         out_labels = garbling.evaluate(self.circuit, tables, gen_labels,
                                        eval_labels)
         outputs = garbling.decode(decode_info, out_labels)
+        n = p.masked_outputs
         masked, self._fh_shares = outputs[:n], outputs[n:]
-        self.da_do_ch.send(Frame(GC_RESULT, sid, _pack_bits(masked)))
+        masks = self._masks
+        self.da_do_ch.send(Frame(GC_RESULT, sid, _pack_bits(masked) +
+                                 self._choose(xbar, next_r)))
         self.csp_ch.send(Frame(SHARES, sid, _shares(masks, masked)))
 
     def _cipher_upload(self, xbar):

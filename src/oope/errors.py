@@ -53,7 +53,9 @@ class SessionAborted(OopeError):
         self.reason = reason
         self.remote = remote
         self.channel = None  # which channel delivered a remote abort
-        self.session_id = session_id  # the analyst's, for DaEngine.cleanup
+        # the aborted session: a remote abort's, to pass it on, and the
+        # analyst's, for DaEngine.cleanup
+        self.session_id = session_id
 
 
 class PrimeGenerationError(OopeError):

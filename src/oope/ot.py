@@ -28,14 +28,30 @@ one aes.tccr call, one pair of AES calls.
 
 Labels and the extension's one-time pads are 128-bit ints, so a
 transfer XORs natively; they become 16-byte big-endian fields only on
-the wire.  `send_pairs` takes (zero-label, one-label) int pairs and
-`receive_pairs` returns the chosen ints.  Each extension batch runs
-the column step t XOR (u AND s) and the row step q XOR s as single
-numpy operations over the whole bit matrix.
+the wire.  Each extension batch runs the column step t XOR (u AND s)
+and the row step q XOR s as single numpy operations over the whole bit
+matrix.
 
-Every protocol message is one bytes blob pushed through caller-supplied
-send/recv callables, so the same code runs over a framed channel and,
-in unit tests, over in-memory pipes.
+A transfer is derandomized from the pool (Beaver, CRYPTO 1995) in two
+messages, both bytes that the caller carries in frames of its own:
+
+* The receiver's `choose(bits)` returns its flips, each choice bit XOR
+  the pool's random bit rho.  rho hides the choices, so the flips may
+  travel before the sender has its pairs, even a round early.
+* The sender's `reserve(n)` and `accept(flips, n)` spend n pads on
+  them, and `send_pairs(pairs)` returns the reply: each
+  (zero-label, one-label) int pair under the two pads, swapped where
+  the flip is set.  The receiver's `receive_pairs(reply)` returns the
+  chosen ints.
+
+Both sides spend pads when the flips are made and taken in, whether or
+not a reply follows, so a transfer that never runs keeps the two pools
+in step.  Base OT and extension batches are messages of their own,
+pushed through caller-supplied send/recv callables (the OT link).
+`choose` sends the batches its pads need before it returns the flips,
+and `reserve` reads them, so a sender calls `reserve` before it reads
+the frame that carries the flips.  The same code runs over a framed
+channel and, in unit tests, over in-memory pipes.
 """
 
 import hashlib
@@ -44,7 +60,7 @@ from collections import deque
 import numpy as np
 
 from . import aes
-from .errors import ProtocolError
+from .errors import ProtocolError, UsageError
 from .garbling import LABEL_BYTES
 from .modexp import powmod
 from .rng import make_rng
@@ -202,7 +218,12 @@ def _unpack_bits(blob, n):
 
 
 class OtExtSender:
-    """Holds label pairs; the peer picks one of each without revealing which."""
+    """Holds label pairs; the peer picks one of each without revealing which.
+
+    One transfer of n pairs: reserve(n) reads the extension batches the
+    receiver sent ahead of its flips, accept(flips, n) spends n pads on
+    them, and send_pairs(pairs) returns the reply for the caller to
+    carry."""
 
     def __init__(self, send, recv, rng=None, group=GROUP_DEFAULT):
         self._send = send
@@ -215,6 +236,7 @@ class OtExtSender:
         self._seeds = None
         self._a0 = deque()
         self._a1 = deque()
+        self._pads = None  # the accepted transfer's pad pairs, flips applied
 
     def setup(self):
         s_bits = [self._rng.getrandbits(1) for _ in range(KAPPA)]
@@ -236,31 +258,42 @@ class OtExtSender:
         self._a1.extend(a1)
         self._batch += 1
 
-    def _ensure(self, n):
+    def reserve(self, n):
+        """Read the extension batches that cover n more pads: those the
+        receiver's choose sent before the flips of its next transfer."""
         while len(self._a0) < n:
             self._extend(max(BATCH, (n + 7) // 8 * 8))
 
-    def send_pairs(self, pairs):
-        """Obliviously transfer one 128-bit int label of each pair."""
-        n = len(pairs)
-        self._ensure(n)
-        blob = self._recv()
-        # the receiver spent n pads to send blob: spend them here too
-        # before checking it, or a malformed vector leaves the two
-        # queues out of step for every later transfer
+    def accept(self, flips, n):
+        """Spend n reserved pads on the receiver's flips for the next
+        transfer, replacing any accepted transfer that never ran.
+
+        The receiver spent n pads to make flips, so they are spent here
+        before flips is checked: a malformed vector is a ProtocolError
+        that leaves both pools in step."""
+        if len(self._a0) < n:
+            raise UsageError("accept before reserve")
         a0, a1 = self._a0.popleft, self._a1.popleft
         pads = [(a0(), a1()) for _ in range(n)]
-        out = []
-        for (x0, x1), (p0, p1), e in zip(pairs, pads, _unpack_bits(blob, n)):
-            if e:
-                p0, p1 = p1, p0
-            out.append(((x0 ^ p0) << 128 | x1 ^ p1).to_bytes(
-                2 * LABEL_BYTES, "big"))
-        self._send(b"".join(out))
+        self._pads = None  # a malformed vector leaves none accepted
+        self._pads = [(p1, p0) if e else (p0, p1)
+                      for (p0, p1), e in zip(pads, _unpack_bits(flips, n))]
+
+    def send_pairs(self, pairs):
+        """The reply that obliviously transfers one 128-bit int label of
+        each pair, under the pads of the accepted transfer."""
+        pads, self._pads = self._pads, None
+        if pads is None or len(pads) != len(pairs):
+            raise UsageError("no accepted transfer of that size")
+        return b"".join(((x0 ^ p0) << 128 | x1 ^ p1).to_bytes(
+            2 * LABEL_BYTES, "big") for (x0, x1), (p0, p1) in zip(pairs, pads))
 
 
 class OtExtReceiver:
-    """Chooses one label per pair by choice bit; sender stays oblivious."""
+    """Chooses one label per pair by choice bit; sender stays oblivious.
+
+    One transfer: choose(bits) returns the flips for the caller to carry
+    to the sender, and receive_pairs(reply) the chosen labels."""
 
     def __init__(self, send, recv, rng=None, group=GROUP_DEFAULT):
         self._send = send
@@ -271,6 +304,7 @@ class OtExtReceiver:
         self._seed_pairs = None
         self._rho = deque()
         self._pads = deque()
+        self._chosen = None  # (choice bits, pads) of the pending transfer
 
     def setup(self):
         self._seed_pairs = [
@@ -291,23 +325,31 @@ class OtExtReceiver:
         self._pads.extend(_row_hashes(self._batch, _transpose_bits(t))[0])
         self._batch += 1
 
-    def _ensure(self, n):
+    def choose(self, choice_bits) -> bytes:
+        """The flips of the next transfer, each choice bit XOR the random
+        bit rho of its pad, which hide the choices from the sender.
+
+        Spends one pad per bit, first sending the extension batches that
+        needs, and replaces any pending transfer that never ran."""
+        n = len(choice_bits)
         while len(self._rho) < n:
             self._extend(max(BATCH, (n + 7) // 8 * 8))
-
-    def receive_pairs(self, choice_bits):
-        """Receive the 128-bit int label selected by each choice bit."""
-        n = len(choice_bits)
-        self._ensure(n)
         rho = [self._rho.popleft() for _ in range(n)]
-        pads = [self._pads.popleft() for _ in range(n)]
-        self._send(_pack_bits([c ^ r for c, r in zip(choice_bits, rho)]))
-        blob = self._recv()
-        if len(blob) != 2 * n * LABEL_BYTES:
+        self._chosen = (list(choice_bits),
+                        [self._pads.popleft() for _ in range(n)])
+        return _pack_bits([c ^ r for c, r in zip(choice_bits, rho)])
+
+    def receive_pairs(self, reply):
+        """The 128-bit int label each pending choice bit selects from the
+        sender's reply."""
+        if self._chosen is None:
+            raise UsageError("no transfer chosen")
+        (bits, pads), self._chosen = self._chosen, None
+        if len(reply) != 2 * len(bits) * LABEL_BYTES:
             raise ProtocolError("OT response length mismatch")
         out = []
-        for j, (c, pad) in enumerate(zip(choice_bits, pads)):
+        for j, (c, pad) in enumerate(zip(bits, pads)):
             start = (2 * j + c) * LABEL_BYTES
-            out.append(int.from_bytes(blob[start:start + LABEL_BYTES], "big")
+            out.append(int.from_bytes(reply[start:start + LABEL_BYTES], "big")
                        ^ pad)
         return out

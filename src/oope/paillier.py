@@ -295,8 +295,9 @@ def hom_scale(pk: PaillierPublicKey, c: int, s: int) -> int:
 # --- serialization ---------------------------------------------------------
 
 def cipher_width(key_bits: int) -> int:
-    """Fixed record width of a residue mod N^2, in bytes."""
-    return 2 * key_bits // 8
+    """Fixed record width of a residue mod N^2, in bytes: 2·key_bits
+    rounded up to a whole byte."""
+    return (2 * key_bits + 7) // 8
 
 
 def cipher_record(c: int, key_bits: int) -> bytes:

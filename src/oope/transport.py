@@ -36,8 +36,11 @@ NULL_SESSION = bytes(SESSION_BYTES)
 # waiting for an acknowledgement no owner sends; 5: the public key
 # carries the subgroup generator h, so a key travels as key_bits | N | h;
 # 6: garbled gates and IKNP rows hash with fixed-key AES, not SHA-256;
-# 7: the server sends the owner no SESSION_DONE
-PROTOCOL_VERSION = 7
+# 7: the server sends the owner no SESSION_DONE; 8: four flights per
+# round, so RANDOM_OFFSET carries every offset of a session, the first
+# OT flips travel as one OT_MSG, GC_PAYLOAD ends with the OT reply and
+# GC_RESULT with the next transfer's flips
+PROTOCOL_VERSION = 8
 
 ROLE_CSP, ROLE_DO, ROLE_DA = 0, 1, 2
 
@@ -191,7 +194,8 @@ class Channel:
                 continue
             if frame.ftype == ABORT and ABORT not in expected:
                 err = SessionAborted(
-                    frame.payload.decode("utf-8", "replace"), remote=True)
+                    frame.payload.decode("utf-8", "replace"), remote=True,
+                    session_id=frame.session_id)
                 err.channel = self
                 raise err
             if expected and frame.ftype not in expected:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from oracles import Mope2Oracle, bound_orders, min_max_orders, \
     rank_interval_holds, sandwich_holds, textbook_encrypt
 
-from oope import (datastore, garbling, integrity, ope_state, paillier,
+from oope import (datastore, garbling, integrity, ope_state, ot, paillier,
                   transport)
 from oope.cluster import LocalCluster, build_cluster
 from oope.engine import (BOUND_HIGH, BOUND_LOW, DEFAULT_COLUMN, CspEngine,
@@ -63,6 +63,22 @@ def test_inserted_entries_are_tagged_and_decrypt(example_cluster):
     table, sk = ctx["table"], ctx["sk"]
     tagged = [e for e in table.entries() if e.tag is not None]
     assert {paillier.decrypt(sk, e.cipher) for e in tagged} == {15, 100}
+
+
+def test_key_size_off_a_byte_boundary_serves_sessions():
+    # at 66 bits a residue mod N^2 takes 132 bits, so its record is 17
+    # bytes, not 16
+    params = small_params(key_bits=66)
+    data = [5, 900, 31000, 12, 4444]
+    cluster, ctx = make_cluster(data, seed=19, params=params)
+    oracle = Mope2Oracle(params.m).load(data)
+    try:
+        assert ctx["pk"].n.bit_length() == 66
+        for xbar in (900, 1000, 0, 65535):
+            assert cluster.encrypt(xbar) == oracle.encrypt(xbar)
+        assert not cluster.errors
+    finally:
+        cluster.close()
 
 
 def test_bound_rejects_an_unknown_side(example_cluster):
@@ -356,10 +372,27 @@ def test_malformed_garbled_payload_aborts_at_analyst(damage):
         cluster.close()
 
 
+# damage -> (frame type, payload edit, sender, abort reason).  GC_RESULT
+# is the masked bit vector, then the next transfer's OT flips, so an
+# empty or short one first fails at its flips
+BIT_VECTOR_DAMAGE = {
+    "session_start": (transport.SESSION_START, lambda p: b"", "da->csp",
+                      "no known op"),
+    "session_op": (transport.SESSION_START, lambda p: b"\3", "da->csp",
+                   "no known op"),
+    "da_shares": (transport.SHARES, lambda p: b"", "da->csp", "bit vector"),
+    "do_shares": (transport.SHARES, lambda p: b"", "do->csp", "bit vector"),
+    "gc_result_empty": (transport.GC_RESULT, lambda p: b"", "da->do",
+                        "choice vector"),
+    "gc_result_long": (transport.GC_RESULT, lambda p: b"\0\0", "da->do",
+                       "choice vector"),
+    "gc_result_bits": (transport.GC_RESULT, lambda p: b"\xff" + p[1:],
+                       "da->do", "bit vector"),
+}
+
+
 @pytest.mark.parametrize("mode", ["det", "fh"])
-@pytest.mark.parametrize("damage", ["session_start", "session_op",
-                                    "da_shares", "do_shares",
-                                    "gc_result_empty", "gc_result_long"])
+@pytest.mark.parametrize("damage", sorted(BIT_VECTOR_DAMAGE))
 def test_malformed_bit_vectors_abort_and_service_continues(mode, damage):
     params = small_params(mode=mode)
     cluster, ctx = make_cluster(EXAMPLE, seed=55, params=params)
@@ -367,22 +400,14 @@ def test_malformed_bit_vectors_abort_and_service_continues(mode, damage):
         # a dead serve thread fails this test in seconds, not minutes
         cluster.da.csp_ch.timeout = cluster.da.da_do_ch.timeout = 5
         orders_before = ctx["table"].orders()
-        # an empty SESSION_START or one whose op byte names no op
-        ftype, payload, end = {
-            "session_start": (transport.SESSION_START, b"", cluster.da.csp_ch),
-            "session_op": (transport.SESSION_START, b"\3", cluster.da.csp_ch),
-            "da_shares": (transport.SHARES, b"", cluster.da.csp_ch),
-            "do_shares": (transport.SHARES, b"", cluster.do.csp_ch),
-            "gc_result_empty": (transport.GC_RESULT, b"", cluster.da.da_do_ch),
-            "gc_result_long": (transport.GC_RESULT, b"\0\0",
-                               cluster.da.da_do_ch)}[damage]
-        reason = "no known op" if ftype == transport.SESSION_START \
-            else "bit vector"
+        ftype, edit, sender, reason = BIT_VECTOR_DAMAGE[damage]
+        end = next(ch for ch in cluster.channels if ch.name == sender)
         orig_send = end.send
 
         def damaged(frame):
             if frame.ftype == ftype:
-                frame = Frame(frame.ftype, frame.session_id, payload)
+                frame = Frame(frame.ftype, frame.session_id,
+                              edit(frame.payload))
             orig_send(frame)
 
         end.send = damaged
@@ -486,16 +511,23 @@ def test_hostile_upload_poisons_its_node_until_cleanup(upload):
 
 
 def test_no_blind_is_sent_twice():
-    # blinds are made one round ahead, so one survives every abort; it
-    # may serve a later round, but no offset and no blinded node repeats
+    # a session's offsets all go out with its first node, and the blind
+    # made in its last round serves the next session's first, so blinds
+    # survive aborts; still no offset and no blinded node repeats, and
+    # each node is blinded by its own round's offset
     params = small_params()
     data = list(range(100, 3100, 100))
     cluster, ctx = make_cluster(data, seed=51, params=params, record=True)
     try:
         def sent(name, ftype):
             ch = next(c for c in cluster.channels if c.name == name)
-            return [transport.decode_frame(b[4:]).payload
-                    for b in ch.transcript if b[4] == ftype]
+            by_session = {}
+            for blob in ch.transcript:
+                frame = transport.decode_frame(blob[4:])
+                if frame.ftype == ftype:
+                    by_session.setdefault(frame.session_id, []).append(
+                        frame.payload)
+            return by_session
 
         orig_send = cluster.da.csp_ch.send
 
@@ -506,6 +538,7 @@ def test_no_blind_is_sent_twice():
             orig_send(frame)
 
         h = ctx["table"].height
+        queries = (150, 250, 350, 1000, 5000)
         cluster.encrypt(150)
         # aborted after its first round, then after its last one
         cluster.da.csp_ch.send = flip_share
@@ -515,13 +548,28 @@ def test_no_blind_is_sent_twice():
         with failing_after_upload(cluster), \
                 pytest.raises(SessionAborted, match="after the upload"):
             cluster.encrypt(250)
-        for xbar in (250, 350, 1000, 5000):
+        for xbar in queries[1:]:
             cluster.encrypt(xbar)
-        offsets = sent("csp->da", transport.RANDOM_OFFSET)
+        offsets = {sid: [int.from_bytes(p[i:i + 16], "big")
+                         for i in range(0, len(p), 16)]
+                   for sid, (p,) in sent("csp->da",
+                                         transport.RANDOM_OFFSET).items()}
         nodes = sent("csp->do", transport.RANDOMIZED_NODE)
-        assert len(offsets) == len(nodes) >= h + 1 + h + 4 * h
-        assert len(set(offsets)) == len(offsets)
-        assert len(set(nodes)) == len(nodes)
+        assert offsets.keys() == nodes.keys() and len(offsets) == 7
+        records = [r for rs in offsets.values() for r in rs]
+        assert len(records) >= 7 * h
+        assert len(set(records)) == len(records)
+        sk, plain = ctx["sk"], set(data) | set(queries)
+        for sid, blobs in nodes.items():
+            # the first aborted session sent one node for h offsets
+            assert len(blobs) in (1, len(offsets[sid]))
+            for blob, r in zip(blobs, offsets[sid]):
+                cipher, _ = paillier.parse_cipher_record(blob, 0,
+                                                         params.key_bits)
+                assert paillier.decrypt(sk, cipher) - r in plain
+        blobs = [b for bs in nodes.values() for b in bs]
+        assert len(blobs) >= h + 1 + h + 4 * h
+        assert len(set(blobs)) == len(blobs)
         assert not cluster.errors
     finally:
         cluster.close()
@@ -547,23 +595,27 @@ def test_no_garbled_instance_is_sent_twice():
                               bytes([frame.payload[0] ^ 0b0100]))
             orig_send(frame)
 
-        def short_flips(frame):
-            # the owner has sent this round's GC_PAYLOAD when it finds
-            # the analyst's OT choice vector one byte short
-            if frame.ftype == transport.OT_MSG:
-                frame = Frame(frame.ftype, frame.session_id,
-                              frame.payload[:-1])
-            orig_ot_send(frame)
+        # OT flips, 35 bits in 5 bytes, end the session's one OT_MSG that
+        # is not an extension batch, after a 4-byte sequence number, and
+        # each GC_RESULT, after the masked-bit byte
+        flips_frame_bytes = {transport.OT_MSG: 9, transport.GC_RESULT: 6}
 
-        def padded_flips(frame):
-            # a 35-bit choice vector, after its 4-byte sequence number,
-            # with a padding bit of its last byte set, which
+        def damage_flips(ftype, edit):
+            def send(frame):
+                if frame.ftype == ftype and \
+                        len(frame.payload) == flips_frame_bytes[ftype]:
+                    frame = Frame(ftype, frame.session_id,
+                                  edit(frame.payload))
+                orig_ot_send(frame)
+            return send
+
+        def short(blob):
+            return blob[:-1]
+
+        def padded(blob):
+            # a padding bit of the last byte set, which
             # np.unpackbits(count=35) would ignore
-            if frame.ftype == transport.OT_MSG and len(frame.payload) == 9:
-                frame = Frame(frame.ftype, frame.session_id,
-                              frame.payload[:-1] +
-                              bytes([frame.payload[-1] | 1]))
-            orig_ot_send(frame)
+            return blob[:-1] + bytes([blob[-1] | 1])
 
         assert params.width + params.masked_outputs == 35
         assert cluster.encrypt(150) == oracle.encrypt(150)
@@ -574,10 +626,11 @@ def test_no_garbled_instance_is_sent_twice():
         with failing_after_upload(cluster), \
                 pytest.raises(SessionAborted, match="after the upload"):
             cluster.encrypt(250)
-        for damage in (short_flips, padded_flips):
-            cluster.da.da_do_ch.send = damage
-            with pytest.raises(SessionAborted, match="choice vector"):
-                cluster.encrypt(250)
+        for ftype in (transport.OT_MSG, transport.GC_RESULT):
+            for edit in (short, padded):
+                cluster.da.da_do_ch.send = damage_flips(ftype, edit)
+                with pytest.raises(SessionAborted, match="choice vector"):
+                    cluster.encrypt(250)
         cluster.da.da_do_ch.send = orig_ot_send
         # the OT extension's pads stayed in step, so service goes on
         for xbar in (250, 350, 1000, 5000, 7000, 9000, 11000):
@@ -586,6 +639,96 @@ def test_no_garbled_instance_is_sent_twice():
                   for b in ch.transcript if b[4] == transport.GC_PAYLOAD]
         assert len(tables) > garbling.BATCH
         assert len(set(tables)) == len(tables)
+        assert not cluster.errors
+    finally:
+        cluster.close()
+
+
+def _flips_short(blob):
+    return blob[:-1]
+
+
+def _node_out_of_range(params, pk):
+    bound = (1 << (params.l + params.k)) + (1 << params.l)
+    return lambda blob: paillier.cipher_record(
+        paillier.encrypt(pk, bound, make_rng(1)), pk.key_bits)
+
+
+# abort -> (sending end, frame type, which one of the session's frames of
+# that type, counted from 1, or "last" for the h-th, payload edit, abort
+# reason).  The first OT_MSG that is not an extension batch carries the
+# session's first flips; each GC_RESULT the next transfer's, a phantom
+# one's in the last round.
+PAD_SYNC_ABORTS = {
+    "first-flips": ("da->do", transport.OT_MSG, 1, _flips_short,
+                    "choice vector"),
+    "gc-result-first": ("da->do", transport.GC_RESULT, 1, _flips_short,
+                        "choice vector"),
+    "gc-result-last": ("da->do", transport.GC_RESULT, "last", _flips_short,
+                       "choice vector"),
+    "node-out-of-range-first": ("csp->do", transport.RANDOMIZED_NODE, 1,
+                                _node_out_of_range, "out of range"),
+    "node-out-of-range-third": ("csp->do", transport.RANDOMIZED_NODE, 3,
+                                _node_out_of_range, "out of range"),
+    "share-mismatch": ("da->csp", transport.SHARES, 2,
+                       lambda blob: bytes([blob[0] ^ 0b0100]), "disagree"),
+    "pedersen-authentication": ("csp->da", transport.INTEGRITY_TAG, 2,
+                                lambda blob: blob[:-1] + bytes([blob[-1] ^ 1]),
+                                "authentication"),
+}
+
+
+@pytest.mark.parametrize("abort", sorted(PAD_SYNC_ABORTS))
+def test_ot_pads_stay_in_step_after_an_abort(monkeypatch, abort):
+    # small extension batches put refills next to the aborted transfer;
+    # after the abort, each peer returns at once and the next sessions
+    # find both pad pools, and the OT link's counter, in step
+    monkeypatch.setattr(ot, "BATCH", 64)
+    sender, ftype, nth, edit, reason = PAD_SYNC_ABORTS[abort]
+    mac_params = None
+    params = small_params()
+    if abort.startswith("pedersen"):
+        mac_params = integrity.gen_mac_params(512, 64, rng=make_rng(3))
+        params = small_params(integrity=integrity.SCHEME_PEDERSEN,
+                              mac_subgroup_bits=64)
+    data = list(range(100, 3100, 100))
+    cluster, ctx = make_cluster(data, seed=57, params=params,
+                                mac_params=mac_params)
+    oracle = Mope2Oracle(params.m).load(data)
+    if edit is _node_out_of_range:
+        edit = edit(params, ctx["pk"])
+    timeout = 3
+    try:
+        for ch in cluster.channels:
+            ch.timeout = timeout
+        assert cluster.encrypt(150) == oracle.encrypt(150)
+        h = ctx["table"].height
+        nth = h if nth == "last" else nth
+        end = next(ch for ch in cluster.channels if ch.name == sender)
+        seen = []
+
+        def damaged(frame):
+            # an extension batch, an OT_MSG too, is far longer than flips
+            if frame.ftype == ftype and (ftype != transport.OT_MSG or
+                                         len(frame.payload) < 64):
+                seen.append(frame)
+                if len(seen) == nth:
+                    frame = Frame(ftype, frame.session_id,
+                                  edit(frame.payload))
+            transport.Channel.send(end, frame)
+
+        end.send = damaged
+        t0 = time.monotonic()
+        with pytest.raises(SessionAborted, match=reason):
+            cluster.encrypt(250)
+        assert time.monotonic() - t0 < timeout
+        del end.send
+        assert len(seen) >= nth
+        for xbar in (250, 350, 1000, 5000, 120):
+            t0 = time.monotonic()
+            assert cluster.encrypt(xbar) == oracle.encrypt(xbar)
+            assert time.monotonic() - t0 < timeout
+        assert not any(ch.poisoned for ch in cluster.channels)
         assert not cluster.errors
     finally:
         cluster.close()

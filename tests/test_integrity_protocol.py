@@ -47,17 +47,20 @@ def test_substituted_node_detected_before_evaluation(scheme):
         root = table.entry_at(len(table) // 2)
         root.cipher = paillier.encrypt(pk, 55, make_rng(1))
         for ch in cluster.channels:
-            if ch.name == "da->do":
+            if ch.name in ("da->do", "da->csp"):
                 ch.record = True
-        with pytest.raises(SessionAborted, match="authentication"):
+        with pytest.raises(SessionAborted, match="authentication") as err:
             cluster.encrypt(15)
-        # the analyst never engaged the oblivious comparison: no OT
-        # derandomization left its side for this session
+        # the analyst sent its first OT flips, one-time padded, before the
+        # node arrived, but it evaluated nothing: no masked output and no
+        # share left its side for this session
         sent = [transport.decode_frame(b[4:]) for ch in cluster.channels
-                if ch.name == "da->do" for b in ch.transcript]
-        assert not [f for f in sent
-                    if f.ftype == transport.OT_MSG and
-                    f.session_id != transport.NULL_SESSION]
+                if ch.name in ("da->do", "da->csp") for b in ch.transcript]
+        sid = err.value.session_id
+        assert transport.OT_MSG in {f.ftype for f in sent
+                                    if f.session_id == sid}
+        assert not [f for f in sent if f.session_id == sid and
+                    f.ftype in (transport.GC_RESULT, transport.SHARES)]
     finally:
         cluster.close()
 

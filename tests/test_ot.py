@@ -6,7 +6,7 @@ import threading
 import pytest
 
 from oope import ot
-from oope.errors import ProtocolError
+from oope.errors import ProtocolError, UsageError
 from oope.rng import make_rng
 
 WAIT = 30  # seconds; a side that waits this long has lost its peer
@@ -45,31 +45,33 @@ def run_both(main_side, thread_side):
     return out["result"]
 
 
-def ot_exchange(sender_label_pairs, receiver_choice_bits, rng,
-                group=ot.GROUP_TEST):
-    """Run both OT ends in-process over queue pipes: base OT, extension
-    and derandomization; returns the labels the receiver obtained."""
+def linked_pair(seed, group=ot.GROUP_TEST):
+    """A sender and a receiver after base OT over queue pipes, which
+    then carry only extension batches.  Once set up, both ends run on
+    one thread: choose puts its batches on the pipe and reserve takes
+    them."""
+    rng = make_rng(seed)
     (s_send, s_recv), (r_send, r_recv) = pipe_pair()
     sender = ot.OtExtSender(s_send, s_recv, make_rng(rng.getrandbits(64)),
                             group)
     receiver = ot.OtExtReceiver(r_send, r_recv, make_rng(rng.getrandbits(64)),
                                 group)
+    run_both(sender.setup, lambda: receiver.setup())
+    return sender, receiver
 
-    def send_side():
-        sender.setup()
-        try:
-            sender.send_pairs(list(sender_label_pairs))
-        except ProtocolError:
-            # a rejected choice vector ends the receiver's wait, as the
-            # ABORT frame does in a session
-            s_send(b"")
-            raise
 
-    def receive_side():
-        receiver.setup()
-        return receiver.receive_pairs(list(receiver_choice_bits))
+def transfer(sender, receiver, pairs, bits):
+    """One transfer, the flips and the reply carried by the caller as an
+    engine carries them in its frames; returns the received labels."""
+    flips = receiver.choose(bits)
+    sender.reserve(len(pairs))
+    sender.accept(flips, len(pairs))
+    return receiver.receive_pairs(sender.send_pairs(pairs))
 
-    return run_both(send_side, receive_side)
+
+def random_round(rng, n):
+    pairs = [(rng.getrandbits(128), rng.getrandbits(128)) for _ in range(n)]
+    return pairs, [rng.getrandbits(1) for _ in range(n)]
 
 
 def run_base_ot(messages, bits, group):
@@ -91,59 +93,106 @@ def test_base_ot_selects_correctly():
 def test_ot_exchange_all_zero_choices():
     rng = make_rng(7)
     pairs = [(rng.getrandbits(128), rng.getrandbits(128)) for _ in range(10)]
-    got = ot_exchange(pairs, [0] * 10, make_rng(1))
+    got = transfer(*linked_pair(1), pairs, [0] * 10)
     assert got == [p[0] for p in pairs]
 
 
 def test_ot_exchange_random_choices_16():
-    rng = make_rng(11)
-    pairs = [(rng.getrandbits(128), rng.getrandbits(128)) for _ in range(16)]
-    bits = [rng.getrandbits(1) for _ in range(16)]
-    got = ot_exchange(pairs, bits, make_rng(2))
+    pairs, bits = random_round(make_rng(11), 16)
+    got = transfer(*linked_pair(2), pairs, bits)
     assert got == [p[b] for p, b in zip(pairs, bits)]
 
 
 def test_ot_exchange_length_mismatch():
-    # the receiver asks for two labels, the sender answers with one pair
+    # the receiver chose two labels, the sender holds one pair: a reply
+    # of the wrong length, or the flips themselves, fail
+    sender, receiver = linked_pair(0)
     with pytest.raises(ProtocolError):
-        ot_exchange([(0, (1 << 128) - 1)], [0, 1], make_rng(0))
+        flips = receiver.choose([0, 1])
+        sender.reserve(1)
+        sender.accept(flips, 1)
+        receiver.receive_pairs(sender.send_pairs([(0, (1 << 128) - 1)]))
+    sender, receiver = linked_pair(0)
+    flips = receiver.choose([0])
+    sender.reserve(1)
+    sender.accept(flips, 1)
+    with pytest.raises(ProtocolError, match="length"):
+        receiver.receive_pairs(sender.send_pairs([(0, 1)])[:-1])
 
 
 def test_extension_survives_multiple_batches(monkeypatch):
     # force several small extension batches over one base-OT setup
     monkeypatch.setattr(ot, "BATCH", 8)
-    (s_send, s_recv), (r_send, r_recv) = pipe_pair()
-    sender = ot.OtExtSender(s_send, s_recv, make_rng(1), ot.GROUP_TEST)
-    receiver = ot.OtExtReceiver(r_send, r_recv, make_rng(2), ot.GROUP_TEST)
+    sender, receiver = linked_pair(1)
     rng = make_rng(3)
-    rounds = []
     for _ in range(5):
-        pairs = [(rng.getrandbits(128), rng.getrandbits(128))
-                 for _ in range(6)]
-        bits = [rng.getrandbits(1) for _ in range(6)]
-        rounds.append((pairs, bits))
-
-    def send_side():
-        sender.setup()
-        for pairs, _ in rounds:
-            sender.send_pairs(pairs)
-
-    def receive_side():
-        receiver.setup()
-        return [receiver.receive_pairs(bits) for _, bits in rounds]
-
-    got = run_both(send_side, receive_side)
-    for (pairs, bits), labels in zip(rounds, got):
-        assert labels == [p[b] for p, b in zip(pairs, bits)]
+        pairs, bits = random_round(rng, 6)
+        assert transfer(sender, receiver, pairs, bits) == \
+            [p[b] for p, b in zip(pairs, bits)]
     assert sender._batch == receiver._batch > 1
 
 
 def test_receiver_cannot_use_wrong_pad():
     # the non-chosen branch decrypts to garbage, not the other label
     pairs = [(0, (1 << 128) - 1)]
-    got = ot_exchange(pairs, [0], make_rng(4))
+    got = transfer(*linked_pair(4), pairs, [0])
     assert got[0] == pairs[0][0]
     assert got[0] != pairs[0][1]
+
+
+@pytest.mark.parametrize("damage", ["short", "long", "padded"])
+def test_malformed_flips_spend_the_pads_and_keep_the_pools_in_step(
+        monkeypatch, damage):
+    # the sender spends the pads of a 35-bit flip vector before it
+    # checks it, as the receiver spent them to make it; a padding bit set
+    # after the 35th would pass np.unpackbits(count=35)
+    monkeypatch.setattr(ot, "BATCH", 40)
+    sender, receiver = linked_pair(6)
+    rng = make_rng(7)
+    for _ in range(3):
+        flips = receiver.choose(random_round(rng, 35)[1])
+        flips = {"short": flips[:-1], "long": flips + b"\0",
+                 "padded": flips[:-1] + bytes([flips[-1] | 1])}[damage]
+        sender.reserve(35)
+        with pytest.raises(ProtocolError, match="choice vector"):
+            sender.accept(flips, 35)
+        # no transfer was accepted, so none can run
+        with pytest.raises(UsageError):
+            sender.send_pairs(random_round(rng, 35)[0])
+    for _ in range(3):
+        pairs, bits = random_round(rng, 35)
+        assert transfer(sender, receiver, pairs, bits) == \
+            [p[b] for p, b in zip(pairs, bits)]
+    assert sender._batch == receiver._batch > 3
+
+
+def test_phantom_transfers_then_real_ones(monkeypatch):
+    # a phantom transfer is chosen and accepted but never runs; the next
+    # one replaces it, at either end, across batch refills
+    monkeypatch.setattr(ot, "BATCH", 16)
+    sender, receiver = linked_pair(8)
+    rng = make_rng(9)
+    for phantoms in (1, 2, 0, 3):
+        for _ in range(phantoms):
+            flips = receiver.choose(random_round(rng, 7)[1])
+            sender.reserve(7)
+            sender.accept(flips, 7)
+        pairs, bits = random_round(rng, 7)
+        assert transfer(sender, receiver, pairs, bits) == \
+            [p[b] for p, b in zip(pairs, bits)]
+    assert sender._batch == receiver._batch > 2
+    # a reply and its labels serve one transfer only
+    with pytest.raises(UsageError):
+        sender.send_pairs(pairs)
+    with pytest.raises(UsageError):
+        receiver.receive_pairs(bytes(7 * 32))
+
+
+def test_accept_before_reserve_is_a_usage_error():
+    sender, receiver = linked_pair(10)
+    flips = receiver.choose([1] * 9)
+    with pytest.raises(UsageError, match="reserve"):
+        sender.accept(flips, 9)
 
 
 def test_malformed_group_element_rejected():

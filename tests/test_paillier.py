@@ -245,6 +245,18 @@ def test_decrypt_under_another_key_is_an_integrity_error(keys):
             paillier.decrypt(sk2, c, **kw)
 
 
+def test_cipher_width_holds_every_residue_mod_n_squared():
+    # 2·key_bits bits round up to a whole byte; a key size that is a
+    # multiple of 4 keeps its width
+    assert [paillier.cipher_width(b) for b in (64, 66, 68, 256, 2048)] == \
+        [16, 17, 17, 64, 512]
+    pk, _ = paillier.keygen(66, rng=make_rng(3))
+    c = pk.n * pk.n - 1
+    parsed, _ = paillier.parse_cipher_record(
+        paillier.cipher_record(c, 66), 0, 66)
+    assert parsed == c
+
+
 def test_ciphertext_serialization_roundtrip(keys):
     pk, _ = keys
     c = paillier.encrypt(pk, 1234, make_rng(43))
