@@ -49,11 +49,19 @@ uniform, so one lane's queries tell nothing about another's hashes
 beyond the q·p/2^128 above (q counting every lane).  The gates run in
 the AND-depth order of circuit.schedule, and all hashes of one level,
 in every lane, go through one aes.tccr call: one pair of AES calls per
-level, 65 levels for the det comparator at the paper width instead of
-four SHA-256 calls per gate.  The evaluator walks the same schedule
-for its one instance, one pair of AES calls per level.  pop() hands
-each instance out once; the owner keeps the batch as its pool
-(engine).
+level, 12 levels for the det comparator at the paper width (comparator)
+instead of four SHA-256 calls per gate.  The evaluator walks the same
+schedule for its one instance, one pair of AES calls per level.  Each
+level's tweaks are packed into one int once per circuit
+(circuit.hash_tweaks), one lane wide for the evaluator and BATCH lanes
+wide for the generator, which hashes a level's zero-labels and then its
+one-labels under the same tweaks.  pop() hands each instance out once;
+the owner keeps the batch as its pool (engine).
+
+The evaluator reads the tables as the payload's bytes and converts a
+ciphertext to an int only where a permute bit selects it: T_G of gate j
+when its first input label has the low bit set, T_E when its second
+does, so about half of them.
 
 Decoding maps an output label to a bit through SHA-256("out" ||
 label)[:16] of each of the wire's two labels and rejects labels
@@ -86,7 +94,7 @@ import numpy as np
 from . import aes
 from .comparator import OR, XOR, BooleanCircuit
 from .errors import IntegrityError, ProtocolError
-from .wire import read_int, u16, u32
+from .wire import read_bytes, read_int, u16, u32
 
 LABEL_BYTES = 16
 BATCH = 32  # instances garbled per pass
@@ -128,27 +136,30 @@ class GarbledCircuit:
             label0[w] = rng.getrandbits(_BATCH_BITS)
         # T_G and T_E of gate j, all lanes, at blocks 2j and 2j + 1
         tables = bytearray(2 * _BATCH_BYTES * len(circuit.nonfree_gates()))
-        for free, nonfree in circuit.schedule:
+        for (free, nonfree), tweaks in zip(circuit.schedule,
+                                           circuit.hash_tweaks(BATCH)):
             for op, a, b, out in free:
                 label0[out] = label0[a] ^ (label0[b] if op == XOR else delta)
             if not nonfree:
                 continue
-            inputs, tweaks = [], 0
-            for op, a, b, _, j in nonfree:
+            # the gates' input zero-labels, then their one-labels, each
+            # a and b of gate j hashed under 2j and 2j + 1
+            zeros = []
+            for op, a, b, _, _ in nonfree:
                 a0, b0 = label0[a], label0[b]
                 if op == OR:
                     a0 ^= delta
                     b0 ^= delta
-                inputs += (a0, a0 ^ delta, b0, b0 ^ delta)
-                t_a, t_b = 2 * j * _LOW_BITS, (2 * j + 1) * _LOW_BITS
-                tweaks = ((((tweaks << _BATCH_BITS | t_a) << _BATCH_BITS |
-                           t_a) << _BATCH_BITS | t_b) << _BATCH_BITS | t_b)
+                zeros += (a0, b0)
+            n = len(zeros)
             hashes = _split(aes.tccr(b"".join(
-                [v.to_bytes(_BATCH_BYTES, "big") for v in inputs]), tweaks),
-                len(inputs), _BATCH_BYTES)
+                [v.to_bytes(_BATCH_BYTES, "big") for v in zeros] +
+                [(v ^ delta).to_bytes(_BATCH_BYTES, "big") for v in zeros]),
+                tweaks << n * _BATCH_BITS | tweaks), 2 * n, _BATCH_BYTES)
             for k, (op, a, b, out, j) in enumerate(nonfree):
-                a0, b0 = inputs[4 * k], inputs[4 * k + 2]
-                ha0, ha1, hb0, hb1 = hashes[4 * k:4 * k + 4]
+                a0, b0 = zeros[2 * k], zeros[2 * k + 1]
+                ha0, hb0 = hashes[2 * k], hashes[2 * k + 1]
+                ha1, hb1 = hashes[n + 2 * k], hashes[n + 2 * k + 1]
                 permute_b = _lane_masks(b0)
                 # generator half: a AND (permute bit of b)
                 t_g = ha0 ^ ha1 ^ (delta & permute_b)
@@ -213,28 +224,30 @@ class GarbledInstance:
                 for z in self._zero_labels(self.circuit.eval_inputs)]
 
 
-def evaluate(circuit: BooleanCircuit, tables, gen_labels, eval_labels):
-    """Evaluate garbled tables; returns the output labels.
+def evaluate(circuit: BooleanCircuit, tables: bytes, gen_labels,
+             eval_labels):
+    """Evaluate garbled tables, T_G || T_E of each non-free gate as
+    GC_PAYLOAD carries them; returns the output labels.
 
     gen_labels and eval_labels hold one label per wire of
-    circuit.gen_inputs and circuit.eval_inputs, in that order.
+    circuit.gen_inputs and circuit.eval_inputs, in that order.  A
+    ciphertext is read only where a permute bit selects it.
     """
     labels = [0] * circuit.n_wires
     for w, label in zip(circuit.gen_inputs, gen_labels):
         labels[w] = label
     for w, label in zip(circuit.eval_inputs, eval_labels):
         labels[w] = label
-    for free, nonfree in circuit.schedule:
+    for (free, nonfree), tweaks in zip(circuit.schedule,
+                                       circuit.hash_tweaks(1)):
         for op, a, b, out in free:
             labels[out] = labels[a] ^ labels[b] if op == XOR else labels[a]
         if not nonfree:
             continue
-        inputs = tweaks = 0
-        for _, a, b, _, j in nonfree:
+        inputs = 0
+        for _, a, b, _, _ in nonfree:
             inputs = (inputs << _LABEL_BITS | labels[a]) << _LABEL_BITS | \
                 labels[b]
-            tweaks = (tweaks << _LABEL_BITS | 2 * j) << _LABEL_BITS | \
-                2 * j + 1
         hashes = aes.tccr(inputs.to_bytes(2 * LABEL_BYTES * len(nonfree),
                                           "big"), tweaks)
         # H(la, 2j) ^ H(lb, 2j + 1) in the low half of each gate's 256 bits
@@ -243,10 +256,12 @@ def evaluate(circuit: BooleanCircuit, tables, gen_labels, eval_labels):
             w = hashes & _LABEL_MASK
             hashes >>= 2 * _LABEL_BITS
             la = labels[a]
+            at = 2 * LABEL_BYTES * j
             if la & 1:
-                w ^= tables[2 * j]
+                w ^= int.from_bytes(tables[at:at + LABEL_BYTES], "big")
             if labels[b] & 1:
-                w ^= tables[2 * j + 1] ^ la
+                w ^= int.from_bytes(
+                    tables[at + LABEL_BYTES:at + 2 * LABEL_BYTES], "big") ^ la
             labels[out] = w
     return [labels[w] for w in circuit.outputs]
 
@@ -281,7 +296,8 @@ def payload(gc: GarbledInstance, gen_bits) -> bytes:
 
 
 def parse_payload(circuit: BooleanCircuit, buf: bytes):
-    """Returns (tables, decode_info, generator labels in gen_inputs order)."""
+    """Returns (tables, decode_info, generator labels in gen_inputs
+    order), tables being the payload's T_G || T_E bytes, for evaluate."""
     n_tables = len(circuit.nonfree_gates())
     expected = (_HEADER_BYTES + 2 * LABEL_BYTES * n_tables +
                 2 * LABEL_BYTES * len(circuit.outputs) + 2 +
@@ -296,10 +312,7 @@ def parse_payload(circuit: BooleanCircuit, buf: bytes):
     count, off = read_int(buf, off, 4)
     if count != n_tables:
         raise ProtocolError("garbled table count mismatch")
-    end = off + 2 * LABEL_BYTES * count
-    tables = [int.from_bytes(buf[i:i + LABEL_BYTES], "big")
-              for i in range(off, end, LABEL_BYTES)]
-    off = end
+    tables, off = read_bytes(buf, off, 2 * LABEL_BYTES * count)
     decode_info = []
     for _ in circuit.outputs:
         decode_info.append((buf[off:off + LABEL_BYTES],

@@ -39,8 +39,10 @@ NULL_SESSION = bytes(SESSION_BYTES)
 # 7: the server sends the owner no SESSION_DONE; 8: four flights per
 # round, so RANDOM_OFFSET carries every offset of a session, the first
 # OT flips travel as one OT_MSG, GC_PAYLOAD ends with the OT reply and
-# GC_RESULT with the next transfer's flips
-PROTOCOL_VERSION = 8
+# GC_RESULT with the next transfer's flips; 9: the comparators ripple
+# in 8-bit blocks merged by a tree (more garbled tables), and the IKNP
+# PRG is SHAKE-128
+PROTOCOL_VERSION = 9
 
 ROLE_CSP, ROLE_DO, ROLE_DA = 0, 1, 2
 
@@ -136,6 +138,7 @@ class Channel:
         self.transcript = []  # encoded frames this end sent
         self._sock = sock
         self._buf = bytearray()  # bytes read but not yet returned
+        self._rcvtimeo = None  # the SO_RCVTIMEO timeval last set
         if sock.family == socket.AF_INET:  # AF_UNIX refuses TCP_NODELAY
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         sock.setblocking(True)
@@ -211,8 +214,13 @@ class Channel:
         buf = self._buf
         try:
             if len(buf) < n:
-                self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO,
-                                      _timeval(timeout))
+                # set only when it changes: between idle and timed
+                # waits, or after timeout is assigned
+                tv = _timeval(timeout)
+                if tv != self._rcvtimeo:
+                    self._sock.setsockopt(socket.SOL_SOCKET,
+                                          socket.SO_RCVTIMEO, tv)
+                    self._rcvtimeo = tv
             while len(buf) < n:
                 chunk = self._sock.recv(1 << 16)
                 if not chunk:

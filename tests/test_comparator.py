@@ -1,11 +1,17 @@
 """Comparator circuits against brute-force integer oracles."""
 
+import math
+
 import pytest
 
 from oracles import eval_plain
+from test_garbling import garbled_run, instances
 
-from oope.comparator import build_comparator, build_fh_comparator, int_to_bits
+from oope import garbling
+from oope.comparator import (BLOCK_BITS, build_comparator,
+                             build_fh_comparator, int_to_bits)
 from oope.errors import DomainError, UsageError
+from oope.rng import make_rng
 
 
 def reference(x, xbar, bx, bpx, bxb, bpxb):
@@ -151,7 +157,7 @@ def test_gate_counts():
 
 
 @pytest.mark.parametrize("build", [build_comparator, build_fh_comparator])
-@pytest.mark.parametrize("width", [1, 2, 5, 65])
+@pytest.mark.parametrize("width", [1, 2, 5, 9, 17, 65])
 def test_schedule_runs_every_gate_once_with_inputs_ready(build, width):
     c = build(width)
     gates = [(g.op, g.a, g.b, g.out) for g in c.gates]
@@ -180,5 +186,90 @@ def test_schedule_runs_every_gate_once_with_inputs_ready(build, width):
     assert sum(1 for _, hashed in c.schedule if hashed) == \
         max(depth.values())
     if build is build_comparator:
-        # the two ripple chains are width gates deep
-        assert max(depth.values()) == width
+        # blocks of BLOCK_BITS ripple side by side, and a balanced tree
+        # merges them one AND level per tree level
+        assert max(depth.values()) == min(width, BLOCK_BITS) + \
+            math.ceil(math.log2(math.ceil(width / BLOCK_BITS)))
+
+
+def test_gate_count_at_the_paper_width():
+    # 2w + ceil(w / BLOCK_BITS) - 2 non-free gates at w = 65; each costs
+    # 32 bytes in every GC_PAYLOAD, so growth here shows in the wire bytes
+    assert BLOCK_BITS == 8
+    assert len(build_comparator(65).nonfree_gates()) == 137
+    assert len(build_fh_comparator(65).nonfree_gates()) == 140
+
+
+def test_hash_tweaks_are_distinct_per_gate_half():
+    # gate j hashes its halves under 2j and 2j + 1, each once over the
+    # circuit and each below 2^127, apart from the IKNP row tweaks
+    # (2^127 | batch·2^32 | row, ot._row_hashes)
+    for c in (build_comparator(65), build_fh_comparator(65)):
+        fields = []
+        for (_, hashed), tweaks in zip(c.schedule, c.hash_tweaks(1)):
+            blob = tweaks.to_bytes(32 * len(hashed), "big")
+            step = [int.from_bytes(blob[i:i + 16], "big")
+                    for i in range(0, len(blob), 16)]
+            assert step == [t for *_, j in hashed for t in (2 * j, 2 * j + 1)]
+            fields += step
+        assert sorted(fields) == list(range(2 * len(c.nonfree_gates())))
+        assert max(fields) < 1 << 127
+
+
+BOUNDARY_WIDTHS = [9, 17, 24, 25, 65]
+
+
+def boundary_pairs(width):
+    """(x, xbar) pairs that cross block boundaries, each both ways round:
+    equal inputs; every pair that differs in exactly one bit, so the
+    blocks above it are equal and the tree must look below them; and for
+    every bit i, the adjacent integers whose carry runs through bit i,
+    so every lower bit, in every lower block, points the other way."""
+    base = make_rng(width).getrandbits(width)
+    for v in (0, (1 << width) - 1, base):
+        yield v, v
+    for i in range(width):
+        above = base >> (i + 1) << (i + 1)
+        for lo, hi in ((base & ~(1 << i), base | (1 << i)),
+                       (above | (1 << i) - 1, above | 1 << i)):
+            yield lo, hi
+            yield hi, lo
+
+
+@pytest.mark.parametrize("width", BOUNDARY_WIDTHS)
+def test_det_across_block_boundaries(width):
+    c = build_comparator(width)
+    lanes = list(instances(c, make_rng(width), garbling.BATCH))
+    k = 0
+    for x, xbar in boundary_pairs(width):
+        for masks in range(16):
+            bx, bpx, bxb, bpxb = ((masks >> i) & 1 for i in range(4))
+            gen = int_to_bits(x, width) + [bx, bpx]
+            ev = int_to_bits(xbar, width) + [bxb, bpxb]
+            want = reference(x, xbar, bx, bpx, bxb, bpxb)
+            assert eval_plain(c, gen, ev) == want
+            assert garbled_run(c, lanes[k % len(lanes)], gen, ev) == want
+            k += 1
+
+
+@pytest.mark.parametrize("width", BOUNDARY_WIDTHS)
+def test_fh_across_block_boundaries(width):
+    # every combination of the four mask bits (b_o, b_a, s_e, s_r) per
+    # pair; the coins and the state shares are drawn at random for each
+    c = build_fh_comparator(width)
+    rng = make_rng(width + 1)
+    lanes = list(instances(c, rng, garbling.BATCH))
+    k = 0
+    for x, xbar in boundary_pairs(width):
+        for masks in range(16):
+            b_o, b_a, s_e, s_r = ((masks >> i) & 1 for i in range(4))
+            aux = rng.getrandbits(6)
+            r_x, r_xbar, e_o, e_a, p_o, p_a = ((aux >> i) & 1 for i in range(6))
+            gen = int_to_bits(x, width) + [b_o, r_x, e_o, p_o, s_e, s_r]
+            ev = int_to_bits(xbar, width) + [b_a, r_xbar, e_a, p_a]
+            b, new_e, new_r = fh_reference(x, xbar, r_x, r_xbar, e_o ^ e_a,
+                                           p_o ^ p_a)
+            want = (b ^ b_o ^ b_a, new_e ^ s_e, new_r ^ s_r)
+            assert eval_plain(c, gen, ev) == want
+            assert garbled_run(c, lanes[k % len(lanes)], gen, ev) == want
+            k += 1

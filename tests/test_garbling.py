@@ -32,6 +32,7 @@ def garbled_run(circuit, gc, gen_bits, eval_bits):
 
 
 def tables_of(gc):
+    """The T_G || T_E bytes the analyst reads from gc's payload."""
     tables, _, _ = garbling.parse_payload(
         gc.circuit, garbling.payload(gc, [0] * len(gc.circuit.gen_inputs)))
     return tables
@@ -143,7 +144,7 @@ def test_payload_roundtrip():
     gen_bits = int_to_bits(9, 4) + [1, 0]
     blob = garbling.payload(gc, gen_bits)
     tables, dec, gen_labels = garbling.parse_payload(c, blob)
-    assert b"".join(t.to_bytes(16, "big") for t in tables) == gc.table_bytes
+    assert tables == gc.table_bytes
     assert dec == gc.decode_info
     assert gen_labels == gc.encode(c.gen_inputs, gen_bits)
     with pytest.raises(ProtocolError):
@@ -223,16 +224,17 @@ def test_flipped_ciphertext_in_use_fails_decoding(kind):
     assert garbling.decode(gc.decode_info, honest) == \
         eval_plain(c, gen_bits, eval_bits)
     used = []
-    for t in range(len(tables)):
-        flipped = list(tables)
-        flipped[t] ^= 1 << rng.randrange(128)
-        out = garbling.evaluate(c, flipped, gen_labels, eval_labels)
+    count = len(tables) // 16  # ciphertexts: T_G of gate j is 2j, T_E 2j + 1
+    for t in range(count):
+        flipped = bytearray(tables)
+        flipped[16 * t + rng.randrange(16)] ^= 1 << rng.randrange(8)
+        out = garbling.evaluate(c, bytes(flipped), gen_labels, eval_labels)
         if out != honest:
             used.append(t)
             with pytest.raises(IntegrityError):
                 garbling.decode(gc.decode_info, out)
     # uniform permute bits: about half are read, both halves and both
     # gate kinds among them
-    assert 0.3 < len(used) / len(tables) < 0.7
+    assert 0.3 < len(used) / count < 0.7
     assert {t % 2 for t in used} == {0, 1}
     assert {c.nonfree_gates()[t // 2].op for t in used} == {"AND", "OR"}

@@ -1,5 +1,6 @@
 """Oblivious transfer: base OT, IKNP extension, derandomized transfers."""
 
+import hashlib
 import queue
 import threading
 
@@ -121,15 +122,36 @@ def test_ot_exchange_length_mismatch():
 
 
 def test_extension_survives_multiple_batches(monkeypatch):
-    # force several small extension batches over one base-OT setup
-    monkeypatch.setattr(ot, "BATCH", 8)
-    sender, receiver = linked_pair(1)
+    # force several small extension batches over one base-OT setup, of 1
+    # and of 25 bytes per PRG row: neither a multiple of 32 bytes
     rng = make_rng(3)
-    for _ in range(5):
-        pairs, bits = random_round(rng, 6)
-        assert transfer(sender, receiver, pairs, bits) == \
-            [p[b] for p, b in zip(pairs, bits)]
-    assert sender._batch == receiver._batch > 1
+    for batch, n in ((8, 6), (200, 90)):
+        monkeypatch.setattr(ot, "BATCH", batch)
+        sender, receiver = linked_pair(1)
+        for _ in range(5):
+            pairs, bits = random_round(rng, n)
+            flips = receiver.choose(bits)
+            sender.reserve(n)
+            sender.accept(flips, n)
+            # both sides hold the pad of each chosen label, and only it
+            pads = receiver._chosen[1]
+            assert [p[c] for p, c in zip(sender._pads, bits)] == pads
+            assert all(p[1 - c] != pad for p, c, pad in
+                       zip(sender._pads, bits, pads))
+            assert receiver.receive_pairs(sender.send_pairs(pairs)) == \
+                [p[b] for p, b in zip(pairs, bits)]
+        assert sender._batch == receiver._batch > 1
+
+
+def test_prg_is_shake128_per_seed_and_batch():
+    seed = bytes(range(32))
+    assert ot._prg(seed, 300, 5) == hashlib.shake_128(
+        seed + b"prg" + (5).to_bytes(4, "big")).digest(300)
+    # a prefix of the longer output, and fresh across batches and seeds
+    assert ot._prg(seed, 25, 5) == ot._prg(seed, 300, 5)[:25]
+    outputs = {ot._prg(s, 256, b) for s in (seed, bytes(32), b"\xff" * 32)
+               for b in (0, 1, 2, 1 << 31)}
+    assert len(outputs) == 12
 
 
 def test_receiver_cannot_use_wrong_pad():

@@ -1,5 +1,6 @@
 """Framing, channels, handshake."""
 
+import socket
 import threading
 import time
 
@@ -245,5 +246,49 @@ def test_send_timeout_follows_the_instance_timeout(pair):
         assert a.poisoned
     finally:
         watchdog.cancel()
+        a.close()
+        b.close()
+
+
+class CountingSocket:
+    """A socket that records each SO_RCVTIMEO value set on it."""
+
+    def __init__(self, sock):
+        self._sock = sock
+        self.rcvtimeo = []
+
+    def setsockopt(self, level, option, value):
+        if option == socket.SO_RCVTIMEO:
+            self.rcvtimeo.append(value)
+        return self._sock.setsockopt(level, option, value)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+@pytest.mark.parametrize("pair", [loopback_pair, tcp_pair])
+def test_receive_timeout_is_set_only_when_it_changes(pair):
+    a, b = pair()
+    counted = b._sock = CountingSocket(b._sock)
+    try:
+        def exchange(count, **kw):
+            for i in range(count):
+                a.send(Frame(transport.SHARES, b"x" * 16, bytes([i])))
+                assert b.recv(transport.SHARES, **kw).payload == bytes([i])
+
+        exchange(5)
+        assert len(counted.rcvtimeo) == 1
+        exchange(3, idle=True)
+        exchange(2)
+        assert counted.rcvtimeo == [transport._timeval(120),
+                                    transport._timeval(None),
+                                    transport._timeval(120)]
+        b.timeout = 0.5
+        exchange(4)
+        assert counted.rcvtimeo[3:] == [transport._timeval(0.5)]
+        assert counted.getsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO,
+                                  len(counted.rcvtimeo[-1])) == \
+            transport._timeval(0.5)
+    finally:
         a.close()
         b.close()
