@@ -30,21 +30,28 @@ fh, its coin and the state shares the previous round gave it, so they
 are known before the round's circuit exists.  The server therefore
 sends the analyst every offset of the session at once, h 16-byte
 records in one RANDOM_OFFSET right after the first node, and the
-analyst sends its first flips as one OT_MSG as soon as it has them;
+analyst sends its first flips in the OT_MSG as soon as it has them;
 each later round's flips ride at the end of the previous round's
-GC_RESULT (ot: the flips are one-time padded by the pool's rho, so
-sending them early shows nothing).  The owner takes in a session's
-first flips before anything in its first round can abort.  The last
-GC_RESULT carries flips too, for a phantom transfer over random
-choices that never runs, so every GC_RESULT has one length and the
-owner, which cannot tell the last round, spends the same n pads on
-each, whether its frame parses or not.  An encrypt session over a
-non-empty table is 5h + 6 frames (SESSION_START, RANDOM_OFFSET, the
-first OT_MSG, ORDER_RESULT, CIPHER_UPLOAD and SESSION_DONE besides the
-rounds; a bound sends no upload) and 4h + 2 flights from SESSION_START
-to ORDER_RESULT, plus Pedersen's INTEGRITY_TAG and INTEGRITY_PROOF per
-round and the OT extension batches, which travel on the flights the
-next flips do.
+GC_RESULT (ot: the flips are one-time padded by the batch's rho, so
+sending them early shows nothing).  The last GC_RESULT carries flips
+too, for a phantom transfer over random choices that never runs, so
+every GC_RESULT has one length.
+
+Each session carries its own IKNP extension batch (ot) of m =
+8·ceil((h + 1)·n / 8) OTs, for h transfers of n evaluator inputs and
+the phantom one, under a batch index the analyst raises every session.
+It leads the session's OT_MSG, which the owner reads only to build
+round 1's OT reply, after it has decrypted and garbled.  A table holds
+at most M - 1 orders, so h <= M.bit_length(): the analyst refuses more
+offsets and the owner a larger batch, as it does a batch index not
+above the last it took.  The analyst drops what a session left unspent
+when it ends, the owner at the next session's first node; an OT_MSG it
+never read is stale by then.  m shows the owner h, as the round count
+does anyway.  An encrypt session over a non-empty table is 5h + 6 frames
+(SESSION_START, RANDOM_OFFSET, the OT_MSG, ORDER_RESULT, CIPHER_UPLOAD
+and SESSION_DONE besides the rounds; a bound sends no upload) and
+4h + 2 flights from SESSION_START to ORDER_RESULT, plus Pedersen's
+INTEGRITY_TAG and INTEGRITY_PROOF per round.
 
 No exponentiation waits on a peer where it need not.  Encryptions use
 short exponents (paillier): each is one 256-bit exponentiation of the
@@ -137,10 +144,10 @@ on the owner alone between rounds, so the owner relays the server's
 aborts, even those its serve loop reads while idle.  A remote
 SessionAborted carries the session id it names, which the relay
 repeats.  A relayed abort that finds its session over is dropped as
-stale.  Whatever the abort, both OT pad pools stay in step: the
-analyst spends pads only on flips it sends, and the owner spends the
-same pads as soon as it reads them.  A bit vector of the wrong shape is
-a ProtocolError like any other malformed frame, and so is a
+stale.  A receive that times out before its frame has begun aborts its
+session like any other fault and leaves the channel usable
+(transport).  A bit vector of the wrong shape is a ProtocolError like
+any other malformed frame, and so is a
 RANDOM_OFFSET that is empty, not whole records or out of range, or an
 ORDER_RESULT of the wrong width or out of range.  Stale aborts from a
 dead session are dropped by session-id filtering in Channel.recv.
@@ -245,15 +252,15 @@ def _offset_blob(v: int) -> bytes:
     return fixed_bytes(v, OFFSET_BYTES)
 
 
-def _read_offsets(frame, bound: int, count: int = None) -> list:
+def _read_offsets(frame, bound: int, most: int) -> list:
     """The values _offset_blob put in frame, one OFFSET_BYTES record
-    each; a ProtocolError unless there is at least one record (exactly
-    count if given) and each lies below bound."""
+    each; a ProtocolError unless there are 1 to most records and each
+    lies below bound."""
     blob = frame.payload
     values = [int.from_bytes(blob[i:i + OFFSET_BYTES], "big")
               for i in range(0, len(blob), OFFSET_BYTES)]
     if not blob or len(blob) % OFFSET_BYTES or max(values) >= bound or \
-            count not in (None, len(values)):
+            len(values) > most:
         raise ProtocolError(f"malformed {transport.type_name(frame.ftype)}")
     return values
 
@@ -306,30 +313,10 @@ def make_node_tagger(scheme, mac_params, pk, rng):
     return tag
 
 
-def _ot_link(ch, session):
-    """send/recv callables carrying OT extension messages over ch.
-
-    Each message is tagged with the session current at the call and
-    numbered from a counter both directions share, so a reordered or
-    replayed message is a ProtocolError.
-    """
-    seq = 0
-
-    def send(blob):
-        nonlocal seq
-        ch.send(Frame(OT_MSG, session(), u32(seq) + blob))
-        seq += 1
-
-    def recv():
-        nonlocal seq
-        frame = ch.recv(OT_MSG, session=session())
-        got, _ = read_int(frame.payload, 0, 4)
-        if got != seq:
-            raise ProtocolError(f"OT message out of order ({got})")
-        seq += 1
-        return frame.payload[4:]
-
-    return send, recv
+def _ot_link(ch):
+    """send/recv for base OT's OT_MSG frames over ch, outside sessions."""
+    return (lambda blob: ch.send(Frame(OT_MSG, NULL_SESSION, blob)),
+            lambda: ch.recv(OT_MSG, session=NULL_SESSION).payload)
 
 
 def _query_from_spec(payload: bytes):
@@ -606,10 +593,11 @@ class CspEngine:
 
     def _exec_cleanup(self, frame):
         from . import datastore
-        sids = None
-        if frame.payload:
-            sids = [frame.payload[i:i + 16]
-                    for i in range(0, len(frame.payload), 16)]
+        blob, width = frame.payload, transport.SESSION_BYTES
+        if len(blob) % width:
+            raise ProtocolError("CLEANUP holds no whole session ids")
+        sids = [blob[i:i + width] for i in range(0, len(blob), width)] \
+            if blob else None
         removed = 0
         for table in self.tables.values():
             removed += datastore.cleanup_da_entries(table, sids)
@@ -654,10 +642,8 @@ class DoEngine:
                 self.params.integrity != integrity.SCHEME_OFF:
             do_extra = integrity.serialize_params(self.mac_params)
         transport.handshake(da_ch, transport.ROLE_DO, digest, do_extra)
-        self._ot_send, self._ot_recv = _ot_link(self.da_ch, lambda: self._sid)
-        self.ot_sender = OtExtSender(self._ot_send, self._ot_recv, self.rng,
-                                     self.ot_group)
-        self.ot_sender.setup()
+        self.ot_sender = OtExtSender(self.rng, self.ot_group)
+        self.ot_sender.setup(*_ot_link(self.da_ch))
 
     def serve(self):
         """Serve the server's blinded nodes until its channel closes; the
@@ -694,14 +680,11 @@ class DoEngine:
         sid = frame.session_id
         p = self.params
         n = len(self.circuit.eval_inputs)
-        if sid != self._sid:
+        first = sid != self._sid
+        if first:
             self._sid = sid
             self._fh_shares = (0, 0)
-            # the analyst sent the session's first OT flips once it had
-            # the offsets: they are taken in before anything here can
-            # abort, or the two pad pools would fall out of step
-            self.ot_sender.reserve(n)
-            self.ot_sender.accept(self._ot_recv(), n)
+            self.ot_sender.drop()
         payload = frame.payload
         pk = self.sk.public
         cipher, off = paillier.parse_cipher_record(payload, 0, pk.key_bits)
@@ -735,15 +718,19 @@ class DoEngine:
             fresh = (self.rng.getrandbits(1), self.rng.getrandbits(1))
             gen_bits += [r_x, *self._fh_shares, *fresh]
             self._fh_shares = fresh
+        if first:
+            # the batch and first flips, read only now: an OT_MSG that a
+            # round aborted before reading is stale to the next session
+            blob = self.da_ch.recv(OT_MSG, session=sid).payload
+            split = max(len(blob) - (n + 7) // 8, 0)
+            self.ot_sender.extend(blob[:split], (p.m.bit_length() + 1) * n)
+            self.ot_sender.accept(blob[split:], n)
         # the OT reply rides behind the garbled circuit
         self.da_ch.send(Frame(
             GC_PAYLOAD, sid, garbling.payload(gc, gen_bits) +
             self.ot_sender.send_pairs(gc.eval_label_pairs())))
         # GC_RESULT: the masked outputs, then the flips of the next
-        # round's transfer, or of a phantom one after the last round.  The
-        # analyst spent n pads on them, so they are spent here whatever
-        # the frame holds.
-        self.ot_sender.reserve(n)
+        # round's transfer, or of a phantom one after the last round
         result = self.da_ch.recv(GC_RESULT, session=sid).payload
         self.ot_sender.accept(result[1:], n)
         masked = _unpack_bits(result[:1], len(masks))
@@ -766,7 +753,6 @@ class DaEngine:
         self.pk_owner = None
         self.mac_params = None
         self._tag = None  # make_node_tagger's closure under integrity
-        self._sid = NULL_SESSION
         self._masks = None  # mask bits of the round whose flips are out
 
     def attach(self, csp_ch, do_ch):
@@ -786,10 +772,8 @@ class DaEngine:
                                  "verification parameters")
         self._tag = make_node_tagger(self.params.integrity, self.mac_params,
                                      self.pk_owner, self.rng)
-        self._ot_send, recv = _ot_link(self.da_do_ch, lambda: self._sid)
-        self.ot_receiver = OtExtReceiver(self._ot_send, recv, self.rng,
-                                         self.ot_group)
-        self.ot_receiver.setup()
+        self.ot_receiver = OtExtReceiver(self.rng, self.ot_group)
+        self.ot_receiver.setup(*_ot_link(self.da_do_ch))
 
     def _new_sid(self) -> bytes:
         return bytes(self.rng.getrandbits(8) for _ in range(16))
@@ -816,7 +800,6 @@ class DaEngine:
         if not 0 <= xbar < (1 << p.l):
             raise UsageError(f"query plaintext outside [0, 2^{p.l})")
         sid = self._new_sid()
-        self._sid = sid
         encrypt = op == OP_ENCRYPT
         # fh state shares (no equality yet, coin): a bound starts as if
         # equality had been seen, with coin = side
@@ -829,16 +812,20 @@ class DaEngine:
                                      session=sid)
             offsets = []
             if frame.ftype == RANDOM_OFFSET:
-                offsets = _read_offsets(frame, 1 << (p.l + p.k))
-                # the first round's OT flips go out before the upload,
-                # which depends on xbar alone, is built
-                self._ot_send(self._choose(xbar, offsets[0]))
+                offsets = _read_offsets(frame, 1 << (p.l + p.k),
+                                        p.m.bit_length())
+                # one batch for the h transfers and the phantom one goes
+                # out with the first flips, before the upload is built
+                batch = self.ot_receiver.extend(
+                    (len(offsets) + 1) * len(self.circuit.eval_inputs))
+                self.da_do_ch.send(Frame(OT_MSG, sid, batch + self._choose(
+                    xbar, offsets[0])))
             upload = self._cipher_upload(xbar) if encrypt else None
             for r, next_r in zip(offsets, offsets[1:] + [None]):
                 self._round(sid, xbar, r, next_r)
             if offsets:
                 frame = self.csp_ch.recv(ORDER_RESULT, session=sid)
-            ybar, = _read_offsets(frame, p.m + 1, count=1)
+            ybar, = _read_offsets(frame, p.m + 1, 1)
             if encrypt:
                 self.csp_ch.send(Frame(CIPHER_UPLOAD, sid, upload))
             self.csp_ch.recv(SESSION_DONE, session=sid)
@@ -860,7 +847,7 @@ class DaEngine:
             self.da_do_ch.abort(sid, str(e))
             raise SessionAborted(str(e), session_id=sid) from e
         finally:
-            self._sid = NULL_SESSION
+            self.ot_receiver.drop()
 
     def _verify_node(self, sid, r):
         tag_frame = self.csp_ch.recv(INTEGRITY_TAG, session=sid)
@@ -939,9 +926,15 @@ class DaEngine:
         return result
 
     def cleanup(self, session_ids=None) -> int:
-        """Ask the server to drop analyst-inserted table entries."""
+        """Ask the server to drop analyst-inserted table entries: those
+        of session_ids, or every one when None; a session id that is not
+        16 bytes is a UsageError."""
+        if any(len(s) != transport.SESSION_BYTES for s in session_ids or ()):
+            raise UsageError("session ids are 16 bytes each")
+        if session_ids is not None and not session_ids:
+            return 0  # an empty payload would ask for every entry
         sid = self._new_sid()
-        payload = b"".join(session_ids) if session_ids else b""
+        payload = b"".join(session_ids or ())
         self.csp_ch.send(Frame(transport.CLEANUP, sid, payload))
         frame = self.csp_ch.recv(transport.CLEANUP_DONE, session=sid)
         if len(frame.payload) != 4:

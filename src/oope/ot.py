@@ -6,14 +6,15 @@ Two layers:
   receiver publishes one real public key and one element sampled by
   hashing into the quadratic-residue subgroup, so it provably does not
   know the second discrete log even given its full internal state.
-* An IKNP-style extension that turns 128 base OTs into an arbitrarily
-  large pool of random OTs using only hashing, consumed per transfer
-  through XOR derandomization.  Base seeds are reused across batches
-  with a per-batch nonce, which is fine against passive adversaries.
+* An IKNP-style extension (Ishai, Kilian, Nissim and Petrank, CRYPTO
+  2003) that turns 128 base OTs into a batch of random OTs of any size
+  using only hashing, consumed per transfer through XOR
+  derandomization.  Base seeds are reused across batches under a
+  per-batch index, which is fine against passive adversaries.
 
 The extension stretches each 256-bit base-OT seed k into one row of
 the batch's bit matrix with G(k, b) = SHAKE-128(k || "prg" || u32(b)),
-read to the row's m/8 bytes in one call (_prg); b is the batch number.
+read to the row's m/8 bytes in one call (_prg); b is the batch index.
 IKNP needs G(k, b) to look random to a party that does not know k, for
 every batch b.  SHAKE-128 has a 256-bit capacity, so it is
 indifferentiable from a random oracle up to about q²/2^256 for q
@@ -46,30 +47,27 @@ the wire.  Each extension batch runs the column step t XOR (u AND s)
 and the row step q XOR s as single numpy operations over the whole bit
 matrix.
 
-A transfer is derandomized from the pool (Beaver, CRYPTO 1995) in two
-messages, both bytes that the caller carries in frames of its own:
+A batch serves one session of the caller's.  The receiver's
+`extend(count)` returns count OTs, rounded up to whole bytes, as its
+next batch index and the u matrix; the sender's `extend(blob)` takes
+them in.  The index sets the PRG input and the row tweaks, and the
+sender refuses one not above the last it took, so no tweak repeats
+under s.  `extend` replaces what the last batch left, and `drop()`
+forgets it, so no pad outlives a session.  Only base OT (`setup`) runs
+over send/recv callables; the caller carries every other message.
 
-* The receiver's `choose(bits)` returns its flips, each choice bit XOR
-  the pool's random bit rho.  rho hides the choices, so the flips may
-  travel before the sender has its pairs, even a round early.
-* The sender's `reserve(n)` and `accept(flips, n)` spend n pads on
-  them, and `send_pairs(pairs)` returns the reply: each
-  (zero-label, one-label) int pair under the two pads, swapped where
-  the flip is set.  The receiver's `receive_pairs(reply)` returns the
-  chosen ints.
-
-Both sides spend pads when the flips are made and taken in, whether or
-not a reply follows, so a transfer that never runs keeps the two pools
-in step.  Base OT and extension batches are messages of their own,
-pushed through caller-supplied send/recv callables (the OT link).
-`choose` sends the batches its pads need before it returns the flips,
-and `reserve` reads them, so a sender calls `reserve` before it reads
-the frame that carries the flips.  The same code runs over a framed
-channel and, in unit tests, over in-memory pipes.
+A transfer is derandomized from the batch (Beaver, CRYPTO 1995).  The
+receiver's `choose(bits)` returns its flips, each choice bit XOR the
+batch's random bit rho, which hides the choices, so the flips may
+travel before the sender has its pairs, even a round early.  The
+sender's `accept(flips, n)` spends the batch's next n pads on them, and
+`send_pairs(pairs)` returns the reply: each (zero-label, one-label) int
+pair under the two pads, swapped where the flip is set.  The
+receiver's `receive_pairs(reply)` returns the chosen ints.
 """
 
 import hashlib
-from collections import deque
+from itertools import islice
 
 import numpy as np
 
@@ -83,7 +81,6 @@ from .wire import be_bytes, u32, xor_bytes
 KAPPA = 128  # extension security parameter = base OT count
 EXPONENT_BITS = 256
 SEED_BYTES = 32
-BATCH = 2048  # OTs per extension, unless one transfer needs more
 
 # RFC 3526 group 15 (3072-bit MODP); >= 128-bit strength.
 _P_3072 = int(
@@ -208,8 +205,8 @@ def _row_hashes(batch: int, *matrices) -> list:
     blob = b"".join([rows.tobytes() for rows in matrices])
     hashes = aes.tccr(blob, int.from_bytes(
         tweaks.tobytes() * len(matrices), "big")).to_bytes(len(blob), "big")
-    values = [int.from_bytes(hashes[o:o + LABEL_BYTES], "big")
-              for o in range(0, len(blob), LABEL_BYTES)]
+    words = np.frombuffer(hashes, dtype=">u8").tolist()
+    values = [hi << 64 | lo for hi, lo in zip(words[::2], words[1::2])]
     return [values[i:i + m] for i in range(0, len(values), m)]
 
 
@@ -235,64 +232,61 @@ def _unpack_bits(blob, n):
 
 
 class OtExtSender:
-    """Holds label pairs; the peer picks one of each without revealing which.
+    """Holds label pairs; the peer picks one of each without revealing
+    which.  Per session: extend, then per transfer accept and send_pairs
+    (module docstring)."""
 
-    One transfer of n pairs: reserve(n) reads the extension batches the
-    receiver sent ahead of its flips, accept(flips, n) spends n pads on
-    them, and send_pairs(pairs) returns the reply for the caller to
-    carry."""
-
-    def __init__(self, send, recv, rng=None, group=GROUP_DEFAULT):
-        self._send = send
-        self._recv = recv
+    def __init__(self, rng=None, group=GROUP_DEFAULT):
         self._rng = rng or make_rng()
         self._group = group
-        self._batch = 0
+        self._batch = 0  # the index of the last batch taken in
         self._s_mask = None  # column i: 0xff where s_i = 1, else 0
         self._s_row = None   # s packed into one 16-byte row
         self._seeds = None
-        self._a0 = deque()
-        self._a1 = deque()
-        self._pads = None  # the accepted transfer's pad pairs, flips applied
+        self.drop()
 
-    def setup(self):
+    def setup(self, send, recv):
+        """Base OT over send/recv, receiving one seed of each pair."""
         s_bits = [self._rng.getrandbits(1) for _ in range(KAPPA)]
         self._s_mask = np.array(s_bits, dtype=np.uint8).reshape(KAPPA, 1) * 0xff
         self._s_row = np.packbits(np.array(s_bits, dtype=np.uint8))
-        self._seeds = base_ot_recv(self._send, self._recv, s_bits,
-                                   self._group, self._rng)
+        self._seeds = base_ot_recv(send, recv, s_bits, self._group, self._rng)
 
-    def _extend(self, m):
-        blob = self._recv()
-        if len(blob) != KAPPA * m // 8:
+    def drop(self):
+        """Forget the batch's unspent pads and any accepted transfer."""
+        self._rows = iter(())  # (pad 0, pad 1) of each unspent OT
+        self._pads = None  # the accepted transfer's pad pairs, flips applied
+
+    def extend(self, blob, most):
+        """Take in the receiver's batch, its u32 index then KAPPA columns
+        of m/8 bytes, in place of what the last left.  An index not above
+        the last one taken, or m above most rounded up to whole bytes, is
+        a ProtocolError; the index rule keeps row tweaks unique under s."""
+        row_bytes, rest = divmod(len(blob) - 4, KAPPA)
+        if not 0 < row_bytes <= (most + 7) // 8 or rest:
             raise ProtocolError("OT extension matrix has wrong size")
-        u = np.frombuffer(blob, dtype=np.uint8).reshape(KAPPA, m // 8)
+        index = int.from_bytes(blob[:4], "big")
+        if index <= self._batch:
+            raise ProtocolError(f"OT extension batch {index} is not new")
+        u = np.frombuffer(blob[4:], dtype=np.uint8).reshape(KAPPA, row_bytes)
         # column i is t_i, or t_i XOR u_i where s_i = 1
-        q = _prg_matrix(self._seeds, m // 8, self._batch) ^ (u & self._s_mask)
+        q = _prg_matrix(self._seeds, row_bytes, index) ^ (u & self._s_mask)
         rows = _transpose_bits(q)
-        a0, a1 = _row_hashes(self._batch, rows, rows ^ self._s_row)
-        self._a0.extend(a0)
-        self._a1.extend(a1)
-        self._batch += 1
-
-    def reserve(self, n):
-        """Read the extension batches that cover n more pads: those the
-        receiver's choose sent before the flips of its next transfer."""
-        while len(self._a0) < n:
-            self._extend(max(BATCH, (n + 7) // 8 * 8))
+        a0, a1 = _row_hashes(index, rows, rows ^ self._s_row)
+        self.drop()
+        self._rows = iter(zip(a0, a1))
+        self._batch = index
 
     def accept(self, flips, n):
-        """Spend n reserved pads on the receiver's flips for the next
-        transfer, replacing any accepted transfer that never ran.
-
-        The receiver spent n pads to make flips, so they are spent here
-        before flips is checked: a malformed vector is a ProtocolError
-        that leaves both pools in step."""
-        if len(self._a0) < n:
-            raise UsageError("accept before reserve")
-        a0, a1 = self._a0.popleft, self._a1.popleft
-        pads = [(a0(), a1()) for _ in range(n)]
-        self._pads = None  # a malformed vector leaves none accepted
+        """Spend the batch's next n pads on the receiver's flips for the
+        next transfer, replacing any accepted transfer that never ran.  A
+        batch with fewer than n pads left is a ProtocolError, and so is a
+        malformed vector, whose pads are spent as the receiver spent them
+        to make it."""
+        self._pads = None
+        pads = list(islice(self._rows, n))
+        if len(pads) < n:
+            raise ProtocolError("OT extension batch used up")
         self._pads = [(p1, p0) if e else (p0, p1)
                       for (p0, p1), e in zip(pads, _unpack_bits(flips, n))]
 
@@ -308,53 +302,58 @@ class OtExtSender:
 
 class OtExtReceiver:
     """Chooses one label per pair by choice bit; sender stays oblivious.
+    Per session: extend, then per transfer choose and receive_pairs
+    (module docstring)."""
 
-    One transfer: choose(bits) returns the flips for the caller to carry
-    to the sender, and receive_pairs(reply) the chosen labels."""
-
-    def __init__(self, send, recv, rng=None, group=GROUP_DEFAULT):
-        self._send = send
-        self._recv = recv
+    def __init__(self, rng=None, group=GROUP_DEFAULT):
         self._rng = rng or make_rng()
         self._group = group
-        self._batch = 0
+        self._batch = 0  # the index of the last batch made
         self._seed_pairs = None
-        self._rho = deque()
-        self._pads = deque()
-        self._chosen = None  # (choice bits, pads) of the pending transfer
+        self.drop()
 
-    def setup(self):
+    def setup(self, send, recv):
+        """Base OT over send/recv, sending KAPPA seed pairs."""
         self._seed_pairs = [
             (self._rng.getrandbits(256).to_bytes(SEED_BYTES, "big"),
              self._rng.getrandbits(256).to_bytes(SEED_BYTES, "big"))
             for _ in range(KAPPA)]
-        base_ot_send(self._send, self._recv, self._seed_pairs,
-                     self._group, self._rng)
+        base_ot_send(send, recv, self._seed_pairs, self._group, self._rng)
 
-    def _extend(self, m):
+    def drop(self):
+        """Forget the batch's unspent pads and any chosen transfer."""
+        self._rows = iter(())  # (rho, pad) of each unspent OT
+        self._chosen = None  # (choice bits, pads) of the pending transfer
+
+    def extend(self, count) -> bytes:
+        """A batch of count OTs, rounded up to a multiple of 8, under the
+        next batch index, in place of whatever is left of the last; returns
+        the index as a u32, then the u matrix."""
+        m = (count + 7) // 8 * 8
+        self._batch += 1
         rho = self._rng.getrandbits(m).to_bytes(m // 8, "big")
         t = _prg_matrix([k0 for k0, _ in self._seed_pairs], m // 8,
                         self._batch)
         u = t ^ _prg_matrix([k1 for _, k1 in self._seed_pairs], m // 8,
                             self._batch) ^ np.frombuffer(rho, dtype=np.uint8)
-        self._send(u.tobytes())
-        self._rho.extend(_unpack_bits(rho, m))
-        self._pads.extend(_row_hashes(self._batch, _transpose_bits(t))[0])
-        self._batch += 1
+        self.drop()
+        self._rows = iter(zip(_unpack_bits(rho, m), _row_hashes(
+            self._batch, _transpose_bits(t))[0]))
+        return u32(self._batch) + u.tobytes()
 
     def choose(self, choice_bits) -> bytes:
         """The flips of the next transfer, each choice bit XOR the random
         bit rho of its pad, which hide the choices from the sender.
 
-        Spends one pad per bit, first sending the extension batches that
-        needs, and replaces any pending transfer that never ran."""
-        n = len(choice_bits)
-        while len(self._rho) < n:
-            self._extend(max(BATCH, (n + 7) // 8 * 8))
-        rho = [self._rho.popleft() for _ in range(n)]
-        self._chosen = (list(choice_bits),
-                        [self._pads.popleft() for _ in range(n)])
-        return _pack_bits([c ^ r for c, r in zip(choice_bits, rho)])
+        Spends the batch's next pad per bit and replaces any pending
+        transfer that never ran; a batch with too few pads left is a
+        UsageError."""
+        self._chosen = None
+        rows = list(islice(self._rows, len(choice_bits)))
+        if len(rows) < len(choice_bits):
+            raise UsageError("OT extension batch used up")
+        self._chosen = (list(choice_bits), [pad for _, pad in rows])
+        return _pack_bits([c ^ rho for c, (rho, _) in zip(choice_bits, rows)])
 
     def receive_pairs(self, reply):
         """The 128-bit int label each pending choice bit selects from the

@@ -7,13 +7,15 @@ socket: a Unix socket pair in one process (loopback_pair) or a
 localhost TCP connection (tcp_pair).  Both carry the same bytes, so with
 seeded RNGs the two transports produce byte-identical transcripts.
 
-One timeout rule holds, the socket's own.  A receive that waits longer
-than Channel.timeout for its frame, or a send for room, raises
-FramingError and poisons the channel, so a peer that stalls mid-session
-fails the waiting side.  The one exception is a serve loop's wait for its
-next request (recv with idle=True), which has no limit, because an idle
-peer is not a fault.  Closing a channel closes its socket: the peer's
-next receive sees the stream end, which also ends its serve loop.
+One timeout rule holds, the socket's own, so a peer that stalls
+mid-session fails the waiting side.  A receive that waits longer than
+Channel.timeout for a frame of which no byte has arrived loses nothing
+and leaves the channel usable (recv).  A timeout mid-frame, a send that
+waits that long for room, and a closed or failed socket raise
+FramingError and poison the channel.  A serve loop's wait for its next
+request (recv with idle=True) has no limit, because an idle peer is not
+a fault.  Closing a channel closes its socket: the peer's next receive
+sees the stream end, which also ends its serve loop.
 
 A channel connects exactly two roles; the topology is the triangle
 CSP-DO, CSP-DA, DO-DA.  Garbled-circuit and OT traffic flows on the
@@ -41,8 +43,9 @@ NULL_SESSION = bytes(SESSION_BYTES)
 # OT flips travel as one OT_MSG, GC_PAYLOAD ends with the OT reply and
 # GC_RESULT with the next transfer's flips; 9: the comparators ripple
 # in 8-bit blocks merged by a tree (more garbled tables), and the IKNP
-# PRG is SHAKE-128
-PROTOCOL_VERSION = 9
+# PRG is SHAKE-128; 10: a session's OT_MSG carries its own IKNP batch,
+# under a batch index, before its first flips, and no message counter
+PROTOCOL_VERSION = 10
 
 ROLE_CSP, ROLE_DO, ROLE_DA = 0, 1, 2
 
@@ -176,16 +179,17 @@ class Channel:
         from a different session is always stale.
 
         A frame that does not start arriving within self.timeout is a
-        FramingError that poisons the channel.  idle lifts that limit;
-        it marks a serve loop's wait for its next request.  Once a frame
-        has begun, the rest of it is never idle.
+        ProtocolError, and the late frame is stale to a receive that
+        names the next session; one that stops arriving midway is a
+        FramingError that poisons the channel.  idle lifts the first
+        limit; it marks a serve loop's wait for its next request.
         """
         wait = None if idle else self.timeout
         while True:
             if self.poisoned:
                 raise FramingError("channel is poisoned")
             try:
-                n = int.from_bytes(self._read_exact(4, wait), "big")
+                n = int.from_bytes(self._read_exact(4, wait, True), "big")
                 if n > MAX_FRAME:
                     raise FramingError("oversize frame")
                 body = self._read_exact(n, self.timeout)
@@ -207,10 +211,11 @@ class Channel:
                     f"expected {want}, received {type_name(frame.ftype)}")
             return frame
 
-    def _read_exact(self, n, timeout):
+    def _read_exact(self, n, timeout, frame_start=False):
         """The stream's next n bytes, each socket read waiting at most
         timeout (None: no limit); a socket error, a timeout or the
-        stream's end is a FramingError."""
+        stream's end is a FramingError, but a timeout at a frame's start
+        with no byte of it read is a ProtocolError."""
         buf = self._buf
         try:
             if len(buf) < n:
@@ -227,6 +232,8 @@ class Channel:
                     raise FramingError("channel closed")
                 buf += chunk
         except BlockingIOError:  # SO_RCVTIMEO expired
+            if frame_start and not buf:
+                raise ProtocolError("channel receive timed out") from None
             raise FramingError("channel receive timed out") from None
         except OSError as e:
             raise FramingError(f"recv failed: {e}") from e

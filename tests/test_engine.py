@@ -6,6 +6,7 @@ import threading
 import time
 import warnings
 
+import numpy as np
 import pytest
 
 from hypothesis import HealthCheck, example, given, settings
@@ -575,6 +576,16 @@ def test_no_blind_is_sent_twice():
         cluster.close()
 
 
+def _flips_short(blob):
+    return blob[:-1]
+
+
+def _flips_padded(blob):
+    # a padding bit of the last byte set, which np.unpackbits(count=35)
+    # would ignore
+    return blob[:-1] + bytes([blob[-1] | 1])
+
+
 def test_no_garbled_instance_is_sent_twice():
     # the owner garbles garbling.BATCH instances at a time and pops one
     # per round; one an aborted round took is dropped, so no garbled
@@ -595,27 +606,16 @@ def test_no_garbled_instance_is_sent_twice():
                               bytes([frame.payload[0] ^ 0b0100]))
             orig_send(frame)
 
-        # OT flips, 35 bits in 5 bytes, end the session's one OT_MSG that
-        # is not an extension batch, after a 4-byte sequence number, and
-        # each GC_RESULT, after the masked-bit byte
-        flips_frame_bytes = {transport.OT_MSG: 9, transport.GC_RESULT: 6}
-
+        # OT flips, 35 bits in 5 bytes, end the session's OT_MSG, after
+        # its extension batch, and each GC_RESULT, after the masked-bit
+        # byte
         def damage_flips(ftype, edit):
             def send(frame):
-                if frame.ftype == ftype and \
-                        len(frame.payload) == flips_frame_bytes[ftype]:
+                if frame.ftype == ftype:
                     frame = Frame(ftype, frame.session_id,
                                   edit(frame.payload))
                 orig_ot_send(frame)
             return send
-
-        def short(blob):
-            return blob[:-1]
-
-        def padded(blob):
-            # a padding bit of the last byte set, which
-            # np.unpackbits(count=35) would ignore
-            return blob[:-1] + bytes([blob[-1] | 1])
 
         assert params.width + params.masked_outputs == 35
         assert cluster.encrypt(150) == oracle.encrypt(150)
@@ -626,13 +626,18 @@ def test_no_garbled_instance_is_sent_twice():
         with failing_after_upload(cluster), \
                 pytest.raises(SessionAborted, match="after the upload"):
             cluster.encrypt(250)
-        for ftype in (transport.OT_MSG, transport.GC_RESULT):
-            for edit in (short, padded):
-                cluster.da.da_do_ch.send = damage_flips(ftype, edit)
-                with pytest.raises(SessionAborted, match="choice vector"):
-                    cluster.encrypt(250)
+        # a short OT_MSG cuts its extension batch short
+        for ftype, edit, reason in (
+                (transport.OT_MSG, _flips_short, "wrong size"),
+                (transport.OT_MSG, _flips_padded, "choice vector"),
+                (transport.GC_RESULT, _flips_short, "choice vector"),
+                (transport.GC_RESULT, _flips_padded, "choice vector")):
+            cluster.da.da_do_ch.send = damage_flips(ftype, edit)
+            with pytest.raises(SessionAborted, match=reason):
+                cluster.encrypt(250)
         cluster.da.da_do_ch.send = orig_ot_send
-        # the OT extension's pads stayed in step, so service goes on
+        # each session brings its own OT extension batch, so service
+        # goes on
         for xbar in (250, 350, 1000, 5000, 7000, 9000, 11000):
             assert cluster.encrypt(xbar) == oracle.encrypt(xbar)
         tables = [transport.decode_frame(b[4:]).payload[10:tables_end]
@@ -644,10 +649,6 @@ def test_no_garbled_instance_is_sent_twice():
         cluster.close()
 
 
-def _flips_short(blob):
-    return blob[:-1]
-
-
 def _node_out_of_range(params, pk):
     bound = (1 << (params.l + params.k)) + (1 << params.l)
     return lambda blob: paillier.cipher_record(
@@ -656,11 +657,11 @@ def _node_out_of_range(params, pk):
 
 # abort -> (sending end, frame type, which one of the session's frames of
 # that type, counted from 1, or "last" for the h-th, payload edit, abort
-# reason).  The first OT_MSG that is not an extension batch carries the
-# session's first flips; each GC_RESULT the next transfer's, a phantom
-# one's in the last round.
+# reason).  The session's OT_MSG ends with its first flips; each
+# GC_RESULT carries the next transfer's, a phantom one's in the last
+# round.
 PAD_SYNC_ABORTS = {
-    "first-flips": ("da->do", transport.OT_MSG, 1, _flips_short,
+    "first-flips": ("da->do", transport.OT_MSG, 1, _flips_padded,
                     "choice vector"),
     "gc-result-first": ("da->do", transport.GC_RESULT, 1, _flips_short,
                         "choice vector"),
@@ -679,11 +680,10 @@ PAD_SYNC_ABORTS = {
 
 
 @pytest.mark.parametrize("abort", sorted(PAD_SYNC_ABORTS))
-def test_ot_pads_stay_in_step_after_an_abort(monkeypatch, abort):
-    # small extension batches put refills next to the aborted transfer;
-    # after the abort, each peer returns at once and the next sessions
-    # find both pad pools, and the OT link's counter, in step
-    monkeypatch.setattr(ot, "BATCH", 64)
+def test_ot_pads_stay_in_step_after_an_abort(abort):
+    # after the abort, each peer returns at once, and the next sessions
+    # bring their own OT extension batches: an aborted round 1 whose
+    # OT_MSG the owner never read leaves it stale, not out of step
     sender, ftype, nth, edit, reason = PAD_SYNC_ABORTS[abort]
     mac_params = None
     params = small_params()
@@ -708,9 +708,7 @@ def test_ot_pads_stay_in_step_after_an_abort(monkeypatch, abort):
         seen = []
 
         def damaged(frame):
-            # an extension batch, an OT_MSG too, is far longer than flips
-            if frame.ftype == ftype and (ftype != transport.OT_MSG or
-                                         len(frame.payload) < 64):
+            if frame.ftype == ftype:
                 seen.append(frame)
                 if len(seen) == nth:
                     frame = Frame(ftype, frame.session_id,
@@ -724,6 +722,69 @@ def test_ot_pads_stay_in_step_after_an_abort(monkeypatch, abort):
         assert time.monotonic() - t0 < timeout
         del end.send
         assert len(seen) >= nth
+        for xbar in (250, 350, 1000, 5000, 120):
+            t0 = time.monotonic()
+            assert cluster.encrypt(xbar) == oracle.encrypt(xbar)
+            assert time.monotonic() - t0 < timeout
+        assert not any(ch.poisoned for ch in cluster.channels)
+        assert not cluster.errors
+    finally:
+        cluster.close()
+
+
+@pytest.mark.parametrize("damage", ["truncated", "flipped", "oversized"])
+def test_damaged_ot_batch_aborts_its_session_alone(damage):
+    # the session's OT_MSG, its extension batch of m OTs (KAPPA columns
+    # of m/8 bytes behind a u32 batch index) then its first flips, cut
+    # by a byte, with one byte of the matrix flipped, or with a matrix
+    # of more OTs than M.bit_length() rounds and the phantom one need
+    params = small_params()
+    data = list(range(100, 3100, 100))
+    cluster, ctx = make_cluster(data, seed=59, params=params)
+    oracle = Mope2Oracle(params.m).load(data)
+    n = len(cluster.da.circuit.eval_inputs)
+    flips_bytes = (n + 7) // 8
+    timeout = 3
+    try:
+        for ch in cluster.channels:
+            ch.timeout = timeout
+        assert cluster.encrypt(150) == oracle.encrypt(150)
+        h = ctx["table"].height
+        # IKNP ignores column i of the matrix where the owner's s_i = 0,
+        # so the flip goes where s_i = 1, into the first round's OTs
+        column = next(i for i, bit in enumerate(np.unpackbits(
+            cluster.do.ot_sender._s_row)) if bit)
+        end = cluster.da.da_do_ch
+        seen = []
+
+        def damaged(frame):
+            if frame.ftype == transport.OT_MSG:
+                blob = frame.payload
+                row_bytes, rest = divmod(len(blob) - 4 - flips_bytes,
+                                         ot.KAPPA)
+                seen.append((row_bytes, rest))
+                if damage == "truncated":
+                    blob = blob[:-1]
+                elif damage == "oversized":
+                    most = (params.m.bit_length() + 1) * n
+                    blob = blob[:4] + bytes(ot.KAPPA * (most // 8 + 2)) + \
+                        blob[-flips_bytes:]
+                else:
+                    at = 4 + column * row_bytes
+                    blob = blob[:at] + bytes([blob[at] ^ 0xff]) + \
+                        blob[at + 1:]
+                frame = Frame(frame.ftype, frame.session_id, blob)
+            transport.Channel.send(end, frame)
+
+        end.send = damaged
+        t0 = time.monotonic()
+        reason = "decode" if damage == "flipped" else "wrong size"
+        with pytest.raises(SessionAborted, match=reason):
+            cluster.encrypt(250)
+        assert time.monotonic() - t0 < timeout
+        del end.send
+        # one batch, of exactly m = 8·ceil((h + 1)·n / 8) OTs
+        assert seen == [(-(-(h + 1) * n // 8), 0)]
         for xbar in (250, 350, 1000, 5000, 120):
             t0 = time.monotonic()
             assert cluster.encrypt(xbar) == oracle.encrypt(xbar)
@@ -860,6 +921,9 @@ OFFSET_DAMAGE = {
     "offset-long": (transport.RANDOM_OFFSET, lambda p: p + b"\0"),
     "offset-too-large": (transport.RANDOM_OFFSET,
                          lambda p: (1 << 32).to_bytes(16, "big")),
+    # more rounds than a table under M = 2^20 - 3 can take, each one
+    # more OT batch row
+    "offset-too-many": (transport.RANDOM_OFFSET, lambda p: p[:16] * 21),
     "order-long": (transport.ORDER_RESULT, lambda p: b"\0" + p),
     "order-above-m": (transport.ORDER_RESULT,
                       lambda p: (1 << 20).to_bytes(16, "big")),
@@ -1151,6 +1215,43 @@ def test_server_with_another_h_refuses_the_owner_at_hello():
     assert not t.is_alive() and len(owner_errors) == 1
 
 
+def test_malformed_cleanup_request_aborts_and_service_continues():
+    params = small_params()
+    cluster, ctx = make_cluster(EXAMPLE, seed=43, params=params)
+    table = ctx["table"]
+    sent = []
+    orig_send = cluster.da.csp_ch.send
+
+    def counting(frame):
+        sent.append(frame.ftype)
+        orig_send(frame)
+
+    try:
+        cluster.da.csp_ch.timeout = 5
+        assert cluster.encrypt(15) == \
+            Mope2Oracle(params.m).load(EXAMPLE).encrypt(15)
+        # 17 bytes are no whole session ids: the server aborts and
+        # removes nothing
+        sid = bytes([5]) * 16
+        cluster.da.csp_ch.send(Frame(transport.CLEANUP, sid, bytes(17)))
+        with pytest.raises(SessionAborted, match="whole session ids"):
+            cluster.da.csp_ch.recv(transport.CLEANUP_DONE, session=sid)
+        assert len(table) == len(EXAMPLE) + 1
+        # the analyst refuses an id that is not 16 bytes, and an empty
+        # list asks for nothing, before either sends a frame
+        cluster.da.csp_ch.send = counting
+        with pytest.raises(UsageError, match="16 bytes"):
+            cluster.da.cleanup([b"abc"])
+        assert cluster.da.cleanup([]) == 0
+        assert sent == []
+        assert cluster.da.cleanup() == 1
+        assert sent == [transport.CLEANUP]
+        assert len(table) == len(EXAMPLE)
+        assert not cluster.errors
+    finally:
+        cluster.close()
+
+
 # --- transports and the receive timeout -------------------------------------
 
 def test_unknown_transport_kind_rejected():
@@ -1185,7 +1286,10 @@ def test_idle_cluster_outlives_the_receive_timeout(kind):
 
 @pytest.mark.parametrize("kind", ["loopback", "tcp"])
 def test_owner_stalled_mid_session_fails_encrypt_in_time(kind):
-    cluster, _ = make_cluster(EXAMPLE, seed=73, transport_kind=kind)
+    params = small_params()
+    cluster, _ = make_cluster(EXAMPLE, seed=73, params=params,
+                              transport_kind=kind)
+    oracle = Mope2Oracle(params.m).load(EXAMPLE)
     release = threading.Event()
     # without a timeout, closing the channels ends the wait, so a
     # regression fails here rather than hangs
@@ -1193,13 +1297,20 @@ def test_owner_stalled_mid_session_fails_encrypt_in_time(kind):
     try:
         for ch in cluster.channels:
             ch.timeout = 0.3
-        # the owner takes its round's node and never answers
+        # the owner takes its round's node and does not answer
         cluster.do._round = lambda frame: release.wait(30)
         watchdog.start()
         t0 = time.monotonic()
-        with pytest.raises(FramingError, match="timed out"):
+        with pytest.raises(SessionAborted, match="timed out"):
             cluster.encrypt(15)
         assert time.monotonic() - t0 < 10 * 0.3
+        # the timeouts fired between frames and lost nothing, so once
+        # the owner answers again, service goes on
+        del cluster.do._round
+        release.set()
+        assert cluster.encrypt(15) == oracle.encrypt(15)
+        assert not any(ch.poisoned for ch in cluster.channels)
+        assert not cluster.errors
     finally:
         watchdog.cancel()
         release.set()
@@ -1413,3 +1524,62 @@ def test_owner_cannot_tell_a_bound_from_an_encrypt(scheme):
         {transport.RANDOMIZED_NODE}
     for side in (BOUND_LOW, BOUND_HIGH):
         assert owner_view(lambda c: c.da.bound(20, side)) == encrypt
+
+
+def test_sessions_on_two_columns_interleave(monkeypatch):
+    # two tables under one key, and a row store pairing their set-up
+    # entries row by row; encrypts and both bound sides alternate
+    # between the columns, and small M makes column "b" rebalance
+    params = small_params()
+    _, sk = paillier.keygen(params.key_bits, rng=make_rng(61))
+    data = {"a": [40, 10, 30, 20, 50, 10],
+            "b": [70, 30, 90, 10, 50, 90]}
+    m = {"a": params.m, "b": 29}
+    tables, owners = {}, {}
+    for col, values in data.items():
+        owners[col], tables[col] = ope_state.init_state(
+            values, m[col], sk.public, l=params.l, rng=make_rng(62))
+    rows = datastore.RowStore(
+        public_columns=[], ope_columns=list(data),
+        rows=[datastore.EncryptedRow(i, {}, {"a": ya, "b": yb})
+              for i, ((_, ya), (_, yb)) in enumerate(zip(owners["a"].pairs,
+                                                         owners["b"].pairs))])
+    oracles = {col: Mope2Oracle(m[col]).load(values)
+               for col, values in data.items()}
+    cluster = LocalCluster(tables, sk, params, seed=63, ot_group=GROUP_TEST)
+    cluster.csp.rows = rows
+    rebalances = count_rebalances(monkeypatch)
+
+    def bounds(col, lo, hi):
+        """The bound orders of [lo, hi] on col, checked against the rank
+        oracle over col's decrypted table."""
+        pairs = [(paillier.decrypt(sk, e.cipher), e.order)
+                 for e in tables[col].entries()]
+        ends = (cluster.da.bound(lo, BOUND_LOW, col),
+                cluster.da.bound(hi, BOUND_HIGH, col))
+        assert ends == bound_orders(pairs, lo, hi, m[col])
+        return ends
+
+    try:
+        for col, xbar in (("a", 25), ("b", 40), ("a", 10), ("b", 45),
+                          ("b", 42), ("a", 45), ("b", 43), ("a", 26)):
+            assert cluster.encrypt(xbar, column=col) == \
+                oracles[col].encrypt(xbar)
+            bounds("a" if col == "b" else "b", 3, 30)
+        assert rebalances
+        # the rows moved with "b"'s rebalances and still decrypt, through
+        # each column's table, to the data
+        for col, values in data.items():
+            assert [paillier.decrypt(sk, tables[col].get(
+                r.orders[col]).cipher) for r in rows.rows] == values
+        for (a_lo, a_hi), (b_lo, b_hi) in (((10, 40), (20, 90)),
+                                           ((0, 100), (50, 50)),
+                                           ((21, 29), (0, 200))):
+            spec = {"a": bounds("a", a_lo, a_hi) + (True, True),
+                    "b": bounds("b", b_lo, b_hi) + (True, True)}
+            assert cluster.da.query(spec) == sum(
+                a_lo <= xa <= a_hi and b_lo <= xb <= b_hi
+                for xa, xb in zip(data["a"], data["b"]))
+        assert not cluster.errors
+    finally:
+        cluster.close()

@@ -47,27 +47,37 @@ def run_both(main_side, thread_side):
 
 
 def linked_pair(seed, group=ot.GROUP_TEST):
-    """A sender and a receiver after base OT over queue pipes, which
-    then carry only extension batches.  Once set up, both ends run on
-    one thread: choose puts its batches on the pipe and reserve takes
-    them."""
+    """A sender and a receiver after base OT over queue pipes.  Once set
+    up, both ends run on one thread, and the caller carries every
+    message between them."""
     rng = make_rng(seed)
     (s_send, s_recv), (r_send, r_recv) = pipe_pair()
-    sender = ot.OtExtSender(s_send, s_recv, make_rng(rng.getrandbits(64)),
-                            group)
-    receiver = ot.OtExtReceiver(r_send, r_recv, make_rng(rng.getrandbits(64)),
-                                group)
-    run_both(sender.setup, lambda: receiver.setup())
+    sender = ot.OtExtSender(make_rng(rng.getrandbits(64)), group)
+    receiver = ot.OtExtReceiver(make_rng(rng.getrandbits(64)), group)
+    run_both(lambda: sender.setup(s_send, s_recv),
+             lambda: receiver.setup(r_send, r_recv))
     return sender, receiver
 
 
+def new_batch(sender, receiver, count):
+    """A fresh extension batch of count OTs at both ends."""
+    sender.extend(receiver.extend(count), count)
+
+
 def transfer(sender, receiver, pairs, bits):
-    """One transfer, the flips and the reply carried by the caller as an
-    engine carries them in its frames; returns the received labels."""
+    """One transfer from the current batch, the flips and the reply
+    carried by the caller as an engine carries them in its frames;
+    returns the received labels."""
     flips = receiver.choose(bits)
-    sender.reserve(len(pairs))
     sender.accept(flips, len(pairs))
     return receiver.receive_pairs(sender.send_pairs(pairs))
+
+
+def linked_batch(seed, count):
+    """linked_pair with a first batch of count OTs."""
+    sender, receiver = linked_pair(seed)
+    new_batch(sender, receiver, count)
+    return sender, receiver
 
 
 def random_round(rng, n):
@@ -94,44 +104,41 @@ def test_base_ot_selects_correctly():
 def test_ot_exchange_all_zero_choices():
     rng = make_rng(7)
     pairs = [(rng.getrandbits(128), rng.getrandbits(128)) for _ in range(10)]
-    got = transfer(*linked_pair(1), pairs, [0] * 10)
+    got = transfer(*linked_batch(1, 10), pairs, [0] * 10)
     assert got == [p[0] for p in pairs]
 
 
 def test_ot_exchange_random_choices_16():
     pairs, bits = random_round(make_rng(11), 16)
-    got = transfer(*linked_pair(2), pairs, bits)
+    got = transfer(*linked_batch(2, 16), pairs, bits)
     assert got == [p[b] for p, b in zip(pairs, bits)]
 
 
 def test_ot_exchange_length_mismatch():
     # the receiver chose two labels, the sender holds one pair: a reply
     # of the wrong length, or the flips themselves, fail
-    sender, receiver = linked_pair(0)
+    sender, receiver = linked_batch(0, 2)
     with pytest.raises(ProtocolError):
         flips = receiver.choose([0, 1])
-        sender.reserve(1)
         sender.accept(flips, 1)
         receiver.receive_pairs(sender.send_pairs([(0, (1 << 128) - 1)]))
-    sender, receiver = linked_pair(0)
+    sender, receiver = linked_batch(0, 1)
     flips = receiver.choose([0])
-    sender.reserve(1)
     sender.accept(flips, 1)
     with pytest.raises(ProtocolError, match="length"):
         receiver.receive_pairs(sender.send_pairs([(0, 1)])[:-1])
 
 
-def test_extension_survives_multiple_batches(monkeypatch):
-    # force several small extension batches over one base-OT setup, of 1
-    # and of 25 bytes per PRG row: neither a multiple of 32 bytes
+def test_extension_survives_multiple_batches():
+    # four batches over one base-OT setup, of 1 and of 25 bytes per PRG
+    # row, neither a multiple of 32 bytes; each serves its transfers
     rng = make_rng(3)
-    for batch, n in ((8, 6), (200, 90)):
-        monkeypatch.setattr(ot, "BATCH", batch)
-        sender, receiver = linked_pair(1)
-        for _ in range(5):
+    sender, receiver = linked_pair(1)
+    for n, transfers in ((6, 1), (40, 5)) * 2:
+        new_batch(sender, receiver, n * transfers)
+        for _ in range(transfers):
             pairs, bits = random_round(rng, n)
             flips = receiver.choose(bits)
-            sender.reserve(n)
             sender.accept(flips, n)
             # both sides hold the pad of each chosen label, and only it
             pads = receiver._chosen[1]
@@ -140,7 +147,35 @@ def test_extension_survives_multiple_batches(monkeypatch):
                        zip(sender._pads, bits, pads))
             assert receiver.receive_pairs(sender.send_pairs(pairs)) == \
                 [p[b] for p, b in zip(pairs, bits)]
-        assert sender._batch == receiver._batch > 1
+    assert sender._batch == receiver._batch == 4
+
+
+def test_a_batch_is_refused_unless_new_and_whole():
+    # a batch index not above the last one taken would repeat row
+    # tweaks under s; a refused batch leaves the taken one in place
+    sender, receiver = linked_pair(12)
+    rng = make_rng(13)
+    first, second, third = (receiver.extend(16) for _ in range(3))
+    sender.extend(second, 16)
+    for blob in (second, first):
+        with pytest.raises(ProtocolError, match="not new"):
+            sender.extend(blob, 16)
+    # cut, padded, empty, or more OTs than the caller allows, rounded up
+    # to whole bytes: 9 allow 16, 8 do not
+    for blob, most in ((third[:-1], 16), (third + bytes(16), 16),
+                       (third[:4], 16), (b"", 16), (third, 8)):
+        with pytest.raises(ProtocolError, match="wrong size"):
+            sender.extend(blob, most)
+    # the receiver's pads are those of the third batch, the sender's
+    # those of the second, so a transfer now goes wrong
+    pairs, bits = random_round(rng, 16)
+    assert transfer(sender, receiver, pairs, bits) != \
+        [p[b] for p, b in zip(pairs, bits)]
+    sender.extend(receiver.extend(9), 9)
+    pairs, bits = random_round(rng, 16)
+    assert transfer(sender, receiver, pairs, bits) == \
+        [p[b] for p, b in zip(pairs, bits)]
+    assert sender._batch == receiver._batch == 4
 
 
 def test_prg_is_shake128_per_seed_and_batch():
@@ -157,25 +192,23 @@ def test_prg_is_shake128_per_seed_and_batch():
 def test_receiver_cannot_use_wrong_pad():
     # the non-chosen branch decrypts to garbage, not the other label
     pairs = [(0, (1 << 128) - 1)]
-    got = transfer(*linked_pair(4), pairs, [0])
+    got = transfer(*linked_batch(4, 1), pairs, [0])
     assert got[0] == pairs[0][0]
     assert got[0] != pairs[0][1]
 
 
 @pytest.mark.parametrize("damage", ["short", "long", "padded"])
-def test_malformed_flips_spend_the_pads_and_keep_the_pools_in_step(
-        monkeypatch, damage):
-    # the sender spends the pads of a 35-bit flip vector before it
-    # checks it, as the receiver spent them to make it; a padding bit set
-    # after the 35th would pass np.unpackbits(count=35)
-    monkeypatch.setattr(ot, "BATCH", 40)
-    sender, receiver = linked_pair(6)
+def test_malformed_flips_spend_the_pads_and_keep_the_pools_in_step(damage):
+    # the sender spends the batch's pads for a 35-bit flip vector before
+    # it checks it, as the receiver spent them to make it, so the two
+    # ends' copies of the batch stay in step; a padding bit set after
+    # the 35th would pass np.unpackbits(count=35)
+    sender, receiver = linked_batch(6, 6 * 35)
     rng = make_rng(7)
     for _ in range(3):
         flips = receiver.choose(random_round(rng, 35)[1])
         flips = {"short": flips[:-1], "long": flips + b"\0",
                  "padded": flips[:-1] + bytes([flips[-1] | 1])}[damage]
-        sender.reserve(35)
         with pytest.raises(ProtocolError, match="choice vector"):
             sender.accept(flips, 35)
         # no transfer was accepted, so none can run
@@ -185,24 +218,21 @@ def test_malformed_flips_spend_the_pads_and_keep_the_pools_in_step(
         pairs, bits = random_round(rng, 35)
         assert transfer(sender, receiver, pairs, bits) == \
             [p[b] for p, b in zip(pairs, bits)]
-    assert sender._batch == receiver._batch > 3
 
 
-def test_phantom_transfers_then_real_ones(monkeypatch):
+def test_phantom_transfers_then_real_ones():
     # a phantom transfer is chosen and accepted but never runs; the next
-    # one replaces it, at either end, across batch refills
-    monkeypatch.setattr(ot, "BATCH", 16)
+    # one replaces it, at either end, in one batch and across batches
     sender, receiver = linked_pair(8)
     rng = make_rng(9)
     for phantoms in (1, 2, 0, 3):
+        new_batch(sender, receiver, 7 * (phantoms + 1))
         for _ in range(phantoms):
-            flips = receiver.choose(random_round(rng, 7)[1])
-            sender.reserve(7)
-            sender.accept(flips, 7)
+            sender.accept(receiver.choose(random_round(rng, 7)[1]), 7)
         pairs, bits = random_round(rng, 7)
         assert transfer(sender, receiver, pairs, bits) == \
             [p[b] for p, b in zip(pairs, bits)]
-    assert sender._batch == receiver._batch > 2
+    assert sender._batch == receiver._batch == 4
     # a reply and its labels serve one transfer only
     with pytest.raises(UsageError):
         sender.send_pairs(pairs)
@@ -210,11 +240,22 @@ def test_phantom_transfers_then_real_ones(monkeypatch):
         receiver.receive_pairs(bytes(7 * 32))
 
 
-def test_accept_before_reserve_is_a_usage_error():
-    sender, receiver = linked_pair(10)
-    flips = receiver.choose([1] * 9)
-    with pytest.raises(UsageError, match="reserve"):
-        sender.accept(flips, 9)
+def test_accept_beyond_the_batch_is_refused():
+    # 9 OTs make a batch of 16: a transfer of 9 leaves 7, too few for 8,
+    # and a dropped batch leaves none
+    sender, receiver = linked_batch(10, 9)
+    sender.accept(receiver.choose([1] * 9), 9)
+    with pytest.raises(UsageError, match="used up"):
+        receiver.choose([1] * 8)
+    with pytest.raises(ProtocolError, match="used up"):
+        sender.accept(bytes(1), 8)
+    new_batch(sender, receiver, 9)
+    sender.drop()
+    receiver.drop()
+    with pytest.raises(UsageError, match="used up"):
+        receiver.choose([1])
+    with pytest.raises(ProtocolError, match="used up"):
+        sender.accept(bytes(1), 1)
 
 
 def test_malformed_group_element_rejected():

@@ -197,7 +197,8 @@ def test_tcp_matches_loopback_bytes():
 
 
 @pytest.mark.parametrize("pair", [loopback_pair, tcp_pair])
-def test_receive_timeout_poisons_except_when_idle(pair):
+def test_receive_timeout_poisons_only_mid_frame(pair):
+    frame = Frame(transport.SHARES, b"x" * 16, b"\x01")
     a, b = pair()
     # without a timeout, closing the peer ends the wait, so a regression
     # fails here rather than hangs
@@ -205,22 +206,39 @@ def test_receive_timeout_poisons_except_when_idle(pair):
     try:
         b.timeout = 0.2
         watchdog.start()
+        # no byte of a frame arrived: nothing is lost
         t0 = time.monotonic()
-        with pytest.raises(FramingError, match="timed out"):
+        with pytest.raises(ProtocolError, match="timed out") as err:
             b.recv(transport.SHARES)
         assert 0.15 < time.monotonic() - t0 < 2
-        assert b.poisoned
+        assert type(err.value) is ProtocolError and not b.poisoned
+        a.send(frame)
+        assert b.recv(transport.SHARES) == frame
     finally:
         watchdog.cancel()
         a.close()
         b.close()
+    # part of the length field, or all of it and none of the body
+    for cut in (2, 4):
+        a, b = pair()
+        watchdog = threading.Timer(5, a.close)
+        try:
+            b.timeout = 0.2
+            watchdog.start()
+            a._sock.sendall(frame.encode()[:cut])
+            with pytest.raises(FramingError, match="timed out"):
+                b.recv(transport.SHARES)
+            assert b.poisoned
+        finally:
+            watchdog.cancel()
+            a.close()
+            b.close()
     a, b = pair()
-    late = threading.Timer(0.6, a.send,
-                           [Frame(transport.SHARES, b"x" * 16, b"\x01")])
+    late = threading.Timer(0.6, a.send, [frame])
     try:
         b.timeout = 0.2
         late.start()
-        assert b.recv(transport.SHARES, idle=True).payload == b"\x01"
+        assert b.recv(transport.SHARES, idle=True) == frame
         assert not b.poisoned
     finally:
         late.cancel()
