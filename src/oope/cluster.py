@@ -15,7 +15,7 @@ of queries.
 
 import threading
 
-from . import ope_state, paillier, transport
+from . import integrity, ope_state, paillier, transport
 from .engine import (BOUND_HIGH, BOUND_LOW, DEFAULT_COLUMN, CspEngine,
                      DaEngine, DoEngine, ProtocolParams, make_node_tagger)
 from .errors import ConfigurationError
@@ -107,12 +107,10 @@ def build_cluster(dataset, params: ProtocolParams, seed=None,
     engine holds no orders, so those pairs do not follow a rebalance;
     the table and a row store built from them do.
     """
-    from . import integrity as integrity_mod
-
     pair = PAIR_FACTORIES.get(transport_kind)
     if pair is None:
         raise ConfigurationError(f"unknown transport {transport_kind!r}")
-    if params.integrity != integrity_mod.SCHEME_OFF and mac_params is None:
+    if params.integrity != integrity.SCHEME_OFF and mac_params is None:
         raise ConfigurationError("integrity enabled but no MAC parameters")
     rng = make_rng(seed)
 

@@ -157,7 +157,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 
-from . import garbling, integrity, ope_state, paillier, transport
+from . import datastore, garbling, integrity, ope_state, paillier, transport
 from .comparator import build_comparator, build_fh_comparator, int_to_bits
 from .errors import (ConfigurationError, HandshakeError, IntegrityError,
                      OopeError, ProtocolError, SessionAborted, UsageError)
@@ -322,7 +322,6 @@ def _ot_link(ch):
 def _query_from_spec(payload: bytes):
     """RangeQuery from a QUERY_EXEC payload; anything malformed is a
     ProtocolError, which the serve loop turns into ABORT."""
-    from . import datastore
     try:
         spec = json.loads(payload)
     except (ValueError, RecursionError):  # the latter: nested too deep
@@ -387,7 +386,9 @@ class CspEngine:
         role, do_extra = transport.handshake(do_ch, transport.ROLE_CSP, digest)
         if role != transport.ROLE_DO:
             raise HandshakeError("expected the owner on the first connection")
-        pk_do, _ = paillier.parse_public_key(do_extra)
+        pk_do, off = paillier.parse_public_key(do_extra)
+        if off != len(do_extra):
+            raise HandshakeError("owner's key has trailing bytes")
         if pk_do.key_id != self.pk.key_id:
             raise HandshakeError("owner key does not match server state")
         extra = paillier.serialize_public_key(self.pk)
@@ -583,7 +584,6 @@ class CspEngine:
         return entry
 
     def _exec_query(self, frame):
-        from . import datastore
         if self.rows is None:
             raise ConfigurationError("server holds no row store")
         result = datastore.exec_range(self.rows,
@@ -592,7 +592,6 @@ class CspEngine:
                               json.dumps(result).encode()))
 
     def _exec_cleanup(self, frame):
-        from . import datastore
         blob, width = frame.payload, transport.SESSION_BYTES
         if len(blob) % width:
             raise ProtocolError("CLEANUP holds no whole session ids")
@@ -760,10 +759,14 @@ class DaEngine:
         self.da_do_ch = do_ch
         digest = self.params.digest()
         _, csp_extra = transport.handshake(csp_ch, transport.ROLE_DA, digest)
-        self.pk_owner, _ = paillier.parse_public_key(csp_extra)
+        self.pk_owner, off = paillier.parse_public_key(csp_extra)
+        if off != len(csp_extra):
+            raise HandshakeError("owner's key has trailing bytes")
         _, do_extra = transport.handshake(do_ch, transport.ROLE_DA, digest)
         if do_extra:
-            self.mac_params, _ = integrity.parse_params(do_extra)
+            self.mac_params, off = integrity.parse_params(do_extra)
+            if off != len(do_extra):
+                raise HandshakeError("MAC parameters have trailing bytes")
             if self.mac_params.q.bit_length() != self.params.mac_subgroup_bits:
                 raise HandshakeError("owner's MAC group's q is not "
                                      "mac_subgroup_bits wide")

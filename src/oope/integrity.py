@@ -21,11 +21,11 @@ of a 2-core Xeon.
 import hashlib
 from dataclasses import dataclass
 
-from .errors import DomainError, ProtocolError
+from .errors import DomainError
 from .modexp import powmod
 from .paillier import is_probable_prime
 from .rng import make_rng
-from .wire import be_bytes, lp, read_lp, u32
+from .wire import be_bytes, ints, read_ints, u32
 
 SCHEME_OFF, SCHEME_PEDERSEN = "off", "pedersen"
 SCHEMES = (SCHEME_OFF, SCHEME_PEDERSEN)
@@ -106,17 +106,11 @@ def ped_verify(commitment: int, r: int, rp: int, m: int,
 
 
 def serialize_params(params: MacParams) -> bytes:
-    return b"".join(lp(be_bytes(v)) for v in
-                    (params.p, params.q, params.g, params.h_ped))
+    return ints(params.p, params.q, params.g, params.h_ped)
 
 
 def parse_params(buf: bytes, off: int = 0):
     """(MacParams, offset after them); the owner's handshake blob, so an
-    empty field is a ProtocolError."""
-    fields = []
-    for _ in range(4):
-        blob, off = read_lp(buf, off)
-        if not blob:
-            raise ProtocolError("MAC parameters with an empty field")
-        fields.append(int.from_bytes(blob, "big"))
+    empty field is a ProtocolError (wire.read_ints)."""
+    fields, off = read_ints(buf, off, 4)
     return MacParams(*fields), off

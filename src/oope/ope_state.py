@@ -11,8 +11,9 @@ takes the gap at the same index among the orders of a uniform,
 rank-keeping respread (rebalance), and a unit gap there is a
 CapacityError.  Neither changes the table: the respread comes back as an
 old -> new map for the caller to apply to the table and the row store.
-Set-up also returns the owner's plaintext/order pairs (OwnerState), from
-which the row store is built; the owner keeps no orders afterwards.
+Set-up also returns the owner's plaintext/order pairs (OwnerState), one
+per dataset value, from which the caller builds the server's row store
+(datastore.RowStore); the owner keeps no orders afterwards.
 
 The server stores no tree.  A session runs an implicit binary search
 over the sorted orders: it keeps an index range [lo, hi), starting at
@@ -42,16 +43,8 @@ from .errors import (CapacityError, ConfigurationError, DomainError,
                      GapExhausted, IntegrityError, KeyMismatchError,
                      UsageError)
 from .rng import make_rng
-from .wire import (ORDER_BYTES, fixed_bytes, read_bytes, read_int, seal, u16,
-                   u32, unseal)
 
 MODE_DET, MODE_FH = "det", "fh"
-TABLE_MAGIC = b"OPET"
-# 3: sealed, no l or mode; 4: no fh extremes; 5: every entry has a cipher
-TABLE_VERSION = 5
-
-FLAG_TAGGED = 2
-FLAG_NODETAG = 4
 
 
 @dataclass(slots=True)
@@ -69,9 +62,8 @@ class OpeTable:
     """One list of entries sorted by order, bisected to find one; orders
     are unique.  key_id names the key of every ciphertext (check_key)."""
 
-    def __init__(self, m: int, key_bits: int = 0, key_id: bytes = b""):
+    def __init__(self, m: int, key_id: bytes = b""):
         self.m = m
-        self.key_bits = key_bits
         self.key_id = key_id
         self._entries = []
 
@@ -216,7 +208,7 @@ def init_state(dataset, m: int, pk: paillier.PaillierPublicKey, l: int,
     if m & (m - 1) == 0:
         warnings.warn("M is a power of two; orders may leak tree positions")
     rng = rng or make_rng()
-    table = OpeTable(m, pk.key_bits, pk.key_id)
+    table = OpeTable(m, pk.key_id)
     xs = []  # the plaintexts in table order, for bisect
     placed = []  # each dataset value's entry
     for x in dataset:
@@ -273,50 +265,3 @@ def _encrypt_all(pk, jobs):
         for f in futures:
             out.extend(f.result())
         return out
-
-
-# --- persistence ------------------------------------------------------------
-# The table file is sealed (wire.seal): magic | version u16 | body |
-# SHA-256.  The owner keeps no orders, so it has no file here.
-# Table body:
-#   key_bits u16 | M 16B | count u64 | key_id 32B
-#   per entry: order 16B | flags u8 | cipher record |
-#              [tag 16B] | [node tag: len u32 | blob]
-# A cipher record is len u32 | residue of exactly
-# paillier.cipher_width(key_bits) bytes; every entry has one.
-# Flags: FLAG_TAGGED, FLAG_NODETAG; bits 1 and 8 are retired.
-
-def serialize_table(table: OpeTable) -> bytes:
-    out = [u16(table.key_bits), fixed_bytes(table.m, 16),
-           len(table).to_bytes(8, "big"), table.key_id or bytes(32)]
-    for e in table.entries():
-        flags = (FLAG_TAGGED if e.tag is not None else 0) | \
-            (FLAG_NODETAG if e.node_tag is not None else 0)
-        out += [fixed_bytes(e.order, ORDER_BYTES), bytes([flags]),
-                paillier.cipher_record(e.cipher, table.key_bits)]
-        if e.tag is not None:
-            out.append(e.tag)
-        if e.node_tag is not None:
-            out += [u32(len(e.node_tag)), e.node_tag]
-    return seal(TABLE_MAGIC, TABLE_VERSION, b"".join(out))
-
-
-def parse_table(blob: bytes) -> OpeTable:
-    body = unseal(blob, TABLE_MAGIC, TABLE_VERSION)
-    key_bits, off = read_int(body, 0, 2)
-    m, off = read_int(body, off, 16)
-    count, off = read_int(body, off, 8)
-    key_id, off = read_bytes(body, off, 32)
-    table = OpeTable(m, key_bits, key_id)
-    for _ in range(count):
-        order, off = read_int(body, off, ORDER_BYTES)
-        flags, off = read_int(body, off, 1)
-        cipher, off = paillier.parse_cipher_record(body, off, key_bits)
-        entry = OpeEntry(cipher, order)
-        if flags & FLAG_TAGGED:
-            entry.tag, off = read_bytes(body, off, 16)
-        if flags & FLAG_NODETAG:
-            n, off = read_int(body, off, 4)
-            entry.node_tag, off = read_bytes(body, off, n)
-        table.insert(entry)
-    return table

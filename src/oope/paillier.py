@@ -84,7 +84,7 @@ from .errors import (DomainError, IntegrityError, PrimeGenerationError,
                      ProtocolError)
 from .modexp import powmod
 from .rng import make_rng
-from .wire import be_bytes, fixed_bytes, lp, read_int, read_lp
+from .wire import fixed_bytes, ints, lp, read_int, read_ints, read_lp
 
 MIN_KEY_BITS = 64
 MR_ROUNDS = 40  # per-round error <= 1/4, total <= 2^-80
@@ -163,7 +163,7 @@ class PaillierPublicKey:
         self.key_bits = key_bits
         self.h = h
         self.n_sq = n * n
-        self.key_id = hashlib.sha256(_ints(n, h)).digest()
+        self.key_id = hashlib.sha256(ints(n, h)).digest()
 
     @cached_property
     def h_n(self) -> int:
@@ -301,7 +301,7 @@ def cipher_width(key_bits: int) -> int:
 
 
 def cipher_record(c: int, key_bits: int) -> bytes:
-    """Fixed-width residue record used inside frames and table files."""
+    """Fixed-width residue record, as frames carry a ciphertext."""
     return lp(fixed_bytes(c, cipher_width(key_bits)))
 
 
@@ -316,22 +316,9 @@ def parse_cipher_record(buf: bytes, off: int, key_bits: int):
     return int.from_bytes(blob, "big"), off
 
 
-def _ints(*values) -> bytes:
-    return b"".join(lp(be_bytes(v)) for v in values)
-
-
-def _read_ints(buf: bytes, off: int, count: int):
-    """count length-prefixed big-endian ints, then the offset after."""
-    values = []
-    for _ in range(count):
-        blob, off = read_lp(buf, off)
-        values.append(int.from_bytes(blob, "big"))
-    return values, off
-
-
 def serialize_public_key(pk: PaillierPublicKey) -> bytes:
     """key_bits u16 | N | h."""
-    return fixed_bytes(pk.key_bits, 2) + _ints(pk.n, pk.h)
+    return fixed_bytes(pk.key_bits, 2) + ints(pk.n, pk.h)
 
 
 def parse_public_key(buf: bytes, off: int = 0):
@@ -339,32 +326,9 @@ def parse_public_key(buf: bytes, off: int = 0):
     factor with N, or a key_bits other than N's width, is a
     ProtocolError."""
     key_bits, off = read_int(buf, off, 2)
-    (n, h), off = _read_ints(buf, off, 2)
+    (n, h), off = read_ints(buf, off, 2)
     if n.bit_length() != key_bits:
         raise ProtocolError(f"N labelled as {key_bits} bits")
     if not 1 < h < n or math.gcd(h, n) != 1:
         raise ProtocolError("public key's h lies outside Z_N*")
     return PaillierPublicKey(n, key_bits, h), off
-
-
-def serialize_private_key(sk: PaillierPrivateKey) -> bytes:
-    """key_bits u16 | P | Q | t_p | t_q | h."""
-    return fixed_bytes(sk.public.key_bits, 2) + _ints(
-        sk.p, sk.q, sk.t_p, sk.t_q, sk.public.h)
-
-
-def parse_private_key(buf: bytes, off: int = 0):
-    """(private key, offset after it); a key whose 2*t_p does not divide
-    P-1 (2*t_q, Q-1), or whose h does not have order t_p*t_q mod N, or
-    whose key_bits is not N's width, is a ProtocolError."""
-    key_bits, off = read_int(buf, off, 2)
-    (p, q, t_p, t_q, h), off = _read_ints(buf, off, 5)
-    n = p * q
-    if n.bit_length() != key_bits:
-        raise ProtocolError(f"N labelled as {key_bits} bits")
-    if min(t_p, t_q) < 2 or p == q or (p - 1) % (2 * t_p) or \
-            (q - 1) % (2 * t_q) or not 1 < h < n or \
-            powmod(h, t_p * t_q, n) != 1 or 1 in (h % p, h % q):
-        raise ProtocolError("private key is no subgroup key")
-    pk = PaillierPublicKey(n, key_bits, h)
-    return PaillierPrivateKey(p, q, t_p, t_q, pk), off

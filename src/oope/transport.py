@@ -95,6 +95,10 @@ def type_name(t: int) -> str:
     return _TYPE_NAMES.get(t, f"0x{t:02x}")
 
 
+def _wanted(types) -> str:
+    return "/".join(type_name(t) for t in types) or "a frame"
+
+
 @dataclass(frozen=True)
 class Frame:
     ftype: int
@@ -179,17 +183,18 @@ class Channel:
         from a different session is always stale.
 
         A frame that does not start arriving within self.timeout is a
-        ProtocolError, and the late frame is stale to a receive that
-        names the next session; one that stops arriving midway is a
-        FramingError that poisons the channel.  idle lifts the first
-        limit; it marks a serve loop's wait for its next request.
+        ProtocolError naming this channel and the expected types, and
+        the late frame is stale to a receive that names the next
+        session; one that stops arriving midway is a FramingError that
+        poisons the channel.  idle lifts the first limit; it marks a
+        serve loop's wait for its next request.
         """
         wait = None if idle else self.timeout
         while True:
             if self.poisoned:
                 raise FramingError("channel is poisoned")
             try:
-                n = int.from_bytes(self._read_exact(4, wait, True), "big")
+                n = int.from_bytes(self._read_exact(4, wait, expected), "big")
                 if n > MAX_FRAME:
                     raise FramingError("oversize frame")
                 body = self._read_exact(n, self.timeout)
@@ -206,16 +211,16 @@ class Channel:
                 err.channel = self
                 raise err
             if expected and frame.ftype not in expected:
-                want = "/".join(type_name(t) for t in expected)
-                raise ProtocolError(
-                    f"expected {want}, received {type_name(frame.ftype)}")
+                raise ProtocolError(f"expected {_wanted(expected)}, "
+                                    f"received {type_name(frame.ftype)}")
             return frame
 
-    def _read_exact(self, n, timeout, frame_start=False):
+    def _read_exact(self, n, timeout, start=None):
         """The stream's next n bytes, each socket read waiting at most
         timeout (None: no limit); a socket error, a timeout or the
         stream's end is a FramingError, but a timeout at a frame's start
-        with no byte of it read is a ProtocolError."""
+        (start: the frame types recv expects) with no byte of it read is
+        a ProtocolError."""
         buf = self._buf
         try:
             if len(buf) < n:
@@ -232,9 +237,10 @@ class Channel:
                     raise FramingError("channel closed")
                 buf += chunk
         except BlockingIOError:  # SO_RCVTIMEO expired
-            if frame_start and not buf:
-                raise ProtocolError("channel receive timed out") from None
-            raise FramingError("channel receive timed out") from None
+            if start is not None and not buf:
+                raise ProtocolError(f"{self.name}: timed out waiting for "
+                                    f"{_wanted(start)}") from None
+            raise FramingError(f"{self.name}: timed out mid-frame") from None
         except OSError as e:
             raise FramingError(f"recv failed: {e}") from e
         out = bytes(buf[:n])

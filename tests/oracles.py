@@ -52,6 +52,14 @@ class Mope2Oracle:
         return self
 
 
+def table_snapshot(table):
+    """(M, key_id, [(order, cipher, tag, node_tag), ...]) of an OpeTable,
+    by value: two snapshots are equal exactly when the tables hold the
+    same entries."""
+    return (table.m, table.key_id,
+            [(e.order, e.cipher, e.tag, e.node_tag) for e in table.entries()])
+
+
 def rank_interval_holds(pairs, x, y):
     """Every smaller plaintext sits below y, every larger one above."""
     for px, py in pairs:

@@ -2,6 +2,7 @@
 
 import contextlib
 import math
+import re
 import threading
 import time
 import warnings
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from oracles import Mope2Oracle, bound_orders, min_max_orders, \
-    rank_interval_holds, sandwich_holds, textbook_encrypt
+    rank_interval_holds, sandwich_holds, table_snapshot, textbook_encrypt
 
 from oope import (datastore, garbling, integrity, ope_state, ot, paillier,
                   transport)
@@ -200,11 +201,11 @@ def test_aborted_insert_restores_table():
     params = small_params()
     cluster, ctx = make_cluster(EXAMPLE, seed=41, params=params)
     try:
-        table_before = ope_state.serialize_table(ctx["table"])
+        table_before = table_snapshot(ctx["table"])
         with failing_after_upload(cluster), \
                 pytest.raises(SessionAborted, match="after the upload"):
             cluster.encrypt(15)
-        assert ope_state.serialize_table(ctx["table"]) == table_before
+        assert table_snapshot(ctx["table"]) == table_before
         oracle = Mope2Oracle(params.m).load(EXAMPLE)
         assert cluster.encrypt(15) == oracle.encrypt(15)
         assert not cluster.errors
@@ -228,13 +229,13 @@ RECORD_DAMAGE = {
 def test_malformed_cipher_record_aborts_and_leaves_the_table(damage):
     # a cipher record one byte wider or narrower than cipher_width, or a
     # byte after the upload, never reaches the table or a decryption, so
-    # the table file stays writable and the next encrypt still matches
-    # the oracle
+    # the table keeps only cipher_width residues and the next encrypt
+    # still matches the oracle
     sender, ftype, edit = RECORD_DAMAGE[damage]
     params = small_params()
     cluster, ctx = make_cluster(EXAMPLE, seed=47, params=params)
     try:
-        table_before = ope_state.serialize_table(ctx["table"])
+        table_before = table_snapshot(ctx["table"])
         ch = cluster.da.csp_ch if sender == "da" else cluster.csp.do_ch
         orig_send = ch.send
 
@@ -247,7 +248,7 @@ def test_malformed_cipher_record_aborts_and_leaves_the_table(damage):
         with pytest.raises(SessionAborted, match="cipher record|trailing"):
             cluster.encrypt(15)
         ch.send = orig_send
-        assert ope_state.serialize_table(ctx["table"]) == table_before
+        assert table_snapshot(ctx["table"]) == table_before
         assert cluster.encrypt(15) == \
             Mope2Oracle(params.m).load(EXAMPLE).encrypt(15)
         assert not cluster.errors
@@ -495,13 +496,13 @@ def test_hostile_upload_poisons_its_node_until_cleanup(upload):
         cluster.da.csp_ch.send = substituted
         cluster.encrypt(450)
         cluster.da.csp_ch.send = orig_send
-        table_before = ope_state.serialize_table(ctx["table"])
+        table_before = table_snapshot(ctx["table"])
         for op in (lambda: cluster.encrypt(50), lambda: cluster.encrypt(350),
                    lambda: cluster.encrypt(450), lambda: cluster.encrypt(750),
                    lambda: cluster.da.bound(550, BOUND_LOW)):
             with pytest.raises(SessionAborted, match=reason):
                 op()
-            assert ope_state.serialize_table(ctx["table"]) == table_before
+            assert table_snapshot(ctx["table"]) == table_before
         assert cluster.da.cleanup(hostile) == 1
         oracle = Mope2Oracle(params.m).load(data)
         for xbar in (50, 350, 450, 750):
@@ -858,12 +859,12 @@ def test_rebalance_that_leaves_no_room_rolls_back(monkeypatch):
     try:
         for xbar in (15, 17, 18):
             assert cluster.encrypt(xbar) == oracle.encrypt(xbar)
-        before = ope_state.serialize_table(table)
+        before = table_snapshot(table)
         rebalances = count_rebalances(monkeypatch)
         with pytest.raises(SessionAborted, match="too dense"):
             cluster.encrypt(19)
         assert rebalances == [6]
-        assert ope_state.serialize_table(table) == before
+        assert table_snapshot(table) == before
         assert row_plaintexts(rows, table, sk) == data
         assert cluster.encrypt(10) == oracle.encrypt(10)
         assert not cluster.errors
@@ -937,7 +938,7 @@ def test_malformed_offset_or_order_aborts_before_the_commit(damage):
     data = [32, 20, 25, 69, 10, 500, 900, 4000]
     cluster, ctx = make_cluster(data, seed=5, params=params)
     try:
-        table_before = ope_state.serialize_table(ctx["table"])
+        table_before = table_snapshot(ctx["table"])
         orig_send = cluster.csp.da_ch.send
 
         def damaged(frame):
@@ -949,7 +950,7 @@ def test_malformed_offset_or_order_aborts_before_the_commit(damage):
         with pytest.raises(SessionAborted, match="malformed"):
             cluster.encrypt(15)
         cluster.csp.da_ch.send = orig_send
-        assert ope_state.serialize_table(ctx["table"]) == table_before
+        assert table_snapshot(ctx["table"]) == table_before
         assert cluster.encrypt(15) == \
             Mope2Oracle(params.m).load(data).encrypt(15)
         assert not cluster.errors
@@ -1130,46 +1131,41 @@ def test_owner_view_is_blinded():
         cluster.close()
 
 
-def test_cluster_restored_from_state_dirs(tmp_path, monkeypatch):
+def test_second_cluster_over_the_same_table_rebalances_its_rows(
+        monkeypatch):
+    # a closed cluster's table and row store serve a new cluster, with
+    # new channels and a new base-OT setup, which then rebalances them
     params = small_params(m=19)
     data = [10, 20, 30]
     oracle = Mope2Oracle(params.m).load(data)
     cluster, ctx = make_cluster(data, seed=89, params=params)
-    cluster.csp.rows = rows_of(ctx["owner"])
+    rows = cluster.csp.rows = rows_of(ctx["owner"])
     try:
         for xbar in (15, 17):
             assert cluster.encrypt(xbar) == oracle.encrypt(xbar)
     finally:
         cluster.close()
-    table = ctx["table"]
-    datastore.save_csp_state(tmp_path / "csp", params, ctx["pk"],
-                             {DEFAULT_COLUMN: table}, cluster.csp.rows)
-    datastore.save_do_state(tmp_path / "do", params, ctx["sk"])
-    params2, pk, tables, rows = datastore.load_csp_state(tmp_path / "csp")
-    params3, sk, mac_params = datastore.load_do_state(tmp_path / "do")
-    assert params2 == params3 == params and pk == sk.public
-    assert ope_state.serialize_table(tables[DEFAULT_COLUMN]) == \
-        ope_state.serialize_table(table)
+    table, sk = ctx["table"], ctx["sk"]
     saved = [r.orders[DEFAULT_COLUMN] for r in rows.rows]
 
-    restored = LocalCluster(tables, sk, params, seed=90,
-                            mac_params=mac_params, ot_group=GROUP_TEST)
-    restored.csp.rows = rows
+    second = LocalCluster({DEFAULT_COLUMN: table}, sk, params, seed=90,
+                          ot_group=GROUP_TEST)
+    second.csp.rows = rows
     rebalances = count_rebalances(monkeypatch)
     try:
-        # 18 and 19 exhaust their gap: a rebalance in the restored cluster
+        # 18 and 19 exhaust their gap: a rebalance in the second cluster
         for xbar in (18, 19, 16, 20):
-            assert restored.encrypt(xbar) == oracle.encrypt(xbar)
+            assert second.encrypt(xbar) == oracle.encrypt(xbar)
         assert rebalances
         # the rows moved with the rebalance and still decrypt, through
         # the table, to the data
         assert [r.orders[DEFAULT_COLUMN] for r in rows.rows] != saved
-        assert row_plaintexts(rows, tables[DEFAULT_COLUMN], sk) == data
-        assert restored.da.query({DEFAULT_COLUMN: (None, None, True, True)}) \
+        assert row_plaintexts(rows, table, sk) == data
+        assert second.da.query({DEFAULT_COLUMN: (None, None, True, True)}) \
             == len(data)
-        assert not restored.errors
+        assert not second.errors
     finally:
-        restored.close()
+        second.close()
 
 
 def test_cluster_refuses_a_table_under_another_key():
@@ -1301,9 +1297,14 @@ def test_owner_stalled_mid_session_fails_encrypt_in_time(kind):
         cluster.do._round = lambda frame: release.wait(30)
         watchdog.start()
         t0 = time.monotonic()
-        with pytest.raises(SessionAborted, match="timed out"):
+        with pytest.raises(SessionAborted, match="timed out") as err:
             cluster.encrypt(15)
         assert time.monotonic() - t0 < 10 * 0.3
+        # the reason names the waiting end of one of the analyst's two
+        # channels and the frame type it waited for
+        assert re.fullmatch(r"(da->do|csp->da): timed out waiting for "
+                            r"[A-Z_]+(/[A-Z_]+)*", err.value.reason), \
+            err.value.reason
         # the timeouts fired between frames and lost nothing, so once
         # the owner answers again, service goes on
         del cluster.do._round
@@ -1399,7 +1400,7 @@ def test_fh_minmax_duplicate_tracks_run_extremes():
 
 
 def rows_of(owner):
-    """A row store with one row per pair set-up assigned, in ingestion
+    """A row store with one row per pair set-up assigned, in dataset
     order."""
     return datastore.RowStore(
         public_columns=[], ope_columns=[DEFAULT_COLUMN],
@@ -1459,7 +1460,7 @@ def test_bounds_match_rank_oracle_and_count_rows(mode, small_m, data,
         return cluster.da.query({DEFAULT_COLUMN: interval})
 
     def check_ranges():
-        before = ope_state.serialize_table(table)
+        before = table_snapshot(table)
         pairs = [(paillier.decrypt(sk, e.cipher), e.order)
                  for e in table.entries()]
         for a, b in map(sorted, ranges):
@@ -1477,7 +1478,7 @@ def test_bounds_match_rank_oracle_and_count_rows(mode, small_m, data,
                                                              fh=True)
                 assert count(interval) == sum(map(holds, data))
         # a bound inserts nothing
-        assert ope_state.serialize_table(table) == before
+        assert table_snapshot(table) == before
 
     try:
         check_ranges()

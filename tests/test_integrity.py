@@ -1,5 +1,7 @@
 """Node commitments: completeness, tamper detection, hiding."""
 
+import hashlib
+
 import pytest
 
 from oope import integrity
@@ -61,6 +63,11 @@ def test_pedersen_hiding():
 
 def test_params_serialization():
     blob = integrity.serialize_params(PARAMS)
+    # lp(p) | lp(q) | lp(g) | lp(h_ped), the bytes HELLO has always carried
+    assert blob == b"".join(lp(be_bytes(v)) for v in
+                            (PARAMS.p, PARAMS.q, PARAMS.g, PARAMS.h_ped))
+    assert hashlib.sha256(blob).hexdigest() == \
+        "82f0e7ac36c674fbd612a1232f9f1f595832e8555e8137ec4ed3e19a8aa1f4cc"
     parsed, off = integrity.parse_params(blob)
     assert parsed == PARAMS and off == len(blob)
 

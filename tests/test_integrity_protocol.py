@@ -9,7 +9,8 @@ from oracles import decrypt_direct
 from oope import engine, integrity, paillier, transport
 from oope.cluster import build_cluster
 from oope.engine import ProtocolParams
-from oope.errors import ConfigurationError, HandshakeError, SessionAborted
+from oope.errors import (ConfigurationError, HandshakeError, OopeError,
+                         SessionAborted)
 from oope.ot import GROUP_TEST
 from oope.rng import make_rng
 from oope.wire import lp, read_lp
@@ -216,4 +217,54 @@ def test_subgroup_bits_must_match_the_mac_group(bits):
             t.join(timeout=5)
             for ch in ends:
                 ch.close()
+    assert not any(t.is_alive() for t in peers)
+
+
+@pytest.mark.parametrize("damaged", ["owner key at the server",
+                                     "owner key at the analyst",
+                                     "MAC parameters at the analyst"])
+def test_hello_extra_with_trailing_bytes_refused(damaged):
+    # a HELLO extra holds one key or one parameter set and nothing else,
+    # as a CIPHER_UPLOAD holds one upload
+    params = ProtocolParams(l=16, k=16, m=28, key_bits=256,
+                            integrity=integrity.SCHEME_PEDERSEN,
+                            mac_subgroup_bits=160)
+    pk, _ = paillier.keygen(256, rng=make_rng(5))
+    key = paillier.serialize_public_key(pk)
+    mac = integrity.serialize_params(MAC_PARAMS)
+    first, first_peer = transport.loopback_pair()
+    second, second_peer = transport.loopback_pair()
+    # an end that accepted the extra would wait on its next peer, which
+    # never answers; fail that in a second, not in 120
+    first.timeout = second.timeout = 1
+    if damaged == "owner key at the server":
+        attaching = engine.CspEngine({}, pk, params, make_rng(6))
+        hellos = [(first_peer, transport.ROLE_DO, key + b"\0")]
+    else:
+        attaching = engine.DaEngine(params, make_rng(6), ot_group=GROUP_TEST)
+        trail = (b"\0", b"") if damaged == "owner key at the analyst" \
+            else (b"", b"\0")
+        hellos = [(first_peer, transport.ROLE_CSP, key + trail[0]),
+                  (second_peer, transport.ROLE_DO, mac + trail[1])]
+
+    def hello(ch, role, extra):
+        try:
+            transport.handshake(ch, role, params.digest(), extra)
+        except OopeError:
+            pass  # the attaching end closed before its HELLO
+
+    peers = [threading.Thread(target=hello, args=args, daemon=True)
+             for args in hellos]
+    for t in peers:
+        t.start()
+    try:
+        with pytest.raises(HandshakeError, match="trailing bytes"):
+            attaching.attach(first, second)
+    finally:
+        first.close()
+        second.close()
+        for t in peers:
+            t.join(timeout=5)
+        first_peer.close()
+        second_peer.close()
     assert not any(t.is_alive() for t in peers)

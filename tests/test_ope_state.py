@@ -1,4 +1,4 @@
-"""OPE table state: order assignment, rebalance, persistence."""
+"""OPE table state: order assignment, rebalance, set-up."""
 
 import math
 import os
@@ -8,15 +8,14 @@ import threading
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import table_snapshot
 
 from oope import engine, integrity, ope_state, paillier
 from oope.errors import (CapacityError, ConfigurationError, DomainError,
-                         GapExhausted, IntegrityError, ProtocolError,
-                         UsageError)
+                         GapExhausted, IntegrityError, UsageError)
 from oope.ope_state import (OpeEntry, OpeTable, assign_order, init_state,
                             place, rebalance)
 from oope.rng import make_rng
-from oope.wire import ORDER_BYTES, lp, seal, unseal
 
 EXAMPLE_DATA = [32, 20, 25, 69, 10]
 EXAMPLE_M = 28
@@ -65,7 +64,7 @@ def test_example_insertion_orders(keys):
 
 def test_height_is_balanced_depth(keys):
     pk, _ = keys
-    table = OpeTable(1 << 20, key_bits=pk.key_bits, key_id=pk.key_id)
+    table = OpeTable(1 << 20, key_id=pk.key_id)
     c = paillier.encrypt(pk, 1, make_rng(1))
     for n in range(70):
         assert table.height == math.ceil(math.log2(n + 1))
@@ -119,7 +118,7 @@ def test_gap_examples(keys):
 
 def table_on(keys, m, orders):
     pk, _ = keys
-    table = OpeTable(m, key_bits=pk.key_bits, key_id=pk.key_id)
+    table = OpeTable(m, key_id=pk.key_id)
     for i, y in enumerate(orders):
         table.insert(OpeEntry(paillier.encrypt(pk, i, make_rng(i)), y))
     return table
@@ -127,15 +126,15 @@ def table_on(keys, m, orders):
 
 def test_place_takes_the_midpoint_of_its_gap(keys):
     _, table = example_state(keys)  # orders [4, 7, 11, 14, 21], M=28
-    before = ope_state.serialize_table(table)
+    before = table_snapshot(table)
     assert place(table, 2) == (9, None)
     assert place(table, 5) == (25, None)
-    assert ope_state.serialize_table(table) == before
+    assert table_snapshot(table) == before
 
 
 def test_place_rebalances_a_unit_gap_once(keys, monkeypatch):
     table = table_on(keys, 28, [4, 5, 21])
-    before = ope_state.serialize_table(table)
+    before = table_snapshot(table)
     calls = []
     monkeypatch.setattr(ope_state, "rebalance",
                         lambda t: calls.append(1) or rebalance(t))
@@ -143,33 +142,33 @@ def test_place_rebalances_a_unit_gap_once(keys, monkeypatch):
     # 21, and the new one goes between the first two
     assert place(table, 1) == (11, {4: 7, 5: 14, 21: 21})
     assert calls == [1]
-    assert ope_state.serialize_table(table) == before
+    assert table_snapshot(table) == before
 
 
 def test_place_without_room_restores_the_table(keys):
     # three entries respread over M=6 sit on 2, 3, 5: (2, 3) is still a
     # unit gap, and the table stays on 1, 2, 4
     table = table_on(keys, 6, [1, 2, 4])
-    before = ope_state.serialize_table(table)
+    before = table_snapshot(table)
     with pytest.raises(CapacityError, match="too dense"):
         place(table, 1)
-    assert ope_state.serialize_table(table) == before
+    assert table_snapshot(table) == before
 
 
 def test_rebalance_single_entry(keys):
     table = table_on(keys, 28, [3])
-    before = ope_state.serialize_table(table)
+    before = table_snapshot(table)
     assert rebalance(table) == {3: 14}
-    assert ope_state.serialize_table(table) == before
+    assert table_snapshot(table) == before
 
 
 def test_rebalance_preserves_rank(keys):
     pk, sk = keys
     _, table = example_state(keys)
     before = [(paillier.decrypt(sk, e.cipher), e.order) for e in table.entries()]
-    blob = ope_state.serialize_table(table)
+    snapshot = table_snapshot(table)
     remap = rebalance(table)
-    assert ope_state.serialize_table(table) == blob
+    assert table_snapshot(table) == snapshot
     table.reassign_orders(remap)
     after = [(paillier.decrypt(sk, e.cipher), e.order) for e in table.entries()]
     assert [x for x, _ in before] == [x for x, _ in after]
@@ -260,7 +259,7 @@ def test_setup_fan_out_matches_serial(keys, monkeypatch, mode, tagged):
 
     monkeypatch.setattr(paillier, "encrypt", recording_encrypt)
 
-    def table_bytes(cores):
+    def table_of(cores):
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
         threads.clear()
         rng = make_rng(17)
@@ -269,17 +268,16 @@ def test_setup_fan_out_matches_serial(keys, monkeypatch, mode, tagged):
             if tagged else None
         _, table = init_state(data, (1 << 20) - 3, pk, l=16, mode=mode,
                               rng=rng, tagger=tagger)
-        return ope_state.serialize_table(table)
+        return table_snapshot(table)
 
-    serial = table_bytes(1)
+    serial = table_of(1)
     assert threads == {threading.get_ident()}
-    assert table_bytes(3) == serial
+    assert table_of(3) == serial
     assert len(threads) > 1
-    assert table_bytes(None) == serial
-    assert table_bytes(64) == serial
-    table = ope_state.parse_table(serial)
-    assert sorted(paillier.decrypt(sk, e.cipher)
-                  for e in table.entries()) == sorted(
+    assert table_of(None) == serial
+    assert table_of(64) == serial
+    assert sorted(paillier.decrypt(sk, cipher)
+                  for _, cipher, _, _ in serial[2]) == sorted(
         data if mode == "fh" else set(data))
 
 
@@ -307,26 +305,11 @@ def test_setup_derives_h_n_once_on_the_calling_thread(keys, monkeypatch):
         list(range(0, 60, 3))
 
 
-def test_table_file_with_a_cipher_record_of_another_width_refused(keys):
-    # correctly sealed, but the first entry's record is one byte wider
-    # than cipher_width: parse_table refuses it, so no residue that
-    # serialize_table cannot write back enters a table
-    _, table = example_state(keys)
-    body = unseal(ope_state.serialize_table(table), ope_state.TABLE_MAGIC,
-                  ope_state.TABLE_VERSION)
-    start = 2 + 16 + 8 + 32 + ORDER_BYTES + 1  # header, order, flags
-    end = start + 4 + paillier.cipher_width(table.key_bits)
-    wide = body[:start] + lp(b"\0" + body[start + 4:end]) + body[end:]
-    with pytest.raises(ProtocolError, match="cipher record"):
-        ope_state.parse_table(seal(ope_state.TABLE_MAGIC,
-                                   ope_state.TABLE_VERSION, wide))
-
-
 @settings(max_examples=80, deadline=None)
 @given(data=st.data(), m=st.integers(3, 48))
 def test_table_invariants_hold_against_a_sorted_list_model(data, m):
     # a small M makes unit gaps, rebalances and full tables common
-    table = OpeTable(m, key_bits=64, key_id=bytes(range(32)))
+    table = OpeTable(m, key_id=bytes(range(32)))
     model = {}  # order -> (cipher, tag, node tag)
     blobs = st.none() | st.binary(min_size=16, max_size=16)
 
@@ -382,9 +365,3 @@ def test_table_invariants_hold_against_a_sorted_list_model(data, m):
         for o in (0, m):
             with pytest.raises(DomainError):
                 table.insert(OpeEntry(0, o))
-        copy = ope_state.parse_table(ope_state.serialize_table(table))
-        assert [(e.order, e.cipher, e.tag, e.node_tag)
-                for e in copy.entries()] == \
-            [(o, *model[o]) for o in orders]
-        assert (copy.m, copy.key_bits, copy.key_id) == \
-            (m, 64, table.key_id)

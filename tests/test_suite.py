@@ -1,4 +1,6 @@
-"""The test suite itself: no module shadows one of its own definitions."""
+"""The test suite and the source tree: no test module shadows one of its
+own definitions, every public name in src has a caller, and no function
+defers a sibling import."""
 
 import ast
 import collections
@@ -19,14 +21,6 @@ def test_no_test_module_defines_a_top_level_name_twice():
                 node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)))
         twice += [f"{path.name}:{n}" for n, c in names.items() if c > 1]
     assert not twice
-
-
-# public names of src/oope that nothing in src/ or bench/ uses yet: the
-# deployment path that the roles-as-processes item of ROADMAP.md gives
-# callers, or deletes
-UNCALLED = {"datastore.ingest", "datastore.save_csp_state",
-            "datastore.load_csp_state", "datastore.save_do_state",
-            "datastore.load_do_state"}
 
 
 def _references(node):
@@ -63,4 +57,26 @@ def test_every_public_name_in_src_has_a_caller():
                     not node.name.startswith("_") and \
                     refs[node.name] == _references(node)[node.name]:
                 uncalled.add(f"{path.stem}.{node.name}")
-    assert uncalled <= UNCALLED, sorted(uncalled - UNCALLED)
+    assert not uncalled, sorted(uncalled)
+
+
+def test_no_function_in_src_imports_a_sibling_module():
+    # every module imports its siblings at the top, so the import graph
+    # stays acyclic without an import deferred into a function
+    lazy = []
+    for path in sorted(ROOT.glob("src/oope/*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            lazy += [f"{path.stem}.{func.name}:{node.lineno}"
+                     for node in ast.walk(func) if _imports_oope(node)]
+    assert not lazy, lazy
+
+
+def _imports_oope(node):
+    """Whether node is an import of a module of the oope package."""
+    if isinstance(node, ast.ImportFrom):
+        return node.level > 0 or (node.module or "").split(".")[0] == "oope"
+    return isinstance(node, ast.Import) and \
+        any(alias.name.split(".")[0] == "oope" for alias in node.names)
