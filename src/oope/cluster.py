@@ -15,7 +15,7 @@ of queries.
 
 import threading
 
-from . import integrity, ope_state, paillier, transport
+from . import ope_state, paillier, transport
 from .engine import (BOUND_HIGH, BOUND_LOW, DEFAULT_COLUMN, CspEngine,
                      DaEngine, DoEngine, ProtocolParams, make_node_tagger)
 from .errors import ConfigurationError
@@ -110,8 +110,6 @@ def build_cluster(dataset, params: ProtocolParams, seed=None,
     pair = PAIR_FACTORIES.get(transport_kind)
     if pair is None:
         raise ConfigurationError(f"unknown transport {transport_kind!r}")
-    if params.integrity != integrity.SCHEME_OFF and mac_params is None:
-        raise ConfigurationError("integrity enabled but no MAC parameters")
     rng = make_rng(seed)
 
     def subseed():

@@ -51,8 +51,6 @@ class BooleanCircuit:
     gates: list = field(default_factory=list)
     outputs: list = field(default_factory=list)
     n_wires: int = 0
-    width: int = 0
-    circuit_id: int = 0
     _tweaks: dict = field(default_factory=dict, repr=False, compare=False)
 
     def new_wire(self) -> int:
@@ -171,7 +169,7 @@ def build_comparator(width: int) -> BooleanCircuit:
     """
     if width < 1:
         raise DomainError("comparator width must be >= 1")
-    c = BooleanCircuit(width=width, circuit_id=width)
+    c = BooleanCircuit()
     _inputs(c, width + 2, width + 2)
     x, (bx, bpx) = c.gen_inputs[:width], c.gen_inputs[width:]
     xbar, (bxb, bpxb) = c.eval_inputs[:width], c.eval_inputs[width:]
@@ -198,7 +196,7 @@ def build_fh_comparator(width: int) -> BooleanCircuit:
     """
     if width < 1:
         raise DomainError("comparator width must be >= 1")
-    c = BooleanCircuit(width=width, circuit_id=(1 << 16) | width)
+    c = BooleanCircuit()
     _inputs(c, width + 6, width + 4)
     x = c.gen_inputs[:width]
     b_o, r_x, sh_e_o, sh_r_o, s_e, s_r = c.gen_inputs[width:]

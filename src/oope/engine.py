@@ -33,15 +33,17 @@ records in one RANDOM_OFFSET right after the first node, and the
 analyst sends its first flips in the OT_MSG as soon as it has them;
 each later round's flips ride at the end of the previous round's
 GC_RESULT (ot: the flips are one-time padded by the batch's rho, so
-sending them early shows nothing).  The last GC_RESULT carries flips
-too, for a phantom transfer over random choices that never runs, so
-every GC_RESULT has one length.
+sending them early shows nothing).  The last GC_RESULT carries the
+masked outputs alone.  The owner accepts flips wherever a GC_RESULT
+carries them, so flips missing before a later round leave that round
+no transfer, and flips after the last find the batch used up: either
+aborts the session.
 
 Each session carries its own IKNP extension batch (ot) of m =
-8·ceil((h + 1)·n / 8) OTs, for h transfers of n evaluator inputs and
-the phantom one, under a batch index the analyst raises every session.
-It leads the session's OT_MSG, which the owner reads only to build
-round 1's OT reply, after it has decrypted and garbled.  A table holds
+8·ceil(h·n / 8) OTs, for h transfers of n evaluator inputs, under a
+batch index the analyst raises every session.  It leads the session's
+OT_MSG, which the owner reads only to build round 1's OT reply, after
+it has decrypted and garbled.  A table holds
 at most M - 1 orders, so h <= M.bit_length(): the analyst refuses more
 offsets and the owner a larger batch, as it does a batch index not
 above the last it took.  The analyst drops what a session left unspent
@@ -52,6 +54,34 @@ does anyway.  An encrypt session over a non-empty table is 5h + 6 frames
 and SESSION_DONE besides the rounds; a bound sends no upload) and
 4h + 2 flights from SESSION_START to ORDER_RESULT, plus Pedersen's
 INTEGRITY_TAG and INTEGRITY_PROOF per round.
+
+Each session frame has one layout, and says nothing that its framing,
+the parameters HELLO checked or the circuit built from them fix.  With
+w = paillier.cipher_width, g the MAC group's width (wire_group), n the
+circuit's evaluator inputs and bit vectors packed by wire.pack_bits;
+[...] is Pedersen's part, or for GC_RESULT that of all rounds but the
+last:
+
+  SESSION_START    op u8 | column, UTF-8
+  RANDOM_OFFSET    h offsets r, 16 bytes each
+  OT_MSG           batch index u32 | u matrix, 16·m bytes |
+                   flips, ceil(n/8) bytes
+  RANDOMIZED_NODE  Enc(x + r), w bytes [| Enc(a + r'), w bytes]
+  INTEGRITY_TAG    r', 64 bytes | commitment, g bytes
+  INTEGRITY_PROOF  opening, g bytes
+  GC_PAYLOAD       garbling.payload | OT reply, 32·n bytes
+  GC_RESULT        masked outputs, 1 byte [| flips, ceil(n/8) bytes]
+  SHARES           masks, then masked outputs less them: 1 byte
+  ORDER_RESULT     order, 16 bytes
+  CIPHER_UPLOAD    Enc(xbar), w bytes [| Enc(a), w bytes | commitment]
+  SESSION_DONE     empty
+
+The commitment ends CIPHER_UPLOAD because the server does not know g;
+the analyst checks its width when the node's INTEGRITY_TAG comes back.
+The server parses a node tag once, as the upload arrives, and stores it
+parsed.  One exact-length reader (_fields) cuts each frame, so a frame
+of any other length aborts its session instead of reaching the table or
+a decryption.
 
 No exponentiation waits on a peer where it need not.  Encryptions use
 short exponents (paillier): each is one 256-bit exponentiation of the
@@ -67,15 +97,11 @@ nodes and no offset the analyst has seen returns.  Only the blind made
 in a session's last round, whose offset nobody has seen, serves the
 next session's first.  The analyst builds its whole upload right after
 it sends its first flips, while the peers run the first round, and
-sends it unchanged once the order arrives.
-CIPHER_UPLOAD is Enc(xbar) as one cipher record, followed under
-Pedersen by its node tag (the commitment and Enc(a)), and nothing else.
-Every cipher record is exactly paillier.cipher_width bytes wide, so a
-malformed upload aborts the session instead of reaching the table.  The
-owner decrypts each blinded node with the mod-P half of the CRT alone,
-one exponentiation mod P^2 by the 256-bit subgroup order t_p
-(paillier.decrypt), since it range-checks the result; the Pedersen
-a + r' has no range check and stays on the full CRT, by t_p and t_q.
+sends it unchanged once the order arrives.  The owner decrypts each
+blinded node with the mod-P half of the CRT alone, one exponentiation
+mod P^2 by the 256-bit subgroup order t_p (paillier.decrypt), since it
+range-checks the result; the Pedersen a + r' has no range check and
+stays on the full CRT, by t_p and t_q.
 A node whose randomness lies outside the key's subgroup fails that
 decryption with an IntegrityError and aborts the session as an
 out-of-range node does, so no a + r' decrypted from one reaches
@@ -133,21 +159,21 @@ as in an encrypt session, so it learns nothing about which op runs.
 
 Abort discipline: an engine raises a fault it finds itself and never
 aborts inline.  One handler per engine (run_session at the server, the
-serve loop at the owner, _session at the analyst) sends ABORT to both
-peers, and none has state to roll back.  A request the server cannot
-even start, such as a SESSION_START naming no known op, only concerns
-the analyst, and the server's serve loop aborts it there.  Each engine
-passes an abort received from one peer on to the other, which may be
-waiting on a channel the sender did not use: the server waits on the
-analyst's shares first, and the analyst, which has every offset, waits
-on the owner alone between rounds, so the owner relays the server's
-aborts, even those its serve loop reads while idle.  A remote
-SessionAborted carries the session id it names, which the relay
-repeats.  A relayed abort that finds its session over is dropped as
-stale.  A receive that times out before its frame has begun aborts its
-session like any other fault and leaves the channel usable
-(transport).  A bit vector of the wrong shape is a ProtocolError like
-any other malformed frame, and so is a
+serve loop at the owner, _session at the analyst) hands it to _abort,
+which sends ABORT to both peers; none has state to roll back.  A
+request the server cannot even start, such as a SESSION_START naming
+no known op, only concerns the analyst, and the server's serve loop
+aborts it there.  _abort also passes an abort received from one peer
+on to the other, which may be waiting on a channel the sender did not
+use: the server waits on the analyst's shares first, and the analyst,
+which has every offset, waits on the owner alone between rounds, so
+the owner relays the server's aborts, even those its serve loop reads
+while idle.  A remote SessionAborted carries the session id it names,
+which the relay repeats.  A relayed abort that finds its session over
+is dropped as stale.  A receive that times out before its frame has
+begun aborts its session like any other fault and leaves the channel
+usable (transport).  A bit vector of the wrong shape is a
+ProtocolError like any other malformed frame, and so is a
 RANDOM_OFFSET that is empty, not whole records or out of range, or an
 ORDER_RESULT of the wrong width or out of range.  Stale aborts from a
 dead session are dropped by session-id filtering in Channel.recv.
@@ -156,6 +182,7 @@ dead session are dropped by session-id filtering in Channel.recv.
 import hashlib
 import json
 from dataclasses import dataclass
+from itertools import accumulate
 
 from . import datastore, garbling, integrity, ope_state, paillier, transport
 from .comparator import build_comparator, build_fh_comparator, int_to_bits
@@ -169,7 +196,7 @@ from .transport import (CIPHER_UPLOAD, CLEANUP, CLEANUP_DONE, Frame,
                         INTEGRITY_PROOF, INTEGRITY_TAG, NULL_SESSION,
                         ORDER_RESULT, OT_MSG, RANDOM_OFFSET, RANDOMIZED_NODE,
                         SESSION_DONE, SESSION_START, SHARES)
-from .wire import fixed_bytes, lp, read_int, read_lp, u16, u32
+from .wire import fixed_bytes, pack_bits, u16, u32, unpack_bits
 
 BOUND_LOW, BOUND_HIGH = 0, 1  # which end of a range a bound closes
 
@@ -265,51 +292,67 @@ def _read_offsets(frame, bound: int, most: int) -> list:
     return values
 
 
-def _other(channel, a, b):
-    """Of a role's two channel ends a and b, the one that is not
-    channel: where an abort received on channel is passed on."""
-    return b if channel is a else a
+def _fields(frame, *widths, rest=False) -> list:
+    """frame's payload cut into fields of the given widths and, with
+    rest, the bytes after them, of which there must be some; a payload
+    of any other length is a ProtocolError."""
+    blob, total = frame.payload, sum(widths)
+    if len(blob) <= total if rest else len(blob) != total:
+        raise ProtocolError(
+            f"{transport.type_name(frame.ftype)} of {len(blob)} bytes, "
+            f"expected {'more than ' if rest else ''}{total}")
+    cuts = list(accumulate(widths, initial=0))
+    fields = [blob[a:b] for a, b in zip(cuts, cuts[1:])]
+    return fields + [blob[total:]] if rest else fields
 
 
-def _pack_bits(bits) -> bytes:
-    v = 0
-    for i, b in enumerate(bits):
-        v |= (b & 1) << i
-    return bytes([v])
-
-
-def _unpack_bits(blob: bytes, n: int):
-    """The n bits _pack_bits packed into one byte; any other blob is a
-    ProtocolError."""
-    if len(blob) != 1 or blob[0] >> n:
-        raise ProtocolError(f"malformed {n}-bit vector")
-    return [(blob[0] >> i) & 1 for i in range(n)]
+def _abort(e, sid, a, b) -> SessionAborted:
+    """The SessionAborted to raise for fault e of session sid at a role
+    whose channel ends are a and b: an abort received from one peer is
+    passed on to the other, and a fault found here goes to both."""
+    if isinstance(e, SessionAborted):
+        if e.remote:
+            (b if e.channel is a else a).abort(sid, e.reason)
+        err = e
+    else:
+        a.abort(sid, str(e))
+        b.abort(sid, str(e))
+        err = SessionAborted(str(e))
+        err.__cause__ = e
+    err.session_id = sid
+    return err
 
 
 def _shares(masks, masked) -> bytes:
     """SHARES payload: a party's mask bits, then each masked circuit
     output with that party's mask taken off, so it still carries the
     other party's."""
-    return _pack_bits(list(masks) + [m ^ b for m, b in zip(masked, masks)])
+    return pack_bits(list(masks) + [m ^ b for m, b in zip(masked, masks)])
+
+
+def _group_width(mac_params) -> int:
+    return (mac_params.p.bit_length() + 7) // 8
 
 
 def wire_group(v: int, mac_params) -> bytes:
-    return fixed_bytes(v, (mac_params.p.bit_length() + 7) // 8)
+    return fixed_bytes(v, _group_width(mac_params))
 
 
 def make_node_tagger(scheme, mac_params, pk, rng):
-    """Closure mapping a plaintext x to its serialized integrity tag, the
-    Pedersen commitment to x under a fresh a followed by Enc(a), or None
-    with integrity off.  The owner tags each plaintext at initialization
-    and the analyst its upload, so both build a tag the same way."""
+    """Closure mapping a plaintext x to its integrity tag, (Enc(a), the
+    Pedersen commitment to x under a fresh a as wire_group bytes), or
+    None with integrity off.  The owner tags each plaintext at
+    initialization and the analyst its upload, so both build a tag the
+    same way."""
     if scheme == integrity.SCHEME_OFF:
         return None
+    if mac_params is None:
+        raise ConfigurationError("integrity enabled but no MAC parameters")
 
     def tag(x):
         a = rng.randrange(mac_params.q)
         commit = integrity.ped_commit_make(x, a, mac_params)
-        return lp(wire_group(commit, mac_params)) + \
-            paillier.cipher_record(paillier.encrypt(pk, a, rng), pk.key_bits)
+        return paillier.encrypt(pk, a, rng), wire_group(commit, mac_params)
     return tag
 
 
@@ -341,18 +384,6 @@ def _query_from_spec(payload: bytes):
             all(isinstance(c, str) for c in projection)):
         raise ProtocolError("projection must be a list of column names")
     return datastore.RangeQuery(bounds=bounds, projection=projection)
-
-
-def _parse_ped_tag(blob, pk):
-    """(commitment blob, Enc(a)) of a node tag; the tag holds nothing
-    else."""
-    if not blob:
-        raise IntegrityError("node lacks its integrity tag")
-    commit, off = read_lp(blob, 0)
-    a_cipher, off = paillier.parse_cipher_record(blob, off, pk.key_bits)
-    if off != len(blob):
-        raise ProtocolError("node tag has trailing bytes")
-    return commit, a_cipher
 
 
 # ---------------------------------------------------------------------------
@@ -491,15 +522,9 @@ class CspEngine:
             if op == OP_ENCRYPT:
                 upload = self.da_ch.recv(CIPHER_UPLOAD, session=sid)
                 if b_e:
-                    entry = self._parse_upload(sid, upload.payload, ybar)
-        except SessionAborted as e:
-            if e.remote:
-                _other(e.channel, self.do_ch, self.da_ch).abort(sid, e.reason)
-            raise
+                    entry = self._parse_upload(sid, upload, ybar)
         except OopeError as e:
-            self.da_ch.abort(sid, str(e))
-            self.do_ch.abort(sid, str(e))
-            raise SessionAborted(str(e)) from e
+            raise _abort(e, sid, self.do_ch, self.da_ch)
 
         # the commit point
         if remap is not None:
@@ -537,29 +562,31 @@ class CspEngine:
         session's offsets with the first node, then under Pedersen the
         node's commitment and rp."""
         pk = self.pk
+        width = paillier.cipher_width(pk.key_bits)
         r, c_r, rp, c_rp = blind
-        payload = paillier.cipher_record(
-            paillier.hom_add(pk, entry.cipher, c_r), pk.key_bits)
+        payload = fixed_bytes(paillier.hom_add(pk, entry.cipher, c_r), width)
         pedersen = self.params.integrity == integrity.SCHEME_PEDERSEN
         if pedersen:
-            commit_blob, a_cipher = _parse_ped_tag(entry.node_tag, pk)
-            payload += paillier.cipher_record(
-                paillier.hom_add(pk, a_cipher, c_rp), pk.key_bits)
+            if entry.node_tag is None:
+                raise IntegrityError("node lacks its integrity tag")
+            a_cipher, commit = entry.node_tag
+            payload += fixed_bytes(paillier.hom_add(pk, a_cipher, c_rp),
+                                   width)
         self.do_ch.send(Frame(RANDOMIZED_NODE, sid, payload))
         if offsets:
             self.da_ch.send(Frame(RANDOM_OFFSET, sid, b"".join(
                 map(_offset_blob, offsets))))
         if pedersen:
-            self.da_ch.send(Frame(INTEGRITY_TAG, sid, lp(commit_blob) +
-                                  fixed_bytes(rp, PED_BLIND_BYTES)))
+            self.da_ch.send(Frame(INTEGRITY_TAG, sid, fixed_bytes(
+                rp, PED_BLIND_BYTES) + commit))
 
     def _shares(self, sid):
         """(b_e, side) from the round's two SHARES.  Each output is
         rebuilt twice, crosswise: one peer's masked output with its mask
         taken off, XOR the other peer's mask."""
         n = self.params.masked_outputs
-        da = _unpack_bits(self.da_ch.recv(SHARES, session=sid).payload, 2 * n)
-        do = _unpack_bits(self.do_ch.recv(SHARES, session=sid).payload, 2 * n)
+        da = unpack_bits(self.da_ch.recv(SHARES, session=sid).payload, 2 * n)
+        do = unpack_bits(self.do_ch.recv(SHARES, session=sid).payload, 2 * n)
         bits = [da[n + i] ^ do[i] for i in range(n)]
         if bits != [do[n + i] ^ da[i] for i in range(n)]:
             raise IntegrityError("comparison share reconstructions disagree")
@@ -568,20 +595,17 @@ class CspEngine:
 
     # -- state updates --
 
-    def _parse_upload(self, sid, payload, ybar) -> OpeEntry:
+    def _parse_upload(self, sid, frame, ybar) -> OpeEntry:
         """The entry at order ybar from the analyst's CIPHER_UPLOAD:
-        Enc(xbar), then under Pedersen its node tag, and nothing else."""
-        pk = self.pk
-        cipher, off = paillier.parse_cipher_record(payload, 0, pk.key_bits)
-        entry = OpeEntry(cipher, ybar, tag=sid)
-        if self.params.integrity == integrity.SCHEME_PEDERSEN:
-            entry.node_tag, off = read_lp(payload, off)
-            # checked now: a malformed tag stored here would abort every
-            # later session that visits the node
-            _parse_ped_tag(entry.node_tag, pk)
-        if off != len(payload):
-            raise ProtocolError("upload has trailing bytes")
-        return entry
+        Enc(xbar), then under Pedersen Enc(a) and the commitment, whose
+        width only owner and analyst know."""
+        width = paillier.cipher_width(self.pk.key_bits)
+        if self.params.integrity == integrity.SCHEME_OFF:
+            cipher, = _fields(frame, width)
+            return OpeEntry(int.from_bytes(cipher, "big"), ybar, tag=sid)
+        cipher, a_cipher, commit = _fields(frame, width, width, rest=True)
+        return OpeEntry(int.from_bytes(cipher, "big"), ybar, tag=sid,
+                        node_tag=(int.from_bytes(a_cipher, "big"), commit))
 
     def _exec_query(self, frame):
         if self.rows is None:
@@ -664,16 +688,13 @@ class DoEngine:
                 continue
             try:
                 self._round(frame)
-            except SessionAborted as e:
-                if e.remote:
-                    self.csp_ch.abort(frame.session_id, e.reason)
             except OopeError as e:
-                # a frame this engine cannot use aborts its session; a
-                # dead channel ends the loop
+                # a frame this engine cannot use aborts its session, and
+                # a peer's abort goes on to the other; a dead channel
+                # ends the loop
                 if self.csp_ch.poisoned or self.da_ch.poisoned:
                     return
-                self.csp_ch.abort(frame.session_id, str(e))
-                self.da_ch.abort(frame.session_id, str(e))
+                _abort(e, frame.session_id, self.csp_ch, self.da_ch)
 
     def _round(self, frame):
         sid = frame.session_id
@@ -684,22 +705,22 @@ class DoEngine:
             self._sid = sid
             self._fh_shares = (0, 0)
             self.ot_sender.drop()
-        payload = frame.payload
-        pk = self.sk.public
-        cipher, off = paillier.parse_cipher_record(payload, 0, pk.key_bits)
+        pedersen = p.integrity == integrity.SCHEME_PEDERSEN
+        # Enc(x + r), then under Pedersen Enc(a + r')
+        width = paillier.cipher_width(self.sk.public.key_bits)
+        ciphers = [int.from_bytes(c, "big")
+                   for c in _fields(frame, *[width] * (1 + pedersen))]
         # x + r lies below this bound, far below P: the mod-P half of the
         # CRT decrypts it, and the range check keeps its strength
         # (paillier.decrypt)
         bound = (1 << (p.l + p.k)) + (1 << p.l)
-        v = paillier.decrypt(self.sk, cipher, below=bound)
+        v = paillier.decrypt(self.sk, ciphers[0], below=bound)
         if not 0 <= v < bound:
             raise IntegrityError("blinded node out of range")
-        if p.integrity == integrity.SCHEME_PEDERSEN:
-            a_cipher, off = paillier.parse_cipher_record(payload, off,
-                                                         pk.key_bits)
+        if pedersen:
             # full CRT: the analyst chose a and nothing range-checks
             # a + r', so a mod-P result would tell it whether a + r' < P
-            a_blind = paillier.decrypt(self.sk, a_cipher)
+            a_blind = paillier.decrypt(self.sk, ciphers[1])
             proof = integrity.ped_open(v, a_blind, self.mac_params)
             self.da_ch.send(Frame(INTEGRITY_PROOF, sid,
                                   wire_group(proof, self.mac_params)))
@@ -722,17 +743,18 @@ class DoEngine:
             # round aborted before reading is stale to the next session
             blob = self.da_ch.recv(OT_MSG, session=sid).payload
             split = max(len(blob) - (n + 7) // 8, 0)
-            self.ot_sender.extend(blob[:split], (p.m.bit_length() + 1) * n)
+            self.ot_sender.extend(blob[:split], p.m.bit_length() * n)
             self.ot_sender.accept(blob[split:], n)
         # the OT reply rides behind the garbled circuit
         self.da_ch.send(Frame(
             GC_PAYLOAD, sid, garbling.payload(gc, gen_bits) +
             self.ot_sender.send_pairs(gc.eval_label_pairs())))
         # GC_RESULT: the masked outputs, then the flips of the next
-        # round's transfer, or of a phantom one after the last round
+        # round's transfer unless this round is the last
         result = self.da_ch.recv(GC_RESULT, session=sid).payload
-        self.ot_sender.accept(result[1:], n)
-        masked = _unpack_bits(result[:1], len(masks))
+        masked = unpack_bits(result[:1], len(masks))
+        if len(result) > 1:
+            self.ot_sender.accept(result[1:], n)
         self.csp_ch.send(Frame(SHARES, sid, _shares(masks, masked)))
 
 
@@ -817,10 +839,10 @@ class DaEngine:
             if frame.ftype == RANDOM_OFFSET:
                 offsets = _read_offsets(frame, 1 << (p.l + p.k),
                                         p.m.bit_length())
-                # one batch for the h transfers and the phantom one goes
-                # out with the first flips, before the upload is built
+                # one batch for the h transfers goes out with the first
+                # flips, before the upload is built
                 batch = self.ot_receiver.extend(
-                    (len(offsets) + 1) * len(self.circuit.eval_inputs))
+                    len(offsets) * len(self.circuit.eval_inputs))
                 self.da_do_ch.send(Frame(OT_MSG, sid, batch + self._choose(
                     xbar, offsets[0])))
             upload = self._cipher_upload(xbar) if encrypt else None
@@ -833,56 +855,43 @@ class DaEngine:
                 self.csp_ch.send(Frame(CIPHER_UPLOAD, sid, upload))
             self.csp_ch.recv(SESSION_DONE, session=sid)
             return ybar
-        except SessionAborted as e:
-            # each peer may be waiting on this engine alone
-            if e.remote:
-                _other(e.channel, self.csp_ch, self.da_do_ch).abort(
-                    sid, e.reason)
-            e.session_id = sid
-            raise
         except OopeError as e:
-            # a frame this engine cannot use, such as a malformed garbled
-            # payload, aborts the session at both peers, which would
-            # otherwise wait for our shares; a dead channel just ends it
+            # each peer may be waiting on this engine alone, so a fault
+            # found here, such as a malformed garbled payload, aborts the
+            # session at both; a dead channel just ends it
             if self.csp_ch.poisoned or self.da_do_ch.poisoned:
                 raise
-            self.csp_ch.abort(sid, str(e))
-            self.da_do_ch.abort(sid, str(e))
-            raise SessionAborted(str(e), session_id=sid) from e
+            raise _abort(e, sid, self.csp_ch, self.da_do_ch)
         finally:
             self.ot_receiver.drop()
 
     def _verify_node(self, sid, r):
-        tag_frame = self.csp_ch.recv(INTEGRITY_TAG, session=sid)
-        proof_frame = self.da_do_ch.recv(INTEGRITY_PROOF, session=sid)
-        m = int.from_bytes(proof_frame.payload, "big")
-        commit_blob, off = read_lp(tag_frame.payload, 0)
-        rp, off = read_int(tag_frame.payload, off, PED_BLIND_BYTES)
-        if not integrity.ped_verify(int.from_bytes(commit_blob, "big"), r, rp,
-                                    m, self.mac_params):
+        width = _group_width(self.mac_params)
+        rp, commit = _fields(self.csp_ch.recv(INTEGRITY_TAG, session=sid),
+                             PED_BLIND_BYTES, width)
+        proof, = _fields(self.da_do_ch.recv(INTEGRITY_PROOF, session=sid),
+                         width)
+        if not integrity.ped_verify(
+                int.from_bytes(commit, "big"), r, int.from_bytes(rp, "big"),
+                int.from_bytes(proof, "big"), self.mac_params):
             raise IntegrityError("node authentication failed")
 
     def _choose(self, xbar, r):
         """The OT flips of the round blinded by r, whose mask bits (and fh
-        coin) are drawn here; with r None, of a phantom transfer over
-        random choices, which keeps GC_RESULT one length in every
-        round."""
+        coin) are drawn here."""
         p = self.params
-        if r is None:
-            bits = [self.rng.getrandbits(1)
-                    for _ in self.circuit.eval_inputs]
-        else:
-            self._masks = [self.rng.getrandbits(1)
-                           for _ in range(p.masked_outputs)]
-            bits = int_to_bits(xbar + r, p.width) + self._masks
-            if p.mode == MODE_FH:
-                # coin bit and last round's state shares
-                bits += [self.rng.getrandbits(1), *self._fh_shares]
+        self._masks = [self.rng.getrandbits(1)
+                       for _ in range(p.masked_outputs)]
+        bits = int_to_bits(xbar + r, p.width) + self._masks
+        if p.mode == MODE_FH:
+            # coin bit and last round's state shares
+            bits += [self.rng.getrandbits(1), *self._fh_shares]
         return self.ot_receiver.choose(bits)
 
     def _round(self, sid, xbar, r, next_r):
         """The round blinded by r, whose OT flips the owner already has;
-        GC_RESULT carries those of the round blinded by next_r."""
+        GC_RESULT carries those of the round blinded by next_r, if
+        any."""
         p = self.params
         if p.integrity != integrity.SCHEME_OFF:
             self._verify_node(sid, r)
@@ -899,17 +908,21 @@ class DaEngine:
         n = p.masked_outputs
         masked, self._fh_shares = outputs[:n], outputs[n:]
         masks = self._masks
-        self.da_do_ch.send(Frame(GC_RESULT, sid, _pack_bits(masked) +
-                                 self._choose(xbar, next_r)))
+        result = pack_bits(masked)
+        if next_r is not None:
+            result += self._choose(xbar, next_r)
+        self.da_do_ch.send(Frame(GC_RESULT, sid, result))
         self.csp_ch.send(Frame(SHARES, sid, _shares(masks, masked)))
 
     def _cipher_upload(self, xbar):
-        """CIPHER_UPLOAD payload: Enc(xbar), plus under Pedersen its
-        commitment and Enc(a)."""
-        cipher = paillier.encrypt(self.pk_owner, xbar, self.rng)
-        payload = paillier.cipher_record(cipher, self.pk_owner.key_bits)
+        """CIPHER_UPLOAD payload: Enc(xbar), then under Pedersen Enc(a)
+        and the commitment."""
+        pk = self.pk_owner
+        width = paillier.cipher_width(pk.key_bits)
+        payload = fixed_bytes(paillier.encrypt(pk, xbar, self.rng), width)
         if self._tag is not None:
-            payload += lp(self._tag(xbar))
+            a_cipher, commit = self._tag(xbar)
+            payload += fixed_bytes(a_cipher, width) + commit
         return payload
 
     def query(self, bounds: dict, projection=None):

@@ -72,14 +72,14 @@ Python without OpenSSL cannot garble or evaluate.
 
 Wire format (the GC_PAYLOAD frame), big-endian:
 
-  circuit id u32 | width u16 | table count u32
   T_G || T_E per non-free gate, 32 bytes each
   SHA-256("out" || zero-label)[:16] || the same of the one-label,
       32 bytes per output
-  generator label count u16 | one 16-byte label per generator input
+  one 16-byte label per generator input
 
-so a payload is exactly 10 + 32·tables + 32·outputs + 2 + 16·labels
-bytes long, whatever the input bits.
+so a payload is exactly 32·tables + 32·outputs + 16·labels bytes long,
+whatever the input bits.  Nothing in it names the circuit: both ends
+build it from the parameters whose digest HELLO checked.
 
 Correctness contract: decode(d, evaluate(F, T, encode(gen wires, x),
 labels of y)) equals the gate-by-gate evaluation of the circuit on
@@ -94,7 +94,6 @@ import numpy as np
 from . import aes
 from .comparator import OR, XOR, BooleanCircuit
 from .errors import IntegrityError, ProtocolError
-from .wire import read_bytes, read_int, u16, u32
 
 LABEL_BYTES = 16
 BATCH = 32  # instances garbled per pass
@@ -103,7 +102,6 @@ _LABEL_MASK = (1 << _LABEL_BITS) - 1
 _BATCH_BITS = BATCH * _LABEL_BITS
 _BATCH_BYTES = BATCH * LABEL_BYTES
 _LOW_BITS = sum(1 << (_LABEL_BITS * i) for i in range(BATCH))
-_HEADER_BYTES = 10
 _sha256 = hashlib.sha256
 
 
@@ -283,44 +281,24 @@ def decode(decode_info, output_labels):
 # --- wire format (module docstring) -----------------------------------------
 
 def payload(gc: GarbledInstance, gen_bits) -> bytes:
-    c = gc.circuit
-    gen_labels = gc.encode(c.gen_inputs, gen_bits)
-    parts = [u32(c.circuit_id) + u16(c.width) +
-             u32(len(gc.table_bytes) // (2 * LABEL_BYTES)), gc.table_bytes]
-    for h0, h1 in gc.decode_info:
-        parts.append(h0)
-        parts.append(h1)
-    parts.append(u16(len(gen_labels)))
-    parts.extend([v.to_bytes(LABEL_BYTES, "big") for v in gen_labels])
-    return b"".join(parts)
+    gen_labels = gc.encode(gc.circuit.gen_inputs, gen_bits)
+    return b"".join([gc.table_bytes, *(h for pair in gc.decode_info
+                                       for h in pair)] +
+                    [v.to_bytes(LABEL_BYTES, "big") for v in gen_labels])
 
 
 def parse_payload(circuit: BooleanCircuit, buf: bytes):
     """Returns (tables, decode_info, generator labels in gen_inputs
-    order), tables being the payload's T_G || T_E bytes, for evaluate."""
-    n_tables = len(circuit.nonfree_gates())
-    expected = (_HEADER_BYTES + 2 * LABEL_BYTES * n_tables +
-                2 * LABEL_BYTES * len(circuit.outputs) + 2 +
-                LABEL_BYTES * len(circuit.gen_inputs))
+    order), tables being the payload's T_G || T_E bytes, for evaluate; a
+    payload of any length but the circuit's is a ProtocolError."""
+    hashes_at = 2 * LABEL_BYTES * len(circuit.nonfree_gates())
+    labels_at = hashes_at + 2 * LABEL_BYTES * len(circuit.outputs)
+    expected = labels_at + LABEL_BYTES * len(circuit.gen_inputs)
     if len(buf) != expected:
         raise ProtocolError(f"garbled payload of {len(buf)} bytes, "
                             f"expected {expected}")
-    cid, off = read_int(buf, 0, 4)
-    width, off = read_int(buf, off, 2)
-    if cid != circuit.circuit_id or width != circuit.width:
-        raise ProtocolError("garbled payload does not match expected circuit")
-    count, off = read_int(buf, off, 4)
-    if count != n_tables:
-        raise ProtocolError("garbled table count mismatch")
-    tables, off = read_bytes(buf, off, 2 * LABEL_BYTES * count)
-    decode_info = []
-    for _ in circuit.outputs:
-        decode_info.append((buf[off:off + LABEL_BYTES],
-                            buf[off + LABEL_BYTES:off + 2 * LABEL_BYTES]))
-        off += 2 * LABEL_BYTES
-    n, off = read_int(buf, off, 2)
-    if n != len(circuit.gen_inputs):
-        raise ProtocolError("generator label count mismatch")
+    hashes = [buf[i:i + LABEL_BYTES]
+              for i in range(hashes_at, labels_at, LABEL_BYTES)]
     labels = [int.from_bytes(buf[i:i + LABEL_BYTES], "big")
-              for i in range(off, len(buf), LABEL_BYTES)]
-    return tables, decode_info, labels
+              for i in range(labels_at, len(buf), LABEL_BYTES)]
+    return buf[:hashes_at], list(zip(hashes[::2], hashes[1::2])), labels

@@ -87,22 +87,25 @@ def gen_mac_params(modulus_bits: int = DEFAULT_MODULUS_BITS,
     return MacParams(p=p, q=q, g=g, h_ped=h_ped)
 
 
-def ped_commit_make(x: int, a: int, params: MacParams) -> int:
+def _pedersen(x: int, a: int, params: MacParams) -> int:
+    """g^x * h^a mod p."""
     return powmod(params.g, x, params.p) * \
         powmod(params.h_ped, a, params.p) % params.p
 
 
+def ped_commit_make(x: int, a: int, params: MacParams) -> int:
+    return _pedersen(x, a, params)
+
+
 def ped_open(x_plus_r: int, a_plus_rp: int, params: MacParams) -> int:
     """Owner-side opening g^(x+r) * h^(a+r')."""
-    return powmod(params.g, x_plus_r, params.p) * \
-        powmod(params.h_ped, a_plus_rp, params.p) % params.p
+    return _pedersen(x_plus_r, a_plus_rp, params)
 
 
 def ped_verify(commitment: int, r: int, rp: int, m: int,
                params: MacParams) -> bool:
     """Check commitment * g^r * h^r' == m (mod p)."""
-    return commitment * powmod(params.g, r, params.p) % params.p * \
-        powmod(params.h_ped, rp, params.p) % params.p == m
+    return commitment * _pedersen(r, rp, params) % params.p == m
 
 
 def serialize_params(params: MacParams) -> bytes:

@@ -52,7 +52,7 @@ class OpeEntry:
     cipher: int  # Paillier ciphertext, a residue mod N^2
     order: int
     tag: Optional[bytes] = None       # session id of an analyst insert
-    node_tag: Optional[bytes] = None  # serialized integrity tag
+    node_tag: Optional[tuple] = None  # (Enc(a), commitment) under Pedersen
 
 
 _ORDER = attrgetter("order")
@@ -190,8 +190,8 @@ def init_state(dataset, m: int, pk: paillier.PaillierPublicKey, l: int,
     The server's search needs no further structure: its midpoint walk
     over the sorted table is the balanced tree over these orders,
     whatever order they were inserted in.  tagger, when given, is called
-    with each plaintext to produce the serialized integrity tag stored
-    next to the entry.
+    with each plaintext to produce the integrity tag stored next to the
+    entry.
 
     Ciphertexts and tags are filled in once every order is placed, in
     table order.  Every encryption's short exponent alpha

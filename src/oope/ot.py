@@ -62,8 +62,14 @@ batch's random bit rho, which hides the choices, so the flips may
 travel before the sender has its pairs, even a round early.  The
 sender's `accept(flips, n)` spends the batch's next n pads on them, and
 `send_pairs(pairs)` returns the reply: each (zero-label, one-label) int
-pair under the two pads, swapped where the flip is set.  The
-receiver's `receive_pairs(reply)` returns the chosen ints.
+pair under the two pads, swapped where the flip is set.  With no
+transfer accepted, because the receiver sent no flips for it,
+`send_pairs` is a ProtocolError.  The receiver's `receive_pairs(reply)`
+returns the chosen ints.
+
+The flips, rho and s are bit vectors in the order of wire.pack_bits,
+least significant bit first, and the bit matrices are transposed in
+that order too, so bit j of a column belongs to OT j.
 """
 
 import hashlib
@@ -76,7 +82,7 @@ from .errors import ProtocolError, UsageError
 from .garbling import LABEL_BYTES
 from .modexp import powmod
 from .rng import make_rng
-from .wire import be_bytes, u32, xor_bytes
+from .wire import be_bytes, pack_bits, u32, unpack_bits, xor_bytes
 
 KAPPA = 128  # extension security parameter = base OT count
 EXPONENT_BITS = 256
@@ -211,24 +217,14 @@ def _row_hashes(batch: int, *matrices) -> list:
 
 
 def _transpose_bits(cols):
-    """KAPPA x m/8 bit matrix -> m rows of KAPPA bits (16 bytes each).
-    The transposed bits are copied out before packing, which packs a
-    contiguous array in half the time of the strided view."""
-    return np.packbits(np.ascontiguousarray(np.unpackbits(cols, axis=1).T),
-                       axis=1)
-
-
-def _pack_bits(bits):
-    return np.packbits(np.array(bits, dtype=np.uint8)).tobytes()
-
-
-def _unpack_bits(blob, n):
-    """The n bits _pack_bits packed; a blob of the wrong size, or one
-    with a padding bit set after the n-th, is a ProtocolError."""
-    if len(blob) != (n + 7) // 8 or n % 8 and blob[-1] & (0xff >> n % 8):
-        raise ProtocolError("malformed OT choice vector")
-    return np.unpackbits(np.frombuffer(blob, dtype=np.uint8),
-                         count=n).tolist()
+    """KAPPA x m/8 bit matrix -> m rows of KAPPA bits (16 bytes each),
+    bits least significant first as wire.pack_bits orders them, so bit j
+    of a column is row j.  The transposed bits are copied out before
+    packing, which packs a contiguous array in half the time of the
+    strided view."""
+    bits = np.unpackbits(cols, axis=1, bitorder="little")
+    return np.packbits(np.ascontiguousarray(bits.T), axis=1,
+                       bitorder="little")
 
 
 class OtExtSender:
@@ -249,7 +245,7 @@ class OtExtSender:
         """Base OT over send/recv, receiving one seed of each pair."""
         s_bits = [self._rng.getrandbits(1) for _ in range(KAPPA)]
         self._s_mask = np.array(s_bits, dtype=np.uint8).reshape(KAPPA, 1) * 0xff
-        self._s_row = np.packbits(np.array(s_bits, dtype=np.uint8))
+        self._s_row = np.frombuffer(pack_bits(s_bits), dtype=np.uint8)
         self._seeds = base_ot_recv(send, recv, s_bits, self._group, self._rng)
 
     def drop(self):
@@ -287,15 +283,19 @@ class OtExtSender:
         pads = list(islice(self._rows, n))
         if len(pads) < n:
             raise ProtocolError("OT extension batch used up")
-        self._pads = [(p1, p0) if e else (p0, p1)
-                      for (p0, p1), e in zip(pads, _unpack_bits(flips, n))]
+        self._pads = [(p1, p0) if e else (p0, p1) for (p0, p1), e in
+                      zip(pads, unpack_bits(flips, n, "OT choice vector"))]
 
     def send_pairs(self, pairs):
         """The reply that obliviously transfers one 128-bit int label of
-        each pair, under the pads of the accepted transfer."""
+        each pair, under the pads of the accepted transfer.  With none
+        accepted, as when the receiver sent no flips for it, this is a
+        ProtocolError."""
         pads, self._pads = self._pads, None
-        if pads is None or len(pads) != len(pairs):
-            raise UsageError("no accepted transfer of that size")
+        if pads is None:
+            raise ProtocolError("no OT transfer accepted")
+        if len(pads) != len(pairs):
+            raise UsageError("accepted OT transfer of another size")
         return b"".join(((x0 ^ p0) << 128 | x1 ^ p1).to_bytes(
             2 * LABEL_BYTES, "big") for (x0, x1), (p0, p1) in zip(pairs, pads))
 
@@ -337,7 +337,7 @@ class OtExtReceiver:
         u = t ^ _prg_matrix([k1 for _, k1 in self._seed_pairs], m // 8,
                             self._batch) ^ np.frombuffer(rho, dtype=np.uint8)
         self.drop()
-        self._rows = iter(zip(_unpack_bits(rho, m), _row_hashes(
+        self._rows = iter(zip(unpack_bits(rho, m), _row_hashes(
             self._batch, _transpose_bits(t))[0]))
         return u32(self._batch) + u.tobytes()
 
@@ -353,7 +353,7 @@ class OtExtReceiver:
         if len(rows) < len(choice_bits):
             raise UsageError("OT extension batch used up")
         self._chosen = (list(choice_bits), [pad for _, pad in rows])
-        return _pack_bits([c ^ rho for c, (rho, _) in zip(choice_bits, rows)])
+        return pack_bits([c ^ rho for c, (rho, _) in zip(choice_bits, rows)])
 
     def receive_pairs(self, reply):
         """The 128-bit int label each pending choice bit selects from the

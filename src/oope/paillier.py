@@ -84,7 +84,7 @@ from .errors import (DomainError, IntegrityError, PrimeGenerationError,
                      ProtocolError)
 from .modexp import powmod
 from .rng import make_rng
-from .wire import fixed_bytes, ints, lp, read_int, read_ints, read_lp
+from .wire import fixed_bytes, ints, read_int, read_ints
 
 MIN_KEY_BITS = 64
 MR_ROUNDS = 40  # per-round error <= 1/4, total <= 2^-80
@@ -169,13 +169,6 @@ class PaillierPublicKey:
     def h_n(self) -> int:
         """h^N mod N^2, the base of every encryption's randomness factor."""
         return powmod(self.h, self.n, self.n_sq)
-
-    def __eq__(self, other):
-        return isinstance(other, PaillierPublicKey) and \
-            (self.n, self.h) == (other.n, other.h)
-
-    def __hash__(self):
-        return hash((self.n, self.h))
 
     def __repr__(self):
         return f"PaillierPublicKey({self.key_bits} bits, id={self.key_id.hex()[:8]})"
@@ -295,25 +288,9 @@ def hom_scale(pk: PaillierPublicKey, c: int, s: int) -> int:
 # --- serialization ---------------------------------------------------------
 
 def cipher_width(key_bits: int) -> int:
-    """Fixed record width of a residue mod N^2, in bytes: 2·key_bits
-    rounded up to a whole byte."""
+    """Width of a residue mod N^2 in bytes, 2·key_bits rounded up to a
+    whole byte: frames carry each ciphertext in exactly that many."""
     return (2 * key_bits + 7) // 8
-
-
-def cipher_record(c: int, key_bits: int) -> bytes:
-    """Fixed-width residue record, as frames carry a ciphertext."""
-    return lp(fixed_bytes(c, cipher_width(key_bits)))
-
-
-def parse_cipher_record(buf: bytes, off: int, key_bits: int):
-    """(ciphertext, offset after its record); a record of any width but
-    cipher_width(key_bits) is a ProtocolError."""
-    blob, off = read_lp(buf, off)
-    width = cipher_width(key_bits)
-    if len(blob) != width:
-        raise ProtocolError(
-            f"cipher record of {len(blob)} bytes, expected {width}")
-    return int.from_bytes(blob, "big"), off
 
 
 def serialize_public_key(pk: PaillierPublicKey) -> bytes:

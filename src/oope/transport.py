@@ -32,20 +32,10 @@ from .wire import read_bytes, read_int, u16, u32
 MAX_FRAME = 64 * 1024 * 1024
 SESSION_BYTES = 16
 NULL_SESSION = bytes(SESSION_BYTES)
-# 2: half-gates GC_PAYLOAD, acknowledged REBALANCE; 3: no uid upload, so
-# CIPHER_UPLOAD lost its kind byte and ProtocolParams its uid field;
-# 4: no REBALANCE, so a version-3 server fails at HELLO instead of
-# waiting for an acknowledgement no owner sends; 5: the public key
-# carries the subgroup generator h, so a key travels as key_bits | N | h;
-# 6: garbled gates and IKNP rows hash with fixed-key AES, not SHA-256;
-# 7: the server sends the owner no SESSION_DONE; 8: four flights per
-# round, so RANDOM_OFFSET carries every offset of a session, the first
-# OT flips travel as one OT_MSG, GC_PAYLOAD ends with the OT reply and
-# GC_RESULT with the next transfer's flips; 9: the comparators ripple
-# in 8-bit blocks merged by a tree (more garbled tables), and the IKNP
-# PRG is SHAKE-128; 10: a session's OT_MSG carries its own IKNP batch,
-# under a batch index, before its first flips, and no message counter
-PROTOCOL_VERSION = 10
+# raised whenever a frame's layout or meaning changes, so that peers of
+# two layouts fail at HELLO instead of misreading each other; it is part
+# of the parameter digest too (engine.ProtocolParams.digest)
+PROTOCOL_VERSION = 11
 
 ROLE_CSP, ROLE_DO, ROLE_DA = 0, 1, 2
 

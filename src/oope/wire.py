@@ -1,6 +1,6 @@
 """Byte-level encoding helpers (big-endian throughout)."""
 
-from .errors import FramingError
+from .errors import FramingError, ProtocolError
 
 
 def u16(v: int) -> bytes:
@@ -57,6 +57,24 @@ def read_ints(buf: bytes, off: int, count: int) -> tuple[list, int]:
             raise FramingError("integer list with an empty field")
         values.append(int.from_bytes(blob, "big"))
     return values, off
+
+
+def pack_bits(bits) -> bytes:
+    """Bits least significant first, eight to a byte, the padding bits
+    of the last byte zero: the one bit-vector codec of every frame."""
+    v = 0
+    for i, b in enumerate(bits):
+        v |= b << i
+    return v.to_bytes((len(bits) + 7) // 8, "little")
+
+
+def unpack_bits(blob: bytes, n: int, what: str = "bit vector") -> list:
+    """The n bits pack_bits packed into blob; a blob of another length,
+    or with a padding bit set, is a ProtocolError naming what."""
+    v = int.from_bytes(blob, "little")
+    if len(blob) != (n + 7) // 8 or v >> n:
+        raise ProtocolError(f"malformed {what}")
+    return [v >> i & 1 for i in range(n)]
 
 
 def xor_bytes(a: bytes, b: bytes) -> bytes:

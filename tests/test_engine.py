@@ -26,7 +26,6 @@ from oope.errors import (ConfigurationError, FramingError, HandshakeError,
 from oope.ot import GROUP_TEST
 from oope.rng import make_rng
 from oope.transport import Frame
-from oope.wire import lp
 
 EXAMPLE = [32, 20, 25, 69, 10]
 
@@ -35,6 +34,11 @@ def small_params(**kw):
     base = dict(l=16, k=16, m=(1 << 20) - 3, key_bits=256)
     base.update(kw)
     return ProtocolParams(**base)
+
+
+def record(c, pk) -> bytes:
+    """Ciphertext c as frames carry it: exactly cipher_width bytes."""
+    return c.to_bytes(paillier.cipher_width(pk.key_bits), "big")
 
 
 def make_cluster(dataset, seed=7, params=None, **kw):
@@ -213,24 +217,23 @@ def test_aborted_insert_restores_table():
         cluster.close()
 
 
-# damage -> (sender, frame type, payload edit); a payload starts with a
-# cipher record: length u32 | residue
+# damage -> (sender, frame type, payload edit); with integrity off, an
+# upload and a node are one ciphertext of exactly cipher_width bytes
 RECORD_DAMAGE = {
-    "upload-oversize": ("da", transport.CIPHER_UPLOAD,
-                        lambda p: lp(b"\0" + p[4:])),
-    "upload-undersize": ("da", transport.CIPHER_UPLOAD, lambda p: lp(p[5:])),
+    "upload-oversize": ("da", transport.CIPHER_UPLOAD, lambda p: b"\0" + p),
+    "upload-undersize": ("da", transport.CIPHER_UPLOAD, lambda p: p[1:]),
     "upload-trailing": ("da", transport.CIPHER_UPLOAD, lambda p: p + b"\0"),
-    "node-oversize": ("csp", transport.RANDOMIZED_NODE,
-                      lambda p: lp(b"\0" + p[4:])),
+    "node-oversize": ("csp", transport.RANDOMIZED_NODE, lambda p: b"\0" + p),
+    "node-trailing": ("csp", transport.RANDOMIZED_NODE, lambda p: p + b"\0"),
 }
 
 
 @pytest.mark.parametrize("damage", sorted(RECORD_DAMAGE))
 def test_malformed_cipher_record_aborts_and_leaves_the_table(damage):
-    # a cipher record one byte wider or narrower than cipher_width, or a
-    # byte after the upload, never reaches the table or a decryption, so
-    # the table keeps only cipher_width residues and the next encrypt
-    # still matches the oracle
+    # a ciphertext one byte wider or narrower than cipher_width, or a
+    # byte after it, never reaches the table or a decryption, so the
+    # table keeps only cipher_width residues and the next encrypt still
+    # matches the oracle
     sender, ftype, edit = RECORD_DAMAGE[damage]
     params = small_params()
     cluster, ctx = make_cluster(EXAMPLE, seed=47, params=params)
@@ -245,7 +248,8 @@ def test_malformed_cipher_record_aborts_and_leaves_the_table(damage):
             orig_send(frame)
 
         ch.send = damaged
-        with pytest.raises(SessionAborted, match="cipher record|trailing"):
+        with pytest.raises(SessionAborted, match=(
+                f"{transport.type_name(ftype)} of \\d+ bytes, expected")):
             cluster.encrypt(15)
         ch.send = orig_send
         assert table_snapshot(ctx["table"]) == table_before
@@ -328,7 +332,8 @@ def test_truncated_randomized_node_aborts_and_owner_survives():
 
         cluster.csp.do_ch.send = truncated
         t0 = time.monotonic()
-        with pytest.raises(SessionAborted, match="truncated"):
+        with pytest.raises(SessionAborted,
+                           match="RANDOMIZED_NODE of 10 bytes, expected"):
             cluster.encrypt(15)
         assert time.monotonic() - t0 < 5
         cluster.csp.do_ch.send = orig_send
@@ -346,15 +351,14 @@ def test_malformed_garbled_payload_aborts_at_analyst(damage):
     cluster, ctx = make_cluster(EXAMPLE, seed=53, params=params)
     try:
         orders_before = ctx["table"].orders()
-        tables_end = 10 + 32 * len(cluster.da.circuit.nonfree_gates())
+        tables_end = 32 * len(cluster.da.circuit.nonfree_gates())
         orig_send = cluster.do.da_ch.send
 
         def damaged(frame):
             if frame.ftype == transport.GC_PAYLOAD:
                 blob = frame.payload
                 blob = {"short": blob[:-1], "long": blob + b"\0",
-                        "tables": blob[:10] +
-                        bytes(b ^ 0xff for b in blob[10:tables_end]) +
+                        "tables": bytes(b ^ 0xff for b in blob[:tables_end]) +
                         blob[tables_end:]}[damage]
                 frame = Frame(frame.ftype, frame.session_id, blob)
             orig_send(frame)
@@ -376,7 +380,7 @@ def test_malformed_garbled_payload_aborts_at_analyst(damage):
 
 # damage -> (frame type, payload edit, sender, abort reason).  GC_RESULT
 # is the masked bit vector, then the next transfer's OT flips, so an
-# empty or short one first fails at its flips
+# empty one fails at its masked bits and a short one at its flips
 BIT_VECTOR_DAMAGE = {
     "session_start": (transport.SESSION_START, lambda p: b"", "da->csp",
                       "no known op"),
@@ -385,7 +389,7 @@ BIT_VECTOR_DAMAGE = {
     "da_shares": (transport.SHARES, lambda p: b"", "da->csp", "bit vector"),
     "do_shares": (transport.SHARES, lambda p: b"", "do->csp", "bit vector"),
     "gc_result_empty": (transport.GC_RESULT, lambda p: b"", "da->do",
-                        "choice vector"),
+                        "bit vector"),
     "gc_result_long": (transport.GC_RESULT, lambda p: b"\0\0", "da->do",
                        "choice vector"),
     "gc_result_bits": (transport.GC_RESULT, lambda p: b"\xff" + p[1:],
@@ -449,7 +453,7 @@ def test_out_of_range_blinded_node_aborts_at_owner(plaintext):
         def substituted(frame):
             if frame.ftype == transport.RANDOMIZED_NODE:
                 frame = Frame(frame.ftype, frame.session_id,
-                              paillier.cipher_record(cipher, pk.key_bits))
+                              record(cipher, pk))
             orig_send(frame)
 
         cluster.csp.do_ch.send = substituted
@@ -490,7 +494,7 @@ def test_hostile_upload_poisons_its_node_until_cleanup(upload):
             if frame.ftype == transport.CIPHER_UPLOAD:
                 hostile.append(frame.session_id)
                 frame = Frame(frame.ftype, frame.session_id,
-                              paillier.cipher_record(cipher, pk.key_bits))
+                              record(cipher, pk))
             orig_send(frame)
 
         cluster.da.csp_ch.send = substituted
@@ -566,9 +570,8 @@ def test_no_blind_is_sent_twice():
             # the first aborted session sent one node for h offsets
             assert len(blobs) in (1, len(offsets[sid]))
             for blob, r in zip(blobs, offsets[sid]):
-                cipher, _ = paillier.parse_cipher_record(blob, 0,
-                                                         params.key_bits)
-                assert paillier.decrypt(sk, cipher) - r in plain
+                assert paillier.decrypt(sk, int.from_bytes(blob, "big")) - \
+                    r in plain
         blobs = [b for bs in nodes.values() for b in bs]
         assert len(blobs) >= h + 1 + h + 4 * h
         assert len(set(blobs)) == len(blobs)
@@ -582,9 +585,9 @@ def _flips_short(blob):
 
 
 def _flips_padded(blob):
-    # a padding bit of the last byte set, which np.unpackbits(count=35)
-    # would ignore
-    return blob[:-1] + bytes([blob[-1] | 1])
+    # a padding bit of the last byte set: bits go least significant
+    # first, so 35 of them leave the top five bits of the fifth byte
+    return blob[:-1] + bytes([blob[-1] | 0x80])
 
 
 def test_no_garbled_instance_is_sent_twice():
@@ -597,7 +600,7 @@ def test_no_garbled_instance_is_sent_twice():
     oracle = Mope2Oracle(params.m).load(data)
     try:
         ch = next(c for c in cluster.channels if c.name == "do->da")
-        tables_end = 10 + 32 * len(cluster.da.circuit.nonfree_gates())
+        tables_end = 32 * len(cluster.da.circuit.nonfree_gates())
         orig_send = cluster.da.csp_ch.send
         orig_ot_send = cluster.da.da_do_ch.send
 
@@ -641,7 +644,7 @@ def test_no_garbled_instance_is_sent_twice():
         # goes on
         for xbar in (250, 350, 1000, 5000, 7000, 9000, 11000):
             assert cluster.encrypt(xbar) == oracle.encrypt(xbar)
-        tables = [transport.decode_frame(b[4:]).payload[10:tables_end]
+        tables = [transport.decode_frame(b[4:]).payload[:tables_end]
                   for b in ch.transcript if b[4] == transport.GC_PAYLOAD]
         assert len(tables) > garbling.BATCH
         assert len(set(tables)) == len(tables)
@@ -652,22 +655,24 @@ def test_no_garbled_instance_is_sent_twice():
 
 def _node_out_of_range(params, pk):
     bound = (1 << (params.l + params.k)) + (1 << params.l)
-    return lambda blob: paillier.cipher_record(
-        paillier.encrypt(pk, bound, make_rng(1)), pk.key_bits)
+    return lambda blob: record(paillier.encrypt(pk, bound, make_rng(1)), pk)
 
 
 # abort -> (sending end, frame type, which one of the session's frames of
 # that type, counted from 1, or "last" for the h-th, payload edit, abort
 # reason).  The session's OT_MSG ends with its first flips; each
-# GC_RESULT carries the next transfer's, a phantom one's in the last
-# round.
+# GC_RESULT but the last carries the next transfer's.  Flips that go
+# missing leave the next round no transfer, and flips after the last
+# round find the batch used up.
 PAD_SYNC_ABORTS = {
     "first-flips": ("da->do", transport.OT_MSG, 1, _flips_padded,
                     "choice vector"),
     "gc-result-first": ("da->do", transport.GC_RESULT, 1, _flips_short,
                         "choice vector"),
-    "gc-result-last": ("da->do", transport.GC_RESULT, "last", _flips_short,
-                       "choice vector"),
+    "gc-result-no-flips": ("da->do", transport.GC_RESULT, 1,
+                           lambda blob: blob[:1], "no OT transfer"),
+    "gc-result-last": ("da->do", transport.GC_RESULT, "last",
+                       lambda blob: blob + bytes(5), "used up"),
     "node-out-of-range-first": ("csp->do", transport.RANDOMIZED_NODE, 1,
                                 _node_out_of_range, "out of range"),
     "node-out-of-range-third": ("csp->do", transport.RANDOMIZED_NODE, 3,
@@ -738,7 +743,7 @@ def test_damaged_ot_batch_aborts_its_session_alone(damage):
     # the session's OT_MSG, its extension batch of m OTs (KAPPA columns
     # of m/8 bytes behind a u32 batch index) then its first flips, cut
     # by a byte, with one byte of the matrix flipped, or with a matrix
-    # of more OTs than M.bit_length() rounds and the phantom one need
+    # of more OTs than M.bit_length() rounds need
     params = small_params()
     data = list(range(100, 3100, 100))
     cluster, ctx = make_cluster(data, seed=59, params=params)
@@ -767,7 +772,7 @@ def test_damaged_ot_batch_aborts_its_session_alone(damage):
                 if damage == "truncated":
                     blob = blob[:-1]
                 elif damage == "oversized":
-                    most = (params.m.bit_length() + 1) * n
+                    most = params.m.bit_length() * n
                     blob = blob[:4] + bytes(ot.KAPPA * (most // 8 + 2)) + \
                         blob[-flips_bytes:]
                 else:
@@ -784,8 +789,8 @@ def test_damaged_ot_batch_aborts_its_session_alone(damage):
             cluster.encrypt(250)
         assert time.monotonic() - t0 < timeout
         del end.send
-        # one batch, of exactly m = 8·ceil((h + 1)·n / 8) OTs
-        assert seen == [(-(-(h + 1) * n // 8), 0)]
+        # one batch, of exactly m = 8·ceil(h·n / 8) OTs
+        assert seen == [(-(-h * n // 8), 0)]
         for xbar in (250, 350, 1000, 5000, 120):
             t0 = time.monotonic()
             assert cluster.encrypt(xbar) == oracle.encrypt(xbar)
@@ -1120,9 +1125,8 @@ def test_owner_view_is_blinded():
             for blob in ch.transcript:
                 f = transport.decode_frame(blob[4:])
                 if f.ftype == transport.RANDOMIZED_NODE:
-                    c, _ = paillier.parse_cipher_record(
-                        f.payload, 0, sk.public.key_bits)
-                    vals.append(paillier.decrypt(sk, c))
+                    vals.append(paillier.decrypt(
+                        sk, int.from_bytes(f.payload, "big")))
         assert len(vals) == 40
         span = 1 << (params.l + params.k)
         assert max(vals) - min(vals) > span // 8

@@ -182,9 +182,10 @@ def test_wide_circuits_match_plain(kind, seed, gen, ev):
 
 @pytest.mark.parametrize("kind", sorted(WIDE))
 def test_payload_length_formula(kind):
-    # two ciphertexts per non-free gate, two decode hashes per output
+    # two ciphertexts per non-free gate, two decode hashes per output,
+    # one label per generator input, and nothing else
     c = WIDE[kind]
-    expected = (10 + 32 * len(c.nonfree_gates()) + 32 * len(c.outputs) + 2 +
+    expected = (32 * len(c.nonfree_gates()) + 32 * len(c.outputs) +
                 16 * len(c.gen_inputs))
     rng = make_rng(21)
     for gc in instances(c, rng, 4):

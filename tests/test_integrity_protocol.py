@@ -4,7 +4,7 @@ substituting server is caught before any circuit evaluation."""
 import threading
 
 import pytest
-from oracles import decrypt_direct
+from oracles import Mope2Oracle, decrypt_direct, table_snapshot
 
 from oope import engine, integrity, paillier, transport
 from oope.cluster import build_cluster
@@ -13,7 +13,6 @@ from oope.errors import (ConfigurationError, HandshakeError, OopeError,
                          SessionAborted)
 from oope.ot import GROUP_TEST
 from oope.rng import make_rng
-from oope.wire import lp, read_lp
 
 MAC_PARAMS = integrity.gen_mac_params(512, 160, rng=make_rng(77))
 DATA = [32, 20, 25, 69, 10]
@@ -80,34 +79,71 @@ def test_analyst_uploads_are_tagged_and_verifiable(scheme):
         cluster.close()
 
 
-def test_upload_with_an_oversize_node_tag_aborts():
-    # the server cannot check the commitment, but it refuses an Enc(a)
-    # of the wrong width before the tag reaches the table, where every
-    # later session that visited the node would abort
+def test_upload_without_a_commitment_aborts():
+    # an upload is Enc(xbar) | Enc(a) | commitment; the server does not
+    # know the commitment's width, but it refuses an upload with none
+    # before the tag reaches the table, where every later session that
+    # visited the node would abort
     cluster, ctx = build(integrity.SCHEME_PEDERSEN, seed=111)
     try:
         table, pk = ctx["table"], ctx["pk"]
         orders = table.orders()
         orig_send = cluster.da.csp_ch.send
+        end = 2 * paillier.cipher_width(pk.key_bits)
 
-        def widen(frame):
-            # upload: Enc(xbar) record | lp(node tag); node tag:
-            # lp(commitment) | Enc(a) record, which gains a byte
+        def cut(frame):
             if frame.ftype == transport.CIPHER_UPLOAD:
-                end = 4 + paillier.cipher_width(pk.key_bits)
-                node_tag, _ = read_lp(frame.payload, end)
-                commit, off = read_lp(node_tag, 0)
-                node_tag = lp(commit) + lp(b"\0" + node_tag[off + 4:])
                 frame = transport.Frame(frame.ftype, frame.session_id,
-                                        frame.payload[:end] + lp(node_tag))
+                                        frame.payload[:end])
             orig_send(frame)
 
-        cluster.da.csp_ch.send = widen
-        with pytest.raises(SessionAborted, match="cipher record"):
+        cluster.da.csp_ch.send = cut
+        with pytest.raises(SessionAborted, match=(
+                f"CIPHER_UPLOAD of {end} bytes, expected more than {end}")):
             cluster.encrypt(15)
         cluster.da.csp_ch.send = orig_send
         assert table.orders() == orders
         assert cluster.encrypt(15) == 6
+        assert not cluster.errors
+    finally:
+        cluster.close()
+
+
+# damage -> (sending end, frame type, payload edit).  Under Pedersen a
+# node is Enc(x + r) | Enc(a + r'), cipher_width bytes each, its tag r'
+# (64 bytes) | commitment and its proof one group element, each of the
+# MAC group's width.
+PEDERSEN_DAMAGE = {
+    "node-trailing": ("csp->do", transport.RANDOMIZED_NODE,
+                      lambda p: p + b"\0"),
+    "tag-trailing": ("csp->da", transport.INTEGRITY_TAG, lambda p: p + b"\0"),
+    "proof-leading-zero": ("do->da", transport.INTEGRITY_PROOF,
+                           lambda p: b"\0" + p),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(PEDERSEN_DAMAGE))
+def test_malformed_pedersen_frames_abort_and_leave_the_table(damage):
+    sender, ftype, edit = PEDERSEN_DAMAGE[damage]
+    cluster, ctx = build(integrity.SCHEME_PEDERSEN, seed=115)
+    try:
+        before = table_snapshot(ctx["table"])
+        end = next(ch for ch in cluster.channels if ch.name == sender)
+
+        def damaged(frame):
+            if frame.ftype == ftype:
+                frame = transport.Frame(ftype, frame.session_id,
+                                        edit(frame.payload))
+            transport.Channel.send(end, frame)
+
+        end.send = damaged
+        with pytest.raises(SessionAborted, match=(
+                f"{transport.type_name(ftype)} of \\d+ bytes, expected")):
+            cluster.encrypt(15)
+        del end.send
+        assert table_snapshot(ctx["table"]) == before
+        assert cluster.encrypt(15) == \
+            Mope2Oracle(cluster.da.params.m).load(DATA).encrypt(15)
         assert not cluster.errors
     finally:
         cluster.close()
@@ -146,21 +182,20 @@ def test_pedersen_blind_decrypts_on_full_crt():
         assert (1 << (160 + params.k)) + MAC_PARAMS.q <= sk.p
         orig_node, orig_proof = cluster.csp.do_ch.send, cluster.do.da_ch.send
         shifted, proofs = [], []
+        width = paillier.cipher_width(pk.key_bits)
 
         def shift_a_blind(frame):
             if frame.ftype == transport.RANDOMIZED_NODE:
-                cipher, off = paillier.parse_cipher_record(
-                    frame.payload, 0, pk.key_bits)
-                a_cipher, _ = paillier.parse_cipher_record(
-                    frame.payload, off, pk.key_bits)
+                # Enc(x + r) | Enc(a + r'), width bytes each
+                cipher, a_cipher = (int.from_bytes(c, "big") for c in (
+                    frame.payload[:width], frame.payload[width:]))
                 a_cipher = paillier.hom_add(
                     pk, a_cipher, paillier.encrypt(pk, sk.p, make_rng(3)))
                 shifted.append((decrypt_direct(sk, cipher),
                                 decrypt_direct(sk, a_cipher)))
                 frame = transport.Frame(
                     frame.ftype, frame.session_id,
-                    frame.payload[:off] +
-                    paillier.cipher_record(a_cipher, pk.key_bits))
+                    frame.payload[:width] + a_cipher.to_bytes(width, "big"))
             orig_node(frame)
 
         def capture(frame):

@@ -201,18 +201,18 @@ def test_receiver_cannot_use_wrong_pad():
 def test_malformed_flips_spend_the_pads_and_keep_the_pools_in_step(damage):
     # the sender spends the batch's pads for a 35-bit flip vector before
     # it checks it, as the receiver spent them to make it, so the two
-    # ends' copies of the batch stay in step; a padding bit set after
-    # the 35th would pass np.unpackbits(count=35)
+    # ends' copies of the batch stay in step; bits go least significant
+    # first, so the top five bits of the fifth byte are padding
     sender, receiver = linked_batch(6, 6 * 35)
     rng = make_rng(7)
     for _ in range(3):
         flips = receiver.choose(random_round(rng, 35)[1])
         flips = {"short": flips[:-1], "long": flips + b"\0",
-                 "padded": flips[:-1] + bytes([flips[-1] | 1])}[damage]
+                 "padded": flips[:-1] + bytes([flips[-1] | 0x80])}[damage]
         with pytest.raises(ProtocolError, match="choice vector"):
             sender.accept(flips, 35)
         # no transfer was accepted, so none can run
-        with pytest.raises(UsageError):
+        with pytest.raises(ProtocolError, match="no OT transfer"):
             sender.send_pairs(random_round(rng, 35)[0])
     for _ in range(3):
         pairs, bits = random_round(rng, 35)
@@ -234,7 +234,7 @@ def test_phantom_transfers_then_real_ones():
             [p[b] for p, b in zip(pairs, bits)]
     assert sender._batch == receiver._batch == 4
     # a reply and its labels serve one transfer only
-    with pytest.raises(UsageError):
+    with pytest.raises(ProtocolError, match="no OT transfer"):
         sender.send_pairs(pairs)
     with pytest.raises(UsageError):
         receiver.receive_pairs(bytes(7 * 32))

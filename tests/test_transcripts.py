@@ -2,7 +2,7 @@
 
 import pytest
 
-from oope import integrity, ope_state, transport
+from oope import integrity, ope_state, paillier, transport
 from oope.cluster import LocalCluster, build_cluster
 from oope.engine import (BOUND_HIGH, BOUND_LOW, OP_BOUND_HIGH, OP_BOUND_LOW,
                          OP_ENCRYPT, ProtocolParams)
@@ -95,3 +95,68 @@ def test_different_seeds_differ():
     _, a = run("loopback", seed=1)
     _, b = run("loopback", seed=2)
     assert a["csp->do"] != b["csp->do"]
+
+
+@pytest.mark.parametrize("mode", ["det", "fh"])
+@pytest.mark.parametrize("scheme", [integrity.SCHEME_OFF,
+                                    integrity.SCHEME_PEDERSEN])
+def test_session_frames_have_the_v11_lengths(mode, scheme):
+    # every session frame has one layout, whose length follows from h,
+    # the key and MAC group widths and the circuit alone
+    params = ProtocolParams(l=16, k=16, m=(1 << 20) - 3, key_bits=256,
+                            mode=mode, integrity=scheme,
+                            mac_subgroup_bits=160)
+    pedersen = scheme == integrity.SCHEME_PEDERSEN
+    rng = make_rng(99)
+    data = [rng.randrange(1 << 16) for _ in range(30)]
+    cluster, ctx = build_cluster(
+        data, params, seed=2024, ot_group=GROUP_TEST, record=True,
+        mac_params=MAC_PARAMS if pedersen else None)
+    circuit = params.build_circuit()
+    n = len(circuit.eval_inputs)
+    w = paillier.cipher_width(params.key_bits)
+    g = (MAC_PARAMS.p.bit_length() + 7) // 8
+    flips = (n + 7) // 8
+    seen = set()
+    try:
+        for op, x in ((LocalCluster.encrypt, 77), (LocalCluster.encrypt, 77),
+                      (bounds_and_encrypt, 300)):
+            start = {name: len(t) for name, t in
+                     cluster.transcripts().items()}
+            h = ctx["table"].height
+            op(cluster, x)
+            frames = [transport.decode_frame(blob[4:])
+                      for name, blobs in cluster.transcripts().items()
+                      for blob in blobs[start[name]:]]
+            for sid in {f.session_id for f in frames
+                        if f.ftype == transport.SESSION_START}:
+                session = [f for f in frames if f.session_id == sid]
+                m = 8 * -(-h * n // 8)
+                want = {
+                    transport.SESSION_START: [1],
+                    transport.RANDOM_OFFSET: [16 * h],
+                    transport.OT_MSG: [4 + 16 * m + flips],
+                    transport.RANDOMIZED_NODE: [w * (1 + pedersen)] * h,
+                    transport.GC_PAYLOAD: [
+                        32 * (len(circuit.nonfree_gates()) +
+                              len(circuit.outputs)) +
+                        16 * len(circuit.gen_inputs) + 32 * n] * h,
+                    transport.GC_RESULT: [1 + flips] * (h - 1) + [1],
+                    transport.SHARES: [1] * 2 * h,
+                    transport.ORDER_RESULT: [16],
+                    transport.SESSION_DONE: [0]}
+                if pedersen:
+                    want[transport.INTEGRITY_TAG] = [64 + g] * h
+                    want[transport.INTEGRITY_PROOF] = [g] * h
+                if any(f.ftype == transport.CIPHER_UPLOAD for f in session):
+                    want[transport.CIPHER_UPLOAD] = [
+                        2 * w + g if pedersen else w]
+                got = {}
+                for f in session:
+                    got.setdefault(f.ftype, []).append(len(f.payload))
+                assert got == want
+                seen |= got.keys()
+        assert transport.CIPHER_UPLOAD in seen
+        assert not cluster.errors
+    finally:
+        cluster.close()
