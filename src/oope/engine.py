@@ -84,9 +84,11 @@ of any other length aborts its session instead of reaching the table or
 a decryption.
 
 No exponentiation waits on a peer where it need not.  Encryptions use
-short exponents (paillier): each is one 256-bit exponentiation of the
-key's fixed h^N instead of a full-size r^N, about a seventh of the
-work on a 2048-bit key.  A round's blind, r and Enc(r) (plus r' and
+short exponents (paillier): each raises the key's fixed h^N to a
+256-bit alpha instead of computing a full-size r^N, and from 1024-bit
+keys up reads h^N's powers from a comb table shared by every copy of
+the key in the process, 43 multiplications instead of a 256-bit
+exponentiation.  A round's blind, r and Enc(r) (plus r' and
 Enc(r') under Pedersen), does not depend on the comparison, so the
 server still makes it one round ahead: right after sending a round's
 frames and before waiting for its shares.  A session draws all its

@@ -1,19 +1,58 @@
-"""Modular exponentiation through GMP's constant-time mpz_powm_sec.
+"""Modular exponentiation through GMP's side-channel-silent functions.
+
+Two entry points, both reaching libgmp through ctypes, whose calls
+release the interpreter lock.
 
 powmod(base, exp, mod) returns exactly pow(base, exp, mod).  When
 libgmp loads, a call with exp > 0, an odd mod >= 3 and a base that is
 not a multiple of mod runs in mpz_powm_sec: its running time and memory
 access pattern depend on the bit lengths of the operands, not on the
-exponent's value, and ctypes releases the interpreter lock for the
-duration of the call.  Every other call, and every call on a host
-without libgmp, goes through the built-in pow.  The two paths return
-identical results, so no ciphertext, randomness distribution or
-hardness assumption depends on which one ran.
+exponent's value.  Every other call, and every call on a host without
+libgmp, goes through the built-in pow.
+
+FixedBase(base, mod, bits) raises one base, fixed for the object's
+life, to exponents e in [1, 2^bits): pow(e) returns pow(base, e, mod).
+Where libgmp exports the mpn_sec functions and mod has at least
+_COMB_MIN_BITS bits, it is a comb after Brickell, Gordon, McCurley and
+Wilson ("Fast exponentiation with precomputation", EUROCRYPT 1992):
+the object holds base^(j*2^(W*i)) for each of the ceil(bits/W) windows
+i and each W-bit digit j, with W = _WINDOW, and pow(e) multiplies one
+entry per window.  Each window makes three calls: mpn_sec_tabselect,
+which reads the window's whole row and keeps the digit's entry, then
+mpn_sec_mul and mpn_sec_div_r, which multiply and reduce in time and
+memory accesses that depend only on the operands' limb counts.  So the
+sequence of calls, their sizes and the rows they read are fixed by
+(mod, bits, W); only the digit each tabselect keeps depends on e.  The
+digits are cut from e with Python shifts of e + 2^(W*windows), whose
+length is the same for every e, so no shift's size depends on e
+either; CPython's integer arithmetic itself promises nothing about
+timing.  Below _COMB_MIN_BITS, and without the mpn_sec functions, pow
+is powmod.
+
+The two paths of each function return identical results, so no
+ciphertext, randomness distribution or hardness assumption depends on
+which one ran.
 """
 
 import ctypes
+from types import SimpleNamespace
+
+from .errors import DomainError
 
 _SONAMES = ("libgmp.so.10", "libgmp.10.dylib", "libgmp.so")
+
+# Comb window bits.  On a 4096-bit modulus (the N^2 of a 2048-bit
+# Paillier key), one sitting on a 2-core VM: a 256-bit exponent took
+# 1.06 ms at W = 6, 1.20 ms at 5, 1.08 ms at 7 and 1.17 ms at 8, with
+# tables of 0.81, 1.34, 2.31 and 4.00 MB built in 34, 57, 102 and
+# 164 ms.  The W = 6 table holds 43 rows of 64 entries.
+_WINDOW = 6
+# Smallest modulus that gets a table: the N^2 of a 1024-bit Paillier
+# key has 2047 or 2048 bits.  Per 256-bit exponent, powmod against the
+# comb: 0.04-0.07 ms against 0.15-0.34 ms on a 256-bit key, where the
+# 129 ctypes calls dominate; 0.72 ms against 0.47 ms on a 1024-bit key;
+# 1.6-2.5 ms against 0.68-1.06 ms on a 2048-bit key.
+_COMB_MIN_BITS = 2047
 
 
 class _Mpz(ctypes.Structure):
@@ -44,7 +83,34 @@ def _load():
     return None
 
 
+def _load_sec(lib):
+    """The mpn_sec functions the comb calls and the limb type, or None
+    where libgmp is missing or lacks them."""
+    if lib is None:
+        return None
+    try:
+        sec = SimpleNamespace(
+            tabselect=lib.__gmpn_sec_tabselect, mul=lib.__gmpn_sec_mul,
+            div_r=lib.__gmpn_sec_div_r, mul_itch=lib.__gmpn_sec_mul_itch,
+            div_r_itch=lib.__gmpn_sec_div_r_itch)
+        limb_bits = ctypes.c_int.in_dll(lib, "__gmp_bits_per_limb").value
+    except (AttributeError, ValueError):
+        return None
+    sec.limb = {32: ctypes.c_uint32, 64: ctypes.c_uint64}.get(limb_bits)
+    if sec.limb is None:
+        return None
+    ptr, size = ctypes.c_void_p, ctypes.c_ssize_t  # mp_limb_t *, mp_size_t
+    sec.tabselect.argtypes = [ptr, ptr, size, size, size]
+    sec.mul.argtypes = [ptr, ptr, size, ptr, size, ptr]
+    sec.div_r.argtypes = [ptr, size, ptr, size, ptr]
+    sec.mul_itch.argtypes = sec.div_r_itch.argtypes = [size, size]
+    sec.tabselect.restype = sec.mul.restype = sec.div_r.restype = None
+    sec.mul_itch.restype = sec.div_r_itch.restype = size
+    return sec
+
+
 _gmp = _load()
+_sec = _load_sec(_gmp)
 
 
 def powmod(base: int, exp: int, mod: int) -> int:
@@ -71,3 +137,65 @@ def powmod(base: int, exp: int, mod: int) -> int:
     finally:
         for z in zs:
             lib.__gmpz_clear(z)
+
+
+class FixedBase:
+    """pow(base, e, mod) for e in [1, 2^bits), base and mod fixed.
+
+    The comb's table, where there is one, is built here, once; pow only
+    reads it, so threads may share one object.
+    """
+
+    def __init__(self, base: int, mod: int, bits: int):
+        self.base = base % mod
+        self.mod = mod
+        self.bits = bits
+        self._table = None
+        sec = _sec
+        if sec is not None and mod.bit_length() >= _COMB_MIN_BITS:
+            self._build(sec)
+
+    def _build(self, sec):
+        limb_bytes = ctypes.sizeof(sec.limb)
+        n = self._limbs = -(-self.mod.bit_length() // (8 * limb_bytes))
+        self._rows = -(-self.bits // _WINDOW)
+        size, step = 1 << _WINDOW, n * limb_bytes
+        self._mod = (sec.limb * n).from_buffer_copy(
+            self.mod.to_bytes(step, "little"))
+        table = (sec.limb * (self._rows * size * n))()
+        g = (sec.limb * n).from_buffer_copy(self.base.to_bytes(step, "little"))
+        prod = (sec.limb * (2 * n))()
+        self._scratch = max(sec.mul_itch(n, n), sec.div_r_itch(2 * n, n))
+        scratch = (sec.limb * self._scratch)()
+        for i in range(self._rows):
+            # row i: entry j is g^j for g = base^(2^(W*i)); its last
+            # product, g^(2^W), is the next row's g
+            row = ctypes.addressof(table) + i * size * step
+            table[i * size * n] = 1
+            ctypes.memmove(row + step, g, step)
+            for j in range(2, size + 1):
+                sec.mul(prod, row + (j - 1) * step, n, g, n, scratch)
+                sec.div_r(prod, 2 * n, self._mod, n, scratch)
+                ctypes.memmove(row + j * step if j < size else g, prod, step)
+        self._table = table
+
+    def pow(self, e: int) -> int:
+        """base^e mod mod; an e outside [1, 2^bits) is a DomainError."""
+        if not 0 < e < 1 << self.bits:
+            raise DomainError(f"exponent outside [1, 2^{self.bits})")
+        if self._table is None:
+            return powmod(self.base, e, self.mod)
+        sec, n, rows = _sec, self._limbs, self._rows
+        size, step = 1 << _WINDOW, n * ctypes.sizeof(sec.limb)
+        sel = (sec.limb * n)()
+        acc, out = (sec.limb * (2 * n))(1), (sec.limb * (2 * n))()  # acc = 1
+        scratch = (sec.limb * self._scratch)()
+        digits = e | 1 << (_WINDOW * rows)
+        row = ctypes.addressof(self._table)
+        for i in range(rows):
+            sec.tabselect(sel, row + i * size * step, n, size,
+                          digits >> (_WINDOW * i) & (size - 1))
+            sec.mul(out, acc, n, sel, n, scratch)
+            sec.div_r(out, 2 * n, self._mod, n, scratch)
+            acc, out = out, acc
+        return int.from_bytes(bytes(acc)[:step], "little")

@@ -196,10 +196,11 @@ def init_state(dataset, m: int, pk: paillier.PaillierPublicKey, l: int,
     Ciphertexts and tags are filled in once every order is placed, in
     table order.  Every encryption's short exponent alpha
     (paillier.fresh_alpha) is drawn on the calling thread, entry by
-    entry and interleaved with the tagger's draws, and the key's h^N is
-    computed there once, before any worker runs; the exponentiations
-    then spread over the cores (_encrypt_all).  So a seeded table is the
-    same on any number of cores, and no worker recomputes h^N.
+    entry and interleaved with the tagger's draws, and the key's h^N and
+    its comb table (paillier.PaillierPublicKey.h_n) are built there once,
+    before any worker runs; the exponentiations then spread over the
+    cores (_encrypt_all), which read that table.  So a seeded table is
+    the same on any number of cores, and no worker rebuilds h^N.
     """
     dataset = list(dataset)
     n = len(dataset)
@@ -234,7 +235,7 @@ def init_state(dataset, m: int, pk: paillier.PaillierPublicKey, l: int,
     for x in xs:
         jobs.append((x, paillier.fresh_alpha(rng)))
         node_tags.append(tagger(x) if tagger is not None else None)
-    pk.h_n  # cached here, so the workers share it
+    pk.h_n  # built here, once, so the workers share its table
     for entry, node_tag, cipher in zip(table.entries(), node_tags,
                                        _encrypt_all(pk, jobs)):
         entry.cipher, entry.node_tag = cipher, node_tag
@@ -245,8 +246,10 @@ def _encrypt_all(pk, jobs):
     """paillier.encrypt of every (plaintext, alpha) job, in job order.
 
     The jobs run in os.cpu_count() contiguous slices: the calling thread
-    runs the first, a thread pool the others; powmod releases the
-    interpreter lock, so the slices' exponentiations run in parallel.
+    runs the first, a thread pool the others.  Each GMP call of an
+    encryption (FixedBase.pow's table reads, multiplications and
+    reductions, or powmod below its threshold) releases the interpreter
+    lock, so the slices' exponentiations run in parallel.
     The calling thread takes a slice itself because a pool reuses a
     worker that went idle, so short slices could all queue on one thread.
     """

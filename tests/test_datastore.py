@@ -149,7 +149,7 @@ def test_public_key_copies_share_h_n(keys):
     pk, _ = keys
     parsed, _ = paillier.parse_public_key(paillier.serialize_public_key(pk))
     assert parsed is not pk
-    assert parsed.h == pk.h and parsed.h_n == pk.h_n
+    assert parsed.h == pk.h and parsed.h_n.base == pk.h_n.base
     for m in (0, 7, pk.n - 1):
         ciphers = {paillier.encrypt(key, m, make_rng(m))
                    for key in (pk, parsed)}

@@ -1,14 +1,18 @@
-"""powmod against the built-in pow, on the GMP path and the fallback."""
+"""powmod and FixedBase against the built-in pow, on the GMP paths and
+the fallbacks."""
 
 import ctypes
+import sys
 import threading
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oope import modexp
-from oope.modexp import powmod
+from oope.errors import DomainError
+from oope.modexp import FixedBase, powmod
 from oope.rng import make_rng
 
 
@@ -91,3 +95,163 @@ def test_two_threads_agree_with_pow():
         t.join(timeout=60)
     assert not any(t.is_alive() for t in threads)
     assert not failures
+
+
+# FixedBase: a 4096-bit modulus is the N^2 of a 2048-bit key, 2047 bits
+# the smallest that gets a table, 512 bits one that does not
+COMB_BITS = (4096, modexp._COMB_MIN_BITS, 512)
+
+
+def _modulus(bits, seed):
+    rng = make_rng(seed)
+    return rng.getrandbits(bits) | 1 | 1 << (bits - 1), rng
+
+
+@pytest.fixture(scope="module")
+def fixed_bases():
+    """One FixedBase over a 256-bit exponent per size of COMB_BITS."""
+    out = {}
+    for bits in COMB_BITS:
+        mod, rng = _modulus(bits, bits)
+        out[bits] = FixedBase(rng.randrange(2, mod), mod, 256)
+    return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(mod_bits=st.sampled_from((2048, 600)), bits=st.integers(1, 300),
+       base=sized(1, 2100), data=st.data())
+def test_fixed_base_matches_builtin_pow(mod_bits, bits, base, data):
+    # a table per example, above and below the threshold: every row
+    # count, and bases at or above mod
+    mod = data.draw(sized(mod_bits, mod_bits))
+    fb = FixedBase(base, mod, bits)
+    for e in data.draw(st.lists(st.integers(1, (1 << bits) - 1),
+                                min_size=1, max_size=3)):
+        assert fb.pow(e) == pow(base, e, mod)
+
+
+@pytest.mark.parametrize("size", COMB_BITS)
+def test_fixed_base_exponent_edges(fixed_bases, size):
+    fb = fixed_bases[size]
+    for e in (1, 2, 63, 64, (1 << 256) - 1, 1 << 255):
+        assert fb.pow(e) == pow(fb.base, e, fb.mod)
+    for e in (0, -1, 1 << 256):
+        with pytest.raises(DomainError, match="outside"):
+            fb.pow(e)
+
+
+def test_fixed_base_shared_by_threads(fixed_bases):
+    # more threads than cores, switching often, read one table
+    fb = fixed_bases[4096]
+    failures = []
+
+    def worker(seed):
+        rng = make_rng(seed)
+        for _ in range(20):
+            e = rng.randrange(1, 1 << 256)
+            if fb.pow(e) != pow(fb.base, e, fb.mod):
+                failures.append(e)
+
+    threads = [threading.Thread(target=worker, args=(s,))
+               for s in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not failures
+
+
+@settings(max_examples=30, deadline=None)
+@given(size=st.sampled_from(COMB_BITS[:2]), e=st.integers(1, (1 << 256) - 1))
+def test_fixed_base_fallback_without_mpn_sec(size, e):
+    mod, rng = _modulus(size, size + 1)
+    base = rng.randrange(2, mod)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(modexp, "_sec", None)
+        fb = FixedBase(base, mod, 256)
+        assert fb._table is None
+        assert fb.pow(e) == pow(base, e, mod)
+
+
+def test_mpn_sec_path_is_active_where_libgmp_exports_it(fixed_bases):
+    """A signature mistake must not silently drop every table."""
+    for name in modexp._SONAMES:
+        try:
+            lib = ctypes.CDLL(name)
+        except OSError:
+            continue
+        if not hasattr(lib, "__gmpn_sec_tabselect"):
+            pytest.skip("libgmp lacks the mpn_sec functions")
+        assert modexp._sec is not None
+        assert fixed_bases[4096]._table is not None
+        assert fixed_bases[modexp._COMB_MIN_BITS]._table is not None
+        assert fixed_bases[512]._table is None
+        return
+    pytest.skip("libgmp is not installed")
+
+
+def _recorded_calls(fb, e):
+    """Each mpn_sec call fb.pow(e) makes: the function, its size
+    arguments, the table row a pointer reaches into and, for any other
+    buffer, the order in which the call sequence first passed it."""
+    real, calls, buffers = modexp._sec, [], {}
+    table = ctypes.addressof(fb._table)
+    row_bytes = ctypes.sizeof(fb._table) // fb._rows
+
+    def label(arg):
+        if isinstance(arg, int) and table <= arg < table + \
+                ctypes.sizeof(fb._table):
+            return ("row", (arg - table) // row_bytes,
+                    (arg - table) % row_bytes)
+        if isinstance(arg, int):
+            return ("size", arg)
+        return ("buffer", buffers.setdefault(ctypes.addressof(arg),
+                                             len(buffers)),
+                ctypes.sizeof(arg))
+
+    def recording(name):
+        fn = getattr(real, name)
+
+        def call(*args):
+            calls.append((name, *map(label, args)))
+            return fn(*args)
+        return call
+
+    recorder = SimpleNamespace(**vars(real))
+    for name in ("tabselect", "mul", "div_r", "mul_itch", "div_r_itch"):
+        setattr(recorder, name, recording(name))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(modexp, "_sec", recorder)
+        assert fb.pow(e) == pow(fb.base, e, fb.mod)
+    return calls
+
+
+@pytest.mark.skipif(modexp._sec is None, reason="no mpn_sec functions")
+def test_fixed_base_call_sequence_does_not_depend_on_the_exponent(
+        fixed_bases):
+    # the same calls with the same sizes on the same rows and buffers
+    # for every exponent; only tabselect's digit (its last argument)
+    # differs, and the digits spell the exponent
+    fb = fixed_bases[4096]
+    rng = make_rng(17)
+    exps = [1, (1 << 256) - 1] + [rng.randrange(1, 1 << 256)
+                                  for _ in range(4)]
+    shapes = set()
+    for e in exps:
+        calls = _recorded_calls(fb, e)
+        selects = [c for c in calls if c[0] == "tabselect"]
+        assert len(selects) == fb._rows == 43
+        assert [c[2][:2] for c in selects] == \
+            [("row", i) for i in range(fb._rows)]
+        assert sum(c[-1][1] << (modexp._WINDOW * i)
+                   for i, c in enumerate(selects)) == e
+        assert [c[0] for c in calls] == ["tabselect", "mul", "div_r"] * 43
+        shapes.add(tuple(c[:-1] if c[0] == "tabselect" else c
+                         for c in calls))
+    assert len(shapes) == 1

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import table_snapshot
 
-from oope import engine, integrity, ope_state, paillier
+from oope import engine, integrity, modexp, ope_state, paillier
 from oope.errors import (CapacityError, ConfigurationError, DomainError,
                          GapExhausted, IntegrityError, UsageError)
 from oope.ope_state import (OpeEntry, OpeTable, assign_order, init_state,
@@ -281,28 +281,39 @@ def test_setup_fan_out_matches_serial(keys, monkeypatch, mode, tagged):
         data if mode == "fh" else set(data))
 
 
-def test_setup_derives_h_n_once_on_the_calling_thread(keys, monkeypatch):
-    # a freshly parsed key has no h^N yet; set-up computes it once, on
-    # the calling thread, before any worker's encryption uses it
-    pk, sk = keys
+def test_setup_derives_h_n_once_on_the_calling_thread(monkeypatch):
+    # a key no object has used yet has no table; set-up builds it once,
+    # on the calling thread, before any worker's encryption reads it.
+    # A 1024-bit key's N^2 is large enough for the comb.
+    pk, sk = paillier.keygen(1024, rng=make_rng(1024))
     fresh, _ = paillier.parse_public_key(paillier.serialize_public_key(pk))
-    powmod = paillier.powmod
-    calls = []
+    events = []
 
-    def recording_powmod(base, exp, mod):
-        calls.append((threading.get_ident(), base == fresh.h and
-                      exp == fresh.n and mod == fresh.n_sq))
-        return powmod(base, exp, mod)
+    class RecordingFixedBase(modexp.FixedBase):
+        def __init__(self, base, mod, bits):
+            events.append(("build", threading.get_ident(), base == pow(
+                fresh.h, fresh.n, fresh.n_sq) and mod == fresh.n_sq))
+            super().__init__(base, mod, bits)
 
-    monkeypatch.setattr(paillier, "powmod", recording_powmod)
+        def pow(self, e):
+            events.append(("pow", threading.get_ident(), None))
+            return super().pow(e)
+
+    monkeypatch.setattr(paillier, "FixedBase", RecordingFixedBase)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     _, table = init_state(range(0, 60, 3), (1 << 20) - 3, fresh, l=16,
                           rng=make_rng(4))
-    assert calls[0] == (threading.get_ident(), True)
-    assert not any(is_h_n for _, is_h_n in calls[1:])
-    assert len(calls) == 1 + 20 and len({t for t, _ in calls[1:]}) > 1
+    assert events[0] == ("build", threading.get_ident(), True)
+    assert all(kind == "pow" for kind, _, _ in events[1:])
+    assert len(events) == 1 + 20 and len({t for _, t, _ in events[1:]}) > 1
+    assert isinstance(fresh.h_n, RecordingFixedBase)
+    assert (fresh.h_n._table is not None) == (modexp._sec is not None)
     assert [paillier.decrypt(sk, e.cipher) for e in table.entries()] == \
         list(range(0, 60, 3))
+    # every key object with this key_id shares that one table
+    again, _ = paillier.parse_public_key(paillier.serialize_public_key(pk))
+    assert again is not fresh and again.h_n is fresh.h_n is pk.h_n
+    assert len(events) == 1 + 20
 
 
 @settings(max_examples=80, deadline=None)

@@ -181,8 +181,7 @@ def test_membership_is_checked_per_crt_half(keys):
         paillier.decrypt(sk, bad)
 
 
-def test_alpha_draws_lie_in_range(keys):
-    pk, _ = keys
+def test_alpha_draws_lie_in_range(key_sizes):
     asked = []
 
     class RecordingRng(random.Random):
@@ -195,12 +194,19 @@ def test_alpha_draws_lie_in_range(keys):
     assert set(asked) == {(1, 1 << paillier.ALPHA_BITS)}
     assert all(1 <= a < 1 << 256 for a in alphas)
     assert max(a.bit_length() for a in alphas) == 256
-    # encrypt draws the same alpha itself and takes one from its caller
-    for a in (1, alphas[0], (1 << 256) - 1):
-        c = paillier.encrypt(pk, 5, alpha=a)
-        assert c == (1 + 5 * pk.n) * pow(pk.h_n, a, pk.n_sq) % pk.n_sq
-    assert paillier.encrypt(pk, 5, make_rng(3)) == \
-        paillier.encrypt(pk, 5, alpha=paillier.fresh_alpha(make_rng(3)))
+    # encrypt draws the same alpha itself and takes one from its caller,
+    # below the comb's threshold (256 bits) and above it (2048 bits)
+    for pk, _ in key_sizes.values():
+        for a in (1, alphas[0], (1 << 256) - 1):
+            c = paillier.encrypt(pk, 5, alpha=a)
+            assert c == (1 + 5 * pk.n) * pow(pk.h_n.base, a, pk.n_sq) % \
+                pk.n_sq
+        assert paillier.encrypt(pk, 5, make_rng(3)) == \
+            paillier.encrypt(pk, 5, alpha=paillier.fresh_alpha(make_rng(3)))
+        # alpha = 0 leaves 1+mN unblinded; 2^256 lies outside the table
+        for a in (0, -1, 1 << 256):
+            with pytest.raises(DomainError, match="outside"):
+                paillier.encrypt(pk, 5, alpha=a)
 
 
 @pytest.mark.parametrize("bits", [64, 256, 2048])
@@ -219,7 +225,7 @@ def test_keygen_builds_a_subgroup_key(key_sizes, bits):
     assert pow(h, t_p, q) != 1 and pow(h, t_q, p) != 1
     assert math.gcd(pow(h, t_p, n) - 1, n) == p
     assert math.gcd(pow(h, t_q, n) - 1, n) == q
-    assert pk.h_n == pow(h, n, pk.n_sq)
+    assert pk.h_n.base == pow(h, n, pk.n_sq)
 
 
 def test_fast_g_equals_textbook(keys):
