@@ -122,9 +122,11 @@ no encodings: the owner keeps no orders after set-up and sees nothing
 of a rebalance.  The remap would show it every order in the table, the
 analyst's included, each between two of its own plaintexts.
 
-Garbled labels are 128-bit ints (garbling); the owner hands its OT
-sender int label pairs and the analyst gets ints back from its OT
-receiver, so labels are bytes only inside GC_PAYLOAD.
+Garbled labels are numpy uint8 rows of 16 bytes between the wire and
+the gate loops, and 128-bit ints only inside those loops (garbling).
+The owner hands its OT sender an instance's label pairs as rows, and
+the analyst gets rows back from its OT receiver and from the payload,
+which garbling.evaluate turns into ints.
 
 The owner garbles ahead.  It keeps a pool of garbled comparators: one
 garbling.GarbledCircuit, whose garbling.BATCH = 32 instances were

@@ -1,13 +1,22 @@
 """Garbling scheme for boolean circuits: half-gates over integer labels,
 garbled BATCH instances at a time under a fixed-key AES hash.
 
-Labels are 128-bit Python ints, so XORing two labels is one native
-operation; they become bytes only in the wire format.  The generator
-draws a global offset Δ with its low bit set, so every wire's one-label
-is its zero-label XOR Δ and a label's low bit is its permute bit.  XOR
-gates are free (the output zero-label is the XOR of the input
-zero-labels), and so is NOT (the generator XORs Δ into the zero-label,
-the evaluator copies its label).
+Inside the gate loops of GarbledCircuit and evaluate, labels are
+128-bit Python ints, so XORing two labels is one native operation.
+Everywhere else they are numpy uint8 rows of 16 bytes, each row the
+label's big-endian bytes as GC_PAYLOAD and the OT reply carry it: an
+instance's generator labels (encode), its evaluator label pairs
+(eval_label_pairs, an (n, 2, 16) array for the OT), the generator
+labels parse_payload reads, the evaluator labels the OT delivers, and
+the output labels evaluate returns to decode.  A GarbledCircuit cuts
+each lane's rows, and its payload up to the generator labels, out of
+the batch-wide ints once per batch.
+
+The generator draws a global offset Δ with its low bit set, so every
+wire's one-label is its zero-label XOR Δ and a label's low bit is its
+permute bit.  XOR gates are free (the output zero-label is the XOR of
+the input zero-labels), and so is NOT (the generator XORs Δ into the
+zero-label, the evaluator copies its label).
 
 AND gates are half-gates (Zahur, Rosulek and Evans, "Two Halves Make a
 Whole", EUROCRYPT 2015).  Non-free gate j carries two 16-byte
@@ -81,10 +90,10 @@ so a payload is exactly 32·tables + 32·outputs + 16·labels bytes long,
 whatever the input bits.  Nothing in it names the circuit: both ends
 build it from the parameters whose digest HELLO checked.
 
-Correctness contract: decode(d, evaluate(F, T, encode(gen wires, x),
-labels of y)) equals the gate-by-gate evaluation of the circuit on
-(x, y) for every input (eval_plain in tests/oracles.py), in every lane
-of a batch, checked exhaustively in the tests for small widths.
+Correctness contract: decode(d, evaluate(F, T, encode(x), labels of
+y)) equals the gate-by-gate evaluation of the circuit on (x, y) for
+every input (eval_plain in tests/oracles.py), in every lane of a
+batch, checked exhaustively in the tests for small widths.
 """
 
 import hashlib
@@ -105,15 +114,22 @@ _LOW_BITS = sum(1 << (_LABEL_BITS * i) for i in range(BATCH))
 _sha256 = hashlib.sha256
 
 
-def _decode_hash(label: int) -> bytes:
-    return _sha256(b"out" + label.to_bytes(LABEL_BYTES, "big")).digest()[
-        :LABEL_BYTES]
+def _decode_hash(label: bytes) -> bytes:
+    return _sha256(b"out" + label).digest()[:LABEL_BYTES]
 
 
 def _lane_masks(v: int) -> int:
     """All ones in every lane whose low (permute) bit is set in v."""
     low = v & _LOW_BITS
     return (low << _LABEL_BITS) - low
+
+
+def _lanes(values):
+    """Each lane's rows of the batch-wide ints values: a (BATCH,
+    len(values), 16) uint8 array."""
+    blob = b"".join([v.to_bytes(_BATCH_BYTES, "big") for v in values])
+    return np.frombuffer(blob, dtype=np.uint8).reshape(
+        len(values), BATCH, LABEL_BYTES).swapaxes(0, 1).copy()
 
 
 def _split(v: int, count: int, width: int) -> list:
@@ -170,16 +186,23 @@ class GarbledCircuit:
                     t_g << _BATCH_BITS | (t_e ^ a0)).to_bytes(
                         2 * _BATCH_BYTES, "big")
                 label0[out] = w ^ delta if op == OR else w
-        # the instances keep only the labels they hand out
-        kept = {w: label0[w] for w in circuit.gen_inputs +
-                circuit.eval_inputs + circuit.outputs}
-        del label0
-        # (table, lane, 16 bytes) -> one T_G || T_E byte string per lane
+        deltas = _lanes([delta])[:, 0]
+        gen0, eval0, out0 = (_lanes([label0[w] for w in wires]) for wires in (
+            circuit.gen_inputs, circuit.eval_inputs, circuit.outputs))
+        eval_pairs = np.stack((eval0, eval0 ^ deltas[:, None]), axis=2)
+        # per lane: T_G || T_E of each gate, then the decode hashes of
+        # each output's zero-label and one-label
+        outs = np.stack((out0, out0 ^ deltas[:, None]), axis=2).tobytes()
+        hashes = np.frombuffer(b"".join(
+            [_decode_hash(outs[i:i + LABEL_BYTES])
+             for i in range(0, len(outs), LABEL_BYTES)]),
+            dtype=np.uint8).reshape(BATCH, -1, LABEL_BYTES)
         grid = np.frombuffer(tables, dtype=np.uint8).reshape(
-            -1, BATCH, LABEL_BYTES)
+            -1, BATCH, LABEL_BYTES).swapaxes(0, 1)
+        prefixes = np.concatenate((grid, hashes), axis=1)
         self._instances = [
-            GarbledInstance(circuit, grid[:, i].tobytes(), kept, delta,
-                            _LABEL_BITS * (BATCH - 1 - i))
+            GarbledInstance(circuit, prefixes[i].tobytes(), gen0[i],
+                            eval_pairs[i], deltas[i])
             for i in reversed(range(BATCH))]
 
     def __len__(self):
@@ -192,50 +215,47 @@ class GarbledCircuit:
 
 
 class GarbledInstance:
-    """One lane of a GarbledCircuit: `table_bytes` is T_G || T_E of each
-    non-free gate as GC_PAYLOAD carries them, `decode_info` the decode
-    hashes of each output."""
+    """One lane of a GarbledCircuit: `prefix` is its GC_PAYLOAD up to the
+    generator labels, T_G || T_E of each non-free gate and the decode
+    hashes of each output; its generator zero-labels, evaluator label
+    pairs and Δ are 16-byte rows."""
 
-    def __init__(self, circuit, table_bytes, label0, delta, shift):
+    def __init__(self, circuit, prefix, gen0, eval_pairs, delta):
         self.circuit = circuit
-        self.table_bytes = table_bytes
-        # batch-wide zero-labels of the input and output wires; this
-        # lane is read by shift
-        self._label0 = label0
-        self._shift = shift
-        self._delta = delta >> shift & _LABEL_MASK
-        self.decode_info = [(_decode_hash(z), _decode_hash(z ^ self._delta))
-                            for z in self._zero_labels(circuit.outputs)]
+        self.prefix = prefix
+        self._gen0 = gen0  # (len(gen_inputs), 16)
+        self._eval_pairs = eval_pairs  # (len(eval_inputs), 2, 16)
+        self._delta = delta  # (16,)
 
-    def _zero_labels(self, wires):
-        s, label0 = self._shift, self._label0
-        return [label0[w] >> s & _LABEL_MASK for w in wires]
-
-    def encode(self, wires, bits):
-        """Map the generator's own input bits to labels."""
-        return [z ^ self._delta if b & 1 else z
-                for z, b in zip(self._zero_labels(wires), bits)]
+    def encode(self, bits):
+        """The label rows of the generator's own input bits, one per wire
+        of circuit.gen_inputs."""
+        return self._gen0 ^ (np.asarray(bits, dtype=np.uint8)[:, None] *
+                             self._delta)
 
     def eval_label_pairs(self):
-        """(zero-label, one-label) per evaluator input wire, for the OT."""
-        return [(z, z ^ self._delta)
-                for z in self._zero_labels(self.circuit.eval_inputs)]
+        """(zero-label, one-label) rows per evaluator input wire, an
+        (n, 2, 16) array for the OT."""
+        return self._eval_pairs
 
 
 def evaluate(circuit: BooleanCircuit, tables: bytes, gen_labels,
              eval_labels):
     """Evaluate garbled tables, T_G || T_E of each non-free gate as
-    GC_PAYLOAD carries them; returns the output labels.
+    GC_PAYLOAD carries them; returns the output labels, one 16-byte row
+    per wire of circuit.outputs.
 
-    gen_labels and eval_labels hold one label per wire of
-    circuit.gen_inputs and circuit.eval_inputs, in that order.  A
-    ciphertext is read only where a permute bit selects it.
+    gen_labels and eval_labels are uint8 arrays of one 16-byte row per
+    wire of circuit.gen_inputs and circuit.eval_inputs, in that order.
+    A ciphertext is read only where a permute bit selects it.
     """
     labels = [0] * circuit.n_wires
-    for w, label in zip(circuit.gen_inputs, gen_labels):
-        labels[w] = label
-    for w, label in zip(circuit.eval_inputs, eval_labels):
-        labels[w] = label
+    # each row's two 64-bit halves, high then low
+    halves = iter(np.concatenate((gen_labels, eval_labels)).view(
+        ">u8").ravel().tolist())
+    for w, hi, lo in zip(circuit.gen_inputs + circuit.eval_inputs, halves,
+                         halves):
+        labels[w] = hi << 64 | lo
     for (free, nonfree), tweaks in zip(circuit.schedule,
                                        circuit.hash_tweaks(1)):
         for op, a, b, out in free:
@@ -261,14 +281,17 @@ def evaluate(circuit: BooleanCircuit, tables: bytes, gen_labels,
                 w ^= int.from_bytes(
                     tables[at + LABEL_BYTES:at + 2 * LABEL_BYTES], "big") ^ la
             labels[out] = w
-    return [labels[w] for w in circuit.outputs]
+    return np.frombuffer(b"".join(
+        [labels[w].to_bytes(LABEL_BYTES, "big") for w in circuit.outputs]),
+        dtype=np.uint8).reshape(-1, LABEL_BYTES)
 
 
 def decode(decode_info, output_labels):
-    """Turn output labels into bits; rejects labels that match neither."""
+    """Turn output label rows into bits; rejects labels that match
+    neither."""
     bits = []
     for (h0, h1), label in zip(decode_info, output_labels):
-        h = _decode_hash(label)
+        h = _decode_hash(label.tobytes())
         if h == h0:
             bits.append(0)
         elif h == h1:
@@ -281,17 +304,16 @@ def decode(decode_info, output_labels):
 # --- wire format (module docstring) -----------------------------------------
 
 def payload(gc: GarbledInstance, gen_bits) -> bytes:
-    gen_labels = gc.encode(gc.circuit.gen_inputs, gen_bits)
-    return b"".join([gc.table_bytes, *(h for pair in gc.decode_info
-                                       for h in pair)] +
-                    [v.to_bytes(LABEL_BYTES, "big") for v in gen_labels])
+    return gc.prefix + gc.encode(gen_bits).tobytes()
 
 
 def parse_payload(circuit: BooleanCircuit, buf: bytes):
-    """Returns (tables, decode_info, generator labels in gen_inputs
+    """Returns (tables, decode_info, generator label rows in gen_inputs
     order), tables being the payload's T_G || T_E bytes, for evaluate; a
     payload of any length but the circuit's is a ProtocolError."""
-    hashes_at = 2 * LABEL_BYTES * len(circuit.nonfree_gates())
+    # the non-free gates, counted from the cached schedule
+    hashes_at = 2 * LABEL_BYTES * sum(len(nonfree)
+                                      for _, nonfree in circuit.schedule)
     labels_at = hashes_at + 2 * LABEL_BYTES * len(circuit.outputs)
     expected = labels_at + LABEL_BYTES * len(circuit.gen_inputs)
     if len(buf) != expected:
@@ -299,6 +321,6 @@ def parse_payload(circuit: BooleanCircuit, buf: bytes):
                             f"expected {expected}")
     hashes = [buf[i:i + LABEL_BYTES]
               for i in range(hashes_at, labels_at, LABEL_BYTES)]
-    labels = [int.from_bytes(buf[i:i + LABEL_BYTES], "big")
-              for i in range(labels_at, len(buf), LABEL_BYTES)]
+    labels = np.frombuffer(buf, dtype=np.uint8, offset=labels_at).reshape(
+        -1, LABEL_BYTES)
     return buf[:hashes_at], list(zip(hashes[::2], hashes[1::2])), labels

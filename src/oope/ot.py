@@ -41,11 +41,14 @@ makes p AES calls of its own tells them from random with probability
 about q·p/2^128.  Each side hashes all rows of an extension batch in
 one aes.tccr call, one pair of AES calls.
 
-Labels and the extension's one-time pads are 128-bit ints, so a
-transfer XORs natively; they become 16-byte big-endian fields only on
-the wire.  Each extension batch runs the column step t XOR (u AND s)
-and the row step q XOR s as single numpy operations over the whole bit
-matrix.
+Labels and the extension's one-time pads are numpy uint8 rows of 16
+bytes, each row the big-endian bytes it has on the wire, so nothing
+here turns a label into an int: the sender holds an (m, 2, 16) array of
+pad pairs and the receiver an (m, 16) array of its pads with the m bits
+rho.  Each extension batch runs the column step t XOR (u AND s), the
+row step q XOR s and the hashing as single numpy operations over the
+whole matrix, and each transfer is one swap, one XOR or one gather
+over its rows.
 
 A batch serves one session of the caller's.  The receiver's
 `extend(count)` returns count OTs, rounded up to whole bytes, as its
@@ -60,12 +63,14 @@ A transfer is derandomized from the batch (Beaver, CRYPTO 1995).  The
 receiver's `choose(bits)` returns its flips, each choice bit XOR the
 batch's random bit rho, which hides the choices, so the flips may
 travel before the sender has its pairs, even a round early.  The
-sender's `accept(flips, n)` spends the batch's next n pads on them, and
-`send_pairs(pairs)` returns the reply: each (zero-label, one-label) int
-pair under the two pads, swapped where the flip is set.  With no
+sender's `accept(flips, n)` spends the batch's next n pad pairs on
+them, swapping the two pads of each pair whose flip is set, and
+`send_pairs(pairs)` returns the reply: the (n, 2, 16) rows of
+(zero-label, one-label) pairs XOR those pads, as their bytes.  With no
 transfer accepted, because the receiver sent no flips for it,
 `send_pairs` is a ProtocolError.  The receiver's `receive_pairs(reply)`
-returns the chosen ints.
+returns the chosen labels as an (n, 16) array, one row gathered from
+each pair of the reply and XORed with its pad.
 
 The flips, rho and s are bit vectors in the order of wire.pack_bits,
 least significant bit first, and the bit matrices are transposed in
@@ -73,7 +78,6 @@ that order too, so bit j of a column belongs to OT j.
 """
 
 import hashlib
-from itertools import islice
 
 import numpy as np
 
@@ -201,19 +205,20 @@ def _prg_matrix(seeds, nbytes: int, batch: int):
     return np.frombuffer(blob, dtype=np.uint8).reshape(len(seeds), nbytes)
 
 
-def _row_hashes(batch: int, *matrices) -> list:
-    """H(row j, 2^127 | batch·2^32 | j) (aes.tccr) as a 128-bit int per
-    row j of each m x 16 matrix, one list per matrix, in one call."""
-    m = len(matrices[0])
-    tweaks = np.tile(np.frombuffer((1 << 127 | batch << 32).to_bytes(
-        LABEL_BYTES, "big"), dtype=np.uint8), (m, 1))
+def _row_hashes(batch: int, rows):
+    """H(x, 2^127 | batch·2^32 | j) (aes.tccr) of every 16-byte row x
+    of rows[j], rows being an (m, 16) or (m, k, 16) uint8 array, in one
+    call; the hashes come back in an array of rows' shape."""
+    m = len(rows)
+    tweaks = np.empty((m, LABEL_BYTES), dtype=np.uint8)
+    tweaks[:, :-4] = np.frombuffer((1 << 95 | batch).to_bytes(
+        LABEL_BYTES - 4, "big"), dtype=np.uint8)
     tweaks[:, -4:] = np.arange(m, dtype=">u4").view(np.uint8).reshape(m, 4)
-    blob = b"".join([rows.tobytes() for rows in matrices])
-    hashes = aes.tccr(blob, int.from_bytes(
-        tweaks.tobytes() * len(matrices), "big")).to_bytes(len(blob), "big")
-    words = np.frombuffer(hashes, dtype=">u8").tolist()
-    values = [hi << 64 | lo for hi, lo in zip(words[::2], words[1::2])]
-    return [values[i:i + m] for i in range(0, len(values), m)]
+    per_row = rows[0].size // LABEL_BYTES
+    hashes = aes.tccr(rows.tobytes(), int.from_bytes(
+        np.repeat(tweaks, per_row, axis=0).tobytes(), "big"))
+    return np.frombuffer(hashes.to_bytes(rows.size, "big"),
+                         dtype=np.uint8).reshape(rows.shape)
 
 
 def _transpose_bits(cols):
@@ -250,7 +255,8 @@ class OtExtSender:
 
     def drop(self):
         """Forget the batch's unspent pads and any accepted transfer."""
-        self._rows = iter(())  # (pad 0, pad 1) of each unspent OT
+        # the unspent pad pairs
+        self._rows = np.empty((0, 2, LABEL_BYTES), dtype=np.uint8)
         self._pads = None  # the accepted transfer's pad pairs, flips applied
 
     def extend(self, blob, most):
@@ -268,9 +274,9 @@ class OtExtSender:
         # column i is t_i, or t_i XOR u_i where s_i = 1
         q = _prg_matrix(self._seeds, row_bytes, index) ^ (u & self._s_mask)
         rows = _transpose_bits(q)
-        a0, a1 = _row_hashes(index, rows, rows ^ self._s_row)
         self.drop()
-        self._rows = iter(zip(a0, a1))
+        self._rows = _row_hashes(index, np.stack((rows, rows ^ self._s_row),
+                                                 axis=1))
         self._batch = index
 
     def accept(self, flips, n):
@@ -280,24 +286,27 @@ class OtExtSender:
         malformed vector, whose pads are spent as the receiver spent them
         to make it."""
         self._pads = None
-        pads = list(islice(self._rows, n))
+        pads, self._rows = self._rows[:n], self._rows[n:]
         if len(pads) < n:
             raise ProtocolError("OT extension batch used up")
-        self._pads = [(p1, p0) if e else (p0, p1) for (p0, p1), e in
-                      zip(pads, unpack_bits(flips, n, "OT choice vector"))]
+        flips = np.array(unpack_bits(flips, n, "OT choice vector"),
+                         dtype=np.intp)
+        # one gather swaps the pads where the flip is set: pad b of pair
+        # j, row 2j + b, becomes row 2j + (b XOR flip j)
+        self._pads = pads.reshape(2 * n, LABEL_BYTES).take(
+            np.arange(2 * n) ^ flips.repeat(2), axis=0).reshape(pads.shape)
 
-    def send_pairs(self, pairs):
-        """The reply that obliviously transfers one 128-bit int label of
-        each pair, under the pads of the accepted transfer.  With none
-        accepted, as when the receiver sent no flips for it, this is a
-        ProtocolError."""
+    def send_pairs(self, pairs) -> bytes:
+        """The reply that obliviously transfers one label of each pair,
+        pairs being (n, 2, 16) rows of (zero-label, one-label), under the
+        pads of the accepted transfer.  With none accepted, as when the
+        receiver sent no flips for it, this is a ProtocolError."""
         pads, self._pads = self._pads, None
         if pads is None:
             raise ProtocolError("no OT transfer accepted")
-        if len(pads) != len(pairs):
+        if pads.shape != pairs.shape:
             raise UsageError("accepted OT transfer of another size")
-        return b"".join(((x0 ^ p0) << 128 | x1 ^ p1).to_bytes(
-            2 * LABEL_BYTES, "big") for (x0, x1), (p0, p1) in zip(pairs, pads))
+        return (pairs ^ pads).tobytes()
 
 
 class OtExtReceiver:
@@ -322,7 +331,9 @@ class OtExtReceiver:
 
     def drop(self):
         """Forget the batch's unspent pads and any chosen transfer."""
-        self._rows = iter(())  # (rho, pad) of each unspent OT
+        # the rho bit and the pad of each unspent OT
+        self._rho = np.empty(0, dtype=np.uint8)
+        self._rows = np.empty((0, LABEL_BYTES), dtype=np.uint8)
         self._chosen = None  # (choice bits, pads) of the pending transfer
 
     def extend(self, count) -> bytes:
@@ -337,8 +348,9 @@ class OtExtReceiver:
         u = t ^ _prg_matrix([k1 for _, k1 in self._seed_pairs], m // 8,
                             self._batch) ^ np.frombuffer(rho, dtype=np.uint8)
         self.drop()
-        self._rows = iter(zip(unpack_bits(rho, m), _row_hashes(
-            self._batch, _transpose_bits(t))[0]))
+        self._rho = np.unpackbits(np.frombuffer(rho, dtype=np.uint8),
+                                  bitorder="little")
+        self._rows = _row_hashes(self._batch, _transpose_bits(t))
         return u32(self._batch) + u.tobytes()
 
     def choose(self, choice_bits) -> bytes:
@@ -349,23 +361,23 @@ class OtExtReceiver:
         transfer that never ran; a batch with too few pads left is a
         UsageError."""
         self._chosen = None
-        rows = list(islice(self._rows, len(choice_bits)))
-        if len(rows) < len(choice_bits):
+        n = len(choice_bits)
+        rho, self._rho = self._rho[:n], self._rho[n:]
+        pads, self._rows = self._rows[:n], self._rows[n:]
+        if len(pads) < n:
             raise UsageError("OT extension batch used up")
-        self._chosen = (list(choice_bits), [pad for _, pad in rows])
-        return pack_bits([c ^ rho for c, (rho, _) in zip(choice_bits, rows)])
+        bits = np.asarray(choice_bits, dtype=np.uint8)
+        self._chosen = (bits, pads)
+        return pack_bits((bits ^ rho).tolist())
 
     def receive_pairs(self, reply):
-        """The 128-bit int label each pending choice bit selects from the
-        sender's reply."""
+        """The label each pending choice bit selects from the sender's
+        reply, as an (n, 16) array of rows."""
         if self._chosen is None:
             raise UsageError("no transfer chosen")
         (bits, pads), self._chosen = self._chosen, None
-        if len(reply) != 2 * len(bits) * LABEL_BYTES:
+        n = len(bits)
+        if len(reply) != 2 * n * LABEL_BYTES:
             raise ProtocolError("OT response length mismatch")
-        out = []
-        for j, (c, pad) in enumerate(zip(bits, pads)):
-            start = (2 * j + c) * LABEL_BYTES
-            out.append(int.from_bytes(reply[start:start + LABEL_BYTES], "big")
-                       ^ pad)
-        return out
+        pairs = np.frombuffer(reply, dtype=np.uint8).reshape(n, 2, LABEL_BYTES)
+        return pairs[np.arange(n), bits] ^ pads

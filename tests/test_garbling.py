@@ -1,5 +1,6 @@
 """Garbling scheme against the plain evaluator."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,12 +22,17 @@ def instances(circuit, rng, count):
         yield batch.pop()
 
 
+def chosen(pairs, bits):
+    """The label row each bit picks from (n, 2, 16) label pairs, as the
+    OT delivers it."""
+    return pairs[np.arange(len(pairs)), bits]
+
+
 def garbled_run(circuit, gc, gen_bits, eval_bits):
     """Evaluate one instance through its payload, as the analyst does."""
     tables, dec, gen_labels = garbling.parse_payload(
         circuit, garbling.payload(gc, gen_bits))
-    eval_labels = [pair[b] for pair, b in zip(gc.eval_label_pairs(),
-                                              eval_bits)]
+    eval_labels = chosen(gc.eval_label_pairs(), eval_bits)
     return garbling.decode(dec, garbling.evaluate(circuit, tables, gen_labels,
                                                   eval_labels))
 
@@ -36,6 +42,13 @@ def tables_of(gc):
     tables, _, _ = garbling.parse_payload(
         gc.circuit, garbling.payload(gc, [0] * len(gc.circuit.gen_inputs)))
     return tables
+
+
+def decode_info_of(gc):
+    """The decode hashes the analyst reads from gc's payload."""
+    _, dec, _ = garbling.parse_payload(
+        gc.circuit, garbling.payload(gc, [0] * len(gc.circuit.gen_inputs)))
+    return dec
 
 
 def test_garbled_matches_plain_random_inputs():
@@ -63,15 +76,14 @@ def test_exhaustive_width2():
     n_gen, n_ev = len(c.gen_inputs), len(c.eval_inputs)
     for _ in range(garbling.BATCH):
         gc = batch.pop()
-        tables = tables_of(gc)
+        tables, dec = tables_of(gc), decode_info_of(gc)
         pairs = gc.eval_label_pairs()
         for assign in range(1 << (n_gen + n_ev)):
             gen = [(assign >> i) & 1 for i in range(n_gen)]
             ev = [(assign >> (n_gen + i)) & 1 for i in range(n_ev)]
-            out = garbling.evaluate(c, tables, gc.encode(c.gen_inputs, gen),
-                                    [p[b] for p, b in zip(pairs, ev)])
-            assert garbling.decode(gc.decode_info, out) == \
-                eval_plain(c, gen, ev)
+            out = garbling.evaluate(c, tables, gc.encode(gen),
+                                    chosen(pairs, ev))
+            assert garbling.decode(dec, out) == eval_plain(c, gen, ev)
 
 
 def test_exhaustive_width2_fh_across_a_batch():
@@ -80,15 +92,15 @@ def test_exhaustive_width2_fh_across_a_batch():
     c = build_fh_comparator(2)
     batch = garbling.GarbledCircuit(c, make_rng(8))
     lanes = [batch.pop() for _ in range(garbling.BATCH)]
-    runs = [(gc, tables_of(gc), gc.eval_label_pairs()) for gc in lanes]
+    runs = [(gc, tables_of(gc), decode_info_of(gc), gc.eval_label_pairs())
+            for gc in lanes]
     n_gen, n_ev = len(c.gen_inputs), len(c.eval_inputs)
     for assign in range(1 << (n_gen + n_ev)):
-        gc, tables, pairs = runs[assign % len(runs)]
+        gc, tables, dec, pairs = runs[assign % len(runs)]
         gen = [(assign >> i) & 1 for i in range(n_gen)]
         ev = [(assign >> (n_gen + i)) & 1 for i in range(n_ev)]
-        out = garbling.evaluate(c, tables, gc.encode(c.gen_inputs, gen),
-                                [p[b] for p, b in zip(pairs, ev)])
-        assert garbling.decode(gc.decode_info, out) == eval_plain(c, gen, ev)
+        out = garbling.evaluate(c, tables, gc.encode(gen), chosen(pairs, ev))
+        assert garbling.decode(dec, out) == eval_plain(c, gen, ev)
 
 
 def test_batch_hands_out_each_instance_once():
@@ -100,42 +112,45 @@ def test_batch_hands_out_each_instance_once():
     with pytest.raises(IndexError):
         batch.pop()
     # every lane has its own offset, labels and tables
-    assert len({gc.eval_label_pairs()[0][1] ^ gc.eval_label_pairs()[0][0]
+    zeros = [0] * len(c.gen_inputs)
+    assert len({(gc.eval_label_pairs()[0, 1] ^
+                 gc.eval_label_pairs()[0, 0]).tobytes()
                 for gc in lanes}) == garbling.BATCH
-    assert len({gc.encode(c.gen_inputs[:1], [0])[0]
+    assert len({gc.encode(zeros)[0].tobytes()
                 for gc in lanes}) == garbling.BATCH
-    assert len({gc.table_bytes for gc in lanes}) == garbling.BATCH
+    assert len({tables_of(gc) for gc in lanes}) == garbling.BATCH
 
 
 def test_fresh_seeds_give_fresh_labels():
     c = build_comparator(4)
     gc1 = garbling.GarbledCircuit(c, make_rng(1)).pop()
     gc2 = garbling.GarbledCircuit(c, make_rng(2)).pop()
-    assert gc1.encode(c.gen_inputs[:1], [0]) != gc2.encode(c.gen_inputs[:1], [0])
-    assert gc1.table_bytes != gc2.table_bytes
+    zeros = [0] * len(c.gen_inputs)
+    assert not np.array_equal(gc1.encode(zeros)[0], gc2.encode(zeros)[0])
+    assert tables_of(gc1) != tables_of(gc2)
 
 
 def test_decode_rejects_corrupted_label():
     c = build_comparator(4)
     gc = garbling.GarbledCircuit(c, make_rng(9)).pop()
-    out = garbling.evaluate(c, tables_of(gc), gc.encode(c.gen_inputs, [0] * 6),
-                            [pair[0] for pair in gc.eval_label_pairs()])
-    corrupted = out[0] ^ (1 << 120)
+    out = garbling.evaluate(c, tables_of(gc), gc.encode([0] * 6),
+                            gc.eval_label_pairs()[:, 0])
+    corrupted = out.copy()
+    corrupted[0, 0] ^= 1  # bit 120 of the first output label
     with pytest.raises(IntegrityError):
-        garbling.decode(gc.decode_info, [corrupted, out[1]])
+        garbling.decode(decode_info_of(gc), corrupted)
 
 
 def test_wrong_label_fails_decoding():
     # evaluating with a non-chosen input label cannot produce decodable output
     c = build_comparator(4)
     gc = garbling.GarbledCircuit(c, make_rng(11)).pop()
-    eval_labels = [pair[0] for pair in gc.eval_label_pairs()]
-    # swap one evaluator label for random garbage
+    eval_labels = gc.eval_label_pairs()[:, 0].copy()
+    # swap one evaluator label for garbage
     eval_labels[0] = 0
-    out = garbling.evaluate(c, tables_of(gc), gc.encode(c.gen_inputs, [0] * 6),
-                            eval_labels)
+    out = garbling.evaluate(c, tables_of(gc), gc.encode([0] * 6), eval_labels)
     with pytest.raises(IntegrityError):
-        garbling.decode(gc.decode_info, out)
+        garbling.decode(decode_info_of(gc), out)
 
 
 def test_payload_roundtrip():
@@ -144,9 +159,9 @@ def test_payload_roundtrip():
     gen_bits = int_to_bits(9, 4) + [1, 0]
     blob = garbling.payload(gc, gen_bits)
     tables, dec, gen_labels = garbling.parse_payload(c, blob)
-    assert tables == gc.table_bytes
-    assert dec == gc.decode_info
-    assert gen_labels == gc.encode(c.gen_inputs, gen_bits)
+    assert tables + b"".join(h for pair in dec for h in pair) == gc.prefix
+    assert len(tables) == 32 * len(c.nonfree_gates())
+    assert np.array_equal(gen_labels, gc.encode(gen_bits))
     with pytest.raises(ProtocolError):
         garbling.parse_payload(build_comparator(5), blob)
 
@@ -174,8 +189,7 @@ def test_wide_circuits_match_plain(kind, seed, gen, ev):
     gc = garbling.GarbledCircuit(c, make_rng(seed)).pop()
     tables, dec, gen_labels = garbling.parse_payload(
         c, garbling.payload(gc, gen_bits))
-    eval_labels = [pair[b] for pair, b in zip(gc.eval_label_pairs(),
-                                              eval_bits)]
+    eval_labels = chosen(gc.eval_label_pairs(), eval_bits)
     out = garbling.evaluate(c, tables, gen_labels, eval_labels)
     assert garbling.decode(dec, out) == eval_plain(c, gen_bits, eval_bits)
 
@@ -217,23 +231,21 @@ def test_flipped_ciphertext_in_use_fails_decoding(kind):
     gen_bits = [rng.getrandbits(1) for _ in c.gen_inputs]
     eval_bits = [rng.getrandbits(1) for _ in c.eval_inputs]
     gc = garbling.GarbledCircuit(c, rng).pop()
-    gen_labels = gc.encode(c.gen_inputs, gen_bits)
-    eval_labels = [pair[b] for pair, b in zip(gc.eval_label_pairs(),
-                                              eval_bits)]
-    tables = tables_of(gc)
+    gen_labels = gc.encode(gen_bits)
+    eval_labels = chosen(gc.eval_label_pairs(), eval_bits)
+    tables, dec = tables_of(gc), decode_info_of(gc)
     honest = garbling.evaluate(c, tables, gen_labels, eval_labels)
-    assert garbling.decode(gc.decode_info, honest) == \
-        eval_plain(c, gen_bits, eval_bits)
+    assert garbling.decode(dec, honest) == eval_plain(c, gen_bits, eval_bits)
     used = []
     count = len(tables) // 16  # ciphertexts: T_G of gate j is 2j, T_E 2j + 1
     for t in range(count):
         flipped = bytearray(tables)
         flipped[16 * t + rng.randrange(16)] ^= 1 << rng.randrange(8)
         out = garbling.evaluate(c, bytes(flipped), gen_labels, eval_labels)
-        if out != honest:
+        if not np.array_equal(out, honest):
             used.append(t)
             with pytest.raises(IntegrityError):
-                garbling.decode(gc.decode_info, out)
+                garbling.decode(dec, out)
     # uniform permute bits: about half are read, both halves and both
     # gate kinds among them
     assert 0.3 < len(used) / count < 0.7

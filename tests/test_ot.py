@@ -1,10 +1,14 @@
 """Oblivious transfer: base OT, IKNP extension, derandomized transfers."""
 
+import functools
 import hashlib
 import queue
 import threading
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oope import ot
 from oope.errors import ProtocolError, UsageError
@@ -64,13 +68,25 @@ def new_batch(sender, receiver, count):
     sender.extend(receiver.extend(count), count)
 
 
+def label_rows(pairs):
+    """int label pairs as the (n, 2, 16) rows send_pairs takes."""
+    blob = b"".join(x.to_bytes(16, "big") for pair in pairs for x in pair)
+    return np.frombuffer(blob, dtype=np.uint8).reshape(len(pairs), 2, 16)
+
+
+def label_ints(rows):
+    """The (n, 16) rows receive_pairs returns, as ints."""
+    return [int.from_bytes(row.tobytes(), "big") for row in rows]
+
+
 def transfer(sender, receiver, pairs, bits):
-    """One transfer from the current batch, the flips and the reply
-    carried by the caller as an engine carries them in its frames;
-    returns the received labels."""
+    """One transfer of int label pairs from the current batch, the flips
+    and the reply carried by the caller as an engine carries them in its
+    frames; returns the received labels as ints."""
     flips = receiver.choose(bits)
     sender.accept(flips, len(pairs))
-    return receiver.receive_pairs(sender.send_pairs(pairs))
+    return label_ints(receiver.receive_pairs(
+        sender.send_pairs(label_rows(pairs))))
 
 
 def linked_batch(seed, count):
@@ -121,12 +137,13 @@ def test_ot_exchange_length_mismatch():
     with pytest.raises(ProtocolError):
         flips = receiver.choose([0, 1])
         sender.accept(flips, 1)
-        receiver.receive_pairs(sender.send_pairs([(0, (1 << 128) - 1)]))
+        receiver.receive_pairs(sender.send_pairs(
+            label_rows([(0, (1 << 128) - 1)])))
     sender, receiver = linked_batch(0, 1)
     flips = receiver.choose([0])
     sender.accept(flips, 1)
     with pytest.raises(ProtocolError, match="length"):
-        receiver.receive_pairs(sender.send_pairs([(0, 1)])[:-1])
+        receiver.receive_pairs(sender.send_pairs(label_rows([(0, 1)]))[:-1])
 
 
 def test_extension_survives_multiple_batches():
@@ -140,12 +157,16 @@ def test_extension_survives_multiple_batches():
             pairs, bits = random_round(rng, n)
             flips = receiver.choose(bits)
             sender.accept(flips, n)
-            # both sides hold the pad of each chosen label, and only it
+            # both sides hold the pad row of each chosen label, and only
+            # it: the sender's pad pairs are swapped by the flips
             pads = receiver._chosen[1]
-            assert [p[c] for p, c in zip(sender._pads, bits)] == pads
-            assert all(p[1 - c] != pad for p, c, pad in
-                       zip(sender._pads, bits, pads))
-            assert receiver.receive_pairs(sender.send_pairs(pairs)) == \
+            chosen = np.array(bits)
+            held = sender._pads[np.arange(n), chosen]
+            other = sender._pads[np.arange(n), 1 - chosen]
+            assert np.array_equal(held, pads)
+            assert (other != pads).any(axis=1).all()
+            assert label_ints(receiver.receive_pairs(
+                sender.send_pairs(label_rows(pairs)))) == \
                 [p[b] for p, b in zip(pairs, bits)]
     assert sender._batch == receiver._batch == 4
 
@@ -218,6 +239,61 @@ def test_malformed_flips_spend_the_pads_and_keep_the_pools_in_step(damage):
         pairs, bits = random_round(rng, 35)
         assert transfer(sender, receiver, pairs, bits) == \
             [p[b] for p, b in zip(pairs, bits)]
+
+
+@functools.cache
+def shared_pair():
+    """One linked pair for every example of a property: base OT runs
+    once, and each example takes in a batch of its own."""
+    return linked_pair(14)
+
+
+def damaged(flips, n, kind):
+    """flips cut by a byte, grown by one, or, where n leaves padding
+    bits in the last byte, with the top one set."""
+    if kind == "padded" and n % 8:
+        return flips[:-1] + bytes([flips[-1] | 0x80])
+    return flips + b"\0" if kind == "long" else flips[:-1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(sizes=st.lists(st.integers(1, 40), min_size=1, max_size=5).filter(
+           lambda sizes: sum(sizes) % 8),
+       damage=st.lists(st.sampled_from([None, "short", "long", "padded"]),
+                       min_size=5, max_size=5),
+       overdraw=st.booleans(), seed=st.integers(0, 2**64 - 1))
+def test_transfers_take_the_chosen_labels_and_keep_pads_in_step(
+        sizes, damage, overdraw, seed):
+    # one batch of one to five transfers, its count not a multiple of 8,
+    # so m rounds it up and leaves 1 to 7 spare pads; a damaged flip
+    # vector fails at the sender after both ends spent its pads, so
+    # every later transfer of the batch still takes the chosen labels
+    sender, receiver = shared_pair()
+    rng = make_rng(seed)
+    new_batch(sender, receiver, sum(sizes))
+    for n, kind in zip(sizes, damage):
+        pairs, bits = random_round(rng, n)
+        if kind is None:
+            assert transfer(sender, receiver, pairs, bits) == \
+                [p[b] for p, b in zip(pairs, bits)]
+            continue
+        with pytest.raises(ProtocolError, match="choice vector"):
+            sender.accept(damaged(receiver.choose(bits), n, kind), n)
+    spare = -sum(sizes) % 8
+    if overdraw:
+        # a transfer beyond the batch spends its rest at both ends
+        with pytest.raises(UsageError, match="used up"):
+            receiver.choose([0] * (spare + 1))
+        with pytest.raises(ProtocolError, match="used up"):
+            sender.accept(bytes(1), spare + 1)
+    else:
+        pairs, bits = random_round(rng, spare)
+        assert transfer(sender, receiver, pairs, bits) == \
+            [p[b] for p, b in zip(pairs, bits)]
+    with pytest.raises(UsageError, match="used up"):
+        receiver.choose([0])
+    with pytest.raises(ProtocolError, match="used up"):
+        sender.accept(bytes(1), 1)
 
 
 def test_phantom_transfers_then_real_ones():

@@ -1,4 +1,7 @@
-"""Transport equivalence: seeded loopback and TCP runs byte-match."""
+"""Transport equivalence: seeded loopback and TCP runs byte-match, and
+seeded runs byte-match pinned digests."""
+
+import hashlib
 
 import pytest
 
@@ -15,8 +18,8 @@ MAC_PARAMS = integrity.gen_mac_params(512, 160, rng=make_rng(77))
 
 def run(kind, seed=2024, queries=(77, 300, 77), data=None,
         session=LocalCluster.encrypt, m=(1 << 20) - 3, mac_params=None,
-        **params_kw):
-    params = ProtocolParams(l=16, k=16, m=m, key_bits=256, **params_kw)
+        key_bits=256, **params_kw):
+    params = ProtocolParams(l=16, k=16, m=m, key_bits=key_bits, **params_kw)
     if data is None:
         rng = make_rng(99)
         data = [rng.randrange(1 << 16) for _ in range(30)]
@@ -89,6 +92,87 @@ def test_loopback_and_tcp_identical_under_integrity(scheme):
     loop = assert_identical(integrity=scheme, mac_subgroup_bits=160,
                             mac_params=MAC_PARAMS)
     assert any(b[4] == transport.INTEGRITY_PROOF for b in loop["do->da"])
+
+
+# SHA-256 of each channel's transcript, its sent frames concatenated, in
+# seeded runs of protocol 11: det, fh and Pedersen on a 256-bit key, and
+# det on a 1024-bit key, whose N^2 of 2048 bits takes encryption through
+# modexp.FixedBase.  They were recorded when labels and OT pads were
+# still 128-bit ints end to end, so a change to how either is held that
+# moves a byte at both ends alike, which loopback == TCP cannot see,
+# fails here.
+PINNED_CASES = {
+    "det": {},
+    "fh": {"mode": "fh"},
+    "pedersen": {"integrity": integrity.SCHEME_PEDERSEN,
+                 "mac_subgroup_bits": 160, "mac_params": MAC_PARAMS},
+    "det-1024": {"key_bits": 1024},
+}
+PINNED_DIGESTS = {
+    "det": {
+        "csp->da":
+            "30b516f936bfe2eb2e5cd41c2e5f50f4993ab24a7bb1996f2afd2c7a4c65d431",
+        "csp->do":
+            "f4a6ad931cb69e77033b6ef966a4bafae81122528b2e1593596c4349414fba26",
+        "da->csp":
+            "4aa0f7f53ca83607881093d3951375474da75efef882e56b45bcc633b4c384b1",
+        "da->do":
+            "26e134394045d382ed2fe75e27c36a1c253bee1e8e1529afda25225a7dbec534",
+        "do->csp":
+            "9639163a12f8c844333250b95ad040527f47adeb564b06a8acb2f57dd27fd698",
+        "do->da":
+            "a8ee557f65600f1dad526e92a0512b823e43f5c441324392351c9447a3d3d310",
+    },
+    "fh": {
+        "csp->da":
+            "7abc6952f48bc97baaf1f216d41edc2d4e310deb62de66b8096136a066a82cad",
+        "csp->do":
+            "d161dc70b924d423b2ef416412f07721aa8dd66ce40d65cf741c4172151f4963",
+        "da->csp":
+            "c0e1ae30ab5871f00251a045b28cdd19140c43e259a9ec8c583e9e49056c8a8d",
+        "da->do":
+            "3e4007dcecc94e1b49bd637119046878e038a4d6ad78011c0f474f7f9a685672",
+        "do->csp":
+            "d9f4033c6db9b1f48bbfcc0c7dbd4cbdcb324579de59bb235461c77baf3d61ab",
+        "do->da":
+            "7a0c7a8eb8ff30c73c3cad40a46b4059d6b0b4aaf7b330ba31541aad43116c2f",
+    },
+    "pedersen": {
+        "csp->da":
+            "9493093f66699487f707ba875785e092c14dd14204f755513cefb17f39bbb3f7",
+        "csp->do":
+            "a5dc39787a5f22a9436fd637d20fd3d950c35b96894dee17e2e9ba5942f8c18b",
+        "da->csp":
+            "532499ce409a96fca569b1ad2460dc3499a9086a68ba63155a6e99d48a2ef28d",
+        "da->do":
+            "fbd93baba84fcf921e3f08d55455ee3a4445dd91612fa9705df119b5b54493a0",
+        "do->csp":
+            "77fb067a55a39e230d7ec28b01946135fef58830ee812dfa778683f1b0187660",
+        "do->da":
+            "f002ab11f9df65cbfddd3a1e46db916f264386fb00e3cba3e16fdb919d9c9e39",
+    },
+    "det-1024": {
+        "csp->da":
+            "00efd4676df58c5797943fad8fe7bbe801b8499925783dbcf76e859c0bda78aa",
+        "csp->do":
+            "31be21ec3ee84915cbc4706230502f44e6a5b5487bdbcdad7514d48e50ba87b3",
+        "da->csp":
+            "8186435edc5cf1984e1a9b5e89e7b9304d370bbfbe4caadb2d13f2a982d6ab93",
+        "da->do":
+            "5afe15cb9b159869bb31a9a4420537934d1aae262ce281ac636cdea28b30232f",
+        "do->csp":
+            "71fca3a5961674afaf7eee820c906d9be7375199f93b7954ec03316f7019eece",
+        "do->da":
+            "b59d3172e334ef976efa12962502cf945c5b6bf6df446d7217169b5dc10cc0b5",
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_CASES))
+def test_seeded_transcripts_match_pinned_digests(case):
+    _, transcripts = run("loopback", **PINNED_CASES[case])
+    assert {name: hashlib.sha256(b"".join(blobs)).hexdigest()
+            for name, blobs in transcripts.items()} == PINNED_DIGESTS[case]
 
 
 def test_different_seeds_differ():
