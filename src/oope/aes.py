@@ -14,8 +14,8 @@ tccr(blocks, tweaks) is H(x, i) = π(π(x) ⊕ i) ⊕ π(x), the tweakable
 circular correlation-robust hash of Guo, Katz, Wang and Yu ("Efficient
 and secure multiparty computation from fixed-key block ciphers", S&P
 2020), over every block x with its own 128-bit tweak i, in two calls
-of π however many blocks there are.  The security argument, and what
-each caller must keep distinct, is in garbling and ot.
+of π however many blocks there are, XORs in numpy.  The security
+argument, and what each caller must keep distinct, is in garbling and ot.
 
 A host whose Python has no OpenSSL-backed hashlib, or whose libcrypto
 lacks EVP_aes_128_ecb, fails at import with a ConfigurationError; the
@@ -24,6 +24,8 @@ package has no second implementation of π.
 
 import ctypes
 import hashlib
+
+import numpy as np
 
 from .errors import ConfigurationError, UsageError
 
@@ -67,6 +69,7 @@ _update, _ctx = _load()
 _out_len = ctypes.c_int(0)
 _out_len_ref = ctypes.byref(_out_len)
 _char = ctypes.c_char
+_WORDS = np.dtype(np.uint64)  # tccr's XOR unit, passed by position: faster
 
 
 def permute(blocks: bytes) -> bytes:
@@ -80,10 +83,12 @@ def permute(blocks: bytes) -> bytes:
     return out.raw
 
 
-def tccr(blocks: bytes, tweaks: int) -> int:
-    """π(π(x) ⊕ i) ⊕ π(x) for every block x of blocks, with tweaks the
-    blocks' tweaks i packed big-endian into one int of the same width;
-    returns the hashes packed the same way."""
-    y = int.from_bytes(permute(blocks), "big")
-    z = permute((y ^ tweaks).to_bytes(len(blocks), "big"))
-    return int.from_bytes(z, "big") ^ y
+def tccr(blocks: bytes, tweaks: bytes) -> bytes:
+    """π(π(x) ⊕ i) ⊕ π(x) for every block x of blocks, i being the block
+    of tweaks at x's place; tweaks of another length are a UsageError."""
+    if len(tweaks) != len(blocks):
+        raise UsageError("tccr takes one tweak per block")
+    y = np.frombuffer(permute(blocks), _WORDS)
+    z = np.frombuffer(permute((y ^ np.frombuffer(tweaks, _WORDS)).tobytes()),
+                      _WORDS)
+    return (z ^ y).tobytes()

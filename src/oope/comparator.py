@@ -96,18 +96,17 @@ class BooleanCircuit:
         return tuple((tuple(f), tuple(n)) for f, n in zip(free, nonfree))
 
     def hash_tweaks(self, lanes: int) -> tuple:
-        """The tweaks of each schedule step's hashes, one int per step
-        (0 for a step without non-free gates), for aes.tccr: 2j and
+        """The tweaks of each schedule step's hashes, bytes per step
+        (empty for a step without non-free gates), for aes.tccr: 2j and
         2j + 1, the tweaks of non-free gate j's two halves (garbling),
-        as 128-bit big-endian fields in step order, each repeated over
+        as 16-byte big-endian blocks in step order, each repeated over
         `lanes` lanes.  Computed once per lane count, so build the
         circuit completely first."""
         tweaks = self._tweaks.get(lanes)
         if tweaks is None:
             tweaks = self._tweaks[lanes] = tuple(
-                int.from_bytes(b"".join(
-                    t.to_bytes(16, "big") * lanes
-                    for *_, j in nonfree for t in (2 * j, 2 * j + 1)), "big")
+                b"".join(t.to_bytes(16, "big") * lanes
+                         for *_, j in nonfree for t in (2 * j, 2 * j + 1))
                 for _, nonfree in self.schedule)
         return tweaks
 

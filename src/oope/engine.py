@@ -43,17 +43,23 @@ Each session carries its own IKNP extension batch (ot) of m =
 8·ceil(h·n / 8) OTs, for h transfers of n evaluator inputs, under a
 batch index the analyst raises every session.  It leads the session's
 OT_MSG, which the owner reads only to build round 1's OT reply, after
-it has decrypted and garbled.  A table holds
-at most M - 1 orders, so h <= M.bit_length(): the analyst refuses more
-offsets and the owner a larger batch, as it does a batch index not
-above the last it took.  The analyst drops what a session left unspent
-when it ends, the owner at the next session's first node; an OT_MSG it
-never read is stale by then.  m shows the owner h, as the round count
-does anyway.  An encrypt session over a non-empty table is 5h + 6 frames
-(SESSION_START, RANDOM_OFFSET, the OT_MSG, ORDER_RESULT, CIPHER_UPLOAD
-and SESSION_DONE besides the rounds; a bound sends no upload) and
-4h + 2 flights from SESSION_START to ORDER_RESULT, plus Pedersen's
-INTEGRITY_TAG and INTEGRITY_PROOF per round.
+it has decrypted and garbled.  A table holds at most M - 1 orders, so
+h <= M.bit_length(): the analyst refuses more offsets and the owner a
+larger batch, as it does a batch index not above the last it took.  m
+shows the owner h, as the round count does anyway.  An encrypt session
+over a non-empty table is 5h + 6 frames (SESSION_START, RANDOM_OFFSET,
+the OT_MSG, ORDER_RESULT, CIPHER_UPLOAD and SESSION_DONE besides the
+rounds; a bound sends no upload) and 4h + 2 flights from SESSION_START
+to ORDER_RESULT, plus Pedersen's INTEGRITY_TAG and INTEGRITY_PROOF per
+round.
+
+Session state lives with its session.  The analyst keeps a session's
+batch, masks and fh state shares in locals of _session; the owner keeps
+them, and the pads accepted for the next transfer, in an _OwnerSession
+of its serve loop, which the next session's first node replaces, so an
+OT_MSG the owner never read is stale by then.  Only the server's next
+blind, the owner's garbled pool and each OT end's base OT and last batch
+index outlive a session.
 
 Each session frame has one layout, and says nothing that its framing,
 the parameters HELLO checked or the circuit built from them fix.  With
@@ -634,6 +640,16 @@ class CspEngine:
 # ---------------------------------------------------------------------------
 # Owner engine
 
+@dataclass
+class _OwnerSession:
+    """One session's state at the owner (module docstring)."""
+
+    sid: bytes
+    fh_shares: tuple = (0, 0)
+    batch: object = None
+    pads: object = None
+
+
 class DoEngine:
     """Decrypts blinded nodes, generates circuits, sends its shares."""
 
@@ -655,8 +671,6 @@ class DoEngine:
         self.ot_group = ot_group
         self.circuit = params.build_circuit()
         self._garbled = ()  # the pool: a garbling.GarbledCircuit batch
-        self._sid = NULL_SESSION
-        self._fh_shares = (0, 0)
 
     def attach(self, csp_ch, da_ch):
         self.csp_ch = csp_ch
@@ -678,6 +692,7 @@ class DoEngine:
         session id starts that session; no frame ends one.  An abort
         from either peer is passed on to the other: the analyst waits on
         this engine alone between rounds."""
+        session = _OwnerSession(NULL_SESSION)
         while True:
             try:
                 frame = self.csp_ch.recv(RANDOMIZED_NODE, idle=True)
@@ -690,8 +705,10 @@ class DoEngine:
                 if self.csp_ch.poisoned:
                     return
                 continue
+            if frame.session_id != session.sid:
+                session = _OwnerSession(frame.session_id)
             try:
-                self._round(frame)
+                self._round(session, frame)
             except OopeError as e:
                 # a frame this engine cannot use aborts its session, and
                 # a peer's abort goes on to the other; a dead channel
@@ -700,15 +717,10 @@ class DoEngine:
                     return
                 _abort(e, frame.session_id, self.csp_ch, self.da_ch)
 
-    def _round(self, frame):
-        sid = frame.session_id
+    def _round(self, session, frame):
+        sid = session.sid
         p = self.params
         n = len(self.circuit.eval_inputs)
-        first = sid != self._sid
-        if first:
-            self._sid = sid
-            self._fh_shares = (0, 0)
-            self.ot_sender.drop()
         pedersen = p.integrity == integrity.SCHEME_PEDERSEN
         # Enc(x + r), then under Pedersen Enc(a + r')
         width = paillier.cipher_width(self.sk.public.key_bits)
@@ -740,25 +752,27 @@ class DoEngine:
             # coin bit, last round's state shares, this round's state masks
             r_x = self.rng.getrandbits(1)
             fresh = (self.rng.getrandbits(1), self.rng.getrandbits(1))
-            gen_bits += [r_x, *self._fh_shares, *fresh]
-            self._fh_shares = fresh
-        if first:
-            # the batch and first flips, read only now: an OT_MSG that a
-            # round aborted before reading is stale to the next session
+            gen_bits += [r_x, *session.fh_shares, *fresh]
+            session.fh_shares = fresh
+        if session.batch is None:
+            # round 1 reads the batch and first flips only now
             blob = self.da_ch.recv(OT_MSG, session=sid).payload
             split = max(len(blob) - (n + 7) // 8, 0)
-            self.ot_sender.extend(blob[:split], p.m.bit_length() * n)
-            self.ot_sender.accept(blob[split:], n)
-        # the OT reply rides behind the garbled circuit
+            session.batch = self.ot_sender.extend(blob[:split],
+                                                  p.m.bit_length() * n)
+            session.pads = self.ot_sender.accept(session.batch, blob[split:],
+                                                 n)
+        # the OT reply rides behind the garbled circuit; pads serve once
+        pads, session.pads = session.pads, None
         self.da_ch.send(Frame(
             GC_PAYLOAD, sid, garbling.payload(gc, gen_bits) +
-            self.ot_sender.send_pairs(gc.eval_label_pairs())))
+            self.ot_sender.send_pairs(pads, gc.eval_label_pairs())))
         # GC_RESULT: the masked outputs, then the flips of the next
         # round's transfer unless this round is the last
         result = self.da_ch.recv(GC_RESULT, session=sid).payload
         masked = unpack_bits(result[:1], len(masks))
         if len(result) > 1:
-            self.ot_sender.accept(result[1:], n)
+            session.pads = self.ot_sender.accept(session.batch, result[1:], n)
         self.csp_ch.send(Frame(SHARES, sid, _shares(masks, masked)))
 
 
@@ -778,7 +792,6 @@ class DaEngine:
         self.pk_owner = None
         self.mac_params = None
         self._tag = None  # make_node_tagger's closure under integrity
-        self._masks = None  # mask bits of the round whose flips are out
 
     def attach(self, csp_ch, do_ch):
         self.csp_ch = csp_ch
@@ -832,7 +845,7 @@ class DaEngine:
         encrypt = op == OP_ENCRYPT
         # fh state shares (no equality yet, coin): a bound starts as if
         # equality had been seen, with coin = side
-        self._fh_shares = (1, 0) if encrypt else (0, op - OP_BOUND_LOW)
+        fh_shares = (1, 0) if encrypt else (0, op - OP_BOUND_LOW)
         self.csp_ch.send(Frame(SESSION_START, sid,
                                bytes([op]) + column.encode()))
         try:
@@ -845,13 +858,14 @@ class DaEngine:
                                         p.m.bit_length())
                 # one batch for the h transfers goes out with the first
                 # flips, before the upload is built
-                batch = self.ot_receiver.extend(
+                blob, batch = self.ot_receiver.extend(
                     len(offsets) * len(self.circuit.eval_inputs))
-                self.da_do_ch.send(Frame(OT_MSG, sid, batch + self._choose(
-                    xbar, offsets[0])))
+                flips, chosen = self._choose(batch, xbar, offsets[0],
+                                             fh_shares)
+                self.da_do_ch.send(Frame(OT_MSG, sid, blob + flips))
             upload = self._cipher_upload(xbar) if encrypt else None
             for r, next_r in zip(offsets, offsets[1:] + [None]):
-                self._round(sid, xbar, r, next_r)
+                chosen = self._round(sid, batch, xbar, r, next_r, chosen)
             if offsets:
                 frame = self.csp_ch.recv(ORDER_RESULT, session=sid)
             ybar, = _read_offsets(frame, p.m + 1, 1)
@@ -866,8 +880,6 @@ class DaEngine:
             if self.csp_ch.poisoned or self.da_do_ch.poisoned:
                 raise
             raise _abort(e, sid, self.csp_ch, self.da_do_ch)
-        finally:
-            self.ot_receiver.drop()
 
     def _verify_node(self, sid, r):
         width = _group_width(self.mac_params)
@@ -880,22 +892,23 @@ class DaEngine:
                 int.from_bytes(proof, "big"), self.mac_params):
             raise IntegrityError("node authentication failed")
 
-    def _choose(self, xbar, r):
-        """The OT flips of the round blinded by r, whose mask bits (and fh
-        coin) are drawn here."""
+    def _choose(self, batch, xbar, r, fh_shares):
+        """(flips, chosen): the OT flips of the round blinded by r, after
+        the round that left fh_shares, and its transfer and mask bits,
+        which are drawn here with its fh coin."""
         p = self.params
-        self._masks = [self.rng.getrandbits(1)
-                       for _ in range(p.masked_outputs)]
-        bits = int_to_bits(xbar + r, p.width) + self._masks
+        masks = [self.rng.getrandbits(1) for _ in range(p.masked_outputs)]
+        bits = int_to_bits(xbar + r, p.width) + masks
         if p.mode == MODE_FH:
             # coin bit and last round's state shares
-            bits += [self.rng.getrandbits(1), *self._fh_shares]
-        return self.ot_receiver.choose(bits)
+            bits += [self.rng.getrandbits(1), *fh_shares]
+        flips, transfer = self.ot_receiver.choose(batch, bits)
+        return flips, (transfer, masks)
 
-    def _round(self, sid, xbar, r, next_r):
+    def _round(self, sid, batch, xbar, r, next_r, chosen):
         """The round blinded by r, whose OT flips the owner already has;
-        GC_RESULT carries those of the round blinded by next_r, if
-        any."""
+        GC_RESULT carries those of the round blinded by next_r, if any,
+        whose chosen (_choose) it returns."""
         p = self.params
         if p.integrity != integrity.SCHEME_OFF:
             self._verify_node(sid, r)
@@ -905,18 +918,20 @@ class DaEngine:
             2 * garbling.LABEL_BYTES * len(self.circuit.eval_inputs)
         tables, decode_info, gen_labels = garbling.parse_payload(
             self.circuit, payload[:max(split, 0)])
-        eval_labels = self.ot_receiver.receive_pairs(payload[split:])
+        transfer, masks = chosen
+        eval_labels = self.ot_receiver.receive_pairs(transfer, payload[split:])
         out_labels = garbling.evaluate(self.circuit, tables, gen_labels,
                                        eval_labels)
         outputs = garbling.decode(decode_info, out_labels)
         n = p.masked_outputs
-        masked, self._fh_shares = outputs[:n], outputs[n:]
-        masks = self._masks
+        masked, fh_shares = outputs[:n], outputs[n:]
         result = pack_bits(masked)
         if next_r is not None:
-            result += self._choose(xbar, next_r)
+            flips, chosen = self._choose(batch, xbar, next_r, fh_shares)
+            result += flips
         self.da_do_ch.send(Frame(GC_RESULT, sid, result))
         self.csp_ch.send(Frame(SHARES, sid, _shares(masks, masked)))
+        return chosen
 
     def _cipher_upload(self, xbar):
         """CIPHER_UPLOAD payload: Enc(xbar), then under Pedersen Enc(a)

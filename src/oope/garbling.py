@@ -61,11 +61,11 @@ in every lane, go through one aes.tccr call: one pair of AES calls per
 level, 12 levels for the det comparator at the paper width (comparator)
 instead of four SHA-256 calls per gate.  The evaluator walks the same
 schedule for its one instance, one pair of AES calls per level.  Each
-level's tweaks are packed into one int once per circuit
+level's tweaks are packed into bytes once per circuit
 (circuit.hash_tweaks), one lane wide for the evaluator and BATCH lanes
 wide for the generator, which hashes a level's zero-labels and then its
-one-labels under the same tweaks.  pop() hands each instance out once;
-the owner keeps the batch as its pool (engine).
+one-labels under the tweaks twice over.  pop() hands each instance out
+once; the owner keeps the batch as its pool (engine).
 
 The evaluator reads the tables as the payload's bytes and converts a
 ciphertext to an int only where a permute bit selects it: T_G of gate j
@@ -132,9 +132,8 @@ def _lanes(values):
         len(values), BATCH, LABEL_BYTES).swapaxes(0, 1).copy()
 
 
-def _split(v: int, count: int, width: int) -> list:
-    """The count ints of width bytes each packed big-endian in v."""
-    blob = v.to_bytes(count * width, "big")
+def _split(blob: bytes, width: int) -> list:
+    """The big-endian ints of blob's successive width-byte fields."""
     return [int.from_bytes(blob[i:i + width], "big")
             for i in range(0, len(blob), width)]
 
@@ -169,7 +168,7 @@ class GarbledCircuit:
             hashes = _split(aes.tccr(b"".join(
                 [v.to_bytes(_BATCH_BYTES, "big") for v in zeros] +
                 [(v ^ delta).to_bytes(_BATCH_BYTES, "big") for v in zeros]),
-                tweaks << n * _BATCH_BITS | tweaks), 2 * n, _BATCH_BYTES)
+                tweaks + tweaks), _BATCH_BYTES)
             for k, (op, a, b, out, j) in enumerate(nonfree):
                 a0, b0 = zeros[2 * k], zeros[2 * k + 1]
                 ha0, hb0 = hashes[2 * k], hashes[2 * k + 1]
@@ -266,8 +265,8 @@ def evaluate(circuit: BooleanCircuit, tables: bytes, gen_labels,
         for _, a, b, _, _ in nonfree:
             inputs = (inputs << _LABEL_BITS | labels[a]) << _LABEL_BITS | \
                 labels[b]
-        hashes = aes.tccr(inputs.to_bytes(2 * LABEL_BYTES * len(nonfree),
-                                          "big"), tweaks)
+        hashes = int.from_bytes(aes.tccr(inputs.to_bytes(
+            2 * LABEL_BYTES * len(nonfree), "big"), tweaks), "big")
         # H(la, 2j) ^ H(lb, 2j + 1) in the low half of each gate's 256 bits
         hashes ^= hashes >> _LABEL_BITS
         for _, a, b, out, j in reversed(nonfree):

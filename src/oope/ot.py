@@ -43,34 +43,31 @@ one aes.tccr call, one pair of AES calls.
 
 Labels and the extension's one-time pads are numpy uint8 rows of 16
 bytes, each row the big-endian bytes it has on the wire, so nothing
-here turns a label into an int: the sender holds an (m, 2, 16) array of
-pad pairs and the receiver an (m, 16) array of its pads with the m bits
-rho.  Each extension batch runs the column step t XOR (u AND s), the
-row step q XOR s and the hashing as single numpy operations over the
-whole matrix, and each transfer is one swap, one XOR or one gather
-over its rows.
+here turns a label into an int.  Each extension batch runs the column
+step t XOR (u AND s), the row step q XOR s and the hashing as single
+numpy operations over the whole matrix, and each transfer is one swap,
+one XOR or one gather over its rows.
 
-A batch serves one session of the caller's.  The receiver's
-`extend(count)` returns count OTs, rounded up to whole bytes, as its
-next batch index and the u matrix; the sender's `extend(blob)` takes
-them in.  The index sets the PRG input and the row tweaks, and the
-sender refuses one not above the last it took, so no tweak repeats
-under s.  `extend` replaces what the last batch left, and `drop()`
-forgets it, so no pad outlives a session.  Only base OT (`setup`) runs
-over send/recv callables; the caller carries every other message.
+A batch is a value that serves one session of the caller's; neither end
+keeps anything of it but its index.  The receiver's `extend(count)`
+returns count OTs, rounded up to whole bytes: the blob of their u32
+index and u matrix, and its side of the batch, the m bits rho and an
+(m, 16) array of pads.  The sender's `extend(blob, most)` returns its
+side, an (m, 2, 16) array of pad pairs.  The index sets the PRG input
+and the row tweaks, and the sender refuses one not above the last it
+took, so no tweak repeats under s.  Only base OT (`setup`) runs over
+send/recv callables; the caller carries every other message.
 
-A transfer is derandomized from the batch (Beaver, CRYPTO 1995).  The
-receiver's `choose(bits)` returns its flips, each choice bit XOR the
-batch's random bit rho, which hides the choices, so the flips may
-travel before the sender has its pairs, even a round early.  The
-sender's `accept(flips, n)` spends the batch's next n pad pairs on
-them, swapping the two pads of each pair whose flip is set, and
-`send_pairs(pairs)` returns the reply: the (n, 2, 16) rows of
-(zero-label, one-label) pairs XOR those pads, as their bytes.  With no
-transfer accepted, because the receiver sent no flips for it,
-`send_pairs` is a ProtocolError.  The receiver's `receive_pairs(reply)`
-returns the chosen labels as an (n, 16) array, one row gathered from
-each pair of the reply and XORed with its pad.
+A transfer spends the batch's next n OTs, derandomized (Beaver, CRYPTO
+1995).  The receiver's `choose(batch, bits)` returns the flips, each
+choice bit XOR its OT's random bit rho, which hide the choices, so they
+may travel before the sender has its pairs, even a round early, and the
+transfer for `receive_pairs(transfer, reply)`, which returns the chosen
+labels as an (n, 16) array.  The sender's `accept(batch, flips, n)`
+returns the transfer's pads, its pad pairs swapped where the flip is
+set, and `send_pairs(pads, pairs)` the reply: the (n, 2, 16) rows of
+(zero-label, one-label) pairs XOR those pads, as bytes.  No pads, as
+when the receiver sent no flips for the transfer, is a ProtocolError.
 
 The flips, rho and s are bit vectors in the order of wire.pack_bits,
 least significant bit first, and the bit matrices are transposed in
@@ -209,16 +206,14 @@ def _row_hashes(batch: int, rows):
     """H(x, 2^127 | batch·2^32 | j) (aes.tccr) of every 16-byte row x
     of rows[j], rows being an (m, 16) or (m, k, 16) uint8 array, in one
     call; the hashes come back in an array of rows' shape."""
-    m = len(rows)
-    tweaks = np.empty((m, LABEL_BYTES), dtype=np.uint8)
-    tweaks[:, :-4] = np.frombuffer((1 << 95 | batch).to_bytes(
+    m, per_row = len(rows), rows[0].size // LABEL_BYTES
+    tweaks = np.empty((m, per_row, LABEL_BYTES), dtype=np.uint8)
+    tweaks[..., :-4] = np.frombuffer((1 << 95 | batch).to_bytes(
         LABEL_BYTES - 4, "big"), dtype=np.uint8)
-    tweaks[:, -4:] = np.arange(m, dtype=">u4").view(np.uint8).reshape(m, 4)
-    per_row = rows[0].size // LABEL_BYTES
-    hashes = aes.tccr(rows.tobytes(), int.from_bytes(
-        np.repeat(tweaks, per_row, axis=0).tobytes(), "big"))
-    return np.frombuffer(hashes.to_bytes(rows.size, "big"),
-                         dtype=np.uint8).reshape(rows.shape)
+    tweaks[..., -4:] = np.arange(m, dtype=">u4").view(np.uint8).reshape(
+        m, 1, 4)
+    hashes = aes.tccr(rows.tobytes(), tweaks.tobytes())
+    return np.frombuffer(hashes, dtype=np.uint8).reshape(rows.shape)
 
 
 def _transpose_bits(cols):
@@ -230,6 +225,20 @@ def _transpose_bits(cols):
     bits = np.unpackbits(cols, axis=1, bitorder="little")
     return np.packbits(np.ascontiguousarray(bits.T), axis=1,
                        bitorder="little")
+
+
+class _Batch:
+    """One session's extension batch at one end: arrays whose row j
+    belongs to OT j, spent in order by take."""
+
+    def __init__(self, *arrays):
+        self._arrays = arrays
+        self._spent = 0
+
+    def take(self, n) -> list:
+        """Spends the next n OTs, or all left if fewer: their rows."""
+        self._spent += n
+        return [a[self._spent - n:self._spent] for a in self._arrays]
 
 
 class OtExtSender:
@@ -244,7 +253,6 @@ class OtExtSender:
         self._s_mask = None  # column i: 0xff where s_i = 1, else 0
         self._s_row = None   # s packed into one 16-byte row
         self._seeds = None
-        self.drop()
 
     def setup(self, send, recv):
         """Base OT over send/recv, receiving one seed of each pair."""
@@ -253,17 +261,11 @@ class OtExtSender:
         self._s_row = np.frombuffer(pack_bits(s_bits), dtype=np.uint8)
         self._seeds = base_ot_recv(send, recv, s_bits, self._group, self._rng)
 
-    def drop(self):
-        """Forget the batch's unspent pads and any accepted transfer."""
-        # the unspent pad pairs
-        self._rows = np.empty((0, 2, LABEL_BYTES), dtype=np.uint8)
-        self._pads = None  # the accepted transfer's pad pairs, flips applied
-
-    def extend(self, blob, most):
-        """Take in the receiver's batch, its u32 index then KAPPA columns
-        of m/8 bytes, in place of what the last left.  An index not above
-        the last one taken, or m above most rounded up to whole bytes, is
-        a ProtocolError; the index rule keeps row tweaks unique under s."""
+    def extend(self, blob, most) -> _Batch:
+        """The batch of the receiver's blob, its u32 index then KAPPA
+        columns of m/8 bytes.  An index not above the last one taken, or m
+        above most rounded up to whole bytes, is a ProtocolError; the
+        index rule keeps row tweaks unique under s."""
         row_bytes, rest = divmod(len(blob) - 4, KAPPA)
         if not 0 < row_bytes <= (most + 7) // 8 or rest:
             raise ProtocolError("OT extension matrix has wrong size")
@@ -274,34 +276,28 @@ class OtExtSender:
         # column i is t_i, or t_i XOR u_i where s_i = 1
         q = _prg_matrix(self._seeds, row_bytes, index) ^ (u & self._s_mask)
         rows = _transpose_bits(q)
-        self.drop()
-        self._rows = _row_hashes(index, np.stack((rows, rows ^ self._s_row),
-                                                 axis=1))
         self._batch = index
+        return _Batch(_row_hashes(index, np.stack((rows, rows ^ self._s_row),
+                                                  axis=1)))
 
-    def accept(self, flips, n):
-        """Spend the batch's next n pads on the receiver's flips for the
-        next transfer, replacing any accepted transfer that never ran.  A
-        batch with fewer than n pads left is a ProtocolError, and so is a
-        malformed vector, whose pads are spent as the receiver spent them
-        to make it."""
-        self._pads = None
-        pads, self._rows = self._rows[:n], self._rows[n:]
+    def accept(self, batch, flips, n):
+        """The pads of the transfer of the receiver's flips, batch's next
+        n pad pairs swapped where the flip is set; too few left, or a
+        malformed vector, whose pads are spent too, is a ProtocolError."""
+        pads, = batch.take(n)
         if len(pads) < n:
             raise ProtocolError("OT extension batch used up")
         flips = np.array(unpack_bits(flips, n, "OT choice vector"),
                          dtype=np.intp)
         # one gather swaps the pads where the flip is set: pad b of pair
         # j, row 2j + b, becomes row 2j + (b XOR flip j)
-        self._pads = pads.reshape(2 * n, LABEL_BYTES).take(
+        return pads.reshape(2 * n, LABEL_BYTES).take(
             np.arange(2 * n) ^ flips.repeat(2), axis=0).reshape(pads.shape)
 
-    def send_pairs(self, pairs) -> bytes:
-        """The reply that obliviously transfers one label of each pair,
-        pairs being (n, 2, 16) rows of (zero-label, one-label), under the
-        pads of the accepted transfer.  With none accepted, as when the
-        receiver sent no flips for it, this is a ProtocolError."""
-        pads, self._pads = self._pads, None
+    def send_pairs(self, pads, pairs) -> bytes:
+        """The reply that obliviously transfers one label of each of pairs,
+        (n, 2, 16) rows of (zero-label, one-label), under pads from
+        accept; no pads is a ProtocolError (module docstring)."""
         if pads is None:
             raise ProtocolError("no OT transfer accepted")
         if pads.shape != pairs.shape:
@@ -319,7 +315,6 @@ class OtExtReceiver:
         self._group = group
         self._batch = 0  # the index of the last batch made
         self._seed_pairs = None
-        self.drop()
 
     def setup(self, send, recv):
         """Base OT over send/recv, sending KAPPA seed pairs."""
@@ -329,17 +324,10 @@ class OtExtReceiver:
             for _ in range(KAPPA)]
         base_ot_send(send, recv, self._seed_pairs, self._group, self._rng)
 
-    def drop(self):
-        """Forget the batch's unspent pads and any chosen transfer."""
-        # the rho bit and the pad of each unspent OT
-        self._rho = np.empty(0, dtype=np.uint8)
-        self._rows = np.empty((0, LABEL_BYTES), dtype=np.uint8)
-        self._chosen = None  # (choice bits, pads) of the pending transfer
-
-    def extend(self, count) -> bytes:
-        """A batch of count OTs, rounded up to a multiple of 8, under the
-        next batch index, in place of whatever is left of the last; returns
-        the index as a u32, then the u matrix."""
+    def extend(self, count) -> tuple:
+        """(blob, batch): a batch of count OTs, rounded up to a multiple
+        of 8, under the next batch index, and blob, the index as a u32
+        then the u matrix, for the sender."""
         m = (count + 7) // 8 * 8
         self._batch += 1
         rho = self._rng.getrandbits(m).to_bytes(m // 8, "big")
@@ -347,35 +335,28 @@ class OtExtReceiver:
                         self._batch)
         u = t ^ _prg_matrix([k1 for _, k1 in self._seed_pairs], m // 8,
                             self._batch) ^ np.frombuffer(rho, dtype=np.uint8)
-        self.drop()
-        self._rho = np.unpackbits(np.frombuffer(rho, dtype=np.uint8),
-                                  bitorder="little")
-        self._rows = _row_hashes(self._batch, _transpose_bits(t))
-        return u32(self._batch) + u.tobytes()
+        batch = _Batch(np.unpackbits(np.frombuffer(rho, dtype=np.uint8),
+                                     bitorder="little"),
+                       _row_hashes(self._batch, _transpose_bits(t)))
+        return u32(self._batch) + u.tobytes(), batch
 
-    def choose(self, choice_bits) -> bytes:
-        """The flips of the next transfer, each choice bit XOR the random
-        bit rho of its pad, which hide the choices from the sender.
-
-        Spends the batch's next pad per bit and replaces any pending
-        transfer that never ran; a batch with too few pads left is a
-        UsageError."""
-        self._chosen = None
+    def choose(self, batch, choice_bits) -> tuple:
+        """(flips, transfer) of a transfer of batch's next OT per choice
+        bit, the flips hiding the bits (module docstring); a batch with
+        too few OTs left is a UsageError."""
         n = len(choice_bits)
-        rho, self._rho = self._rho[:n], self._rho[n:]
-        pads, self._rows = self._rows[:n], self._rows[n:]
+        rho, pads = batch.take(n)
         if len(pads) < n:
             raise UsageError("OT extension batch used up")
         bits = np.asarray(choice_bits, dtype=np.uint8)
-        self._chosen = (bits, pads)
-        return pack_bits((bits ^ rho).tolist())
+        return pack_bits((bits ^ rho).tolist()), (bits, pads)
 
-    def receive_pairs(self, reply):
-        """The label each pending choice bit selects from the sender's
-        reply, as an (n, 16) array of rows."""
-        if self._chosen is None:
+    def receive_pairs(self, transfer, reply):
+        """The label each of transfer's choice bits selects from the
+        sender's reply, as an (n, 16) array of rows."""
+        if transfer is None:
             raise UsageError("no transfer chosen")
-        (bits, pads), self._chosen = self._chosen, None
+        bits, pads = transfer
         n = len(bits)
         if len(reply) != 2 * n * LABEL_BYTES:
             raise ProtocolError("OT response length mismatch")

@@ -45,14 +45,15 @@ def test_tccr_matches_its_definition():
     rng = make_rng(2)
     blocks = rng.randbytes(16 * 9)
     tweaks = [rng.getrandbits(128) for _ in range(9)]
-    packed = int.from_bytes(b"".join(t.to_bytes(16, "big") for t in tweaks),
-                            "big")
-    got = aes.tccr(blocks, packed).to_bytes(len(blocks), "big")
+    got = aes.tccr(blocks, b"".join(t.to_bytes(16, "big") for t in tweaks))
     for i, t in enumerate(tweaks):
         x = blocks[16 * i:16 * i + 16]
         y = int.from_bytes(reference_pi(x), "big")
         z = int.from_bytes(reference_pi((y ^ t).to_bytes(16, "big")), "big")
         assert got[16 * i:16 * i + 16] == (z ^ y).to_bytes(16, "big")
+    # one tweak per block, no fewer
+    with pytest.raises(UsageError):
+        aes.tccr(blocks, bytes(16))
 
 
 def test_partial_block_refused():
@@ -67,8 +68,8 @@ def test_threads_hashing_at_once_get_single_thread_results():
     # the owner's and the analyst's threads share one cipher context;
     # more threads than cores, switching as often as the interpreter can
     rng = make_rng(3)
-    inputs = [(rng.randbytes(16 * (1 + i % 40)), rng.getrandbits(128))
-              for i in range(64)]
+    inputs = [(rng.randbytes(16 * (1 + i % 40)),
+               rng.randbytes(16 * (1 + i % 40))) for i in range(64)]
     expected = [aes.tccr(b, t) for b, t in inputs]
     wrong, errors = [], []
 

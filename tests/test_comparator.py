@@ -206,8 +206,8 @@ def test_hash_tweaks_are_distinct_per_gate_half():
     # (2^127 | batch·2^32 | row, ot._row_hashes)
     for c in (build_comparator(65), build_fh_comparator(65)):
         fields = []
-        for (_, hashed), tweaks in zip(c.schedule, c.hash_tweaks(1)):
-            blob = tweaks.to_bytes(32 * len(hashed), "big")
+        for (_, hashed), blob in zip(c.schedule, c.hash_tweaks(1)):
+            assert len(blob) == 32 * len(hashed)
             step = [int.from_bytes(blob[i:i + 16], "big")
                     for i in range(0, len(blob), 16)]
             assert step == [t for *_, j in hashed for t in (2 * j, 2 * j + 1)]

@@ -738,6 +738,76 @@ def test_ot_pads_stay_in_step_after_an_abort(abort):
         cluster.close()
 
 
+@pytest.mark.parametrize("mode", ["det", "fh"])
+def test_no_session_state_outlives_its_session(mode):
+    # after each session, ended or aborted at any of the three roles,
+    # every attribute of the engines and OT ends is the object or value
+    # it was, but the server's next blind, the owner's garbled pool and
+    # the OT ends' last batch index
+    params = small_params(mode=mode)
+    data = list(range(100, 3100, 100))
+    cluster, ctx = make_cluster(data, seed=61, params=params)
+    outlive = {"csp": {"_blind"}, "do": {"_garbled"},
+               "ot_sender": {"_batch"}, "ot_receiver": {"_batch"}}
+
+    def state():
+        return {"csp": cluster.csp, "do": cluster.do, "da": cluster.da,
+                "ot_sender": cluster.do.ot_sender,
+                "ot_receiver": cluster.da.ot_receiver}
+
+    def damaged(end, ftype, edit):
+        # the session's second frame of ftype from end, edited
+        seen = []
+
+        def send(frame):
+            if frame.ftype == ftype:
+                seen.append(frame)
+                if len(seen) == 2:
+                    frame = Frame(ftype, frame.session_id,
+                                  edit(frame.payload))
+            transport.Channel.send(end, frame)
+        return send
+
+    tables_end = 32 * len(cluster.da.circuit.nonfree_gates())
+    aborts = [
+        (cluster.csp.do_ch, transport.RANDOMIZED_NODE,
+         _node_out_of_range(params, ctx["pk"]), "out of range"),
+        (cluster.do.da_ch, transport.GC_PAYLOAD,
+         lambda blob: bytes(b ^ 0xff for b in blob[:tables_end]) +
+         blob[tables_end:], "failed to decode"),
+        (cluster.da.csp_ch, transport.SHARES,
+         lambda blob: bytes([blob[0] ^ 1]), "disagree")]
+    try:
+        cluster.encrypt(150)
+        before = {name: dict(vars(obj)) for name, obj in state().items()}
+
+        def assert_unchanged():
+            for name, obj in state().items():
+                now = vars(obj)
+                assert now.keys() == before[name].keys(), name
+                for attr, was in before[name].items():
+                    if attr in outlive.get(name, ()):
+                        continue
+                    value = now[attr]
+                    assert value is was or (
+                        not isinstance(value, np.ndarray) and value == was), \
+                        f"{name}.{attr}"
+
+        cluster.encrypt(250)
+        assert_unchanged()
+        cluster.da.bound(1000, BOUND_HIGH)
+        assert_unchanged()
+        for end, ftype, edit, reason in aborts:
+            end.send = damaged(end, ftype, edit)
+            with pytest.raises(SessionAborted, match=reason):
+                cluster.encrypt(350)
+            del end.send
+            assert_unchanged()
+        assert not cluster.errors
+    finally:
+        cluster.close()
+
+
 @pytest.mark.parametrize("damage", ["truncated", "flipped", "oversized"])
 def test_damaged_ot_batch_aborts_its_session_alone(damage):
     # the session's OT_MSG, its extension batch of m OTs (KAPPA columns
@@ -1298,7 +1368,7 @@ def test_owner_stalled_mid_session_fails_encrypt_in_time(kind):
         for ch in cluster.channels:
             ch.timeout = 0.3
         # the owner takes its round's node and does not answer
-        cluster.do._round = lambda frame: release.wait(30)
+        cluster.do._round = lambda *args: release.wait(30)
         watchdog.start()
         t0 = time.monotonic()
         with pytest.raises(SessionAborted, match="timed out") as err:

@@ -64,8 +64,10 @@ def linked_pair(seed, group=ot.GROUP_TEST):
 
 
 def new_batch(sender, receiver, count):
-    """A fresh extension batch of count OTs at both ends."""
-    sender.extend(receiver.extend(count), count)
+    """A fresh extension batch of count OTs: the sender's side and the
+    receiver's."""
+    blob, r_batch = receiver.extend(count)
+    return sender.extend(blob, count), r_batch
 
 
 def label_rows(pairs):
@@ -79,21 +81,21 @@ def label_ints(rows):
     return [int.from_bytes(row.tobytes(), "big") for row in rows]
 
 
-def transfer(sender, receiver, pairs, bits):
-    """One transfer of int label pairs from the current batch, the flips
-    and the reply carried by the caller as an engine carries them in its
-    frames; returns the received labels as ints."""
-    flips = receiver.choose(bits)
-    sender.accept(flips, len(pairs))
+def transfer(sender, receiver, batches, pairs, bits):
+    """One transfer of int label pairs from batches, the flips and the
+    reply carried by the caller as an engine carries them in its frames;
+    returns the received labels as ints."""
+    s_batch, r_batch = batches
+    flips, chosen = receiver.choose(r_batch, bits)
+    pads = sender.accept(s_batch, flips, len(pairs))
     return label_ints(receiver.receive_pairs(
-        sender.send_pairs(label_rows(pairs))))
+        chosen, sender.send_pairs(pads, label_rows(pairs))))
 
 
 def linked_batch(seed, count):
-    """linked_pair with a first batch of count OTs."""
+    """linked_pair and a first batch of count OTs."""
     sender, receiver = linked_pair(seed)
-    new_batch(sender, receiver, count)
-    return sender, receiver
+    return sender, receiver, new_batch(sender, receiver, count)
 
 
 def random_round(rng, n):
@@ -133,17 +135,18 @@ def test_ot_exchange_random_choices_16():
 def test_ot_exchange_length_mismatch():
     # the receiver chose two labels, the sender holds one pair: a reply
     # of the wrong length, or the flips themselves, fail
-    sender, receiver = linked_batch(0, 2)
+    sender, receiver, (s_batch, r_batch) = linked_batch(0, 2)
     with pytest.raises(ProtocolError):
-        flips = receiver.choose([0, 1])
-        sender.accept(flips, 1)
-        receiver.receive_pairs(sender.send_pairs(
-            label_rows([(0, (1 << 128) - 1)])))
-    sender, receiver = linked_batch(0, 1)
-    flips = receiver.choose([0])
-    sender.accept(flips, 1)
+        flips, chosen = receiver.choose(r_batch, [0, 1])
+        pads = sender.accept(s_batch, flips, 1)
+        receiver.receive_pairs(chosen, sender.send_pairs(
+            pads, label_rows([(0, (1 << 128) - 1)])))
+    sender, receiver, (s_batch, r_batch) = linked_batch(0, 1)
+    flips, chosen = receiver.choose(r_batch, [0])
+    pads = sender.accept(s_batch, flips, 1)
     with pytest.raises(ProtocolError, match="length"):
-        receiver.receive_pairs(sender.send_pairs(label_rows([(0, 1)]))[:-1])
+        receiver.receive_pairs(chosen, sender.send_pairs(
+            pads, label_rows([(0, 1)]))[:-1])
 
 
 def test_extension_survives_multiple_batches():
@@ -152,32 +155,33 @@ def test_extension_survives_multiple_batches():
     rng = make_rng(3)
     sender, receiver = linked_pair(1)
     for n, transfers in ((6, 1), (40, 5)) * 2:
-        new_batch(sender, receiver, n * transfers)
+        s_batch, r_batch = new_batch(sender, receiver, n * transfers)
         for _ in range(transfers):
             pairs, bits = random_round(rng, n)
-            flips = receiver.choose(bits)
-            sender.accept(flips, n)
+            flips, chosen = receiver.choose(r_batch, bits)
+            pad_pairs = sender.accept(s_batch, flips, n)
             # both sides hold the pad row of each chosen label, and only
             # it: the sender's pad pairs are swapped by the flips
-            pads = receiver._chosen[1]
-            chosen = np.array(bits)
-            held = sender._pads[np.arange(n), chosen]
-            other = sender._pads[np.arange(n), 1 - chosen]
+            pads = chosen[1]
+            choice = np.array(bits)
+            held = pad_pairs[np.arange(n), choice]
+            other = pad_pairs[np.arange(n), 1 - choice]
             assert np.array_equal(held, pads)
             assert (other != pads).any(axis=1).all()
             assert label_ints(receiver.receive_pairs(
-                sender.send_pairs(label_rows(pairs)))) == \
+                chosen, sender.send_pairs(pad_pairs, label_rows(pairs)))) == \
                 [p[b] for p, b in zip(pairs, bits)]
     assert sender._batch == receiver._batch == 4
 
 
 def test_a_batch_is_refused_unless_new_and_whole():
     # a batch index not above the last one taken would repeat row
-    # tweaks under s; a refused batch leaves the taken one in place
+    # tweaks under s; a refused batch leaves the taken one in use
     sender, receiver = linked_pair(12)
     rng = make_rng(13)
-    first, second, third = (receiver.extend(16) for _ in range(3))
-    sender.extend(second, 16)
+    (first, _), (second, _), (third, r_third) = (receiver.extend(16)
+                                                 for _ in range(3))
+    s_second = sender.extend(second, 16)
     for blob in (second, first):
         with pytest.raises(ProtocolError, match="not new"):
             sender.extend(blob, 16)
@@ -188,13 +192,13 @@ def test_a_batch_is_refused_unless_new_and_whole():
         with pytest.raises(ProtocolError, match="wrong size"):
             sender.extend(blob, most)
     # the receiver's pads are those of the third batch, the sender's
-    # those of the second, so a transfer now goes wrong
+    # those of the second, so a transfer between them goes wrong
     pairs, bits = random_round(rng, 16)
-    assert transfer(sender, receiver, pairs, bits) != \
+    assert transfer(sender, receiver, (s_second, r_third), pairs, bits) != \
         [p[b] for p, b in zip(pairs, bits)]
-    sender.extend(receiver.extend(9), 9)
+    batches = new_batch(sender, receiver, 9)
     pairs, bits = random_round(rng, 16)
-    assert transfer(sender, receiver, pairs, bits) == \
+    assert transfer(sender, receiver, batches, pairs, bits) == \
         [p[b] for p, b in zip(pairs, bits)]
     assert sender._batch == receiver._batch == 4
 
@@ -224,20 +228,21 @@ def test_malformed_flips_spend_the_pads_and_keep_the_pools_in_step(damage):
     # it checks it, as the receiver spent them to make it, so the two
     # ends' copies of the batch stay in step; bits go least significant
     # first, so the top five bits of the fifth byte are padding
-    sender, receiver = linked_batch(6, 6 * 35)
+    sender, receiver, batches = linked_batch(6, 6 * 35)
+    s_batch, r_batch = batches
     rng = make_rng(7)
     for _ in range(3):
-        flips = receiver.choose(random_round(rng, 35)[1])
+        flips, _ = receiver.choose(r_batch, random_round(rng, 35)[1])
         flips = {"short": flips[:-1], "long": flips + b"\0",
                  "padded": flips[:-1] + bytes([flips[-1] | 0x80])}[damage]
         with pytest.raises(ProtocolError, match="choice vector"):
-            sender.accept(flips, 35)
+            sender.accept(s_batch, flips, 35)
         # no transfer was accepted, so none can run
         with pytest.raises(ProtocolError, match="no OT transfer"):
-            sender.send_pairs(random_round(rng, 35)[0])
+            sender.send_pairs(None, random_round(rng, 35)[0])
     for _ in range(3):
         pairs, bits = random_round(rng, 35)
-        assert transfer(sender, receiver, pairs, bits) == \
+        assert transfer(sender, receiver, batches, pairs, bits) == \
             [p[b] for p, b in zip(pairs, bits)]
 
 
@@ -270,68 +275,65 @@ def test_transfers_take_the_chosen_labels_and_keep_pads_in_step(
     # every later transfer of the batch still takes the chosen labels
     sender, receiver = shared_pair()
     rng = make_rng(seed)
-    new_batch(sender, receiver, sum(sizes))
+    batches = new_batch(sender, receiver, sum(sizes))
+    s_batch, r_batch = batches
     for n, kind in zip(sizes, damage):
         pairs, bits = random_round(rng, n)
         if kind is None:
-            assert transfer(sender, receiver, pairs, bits) == \
+            assert transfer(sender, receiver, batches, pairs, bits) == \
                 [p[b] for p, b in zip(pairs, bits)]
             continue
+        flips, _ = receiver.choose(r_batch, bits)
         with pytest.raises(ProtocolError, match="choice vector"):
-            sender.accept(damaged(receiver.choose(bits), n, kind), n)
+            sender.accept(s_batch, damaged(flips, n, kind), n)
     spare = -sum(sizes) % 8
     if overdraw:
         # a transfer beyond the batch spends its rest at both ends
         with pytest.raises(UsageError, match="used up"):
-            receiver.choose([0] * (spare + 1))
+            receiver.choose(r_batch, [0] * (spare + 1))
         with pytest.raises(ProtocolError, match="used up"):
-            sender.accept(bytes(1), spare + 1)
+            sender.accept(s_batch, bytes(1), spare + 1)
     else:
         pairs, bits = random_round(rng, spare)
-        assert transfer(sender, receiver, pairs, bits) == \
+        assert transfer(sender, receiver, batches, pairs, bits) == \
             [p[b] for p, b in zip(pairs, bits)]
     with pytest.raises(UsageError, match="used up"):
-        receiver.choose([0])
+        receiver.choose(r_batch, [0])
     with pytest.raises(ProtocolError, match="used up"):
-        sender.accept(bytes(1), 1)
+        sender.accept(s_batch, bytes(1), 1)
 
 
 def test_phantom_transfers_then_real_ones():
-    # a phantom transfer is chosen and accepted but never runs; the next
-    # one replaces it, at either end, in one batch and across batches
+    # a phantom transfer is chosen and accepted but never runs; it only
+    # spends its pads, at both ends, in one batch and across batches
     sender, receiver = linked_pair(8)
     rng = make_rng(9)
     for phantoms in (1, 2, 0, 3):
-        new_batch(sender, receiver, 7 * (phantoms + 1))
+        batches = new_batch(sender, receiver, 7 * (phantoms + 1))
+        s_batch, r_batch = batches
         for _ in range(phantoms):
-            sender.accept(receiver.choose(random_round(rng, 7)[1]), 7)
+            flips, _ = receiver.choose(r_batch, random_round(rng, 7)[1])
+            sender.accept(s_batch, flips, 7)
         pairs, bits = random_round(rng, 7)
-        assert transfer(sender, receiver, pairs, bits) == \
+        assert transfer(sender, receiver, batches, pairs, bits) == \
             [p[b] for p, b in zip(pairs, bits)]
     assert sender._batch == receiver._batch == 4
-    # a reply and its labels serve one transfer only
+    # a reply needs accepted pads, and its labels a chosen transfer
     with pytest.raises(ProtocolError, match="no OT transfer"):
-        sender.send_pairs(pairs)
+        sender.send_pairs(None, pairs)
     with pytest.raises(UsageError):
-        receiver.receive_pairs(bytes(7 * 32))
+        receiver.receive_pairs(None, bytes(7 * 32))
 
 
 def test_accept_beyond_the_batch_is_refused():
-    # 9 OTs make a batch of 16: a transfer of 9 leaves 7, too few for 8,
-    # and a dropped batch leaves none
-    sender, receiver = linked_batch(10, 9)
-    sender.accept(receiver.choose([1] * 9), 9)
+    # 9 OTs make a batch of 16: a transfer of 9 leaves 7, too few for 8
+    sender, receiver, (s_batch, r_batch) = linked_batch(10, 9)
+    flips, _ = receiver.choose(r_batch, [1] * 9)
+    sender.accept(s_batch, flips, 9)
     with pytest.raises(UsageError, match="used up"):
-        receiver.choose([1] * 8)
+        receiver.choose(r_batch, [1] * 8)
     with pytest.raises(ProtocolError, match="used up"):
-        sender.accept(bytes(1), 8)
-    new_batch(sender, receiver, 9)
-    sender.drop()
-    receiver.drop()
-    with pytest.raises(UsageError, match="used up"):
-        receiver.choose([1])
-    with pytest.raises(ProtocolError, match="used up"):
-        sender.accept(bytes(1), 1)
+        sender.accept(s_batch, bytes(1), 8)
 
 
 def test_malformed_group_element_rejected():

@@ -9,8 +9,10 @@ from oope import integrity, ope_state, paillier, transport
 from oope.cluster import LocalCluster, build_cluster
 from oope.engine import (BOUND_HIGH, BOUND_LOW, OP_BOUND_HIGH, OP_BOUND_LOW,
                          OP_ENCRYPT, ProtocolParams)
+from oope.errors import SessionAborted
 from oope.ot import GROUP_TEST
 from oope.rng import make_rng
+from oope.transport import Frame
 
 
 MAC_PARAMS = integrity.gen_mac_params(512, 160, rng=make_rng(77))
@@ -87,6 +89,30 @@ def test_loopback_and_tcp_identical_bound(mode):
     assert sum(b[4] == transport.CIPHER_UPLOAD for b in loop["da->csp"]) == 4
 
 
+def aborted_then_encrypts(cluster, xs):
+    """An encrypt of xs[0] that the server aborts, the analyst's second
+    SHARES damaged, then a good encrypt of each of xs; returns the abort
+    reason and the orders."""
+    end = cluster.da.csp_ch
+    seen = []
+
+    def damaged(frame):
+        if frame.ftype == transport.SHARES:
+            seen.append(frame)
+            if len(seen) == 2:
+                frame = Frame(frame.ftype, frame.session_id,
+                              bytes([frame.payload[0] ^ 0b0100]))
+        transport.Channel.send(end, frame)
+
+    end.send = damaged
+    try:
+        with pytest.raises(SessionAborted, match="disagree") as err:
+            cluster.encrypt(xs[0])
+    finally:
+        del end.send
+    return err.value.reason, [cluster.encrypt(x) for x in xs]
+
+
 @pytest.mark.parametrize("scheme", [integrity.SCHEME_PEDERSEN])
 def test_loopback_and_tcp_identical_under_integrity(scheme):
     loop = assert_identical(integrity=scheme, mac_subgroup_bits=160,
@@ -95,18 +121,22 @@ def test_loopback_and_tcp_identical_under_integrity(scheme):
 
 
 # SHA-256 of each channel's transcript, its sent frames concatenated, in
-# seeded runs of protocol 11: det, fh and Pedersen on a 256-bit key, and
-# det on a 1024-bit key, whose N^2 of 2048 bits takes encryption through
-# modexp.FixedBase.  They were recorded when labels and OT pads were
-# still 128-bit ints end to end, so a change to how either is held that
-# moves a byte at both ends alike, which loopback == TCP cannot see,
-# fails here.
+# seeded runs of protocol 11: det, fh and Pedersen on a 256-bit key, det
+# on a 1024-bit key, whose N^2 of 2048 bits takes encryption through
+# modexp.FixedBase, and det with a session the server aborts in its
+# second round, then two good ones, so the ABORT frames and the OT
+# batches that follow an abort are pinned too.  The first four were
+# recorded when labels and OT pads were still 128-bit ints end to end,
+# the abort case when each OT end still held its session's batch, so a
+# change to how either is held that moves a byte at both ends alike,
+# which loopback == TCP cannot see, fails here.
 PINNED_CASES = {
     "det": {},
     "fh": {"mode": "fh"},
     "pedersen": {"integrity": integrity.SCHEME_PEDERSEN,
                  "mac_subgroup_bits": 160, "mac_params": MAC_PARAMS},
     "det-1024": {"key_bits": 1024},
+    "abort": {"queries": [(77, 300)], "session": aborted_then_encrypts},
 }
 PINNED_DIGESTS = {
     "det": {
@@ -164,6 +194,20 @@ PINNED_DIGESTS = {
             "71fca3a5961674afaf7eee820c906d9be7375199f93b7954ec03316f7019eece",
         "do->da":
             "b59d3172e334ef976efa12962502cf945c5b6bf6df446d7217169b5dc10cc0b5",
+    },
+    "abort": {
+        "csp->da":
+            "69c78abd6fb4a0af559a59a68d5536f8e729fb06ea3bfc636e76e059f6f58b50",
+        "csp->do":
+            "6211fa8b74953de1bf8bec673a62b1d089099fcc543818161ab7dd65f6fd239c",
+        "da->csp":
+            "028ea80cacac0ddecb772bd5999e1359c6dffd079febcbcff39c08d0e58e198d",
+        "da->do":
+            "3bbc4f0813cb4b809380177173d2dbc78e331ccf96801190e17c06f83f0c127b",
+        "do->csp":
+            "98b4d6c72096a4d655beaac64bf7e3099fc19ecab1f8fa9977d1184aaccbe312",
+        "do->da":
+            "872115b18a16fa4aab774eb2e360fb6a221a77c34f82fd208d884044427e7375",
     },
 }
 
