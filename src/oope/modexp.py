@@ -1,20 +1,23 @@
 """Modular exponentiation through GMP's side-channel-silent functions.
 
-Two entry points, both reaching libgmp through ctypes, whose calls
-release the interpreter lock.
+Two entry points, both reaching libgmp's mpn_sec functions through
+ctypes, whose calls release the interpreter lock.
 
-powmod(base, exp, mod) returns exactly pow(base, exp, mod).  When
-libgmp loads, a call with exp > 0, an odd mod >= 3 and a base that is
-not a multiple of mod runs in mpz_powm_sec: its running time and memory
-access pattern depend on the bit lengths of the operands, not on the
-exponent's value.  Every other call, and every call on a host without
-libgmp, goes through the built-in pow.
+powmod(base, exp, mod) returns exactly pow(base, exp, mod).  A call
+with exp > 0, an odd mod >= 3 and a base that is not a multiple of mod
+is one mpn_sec_powm call on limb buffers: base mod mod padded to mod's
+limb count, exp's limbs, and 64 times exp's limb count (on 64-bit
+limbs) as the exponent's bit count, which is what mpz_powm_sec passes
+to the same function.  Its running time and memory access pattern
+depend on the operands' lengths, not on the exponent's value.  Every
+other call, and every call where libgmp or its mpn_sec functions are
+missing, goes through the built-in pow.
 
 FixedBase(base, mod, bits) raises one base, fixed for the object's
 life, to exponents e in [1, 2^bits): pow(e) returns pow(base, e, mod).
-Where libgmp exports the mpn_sec functions and mod has at least
-_COMB_MIN_BITS bits, it is a comb after Brickell, Gordon, McCurley and
-Wilson ("Fast exponentiation with precomputation", EUROCRYPT 1992):
+Where the mpn_sec functions load and mod has at least _COMB_MIN_BITS
+bits, it is a comb after Brickell, Gordon, McCurley and Wilson ("Fast
+exponentiation with precomputation", EUROCRYPT 1992):
 the object holds base^(j*2^(W*i)) for each of the ceil(bits/W) windows
 i and each W-bit digit j, with W = _WINDOW, and pow(e) multiplies one
 entry per window.  Each window makes three calls: mpn_sec_tabselect,
@@ -32,9 +35,17 @@ is powmod.
 The two paths of each function return identical results, so no
 ciphertext, randomness distribution or hardness assumption depends on
 which one ran.
+
+fan_out(fn, items) is [fn(x) for x in items] over os.cpu_count()
+contiguous slices of items, the first on the calling thread and the
+rest on a thread pool.  GMP calls release the interpreter lock, so the
+slices' exponentiations run in parallel; the results come back in item
+order, the same on any number of cores.
 """
 
 import ctypes
+import os
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 from .errors import DomainError
@@ -55,41 +66,23 @@ _WINDOW = 6
 _COMB_MIN_BITS = 2047
 
 
-class _Mpz(ctypes.Structure):
-    _fields_ = [("alloc", ctypes.c_int), ("size", ctypes.c_int),
-                ("d", ctypes.c_void_p)]
-
-
 def _load():
     for name in _SONAMES:
         try:
-            lib = ctypes.CDLL(name)
-            fns = (lib.__gmpz_init, lib.__gmpz_clear, lib.__gmpz_import,
-                   lib.__gmpz_export, lib.__gmpz_powm_sec)
-        except (OSError, AttributeError):
+            return ctypes.CDLL(name)
+        except OSError:
             continue
-        z = ctypes.POINTER(_Mpz)
-        size = ctypes.c_size_t
-        init, clear, imp, exp, powm = fns
-        init.argtypes = clear.argtypes = [z]
-        imp.argtypes = [z, size, ctypes.c_int, size, ctypes.c_int, size,
-                        ctypes.c_char_p]
-        exp.argtypes = [ctypes.c_char_p, ctypes.POINTER(size), ctypes.c_int,
-                        size, ctypes.c_int, size, z]
-        powm.argtypes = [z, z, z, z]
-        init.restype = clear.restype = imp.restype = powm.restype = None
-        exp.restype = ctypes.c_void_p
-        return lib
     return None
 
 
 def _load_sec(lib):
-    """The mpn_sec functions the comb calls and the limb type, or None
-    where libgmp is missing or lacks them."""
+    """The mpn_sec functions powmod and the comb call and the limb
+    type, or None where libgmp is missing or lacks them."""
     if lib is None:
         return None
     try:
         sec = SimpleNamespace(
+            powm=lib.__gmpn_sec_powm, powm_itch=lib.__gmpn_sec_powm_itch,
             tabselect=lib.__gmpn_sec_tabselect, mul=lib.__gmpn_sec_mul,
             div_r=lib.__gmpn_sec_div_r, mul_itch=lib.__gmpn_sec_mul_itch,
             div_r_itch=lib.__gmpn_sec_div_r_itch)
@@ -100,43 +93,71 @@ def _load_sec(lib):
     if sec.limb is None:
         return None
     ptr, size = ctypes.c_void_p, ctypes.c_ssize_t  # mp_limb_t *, mp_size_t
+    bits = ctypes.c_ulong  # mp_bitcnt_t
+    sec.powm.argtypes = [ptr, ptr, size, ptr, bits, ptr, size, ptr]
+    sec.powm_itch.argtypes = [size, bits, size]
     sec.tabselect.argtypes = [ptr, ptr, size, size, size]
     sec.mul.argtypes = [ptr, ptr, size, ptr, size, ptr]
     sec.div_r.argtypes = [ptr, size, ptr, size, ptr]
     sec.mul_itch.argtypes = sec.div_r_itch.argtypes = [size, size]
-    sec.tabselect.restype = sec.mul.restype = sec.div_r.restype = None
-    sec.mul_itch.restype = sec.div_r_itch.restype = size
+    sec.powm.restype = sec.tabselect.restype = sec.mul.restype = \
+        sec.div_r.restype = None
+    sec.powm_itch.restype = sec.mul_itch.restype = \
+        sec.div_r_itch.restype = size
     return sec
 
 
 _gmp = _load()
 _sec = _load_sec(_gmp)
+_powm_scratch = {}  # (limbs of mod, limbs of exp) -> mpn_sec_powm_itch
 
 
 def powmod(base: int, exp: int, mod: int) -> int:
-    """pow(base, exp, mod), constant-time in exp where GMP allows it."""
-    lib = _gmp
-    if lib is None or exp <= 0 or mod < 3 or not mod & 1:
+    """pow(base, exp, mod), constant-time in exp where GMP allows it:
+    one mpn_sec_powm call (module docstring)."""
+    sec = _sec
+    if sec is None or exp <= 0 or mod < 3 or not mod & 1:
         return pow(base, exp, mod)
     base %= mod
     if base == 0:
         return 0
-    zs = (_Mpz(), _Mpz(), _Mpz(), _Mpz())
-    for z in zs:
-        lib.__gmpz_init(z)
-    r, b, e, m = zs
-    try:
-        for z, v in ((b, base), (e, exp), (m, mod)):
-            blob = v.to_bytes((v.bit_length() + 7) // 8, "big")
-            lib.__gmpz_import(z, len(blob), 1, 1, 1, 0, blob)
-        lib.__gmpz_powm_sec(r, b, e, m)
-        out = ctypes.create_string_buffer((mod.bit_length() + 7) // 8)
-        count = ctypes.c_size_t(0)
-        lib.__gmpz_export(out, ctypes.byref(count), 1, 1, 1, 0, r)
-        return int.from_bytes(out.raw[:count.value], "big")
-    finally:
-        for z in zs:
-            lib.__gmpz_clear(z)
+    limb_bits = 8 * ctypes.sizeof(sec.limb)
+    n = -(-mod.bit_length() // limb_bits)
+    en = -(-exp.bit_length() // limb_bits)
+    scratch = _powm_scratch.get((n, en))
+    if scratch is None:
+        scratch = _powm_scratch[n, en] = sec.powm_itch(n, limb_bits * en, n)
+    b, e, m = ((sec.limb * k).from_buffer_copy(v.to_bytes(k * limb_bits // 8,
+                                                          "little"))
+               for v, k in ((base, n), (exp, en), (mod, n)))
+    out = (sec.limb * n)()
+    sec.powm(out, b, n, e, limb_bits * en, m, n, (sec.limb * scratch)())
+    return int.from_bytes(bytes(out), "little")
+
+
+def fan_out(fn, items) -> list:
+    """[fn(x) for x in items], spread over the cores (module docstring).
+
+    The calling thread runs the first slice itself because a pool
+    reuses a worker that went idle, so short slices could all queue on
+    one thread.
+    """
+    items = list(items)
+    workers = min(os.cpu_count() or 1, len(items))
+
+    def run(chunk):
+        return [fn(x) for x in chunk]
+
+    if workers <= 1:
+        return run(items)
+    size = -(-len(items) // workers)
+    first, *rest = [items[i:i + size] for i in range(0, len(items), size)]
+    with ThreadPoolExecutor(len(rest)) as pool:
+        futures = [pool.submit(run, chunk) for chunk in rest]
+        out = run(first)
+        for f in futures:
+            out.extend(f.result())
+        return out
 
 
 class FixedBase:

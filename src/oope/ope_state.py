@@ -30,10 +30,8 @@ the copies of a value, are found by a search (engine.DaEngine.bound), so the
 table stores no run extremes.
 """
 
-import os
 import warnings
 from bisect import bisect_left, bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Optional
@@ -42,6 +40,7 @@ from . import paillier
 from .errors import (CapacityError, ConfigurationError, DomainError,
                      GapExhausted, IntegrityError, KeyMismatchError,
                      UsageError)
+from .modexp import fan_out
 from .rng import make_rng
 
 MODE_DET, MODE_FH = "det", "fh"
@@ -198,8 +197,8 @@ def init_state(dataset, m: int, pk: paillier.PaillierPublicKey, l: int,
     (paillier.fresh_alpha) is drawn on the calling thread, entry by
     entry and interleaved with the tagger's draws, and the key's h^N and
     its comb table (paillier.PaillierPublicKey.h_n) are built there once,
-    before any worker runs; the exponentiations then spread over the
-    cores (_encrypt_all), which read that table.  So a seeded table is
+    before any worker runs; the encryptions then spread over the cores
+    (modexp.fan_out), which read that table.  So a seeded table is
     the same on any number of cores, and no worker rebuilds h^N.
     """
     dataset = list(dataset)
@@ -236,35 +235,10 @@ def init_state(dataset, m: int, pk: paillier.PaillierPublicKey, l: int,
         jobs.append((x, paillier.fresh_alpha(rng)))
         node_tags.append(tagger(x) if tagger is not None else None)
     pk.h_n  # built here, once, so the workers share its table
-    for entry, node_tag, cipher in zip(table.entries(), node_tags,
-                                       _encrypt_all(pk, jobs)):
+    # paillier.encrypt is looked up per call, where a tracer may wrap it
+    ciphers = fan_out(lambda job: paillier.encrypt(pk, job[0], alpha=job[1]),
+                      jobs)
+    for entry, node_tag, cipher in zip(table.entries(), node_tags, ciphers):
         entry.cipher, entry.node_tag = cipher, node_tag
     return OwnerState([(x, e.order) for x, e in zip(dataset, placed)]), table
 
-
-def _encrypt_all(pk, jobs):
-    """paillier.encrypt of every (plaintext, alpha) job, in job order.
-
-    The jobs run in os.cpu_count() contiguous slices: the calling thread
-    runs the first, a thread pool the others.  Each GMP call of an
-    encryption (FixedBase.pow's table reads, multiplications and
-    reductions, or powmod below its threshold) releases the interpreter
-    lock, so the slices' exponentiations run in parallel.
-    The calling thread takes a slice itself because a pool reuses a
-    worker that went idle, so short slices could all queue on one thread.
-    """
-    workers = min(os.cpu_count() or 1, len(jobs))
-
-    def run(chunk):
-        return [paillier.encrypt(pk, v, alpha=a) for v, a in chunk]
-
-    if workers <= 1:
-        return run(jobs)
-    size = -(-len(jobs) // workers)
-    first, *rest = [jobs[i:i + size] for i in range(0, len(jobs), size)]
-    with ThreadPoolExecutor(len(rest)) as pool:
-        futures = [pool.submit(run, chunk) for chunk in rest]
-        out = run(first)
-        for f in futures:
-            out.extend(f.result())
-        return out

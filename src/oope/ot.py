@@ -6,6 +6,9 @@ Two layers:
   receiver publishes one real public key and one element sampled by
   hashing into the quadratic-residue subgroup, so it provably does not
   know the second discrete log even given its full internal state.
+  Each side's exponentiations run over the cores (modexp.fan_out) and
+  its random draws on the calling thread, in one order, so a seeded
+  base OT's seeds and bytes do not depend on the number of cores.
 * An IKNP-style extension (Ishai, Kilian, Nissim and Petrank, CRYPTO
   2003) that turns 128 base OTs into a batch of random OTs of any size
   using only hashing, consumed per transfer through XOR
@@ -81,7 +84,7 @@ import numpy as np
 from . import aes
 from .errors import ProtocolError, UsageError
 from .garbling import LABEL_BYTES
-from .modexp import powmod
+from .modexp import fan_out, powmod
 from .rng import make_rng
 from .wire import be_bytes, pack_bits, u32, unpack_bits, xor_bytes
 
@@ -147,7 +150,8 @@ def _kdf(key: int, index: int, branch: int) -> bytes:
 
 
 def base_ot_send(send, recv, messages, group=GROUP_DEFAULT, rng=None):
-    """Transfer one 32-byte message of each (m0, m1) pair obliviously."""
+    """Transfer one 32-byte message of each (m0, m1) pair obliviously.
+    Every public key is checked before the first exponentiation."""
     rng = rng or make_rng()
     count = len(messages)
     blob = recv()
@@ -155,26 +159,26 @@ def base_ot_send(send, recv, messages, group=GROUP_DEFAULT, rng=None):
         raise ProtocolError("base OT public key blob has wrong size")
     pks = [int.from_bytes(blob[i * group.width:(i + 1) * group.width], "big")
            for i in range(2 * count)]
+    for pk in pks:
+        group.check_member(pk)
     r = rng.getrandbits(EXPONENT_BITS)
-    out = [group.exp(group.g, r).to_bytes(group.width, "big")]
-    for i, (m0, m1) in enumerate(messages):
-        for b, m in ((0, m0), (1, m1)):
-            pk = pks[2 * i + b]
-            group.check_member(pk)
-            out.append(xor_bytes(m, _kdf(group.exp(pk, r), i, b)))
+    gr, *keys = fan_out(lambda base: group.exp(base, r), [group.g, *pks])
+    out = [gr.to_bytes(group.width, "big")] + [
+        xor_bytes(m, _kdf(keys[2 * i + b], i, b))
+        for i, pair in enumerate(messages) for b, m in enumerate(pair)]
     send(b"".join(out))
 
 
 def base_ot_recv(send, recv, choice_bits, group=GROUP_DEFAULT, rng=None):
     """Receive the chosen message per bit; learns nothing of the others."""
     rng = rng or make_rng()
-    secrets = []
+    draws = [(rng.getrandbits(EXPONENT_BITS), rng.getrandbits(256))
+             for _ in choice_bits]  # k, then the dummy's seed
+    secrets = [k for k, _ in draws]
+    reals = fan_out(lambda k: group.exp(group.g, k), secrets)
     pks = []
-    for c in choice_bits:
-        k = rng.getrandbits(EXPONENT_BITS)
-        real = group.exp(group.g, k)
-        dummy = group.hash_to_member(rng.getrandbits(256).to_bytes(32, "big"))
-        secrets.append(k)
+    for c, real, (_, seed) in zip(choice_bits, reals, draws):
+        dummy = group.hash_to_member(seed.to_bytes(32, "big"))
         pks.extend([real, dummy] if c == 0 else [dummy, real])
     send(b"".join(pk.to_bytes(group.width, "big") for pk in pks))
     blob = recv()
@@ -182,11 +186,11 @@ def base_ot_recv(send, recv, choice_bits, group=GROUP_DEFAULT, rng=None):
         raise ProtocolError("base OT ciphertext blob has wrong size")
     gr = int.from_bytes(blob[:group.width], "big")
     group.check_member(gr)
+    keys = fan_out(lambda k: group.exp(gr, k), secrets)
     out = []
-    for i, (c, k) in enumerate(zip(choice_bits, secrets)):
+    for i, (c, key) in enumerate(zip(choice_bits, keys)):
         start = group.width + (2 * i + c) * SEED_BYTES
-        out.append(xor_bytes(blob[start:start + SEED_BYTES],
-                             _kdf(group.exp(gr, k), i, c)))
+        out.append(xor_bytes(blob[start:start + SEED_BYTES], _kdf(key, i, c)))
     return out
 
 

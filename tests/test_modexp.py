@@ -51,14 +51,21 @@ def test_edge_cases(base, exp, mod):
     assert powmod(base, exp, mod) == pow(base, exp, mod)
 
 
+def _address(fn):
+    return ctypes.cast(fn, ctypes.c_void_p).value
+
+
 def test_gmp_path_is_active_where_libgmp_exists():
     """A signature mistake must not silently drop every call to pow."""
     for name in modexp._SONAMES:
         try:
-            ctypes.CDLL(name)
+            lib = ctypes.CDLL(name)
         except OSError:
             continue
         assert modexp._gmp is not None
+        if not hasattr(lib, "__gmpn_sec_powm"):
+            pytest.skip("libgmp lacks the mpn_sec functions")
+        assert _address(modexp._sec.powm) == _address(lib.__gmpn_sec_powm)
         return
     pytest.skip("libgmp is not installed")
 
@@ -66,15 +73,50 @@ def test_gmp_path_is_active_where_libgmp_exists():
 @settings(max_examples=50, deadline=None)
 @given(mod=odd_moduli, base=sized(1, 1024), exp=sized(1, 1024) | st.just(-1))
 def test_fallback_without_library(mod, base, exp):
+    calls = []
+
+    def recording_pow(*args):
+        calls.append(args)
+        return pow(*args)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(modexp, "_gmp", None)
+        mp.setattr(modexp, "_sec", None)
+        mp.setattr(modexp, "pow", recording_pow, raising=False)
         try:
             want = pow(base, exp, mod)
         except ValueError:  # base not invertible
             with pytest.raises(ValueError):
                 powmod(base, exp, mod)
+            assert calls == [(base, exp, mod)]
             return
         assert powmod(base, exp, mod) == want
+    assert calls == [(base, exp, mod)]
+
+
+@pytest.mark.skipif(modexp._sec is None, reason="no mpn_sec functions")
+def test_powmod_is_one_mpn_sec_powm_call():
+    # one call per powmod, whose exponent bit count (its fifth argument)
+    # is the limb bits times exp's limb count, as mpz_powm_sec passes
+    # it: the same for every exponent of one limb count
+    real, bit_counts = modexp._sec, []
+
+    def powm(*args):
+        bit_counts.append(args[4])
+        return real.powm(*args)
+
+    limb_bits = 8 * ctypes.sizeof(real.limb)
+    mod, rng = _modulus(3072, 9)
+    base = rng.randrange(2, mod)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(modexp, "_sec", SimpleNamespace(**dict(vars(real),
+                                                          powm=powm)))
+        for bits in (1, 63, 64, 65, 255, 256):
+            limbs = -(-bits // limb_bits)
+            for e in (1 << (bits - 1), (1 << bits) - 1,
+                      (1 << (limb_bits * limbs)) - 1):
+                bit_counts.clear()
+                assert powmod(base, e, mod) == pow(base, e, mod)
+                assert bit_counts == [limb_bits * limbs]
 
 
 def test_two_threads_agree_with_pow():

@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import os
 import queue
 import threading
 
@@ -117,6 +118,60 @@ def test_base_ot_selects_correctly():
     bits = [0, 1, 1, 0, 1, 0, 0, 1]
     got = run_base_ot(msgs, bits, ot.GROUP_TEST)
     assert got == [m[b] for m, b in zip(msgs, bits)]
+
+
+def test_base_ot_fan_out_matches_serial(monkeypatch):
+    # seeded set-ups on 1, 3, the host's and 64 cores send the same
+    # bytes and keep the same seeds; on 1 core only each side's calling
+    # thread exponentiates, and no pool thread outlives set-up
+    exp, threads = ot.OtGroup.exp, set()
+
+    def recording_exp(self, base, e):
+        threads.add(threading.get_ident())
+        return exp(self, base, e)
+
+    monkeypatch.setattr(ot.OtGroup, "exp", recording_exp)
+
+    def setup_on(cores):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        threads.clear()
+        before = set(threading.enumerate())
+        rng, callers, sent = make_rng(11), set(), {"s": [], "r": []}
+        (s_send, s_recv), (r_send, r_recv) = pipe_pair()
+        sender = ot.OtExtSender(make_rng(rng.getrandbits(64)), ot.GROUP_TEST)
+        receiver = ot.OtExtReceiver(make_rng(rng.getrandbits(64)),
+                                    ot.GROUP_TEST)
+
+        def side(end, send, recv, blobs):
+            callers.add(threading.get_ident())
+            end.setup(lambda blob: (blobs.append(blob), send(blob)), recv)
+
+        run_both(lambda: side(sender, s_send, s_recv, sent["s"]),
+                 lambda: side(receiver, r_send, r_recv, sent["r"]))
+        assert set(threading.enumerate()) <= before
+        return (sender._seeds, receiver._seed_pairs, sent), \
+            threads - callers
+
+    serial, extra = setup_on(1)
+    assert not extra
+    assert [len(serial[2][end]) for end in "sr"] == [1, 1]
+    assert all(seed in pair for seed, pair in zip(serial[0], serial[1]))
+    outcome, extra = setup_on(3)
+    assert outcome == serial and extra
+    assert setup_on(None)[0] == serial
+    assert setup_on(64)[0] == serial
+
+
+def test_base_ot_send_checks_every_key_before_exponentiating(monkeypatch):
+    group = ot.GROUP_TEST
+    keys = [group.hash_to_member(bytes([i])) for i in range(2 * ot.KAPPA - 1)]
+    blob = b"".join(k.to_bytes(group.width, "big") for k in [*keys, 0])
+    calls = []
+    monkeypatch.setattr(group, "exp", lambda *args: calls.append(args))
+    messages = [(bytes(32), bytes(32))] * ot.KAPPA
+    with pytest.raises(ProtocolError, match="malformed group element"):
+        ot.base_ot_send(None, lambda: blob, messages, group, make_rng(1))
+    assert not calls
 
 
 def test_ot_exchange_all_zero_choices():
