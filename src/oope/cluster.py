@@ -118,7 +118,7 @@ def build_cluster(dataset, params: ProtocolParams, seed=None,
     pk, sk = paillier.keygen(params.key_bits, rng=make_rng(subseed()))
     owner, table = ope_state.init_state(
         dataset, params.m, pk, l=params.l, mode=params.mode, rng=rng,
-        tagger=make_node_tagger(params.integrity, mac_params, pk, rng))
+        tagger=make_node_tagger(params, mac_params, pk, rng))
     cluster = LocalCluster({DEFAULT_COLUMN: table}, sk, params,
                            seed=subseed(), mac_params=mac_params,
                            ot_group=ot_group, record=record, pair=pair)

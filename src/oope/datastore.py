@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import DomainError
-from .ope_state import OpeTable
 
 
 @dataclass
@@ -112,22 +111,23 @@ def exec_range(store: RowStore, query: RangeQuery):
     return [{c: row.public[c] for c in query.projection} for row in hits]
 
 
-def cleanup_da_entries(table: OpeTable, session_ids=None):
-    """Remove analyst-inserted entries; database rows are untouched.
+def cleanup_da_entries(tables, session_ids=None):
+    """Remove analyst-inserted entries from the OpeTables in tables and
+    return how many went; database rows are untouched.
 
-    session_ids None removes every tagged entry.  Unknown ids are a
-    warning, not an error.
+    session_ids None removes every tagged entry.  A session's entry goes
+    once however often its id is named, and an id that no table holds
+    is a warning, not an error.
     """
-    tagged = {e.tag: e.order for e in table.entries() if e.tag is not None}
-    if session_ids is None:
-        victims = list(tagged.values())
-    else:
-        victims = []
-        for sid in session_ids:
-            if sid in tagged:
-                victims.append(tagged[sid])
-            else:
-                warnings.warn(f"no analyst entry for session {sid.hex()}")
-    for order in victims:
-        table.remove(order)
-    return len(victims)
+    wanted = None if session_ids is None else dict.fromkeys(session_ids)
+    removed, seen = 0, set()
+    for table in tables:
+        for e in table.entries():
+            if e.tag is not None and (wanted is None or e.tag in wanted):
+                table.remove(e.order)
+                removed += 1
+                seen.add(e.tag)
+    for sid in wanted or ():
+        if sid not in seen:
+            warnings.warn(f"no analyst entry for session {sid.hex()}")
+    return removed

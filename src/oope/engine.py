@@ -53,6 +53,12 @@ rounds; a bound sends no upload) and 4h + 2 flights from SESSION_START
 to ORDER_RESULT, plus Pedersen's INTEGRITY_TAG and INTEGRITY_PROOF per
 round.
 
+Set-up is each engine's attach: a transport.handshake on each of its
+links, which judges the peer's HELLO and parses its extra whole, then
+base OT between owner and analyst.  Keys and the MAC group are checked
+against ProtocolParams where an engine gets them, when constructed or,
+at the analyst, at HELLO; the server also matches the owner's key.
+
 Session state lives with its session.  The analyst keeps a session's
 batch, masks and fh state shares in locals of _session; the owner keeps
 them, and the pads accepted for the next transfer, in an _OwnerSession
@@ -205,7 +211,8 @@ from .transport import (CIPHER_UPLOAD, CLEANUP, CLEANUP_DONE, Frame,
                         GC_PAYLOAD, GC_RESULT, QUERY_EXEC, QUERY_RESULT,
                         INTEGRITY_PROOF, INTEGRITY_TAG, NULL_SESSION,
                         ORDER_RESULT, OT_MSG, RANDOM_OFFSET, RANDOMIZED_NODE,
-                        SESSION_DONE, SESSION_START, SHARES)
+                        ROLE_CSP, ROLE_DA, ROLE_DO, SESSION_DONE,
+                        SESSION_START, SHARES, handshake)
 from .wire import fixed_bytes, pack_bits, u16, u32, unpack_bits
 
 BOUND_LOW, BOUND_HIGH = 0, 1  # which end of a range a bound closes
@@ -348,16 +355,35 @@ def wire_group(v: int, mac_params) -> bytes:
     return fixed_bytes(v, _group_width(mac_params))
 
 
-def make_node_tagger(scheme, mac_params, pk, rng):
+def _check_key_bits(pk, params, error):
+    """Raise error unless pk is params.key_bits wide, as frames are."""
+    if pk.key_bits != params.key_bits:
+        raise error(f"owner's key is {pk.key_bits} bits, "
+                    f"key_bits is {params.key_bits}")
+
+
+def _check_mac_group(params, mac_params, error):
+    """Raise error unless, with integrity on, mac_params is present and
+    its q mac_subgroup_bits wide: r' < 2^(mac_subgroup_bits + k) must
+    blind every a < q."""
+    if params.integrity == integrity.SCHEME_OFF:
+        return
+    if mac_params is None:
+        raise error("integrity enabled but no MAC parameters")
+    if mac_params.q.bit_length() != params.mac_subgroup_bits:
+        raise error("MAC group's q is not mac_subgroup_bits wide")
+
+
+def make_node_tagger(params, mac_params, pk, rng,
+                     error=ConfigurationError):
     """Closure mapping a plaintext x to its integrity tag, (Enc(a), the
     Pedersen commitment to x under a fresh a as wire_group bytes), or
-    None with integrity off.  The owner tags each plaintext at
-    initialization and the analyst its upload, so both build a tag the
-    same way."""
-    if scheme == integrity.SCHEME_OFF:
+    None with integrity off; a MAC group that params refuses is error.
+    The owner tags each plaintext at initialization and the analyst its
+    upload, so both build a tag the same way."""
+    _check_mac_group(params, mac_params, error)
+    if params.integrity == integrity.SCHEME_OFF:
         return None
-    if mac_params is None:
-        raise ConfigurationError("integrity enabled but no MAC parameters")
 
     def tag(x):
         a = rng.randrange(mac_params.q)
@@ -410,33 +436,24 @@ class CspEngine:
     def __init__(self, tables: dict, pk: paillier.PaillierPublicKey,
                  params: ProtocolParams, rng=None):
         params.validate()
+        _check_key_bits(pk, params, ConfigurationError)
         ope_state.check_key(tables, pk)
         self.tables = tables
         self.pk = pk
         self.rows = None  # optional RowStore for query execution
         self.params = params
         self.rng = rng or make_rng()
-        self.do_ch = None
-        self.da_ch = None
         self._blind = None  # the next round's blind, made but never sent
 
     def attach(self, do_ch, da_ch):
-        self.do_ch = do_ch
-        self.da_ch = da_ch
+        self.do_ch, self.da_ch = do_ch, da_ch
         digest = self.params.digest()
-        role, do_extra = transport.handshake(do_ch, transport.ROLE_CSP, digest)
-        if role != transport.ROLE_DO:
-            raise HandshakeError("expected the owner on the first connection")
-        pk_do, off = paillier.parse_public_key(do_extra)
-        if off != len(do_extra):
-            raise HandshakeError("owner's key has trailing bytes")
+        pk_do = handshake(do_ch, ROLE_CSP, ROLE_DO, digest,
+                          parse=paillier.parse_public_key)
         if pk_do.key_id != self.pk.key_id:
             raise HandshakeError("owner key does not match server state")
-        extra = paillier.serialize_public_key(self.pk)
-        role, _ = transport.handshake(da_ch, transport.ROLE_CSP, digest, extra)
-        if role != transport.ROLE_DA:
-            raise HandshakeError("expected the analyst on the second "
-                                 "connection")
+        handshake(da_ch, ROLE_CSP, ROLE_DA, digest,
+                  paillier.serialize_public_key(self.pk))
 
     def serve(self):
         """Accept requests until the analyst channel closes.
@@ -631,9 +648,7 @@ class CspEngine:
             raise ProtocolError("CLEANUP holds no whole session ids")
         sids = [blob[i:i + width] for i in range(0, len(blob), width)] \
             if blob else None
-        removed = 0
-        for table in self.tables.values():
-            removed += datastore.cleanup_da_entries(table, sids)
+        removed = datastore.cleanup_da_entries(self.tables.values(), sids)
         self.da_ch.send(Frame(CLEANUP_DONE, frame.session_id, u32(removed)))
 
 
@@ -656,14 +671,8 @@ class DoEngine:
     def __init__(self, sk: paillier.PaillierPrivateKey, params: ProtocolParams,
                  rng=None, mac_params=None, ot_group=GROUP_DEFAULT):
         params.validate()
-        if params.integrity != integrity.SCHEME_OFF:
-            if mac_params is None:
-                raise ConfigurationError(
-                    "integrity enabled but no MAC parameters")
-            # r' < 2^(mac_subgroup_bits + k) must blind every a < q
-            if mac_params.q.bit_length() != params.mac_subgroup_bits:
-                raise ConfigurationError("MAC group's q is not "
-                                         "mac_subgroup_bits wide")
+        _check_key_bits(sk.public, params, ConfigurationError)
+        _check_mac_group(params, mac_params, ConfigurationError)
         self.sk = sk
         self.params = params
         self.rng = rng or make_rng()
@@ -673,16 +682,13 @@ class DoEngine:
         self._garbled = ()  # the pool: a garbling.GarbledCircuit batch
 
     def attach(self, csp_ch, da_ch):
-        self.csp_ch = csp_ch
-        self.da_ch = da_ch
+        self.csp_ch, self.da_ch = csp_ch, da_ch
         digest = self.params.digest()
-        extra = paillier.serialize_public_key(self.sk.public)
-        transport.handshake(csp_ch, transport.ROLE_DO, digest, extra)
-        do_extra = b""
-        if self.mac_params is not None and \
-                self.params.integrity != integrity.SCHEME_OFF:
-            do_extra = integrity.serialize_params(self.mac_params)
-        transport.handshake(da_ch, transport.ROLE_DO, digest, do_extra)
+        handshake(csp_ch, ROLE_DO, ROLE_CSP, digest,
+                  paillier.serialize_public_key(self.sk.public))
+        mac = b"" if self.params.integrity == integrity.SCHEME_OFF else \
+            integrity.serialize_params(self.mac_params)
+        handshake(da_ch, ROLE_DO, ROLE_DA, digest, mac)
         self.ot_sender = OtExtSender(self.rng, self.ot_group)
         self.ot_sender.setup(*_ot_link(self.da_ch))
 
@@ -789,31 +795,18 @@ class DaEngine:
         self.rng = rng or make_rng()
         self.ot_group = ot_group
         self.circuit = params.build_circuit()
-        self.pk_owner = None
-        self.mac_params = None
-        self._tag = None  # make_node_tagger's closure under integrity
 
     def attach(self, csp_ch, do_ch):
-        self.csp_ch = csp_ch
-        self.da_do_ch = do_ch
+        self.csp_ch, self.da_do_ch = csp_ch, do_ch
         digest = self.params.digest()
-        _, csp_extra = transport.handshake(csp_ch, transport.ROLE_DA, digest)
-        self.pk_owner, off = paillier.parse_public_key(csp_extra)
-        if off != len(csp_extra):
-            raise HandshakeError("owner's key has trailing bytes")
-        _, do_extra = transport.handshake(do_ch, transport.ROLE_DA, digest)
-        if do_extra:
-            self.mac_params, off = integrity.parse_params(do_extra)
-            if off != len(do_extra):
-                raise HandshakeError("MAC parameters have trailing bytes")
-            if self.mac_params.q.bit_length() != self.params.mac_subgroup_bits:
-                raise HandshakeError("owner's MAC group's q is not "
-                                     "mac_subgroup_bits wide")
-        elif self.params.integrity != integrity.SCHEME_OFF:
-            raise HandshakeError("integrity enabled but owner sent no "
-                                 "verification parameters")
-        self._tag = make_node_tagger(self.params.integrity, self.mac_params,
-                                     self.pk_owner, self.rng)
+        self.pk_owner = handshake(csp_ch, ROLE_DA, ROLE_CSP, digest,
+                                  parse=paillier.parse_public_key)
+        _check_key_bits(self.pk_owner, self.params, HandshakeError)
+        self.mac_params = handshake(
+            do_ch, ROLE_DA, ROLE_DO, digest,
+            parse=lambda blob: integrity.parse_params(blob) if blob else None)
+        self._tag = make_node_tagger(self.params, self.mac_params,
+                                     self.pk_owner, self.rng, HandshakeError)
         self.ot_receiver = OtExtReceiver(self.rng, self.ot_group)
         self.ot_receiver.setup(*_ot_link(self.da_do_ch))
 

@@ -112,8 +112,7 @@ def serialize_params(params: MacParams) -> bytes:
     return ints(params.p, params.q, params.g, params.h_ped)
 
 
-def parse_params(buf: bytes, off: int = 0):
-    """(MacParams, offset after them); the owner's handshake blob, so an
-    empty field is a ProtocolError (wire.read_ints)."""
-    fields, off = read_ints(buf, off, 4)
-    return MacParams(*fields), off
+def parse_params(blob: bytes) -> MacParams:
+    """The MAC parameters that are all of blob, the owner's HELLO extra;
+    anything else is a ProtocolError (wire.read_ints)."""
+    return MacParams(*read_ints(blob, 4))

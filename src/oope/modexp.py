@@ -59,10 +59,10 @@ _SONAMES = ("libgmp.so.10", "libgmp.10.dylib", "libgmp.so")
 # 164 ms.  The W = 6 table holds 43 rows of 64 entries.
 _WINDOW = 6
 # Smallest modulus that gets a table: the N^2 of a 1024-bit Paillier
-# key has 2047 or 2048 bits.  Per 256-bit exponent, powmod against the
-# comb: 0.04-0.07 ms against 0.15-0.34 ms on a 256-bit key, where the
-# 129 ctypes calls dominate; 0.72 ms against 0.47 ms on a 1024-bit key;
-# 1.6-2.5 ms against 0.68-1.06 ms on a 2048-bit key.
+# key has 2047 or 2048 bits.  Per 256-bit exponent (thread_time, median
+# of 5 x 200, 2-core VM), powmod against the comb: 0.063 against 0.297
+# ms on a 256-bit key, where the comb's 129 ctypes calls dominate; 0.415
+# against 0.333 ms on a 1024-bit key; 1.70 against 0.73 ms on 2048 bits.
 _COMB_MIN_BITS = 2047
 
 

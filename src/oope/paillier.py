@@ -85,15 +85,15 @@ shifts of a number of fixed length.  Below 1024 bits, and where libgmp
 lacks those functions, encryption falls back to powmod.
 
 Every other modular exponentiation here (h^N, both CRT halves,
-hom_scale, Miller-Rabin, keygen) goes through modexp.powmod: GMP's
-mpz_powm_sec when libgmp loads, the built-in pow otherwise.  The GMP
-path runs in constant time with respect to the exponent, so the secret
-decryption exponents t_p and t_q do not leak through timing.  The
-table does not cover the owner's decrypt, whose base is the ciphertext
-and varies.  Each path returns the same values as the built-in pow, so
-a ciphertext is the same for a given alpha whichever path made it.
-Every GMP call releases the interpreter lock, so an exponentiation on
-one thread overlaps work on another.
+hom_scale, Miller-Rabin, keygen) goes through modexp.powmod: one
+mpn_sec_powm call where libgmp exports it, the built-in pow otherwise.
+The GMP path runs in constant time with respect to the exponent, so
+the secret decryption exponents t_p and t_q do not leak through
+timing.  The table does not cover the owner's decrypt, whose base is
+the ciphertext and varies.  Each path returns the same values as the
+built-in pow, so a ciphertext is the same for a given alpha whichever
+path made it.  Every GMP call releases the interpreter lock, so an
+exponentiation on one thread overlaps work on another.
 """
 
 import hashlib
@@ -106,7 +106,7 @@ from .errors import (DomainError, IntegrityError, PrimeGenerationError,
                      ProtocolError)
 from .modexp import FixedBase, powmod
 from .rng import make_rng
-from .wire import fixed_bytes, ints, read_int, read_ints
+from .wire import fixed_bytes, ints, read_ints
 
 MIN_KEY_BITS = 64
 MR_ROUNDS = 40  # per-round error <= 1/4, total <= 2^-80
@@ -334,14 +334,14 @@ def serialize_public_key(pk: PaillierPublicKey) -> bytes:
     return fixed_bytes(pk.key_bits, 2) + ints(pk.n, pk.h)
 
 
-def parse_public_key(buf: bytes, off: int = 0):
-    """(public key, offset after it); an h outside (1, N) or sharing a
-    factor with N, or a key_bits other than N's width, is a
-    ProtocolError."""
-    key_bits, off = read_int(buf, off, 2)
-    (n, h), off = read_ints(buf, off, 2)
+def parse_public_key(blob: bytes) -> PaillierPublicKey:
+    """The public key that is all of blob; an h outside (1, N) or
+    sharing a factor with N, a key_bits other than N's width, or bytes
+    after h, is a ProtocolError."""
+    key_bits = int.from_bytes(blob[:2], "big")
+    n, h = read_ints(blob[2:], 2)
     if n.bit_length() != key_bits:
         raise ProtocolError(f"N labelled as {key_bits} bits")
     if not 1 < h < n or math.gcd(h, n) != 1:
         raise ProtocolError("public key's h lies outside Z_N*")
-    return PaillierPublicKey(n, key_bits, h), off
+    return PaillierPublicKey(n, key_bits, h)

@@ -19,7 +19,8 @@ sees the stream end, which also ends its serve loop.
 
 A channel connects exactly two roles; the topology is the triangle
 CSP-DO, CSP-DA, DO-DA.  Garbled-circuit and OT traffic flows on the
-DO-DA edge directly.
+DO-DA edge directly.  Set-up is one HELLO each way per channel, which
+handshake alone judges.
 """
 
 import socket
@@ -27,7 +28,7 @@ import struct
 from dataclasses import dataclass
 
 from .errors import FramingError, HandshakeError, ProtocolError, SessionAborted
-from .wire import read_bytes, read_int, u16, u32
+from .wire import u32
 
 MAX_FRAME = 64 * 1024 * 1024
 SESSION_BYTES = 16
@@ -270,25 +271,34 @@ def tcp_pair(name_a="a", name_b="b"):
 
 
 # --- handshake --------------------------------------------------------------
-# HELLO payload: role u8 | version u16 | params digest 32B | extra (lp blob).
-# Both ends send first, then verify the peer; a digest mismatch means the
-# two ends disagree about a ProtocolParams field and must not talk.
+# HELLO payload: role u8 | version u16 | params digest 32B | extra (lp blob)
+_HELLO = struct.Struct(">BH32sI")
 
-def handshake(channel: Channel, role: int, params_digest: bytes,
-              extra: bytes = b"") -> tuple:
-    channel.send(Frame(HELLO, NULL_SESSION,
-                       bytes([role]) + u16(PROTOCOL_VERSION) +
-                       params_digest + u32(len(extra)) + extra))
-    frame = channel.recv(HELLO)
-    payload = frame.payload
-    peer_role, off = read_int(payload, 0, 1)
-    version, off = read_int(payload, off, 2)
+
+def handshake(channel: Channel, role: int, peer_role: int,
+              params_digest: bytes, extra: bytes = b"", parse=bytes):
+    """Send this end's HELLO, then judge the peer's and return
+    parse(its extra).  The peer must speak PROTOCOL_VERSION, hold
+    params_digest (else the ends disagree about a ProtocolParams field),
+    be peer_role and send an extra of exactly the length it names.  Each
+    fault, and a ProtocolError from parse, is a HandshakeError, which
+    leaves the channel usable."""
+    channel.send(Frame(HELLO, NULL_SESSION, _HELLO.pack(
+        role, PROTOCOL_VERSION, params_digest, len(extra)) + extra))
+    hello = channel.recv(HELLO).payload
+    if len(hello) < _HELLO.size:
+        raise HandshakeError("HELLO shorter than its fixed header")
+    peer, version, digest, n = _HELLO.unpack_from(hello)
     if version != PROTOCOL_VERSION:
         raise HandshakeError(f"peer speaks version {version}, "
                              f"expected {PROTOCOL_VERSION}")
-    digest, off = read_bytes(payload, off, 32)
     if digest != params_digest:
         raise HandshakeError("parameter digest mismatch")
-    n, off = read_int(payload, off, 4)
-    peer_extra, off = read_bytes(payload, off, n)
-    return peer_role, peer_extra
+    if peer != peer_role:
+        raise HandshakeError(f"expected role {peer_role}, got {peer}")
+    if n != len(hello) - _HELLO.size:
+        raise HandshakeError("HELLO extra is not the length it names")
+    try:
+        return parse(hello[_HELLO.size:])
+    except ProtocolError as e:
+        raise HandshakeError(str(e)) from e

@@ -1,6 +1,6 @@
 """Byte-level encoding helpers (big-endian throughout)."""
 
-from .errors import FramingError, ProtocolError
+from .errors import ProtocolError
 
 
 def u16(v: int) -> bytes:
@@ -20,24 +20,6 @@ def fixed_bytes(v: int, width: int) -> bytes:
     return v.to_bytes(width, "big")
 
 
-def read_int(buf: bytes, off: int, width: int) -> tuple[int, int]:
-    if off + width > len(buf):
-        raise FramingError("truncated integer field")
-    return int.from_bytes(buf[off:off + width], "big"), off + width
-
-
-def read_bytes(buf: bytes, off: int, width: int) -> tuple[bytes, int]:
-    if off + width > len(buf):
-        raise FramingError("truncated byte field")
-    return buf[off:off + width], off + width
-
-
-def read_lp(buf: bytes, off: int) -> tuple[bytes, int]:
-    """Read a 4-byte length-prefixed blob."""
-    n, off = read_int(buf, off, 4)
-    return read_bytes(buf, off, n)
-
-
 def lp(blob: bytes) -> bytes:
     return u32(len(blob)) + blob
 
@@ -47,16 +29,22 @@ def ints(*values: int) -> bytes:
     return b"".join(lp(be_bytes(v)) for v in values)
 
 
-def read_ints(buf: bytes, off: int, count: int) -> tuple[list, int]:
-    """count ints written by ints, then the offset after them; an empty
-    field, which ints never writes, is a FramingError."""
-    values = []
+def read_ints(blob: bytes, count: int) -> list:
+    """The count ints that ints wrote into blob, which holds nothing
+    else; a blob cut short or with bytes left over, or an empty field,
+    which ints never writes, is a ProtocolError."""
+    values, off = [], 0
     for _ in range(count):
-        blob, off = read_lp(buf, off)
-        if not blob:
-            raise FramingError("integer list with an empty field")
-        values.append(int.from_bytes(blob, "big"))
-    return values, off
+        n = int.from_bytes(blob[off:off + 4], "big")
+        field, off = blob[off + 4:off + 4 + n], off + 4 + n
+        if off > len(blob):
+            raise ProtocolError("truncated integer list")
+        if not field:
+            raise ProtocolError("integer list with an empty field")
+        values.append(int.from_bytes(field, "big"))
+    if off != len(blob):
+        raise ProtocolError("integer list with trailing bytes")
+    return values
 
 
 def pack_bits(bits) -> bytes:

@@ -110,7 +110,7 @@ def test_cleanup_restores_table_bytes(keys):
                                tag=sid)
     table.insert(entry)
     assert table_snapshot(table) != before
-    removed = datastore.cleanup_da_entries(table, [sid])
+    removed = datastore.cleanup_da_entries([table], [sid])
     assert removed == 1
     assert table_snapshot(table) == before
 
@@ -118,7 +118,7 @@ def test_cleanup_restores_table_bytes(keys):
 def test_cleanup_unknown_session_warns(keys):
     table, _ = example_store(keys)
     with pytest.warns(UserWarning):
-        removed = datastore.cleanup_da_entries(table, [b"z" * 16])
+        removed = datastore.cleanup_da_entries([table], [b"z" * 16])
     assert removed == 0
 
 
@@ -128,7 +128,7 @@ def test_cleanup_all_tagged(keys):
     for i, order in enumerate((6, 13)):
         table.insert(ope_state.OpeEntry(paillier.encrypt(pk, 1, make_rng(i)),
                                         order, tag=bytes([i]) * 16))
-    assert datastore.cleanup_da_entries(table) == 2
+    assert datastore.cleanup_da_entries([table]) == 2
     assert table.orders() == [4, 7, 11, 14, 21]
 
 
@@ -147,7 +147,7 @@ def test_public_key_copies_share_h_n(keys):
     # h travels in the key, so the analyst's parsed key encrypts
     # byte-equal ciphertexts from equally seeded rngs
     pk, _ = keys
-    parsed, _ = paillier.parse_public_key(paillier.serialize_public_key(pk))
+    parsed = paillier.parse_public_key(paillier.serialize_public_key(pk))
     assert parsed is not pk
     assert parsed.h == pk.h and parsed.h_n.base == pk.h_n.base
     for m in (0, 7, pk.n - 1):

@@ -19,7 +19,7 @@ from oope import (datastore, garbling, integrity, ope_state, ot, paillier,
                   transport)
 from oope.cluster import LocalCluster, build_cluster
 from oope.engine import (BOUND_HIGH, BOUND_LOW, DEFAULT_COLUMN, CspEngine,
-                         DoEngine, ProtocolParams)
+                         DaEngine, DoEngine, ProtocolParams)
 from oope.errors import (ConfigurationError, FramingError, HandshakeError,
                          KeyMismatchError, OopeError, ProtocolError,
                          SessionAborted, UsageError)
@@ -1283,6 +1283,103 @@ def test_server_with_another_h_refuses_the_owner_at_hello():
             ch.close()
         t.join(timeout=5)
     assert not t.is_alive() and len(owner_errors) == 1
+
+
+def attach_against(attaching, digest, hellos):
+    """Attach an engine over two fresh links, in attach's order, whose
+    far ends have each sent one HELLO, (claimed role, extra), and read
+    nothing; every end is closed after."""
+    links = [transport.loopback_pair() for _ in hellos]
+    for (near, far), (claimed, extra) in zip(links, hellos):
+        near.timeout = 1  # an end that accepted would wait on base OT
+        far.send(Frame(transport.HELLO, transport.NULL_SESSION, bytes(
+            [claimed]) + transport.PROTOCOL_VERSION.to_bytes(2, "big") +
+            digest + len(extra).to_bytes(4, "big") + extra))
+    try:
+        attaching.attach(*(near for near, _ in links))
+    finally:
+        for link in links:
+            for ch in link:
+                ch.close()
+
+
+@pytest.mark.parametrize("who", ["server", "owner", "analyst"])
+@pytest.mark.parametrize("link", [0, 1])
+def test_wrong_peer_role_refused_at_each_link_end(who, link):
+    params = small_params()
+    pk, sk = paillier.keygen(params.key_bits, rng=make_rng(97))
+    key = paillier.serialize_public_key(pk)
+    attaching, role, hellos = {
+        "server": (lambda: CspEngine({}, pk, params), transport.ROLE_CSP,
+                   [(transport.ROLE_DO, key), (transport.ROLE_DA, b"")]),
+        "owner": (lambda: DoEngine(sk, params, ot_group=GROUP_TEST),
+                  transport.ROLE_DO,
+                  [(transport.ROLE_CSP, b""), (transport.ROLE_DA, b"")]),
+        "analyst": (lambda: DaEngine(params, ot_group=GROUP_TEST),
+                    transport.ROLE_DA,
+                    [(transport.ROLE_CSP, key), (transport.ROLE_DO, b"")]),
+    }[who]
+    # the far end claims the one role that belongs on neither end
+    rightful, extra = hellos[link]
+    hellos[link] = (3 - role - rightful, extra)
+    with pytest.raises(HandshakeError, match="expected role"):
+        attach_against(attaching(), params.digest(), hellos)
+
+
+def test_key_of_another_width_refused_at_every_engine():
+    # key_bits sizes every ciphertext record, and encrypt refuses a
+    # plaintext at or above a narrower N: a 64-bit key under key_bits =
+    # 256 aborted half of its encrypts
+    params = small_params()
+    pk, sk = paillier.keygen(64, rng=make_rng(98))
+    with pytest.raises(ConfigurationError, match="64 bits"):
+        CspEngine({}, pk, params)
+    with pytest.raises(ConfigurationError, match="64 bits"):
+        DoEngine(sk, params, ot_group=GROUP_TEST)
+    # the analyst learns the owner's key from the server's HELLO
+    key = paillier.serialize_public_key(pk)
+    with pytest.raises(HandshakeError, match="64 bits"):
+        attach_against(DaEngine(params, ot_group=GROUP_TEST), params.digest(),
+                       [(transport.ROLE_CSP, key), (transport.ROLE_DO, b"")])
+
+
+def test_cleanup_naming_a_session_twice_removes_its_entry_once():
+    cluster, ctx = make_cluster(EXAMPLE, seed=44)
+    table = ctx["table"]
+    try:
+        cluster.da.csp_ch.timeout = 5
+        cluster.encrypt(15)
+        sid, = [e.tag for e in table.entries() if e.tag is not None]
+        assert cluster.da.cleanup([sid, sid]) == 1
+        assert len(table) == len(EXAMPLE)
+        assert not cluster.errors
+    finally:
+        cluster.close()
+
+
+def test_cleanup_warns_only_for_a_session_no_column_holds():
+    # an entry lives in one column; the other columns not holding it is
+    # no cause to warn, and an id that no column holds is one warning
+    params = small_params()
+    _, sk = paillier.keygen(params.key_bits, rng=make_rng(64))
+    tables = {col: ope_state.init_state([10, 20, 30], params.m, sk.public,
+                                        l=params.l, rng=make_rng(65))[1]
+              for col in ("a", "b")}
+    cluster = LocalCluster(tables, sk, params, seed=66, ot_group=GROUP_TEST)
+    unknown = bytes(16)
+    try:
+        cluster.da.csp_ch.timeout = 5
+        cluster.encrypt(15, column="a")
+        sid, = [e.tag for e in tables["a"].entries() if e.tag is not None]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cluster.da.cleanup([sid, unknown]) == 1
+        assert [str(w.message) for w in caught] == \
+            [f"no analyst entry for session {unknown.hex()}"]
+        assert [len(t) for t in tables.values()] == [3, 3]
+        assert not cluster.errors
+    finally:
+        cluster.close()
 
 
 def test_malformed_cleanup_request_aborts_and_service_continues():

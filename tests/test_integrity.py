@@ -68,8 +68,10 @@ def test_params_serialization():
                             (PARAMS.p, PARAMS.q, PARAMS.g, PARAMS.h_ped))
     assert hashlib.sha256(blob).hexdigest() == \
         "82f0e7ac36c674fbd612a1232f9f1f595832e8555e8137ec4ed3e19a8aa1f4cc"
-    parsed, off = integrity.parse_params(blob)
-    assert parsed == PARAMS and off == len(blob)
+    assert integrity.parse_params(blob) == PARAMS
+    # the blob is the whole HELLO extra: a byte after h_ped is refused
+    with pytest.raises(ProtocolError, match="trailing bytes"):
+        integrity.parse_params(blob + b"\0")
 
 
 @pytest.mark.parametrize("field", ["p", "q", "g", "h_ped"])

@@ -233,7 +233,8 @@ def test_subgroup_bits_must_match_the_mac_group(bits):
     da_csp, csp_da = transport.loopback_pair()
     da_do, do_da = transport.loopback_pair()
     peers = [threading.Thread(target=transport.handshake, daemon=True,
-                              args=(ch, role, params.digest(), extra))
+                              args=(ch, role, transport.ROLE_DA,
+                                    params.digest(), extra))
              for ch, role, extra in (
                  (csp_da, transport.ROLE_CSP,
                   paillier.serialize_public_key(pk)),
@@ -274,17 +275,20 @@ def test_hello_extra_with_trailing_bytes_refused(damaged):
     first.timeout = second.timeout = 1
     if damaged == "owner key at the server":
         attaching = engine.CspEngine({}, pk, params, make_rng(6))
-        hellos = [(first_peer, transport.ROLE_DO, key + b"\0")]
+        hellos = [(first_peer, transport.ROLE_DO, transport.ROLE_CSP,
+                   key + b"\0")]
     else:
         attaching = engine.DaEngine(params, make_rng(6), ot_group=GROUP_TEST)
         trail = (b"\0", b"") if damaged == "owner key at the analyst" \
             else (b"", b"\0")
-        hellos = [(first_peer, transport.ROLE_CSP, key + trail[0]),
-                  (second_peer, transport.ROLE_DO, mac + trail[1])]
+        hellos = [(first_peer, transport.ROLE_CSP, transport.ROLE_DA,
+                   key + trail[0]),
+                  (second_peer, transport.ROLE_DO, transport.ROLE_DA,
+                   mac + trail[1])]
 
-    def hello(ch, role, extra):
+    def hello(ch, role, peer_role, extra):
         try:
-            transport.handshake(ch, role, params.digest(), extra)
+            transport.handshake(ch, role, peer_role, params.digest(), extra)
         except OopeError:
             pass  # the attaching end closed before its HELLO
 

@@ -263,9 +263,9 @@ def test_setup_fan_out_matches_serial(keys, monkeypatch, mode, tagged):
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
         threads.clear()
         rng = make_rng(17)
-        tagger = engine.make_node_tagger(integrity.SCHEME_PEDERSEN,
-                                         mac_params, pk, rng) \
-            if tagged else None
+        tagger = engine.make_node_tagger(engine.ProtocolParams(
+            integrity=integrity.SCHEME_PEDERSEN, mac_subgroup_bits=64),
+            mac_params, pk, rng) if tagged else None
         _, table = init_state(data, (1 << 20) - 3, pk, l=16, mode=mode,
                               rng=rng, tagger=tagger)
         return table_snapshot(table)
@@ -286,7 +286,7 @@ def test_setup_derives_h_n_once_on_the_calling_thread(monkeypatch):
     # on the calling thread, before any worker's encryption reads it.
     # A 1024-bit key's N^2 is large enough for the comb.
     pk, sk = paillier.keygen(1024, rng=make_rng(1024))
-    fresh, _ = paillier.parse_public_key(paillier.serialize_public_key(pk))
+    fresh = paillier.parse_public_key(paillier.serialize_public_key(pk))
     events = []
 
     class RecordingFixedBase(modexp.FixedBase):
@@ -311,7 +311,7 @@ def test_setup_derives_h_n_once_on_the_calling_thread(monkeypatch):
     assert [paillier.decrypt(sk, e.cipher) for e in table.entries()] == \
         list(range(0, 60, 3))
     # every key object with this key_id shares that one table
-    again, _ = paillier.parse_public_key(paillier.serialize_public_key(pk))
+    again = paillier.parse_public_key(paillier.serialize_public_key(pk))
     assert again is not fresh and again.h_n is fresh.h_n is pk.h_n
     assert len(events) == 1 + 20
 

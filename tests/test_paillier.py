@@ -269,9 +269,11 @@ def test_key_serialization_roundtrip(keys):
     assert blob == key_blob(pk.key_bits, pk.n, pk.h)
     assert hashlib.sha256(blob).hexdigest() == \
         "ce5ba988839b571100ce773bbadf222202d2541ed4625c1f8efe292ef0392619"
-    pk2, off = paillier.parse_public_key(blob)
+    pk2 = paillier.parse_public_key(blob)
     assert (pk2.n, pk2.h, pk2.key_id) == (pk.n, pk.h, pk.key_id)
-    assert off == len(blob)
+    # the blob is the whole HELLO extra: a byte after h is refused
+    with pytest.raises(ProtocolError, match="trailing bytes"):
+        paillier.parse_public_key(blob + b"\0")
 
 
 def test_key_equality_and_id_cover_h(keys):

@@ -74,6 +74,21 @@ def test_no_function_in_src_imports_a_sibling_module():
     assert not lazy, lazy
 
 
+def test_only_transport_raises_framing_error():
+    # FramingError means the channel is unusable, which only transport,
+    # which owns the channel, can know; a malformed field elsewhere is a
+    # plain ProtocolError
+    raisers = []
+    for path in sorted(ROOT.glob("src/oope/*.py")):
+        if path.stem == "transport":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        raisers += [f"{path.stem}:{node.lineno}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Raise) and node.exc is not None
+                    and "FramingError" in _references(node.exc)]
+    assert not raisers, raisers
+
+
 def _imports_oope(node):
     """Whether node is an import of a module of the oope package."""
     if isinstance(node, ast.ImportFrom):

@@ -148,14 +148,16 @@ def test_handshake_agrees(loopback):
     out = {}
 
     def other():
-        out["res"] = handshake(b, transport.ROLE_DO, digest, b"do-extra")
+        out["res"] = handshake(b, transport.ROLE_DO, transport.ROLE_CSP,
+                               digest, b"do-extra")
 
     t = threading.Thread(target=other)
     t.start()
-    role, extra = handshake(a, transport.ROLE_CSP, digest, b"csp-extra")
+    extra = handshake(a, transport.ROLE_CSP, transport.ROLE_DO, digest,
+                      b"csp-extra", parse=bytes.upper)
     t.join()
-    assert (role, extra) == (transport.ROLE_DO, b"do-extra")
-    assert out["res"] == (transport.ROLE_CSP, b"csp-extra")
+    assert extra == b"DO-EXTRA"
+    assert out["res"] == b"csp-extra"
 
 
 def test_handshake_digest_mismatch(loopback):
@@ -163,15 +165,47 @@ def test_handshake_digest_mismatch(loopback):
 
     def other():
         try:
-            handshake(b, transport.ROLE_DO, b"1" * 32)
+            handshake(b, transport.ROLE_DO, transport.ROLE_CSP, b"1" * 32)
         except HandshakeError:
             pass
 
     t = threading.Thread(target=other)
     t.start()
     with pytest.raises(HandshakeError, match="digest"):
-        handshake(a, transport.ROLE_CSP, b"2" * 32)
+        handshake(a, transport.ROLE_CSP, transport.ROLE_DO, b"2" * 32)
     t.join()
+
+
+def hello(role, extra, digest=b"d" * 32) -> Frame:
+    """A HELLO as handshake lays it out: role u8 | version u16 | digest |
+    lp(extra)."""
+    return Frame(transport.HELLO, transport.NULL_SESSION,
+                 bytes([role]) + transport.PROTOCOL_VERSION.to_bytes(2, "big")
+                 + digest + len(extra).to_bytes(4, "big") + extra)
+
+
+def test_handshake_refuses_a_byte_after_the_extra(loopback):
+    a, b = loopback()
+    whole = hello(transport.ROLE_DO, b"key")
+    b.send(whole)
+    assert handshake(a, transport.ROLE_CSP, transport.ROLE_DO,
+                     b"d" * 32) == b"key"
+    b.send(Frame(whole.ftype, whole.session_id, whole.payload + b"JUNK"))
+    with pytest.raises(HandshakeError, match="length it names"):
+        handshake(a, transport.ROLE_CSP, transport.ROLE_DO, b"d" * 32)
+
+
+@pytest.mark.parametrize("cut", [0, 1, 3, 35, 38])
+def test_handshake_refuses_a_hello_cut_inside_its_header(loopback, cut):
+    # the fixed header is role, version, digest and the extra's length,
+    # 39 bytes; a HELLO that ends inside it is the peer's fault, not a
+    # broken stream, so the channel stays usable
+    a, b = loopback()
+    whole = hello(transport.ROLE_DO, b"")
+    b.send(Frame(whole.ftype, whole.session_id, whole.payload[:cut]))
+    with pytest.raises(HandshakeError, match="fixed header"):
+        handshake(a, transport.ROLE_CSP, transport.ROLE_DO, b"d" * 32)
+    assert not a.poisoned
 
 
 def test_tcp_matches_loopback_bytes():
