@@ -7,14 +7,17 @@ masks can unmask a result.  The frequency-hiding variant folds a shared
 random coin and the sticky previous-round state into the same circuit
 and emits a single masked traversal bit.
 
+Circuits have two gate kinds, XOR and AND, and one constant wire, ONE
+(wire 0), which holds 1: NOT a is XOR(a, ONE), and the comparators
+carry equality, not inequality, through their ANDs, so they need no OR.
+
 Both compute the two bits the same way (_compare_stages): blocks of
 BLOCK_BITS = 8 bits ripple side by side, and a balanced tree merges
 the blocks' results.  At the paper width of 65 bits that is 137
-non-free gates 12 AND levels deep, where one ripple over all 65 bits
-takes 129 gates 65 levels deep.  The garbling hashes one AND level per
-pair of AES calls, so the levels, more than the gates, set an
-evaluation's cost.  The frequency-hiding circuit adds three non-free
-gates and one level.
+AND gates 12 levels deep, where one ripple over all 65 bits takes 129
+gates 65 levels deep.  The garbling hashes one AND level per pair of
+AES calls, so the levels, more than the gates, set an evaluation's
+cost.  The frequency-hiding circuit adds three AND gates and one level.
 
 Bit order is LSB first.  Input wire layout (generator = key owner
 holding x, evaluator = analyst holding xbar):
@@ -26,22 +29,18 @@ holding x, evaluator = analyst holding xbar):
                           prev-random share
 """
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import DomainError
 
-XOR, AND, OR, NOT = "XOR", "AND", "OR", "NOT"
-NONFREE_OPS = (AND, OR)
+XOR, AND = "XOR", "AND"
+ONE = 0  # the constant-1 wire of every circuit
 BLOCK_BITS = 8  # bits per ripple block of _compare_stages
 
 
-@dataclass
-class Gate:
-    op: str
-    a: int
-    b: int  # -1 for NOT
-    out: int
+Gate = namedtuple("Gate", "op a b out")  # out = a op b
 
 
 @dataclass
@@ -50,7 +49,7 @@ class BooleanCircuit:
     eval_inputs: list = field(default_factory=list)
     gates: list = field(default_factory=list)
     outputs: list = field(default_factory=list)
-    n_wires: int = 0
+    n_wires: int = ONE + 1
     _tweaks: dict = field(default_factory=dict, repr=False, compare=False)
 
     def new_wire(self) -> int:
@@ -58,48 +57,48 @@ class BooleanCircuit:
         self.n_wires += 1
         return w
 
-    def emit(self, op: str, a: int, b: int = -1) -> int:
+    def emit(self, op: str, a: int, b: int) -> int:
+        if op not in (XOR, AND):
+            raise DomainError(f"gate op {op!r} is neither XOR nor AND")
         out = self.new_wire()
         self.gates.append(Gate(op, a, b, out))
         return out
 
     def nonfree_gates(self):
-        return [g for g in self.gates if g.op in NONFREE_OPS]
+        return [g for g in self.gates if g.op == AND]
 
     @cached_property
     def schedule(self):
         """The gates by AND-depth, for the garbling loops: one
-        (free, nonfree) step per depth d, where free holds the free
-        gates at depth d as (op, a, b, out) tuples, in gate order, and
-        nonfree the non-free gates at depth d + 1 as (op, a, b, out, j),
-        j being the gate's index among the non-free gates.  Run in
-        order, every input is ready before its gate: a free gate's come
-        from earlier in its step or from earlier steps, a non-free
-        gate's from its step's free gates or earlier steps, so a step's
-        non-free gates can be hashed together.  Computed on first use,
-        so build the circuit completely first."""
+        (free, nonfree) step per depth d, where free holds the XOR gates
+        at depth d as (a, b, out) tuples, in gate order, and nonfree the
+        AND gates at depth d + 1 as (a, b, out, j), j being the gate's
+        index among the AND gates.  Run in order, every input is ready
+        before its gate: an XOR gate's come from earlier in its step or
+        from earlier steps, an AND gate's from its step's XOR gates or
+        earlier steps, so a step's AND gates can be hashed together.
+        Computed on first use, so build the circuit completely first."""
         depth = [0] * self.n_wires
         free, nonfree = [[]], [[]]
         j = 0
         for g in self.gates:
-            d = max(depth[g.a], depth[g.b]) if g.b >= 0 else depth[g.a]
-            if g.op in NONFREE_OPS:
-                depth[g.out] = d + 1
+            d = max(depth[g.a], depth[g.b])
+            depth[g.out] = d + (g.op == AND)
+            if g.op == AND:
                 if d + 1 == len(free):
                     free.append([])
                     nonfree.append([])
-                nonfree[d].append((g.op, g.a, g.b, g.out, j))
+                nonfree[d].append((g.a, g.b, g.out, j))
                 j += 1
             else:
-                depth[g.out] = d
-                free[d].append((g.op, g.a, g.b, g.out))
+                free[d].append((g.a, g.b, g.out))
         return tuple((tuple(f), tuple(n)) for f, n in zip(free, nonfree))
 
     def hash_tweaks(self, lanes: int) -> tuple:
         """The tweaks of each schedule step's hashes, bytes per step
-        (empty for a step without non-free gates), for aes.tccr: 2j and
-        2j + 1, the tweaks of non-free gate j's two halves (garbling),
-        as 16-byte big-endian blocks in step order, each repeated over
+        (empty for a step without AND gates), for aes.tccr: 2j and
+        2j + 1, the tweaks of AND gate j's two halves (garbling), as
+        16-byte big-endian blocks in step order, each repeated over
         `lanes` lanes.  Computed once per lane count, so build the
         circuit completely first."""
         tweaks = self._tweaks.get(lanes)
@@ -121,18 +120,19 @@ def _inputs(circuit: BooleanCircuit, count_gen: int, count_eval: int):
 
 
 def _ripple(c: BooleanCircuit, x: list, xbar: list):
-    """[xbar != x] and [xbar > x] of one block, rippled from its low bit
-    with one AND per bit and one OR per bit but the lowest.  Bit j's
-    difference d = xbar_j XOR x_j feeds both chains: ne |= d, and
+    """[xbar == x] and [xbar > x] of one block, rippled from its low bit
+    with two ANDs per bit but the lowest, which takes one.  Bit j's
+    difference d = xbar_j XOR x_j feeds both chains: eq &= NOT d, and
     gt ^= (xbar_j XOR gt) AND d, which sets gt to xbar_j where the bits
     differ and keeps it where they agree."""
-    ne = d = c.emit(XOR, xbar[0], x[0])
+    d = c.emit(XOR, xbar[0], x[0])
+    eq = c.emit(XOR, d, ONE)
     gt = c.emit(AND, xbar[0], d)
     for xb, xj in zip(xbar[1:], x[1:]):
         d = c.emit(XOR, xb, xj)
-        ne = c.emit(OR, d, ne)
+        eq = c.emit(AND, c.emit(XOR, d, ONE), eq)
         gt = c.emit(XOR, gt, c.emit(AND, c.emit(XOR, xb, gt), d))
-    return ne, gt
+    return eq, gt
 
 
 def _compare_stages(c: BooleanCircuit, x: list, xbar: list):
@@ -141,24 +141,24 @@ def _compare_stages(c: BooleanCircuit, x: list, xbar: list):
     The bits are cut into blocks of BLOCK_BITS from the low end, and
     each block ripples on its own (_ripple), after Kolesnikov, Sadeghi
     and Schneider (CANS 2009).  A balanced tree then merges adjacent
-    blocks' (ne, gt) pairs, the high one deciding unless it is equal:
-    ne = ne_hi OR ne_lo and gt = gt_hi XOR (NOT ne_hi AND gt_lo), one OR
-    and one AND per merge.  Over w bits in B = ceil(w / BLOCK_BITS)
-    blocks that is 2w + B - 2 non-free gates, min(w, BLOCK_BITS) +
-    ceil(log2 B) AND levels deep: 137 gates and 12 levels at w = 65,
-    against 129 gates and 65 levels for one ripple over all w bits.
+    blocks' (eq, gt) pairs, the high one deciding unless it is equal:
+    eq = eq_hi AND eq_lo and gt = gt_hi XOR (eq_hi AND gt_lo), two ANDs
+    per merge.  Over w bits in B = ceil(w / BLOCK_BITS) blocks that is
+    2w + B - 2 AND gates, min(w, BLOCK_BITS) + ceil(log2 B) levels
+    deep: 137 gates and 12 levels at w = 65, against 129 gates and 65
+    levels for one ripple over all w bits.
     """
     pairs = [_ripple(c, x[i:i + BLOCK_BITS], xbar[i:i + BLOCK_BITS])
              for i in range(0, len(x), BLOCK_BITS)]
     while len(pairs) > 1:
         merged = []
-        for (ne_lo, gt_lo), (ne_hi, gt_hi) in zip(pairs[::2], pairs[1::2]):
+        for (eq_lo, gt_lo), (eq_hi, gt_hi) in zip(pairs[::2], pairs[1::2]):
             merged.append((
-                c.emit(OR, ne_hi, ne_lo),
-                c.emit(XOR, gt_hi,
-                       c.emit(AND, c.emit(NOT, ne_hi), gt_lo))))
+                c.emit(AND, eq_hi, eq_lo),
+                c.emit(XOR, gt_hi, c.emit(AND, eq_hi, gt_lo))))
         pairs = merged + pairs[len(merged) * 2:]
-    return pairs[0]
+    eq, gt = pairs[0]
+    return c.emit(XOR, eq, ONE), gt
 
 
 def build_comparator(width: int) -> BooleanCircuit:

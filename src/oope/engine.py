@@ -197,6 +197,7 @@ dead session are dropped by session-id filtering in Channel.recv.
 
 import hashlib
 import json
+import operator
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -832,6 +833,10 @@ class DaEngine:
 
     def _session(self, op, xbar, column):
         p = self.params
+        try:
+            xbar = operator.index(xbar)
+        except TypeError:
+            raise UsageError("query plaintext is not an int") from None
         if not 0 <= xbar < (1 << p.l):
             raise UsageError(f"query plaintext outside [0, 2^{p.l})")
         sid = self._new_sid()
@@ -957,6 +962,7 @@ class DaEngine:
         """Ask the server to drop analyst-inserted table entries: those
         of session_ids, or every one when None; a session id that is not
         16 bytes is a UsageError."""
+        session_ids = None if session_ids is None else list(session_ids)
         if any(len(s) != transport.SESSION_BYTES for s in session_ids or ()):
             raise UsageError("session ids are 16 bytes each")
         if session_ids is not None and not session_ids:

@@ -14,17 +14,17 @@ the batch-wide ints once per batch.
 
 The generator draws a global offset Δ with its low bit set, so every
 wire's one-label is its zero-label XOR Δ and a label's low bit is its
-permute bit.  XOR gates are free (the output zero-label is the XOR of
-the input zero-labels), and so is NOT (the generator XORs Δ into the
-zero-label, the evaluator copies its label).
+permute bit.  XOR gates are free: the output zero-label is the XOR of
+the input zero-labels.  The constant wire ONE (comparator) has
+zero-label Δ, so the label the evaluator holds for it, its one-label,
+is 0 and never travels.  NOT a = XOR(a, ONE) is free too, and an AND
+of negations hashes the labels an OR garbled under De Morgan would, so
+its tables are that OR's.
 
 AND gates are half-gates (Zahur, Rosulek and Evans, "Two Halves Make a
-Whole", EUROCRYPT 2015).  Non-free gate j carries two 16-byte
-ciphertexts, the generator half T_G and the evaluator half T_E; the
-generator makes four hashes per gate and the evaluator two.  An OR gate
-is an AND gate under De Morgan with free NOTs: the generator XORs Δ
-into both input zero-labels and into the output zero-label, and the
-evaluator treats OR exactly like AND.
+Whole", EUROCRYPT 2015).  AND gate j carries two 16-byte ciphertexts,
+the generator half T_G and the evaluator half T_E; the generator makes
+four hashes per gate and the evaluator two.
 
 The hash is H(X, t) = π(π(X) ⊕ t) ⊕ π(X) (aes.tccr), with π AES-128
 under a fixed public key and the tweaks t = 2j for the generator half
@@ -81,7 +81,7 @@ Python without OpenSSL cannot garble or evaluate.
 
 Wire format (the GC_PAYLOAD frame), big-endian:
 
-  T_G || T_E per non-free gate, 32 bytes each
+  T_G || T_E per AND gate, 32 bytes each
   SHA-256("out" || zero-label)[:16] || the same of the one-label,
       32 bytes per output
   one 16-byte label per generator input
@@ -101,7 +101,7 @@ import hashlib
 import numpy as np
 
 from . import aes
-from .comparator import OR, XOR, BooleanCircuit
+from .comparator import ONE, BooleanCircuit
 from .errors import IntegrityError, ProtocolError
 
 LABEL_BYTES = 16
@@ -145,31 +145,26 @@ class GarbledCircuit:
     def __init__(self, circuit: BooleanCircuit, rng):
         delta = rng.getrandbits(_BATCH_BITS) | _LOW_BITS
         label0 = [0] * circuit.n_wires
+        label0[ONE] = delta
         for w in circuit.gen_inputs + circuit.eval_inputs:
             label0[w] = rng.getrandbits(_BATCH_BITS)
         # T_G and T_E of gate j, all lanes, at blocks 2j and 2j + 1
         tables = bytearray(2 * _BATCH_BYTES * len(circuit.nonfree_gates()))
         for (free, nonfree), tweaks in zip(circuit.schedule,
                                            circuit.hash_tweaks(BATCH)):
-            for op, a, b, out in free:
-                label0[out] = label0[a] ^ (label0[b] if op == XOR else delta)
+            for a, b, out in free:
+                label0[out] = label0[a] ^ label0[b]
             if not nonfree:
                 continue
             # the gates' input zero-labels, then their one-labels, each
             # a and b of gate j hashed under 2j and 2j + 1
-            zeros = []
-            for op, a, b, _, _ in nonfree:
-                a0, b0 = label0[a], label0[b]
-                if op == OR:
-                    a0 ^= delta
-                    b0 ^= delta
-                zeros += (a0, b0)
+            zeros = [label0[w] for a, b, _, _ in nonfree for w in (a, b)]
             n = len(zeros)
             hashes = _split(aes.tccr(b"".join(
                 [v.to_bytes(_BATCH_BYTES, "big") for v in zeros] +
                 [(v ^ delta).to_bytes(_BATCH_BYTES, "big") for v in zeros]),
                 tweaks + tweaks), _BATCH_BYTES)
-            for k, (op, a, b, out, j) in enumerate(nonfree):
+            for k, (a, b, out, j) in enumerate(nonfree):
                 a0, b0 = zeros[2 * k], zeros[2 * k + 1]
                 ha0, hb0 = hashes[2 * k], hashes[2 * k + 1]
                 ha1, hb1 = hashes[n + 2 * k], hashes[n + 2 * k + 1]
@@ -179,12 +174,11 @@ class GarbledCircuit:
                 t_e = hb0 ^ hb1
                 w = ha0 ^ (t_g & _lane_masks(a0))
                 # evaluator half: a AND (b XOR its permute bit)
-                w ^= hb0 ^ (t_e & permute_b)
+                label0[out] = w ^ hb0 ^ (t_e & permute_b)
                 at = 2 * _BATCH_BYTES * j
                 tables[at:at + 2 * _BATCH_BYTES] = (
                     t_g << _BATCH_BITS | (t_e ^ a0)).to_bytes(
                         2 * _BATCH_BYTES, "big")
-                label0[out] = w ^ delta if op == OR else w
         deltas = _lanes([delta])[:, 0]
         gen0, eval0, out0 = (_lanes([label0[w] for w in wires]) for wires in (
             circuit.gen_inputs, circuit.eval_inputs, circuit.outputs))
@@ -200,7 +194,7 @@ class GarbledCircuit:
             -1, BATCH, LABEL_BYTES).swapaxes(0, 1)
         prefixes = np.concatenate((grid, hashes), axis=1)
         self._instances = [
-            GarbledInstance(circuit, prefixes[i].tobytes(), gen0[i],
+            GarbledInstance(prefixes[i].tobytes(), gen0[i],
                             eval_pairs[i], deltas[i])
             for i in reversed(range(BATCH))]
 
@@ -215,12 +209,11 @@ class GarbledCircuit:
 
 class GarbledInstance:
     """One lane of a GarbledCircuit: `prefix` is its GC_PAYLOAD up to the
-    generator labels, T_G || T_E of each non-free gate and the decode
+    generator labels, T_G || T_E of each AND gate and the decode
     hashes of each output; its generator zero-labels, evaluator label
     pairs and Δ are 16-byte rows."""
 
-    def __init__(self, circuit, prefix, gen0, eval_pairs, delta):
-        self.circuit = circuit
+    def __init__(self, prefix, gen0, eval_pairs, delta):
         self.prefix = prefix
         self._gen0 = gen0  # (len(gen_inputs), 16)
         self._eval_pairs = eval_pairs  # (len(eval_inputs), 2, 16)
@@ -240,7 +233,7 @@ class GarbledInstance:
 
 def evaluate(circuit: BooleanCircuit, tables: bytes, gen_labels,
              eval_labels):
-    """Evaluate garbled tables, T_G || T_E of each non-free gate as
+    """Evaluate garbled tables, T_G || T_E of each AND gate as
     GC_PAYLOAD carries them; returns the output labels, one 16-byte row
     per wire of circuit.outputs.
 
@@ -248,7 +241,7 @@ def evaluate(circuit: BooleanCircuit, tables: bytes, gen_labels,
     wire of circuit.gen_inputs and circuit.eval_inputs, in that order.
     A ciphertext is read only where a permute bit selects it.
     """
-    labels = [0] * circuit.n_wires
+    labels = [0] * circuit.n_wires  # ONE's included (module docstring)
     # each row's two 64-bit halves, high then low
     halves = iter(np.concatenate((gen_labels, eval_labels)).view(
         ">u8").ravel().tolist())
@@ -257,19 +250,19 @@ def evaluate(circuit: BooleanCircuit, tables: bytes, gen_labels,
         labels[w] = hi << 64 | lo
     for (free, nonfree), tweaks in zip(circuit.schedule,
                                        circuit.hash_tweaks(1)):
-        for op, a, b, out in free:
-            labels[out] = labels[a] ^ labels[b] if op == XOR else labels[a]
+        for a, b, out in free:
+            labels[out] = labels[a] ^ labels[b]
         if not nonfree:
             continue
         inputs = 0
-        for _, a, b, _, _ in nonfree:
+        for a, b, _, _ in nonfree:
             inputs = (inputs << _LABEL_BITS | labels[a]) << _LABEL_BITS | \
                 labels[b]
         hashes = int.from_bytes(aes.tccr(inputs.to_bytes(
             2 * LABEL_BYTES * len(nonfree), "big"), tweaks), "big")
         # H(la, 2j) ^ H(lb, 2j + 1) in the low half of each gate's 256 bits
         hashes ^= hashes >> _LABEL_BITS
-        for _, a, b, out, j in reversed(nonfree):
+        for a, b, out, j in reversed(nonfree):
             w = hashes & _LABEL_MASK
             hashes >>= 2 * _LABEL_BITS
             la = labels[a]
@@ -310,7 +303,7 @@ def parse_payload(circuit: BooleanCircuit, buf: bytes):
     """Returns (tables, decode_info, generator label rows in gen_inputs
     order), tables being the payload's T_G || T_E bytes, for evaluate; a
     payload of any length but the circuit's is a ProtocolError."""
-    # the non-free gates, counted from the cached schedule
+    # the AND gates, counted from the cached schedule
     hashes_at = 2 * LABEL_BYTES * sum(len(nonfree)
                                       for _, nonfree in circuit.schedule)
     labels_at = hashes_at + 2 * LABEL_BYTES * len(circuit.outputs)

@@ -9,7 +9,7 @@ the decryption oracle is textbook Paillier without the CRT.
 import bisect
 import math
 
-from oope.comparator import AND, NOT, OR, XOR
+from oope.comparator import AND, ONE, XOR
 from oope.errors import UsageError
 from oope.modexp import powmod
 
@@ -123,21 +123,16 @@ def eval_plain(circuit, gen_bits, eval_bits):
     if len(gen_bits) != len(circuit.gen_inputs) or \
             len(eval_bits) != len(circuit.eval_inputs):
         raise UsageError("incomplete input assignment")
-    values = {}
+    values = {ONE: 1}
     for w, b in zip(circuit.gen_inputs, gen_bits):
         values[w] = b & 1
     for w, b in zip(circuit.eval_inputs, eval_bits):
         values[w] = b & 1
     for g in circuit.gates:
-        a = values[g.a]
-        if g.op == NOT:
-            values[g.out] = a ^ 1
-        elif g.op == XOR:
-            values[g.out] = a ^ values[g.b]
+        if g.op == XOR:
+            values[g.out] = values[g.a] ^ values[g.b]
         elif g.op == AND:
-            values[g.out] = a & values[g.b]
-        elif g.op == OR:
-            values[g.out] = a | values[g.b]
+            values[g.out] = values[g.a] & values[g.b]
         else:
             raise UsageError(f"unknown gate op {g.op}")
     return tuple(values[w] for w in circuit.outputs)

@@ -8,7 +8,7 @@ from oracles import eval_plain
 from test_garbling import garbled_run, instances
 
 from oope import garbling
-from oope.comparator import (BLOCK_BITS, build_comparator,
+from oope.comparator import (BLOCK_BITS, ONE, build_comparator,
                              build_fh_comparator, int_to_bits)
 from oope.errors import DomainError, UsageError
 from oope.rng import make_rng
@@ -150,10 +150,19 @@ def test_fh_projection_matches_plain_comparator():
 
 
 def test_gate_counts():
-    # w equality stages and w greater-than stages
+    # w greater-than stages and w - 1 equality stages, of XOR and AND only
     c = build_comparator(6)
-    assert len([g for g in c.gates if g.op == "OR"]) == 5
-    assert len([g for g in c.gates if g.op == "AND"]) == 6
+    assert len([g for g in c.gates if g.op == "AND"]) == 11
+    assert {g.op for g in c.gates} == {"XOR", "AND"}
+
+
+@pytest.mark.parametrize("op", ["OR", "NOT", "NAND"])
+def test_emit_refuses_any_op_but_xor_and_and(op):
+    c = build_comparator(2)
+    gates = list(c.gates)
+    with pytest.raises(DomainError):
+        c.emit(op, ONE, ONE)
+    assert c.gates == gates
 
 
 @pytest.mark.parametrize("build", [build_comparator, build_fh_comparator])
@@ -161,28 +170,27 @@ def test_gate_counts():
 def test_schedule_runs_every_gate_once_with_inputs_ready(build, width):
     c = build(width)
     gates = [(g.op, g.a, g.b, g.out) for g in c.gates]
-    nonfree = [(g.op, g.a, g.b, g.out) for g in c.nonfree_gates()]
-    ready = set(c.gen_inputs + c.eval_inputs)
+    ands = [(g.a, g.b, g.out) for g in c.nonfree_gates()]
+    ready = {ONE, *c.gen_inputs, *c.eval_inputs}
     seen = []
     for free, hashed in c.schedule:
-        for op, a, b, out in free:
-            assert a in ready and (op == "NOT" or b in ready)
+        for a, b, out in free:
+            assert a in ready and b in ready
             ready.add(out)
-            seen.append((op, a, b, out))
-        # a step's non-free gates are hashed together: all their inputs
-        # are ready before any of them runs
-        assert all(a in ready and b in ready for _, a, b, _, _ in hashed)
-        for op, a, b, out, j in hashed:
-            assert nonfree[j] == (op, a, b, out)
+            seen.append(("XOR", a, b, out))
+        # a step's AND gates are hashed together: all their inputs are
+        # ready before any of them runs
+        assert all(a in ready and b in ready for a, b, _, _ in hashed)
+        for a, b, out, j in hashed:
+            assert ands[j] == (a, b, out)
             ready.add(out)
-            seen.append((op, a, b, out))
+            seen.append(("AND", a, b, out))
     assert sorted(seen) == sorted(gates) and len(set(seen)) == len(gates)
     assert not c.schedule[-1][1]
     # one hashing step per level of the circuit's AND-depth, no more
-    depth = dict.fromkeys(c.gen_inputs + c.eval_inputs, 0)
+    depth = dict.fromkeys([ONE, *c.gen_inputs, *c.eval_inputs], 0)
     for g in c.gates:
-        d = max(depth[g.a], depth.get(g.b, 0))
-        depth[g.out] = d + (g.op in ("AND", "OR"))
+        depth[g.out] = max(depth[g.a], depth[g.b]) + (g.op == "AND")
     assert sum(1 for _, hashed in c.schedule if hashed) == \
         max(depth.values())
     if build is build_comparator:

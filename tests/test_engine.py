@@ -1357,6 +1357,55 @@ def test_cleanup_naming_a_session_twice_removes_its_entry_once():
         cluster.close()
 
 
+def test_cleanup_reads_an_iterator_of_session_ids_once():
+    # a generator names one session: the other analyst entry stays
+    cluster, ctx = make_cluster(EXAMPLE, seed=5)
+    table = ctx["table"]
+    try:
+        cluster.da.csp_ch.timeout = 5
+        cluster.encrypt(15)
+        cluster.encrypt(100)
+        sids = [e.tag for e in table.entries() if e.tag is not None]
+        assert len(sids) == 2
+        assert cluster.da.cleanup(s for s in sids[:1]) == 1
+        assert [e.tag for e in table.entries() if e.tag is not None] == \
+            sids[1:]
+        assert not cluster.errors
+    finally:
+        cluster.close()
+
+
+def test_a_plaintext_that_is_not_an_int_is_refused_before_any_frame():
+    params = small_params()
+    cluster, _ = make_cluster(EXAMPLE, seed=45, params=params)
+    oracle = Mope2Oracle(params.m).load(EXAMPLE)
+    sent = []
+    orig_send = cluster.da.csp_ch.send
+
+    def counting(frame):
+        sent.append(frame.ftype)
+        orig_send(frame)
+
+    try:
+        cluster.da.csp_ch.timeout = 5
+        cluster.da.csp_ch.send = counting
+        for bad in (1.5, "7", None):
+            with pytest.raises(UsageError, match="not an int"):
+                cluster.da.encrypt(bad)
+            with pytest.raises(UsageError, match="not an int"):
+                cluster.da.bound(bad, BOUND_LOW)
+        assert sent == []
+        # an integer of another type counts as its value, and the peers
+        # serve the next session at once
+        assert cluster.da.bound(np.int64(20), BOUND_HIGH) == \
+            cluster.da.bound(20, BOUND_HIGH)
+        assert cluster.da.encrypt(np.int64(7)) == oracle.encrypt(7)
+        assert cluster.encrypt(200) == oracle.encrypt(200)
+        assert not cluster.errors
+    finally:
+        cluster.close()
+
+
 def test_cleanup_warns_only_for_a_session_no_column_holds():
     # an entry lives in one column; the other columns not holding it is
     # no cause to warn, and an id that no column holds is one warning
