@@ -3,9 +3,8 @@
 One circuit computes both the inequality bit [xbar != x] and the
 greater-than bit [xbar > x] over w-bit inputs, then XORs each output
 with one masking bit from every party, so only a party holding both
-masks can unmask a result.  The frequency-hiding variant folds a shared
-random coin and the sticky previous-round state into the same circuit
-and emits a single masked traversal bit.
+masks can unmask a result.  The frequency-hiding variant folds a coin
+into the same circuit and emits a single masked traversal bit.
 
 Circuits have two gate kinds, XOR and AND, and one constant wire, ONE
 (wire 0), which holds 1: NOT a is XOR(a, ONE), and the comparators
@@ -17,16 +16,15 @@ the blocks' results.  At the paper width of 65 bits that is 137
 AND gates 12 levels deep, where one ripple over all 65 bits takes 129
 gates 65 levels deep.  The garbling hashes one AND level per pair of
 AES calls, so the levels, more than the gates, set an evaluation's
-cost.  The frequency-hiding circuit adds three AND gates and one level.
+cost.  The frequency-hiding circuit adds two AND gates and one level:
+139 AND gates at w = 65.
 
 Bit order is LSB first.  Input wire layout (generator = key owner
 holding x, evaluator = analyst holding xbar):
 
   comparator:      gen = x bits, b_x, b'_x       eval = xbar bits, b_xbar, b'_xbar
-  fh comparator:   gen = x bits, b_x, r_x, prev-equal share, prev-random share,
-                         fresh equal-share mask, fresh random-share mask
-                   eval = xbar bits, b_xbar, r_xbar, prev-equal share,
-                          prev-random share
+  fh comparator:   gen = x bits, b_x, r_x        eval = xbar bits, b_xbar, r_xbar,
+                                                        stick
 """
 
 from collections import namedtuple
@@ -185,32 +183,24 @@ def _mux(c: BooleanCircuit, sel: int, on_true: int, on_false: int) -> int:
 
 
 def build_fh_comparator(width: int) -> BooleanCircuit:
-    """Frequency-hiding variant: one masked traversal bit plus re-shared state.
+    """Frequency-hiding variant: one masked traversal bit.
 
-    Traversal bit: the greater-than result when the inputs differ, a
-    shared coin on first equality, and the previous coin on repeated
-    equality.  The updated (prev-equal, prev-coin) state leaves the
-    circuit XORed with the generator's fresh mask bits, which become the
-    generator's next-round shares.
+    Output b ^ b_x ^ b_xbar, where b is [xbar > x] when the inputs
+    differ and, when they are equal, the coin r_xbar ^ (r_x AND NOT
+    stick).  An encrypt sets stick = 0 and a fresh r_xbar, so both
+    parties' coins count; a bound sets stick = 1 and r_xbar to its
+    side, so ties go its way whatever r_x is.
     """
     if width < 1:
         raise DomainError("comparator width must be >= 1")
     c = BooleanCircuit()
-    _inputs(c, width + 6, width + 4)
-    x = c.gen_inputs[:width]
-    b_o, r_x, sh_e_o, sh_r_o, s_e, s_r = c.gen_inputs[width:]
+    _inputs(c, width + 2, width + 3)
+    x, (b_x, r_x) = c.gen_inputs[:width], c.gen_inputs[width:]
     xbar = c.eval_inputs[:width]
-    b_a, r_xbar, sh_e_a, sh_r_a = c.eval_inputs[width:]
+    b_xbar, r_xbar, stick = c.eval_inputs[width:]
 
     b_e, b_g = _compare_stages(c, x, xbar)
-    coin = c.emit(XOR, r_xbar, r_x)
-    prev_e = c.emit(XOR, sh_e_a, sh_e_o)
-    prev_r = c.emit(XOR, sh_r_a, sh_r_o)
-    # prev_e = 1 means no equality seen yet: use the fresh coin
-    chosen = _mux(c, prev_e, coin, prev_r)
-    b = _mux(c, b_e, b_g, chosen)
-    c.outputs = [c.emit(XOR, c.emit(XOR, b, b_a), b_o),
-                 c.emit(XOR, c.emit(AND, prev_e, b_e), s_e),
-                 c.emit(XOR, chosen, s_r)]
+    coin = c.emit(XOR, r_xbar, c.emit(AND, r_x, c.emit(XOR, stick, ONE)))
+    b = _mux(c, b_e, b_g, coin)
+    c.outputs = [c.emit(XOR, c.emit(XOR, b, b_x), b_xbar)]
     return c
-

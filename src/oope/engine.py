@@ -19,31 +19,27 @@ off (SHARES).  A session always runs exactly h = ceil(log2(n+1))
 comparison rounds, in every mode and for every op, and each of them
 sends the owner one blinded node; once the search stops, the remaining
 rounds replay the same node so neither the owner nor the analyst learns
-where the value landed.  The analyst learns only the order, and the
+where the value landed, and the server ignores their bits
+(CspEngine.run_session).  The analyst learns only the order, and the
 owner nothing about the query.
 
 A round is four one-way flights: the node (RANDOMIZED_NODE), the
 garbled circuit with the OT reply behind it (GC_PAYLOAD), the masked
 outputs (GC_RESULT) and the shares (SHARES), five frames in all.  The
 analyst's OT choices for a round are xbar + r, its mask bits and, in
-fh, its coin and the state shares the previous round gave it, so they
-are known before the round's circuit exists.  The server therefore
-sends the analyst every offset of the session at once, h 16-byte
-records in one RANDOM_OFFSET right after the first node, and the
-analyst sends its first flips in the OT_MSG as soon as it has them;
-each later round's flips ride at the end of the previous round's
-GC_RESULT (ot: the flips are one-time padded by the batch's rho, so
-sending them early shows nothing).  The last GC_RESULT carries the
-masked outputs alone.  The owner accepts flips wherever a GC_RESULT
-carries them, so flips missing before a later round leave that round
-no transfer, and flips after the last find the batch used up: either
-aborts the session.
+fh, its coin and stick, and none depends on an earlier round's circuit.
+The server sends the analyst every offset of the session at once, h
+16-byte records in one RANDOM_OFFSET right after the first node, so
+the analyst knows all h·n choices from then on.
 
 Each session carries its own IKNP extension batch (ot) of m =
-8·ceil(h·n / 8) OTs, for h transfers of n evaluator inputs, under a
-batch index the analyst raises every session.  It leads the session's
-OT_MSG, which the owner reads only to build round 1's OT reply, after
-it has decrypted and garbled.  A table holds at most M - 1 orders, so
+8·ceil(h·n / 8) chosen-input OTs, for h transfers of n evaluator
+inputs, under a batch index the analyst raises every session: the
+session's OT_MSG, which the analyst sends as soon as RANDOM_OFFSET
+arrives and the owner reads only to build round 1's OT reply, after it
+has decrypted and garbled.  Each round's reply spends the batch's next
+n OTs at both ends, so a batch too small for the h rounds aborts the
+session where it runs out.  A table holds at most M - 1 orders, so
 h <= M.bit_length(): the analyst refuses more offsets and the owner a
 larger batch, as it does a batch index not above the last it took.  m
 shows the owner h, as the round count does anyway.  An encrypt session
@@ -60,29 +56,26 @@ against ProtocolParams where an engine gets them, when constructed or,
 at the analyst, at HELLO; the server also matches the owner's key.
 
 Session state lives with its session.  The analyst keeps a session's
-batch, masks and fh state shares in locals of _session; the owner keeps
-them, and the pads accepted for the next transfer, in an _OwnerSession
-of its serve loop, which the next session's first node replaces, so an
-OT_MSG the owner never read is stale by then.  Only the server's next
-blind, the owner's garbled pool and each OT end's base OT and last batch
-index outlive a session.
+batch and masks in locals of _session; the owner keeps its batch in an
+_OwnerSession of its serve loop, which the next session's first node
+replaces, so an OT_MSG the owner never read is stale by then.  Only the
+server's next blind, the owner's garbled pool and each OT end's base OT
+and last batch index outlive a session.
 
 Each session frame has one layout, and says nothing that its framing,
 the parameters HELLO checked or the circuit built from them fix.  With
 w = paillier.cipher_width, g the MAC group's width (wire_group), n the
 circuit's evaluator inputs and bit vectors packed by wire.pack_bits;
-[...] is Pedersen's part, or for GC_RESULT that of all rounds but the
-last:
+[...] is Pedersen's part:
 
   SESSION_START    op u8 | column, UTF-8
   RANDOM_OFFSET    h offsets r, 16 bytes each
-  OT_MSG           batch index u32 | u matrix, 16·m bytes |
-                   flips, ceil(n/8) bytes
+  OT_MSG           batch index u32 | u matrix, 16·m bytes
   RANDOMIZED_NODE  Enc(x + r), w bytes [| Enc(a + r'), w bytes]
   INTEGRITY_TAG    r', 64 bytes | commitment, g bytes
   INTEGRITY_PROOF  opening, g bytes
   GC_PAYLOAD       garbling.payload | OT reply, 32·n bytes
-  GC_RESULT        masked outputs, 1 byte [| flips, ceil(n/8) bytes]
+  GC_RESULT        masked outputs, 1 byte
   SHARES           masks, then masked outputs less them: 1 byte
   ORDER_RESULT     order, 16 bytes
   CIPHER_UPLOAD    Enc(xbar), w bytes [| Enc(a), w bytes | commitment]
@@ -110,8 +103,8 @@ even if the session then aborts before its node is, so no r blinds two
 nodes and no offset the analyst has seen returns.  Only the blind made
 in a session's last round, whose offset nobody has seen, serves the
 next session's first.  The analyst builds its whole upload right after
-it sends its first flips, while the peers run the first round, and
-sends it unchanged once the order arrives.  The owner decrypts each
+it sends its OT_MSG, while the peers run the first round, and sends it
+unchanged once the order arrives.  The owner decrypts each
 blinded node with the mod-P half of the CRT alone, one exponentiation
 mod P^2 by the 256-bit subgroup order t_p (paillier.decrypt), since it
 range-checks the result; the Pedersen a + r' has no range check and
@@ -153,25 +146,37 @@ same as one garbled in its round.  Gates and IKNP rows hash with
 fixed-key AES through libcrypto (garbling, ot).
 
 In frequency-hiding mode the circuit emits a single traversal bit that
-hides equality behind a sticky shared coin, and duplicates get fresh
-orders.  A range query over such orders needs, for each end, the lowest
-or highest order among all copies of a value; the analyst's bound op
-finds it by the same search, as a frequency-hiding OPE client does
+hides equality behind a coin (comparator.build_fh_comparator), and
+duplicates get fresh orders.  An encrypt tosses a fresh coin, shared by
+owner and analyst, at every equal node, which is FH-OPE's insertion
+rule (Kerschbaum, CCS 2015).  The search stops at its first empty half,
+and the copy goes into the gap there, always inside or at an end of the
+value's run.  The placement is not uniform over the run's gaps: a gap's
+probability is 2^-e, e being the number of equal nodes the search
+compares against on its way there, its last node included.  Over
+[3, 7, 7, 7, 12] a new 7 lands in each of gaps 1 to 4 with probability
+1/4; over [7] * 5 a new 7 lands in gaps 0 to 5 with probabilities
+1/8, 1/8, 1/4, 1/8, 1/8, 1/4.
+
+A range query over such orders needs, for each end, the lowest or
+highest order among all copies of a value; the analyst's bound op finds
+it by the same search, as a frequency-hiding OPE client does
 (Kerschbaum, CCS 2015), and nothing stores it.  BOUND_LOW gives the
 lowest order of a plaintext >= xbar and BOUND_HIGH the highest order of
-one <= xbar.  In fh mode the analyst starts its state shares as if
-equality had already been seen, with coin = side, so the traversal bit
-is [xbar > x] for BOUND_LOW (ties go left) and [xbar >= x] for
-BOUND_HIGH (ties go right), and the search ends at the gap between the
-plaintexts the bound excludes and those it includes.  The server
-answers with the order on the included side of that gap, or the virtual
-end (M for BOUND_LOW, 0 for BOUND_HIGH) when there is none, so an
-inclusive interval over it selects nothing; in det mode a stored value
-answers with its own order.  A bound sends no upload, and the server
-inserts nothing and rebalances nothing.  Leakage: the server learns the
-bound's position, which a QUERY_EXEC over it reveals anyway.  The owner
-garbles the same circuit and sees the same frames, of the same lengths,
-as in an encrypt session, so it learns nothing about which op runs.
+one <= xbar.  In fh mode a bound's analyst sets stick = 1 and its coin
+to its side, so the traversal bit is [xbar > x] for BOUND_LOW (ties go
+left) and [xbar >= x] for BOUND_HIGH (ties go right) in every round,
+and the search ends at the gap between the plaintexts the bound
+excludes and those it includes.  The server answers with the order on
+the included side of that gap, or the virtual end (M for BOUND_LOW, 0
+for BOUND_HIGH) when there is none, so an inclusive interval over it
+selects nothing; in det mode a stored value answers with its own order.
+A bound sends no upload, and the server inserts nothing and rebalances
+nothing.  Leakage: the server learns the bound's position, which a
+QUERY_EXEC over it reveals anyway.  The owner garbles the same circuit,
+feeds it a coin of its own, and sees the same frames, of the same
+lengths, as in an encrypt session; stick reaches the circuit by OT, so
+the owner learns nothing about which op runs.
 
 Abort discipline: an engine raises a fault it finds itself and never
 aborts inline.  One handler per engine (run_session at the server, the
@@ -250,7 +255,7 @@ class ProtocolParams:
     @property
     def masked_outputs(self) -> int:
         # det's circuit emits [xbar != x] and [xbar > x], fh's one
-        # traversal bit, and its further outputs are next-round state
+        # traversal bit
         return 1 if self.mode == MODE_FH else 2
 
     def digest(self) -> bytes:
@@ -512,10 +517,13 @@ class CspEngine:
                 offsets = [blind[0]] + [self._draw_offset()
                                         for _ in range(h - 1)]
             # implicit binary search: the node is the order at the
-            # midpoint of [lo, hi); det moves only on inequality (b_e),
-            # fh always moves, and an empty half keeps the node
+            # midpoint of [lo, hi), and the search moves to the half the
+            # comparison names.  It stops at a det equal node (b_e = 0)
+            # or at its first empty half; the round where it stops fixes
+            # the outcome, and later rounds replay its node and their
+            # bits are ignored, since an fh coin could move it again
             lo, hi = 0, len(table)
-            b_e, side = 1, 0
+            b_e, side, searching = 1, 0, True
             for rnd in range(h):
                 mid = (lo + hi) // 2
                 self._blind_node(sid, table.entry_at(mid), blind,
@@ -527,11 +535,16 @@ class CspEngine:
                     blind = self._make_blind(offsets[rnd + 1])
                 else:
                     self._blind = self._make_blind()
-                b_e, side = self._shares(sid)
+                bits = self._shares(sid)
+                if not searching:
+                    continue
+                b_e, side = bits
                 if b_e and side and mid + 1 < hi:
                     lo = mid + 1
                 elif b_e and not side and lo < mid:
                     hi = mid
+                else:
+                    searching = False
 
             # the search ended at node j; a new value goes into the gap
             # at index i, left of j or right of it
@@ -661,9 +674,7 @@ class _OwnerSession:
     """One session's state at the owner (module docstring)."""
 
     sid: bytes
-    fh_shares: tuple = (0, 0)
     batch: object = None
-    pads: object = None
 
 
 class DoEngine:
@@ -727,7 +738,6 @@ class DoEngine:
     def _round(self, session, frame):
         sid = session.sid
         p = self.params
-        n = len(self.circuit.eval_inputs)
         pedersen = p.integrity == integrity.SCHEME_PEDERSEN
         # Enc(x + r), then under Pedersen Enc(a + r')
         width = paillier.cipher_width(self.sk.public.key_bits)
@@ -756,30 +766,18 @@ class DoEngine:
         masks = [self.rng.getrandbits(1) for _ in range(p.masked_outputs)]
         gen_bits = int_to_bits(v, p.width) + masks
         if p.mode == MODE_FH:
-            # coin bit, last round's state shares, this round's state masks
-            r_x = self.rng.getrandbits(1)
-            fresh = (self.rng.getrandbits(1), self.rng.getrandbits(1))
-            gen_bits += [r_x, *session.fh_shares, *fresh]
-            session.fh_shares = fresh
+            gen_bits.append(self.rng.getrandbits(1))  # r_x, the owner's coin
         if session.batch is None:
-            # round 1 reads the batch and first flips only now
-            blob = self.da_ch.recv(OT_MSG, session=sid).payload
-            split = max(len(blob) - (n + 7) // 8, 0)
-            session.batch = self.ot_sender.extend(blob[:split],
-                                                  p.m.bit_length() * n)
-            session.pads = self.ot_sender.accept(session.batch, blob[split:],
-                                                 n)
-        # the OT reply rides behind the garbled circuit; pads serve once
-        pads, session.pads = session.pads, None
+            # round 1 reads the session's extension batch only now
+            session.batch = self.ot_sender.extend(
+                self.da_ch.recv(OT_MSG, session=sid).payload,
+                p.m.bit_length() * len(self.circuit.eval_inputs))
+        # the OT reply rides behind the garbled circuit
         self.da_ch.send(Frame(
             GC_PAYLOAD, sid, garbling.payload(gc, gen_bits) +
-            self.ot_sender.send_pairs(pads, gc.eval_label_pairs())))
-        # GC_RESULT: the masked outputs, then the flips of the next
-        # round's transfer unless this round is the last
-        result = self.da_ch.recv(GC_RESULT, session=sid).payload
-        masked = unpack_bits(result[:1], len(masks))
-        if len(result) > 1:
-            session.pads = self.ot_sender.accept(session.batch, result[1:], n)
+            self.ot_sender.send_pairs(session.batch, gc.eval_label_pairs())))
+        masked = unpack_bits(self.da_ch.recv(GC_RESULT, session=sid).payload,
+                             len(masks))
         self.csp_ch.send(Frame(SHARES, sid, _shares(masks, masked)))
 
 
@@ -841,29 +839,25 @@ class DaEngine:
             raise UsageError(f"query plaintext outside [0, 2^{p.l})")
         sid = self._new_sid()
         encrypt = op == OP_ENCRYPT
-        # fh state shares (no equality yet, coin): a bound starts as if
-        # equality had been seen, with coin = side
-        fh_shares = (1, 0) if encrypt else (0, op - OP_BOUND_LOW)
         self.csp_ch.send(Frame(SESSION_START, sid,
                                bytes([op]) + column.encode()))
         try:
             # every round's offset, or at once the order of an empty table
             frame = self.csp_ch.recv(RANDOM_OFFSET, ORDER_RESULT,
                                      session=sid)
-            offsets = []
+            offsets, rounds = [], []
             if frame.ftype == RANDOM_OFFSET:
                 offsets = _read_offsets(frame, 1 << (p.l + p.k),
                                         p.m.bit_length())
-                # one batch for the h transfers goes out with the first
-                # flips, before the upload is built
+                # every round's choices are known now: one batch carries
+                # them all, before the upload is built
+                rounds = [self._choices(op, xbar, r) for r in offsets]
                 blob, batch = self.ot_receiver.extend(
-                    len(offsets) * len(self.circuit.eval_inputs))
-                flips, chosen = self._choose(batch, xbar, offsets[0],
-                                             fh_shares)
-                self.da_do_ch.send(Frame(OT_MSG, sid, blob + flips))
+                    [bit for _, bits in rounds for bit in bits])
+                self.da_do_ch.send(Frame(OT_MSG, sid, blob))
             upload = self._cipher_upload(xbar) if encrypt else None
-            for r, next_r in zip(offsets, offsets[1:] + [None]):
-                chosen = self._round(sid, batch, xbar, r, next_r, chosen)
+            for r, (masks, _) in zip(offsets, rounds):
+                self._round(sid, batch, r, masks)
             if offsets:
                 frame = self.csp_ch.recv(ORDER_RESULT, session=sid)
             ybar, = _read_offsets(frame, p.m + 1, 1)
@@ -890,46 +884,37 @@ class DaEngine:
                 int.from_bytes(proof, "big"), self.mac_params):
             raise IntegrityError("node authentication failed")
 
-    def _choose(self, batch, xbar, r, fh_shares):
-        """(flips, chosen): the OT flips of the round blinded by r, after
-        the round that left fh_shares, and its transfer and mask bits,
-        which are drawn here with its fh coin."""
+    def _choices(self, op, xbar, r):
+        """(masks, bits) of the round blinded by r: its mask bits, drawn
+        here, and the analyst's circuit inputs, its OT choices: xbar + r,
+        the masks and, in fh, the coin r_xbar and stick, a fresh coin
+        and 0 for an encrypt, the side and 1 for a bound."""
         p = self.params
         masks = [self.rng.getrandbits(1) for _ in range(p.masked_outputs)]
         bits = int_to_bits(xbar + r, p.width) + masks
         if p.mode == MODE_FH:
-            # coin bit and last round's state shares
-            bits += [self.rng.getrandbits(1), *fh_shares]
-        flips, transfer = self.ot_receiver.choose(batch, bits)
-        return flips, (transfer, masks)
+            bits += [self.rng.getrandbits(1), 0] if op == OP_ENCRYPT else \
+                [op - OP_BOUND_LOW, 1]
+        return masks, bits
 
-    def _round(self, sid, batch, xbar, r, next_r, chosen):
-        """The round blinded by r, whose OT flips the owner already has;
-        GC_RESULT carries those of the round blinded by next_r, if any,
-        whose chosen (_choose) it returns."""
+    def _round(self, sid, batch, r, masks):
+        """The round blinded by r, whose OT choices batch holds."""
         p = self.params
         if p.integrity != integrity.SCHEME_OFF:
             self._verify_node(sid, r)
         payload = self.da_do_ch.recv(GC_PAYLOAD, session=sid).payload
         # the garbled circuit, then the OT reply, one label pair per input
-        split = len(payload) - \
-            2 * garbling.LABEL_BYTES * len(self.circuit.eval_inputs)
+        n = len(self.circuit.eval_inputs)
+        split = len(payload) - 2 * garbling.LABEL_BYTES * n
         tables, decode_info, gen_labels = garbling.parse_payload(
             self.circuit, payload[:max(split, 0)])
-        transfer, masks = chosen
-        eval_labels = self.ot_receiver.receive_pairs(transfer, payload[split:])
+        eval_labels = self.ot_receiver.receive_pairs(batch, payload[split:],
+                                                     n)
         out_labels = garbling.evaluate(self.circuit, tables, gen_labels,
                                        eval_labels)
-        outputs = garbling.decode(decode_info, out_labels)
-        n = p.masked_outputs
-        masked, fh_shares = outputs[:n], outputs[n:]
-        result = pack_bits(masked)
-        if next_r is not None:
-            flips, chosen = self._choose(batch, xbar, next_r, fh_shares)
-            result += flips
-        self.da_do_ch.send(Frame(GC_RESULT, sid, result))
+        masked = garbling.decode(decode_info, out_labels)
+        self.da_do_ch.send(Frame(GC_RESULT, sid, pack_bits(masked)))
         self.csp_ch.send(Frame(SHARES, sid, _shares(masks, masked)))
-        return chosen
 
     def _cipher_upload(self, xbar):
         """CIPHER_UPLOAD payload: Enc(xbar), then under Pedersen Enc(a)

@@ -9,11 +9,10 @@ Two layers:
   Each side's exponentiations run over the cores (modexp.fan_out) and
   its random draws on the calling thread, in one order, so a seeded
   base OT's seeds and bytes do not depend on the number of cores.
-* An IKNP-style extension (Ishai, Kilian, Nissim and Petrank, CRYPTO
-  2003) that turns 128 base OTs into a batch of random OTs of any size
-  using only hashing, consumed per transfer through XOR
-  derandomization.  Base seeds are reused across batches under a
-  per-batch index, which is fine against passive adversaries.
+* The IKNP extension (Ishai, Kilian, Nissim and Petrank, CRYPTO 2003,
+  Fig. 1), which turns 128 base OTs into a batch of chosen-input OTs of
+  any size using only hashing.  Base seeds are reused across batches
+  under a per-batch index, which is fine against passive adversaries.
 
 The extension stretches each 256-bit base-OT seed k into one row of
 the batch's bit matrix with G(k, b) = SHAKE-128(k || "prg" || u32(b)),
@@ -48,31 +47,30 @@ Labels and the extension's one-time pads are numpy uint8 rows of 16
 bytes, each row the big-endian bytes it has on the wire, so nothing
 here turns a label into an int.  Each extension batch runs the column
 step t XOR (u AND s), the row step q XOR s and the hashing as single
-numpy operations over the whole matrix, and each transfer is one swap,
-one XOR or one gather over its rows.
+numpy operations over the whole matrix, and each transfer is one XOR
+or one gather over its rows.
 
 A batch is a value that serves one session of the caller's; neither end
-keeps anything of it but its index.  The receiver's `extend(count)`
-returns count OTs, rounded up to whole bytes: the blob of their u32
-index and u matrix, and its side of the batch, the m bits rho and an
+keeps anything of it but its index.  The receiver knows every choice of
+a batch when it makes it: its `extend(choice_bits)` puts them into the
+u matrix, u_i = G(k0_i) XOR G(k1_i) XOR c, c being the choice bits
+padded with zeros to m, a multiple of 8.  It returns the blob of the
+u32 index and u matrix, and its side of the batch, the choices and an
 (m, 16) array of pads.  The sender's `extend(blob, most)` returns its
-side, an (m, 2, 16) array of pad pairs.  The index sets the PRG input
-and the row tweaks, and the sender refuses one not above the last it
-took, so no tweak repeats under s.  Only base OT (`setup`) runs over
-send/recv callables; the caller carries every other message.
+side, an (m, 2, 16) array of pad pairs, of which the receiver holds the
+chosen one of each.  The index sets the PRG input and the row tweaks,
+and the sender refuses one not above the last it took, so no tweak
+repeats under s.  Only base OT (`setup`) runs over send/recv callables;
+the caller carries every other message.
 
-A transfer spends the batch's next n OTs, derandomized (Beaver, CRYPTO
-1995).  The receiver's `choose(batch, bits)` returns the flips, each
-choice bit XOR its OT's random bit rho, which hide the choices, so they
-may travel before the sender has its pairs, even a round early, and the
-transfer for `receive_pairs(transfer, reply)`, which returns the chosen
-labels as an (n, 16) array.  The sender's `accept(batch, flips, n)`
-returns the transfer's pads, its pad pairs swapped where the flip is
-set, and `send_pairs(pads, pairs)` the reply: the (n, 2, 16) rows of
-(zero-label, one-label) pairs XOR those pads, as bytes.  No pads, as
-when the receiver sent no flips for the transfer, is a ProtocolError.
+A transfer spends the batch's next n OTs at both ends.  The sender's
+`send_pairs(batch, pairs)` returns the reply, the (n, 2, 16) rows of
+(zero-label, one-label) pairs XOR their pad pairs, as bytes; a batch
+with too few OTs left, as when the receiver sent one too small, is a
+ProtocolError.  The receiver's `receive_pairs(batch, reply, n)` returns
+the chosen labels as an (n, 16) array.
 
-The flips, rho and s are bit vectors in the order of wire.pack_bits,
+The choices and s are bit vectors in the order of wire.pack_bits,
 least significant bit first, and the bit matrices are transposed in
 that order too, so bit j of a column belongs to OT j.
 """
@@ -86,7 +84,7 @@ from .errors import ProtocolError, UsageError
 from .garbling import LABEL_BYTES
 from .modexp import fan_out, powmod
 from .rng import make_rng
-from .wire import be_bytes, pack_bits, u32, unpack_bits, xor_bytes
+from .wire import be_bytes, pack_bits, u32, xor_bytes
 
 KAPPA = 128  # extension security parameter = base OT count
 EXPONENT_BITS = 256
@@ -247,8 +245,8 @@ class _Batch:
 
 class OtExtSender:
     """Holds label pairs; the peer picks one of each without revealing
-    which.  Per session: extend, then per transfer accept and send_pairs
-    (module docstring)."""
+    which.  Per session: extend, then per transfer send_pairs (module
+    docstring)."""
 
     def __init__(self, rng=None, group=GROUP_DEFAULT):
         self._rng = rng or make_rng()
@@ -284,35 +282,20 @@ class OtExtSender:
         return _Batch(_row_hashes(index, np.stack((rows, rows ^ self._s_row),
                                                   axis=1)))
 
-    def accept(self, batch, flips, n):
-        """The pads of the transfer of the receiver's flips, batch's next
-        n pad pairs swapped where the flip is set; too few left, or a
-        malformed vector, whose pads are spent too, is a ProtocolError."""
-        pads, = batch.take(n)
-        if len(pads) < n:
-            raise ProtocolError("OT extension batch used up")
-        flips = np.array(unpack_bits(flips, n, "OT choice vector"),
-                         dtype=np.intp)
-        # one gather swaps the pads where the flip is set: pad b of pair
-        # j, row 2j + b, becomes row 2j + (b XOR flip j)
-        return pads.reshape(2 * n, LABEL_BYTES).take(
-            np.arange(2 * n) ^ flips.repeat(2), axis=0).reshape(pads.shape)
-
-    def send_pairs(self, pads, pairs) -> bytes:
+    def send_pairs(self, batch, pairs) -> bytes:
         """The reply that obliviously transfers one label of each of pairs,
-        (n, 2, 16) rows of (zero-label, one-label), under pads from
-        accept; no pads is a ProtocolError (module docstring)."""
-        if pads is None:
-            raise ProtocolError("no OT transfer accepted")
-        if pads.shape != pairs.shape:
-            raise UsageError("accepted OT transfer of another size")
+        (n, 2, 16) rows of (zero-label, one-label), under batch's next n
+        pad pairs; too few left is a ProtocolError (module docstring)."""
+        pads, = batch.take(len(pairs))
+        if len(pads) < len(pairs):
+            raise ProtocolError("OT extension batch used up")
         return (pairs ^ pads).tobytes()
 
 
 class OtExtReceiver:
     """Chooses one label per pair by choice bit; sender stays oblivious.
-    Per session: extend, then per transfer choose and receive_pairs
-    (module docstring)."""
+    Per session: extend, then per transfer receive_pairs (module
+    docstring)."""
 
     def __init__(self, rng=None, group=GROUP_DEFAULT):
         self._rng = rng or make_rng()
@@ -328,41 +311,29 @@ class OtExtReceiver:
             for _ in range(KAPPA)]
         base_ot_send(send, recv, self._seed_pairs, self._group, self._rng)
 
-    def extend(self, count) -> tuple:
-        """(blob, batch): a batch of count OTs, rounded up to a multiple
-        of 8, under the next batch index, and blob, the index as a u32
-        then the u matrix, for the sender."""
-        m = (count + 7) // 8 * 8
+    def extend(self, choice_bits) -> tuple:
+        """(blob, batch): a batch of one OT per choice bit, rounded up to a
+        multiple of 8 with zeros, under the next batch index, and blob,
+        the index as a u32 then the u matrix, for the sender."""
+        m = (len(choice_bits) + 7) // 8 * 8
         self._batch += 1
-        rho = self._rng.getrandbits(m).to_bytes(m // 8, "big")
+        bits = np.zeros(m, dtype=np.uint8)
+        bits[:len(choice_bits)] = choice_bits
         t = _prg_matrix([k0 for k0, _ in self._seed_pairs], m // 8,
                         self._batch)
         u = t ^ _prg_matrix([k1 for _, k1 in self._seed_pairs], m // 8,
-                            self._batch) ^ np.frombuffer(rho, dtype=np.uint8)
-        batch = _Batch(np.unpackbits(np.frombuffer(rho, dtype=np.uint8),
-                                     bitorder="little"),
-                       _row_hashes(self._batch, _transpose_bits(t)))
+                            self._batch) ^ np.packbits(bits, bitorder="little")
+        batch = _Batch(bits, _row_hashes(self._batch, _transpose_bits(t)))
         return u32(self._batch) + u.tobytes(), batch
 
-    def choose(self, batch, choice_bits) -> tuple:
-        """(flips, transfer) of a transfer of batch's next OT per choice
-        bit, the flips hiding the bits (module docstring); a batch with
-        too few OTs left is a UsageError."""
-        n = len(choice_bits)
-        rho, pads = batch.take(n)
-        if len(pads) < n:
-            raise UsageError("OT extension batch used up")
-        bits = np.asarray(choice_bits, dtype=np.uint8)
-        return pack_bits((bits ^ rho).tolist()), (bits, pads)
-
-    def receive_pairs(self, transfer, reply):
-        """The label each of transfer's choice bits selects from the
-        sender's reply, as an (n, 16) array of rows."""
-        if transfer is None:
-            raise UsageError("no transfer chosen")
-        bits, pads = transfer
-        n = len(bits)
+    def receive_pairs(self, batch, reply, n):
+        """The labels of batch's next n choices, from the sender's reply,
+        as an (n, 16) array of rows; a batch with too few OTs left is a
+        UsageError."""
         if len(reply) != 2 * n * LABEL_BYTES:
             raise ProtocolError("OT response length mismatch")
+        bits, pads = batch.take(n)
+        if len(pads) < n:
+            raise UsageError("OT extension batch used up")
         pairs = np.frombuffer(reply, dtype=np.uint8).reshape(n, 2, LABEL_BYTES)
         return pairs[np.arange(n), bits] ^ pads

@@ -36,7 +36,7 @@ NULL_SESSION = bytes(SESSION_BYTES)
 # raised whenever a frame's layout or meaning changes, so that peers of
 # two layouts fail at HELLO instead of misreading each other; it is part
 # of the parameter digest too (engine.ProtocolParams.digest)
-PROTOCOL_VERSION = 11
+PROTOCOL_VERSION = 12
 
 ROLE_CSP, ROLE_DO, ROLE_DA = 0, 1, 2
 

@@ -2,12 +2,15 @@
 
 The order oracle works over a sorted list with direct integer
 comparisons; it never builds a tree, never blinds, never garbles.  The
+fh placement oracle replays the search over plaintexts and every coin
+sequence.  The
 circuit oracle evaluates a comparator gate by gate in the clear, and
 the decryption oracle is textbook Paillier without the CRT.
 """
 
 import bisect
 import math
+from fractions import Fraction
 
 from oope.comparator import AND, ONE, XOR
 from oope.errors import UsageError
@@ -50,6 +53,33 @@ class Mope2Oracle:
         for x in dataset:
             self.encrypt(x)
         return self
+
+
+def fh_gap_distribution(xs, xbar):
+    """The exact distribution of the gap an fh encrypt of xbar goes into
+    over the sorted plaintexts xs, gap i lying just left of xs[i], as a
+    dict from gap to Fraction.  The search halves [lo, hi) at mid =
+    (lo + hi) // 2 towards [xbar > xs[mid]], or towards a fair coin
+    where the two are equal, and stops at its first empty half, in gap
+    mid or mid + 1; every coin sequence is replayed."""
+    dist = {}
+
+    def walk(lo, hi, weight):
+        mid = (lo + hi) // 2
+        sides = (0, 1) if xs[mid] == xbar else (int(xbar > xs[mid]),)
+        for side in sides:
+            w = weight / len(sides)
+            if side and mid + 1 < hi:
+                walk(mid + 1, hi, w)
+            elif not side and lo < mid:
+                walk(lo, mid, w)
+            else:
+                dist[mid + side] = dist.get(mid + side, 0) + w
+
+    if not xs:
+        return {0: Fraction(1)}
+    walk(0, len(xs), Fraction(1))
+    return dist
 
 
 def table_snapshot(table):

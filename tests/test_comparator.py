@@ -65,75 +65,54 @@ def test_missing_inputs_rejected():
         eval_plain(c, [0] * 3, [0] * 6)
 
 
-def fh_reference(x, xbar, r_x, r_xbar, prev_e, prev_r):
-    """Three-branch procedure: traversal bit and updated state."""
-    b_e = int(xbar != x)
-    if b_e:
-        b = int(xbar > x)
-    elif prev_e == 0:
-        b = prev_r
-    else:
-        b = r_x ^ r_xbar
-    new_prev_e = prev_e & b_e
-    new_prev_r = (r_x ^ r_xbar) if prev_e else prev_r
-    return b, new_prev_e, new_prev_r
+def fh_reference(x, xbar, r_x, r_xbar, stick):
+    """The traversal bit: greater-than where the inputs differ, else the
+    coin, the analyst's r_xbar XOR the owner's r_x unless stick is set."""
+    if xbar != x:
+        return int(xbar > x)
+    return r_xbar ^ (r_x & (1 - stick))
 
 
-def run_fh(circuit, width, x, xbar, b_o=0, b_a=0, r_x=0, r_xbar=0,
-           sh_e=(0, 1), sh_r=(0, 0), s_e=0, s_r=0):
-    out = eval_plain(
-        circuit,
-        int_to_bits(x, width) + [b_o, r_x, sh_e[0], sh_r[0], s_e, s_r],
-        int_to_bits(xbar, width) + [b_a, r_xbar, sh_e[1], sh_r[1]])
-    b = out[0] ^ b_o ^ b_a
-    return b, out[1] ^ s_e, out[2] ^ s_r
+def run_fh(circuit, width, x, xbar, b_x=0, b_xbar=0, r_x=0, r_xbar=0,
+           stick=0):
+    """The traversal bit, unmasked."""
+    out, = eval_plain(circuit, int_to_bits(x, width) + [b_x, r_x],
+                      int_to_bits(xbar, width) + [b_xbar, r_xbar, stick])
+    return out ^ b_x ^ b_xbar
 
 
 def test_fh_unequal_ignores_coins():
     c = build_fh_comparator(4)
-    for r_x in (0, 1):
-        for r_xbar in (0, 1):
-            b, _, _ = run_fh(c, 4, 5, 9, r_x=r_x, r_xbar=r_xbar)
-            assert b == 1
-            b, _, _ = run_fh(c, 4, 9, 5, r_x=r_x, r_xbar=r_xbar)
-            assert b == 0
+    for coins in range(8):
+        r_x, r_xbar, stick = ((coins >> i) & 1 for i in range(3))
+        assert run_fh(c, 4, 5, 9, r_x=r_x, r_xbar=r_xbar, stick=stick) == 1
+        assert run_fh(c, 4, 9, 5, r_x=r_x, r_xbar=r_xbar, stick=stick) == 0
 
 
-def test_fh_first_equality_uses_fresh_coin():
+def test_fh_equal_inputs_take_the_coin():
+    # an encrypt (stick = 0) takes both parties' coins, a bound
+    # (stick = 1) its own r_xbar, its side, whatever the owner's r_x
     c = build_fh_comparator(4)
     for r_x in (0, 1):
         for r_xbar in (0, 1):
-            b, prev_e, prev_r = run_fh(c, 4, 7, 7, r_x=r_x, r_xbar=r_xbar)
-            assert b == r_x ^ r_xbar
-            assert prev_e == 0 and prev_r == b
+            assert run_fh(c, 4, 7, 7, r_x=r_x, r_xbar=r_xbar) == r_x ^ r_xbar
+            assert run_fh(c, 4, 7, 7, r_x=r_x, r_xbar=r_xbar,
+                          stick=1) == r_xbar
 
 
 def test_fh_exhaustive_small():
+    # every (x, xbar) at width 3, under every coin, stick and mask
     c = build_fh_comparator(3)
     for x in range(8):
         for xbar in range(8):
-            for aux in range(64):
-                r_x, r_xbar, pe, pr, b_o, b_a = \
-                    ((aux >> i) & 1 for i in range(6))
-                want_b, want_e, want_r = fh_reference(x, xbar, r_x, r_xbar,
-                                                      pe, pr)
-                got = run_fh(c, 3, x, xbar, b_o=b_o, b_a=b_a, r_x=r_x,
-                             r_xbar=r_xbar, sh_e=(pe, 0), sh_r=(pr, 0),
-                             s_e=1, s_r=1)
-                assert got == (want_b, want_e, want_r)
-
-
-def test_fh_stickiness_two_rounds():
-    # same value compared twice: second round replays the first coin
-    c = build_fh_comparator(4)
-    for coin in (0, 1):
-        b1, pe, pr = run_fh(c, 4, 6, 6, r_x=coin, r_xbar=0)
-        assert b1 == coin
-        # round 2 with fresh opposite coins but carried state
-        b2, pe2, pr2 = run_fh(c, 4, 6, 6, r_x=1 - coin, r_xbar=0,
-                              sh_e=(pe, 0), sh_r=(pr, 0))
-        assert b2 == b1
-        assert (pe2, pr2) == (pe, pr)
+            for aux in range(32):
+                r_x, r_xbar, stick, b_x, b_xbar = \
+                    ((aux >> i) & 1 for i in range(5))
+                got = eval_plain(c, int_to_bits(x, 3) + [b_x, r_x],
+                                 int_to_bits(xbar, 3) + [b_xbar, r_xbar,
+                                                         stick])
+                assert got == (fh_reference(x, xbar, r_x, r_xbar, stick) ^
+                               b_x ^ b_xbar,)
 
 
 def test_fh_projection_matches_plain_comparator():
@@ -145,8 +124,7 @@ def test_fh_projection_matches_plain_comparator():
             if x == xbar:
                 continue
             _, g = run(plain, 5, x, xbar)
-            b, _, _ = run_fh(fh, 5, x, xbar)
-            assert b == g
+            assert run_fh(fh, 5, x, xbar) == g
 
 
 def test_gate_counts():
@@ -201,11 +179,12 @@ def test_schedule_runs_every_gate_once_with_inputs_ready(build, width):
 
 
 def test_gate_count_at_the_paper_width():
-    # 2w + ceil(w / BLOCK_BITS) - 2 non-free gates at w = 65; each costs
-    # 32 bytes in every GC_PAYLOAD, so growth here shows in the wire bytes
+    # 2w + ceil(w / BLOCK_BITS) - 2 non-free gates at w = 65, and fh's
+    # two more, the coin's and the equality mux's; each costs 32 bytes in
+    # every GC_PAYLOAD, so growth here shows in the wire bytes
     assert BLOCK_BITS == 8
     assert len(build_comparator(65).nonfree_gates()) == 137
-    assert len(build_fh_comparator(65).nonfree_gates()) == 140
+    assert len(build_fh_comparator(65).nonfree_gates()) == 139
 
 
 def test_hash_tweaks_are_distinct_per_gate_half():
@@ -262,22 +241,19 @@ def test_det_across_block_boundaries(width):
 
 @pytest.mark.parametrize("width", BOUNDARY_WIDTHS)
 def test_fh_across_block_boundaries(width):
-    # every combination of the four mask bits (b_o, b_a, s_e, s_r) per
-    # pair; the coins and the state shares are drawn at random for each
+    # every combination of the coins and stick per pair; the masks
+    # (b_x, b_xbar) are drawn at random for each
     c = build_fh_comparator(width)
     rng = make_rng(width + 1)
     lanes = list(instances(c, rng, garbling.BATCH))
     k = 0
     for x, xbar in boundary_pairs(width):
-        for masks in range(16):
-            b_o, b_a, s_e, s_r = ((masks >> i) & 1 for i in range(4))
-            aux = rng.getrandbits(6)
-            r_x, r_xbar, e_o, e_a, p_o, p_a = ((aux >> i) & 1 for i in range(6))
-            gen = int_to_bits(x, width) + [b_o, r_x, e_o, p_o, s_e, s_r]
-            ev = int_to_bits(xbar, width) + [b_a, r_xbar, e_a, p_a]
-            b, new_e, new_r = fh_reference(x, xbar, r_x, r_xbar, e_o ^ e_a,
-                                           p_o ^ p_a)
-            want = (b ^ b_o ^ b_a, new_e ^ s_e, new_r ^ s_r)
+        for coins in range(8):
+            r_x, r_xbar, stick = ((coins >> i) & 1 for i in range(3))
+            b_x, b_xbar = rng.getrandbits(1), rng.getrandbits(1)
+            gen = int_to_bits(x, width) + [b_x, r_x]
+            ev = int_to_bits(xbar, width) + [b_xbar, r_xbar, stick]
+            want = (fh_reference(x, xbar, r_x, r_xbar, stick) ^ b_x ^ b_xbar,)
             assert eval_plain(c, gen, ev) == want
             assert garbled_run(c, lanes[k % len(lanes)], gen, ev) == want
             k += 1

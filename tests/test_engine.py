@@ -2,6 +2,7 @@
 
 import contextlib
 import math
+from collections import Counter
 import re
 import threading
 import time
@@ -12,8 +13,9 @@ import pytest
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
-from oracles import Mope2Oracle, bound_orders, min_max_orders, \
-    rank_interval_holds, sandwich_holds, table_snapshot, textbook_encrypt
+from oracles import Mope2Oracle, bound_orders, fh_gap_distribution, \
+    min_max_orders, rank_interval_holds, sandwich_holds, table_snapshot, \
+    textbook_encrypt
 
 from oope import (datastore, garbling, integrity, ope_state, ot, paillier,
                   transport)
@@ -379,8 +381,8 @@ def test_malformed_garbled_payload_aborts_at_analyst(damage):
 
 
 # damage -> (frame type, payload edit, sender, abort reason).  GC_RESULT
-# is the masked bit vector, then the next transfer's OT flips, so an
-# empty one fails at its masked bits and a short one at its flips
+# is the masked bit vector alone, so an empty one, a long one and one
+# with a padding bit set fail alike
 BIT_VECTOR_DAMAGE = {
     "session_start": (transport.SESSION_START, lambda p: b"", "da->csp",
                       "no known op"),
@@ -391,7 +393,7 @@ BIT_VECTOR_DAMAGE = {
     "gc_result_empty": (transport.GC_RESULT, lambda p: b"", "da->do",
                         "bit vector"),
     "gc_result_long": (transport.GC_RESULT, lambda p: b"\0\0", "da->do",
-                       "choice vector"),
+                       "bit vector"),
     "gc_result_bits": (transport.GC_RESULT, lambda p: b"\xff" + p[1:],
                        "da->do", "bit vector"),
 }
@@ -580,16 +582,6 @@ def test_no_blind_is_sent_twice():
         cluster.close()
 
 
-def _flips_short(blob):
-    return blob[:-1]
-
-
-def _flips_padded(blob):
-    # a padding bit of the last byte set: bits go least significant
-    # first, so 35 of them leave the top five bits of the fifth byte
-    return blob[:-1] + bytes([blob[-1] | 0x80])
-
-
 def test_no_garbled_instance_is_sent_twice():
     # the owner garbles garbling.BATCH instances at a time and pops one
     # per round; one an aborted round took is dropped, so no garbled
@@ -610,10 +602,7 @@ def test_no_garbled_instance_is_sent_twice():
                               bytes([frame.payload[0] ^ 0b0100]))
             orig_send(frame)
 
-        # OT flips, 35 bits in 5 bytes, end the session's OT_MSG, after
-        # its extension batch, and each GC_RESULT, after the masked-bit
-        # byte
-        def damage_flips(ftype, edit):
+        def damage(ftype, edit):
             def send(frame):
                 if frame.ftype == ftype:
                     frame = Frame(ftype, frame.session_id,
@@ -621,7 +610,6 @@ def test_no_garbled_instance_is_sent_twice():
                 orig_ot_send(frame)
             return send
 
-        assert params.width + params.masked_outputs == 35
         assert cluster.encrypt(150) == oracle.encrypt(150)
         cluster.da.csp_ch.send = flip_share
         with pytest.raises(SessionAborted, match="disagree"):
@@ -630,13 +618,13 @@ def test_no_garbled_instance_is_sent_twice():
         with failing_after_upload(cluster), \
                 pytest.raises(SessionAborted, match="after the upload"):
             cluster.encrypt(250)
-        # a short OT_MSG cuts its extension batch short
+        # a short OT_MSG cuts its extension batch short, and a
+        # GC_RESULT with a padding bit set is malformed
         for ftype, edit, reason in (
-                (transport.OT_MSG, _flips_short, "wrong size"),
-                (transport.OT_MSG, _flips_padded, "choice vector"),
-                (transport.GC_RESULT, _flips_short, "choice vector"),
-                (transport.GC_RESULT, _flips_padded, "choice vector")):
-            cluster.da.da_do_ch.send = damage_flips(ftype, edit)
+                (transport.OT_MSG, lambda blob: blob[:-1], "wrong size"),
+                (transport.GC_RESULT, lambda blob: bytes([blob[0] | 0x80]),
+                 "bit vector")):
+            cluster.da.da_do_ch.send = damage(ftype, edit)
             with pytest.raises(SessionAborted, match=reason):
                 cluster.encrypt(250)
         cluster.da.da_do_ch.send = orig_ot_send
@@ -660,19 +648,13 @@ def _node_out_of_range(params, pk):
 
 # abort -> (sending end, frame type, which one of the session's frames of
 # that type, counted from 1, or "last" for the h-th, payload edit, abort
-# reason).  The session's OT_MSG ends with its first flips; each
-# GC_RESULT but the last carries the next transfer's.  Flips that go
-# missing leave the next round no transfer, and flips after the last
-# round find the batch used up.
+# reason).  GC_RESULT is the masked-bit byte alone, so a cut or grown
+# one is malformed in any round.
 PAD_SYNC_ABORTS = {
-    "first-flips": ("da->do", transport.OT_MSG, 1, _flips_padded,
-                    "choice vector"),
-    "gc-result-first": ("da->do", transport.GC_RESULT, 1, _flips_short,
-                        "choice vector"),
-    "gc-result-no-flips": ("da->do", transport.GC_RESULT, 1,
-                           lambda blob: blob[:1], "no OT transfer"),
+    "gc-result-first": ("da->do", transport.GC_RESULT, 1,
+                        lambda blob: blob[:-1], "bit vector"),
     "gc-result-last": ("da->do", transport.GC_RESULT, "last",
-                       lambda blob: blob + bytes(5), "used up"),
+                       lambda blob: blob + bytes(5), "bit vector"),
     "node-out-of-range-first": ("csp->do", transport.RANDOMIZED_NODE, 1,
                                 _node_out_of_range, "out of range"),
     "node-out-of-range-third": ("csp->do", transport.RANDOMIZED_NODE, 3,
@@ -743,7 +725,9 @@ def test_no_session_state_outlives_its_session(mode):
     # after each session, ended or aborted at any of the three roles,
     # every attribute of the engines and OT ends is the object or value
     # it was, but the server's next blind, the owner's garbled pool and
-    # the OT ends' last batch index
+    # the OT ends' last batch index: a session's OT batch and masks,
+    # and in fh its coins, live in the session's own locals and
+    # _OwnerSession alone
     params = small_params(mode=mode)
     data = list(range(100, 3100, 100))
     cluster, ctx = make_cluster(data, seed=61, params=params)
@@ -808,18 +792,71 @@ def test_no_session_state_outlives_its_session(mode):
         cluster.close()
 
 
+@pytest.mark.parametrize("mode", ["det", "fh"])
+def test_an_ot_batch_too_small_for_the_rounds_aborts_where_it_runs_out(
+        mode):
+    # the analyst's batch holds the choices of every round but the last;
+    # the owner's reply for the last round finds it used up, and the next
+    # sessions, each with its own batch, run as before
+    params = small_params(mode=mode)
+    data = list(range(100, 3100, 100))
+    cluster, ctx = make_cluster(data, seed=63, params=params)
+    oracle = Mope2Oracle(params.m).load(data)
+    n = len(cluster.da.circuit.eval_inputs)
+    receiver = cluster.da.ot_receiver
+    try:
+        for ch in cluster.channels:
+            ch.timeout = 3
+        receiver.extend = lambda bits: type(receiver).extend(receiver,
+                                                             bits[:-n])
+        with pytest.raises(SessionAborted, match="used up"):
+            cluster.encrypt(250)
+        del receiver.extend
+        assert len(ctx["table"]) == len(data)
+        for xbar in (250, 350, 1000):
+            y = cluster.encrypt(xbar)
+            if mode == "det":
+                assert y == oracle.encrypt(xbar)
+        assert not any(ch.poisoned for ch in cluster.channels)
+        assert not cluster.errors
+    finally:
+        cluster.close()
+
+
+def test_bits_after_the_search_stops_are_ignored():
+    # over [10, 20, 25, 32, 69] the search for 25 stops at its first
+    # node, an equal one; the later rounds replay that node, and bits that
+    # would move the search from there change nothing
+    cluster, ctx = make_cluster(EXAMPLE, seed=65)
+    real = cluster.csp._shares
+    bits = []
+
+    def moving_after_the_first(sid):
+        bits.append(real(sid))
+        return bits[-1] if len(bits) == 1 else (1, len(bits) % 2)
+
+    try:
+        cluster.csp._shares = moving_after_the_first
+        assert ctx["table"].height == 3
+        assert cluster.encrypt(25) == \
+            Mope2Oracle(cluster.da.params.m).load(EXAMPLE).encrypt(25)
+        assert bits == [(0, 0)] * 3
+        assert not cluster.errors
+    finally:
+        cluster.close()
+
+
 @pytest.mark.parametrize("damage", ["truncated", "flipped", "oversized"])
 def test_damaged_ot_batch_aborts_its_session_alone(damage):
     # the session's OT_MSG, its extension batch of m OTs (KAPPA columns
-    # of m/8 bytes behind a u32 batch index) then its first flips, cut
-    # by a byte, with one byte of the matrix flipped, or with a matrix
-    # of more OTs than M.bit_length() rounds need
+    # of m/8 bytes behind a u32 batch index), cut by a byte, with one
+    # byte of the matrix flipped, or with a matrix of more OTs than
+    # M.bit_length() rounds need
     params = small_params()
     data = list(range(100, 3100, 100))
     cluster, ctx = make_cluster(data, seed=59, params=params)
     oracle = Mope2Oracle(params.m).load(data)
     n = len(cluster.da.circuit.eval_inputs)
-    flips_bytes = (n + 7) // 8
     timeout = 3
     try:
         for ch in cluster.channels:
@@ -836,15 +873,13 @@ def test_damaged_ot_batch_aborts_its_session_alone(damage):
         def damaged(frame):
             if frame.ftype == transport.OT_MSG:
                 blob = frame.payload
-                row_bytes, rest = divmod(len(blob) - 4 - flips_bytes,
-                                         ot.KAPPA)
+                row_bytes, rest = divmod(len(blob) - 4, ot.KAPPA)
                 seen.append((row_bytes, rest))
                 if damage == "truncated":
                     blob = blob[:-1]
                 elif damage == "oversized":
                     most = params.m.bit_length() * n
-                    blob = blob[:4] + bytes(ot.KAPPA * (most // 8 + 2)) + \
-                        blob[-flips_bytes:]
+                    blob = blob[:4] + bytes(ot.KAPPA * (most // 8 + 2))
                 else:
                     at = 4 + column * row_bytes
                     blob = blob[:at] + bytes([blob[at] ^ 0xff]) + \
@@ -1568,6 +1603,38 @@ def test_fh_duplicates_get_distinct_orders_in_rank_interval():
             pairs = [(paillier.decrypt(sk, e.cipher), e.order)
                      for e in ctx["table"].entries()]
             assert rank_interval_holds(pairs, 7, y)
+        assert not cluster.errors
+    finally:
+        cluster.close()
+
+
+# Pearson's chi-square at its 0.1% point, by degrees of freedom
+CHI2_999 = {3: 16.266, 5: 20.515}
+
+
+@pytest.mark.parametrize("data", [[3, 7, 7, 7, 12], [7] * 5])
+def test_fh_copies_land_by_a_coin_per_equal_node(data):
+    # a copy of 7 goes into a gap of its run, or at one of its ends, with
+    # the oracle's exact probability: over [3, 7, 7, 7, 12] 1/4 in each
+    # of gaps 1 to 4, over [7] * 5 1/8, 1/8, 1/4, 1/8, 1/8, 1/4 in gaps
+    # 0 to 5.  Each seeded encrypt is removed again by cleanup, so every
+    # one sees the same table.
+    samples = 240
+    want = fh_gap_distribution(sorted(data), 7)
+    cluster, ctx = make_cluster(data, seed=67, params=fh_params())
+    table = ctx["table"]
+    try:
+        gaps = Counter()
+        for _ in range(samples):
+            cluster.encrypt(7)
+            gap, = [i for i, e in enumerate(table.entries())
+                    if e.tag is not None]
+            gaps[gap] += 1
+            assert cluster.da.cleanup() == 1
+        assert set(gaps) <= set(want)
+        chi2 = sum((gaps[g] - samples * p) ** 2 / (samples * p)
+                   for g, p in want.items())
+        assert chi2 < CHI2_999[len(want) - 1], gaps
         assert not cluster.errors
     finally:
         cluster.close()

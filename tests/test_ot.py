@@ -1,4 +1,4 @@
-"""Oblivious transfer: base OT, IKNP extension, derandomized transfers."""
+"""Oblivious transfer: base OT, IKNP extension, chosen-input transfers."""
 
 import functools
 import hashlib
@@ -64,11 +64,11 @@ def linked_pair(seed, group=ot.GROUP_TEST):
     return sender, receiver
 
 
-def new_batch(sender, receiver, count):
-    """A fresh extension batch of count OTs: the sender's side and the
-    receiver's."""
-    blob, r_batch = receiver.extend(count)
-    return sender.extend(blob, count), r_batch
+def new_batch(sender, receiver, bits):
+    """A fresh extension batch of one OT per choice bit: the sender's
+    side and the receiver's."""
+    blob, r_batch = receiver.extend(bits)
+    return sender.extend(blob, len(bits)), r_batch
 
 
 def label_rows(pairs):
@@ -82,21 +82,19 @@ def label_ints(rows):
     return [int.from_bytes(row.tobytes(), "big") for row in rows]
 
 
-def transfer(sender, receiver, batches, pairs, bits):
-    """One transfer of int label pairs from batches, the flips and the
-    reply carried by the caller as an engine carries them in its frames;
+def transfer(sender, receiver, batches, pairs):
+    """One transfer of int label pairs over the batches' next OTs, the
+    reply carried by the caller as an engine carries it in its frames;
     returns the received labels as ints."""
     s_batch, r_batch = batches
-    flips, chosen = receiver.choose(r_batch, bits)
-    pads = sender.accept(s_batch, flips, len(pairs))
     return label_ints(receiver.receive_pairs(
-        chosen, sender.send_pairs(pads, label_rows(pairs))))
+        r_batch, sender.send_pairs(s_batch, label_rows(pairs)), len(pairs)))
 
 
-def linked_batch(seed, count):
-    """linked_pair and a first batch of count OTs."""
+def linked_batch(seed, bits):
+    """linked_pair and a first batch of one OT per choice bit."""
     sender, receiver = linked_pair(seed)
-    return sender, receiver, new_batch(sender, receiver, count)
+    return sender, receiver, new_batch(sender, receiver, bits)
 
 
 def random_round(rng, n):
@@ -177,31 +175,27 @@ def test_base_ot_send_checks_every_key_before_exponentiating(monkeypatch):
 def test_ot_exchange_all_zero_choices():
     rng = make_rng(7)
     pairs = [(rng.getrandbits(128), rng.getrandbits(128)) for _ in range(10)]
-    got = transfer(*linked_batch(1, 10), pairs, [0] * 10)
+    got = transfer(*linked_batch(1, [0] * 10), pairs)
     assert got == [p[0] for p in pairs]
 
 
 def test_ot_exchange_random_choices_16():
     pairs, bits = random_round(make_rng(11), 16)
-    got = transfer(*linked_batch(2, 16), pairs, bits)
+    got = transfer(*linked_batch(2, bits), pairs)
     assert got == [p[b] for p, b in zip(pairs, bits)]
 
 
 def test_ot_exchange_length_mismatch():
     # the receiver chose two labels, the sender holds one pair: a reply
-    # of the wrong length, or the flips themselves, fail
-    sender, receiver, (s_batch, r_batch) = linked_batch(0, 2)
-    with pytest.raises(ProtocolError):
-        flips, chosen = receiver.choose(r_batch, [0, 1])
-        pads = sender.accept(s_batch, flips, 1)
-        receiver.receive_pairs(chosen, sender.send_pairs(
-            pads, label_rows([(0, (1 << 128) - 1)])))
-    sender, receiver, (s_batch, r_batch) = linked_batch(0, 1)
-    flips, chosen = receiver.choose(r_batch, [0])
-    pads = sender.accept(s_batch, flips, 1)
+    # of the wrong length fails, and so does one cut short
+    sender, receiver, (s_batch, r_batch) = linked_batch(0, [0, 1])
+    reply = sender.send_pairs(s_batch, label_rows([(0, (1 << 128) - 1)]))
     with pytest.raises(ProtocolError, match="length"):
-        receiver.receive_pairs(chosen, sender.send_pairs(
-            pads, label_rows([(0, 1)]))[:-1])
+        receiver.receive_pairs(r_batch, reply, 2)
+    sender, receiver, (s_batch, r_batch) = linked_batch(0, [0])
+    reply = sender.send_pairs(s_batch, label_rows([(0, 1)]))
+    with pytest.raises(ProtocolError, match="length"):
+        receiver.receive_pairs(r_batch, reply[:-1], 1)
 
 
 def test_extension_survives_multiple_batches():
@@ -210,22 +204,23 @@ def test_extension_survives_multiple_batches():
     rng = make_rng(3)
     sender, receiver = linked_pair(1)
     for n, transfers in ((6, 1), (40, 5)) * 2:
-        s_batch, r_batch = new_batch(sender, receiver, n * transfers)
-        for _ in range(transfers):
-            pairs, bits = random_round(rng, n)
-            flips, chosen = receiver.choose(r_batch, bits)
-            pad_pairs = sender.accept(s_batch, flips, n)
-            # both sides hold the pad row of each chosen label, and only
-            # it: the sender's pad pairs are swapped by the flips
-            pads = chosen[1]
-            choice = np.array(bits)
-            held = pad_pairs[np.arange(n), choice]
-            other = pad_pairs[np.arange(n), 1 - choice]
-            assert np.array_equal(held, pads)
-            assert (other != pads).any(axis=1).all()
-            assert label_ints(receiver.receive_pairs(
-                chosen, sender.send_pairs(pad_pairs, label_rows(pairs)))) == \
-                [p[b] for p, b in zip(pairs, bits)]
+        rounds = [random_round(rng, n) for _ in range(transfers)]
+        bits = [b for _, round_bits in rounds for b in round_bits]
+        s_batch, r_batch = new_batch(sender, receiver, bits)
+        # both sides hold the pad row of each chosen label, and only it;
+        # the rows past the choices, up to a multiple of 8, choose 0
+        pad_pairs, = s_batch._arrays
+        choices, pads = r_batch._arrays
+        m = len(pads)
+        assert m == -(-len(bits) // 8) * 8 and len(pad_pairs) == m
+        assert choices.tolist() == bits + [0] * (m - len(bits))
+        held = pad_pairs[np.arange(m), choices]
+        other = pad_pairs[np.arange(m), 1 - choices]
+        assert np.array_equal(held, pads)
+        assert (other != pads).any(axis=1).all()
+        for pairs, round_bits in rounds:
+            assert transfer(sender, receiver, (s_batch, r_batch), pairs) == \
+                [p[b] for p, b in zip(pairs, round_bits)]
     assert sender._batch == receiver._batch == 4
 
 
@@ -234,7 +229,8 @@ def test_a_batch_is_refused_unless_new_and_whole():
     # tweaks under s; a refused batch leaves the taken one in use
     sender, receiver = linked_pair(12)
     rng = make_rng(13)
-    (first, _), (second, _), (third, r_third) = (receiver.extend(16)
+    pairs, bits = random_round(rng, 16)
+    (first, _), (second, _), (third, r_third) = (receiver.extend(bits)
                                                  for _ in range(3))
     s_second = sender.extend(second, 16)
     for blob in (second, first):
@@ -248,12 +244,11 @@ def test_a_batch_is_refused_unless_new_and_whole():
             sender.extend(blob, most)
     # the receiver's pads are those of the third batch, the sender's
     # those of the second, so a transfer between them goes wrong
-    pairs, bits = random_round(rng, 16)
-    assert transfer(sender, receiver, (s_second, r_third), pairs, bits) != \
+    assert transfer(sender, receiver, (s_second, r_third), pairs) != \
         [p[b] for p, b in zip(pairs, bits)]
-    batches = new_batch(sender, receiver, 9)
     pairs, bits = random_round(rng, 16)
-    assert transfer(sender, receiver, batches, pairs, bits) == \
+    batches = new_batch(sender, receiver, bits)
+    assert transfer(sender, receiver, batches, pairs) == \
         [p[b] for p, b in zip(pairs, bits)]
     assert sender._batch == receiver._batch == 4
 
@@ -272,33 +267,9 @@ def test_prg_is_shake128_per_seed_and_batch():
 def test_receiver_cannot_use_wrong_pad():
     # the non-chosen branch decrypts to garbage, not the other label
     pairs = [(0, (1 << 128) - 1)]
-    got = transfer(*linked_batch(4, 1), pairs, [0])
+    got = transfer(*linked_batch(4, [0]), pairs)
     assert got[0] == pairs[0][0]
     assert got[0] != pairs[0][1]
-
-
-@pytest.mark.parametrize("damage", ["short", "long", "padded"])
-def test_malformed_flips_spend_the_pads_and_keep_the_pools_in_step(damage):
-    # the sender spends the batch's pads for a 35-bit flip vector before
-    # it checks it, as the receiver spent them to make it, so the two
-    # ends' copies of the batch stay in step; bits go least significant
-    # first, so the top five bits of the fifth byte are padding
-    sender, receiver, batches = linked_batch(6, 6 * 35)
-    s_batch, r_batch = batches
-    rng = make_rng(7)
-    for _ in range(3):
-        flips, _ = receiver.choose(r_batch, random_round(rng, 35)[1])
-        flips = {"short": flips[:-1], "long": flips + b"\0",
-                 "padded": flips[:-1] + bytes([flips[-1] | 0x80])}[damage]
-        with pytest.raises(ProtocolError, match="choice vector"):
-            sender.accept(s_batch, flips, 35)
-        # no transfer was accepted, so none can run
-        with pytest.raises(ProtocolError, match="no OT transfer"):
-            sender.send_pairs(None, random_round(rng, 35)[0])
-    for _ in range(3):
-        pairs, bits = random_round(rng, 35)
-        assert transfer(sender, receiver, batches, pairs, bits) == \
-            [p[b] for p, b in zip(pairs, bits)]
 
 
 @functools.cache
@@ -308,87 +279,73 @@ def shared_pair():
     return linked_pair(14)
 
 
-def damaged(flips, n, kind):
-    """flips cut by a byte, grown by one, or, where n leaves padding
-    bits in the last byte, with the top one set."""
-    if kind == "padded" and n % 8:
-        return flips[:-1] + bytes([flips[-1] | 0x80])
-    return flips + b"\0" if kind == "long" else flips[:-1]
-
-
 @settings(max_examples=40, deadline=None)
 @given(sizes=st.lists(st.integers(1, 40), min_size=1, max_size=5).filter(
            lambda sizes: sum(sizes) % 8),
-       damage=st.lists(st.sampled_from([None, "short", "long", "padded"]),
-                       min_size=5, max_size=5),
        overdraw=st.booleans(), seed=st.integers(0, 2**64 - 1))
 def test_transfers_take_the_chosen_labels_and_keep_pads_in_step(
-        sizes, damage, overdraw, seed):
-    # one batch of one to five transfers, its count not a multiple of 8,
-    # so m rounds it up and leaves 1 to 7 spare pads; a damaged flip
-    # vector fails at the sender after both ends spent its pads, so
-    # every later transfer of the batch still takes the chosen labels
+        sizes, overdraw, seed):
+    # one chosen-input batch serves one to five transfers, its count not
+    # a multiple of 8, so m rounds it up and leaves 1 to 7 spare OTs;
+    # each transfer spends its OTs at both ends, so each takes exactly
+    # the chosen labels
     sender, receiver = shared_pair()
     rng = make_rng(seed)
-    batches = new_batch(sender, receiver, sum(sizes))
+    rounds = [random_round(rng, n) for n in sizes]
+    batches = new_batch(sender, receiver,
+                        [b for _, bits in rounds for b in bits])
     s_batch, r_batch = batches
-    for n, kind in zip(sizes, damage):
-        pairs, bits = random_round(rng, n)
-        if kind is None:
-            assert transfer(sender, receiver, batches, pairs, bits) == \
-                [p[b] for p, b in zip(pairs, bits)]
-            continue
-        flips, _ = receiver.choose(r_batch, bits)
-        with pytest.raises(ProtocolError, match="choice vector"):
-            sender.accept(s_batch, damaged(flips, n, kind), n)
+    for pairs, bits in rounds:
+        assert transfer(sender, receiver, batches, pairs) == \
+            [p[b] for p, b in zip(pairs, bits)]
     spare = -sum(sizes) % 8
+    pairs, _ = random_round(rng, spare + overdraw)
     if overdraw:
         # a transfer beyond the batch spends its rest at both ends
-        with pytest.raises(UsageError, match="used up"):
-            receiver.choose(r_batch, [0] * (spare + 1))
         with pytest.raises(ProtocolError, match="used up"):
-            sender.accept(s_batch, bytes(1), spare + 1)
+            sender.send_pairs(s_batch, label_rows(pairs))
+        with pytest.raises(UsageError, match="used up"):
+            receiver.receive_pairs(r_batch, bytes(32 * len(pairs)),
+                                   len(pairs))
     else:
-        pairs, bits = random_round(rng, spare)
-        assert transfer(sender, receiver, batches, pairs, bits) == \
-            [p[b] for p, b in zip(pairs, bits)]
-    with pytest.raises(UsageError, match="used up"):
-        receiver.choose(r_batch, [0])
+        # the spare OTs chose 0
+        assert transfer(sender, receiver, batches, pairs) == \
+            [p[0] for p in pairs]
     with pytest.raises(ProtocolError, match="used up"):
-        sender.accept(s_batch, bytes(1), 1)
+        sender.send_pairs(s_batch, label_rows(pairs[:1]))
+    with pytest.raises(UsageError, match="used up"):
+        receiver.receive_pairs(r_batch, bytes(32), 1)
 
 
 def test_phantom_transfers_then_real_ones():
-    # a phantom transfer is chosen and accepted but never runs; it only
-    # spends its pads, at both ends, in one batch and across batches
+    # a phantom transfer is a reply the sender made that never reached
+    # the receiver, as when a session aborts in flight; its batch is
+    # dropped with the session, and the next batch serves real transfers
     sender, receiver = linked_pair(8)
     rng = make_rng(9)
     for phantoms in (1, 2, 0, 3):
-        batches = new_batch(sender, receiver, 7 * (phantoms + 1))
-        s_batch, r_batch = batches
-        for _ in range(phantoms):
-            flips, _ = receiver.choose(r_batch, random_round(rng, 7)[1])
-            sender.accept(s_batch, flips, 7)
         pairs, bits = random_round(rng, 7)
-        assert transfer(sender, receiver, batches, pairs, bits) == \
+        s_batch, _ = new_batch(sender, receiver, bits * (phantoms + 1))
+        for _ in range(phantoms):
+            sender.send_pairs(s_batch, label_rows(pairs))
+        batches = new_batch(sender, receiver, bits)
+        assert transfer(sender, receiver, batches, pairs) == \
             [p[b] for p, b in zip(pairs, bits)]
-    assert sender._batch == receiver._batch == 4
-    # a reply needs accepted pads, and its labels a chosen transfer
-    with pytest.raises(ProtocolError, match="no OT transfer"):
-        sender.send_pairs(None, pairs)
-    with pytest.raises(UsageError):
-        receiver.receive_pairs(None, bytes(7 * 32))
+    assert sender._batch == receiver._batch == 8
 
 
-def test_accept_beyond_the_batch_is_refused():
-    # 9 OTs make a batch of 16: a transfer of 9 leaves 7, too few for 8
-    sender, receiver, (s_batch, r_batch) = linked_batch(10, 9)
-    flips, _ = receiver.choose(r_batch, [1] * 9)
-    sender.accept(s_batch, flips, 9)
-    with pytest.raises(UsageError, match="used up"):
-        receiver.choose(r_batch, [1] * 8)
+def test_a_transfer_beyond_the_batch_is_refused():
+    # 9 OTs make a batch of 16: a transfer of 9 leaves 7, too few for 8;
+    # the sender's check holds against a receiver that sent too small a
+    # batch
+    sender, receiver, batches = linked_batch(10, [1] * 9)
+    s_batch, r_batch = batches
+    pairs, _ = random_round(make_rng(11), 9)
+    assert transfer(sender, receiver, batches, pairs) == [p[1] for p in pairs]
     with pytest.raises(ProtocolError, match="used up"):
-        sender.accept(s_batch, bytes(1), 8)
+        sender.send_pairs(s_batch, label_rows(pairs[:8]))
+    with pytest.raises(UsageError, match="used up"):
+        receiver.receive_pairs(r_batch, bytes(8 * 32), 8)
 
 
 def test_malformed_group_element_rejected():

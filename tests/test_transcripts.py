@@ -121,15 +121,12 @@ def test_loopback_and_tcp_identical_under_integrity(scheme):
 
 
 # SHA-256 of each channel's transcript, its sent frames concatenated, in
-# seeded runs of protocol 11: det, fh and Pedersen on a 256-bit key, det
+# seeded runs of protocol 12: det, fh and Pedersen on a 256-bit key, det
 # on a 1024-bit key, whose N^2 of 2048 bits takes encryption through
 # modexp.FixedBase, and det with a session the server aborts in its
 # second round, then two good ones, so the ABORT frames and the OT
-# batches that follow an abort are pinned too.  The first four were
-# recorded when labels and OT pads were still 128-bit ints end to end,
-# the abort case when each OT end still held its session's batch, so a
-# change to how either is held that moves a byte at both ends alike,
-# which loopback == TCP cannot see, fails here.
+# batches that follow an abort are pinned too.  A change that moves a
+# byte at both ends alike, which loopback == TCP cannot see, fails here.
 PINNED_CASES = {
     "det": {},
     "fh": {"mode": "fh"},
@@ -141,73 +138,73 @@ PINNED_CASES = {
 PINNED_DIGESTS = {
     "det": {
         "csp->da":
-            "30b516f936bfe2eb2e5cd41c2e5f50f4993ab24a7bb1996f2afd2c7a4c65d431",
+            "084b60187bf1e9104754846d011d468185fdab61b2e8454539861418efcdd581",
         "csp->do":
-            "f4a6ad931cb69e77033b6ef966a4bafae81122528b2e1593596c4349414fba26",
+            "1b1dbbe5c580c40a902243fde2a2e45e946aa3fefe4a2cd5faae80e4d89cd928",
         "da->csp":
-            "4aa0f7f53ca83607881093d3951375474da75efef882e56b45bcc633b4c384b1",
+            "9f1b8d0f87980a2efbe87b89966c3222efb9352c4b89b68978b1ad94ec0d213a",
         "da->do":
-            "26e134394045d382ed2fe75e27c36a1c253bee1e8e1529afda25225a7dbec534",
+            "0c3e9d28985ba6d2b8708e15898a491fb489308ba2e526571a0d97f4ff2c257a",
         "do->csp":
-            "9639163a12f8c844333250b95ad040527f47adeb564b06a8acb2f57dd27fd698",
+            "deb1d9b02188be82852f37c4ae20b4e49e3f79e5d1f3af308e4e5de4a789c00e",
         "do->da":
-            "a8ee557f65600f1dad526e92a0512b823e43f5c441324392351c9447a3d3d310",
+            "32e302c122a691a5bdceb2b048cea6bb549c15899cec595e56e360b03fc06374",
     },
     "fh": {
         "csp->da":
-            "7abc6952f48bc97baaf1f216d41edc2d4e310deb62de66b8096136a066a82cad",
+            "14d3a1fa71434e372fdfe5ed4e0092a3ce348ddf66272aeedb61aae9fecbc4cb",
         "csp->do":
-            "d161dc70b924d423b2ef416412f07721aa8dd66ce40d65cf741c4172151f4963",
+            "a34fa68921429af61d0bd609668850169cede929b713c087ca86cae5f1716149",
         "da->csp":
-            "c0e1ae30ab5871f00251a045b28cdd19140c43e259a9ec8c583e9e49056c8a8d",
+            "757425567bb723fde3a23166abf0679b1e573d6eb0bad058ddd0ddd07122cfa9",
         "da->do":
-            "3e4007dcecc94e1b49bd637119046878e038a4d6ad78011c0f474f7f9a685672",
+            "86fda25f47f6937377ba4d519c7020b29dfe4bd894b2718fc2cf4e4a204791b8",
         "do->csp":
-            "d9f4033c6db9b1f48bbfcc0c7dbd4cbdcb324579de59bb235461c77baf3d61ab",
+            "7591609b17a63d833ae924665405c659fa573e8151862c7bb2dbfa68017748cc",
         "do->da":
-            "7a0c7a8eb8ff30c73c3cad40a46b4059d6b0b4aaf7b330ba31541aad43116c2f",
+            "e983c6213cb2118c8c733f4d0298c2a9c2bfa4f55c5e6f25c7a7f9cbfdaf6715",
     },
     "pedersen": {
         "csp->da":
-            "9493093f66699487f707ba875785e092c14dd14204f755513cefb17f39bbb3f7",
+            "2243cd54dbc0b9c345199af1f2e368a117fb32d274b326bdedf5b8f280e2919a",
         "csp->do":
-            "a5dc39787a5f22a9436fd637d20fd3d950c35b96894dee17e2e9ba5942f8c18b",
+            "bddf2dd9cc8c046989fd6f81448df0d9dbf48fca7bf12fada15614012c630f3e",
         "da->csp":
-            "532499ce409a96fca569b1ad2460dc3499a9086a68ba63155a6e99d48a2ef28d",
+            "a7300afb35a0dc8e5dc831e90a0741e290d1d073f5fcec2e796ab9b8b8e5c379",
         "da->do":
-            "fbd93baba84fcf921e3f08d55455ee3a4445dd91612fa9705df119b5b54493a0",
+            "fbe4dcdd19efb045e3cbd7d7e1cd89ca244d2cf610f96699a87338d199d0d5c7",
         "do->csp":
-            "77fb067a55a39e230d7ec28b01946135fef58830ee812dfa778683f1b0187660",
+            "bbcaf73e0db5ebc9872f5a061e2f8f0bc2c3cdb556691b1fb353cfc8a8f63fcf",
         "do->da":
-            "f002ab11f9df65cbfddd3a1e46db916f264386fb00e3cba3e16fdb919d9c9e39",
+            "e40909476aaf484997362ffe5eaf9685bbdd19c94037c2169647126df28d5910",
     },
     "det-1024": {
         "csp->da":
-            "00efd4676df58c5797943fad8fe7bbe801b8499925783dbcf76e859c0bda78aa",
+            "9febe425b7a01863117e9a256bd653aa29b7f2d48160a1e486d18ab3f68ccdf3",
         "csp->do":
-            "31be21ec3ee84915cbc4706230502f44e6a5b5487bdbcdad7514d48e50ba87b3",
+            "f1d34c3ccbba2009ff70a133c5ed164a99d4e3e27bdfb8fc8caf3ed1ae89b104",
         "da->csp":
-            "8186435edc5cf1984e1a9b5e89e7b9304d370bbfbe4caadb2d13f2a982d6ab93",
+            "644d783d50b301f43caa95e7a97f88a45533ed7dbaceafb5ec274ac7c6dace9b",
         "da->do":
-            "5afe15cb9b159869bb31a9a4420537934d1aae262ce281ac636cdea28b30232f",
+            "d107b4cb97e0dcf136cb0e9c26a8eb0d42a674114453d0700ecdf51d6abe4857",
         "do->csp":
-            "71fca3a5961674afaf7eee820c906d9be7375199f93b7954ec03316f7019eece",
+            "203b938d645a1141964194998f68bc222825575a40f6984d44067e9b3c169936",
         "do->da":
-            "b59d3172e334ef976efa12962502cf945c5b6bf6df446d7217169b5dc10cc0b5",
+            "18f7c5a6af48214dc16fcfc31953f7460f20fb848d3e12a57b3132bccf19354a",
     },
     "abort": {
         "csp->da":
-            "69c78abd6fb4a0af559a59a68d5536f8e729fb06ea3bfc636e76e059f6f58b50",
+            "5c562946ad8daaa1bb988c06e5e9518d2ec615db74321ef6ca378f8c68797dee",
         "csp->do":
-            "6211fa8b74953de1bf8bec673a62b1d089099fcc543818161ab7dd65f6fd239c",
+            "f6ae45bc6c004e749c215004eab2e354ab05eea62e8e579c7af3724635d6f296",
         "da->csp":
-            "028ea80cacac0ddecb772bd5999e1359c6dffd079febcbcff39c08d0e58e198d",
+            "0f23b73585cb5fd062ea7f311c582f33730a65d1e0b155ddad411a639b38c888",
         "da->do":
-            "3bbc4f0813cb4b809380177173d2dbc78e331ccf96801190e17c06f83f0c127b",
+            "dc18938d32759fafa7f16b2b7042d0c460bb42df37f32a74471c6cc11c796005",
         "do->csp":
-            "98b4d6c72096a4d655beaac64bf7e3099fc19ecab1f8fa9977d1184aaccbe312",
+            "2950f6fb3d8d3bd95a79eb2669a21946028c4d6226efdfa20f4f8d35895eda43",
         "do->da":
-            "872115b18a16fa4aab774eb2e360fb6a221a77c34f82fd208d884044427e7375",
+            "74afb993106d4e3bbb7f3ba8710a1f1cf2ba2e720c95fbafb73a99e00fd2d48a",
     },
 }
 
@@ -228,7 +225,7 @@ def test_different_seeds_differ():
 @pytest.mark.parametrize("mode", ["det", "fh"])
 @pytest.mark.parametrize("scheme", [integrity.SCHEME_OFF,
                                     integrity.SCHEME_PEDERSEN])
-def test_session_frames_have_the_v11_lengths(mode, scheme):
+def test_session_frames_have_the_v12_lengths(mode, scheme):
     # every session frame has one layout, whose length follows from h,
     # the key and MAC group widths and the circuit alone
     params = ProtocolParams(l=16, k=16, m=(1 << 20) - 3, key_bits=256,
@@ -244,7 +241,6 @@ def test_session_frames_have_the_v11_lengths(mode, scheme):
     n = len(circuit.eval_inputs)
     w = paillier.cipher_width(params.key_bits)
     g = (MAC_PARAMS.p.bit_length() + 7) // 8
-    flips = (n + 7) // 8
     seen = set()
     try:
         for op, x in ((LocalCluster.encrypt, 77), (LocalCluster.encrypt, 77),
@@ -263,13 +259,13 @@ def test_session_frames_have_the_v11_lengths(mode, scheme):
                 want = {
                     transport.SESSION_START: [1],
                     transport.RANDOM_OFFSET: [16 * h],
-                    transport.OT_MSG: [4 + 16 * m + flips],
+                    transport.OT_MSG: [4 + 16 * m],
                     transport.RANDOMIZED_NODE: [w * (1 + pedersen)] * h,
                     transport.GC_PAYLOAD: [
                         32 * (len(circuit.nonfree_gates()) +
                               len(circuit.outputs)) +
                         16 * len(circuit.gen_inputs) + 32 * n] * h,
-                    transport.GC_RESULT: [1 + flips] * (h - 1) + [1],
+                    transport.GC_RESULT: [1] * h,
                     transport.SHARES: [1] * 2 * h,
                     transport.ORDER_RESULT: [16],
                     transport.SESSION_DONE: [0]}

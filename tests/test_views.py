@@ -48,9 +48,10 @@ def role_view(role, mode, scheme, data, op, xbar):
 @pytest.mark.parametrize("mode", ["det", "fh"])
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_a_round_is_four_flights(mode, scheme):
-    # node, garbled circuit with the OT reply, GC_RESULT with the next
-    # round's flips, SHARES: the first round adds the offsets and the
-    # first flips, and the session adds SESSION_START and ORDER_RESULT
+    # node, garbled circuit with the OT reply, GC_RESULT, SHARES: the
+    # first round adds the offsets and the session's OT batch, which
+    # holds every round's choices, and the session adds SESSION_START
+    # and ORDER_RESULT
     data = list(range(100, 2100, 100))
     pedersen = scheme == integrity.SCHEME_PEDERSEN
     with views.tap() as tap:
@@ -70,7 +71,7 @@ def test_a_round_is_four_flights(mode, scheme):
                     tap.stamp(transport.SESSION_START, sid)
                 assert flights <= 4 * h + 3, (op, h, flights)
                 counts = Counter(f.ftype for f in tap.session_frames(sid))
-                # the extension batch with the first flips
+                # one extension batch per session, and no OT frame after
                 assert counts.pop(transport.OT_MSG) == 1
                 per_round = [transport.RANDOMIZED_NODE, transport.GC_PAYLOAD,
                              transport.GC_RESULT, transport.SHARES,
