@@ -17,10 +17,17 @@ the analyst returns the masked outputs to the owner (GC_RESULT), and
 each sends the server its masks and the outputs with its own mask taken
 off (SHARES).  A session always runs exactly h = ceil(log2(n+1))
 comparison rounds, in every mode and for every op, and each of them
-sends the owner one blinded node; once the search stops, the remaining
-rounds replay the same node so neither the owner nor the analyst learns
-where the value landed, and the server ignores their bits
-(CspEngine.run_session).  The analyst learns only the order, and the
+sends the owner one blinded node, so neither the owner nor the analyst
+learns where the search stopped (but under Pedersen the analyst reads
+each node's commitment in INTEGRITY_TAG, and so tells the sentinel's
+rounds, as it told a replayed node's).  The rounds after the search
+stops compare a sentinel, not a table node: 2^l, above every plaintext,
+so their bits are those of xbar < 2^l whatever the coins, and the
+server ignores them (CspEngine.run_session).  The server encrypts the
+sentinel itself; under Pedersen set-up tags it (OpeTable.sentinel_tag).
+A replay of the stop node would show the server, in fh, whether that
+node equals xbar: an unequal node repeats its bit, an equal one tosses
+a fresh coin every round.  The analyst learns only the order, and the
 owner nothing about the query.
 
 A round is four one-way flights: the node (RANDOMIZED_NODE), the
@@ -149,11 +156,13 @@ In frequency-hiding mode the circuit emits a single traversal bit that
 hides equality behind a coin (comparator.build_fh_comparator), and
 duplicates get fresh orders.  An encrypt tosses a fresh coin, shared by
 owner and analyst, at every equal node, which is FH-OPE's insertion
-rule (Kerschbaum, CCS 2015).  The search stops at its first empty half,
-and the copy goes into the gap there, always inside or at an end of the
-value's run.  The placement is not uniform over the run's gaps: a gap's
-probability is 2^-e, e being the number of equal nodes the search
-compares against on its way there, its last node included.  Over
+rule (Kerschbaum, CCS 2015).  A session compares each table node at
+most once, so the server sees one bit per node, a coin or the order.
+The search stops at its first empty half, and the copy goes into the
+gap there, always inside or at an end of the value's run.  The
+placement is not uniform over the run's gaps: a gap's probability is
+2^-e, e being the number of equal nodes the search compares against on
+its way there, its last node included.  Over
 [3, 7, 7, 7, 12] a new 7 lands in each of gaps 1 to 4 with probability
 1/4; over [7] * 5 a new 7 lands in gaps 0 to 5 with probabilities
 1/8, 1/8, 1/4, 1/8, 1/8, 1/4.
@@ -450,6 +459,9 @@ class CspEngine:
         self.params = params
         self.rng = rng or make_rng()
         self._blind = None  # the next round's blind, made but never sent
+        # the sentinel 2^l, above every plaintext, encrypted under
+        # randomness 1: each round's blind rerandomizes what is sent
+        self._sentinel = 1 + (1 << params.l) * pk.n
 
     def attach(self, do_ch, da_ch):
         self.do_ch, self.da_ch = do_ch, da_ch
@@ -520,13 +532,17 @@ class CspEngine:
             # midpoint of [lo, hi), and the search moves to the half the
             # comparison names.  It stops at a det equal node (b_e = 0)
             # or at its first empty half; the round where it stops fixes
-            # the outcome, and later rounds replay its node and their
-            # bits are ignored, since an fh coin could move it again
+            # the outcome.  Later rounds compare the sentinel, above
+            # every plaintext, so their bits do not depend on the coins
+            # or on whether the stop node equals xbar, and are ignored
+            sentinel = OpeEntry(self._sentinel, table.m,
+                                node_tag=table.sentinel_tag)
             lo, hi = 0, len(table)
             b_e, side, searching = 1, 0, True
             for rnd in range(h):
                 mid = (lo + hi) // 2
-                self._blind_node(sid, table.entry_at(mid), blind,
+                self._blind_node(sid, table.entry_at(mid) if searching
+                                 else sentinel, blind,
                                  offsets if rnd == 0 else None)
                 # the next round's blind is made while owner and analyst
                 # work on this round; the last round's, whose offset

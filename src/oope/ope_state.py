@@ -65,6 +65,7 @@ class OpeTable:
         self.m = m
         self.key_id = key_id
         self._entries = []
+        self.sentinel_tag = None  # the integrity tag of 2^l (init_state)
 
     def __len__(self):
         return len(self._entries)
@@ -190,7 +191,9 @@ def init_state(dataset, m: int, pk: paillier.PaillierPublicKey, l: int,
     over the sorted table is the balanced tree over these orders,
     whatever order they were inserted in.  tagger, when given, is called
     with each plaintext to produce the integrity tag stored next to the
-    entry.
+    entry, and last with 2^l, above every plaintext, for the tag of the
+    sentinel that a session's rounds after its search stops compare
+    (engine.CspEngine.run_session).
 
     Ciphertexts and tags are filled in once every order is placed, in
     table order.  Every encryption's short exponent alpha
@@ -240,5 +243,7 @@ def init_state(dataset, m: int, pk: paillier.PaillierPublicKey, l: int,
                       jobs)
     for entry, node_tag, cipher in zip(table.entries(), node_tags, ciphers):
         entry.cipher, entry.node_tag = cipher, node_tag
+    if tagger is not None:
+        table.sentinel_tag = tagger(1 << l)
     return OwnerState([(x, e.order) for x, e in zip(dataset, placed)]), table
 

@@ -522,7 +522,8 @@ def test_no_blind_is_sent_twice():
     # a session's offsets all go out with its first node, and the blind
     # made in its last round serves the next session's first, so blinds
     # survive aborts; still no offset and no blinded node repeats, and
-    # each node is blinded by its own round's offset
+    # each node, a table plaintext or after the search stops the
+    # sentinel 2^l, is blinded by its own round's offset
     params = small_params()
     data = list(range(100, 3100, 100))
     cluster, ctx = make_cluster(data, seed=51, params=params, record=True)
@@ -567,7 +568,7 @@ def test_no_blind_is_sent_twice():
         records = [r for rs in offsets.values() for r in rs]
         assert len(records) >= 7 * h
         assert len(set(records)) == len(records)
-        sk, plain = ctx["sk"], set(data) | set(queries)
+        sk, plain = ctx["sk"], set(data) | set(queries) | {1 << params.l}
         for sid, blobs in nodes.items():
             # the first aborted session sent one node for h offsets
             assert len(blobs) in (1, len(offsets[sid]))
@@ -825,8 +826,8 @@ def test_an_ot_batch_too_small_for_the_rounds_aborts_where_it_runs_out(
 
 def test_bits_after_the_search_stops_are_ignored():
     # over [10, 20, 25, 32, 69] the search for 25 stops at its first
-    # node, an equal one; the later rounds replay that node, and bits that
-    # would move the search from there change nothing
+    # node, an equal one; the later rounds compare the sentinel 2^l, and
+    # bits that would move the search from there change nothing
     cluster, ctx = make_cluster(EXAMPLE, seed=65)
     real = cluster.csp._shares
     bits = []
@@ -840,7 +841,7 @@ def test_bits_after_the_search_stops_are_ignored():
         assert ctx["table"].height == 3
         assert cluster.encrypt(25) == \
             Mope2Oracle(cluster.da.params.m).load(EXAMPLE).encrypt(25)
-        assert bits == [(0, 0)] * 3
+        assert bits == [(0, 0), (1, 0), (1, 0)]
         assert not cluster.errors
     finally:
         cluster.close()

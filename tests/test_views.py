@@ -1,8 +1,9 @@
 """The privacy contract and the round's shape, seen from each role:
 what the owner and the analyst see depends on nothing they must not
-learn, and a round costs four one-way flights."""
+learn, the server sees one bit per table node, and a round costs four
+one-way flights."""
 
-from collections import Counter
+from collections import Counter, defaultdict
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -118,3 +119,45 @@ def test_analyst_view_is_the_same_for_tables_of_one_size(mode, scheme, size,
     first, second = (role_view("da", mode, scheme, data, op, xbar)
                      for data in tables)
     assert first == second
+
+
+def stop_round(n, bits):
+    """The index of the round at which the server's search over n
+    entries stops, given each round's (b_e, side)."""
+    lo, hi = 0, n
+    for rnd, (b_e, side) in enumerate(bits):
+        mid = (lo + hi) // 2
+        if b_e and side and mid + 1 < hi:
+            lo = mid + 1
+        elif b_e and not side and lo < mid:
+            hi = mid
+        else:
+            return rnd
+
+
+def test_rounds_after_the_stop_show_the_server_nothing():
+    # over [3, 7, 7, 7, 12] a copy of 7 stops at node 1, a 7, in round 2
+    # when its coins are 0 then 1, with round 3 to go.  The bits of the
+    # rounds after a stop must follow from those before it alike for
+    # every xbar: a replay of an equal stop node tossed a fresh coin,
+    # where an unequal one (13 stops at node 4 in round 2) repeats its bit
+    data = [3, 7, 7, 7, 12]
+    cluster, _ = build("fh", integrity.SCHEME_OFF, data)
+    real = cluster.csp._shares
+    tails = defaultdict(set)
+    try:
+        for xbar in [7] * 40 + [13, 5, 12]:
+            bits = []
+            cluster.csp._shares = lambda sid: bits.append(real(sid)) or \
+                bits[-1]
+            cluster.da.encrypt(xbar)
+            assert cluster.da.cleanup() == 1
+            stop = stop_round(len(data), bits) + 1
+            tails[tuple(bits[:stop])].add(tuple(bits[stop:]))
+        assert all(len(tail) == 1 for tail in tails.values()), tails
+        assert {((1, 0), (1, 1)), ((1, 1), (1, 1))} <= set(tails)
+        # the sentinel's bits, xbar < 2^l, in every round after a stop
+        assert {bit for tail, in tails.values() for bit in tail} == {(1, 0)}
+        assert not cluster.errors
+    finally:
+        cluster.close()
