@@ -1,10 +1,11 @@
 """Boolean comparator circuits.
 
 One circuit computes both the inequality bit [xbar != x] and the
-greater-than bit [xbar > x] over w-bit inputs, then XORs each output
-with one masking bit from every party, so only a party holding both
-masks can unmask a result.  The frequency-hiding variant folds a coin
-into the same circuit and emits a single masked traversal bit.
+greater-than bit [xbar > x] over w-bit inputs, and outputs them as they
+are: garbled, an output is a label that only the holder of its decode
+hashes, the server, can map to its bit (garbling).  The
+frequency-hiding variant folds a coin into the same circuit and emits a
+single traversal bit.
 
 Circuits have two gate kinds, XOR and AND, and one constant wire, ONE
 (wire 0), which holds 1: NOT a is XOR(a, ONE), and the comparators
@@ -22,9 +23,8 @@ cost.  The frequency-hiding circuit adds two AND gates and one level:
 Bit order is LSB first.  Input wire layout (generator = key owner
 holding x, evaluator = analyst holding xbar):
 
-  comparator:      gen = x bits, b_x, b'_x       eval = xbar bits, b_xbar, b'_xbar
-  fh comparator:   gen = x bits, b_x, r_x        eval = xbar bits, b_xbar, r_xbar,
-                                                        stick
+  comparator:      gen = x bits           eval = xbar bits
+  fh comparator:   gen = x bits, r_x      eval = xbar bits, r_xbar, stick
 """
 
 from collections import namedtuple
@@ -160,19 +160,13 @@ def _compare_stages(c: BooleanCircuit, x: list, xbar: list):
 
 
 def build_comparator(width: int) -> BooleanCircuit:
-    """Masked equality/greater-than circuit over width-bit inputs.
-
-    Outputs ([xbar != x] ^ b_x ^ b_xbar, [xbar > x] ^ b'_x ^ b'_xbar).
-    """
+    """Equality/greater-than circuit over width-bit inputs, with
+    outputs ([xbar != x], [xbar > x])."""
     if width < 1:
         raise DomainError("comparator width must be >= 1")
     c = BooleanCircuit()
-    _inputs(c, width + 2, width + 2)
-    x, (bx, bpx) = c.gen_inputs[:width], c.gen_inputs[width:]
-    xbar, (bxb, bpxb) = c.eval_inputs[:width], c.eval_inputs[width:]
-    ce, cg = _compare_stages(c, x, xbar)
-    c.outputs = [c.emit(XOR, c.emit(XOR, ce, bx), bxb),
-                 c.emit(XOR, c.emit(XOR, cg, bpx), bpxb)]
+    _inputs(c, width, width)
+    c.outputs = list(_compare_stages(c, c.gen_inputs, c.eval_inputs))
     return c
 
 
@@ -183,24 +177,22 @@ def _mux(c: BooleanCircuit, sel: int, on_true: int, on_false: int) -> int:
 
 
 def build_fh_comparator(width: int) -> BooleanCircuit:
-    """Frequency-hiding variant: one masked traversal bit.
+    """Frequency-hiding variant: one traversal bit.
 
-    Output b ^ b_x ^ b_xbar, where b is [xbar > x] when the inputs
-    differ and, when they are equal, the coin r_xbar ^ (r_x AND NOT
-    stick).  An encrypt sets stick = 0 and a fresh r_xbar, so both
-    parties' coins count; a bound sets stick = 1 and r_xbar to its
-    side, so ties go its way whatever r_x is.
+    Output b, [xbar > x] when the inputs differ and, when they are
+    equal, the coin r_xbar ^ (r_x AND NOT stick).  An encrypt sets
+    stick = 0 and a fresh r_xbar, so both parties' coins count; a bound
+    sets stick = 1 and r_xbar to its side, so ties go its way whatever
+    r_x is.
     """
     if width < 1:
         raise DomainError("comparator width must be >= 1")
     c = BooleanCircuit()
-    _inputs(c, width + 2, width + 3)
-    x, (b_x, r_x) = c.gen_inputs[:width], c.gen_inputs[width:]
-    xbar = c.eval_inputs[:width]
-    b_xbar, r_xbar, stick = c.eval_inputs[width:]
+    _inputs(c, width + 1, width + 2)
+    x, r_x = c.gen_inputs[:width], c.gen_inputs[width]
+    xbar, (r_xbar, stick) = c.eval_inputs[:width], c.eval_inputs[width:]
 
     b_e, b_g = _compare_stages(c, x, xbar)
     coin = c.emit(XOR, r_xbar, c.emit(AND, r_x, c.emit(XOR, stick, ONE)))
-    b = _mux(c, b_e, b_g, coin)
-    c.outputs = [c.emit(XOR, c.emit(XOR, b, b_x), b_xbar)]
+    c.outputs = [_mux(c, b_e, b_g, coin)]
     return c

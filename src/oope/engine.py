@@ -7,34 +7,37 @@ them.  The search is an implicit binary search: the node of each round
 is the order at the midpoint of an index range that starts as the whole
 table and halves towards the side the comparison names, which visits
 exactly the nodes of the balanced mOPE tree over those orders.  Per
-round the server blinds the current node additively, owner and analyst
-compare the blinded values inside a garbled circuit whose outputs carry
-XOR masks from both, and the server unmasks the bits from the two share
-messages, cross-checking both reconstructions.  The round ends alike
-in both modes: owner and analyst each draw one mask bit per masked
-circuit output (ProtocolParams.masked_outputs: two in det, one in fh),
-the analyst returns the masked outputs to the owner (GC_RESULT), and
-each sends the server its masks and the outputs with its own mask taken
-off (SHARES).  A session always runs exactly h = ceil(log2(n+1))
-comparison rounds, in every mode and for every op, and each of them
-sends the owner one blinded node, so neither the owner nor the analyst
-learns where the search stopped (but under Pedersen the analyst reads
-each node's commitment in INTEGRITY_TAG, and so tells the sentinel's
-rounds, as it told a replayed node's).  The rounds after the search
-stops compare a sentinel, not a table node: 2^l, above every plaintext,
-so their bits are those of xbar < 2^l whatever the coins, and the
-server ignores them (CspEngine.run_session).  The server encrypts the
-sentinel itself; under Pedersen set-up tags it (OpeTable.sentinel_tag).
-A replay of the stop node would show the server, in fh, whether that
-node equals xbar: an unequal node repeats its bit, an equal one tosses
-a fresh coin every round.  The analyst learns only the order, and the
+round the server blinds the current node additively, the owner garbles
+a comparator over the blinded values and the analyst evaluates it.  As
+the owner sends the analyst the circuit, it sends the server the decode
+hashes of its outputs (two in det, one in fh), and the analyst sends
+the server the output labels it computed (SHARES, both); one
+garbling.decode gives the server the round's bits, and a label that
+matches neither of its hashes aborts the session.  The analyst, without
+decode hashes, learns no output, the owner sees none, and the server
+learns the bits its search needs.  By the authenticity of garbled
+circuits (Bellare, Hoang and Rogaway, CCS 2012) the analyst cannot make
+the label of an output it did not compute.  A session always runs
+exactly h = ceil(log2(n+1)) comparison rounds, in every mode and for
+every op, and each of them sends the owner one blinded node, so neither
+the owner nor the analyst learns where the search stopped (but under
+Pedersen the analyst reads each node's commitment in INTEGRITY_TAG, and
+so tells the sentinel's rounds, as it told a replayed node's).  The
+rounds after the search stops compare a sentinel, not a table node:
+2^l, above every plaintext, so their bits are those of xbar < 2^l
+whatever the coins, and the server ignores them
+(CspEngine.run_session).  The server encrypts the sentinel itself;
+under Pedersen set-up tags it (OpeTable.sentinel_tag).  A replay of
+the stop node would show the server, in fh, whether that node equals
+xbar: an unequal node repeats its bit, an equal one tosses a fresh
+coin every round.  The analyst learns only the order, and the
 owner nothing about the query.
 
-A round is four one-way flights: the node (RANDOMIZED_NODE), the
-garbled circuit with the OT reply behind it (GC_PAYLOAD), the masked
-outputs (GC_RESULT) and the shares (SHARES), five frames in all.  The
-analyst's OT choices for a round are xbar + r, its mask bits and, in
-fh, its coin and stick, and none depends on an earlier round's circuit.
+A round is three one-way flights: the node (RANDOMIZED_NODE), the
+garbled circuit with the OT reply behind it (GC_PAYLOAD) beside the
+owner's SHARES, and the analyst's SHARES, four frames in all.  The
+analyst's OT choices for a round are xbar + r and, in fh, its coin and
+stick, and none depends on an earlier round's circuit.
 The server sends the analyst every offset of the session at once, h
 16-byte records in one RANDOM_OFFSET right after the first node, so
 the analyst knows all h·n choices from then on.
@@ -50,9 +53,9 @@ session where it runs out.  A table holds at most M - 1 orders, so
 h <= M.bit_length(): the analyst refuses more offsets and the owner a
 larger batch, as it does a batch index not above the last it took.  m
 shows the owner h, as the round count does anyway.  An encrypt session
-over a non-empty table is 5h + 6 frames (SESSION_START, RANDOM_OFFSET,
+over a non-empty table is 4h + 6 frames (SESSION_START, RANDOM_OFFSET,
 the OT_MSG, ORDER_RESULT, CIPHER_UPLOAD and SESSION_DONE besides the
-rounds; a bound sends no upload) and 4h + 2 flights from SESSION_START
+rounds; a bound sends no upload) and 3h + 2 flights from SESSION_START
 to ORDER_RESULT, plus Pedersen's INTEGRITY_TAG and INTEGRITY_PROOF per
 round.
 
@@ -63,7 +66,7 @@ against ProtocolParams where an engine gets them, when constructed or,
 at the analyst, at HELLO; the server also matches the owner's key.
 
 Session state lives with its session.  The analyst keeps a session's
-batch and masks in locals of _session; the owner keeps its batch in an
+batch in locals of _session; the owner keeps its batch in an
 _OwnerSession of its serve loop, which the next session's first node
 replaces, so an OT_MSG the owner never read is stale by then.  Only the
 server's next blind, the owner's garbled pool and each OT end's base OT
@@ -72,8 +75,7 @@ and last batch index outlive a session.
 Each session frame has one layout, and says nothing that its framing,
 the parameters HELLO checked or the circuit built from them fix.  With
 w = paillier.cipher_width, g the MAC group's width (wire_group), n the
-circuit's evaluator inputs and bit vectors packed by wire.pack_bits;
-[...] is Pedersen's part:
+circuit's evaluator inputs and o its outputs; [...] is Pedersen's part:
 
   SESSION_START    op u8 | column, UTF-8
   RANDOM_OFFSET    h offsets r, 16 bytes each
@@ -82,8 +84,8 @@ circuit's evaluator inputs and bit vectors packed by wire.pack_bits;
   INTEGRITY_TAG    r', 64 bytes | commitment, g bytes
   INTEGRITY_PROOF  opening, g bytes
   GC_PAYLOAD       garbling.payload | OT reply, 32·n bytes
-  GC_RESULT        masked outputs, 1 byte
-  SHARES           masks, then masked outputs less them: 1 byte
+  SHARES           the owner's: decode hashes, 32·o bytes
+                   the analyst's: output labels, 16·o bytes
   ORDER_RESULT     order, 16 bytes
   CIPHER_UPLOAD    Enc(xbar), w bytes [| Enc(a), w bytes | commitment]
   SESSION_DONE     empty
@@ -165,7 +167,8 @@ placement is not uniform over the run's gaps: a gap's probability is
 its way there, its last node included.  Over
 [3, 7, 7, 7, 12] a new 7 lands in each of gaps 1 to 4 with probability
 1/4; over [7] * 5 a new 7 lands in gaps 0 to 5 with probabilities
-1/8, 1/8, 1/4, 1/8, 1/8, 1/4.
+1/8, 1/8, 1/4, 1/8, 1/8, 1/4.  Set-up places each copy by the same
+search (ope_state.init_state).
 
 A range query over such orders needs, for each end, the lowest or
 highest order among all copies of a value; the analyst's bound op finds
@@ -195,15 +198,17 @@ request the server cannot even start, such as a SESSION_START naming
 no known op, only concerns the analyst, and the server's serve loop
 aborts it there.  _abort also passes an abort received from one peer
 on to the other, which may be waiting on a channel the sender did not
-use: the server waits on the analyst's shares first, and the analyst,
-which has every offset, waits on the owner alone between rounds, so
-the owner relays the server's aborts, even those its serve loop reads
-while idle.  A remote SessionAborted carries the session id it names,
-which the relay repeats.  A relayed abort that finds its session over
-is dropped as stale.  A receive that times out before its frame has
-begun aborts its session like any other fault and leaves the channel
-usable (transport).  A bit vector of the wrong shape is a
-ProtocolError like any other malformed frame, and so is a
+use: the server waits on the owner's SHARES, then the analyst's.  The
+owner waits on the analyst only for the session's OT_MSG, and an abort
+the analyst sends it later lies unread until the next OT_MSG receive
+drops it as stale.  The analyst, which has every offset, waits on the
+owner alone between rounds, so the owner relays the server's aborts,
+even those its serve loop reads while idle.  A remote SessionAborted
+carries the session id it names, which the relay repeats.  A relayed
+abort that finds its session over is dropped as stale.  A receive that
+times out before its frame has begun aborts its session like any other
+fault and leaves the channel usable (transport).  A SHARES of the wrong
+length is a ProtocolError like any other malformed frame, and so is a
 RANDOM_OFFSET that is empty, not whole records or out of range, or an
 ORDER_RESULT of the wrong width or out of range.  Stale aborts from a
 dead session are dropped by session-id filtering in Channel.recv.
@@ -223,12 +228,12 @@ from .ope_state import MODE_DET, MODE_FH, OpeEntry
 from .ot import GROUP_DEFAULT, OtExtReceiver, OtExtSender
 from .rng import make_rng
 from .transport import (CIPHER_UPLOAD, CLEANUP, CLEANUP_DONE, Frame,
-                        GC_PAYLOAD, GC_RESULT, QUERY_EXEC, QUERY_RESULT,
+                        GC_PAYLOAD, QUERY_EXEC, QUERY_RESULT,
                         INTEGRITY_PROOF, INTEGRITY_TAG, NULL_SESSION,
                         ORDER_RESULT, OT_MSG, RANDOM_OFFSET, RANDOMIZED_NODE,
                         ROLE_CSP, ROLE_DA, ROLE_DO, SESSION_DONE,
                         SESSION_START, SHARES, handshake)
-from .wire import fixed_bytes, pack_bits, u16, u32, unpack_bits
+from .wire import fixed_bytes, u16, u32
 
 BOUND_LOW, BOUND_HIGH = 0, 1  # which end of a range a bound closes
 
@@ -260,12 +265,6 @@ class ProtocolParams:
         # compared values are x+r with r < 2^(l+k), so sums need one
         # extra carry bit
         return self.l + self.k + 1
-
-    @property
-    def masked_outputs(self) -> int:
-        # det's circuit emits [xbar != x] and [xbar > x], fh's one
-        # traversal bit
-        return 1 if self.mode == MODE_FH else 2
 
     def digest(self) -> bytes:
         blob = (b"oope-params" + u16(transport.PROTOCOL_VERSION) +
@@ -353,13 +352,6 @@ def _abort(e, sid, a, b) -> SessionAborted:
         err.__cause__ = e
     err.session_id = sid
     return err
-
-
-def _shares(masks, masked) -> bytes:
-    """SHARES payload: a party's mask bits, then each masked circuit
-    output with that party's mask taken off, so it still carries the
-    other party's."""
-    return pack_bits(list(masks) + [m ^ b for m, b in zip(masked, masks)])
 
 
 def _group_width(mac_params) -> int:
@@ -459,6 +451,7 @@ class CspEngine:
         self.params = params
         self.rng = rng or make_rng()
         self._blind = None  # the next round's blind, made but never sent
+        self._outputs = len(params.build_circuit().outputs)
         # the sentinel 2^l, above every plaintext, encrypted under
         # randomness 1: each round's blind rerandomizes what is sent
         self._sentinel = 1 + (1 << params.l) * pk.n
@@ -638,17 +631,15 @@ class CspEngine:
                 rp, PED_BLIND_BYTES) + commit))
 
     def _shares(self, sid):
-        """(b_e, side) from the round's two SHARES.  Each output is
-        rebuilt twice, crosswise: one peer's masked output with its mask
-        taken off, XOR the other peer's mask."""
-        n = self.params.masked_outputs
-        da = unpack_bits(self.da_ch.recv(SHARES, session=sid).payload, 2 * n)
-        do = unpack_bits(self.do_ch.recv(SHARES, session=sid).payload, 2 * n)
-        bits = [da[n + i] ^ do[i] for i in range(n)]
-        if bits != [do[n + i] ^ da[i] for i in range(n)]:
-            raise IntegrityError("comparison share reconstructions disagree")
+        """(b_e, side) from the round's two SHARES: the owner's decode
+        hashes decode the analyst's output labels, and a label that
+        matches neither of its hashes is an IntegrityError."""
+        n, size = self._outputs, garbling.LABEL_BYTES
+        hashes, = _fields(self.do_ch.recv(SHARES, session=sid), 2 * size * n)
+        labels, = _fields(self.da_ch.recv(SHARES, session=sid), size * n)
+        bits = garbling.decode(hashes, labels)
         # fh's one traversal bit always moves the search
-        return (1, bits[0]) if n == 1 else tuple(bits)
+        return (1, bits[0]) if n == 1 else bits
 
     # -- state updates --
 
@@ -694,7 +685,8 @@ class _OwnerSession:
 
 
 class DoEngine:
-    """Decrypts blinded nodes, generates circuits, sends its shares."""
+    """Decrypts blinded nodes, generates circuits, sends the decode
+    hashes to the server."""
 
     def __init__(self, sk: paillier.PaillierPrivateKey, params: ProtocolParams,
                  rng=None, mac_params=None, ot_group=GROUP_DEFAULT):
@@ -779,8 +771,7 @@ class DoEngine:
         # popped before anything is sent: an instance serves one round,
         # and one an abort leaves unsent is dropped with it
         gc = self._garbled.pop()
-        masks = [self.rng.getrandbits(1) for _ in range(p.masked_outputs)]
-        gen_bits = int_to_bits(v, p.width) + masks
+        gen_bits = int_to_bits(v, p.width)
         if p.mode == MODE_FH:
             gen_bits.append(self.rng.getrandbits(1))  # r_x, the owner's coin
         if session.batch is None:
@@ -788,13 +779,12 @@ class DoEngine:
             session.batch = self.ot_sender.extend(
                 self.da_ch.recv(OT_MSG, session=sid).payload,
                 p.m.bit_length() * len(self.circuit.eval_inputs))
-        # the OT reply rides behind the garbled circuit
+        # the OT reply rides behind the garbled circuit, and the decode
+        # hashes go to the server at once
         self.da_ch.send(Frame(
             GC_PAYLOAD, sid, garbling.payload(gc, gen_bits) +
             self.ot_sender.send_pairs(session.batch, gc.eval_label_pairs())))
-        masked = unpack_bits(self.da_ch.recv(GC_RESULT, session=sid).payload,
-                             len(masks))
-        self.csp_ch.send(Frame(SHARES, sid, _shares(masks, masked)))
+        self.csp_ch.send(Frame(SHARES, sid, gc.decode_hashes))
 
 
 # ---------------------------------------------------------------------------
@@ -861,19 +851,18 @@ class DaEngine:
             # every round's offset, or at once the order of an empty table
             frame = self.csp_ch.recv(RANDOM_OFFSET, ORDER_RESULT,
                                      session=sid)
-            offsets, rounds = [], []
+            offsets = []
             if frame.ftype == RANDOM_OFFSET:
                 offsets = _read_offsets(frame, 1 << (p.l + p.k),
                                         p.m.bit_length())
                 # every round's choices are known now: one batch carries
                 # them all, before the upload is built
-                rounds = [self._choices(op, xbar, r) for r in offsets]
                 blob, batch = self.ot_receiver.extend(
-                    [bit for _, bits in rounds for bit in bits])
+                    [b for r in offsets for b in self._choices(op, xbar, r)])
                 self.da_do_ch.send(Frame(OT_MSG, sid, blob))
             upload = self._cipher_upload(xbar) if encrypt else None
-            for r, (masks, _) in zip(offsets, rounds):
-                self._round(sid, batch, r, masks)
+            for r in offsets:
+                self._round(sid, batch, r)
             if offsets:
                 frame = self.csp_ch.recv(ORDER_RESULT, session=sid)
             ybar, = _read_offsets(frame, p.m + 1, 1)
@@ -901,19 +890,17 @@ class DaEngine:
             raise IntegrityError("node authentication failed")
 
     def _choices(self, op, xbar, r):
-        """(masks, bits) of the round blinded by r: its mask bits, drawn
-        here, and the analyst's circuit inputs, its OT choices: xbar + r,
-        the masks and, in fh, the coin r_xbar and stick, a fresh coin
-        and 0 for an encrypt, the side and 1 for a bound."""
+        """The analyst's circuit inputs, its OT choices, in the round
+        blinded by r: xbar + r and, in fh, the coin r_xbar and stick, a
+        fresh coin and 0 for an encrypt, the side and 1 for a bound."""
         p = self.params
-        masks = [self.rng.getrandbits(1) for _ in range(p.masked_outputs)]
-        bits = int_to_bits(xbar + r, p.width) + masks
+        bits = int_to_bits(xbar + r, p.width)
         if p.mode == MODE_FH:
             bits += [self.rng.getrandbits(1), 0] if op == OP_ENCRYPT else \
                 [op - OP_BOUND_LOW, 1]
-        return masks, bits
+        return bits
 
-    def _round(self, sid, batch, r, masks):
+    def _round(self, sid, batch, r):
         """The round blinded by r, whose OT choices batch holds."""
         p = self.params
         if p.integrity != integrity.SCHEME_OFF:
@@ -922,15 +909,13 @@ class DaEngine:
         # the garbled circuit, then the OT reply, one label pair per input
         n = len(self.circuit.eval_inputs)
         split = len(payload) - 2 * garbling.LABEL_BYTES * n
-        tables, decode_info, gen_labels = garbling.parse_payload(
+        tables, gen_labels = garbling.parse_payload(
             self.circuit, payload[:max(split, 0)])
         eval_labels = self.ot_receiver.receive_pairs(batch, payload[split:],
                                                      n)
-        out_labels = garbling.evaluate(self.circuit, tables, gen_labels,
-                                       eval_labels)
-        masked = garbling.decode(decode_info, out_labels)
-        self.da_do_ch.send(Frame(GC_RESULT, sid, pack_bits(masked)))
-        self.csp_ch.send(Frame(SHARES, sid, _shares(masks, masked)))
+        # the output labels, which only the server can decode
+        self.csp_ch.send(Frame(SHARES, sid, garbling.evaluate(
+            self.circuit, tables, gen_labels, eval_labels)))
 
     def _cipher_upload(self, xbar):
         """CIPHER_UPLOAD payload: Enc(xbar), then under Pedersen Enc(a)

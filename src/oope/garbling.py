@@ -7,10 +7,10 @@ Everywhere else they are numpy uint8 rows of 16 bytes, each row the
 label's big-endian bytes as GC_PAYLOAD and the OT reply carry it: an
 instance's generator labels (encode), its evaluator label pairs
 (eval_label_pairs, an (n, 2, 16) array for the OT), the generator
-labels parse_payload reads, the evaluator labels the OT delivers, and
-the output labels evaluate returns to decode.  A GarbledCircuit cuts
-each lane's rows, and its payload up to the generator labels, out of
-the batch-wide ints once per batch.
+labels parse_payload reads and the evaluator labels the OT delivers.
+evaluate returns the output labels as the bytes the analyst sends.  A
+GarbledCircuit cuts each lane's rows, its garbled tables and its decode
+hashes out of the batch-wide ints once per batch.
 
 The generator draws a global offset Δ with its low bit set, so every
 wire's one-label is its zero-label XOR Δ and a label's low bit is its
@@ -72,9 +72,15 @@ ciphertext to an int only where a permute bit selects it: T_G of gate j
 when its first input label has the low bit set, T_E when its second
 does, so about half of them.
 
-Decoding maps an output label to a bit through SHA-256("out" ||
-label)[:16] of each of the wire's two labels and rejects labels
-produced by anything but an honest evaluation.
+Decoding maps an output label to a bit through its decode hashes,
+SHA-256("out" || label)[:16] of each of the wire's two labels, and
+rejects a label that matches neither.  Decoding runs at the server: the
+owner sends it an instance's decode hashes (engine, SHARES) and the
+analyst the output labels it computed, never the hashes, so the
+analyst learns no output.  By the authenticity of garbled circuits
+(Bellare, Hoang and Rogaway, CCS 2012) the analyst cannot make the
+label of the output it did not compute, so a label that decodes is the
+honest evaluation's.
 
 The AES calls go through the libcrypto that hashlib loads (aes); a
 Python without OpenSSL cannot garble or evaluate.
@@ -82,13 +88,14 @@ Python without OpenSSL cannot garble or evaluate.
 Wire format (the GC_PAYLOAD frame), big-endian:
 
   T_G || T_E per AND gate, 32 bytes each
-  SHA-256("out" || zero-label)[:16] || the same of the one-label,
-      32 bytes per output
   one 16-byte label per generator input
 
-so a payload is exactly 32·tables + 32·outputs + 16·labels bytes long,
-whatever the input bits.  Nothing in it names the circuit: both ends
-build it from the parameters whose digest HELLO checked.
+so a payload is exactly 32·tables + 16·labels bytes long, whatever the
+input bits.  An instance's decode hashes travel apart from it, as
+SHA-256("out" || zero-label)[:16] || the same of the one-label, 32
+bytes per output (GarbledInstance.decode_hashes), and the output labels
+as 16 bytes each.  Nothing names the circuit: every end builds it from
+the parameters whose digest HELLO checked.
 
 Correctness contract: decode(d, evaluate(F, T, encode(x), labels of
 y)) equals the gate-by-gate evaluation of the circuit on (x, y) for
@@ -183,19 +190,18 @@ class GarbledCircuit:
         gen0, eval0, out0 = (_lanes([label0[w] for w in wires]) for wires in (
             circuit.gen_inputs, circuit.eval_inputs, circuit.outputs))
         eval_pairs = np.stack((eval0, eval0 ^ deltas[:, None]), axis=2)
-        # per lane: T_G || T_E of each gate, then the decode hashes of
-        # each output's zero-label and one-label
+        # per lane: T_G || T_E of each gate, and apart from them the
+        # decode hashes of each output's zero-label and one-label
         outs = np.stack((out0, out0 ^ deltas[:, None]), axis=2).tobytes()
-        hashes = np.frombuffer(b"".join(
-            [_decode_hash(outs[i:i + LABEL_BYTES])
-             for i in range(0, len(outs), LABEL_BYTES)]),
-            dtype=np.uint8).reshape(BATCH, -1, LABEL_BYTES)
+        hashes = b"".join([_decode_hash(outs[i:i + LABEL_BYTES])
+                           for i in range(0, len(outs), LABEL_BYTES)])
+        lane_hashes = len(hashes) // BATCH
         grid = np.frombuffer(tables, dtype=np.uint8).reshape(
             -1, BATCH, LABEL_BYTES).swapaxes(0, 1)
-        prefixes = np.concatenate((grid, hashes), axis=1)
         self._instances = [
-            GarbledInstance(prefixes[i].tobytes(), gen0[i],
-                            eval_pairs[i], deltas[i])
+            GarbledInstance(grid[i].tobytes(),
+                            hashes[i * lane_hashes:(i + 1) * lane_hashes],
+                            gen0[i], eval_pairs[i], deltas[i])
             for i in reversed(range(BATCH))]
 
     def __len__(self):
@@ -209,12 +215,14 @@ class GarbledCircuit:
 
 class GarbledInstance:
     """One lane of a GarbledCircuit: `prefix` is its GC_PAYLOAD up to the
-    generator labels, T_G || T_E of each AND gate and the decode
-    hashes of each output; its generator zero-labels, evaluator label
-    pairs and Δ are 16-byte rows."""
+    generator labels, T_G || T_E of each AND gate, and `decode_hashes`
+    the decode hashes of each output, which go to the server alone; its
+    generator zero-labels, evaluator label pairs and Δ are 16-byte
+    rows."""
 
-    def __init__(self, prefix, gen0, eval_pairs, delta):
+    def __init__(self, prefix, decode_hashes, gen0, eval_pairs, delta):
         self.prefix = prefix
+        self.decode_hashes = decode_hashes
         self._gen0 = gen0  # (len(gen_inputs), 16)
         self._eval_pairs = eval_pairs  # (len(eval_inputs), 2, 16)
         self._delta = delta  # (16,)
@@ -234,8 +242,8 @@ class GarbledInstance:
 def evaluate(circuit: BooleanCircuit, tables: bytes, gen_labels,
              eval_labels):
     """Evaluate garbled tables, T_G || T_E of each AND gate as
-    GC_PAYLOAD carries them; returns the output labels, one 16-byte row
-    per wire of circuit.outputs.
+    GC_PAYLOAD carries them; returns the output labels, 16 bytes per
+    wire of circuit.outputs.
 
     gen_labels and eval_labels are uint8 arrays of one 16-byte row per
     wire of circuit.gen_inputs and circuit.eval_inputs, in that order.
@@ -273,20 +281,20 @@ def evaluate(circuit: BooleanCircuit, tables: bytes, gen_labels,
                 w ^= int.from_bytes(
                     tables[at + LABEL_BYTES:at + 2 * LABEL_BYTES], "big") ^ la
             labels[out] = w
-    return np.frombuffer(b"".join(
-        [labels[w].to_bytes(LABEL_BYTES, "big") for w in circuit.outputs]),
-        dtype=np.uint8).reshape(-1, LABEL_BYTES)
+    return b"".join([labels[w].to_bytes(LABEL_BYTES, "big")
+                     for w in circuit.outputs])
 
 
-def decode(decode_info, output_labels):
-    """Turn output label rows into bits; rejects labels that match
-    neither."""
+def decode(hashes: bytes, labels: bytes) -> tuple:
+    """The bits of output labels, LABEL_BYTES each, by each output's
+    decode hashes, the zero-label's then the one-label's; a label that
+    matches neither is an IntegrityError."""
     bits = []
-    for (h0, h1), label in zip(decode_info, output_labels):
-        h = _decode_hash(label.tobytes())
-        if h == h0:
+    for i in range(0, len(labels), LABEL_BYTES):
+        h = _decode_hash(labels[i:i + LABEL_BYTES])
+        if h == hashes[2 * i:2 * i + LABEL_BYTES]:
             bits.append(0)
-        elif h == h1:
+        elif h == hashes[2 * i + LABEL_BYTES:2 * i + 2 * LABEL_BYTES]:
             bits.append(1)
         else:
             raise IntegrityError("garbled output label failed to decode")
@@ -300,19 +308,16 @@ def payload(gc: GarbledInstance, gen_bits) -> bytes:
 
 
 def parse_payload(circuit: BooleanCircuit, buf: bytes):
-    """Returns (tables, decode_info, generator label rows in gen_inputs
-    order), tables being the payload's T_G || T_E bytes, for evaluate; a
-    payload of any length but the circuit's is a ProtocolError."""
+    """Returns (tables, generator label rows in gen_inputs order), tables
+    being the payload's T_G || T_E bytes, for evaluate; a payload of any
+    length but the circuit's is a ProtocolError."""
     # the AND gates, counted from the cached schedule
-    hashes_at = 2 * LABEL_BYTES * sum(len(nonfree)
+    labels_at = 2 * LABEL_BYTES * sum(len(nonfree)
                                       for _, nonfree in circuit.schedule)
-    labels_at = hashes_at + 2 * LABEL_BYTES * len(circuit.outputs)
     expected = labels_at + LABEL_BYTES * len(circuit.gen_inputs)
     if len(buf) != expected:
         raise ProtocolError(f"garbled payload of {len(buf)} bytes, "
                             f"expected {expected}")
-    hashes = [buf[i:i + LABEL_BYTES]
-              for i in range(hashes_at, labels_at, LABEL_BYTES)]
     labels = np.frombuffer(buf, dtype=np.uint8, offset=labels_at).reshape(
         -1, LABEL_BYTES)
-    return buf[:hashes_at], list(zip(hashes[::2], hashes[1::2])), labels
+    return buf[:labels_at], labels

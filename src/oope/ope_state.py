@@ -31,7 +31,7 @@ table stores no run extremes.
 """
 
 import warnings
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Optional
@@ -179,14 +179,33 @@ def place(table: OpeTable, index: int):
                             "entry at this position") from None
 
 
+def _fh_index(xs, x, rng) -> int:
+    """The index of sorted plaintexts xs at which an fh session's search
+    would put x: the midpoint walk over [lo, hi) towards [x > xs[mid]],
+    or towards a fresh coin where the two are equal, stopping at its
+    first empty half (engine.CspEngine.run_session)."""
+    lo, hi = 0, len(xs)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        side = rng.getrandbits(1) if xs[mid] == x else int(x > xs[mid])
+        if side and mid + 1 < hi:
+            lo = mid + 1
+        elif not side and lo < mid:
+            hi = mid
+        else:
+            return mid + side
+    return 0
+
+
 def init_state(dataset, m: int, pk: paillier.PaillierPublicKey, l: int,
                mode: str = MODE_DET, rng=None, tagger=None):
     """Build owner state and table from a plaintext dataset.
 
     Each plaintext is placed in the dataset's given order, straight into
-    the table, by the rule a session uses (place): det finds its index
-    by bisection and a duplicate reuses its entry; fh puts each
-    occurrence at a coin-chosen index inside or beside its value's run.
+    the table, by the rules a session uses: det finds its index by
+    bisection and a duplicate reuses its entry; fh finds each
+    occurrence's index by a session's search (_fh_index), and place
+    gives the order.
     The server's search needs no further structure: its midpoint walk
     over the sorted table is the balanced tree over these orders,
     whatever order they were inserted in.  tagger, when given, is called
@@ -217,14 +236,13 @@ def init_state(dataset, m: int, pk: paillier.PaillierPublicKey, l: int,
     for x in dataset:
         if not 0 <= x < (1 << l):
             raise DomainError(f"plaintext {x} outside [0, 2^{l})")
-        i = bisect_left(xs, x)
-        if mode == MODE_DET and i < len(xs) and xs[i] == x:
-            placed.append(table.entry_at(i))
-            continue
         if mode == MODE_FH:
-            hi = bisect_right(xs, x, i)
-            if hi > i:
-                i = rng.randint(i, hi)
+            i = _fh_index(xs, x, rng)
+        else:
+            i = bisect_left(xs, x)
+            if i < len(xs) and xs[i] == x:
+                placed.append(table.entry_at(i))
+                continue
         order, remap = place(table, i)
         if remap is not None:
             table.reassign_orders(remap)

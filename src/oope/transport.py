@@ -36,7 +36,7 @@ NULL_SESSION = bytes(SESSION_BYTES)
 # raised whenever a frame's layout or meaning changes, so that peers of
 # two layouts fail at HELLO instead of misreading each other; it is part
 # of the parameter digest too (engine.ProtocolParams.digest)
-PROTOCOL_VERSION = 12
+PROTOCOL_VERSION = 13
 
 ROLE_CSP, ROLE_DO, ROLE_DA = 0, 1, 2
 
@@ -49,6 +49,10 @@ RANDOMIZED_NODE = 0x10
 RANDOM_OFFSET = 0x11
 GC_PAYLOAD = 0x12
 OT_MSG = 0x13
+# no code sends GC_RESULT any more: the server decodes the analyst's
+# output labels itself (engine), so the owner reads no output.  The
+# number stays reserved, and the benchmark still enumerates it until its
+# next revision.
 GC_RESULT = 0x14
 SHARES = 0x15
 ORDER_RESULT = 0x16

@@ -14,14 +14,13 @@ from oope.errors import DomainError, UsageError
 from oope.rng import make_rng
 
 
-def reference(x, xbar, bx, bpx, bxb, bpxb):
-    return ((int(xbar != x) ^ bx ^ bxb), (int(xbar > x) ^ bpx ^ bpxb))
+def reference(x, xbar):
+    return int(xbar != x), int(xbar > x)
 
 
-def run(circuit, width, x, xbar, bx=0, bpx=0, bxb=0, bpxb=0):
-    return eval_plain(circuit,
-                      int_to_bits(x, width) + [bx, bpx],
-                      int_to_bits(xbar, width) + [bxb, bpxb])
+def run(circuit, width, x, xbar):
+    return eval_plain(circuit, int_to_bits(x, width),
+                      int_to_bits(xbar, width))
 
 
 def test_equal_inputs_no_masks():
@@ -35,14 +34,11 @@ def test_tree_example_left_edge():
     assert run(c, 8, 32, 25) == (1, 0)
 
 
-def test_exhaustive_width4_all_masks():
+def test_exhaustive_width4():
     c = build_comparator(4)
     for x in range(16):
         for xbar in range(16):
-            for masks in range(16):
-                bx, bpx, bxb, bpxb = ((masks >> i) & 1 for i in range(4))
-                assert run(c, 4, x, xbar, bx, bpx, bxb, bpxb) == \
-                    reference(x, xbar, bx, bpx, bxb, bpxb)
+            assert run(c, 4, x, xbar) == reference(x, xbar)
 
 
 def test_width8_strict_orders():
@@ -62,7 +58,7 @@ def test_width_zero_rejected():
 def test_missing_inputs_rejected():
     c = build_comparator(4)
     with pytest.raises(UsageError):
-        eval_plain(c, [0] * 3, [0] * 6)
+        eval_plain(c, [0] * 3, [0] * 4)
 
 
 def fh_reference(x, xbar, r_x, r_xbar, stick):
@@ -73,12 +69,11 @@ def fh_reference(x, xbar, r_x, r_xbar, stick):
     return r_xbar ^ (r_x & (1 - stick))
 
 
-def run_fh(circuit, width, x, xbar, b_x=0, b_xbar=0, r_x=0, r_xbar=0,
-           stick=0):
-    """The traversal bit, unmasked."""
-    out, = eval_plain(circuit, int_to_bits(x, width) + [b_x, r_x],
-                      int_to_bits(xbar, width) + [b_xbar, r_xbar, stick])
-    return out ^ b_x ^ b_xbar
+def run_fh(circuit, width, x, xbar, r_x=0, r_xbar=0, stick=0):
+    """The traversal bit."""
+    out, = eval_plain(circuit, int_to_bits(x, width) + [r_x],
+                      int_to_bits(xbar, width) + [r_xbar, stick])
+    return out
 
 
 def test_fh_unequal_ignores_coins():
@@ -101,18 +96,15 @@ def test_fh_equal_inputs_take_the_coin():
 
 
 def test_fh_exhaustive_small():
-    # every (x, xbar) at width 3, under every coin, stick and mask
+    # every (x, xbar) at width 3, under every coin and stick
     c = build_fh_comparator(3)
     for x in range(8):
         for xbar in range(8):
-            for aux in range(32):
-                r_x, r_xbar, stick, b_x, b_xbar = \
-                    ((aux >> i) & 1 for i in range(5))
-                got = eval_plain(c, int_to_bits(x, 3) + [b_x, r_x],
-                                 int_to_bits(xbar, 3) + [b_xbar, r_xbar,
-                                                         stick])
-                assert got == (fh_reference(x, xbar, r_x, r_xbar, stick) ^
-                               b_x ^ b_xbar,)
+            for aux in range(8):
+                r_x, r_xbar, stick = ((aux >> i) & 1 for i in range(3))
+                got = eval_plain(c, int_to_bits(x, 3) + [r_x],
+                                 int_to_bits(xbar, 3) + [r_xbar, stick])
+                assert got == (fh_reference(x, xbar, r_x, r_xbar, stick),)
 
 
 def test_fh_projection_matches_plain_comparator():
@@ -187,6 +179,16 @@ def test_gate_count_at_the_paper_width():
     assert len(build_fh_comparator(65).nonfree_gates()) == 139
 
 
+def test_inputs_at_the_paper_width():
+    # the blinded values' 65 bits each, and in fh the owner's coin and
+    # the analyst's coin and stick: no mask wires, since the outputs go
+    # to the server as labels
+    det, fh = build_comparator(65), build_fh_comparator(65)
+    assert (len(det.gen_inputs), len(det.eval_inputs)) == (65, 65)
+    assert (len(fh.gen_inputs), len(fh.eval_inputs)) == (66, 67)
+    assert (len(det.outputs), len(fh.outputs)) == (2, 1)
+
+
 def test_hash_tweaks_are_distinct_per_gate_half():
     # gate j hashes its halves under 2j and 2j + 1, each once over the
     # circuit and each below 2^127, apart from the IKNP row tweaks
@@ -227,33 +229,25 @@ def boundary_pairs(width):
 def test_det_across_block_boundaries(width):
     c = build_comparator(width)
     lanes = list(instances(c, make_rng(width), garbling.BATCH))
-    k = 0
-    for x, xbar in boundary_pairs(width):
-        for masks in range(16):
-            bx, bpx, bxb, bpxb = ((masks >> i) & 1 for i in range(4))
-            gen = int_to_bits(x, width) + [bx, bpx]
-            ev = int_to_bits(xbar, width) + [bxb, bpxb]
-            want = reference(x, xbar, bx, bpx, bxb, bpxb)
-            assert eval_plain(c, gen, ev) == want
-            assert garbled_run(c, lanes[k % len(lanes)], gen, ev) == want
-            k += 1
+    for k, (x, xbar) in enumerate(boundary_pairs(width)):
+        gen, ev = int_to_bits(x, width), int_to_bits(xbar, width)
+        want = reference(x, xbar)
+        assert eval_plain(c, gen, ev) == want
+        assert garbled_run(c, lanes[k % len(lanes)], gen, ev) == want
 
 
 @pytest.mark.parametrize("width", BOUNDARY_WIDTHS)
 def test_fh_across_block_boundaries(width):
-    # every combination of the coins and stick per pair; the masks
-    # (b_x, b_xbar) are drawn at random for each
+    # every combination of the coins and stick per pair
     c = build_fh_comparator(width)
-    rng = make_rng(width + 1)
-    lanes = list(instances(c, rng, garbling.BATCH))
+    lanes = list(instances(c, make_rng(width + 1), garbling.BATCH))
     k = 0
     for x, xbar in boundary_pairs(width):
         for coins in range(8):
             r_x, r_xbar, stick = ((coins >> i) & 1 for i in range(3))
-            b_x, b_xbar = rng.getrandbits(1), rng.getrandbits(1)
-            gen = int_to_bits(x, width) + [b_x, r_x]
-            ev = int_to_bits(xbar, width) + [b_xbar, r_xbar, stick]
-            want = (fh_reference(x, xbar, r_x, r_xbar, stick) ^ b_x ^ b_xbar,)
+            gen = int_to_bits(x, width) + [r_x]
+            ev = int_to_bits(xbar, width) + [r_xbar, stick]
+            want = (fh_reference(x, xbar, r_x, r_xbar, stick),)
             assert eval_plain(c, gen, ev) == want
             assert garbled_run(c, lanes[k % len(lanes)], gen, ev) == want
             k += 1

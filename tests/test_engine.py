@@ -30,6 +30,14 @@ from oope.rng import make_rng
 from oope.transport import Frame
 
 EXAMPLE = [32, 20, 25, 69, 10]
+# the abort reason of an output label that matches neither decode hash
+DECODE_FAILED = "garbled output label failed to decode"
+
+
+def flip_label_bit(blob: bytes) -> bytes:
+    """blob with one bit of its first byte flipped: in an analyst's
+    SHARES, a bit of its first output label."""
+    return bytes([blob[0] ^ 0b0100]) + blob[1:]
 
 
 def small_params(**kw):
@@ -164,24 +172,29 @@ def test_empty_dataset_session():
 
 
 def test_flipped_share_bit_detected_and_state_rolled_back():
-    cluster, ctx = make_cluster(EXAMPLE, seed=11, params=small_params(m=28))
+    # a flipped bit in the analyst's output label matches neither of the
+    # owner's decode hashes of that output
+    params = small_params(m=28)
+    cluster, ctx = make_cluster(EXAMPLE, seed=11, params=params)
     try:
-        orders_before = ctx["table"].orders()
+        table_before = table_snapshot(ctx["table"])
         orig_send = cluster.da.csp_ch.send
 
         def tampered(frame):
             if frame.ftype == transport.SHARES:
                 frame = Frame(frame.ftype, frame.session_id,
-                              bytes([frame.payload[0] ^ 0b0100]))
+                              flip_label_bit(frame.payload))
             orig_send(frame)
 
         cluster.da.csp_ch.send = tampered
-        with pytest.raises(SessionAborted, match="disagree"):
+        with pytest.raises(SessionAborted, match=DECODE_FAILED):
             cluster.encrypt(15)
         cluster.da.csp_ch.send = orig_send
-        assert ctx["table"].orders() == orders_before
+        assert table_snapshot(ctx["table"]) == table_before
         # the cluster stays usable for the next session
-        assert cluster.encrypt(15) == 6
+        assert cluster.encrypt(15) == \
+            Mope2Oracle(params.m).load(EXAMPLE).encrypt(15)
+        assert not cluster.errors
     finally:
         cluster.close()
 
@@ -367,7 +380,9 @@ def test_malformed_garbled_payload_aborts_at_analyst(damage):
 
         cluster.do.da_ch.send = damaged
         t0 = time.monotonic()
-        match = "failed to decode" if damage == "tables" else "garbled payload"
+        # damaged tables evaluate to labels that the server fails to
+        # decode
+        match = DECODE_FAILED if damage == "tables" else "garbled payload"
         with pytest.raises(SessionAborted, match=match):
             cluster.encrypt(15)
         assert time.monotonic() - t0 < 5
@@ -380,22 +395,18 @@ def test_malformed_garbled_payload_aborts_at_analyst(damage):
         cluster.close()
 
 
-# damage -> (frame type, payload edit, sender, abort reason).  GC_RESULT
-# is the masked bit vector alone, so an empty one, a long one and one
-# with a padding bit set fail alike
+# damage -> (frame type, payload edit, sender, abort reason).  A SHARES
+# is 16 bytes per circuit output from the analyst and 32 from the owner,
+# so one a byte short or long is malformed
 BIT_VECTOR_DAMAGE = {
     "session_start": (transport.SESSION_START, lambda p: b"", "da->csp",
                       "no known op"),
     "session_op": (transport.SESSION_START, lambda p: b"\3", "da->csp",
                    "no known op"),
-    "da_shares": (transport.SHARES, lambda p: b"", "da->csp", "bit vector"),
-    "do_shares": (transport.SHARES, lambda p: b"", "do->csp", "bit vector"),
-    "gc_result_empty": (transport.GC_RESULT, lambda p: b"", "da->do",
-                        "bit vector"),
-    "gc_result_long": (transport.GC_RESULT, lambda p: b"\0\0", "da->do",
-                       "bit vector"),
-    "gc_result_bits": (transport.GC_RESULT, lambda p: b"\xff" + p[1:],
-                       "da->do", "bit vector"),
+    "da_shares": (transport.SHARES, lambda p: p[:-1], "da->csp",
+                  "SHARES of (15|31) bytes, expected (16|32)"),
+    "do_shares": (transport.SHARES, lambda p: p + b"\0", "do->csp",
+                  "SHARES of (33|65) bytes, expected (32|64)"),
 }
 
 
@@ -407,7 +418,7 @@ def test_malformed_bit_vectors_abort_and_service_continues(mode, damage):
     try:
         # a dead serve thread fails this test in seconds, not minutes
         cluster.da.csp_ch.timeout = cluster.da.da_do_ch.timeout = 5
-        orders_before = ctx["table"].orders()
+        table_before = table_snapshot(ctx["table"])
         ftype, edit, sender, reason = BIT_VECTOR_DAMAGE[damage]
         end = next(ch for ch in cluster.channels if ch.name == sender)
         orig_send = end.send
@@ -424,7 +435,7 @@ def test_malformed_bit_vectors_abort_and_service_continues(mode, damage):
             cluster.encrypt(15)
         assert time.monotonic() - t0 < 5
         end.send = orig_send
-        assert ctx["table"].orders() == orders_before
+        assert table_snapshot(ctx["table"]) == table_before
         assert cluster.encrypt(15) == \
             Mope2Oracle(params.m).load(EXAMPLE).encrypt(15)
         assert not cluster.errors
@@ -543,7 +554,7 @@ def test_no_blind_is_sent_twice():
         def flip_share(frame):
             if frame.ftype == transport.SHARES:
                 frame = Frame(frame.ftype, frame.session_id,
-                              bytes([frame.payload[0] ^ 0b0100]))
+                              flip_label_bit(frame.payload))
             orig_send(frame)
 
         h = ctx["table"].height
@@ -551,7 +562,7 @@ def test_no_blind_is_sent_twice():
         cluster.encrypt(150)
         # aborted after its first round, then after its last one
         cluster.da.csp_ch.send = flip_share
-        with pytest.raises(SessionAborted, match="disagree"):
+        with pytest.raises(SessionAborted, match=DECODE_FAILED):
             cluster.encrypt(250)
         cluster.da.csp_ch.send = orig_send
         with failing_after_upload(cluster), \
@@ -600,34 +611,27 @@ def test_no_garbled_instance_is_sent_twice():
         def flip_share(frame):
             if frame.ftype == transport.SHARES:
                 frame = Frame(frame.ftype, frame.session_id,
-                              bytes([frame.payload[0] ^ 0b0100]))
+                              flip_label_bit(frame.payload))
             orig_send(frame)
 
-        def damage(ftype, edit):
-            def send(frame):
-                if frame.ftype == ftype:
-                    frame = Frame(ftype, frame.session_id,
-                                  edit(frame.payload))
-                orig_ot_send(frame)
-            return send
+        def short_ot_msg(frame):
+            if frame.ftype == transport.OT_MSG:
+                frame = Frame(frame.ftype, frame.session_id,
+                              frame.payload[:-1])
+            orig_ot_send(frame)
 
         assert cluster.encrypt(150) == oracle.encrypt(150)
         cluster.da.csp_ch.send = flip_share
-        with pytest.raises(SessionAborted, match="disagree"):
+        with pytest.raises(SessionAborted, match=DECODE_FAILED):
             cluster.encrypt(250)
         cluster.da.csp_ch.send = orig_send
         with failing_after_upload(cluster), \
                 pytest.raises(SessionAborted, match="after the upload"):
             cluster.encrypt(250)
-        # a short OT_MSG cuts its extension batch short, and a
-        # GC_RESULT with a padding bit set is malformed
-        for ftype, edit, reason in (
-                (transport.OT_MSG, lambda blob: blob[:-1], "wrong size"),
-                (transport.GC_RESULT, lambda blob: bytes([blob[0] | 0x80]),
-                 "bit vector")):
-            cluster.da.da_do_ch.send = damage(ftype, edit)
-            with pytest.raises(SessionAborted, match=reason):
-                cluster.encrypt(250)
+        # a short OT_MSG cuts its extension batch short
+        cluster.da.da_do_ch.send = short_ot_msg
+        with pytest.raises(SessionAborted, match="wrong size"):
+            cluster.encrypt(250)
         cluster.da.da_do_ch.send = orig_ot_send
         # each session brings its own OT extension batch, so service
         # goes on
@@ -649,19 +653,14 @@ def _node_out_of_range(params, pk):
 
 # abort -> (sending end, frame type, which one of the session's frames of
 # that type, counted from 1, or "last" for the h-th, payload edit, abort
-# reason).  GC_RESULT is the masked-bit byte alone, so a cut or grown
-# one is malformed in any round.
+# reason)
 PAD_SYNC_ABORTS = {
-    "gc-result-first": ("da->do", transport.GC_RESULT, 1,
-                        lambda blob: blob[:-1], "bit vector"),
-    "gc-result-last": ("da->do", transport.GC_RESULT, "last",
-                       lambda blob: blob + bytes(5), "bit vector"),
     "node-out-of-range-first": ("csp->do", transport.RANDOMIZED_NODE, 1,
                                 _node_out_of_range, "out of range"),
     "node-out-of-range-third": ("csp->do", transport.RANDOMIZED_NODE, 3,
                                 _node_out_of_range, "out of range"),
-    "share-mismatch": ("da->csp", transport.SHARES, 2,
-                       lambda blob: bytes([blob[0] ^ 0b0100]), "disagree"),
+    "share-mismatch": ("da->csp", transport.SHARES, 2, flip_label_bit,
+                       DECODE_FAILED),
     "pedersen-authentication": ("csp->da", transport.INTEGRITY_TAG, 2,
                                 lambda blob: blob[:-1] + bytes([blob[-1] ^ 1]),
                                 "authentication"),
@@ -726,9 +725,8 @@ def test_no_session_state_outlives_its_session(mode):
     # after each session, ended or aborted at any of the three roles,
     # every attribute of the engines and OT ends is the object or value
     # it was, but the server's next blind, the owner's garbled pool and
-    # the OT ends' last batch index: a session's OT batch and masks,
-    # and in fh its coins, live in the session's own locals and
-    # _OwnerSession alone
+    # the OT ends' last batch index: a session's OT batch, and in fh its
+    # coins, live in the session's own locals and _OwnerSession alone
     params = small_params(mode=mode)
     data = list(range(100, 3100, 100))
     cluster, ctx = make_cluster(data, seed=61, params=params)
@@ -759,9 +757,10 @@ def test_no_session_state_outlives_its_session(mode):
          _node_out_of_range(params, ctx["pk"]), "out of range"),
         (cluster.do.da_ch, transport.GC_PAYLOAD,
          lambda blob: bytes(b ^ 0xff for b in blob[:tables_end]) +
-         blob[tables_end:], "failed to decode"),
-        (cluster.da.csp_ch, transport.SHARES,
-         lambda blob: bytes([blob[0] ^ 1]), "disagree")]
+         blob[tables_end:], DECODE_FAILED),
+        (cluster.da.csp_ch, transport.SHARES, flip_label_bit, DECODE_FAILED),
+        (cluster.do.csp_ch, transport.SHARES, lambda blob: blob[:-1],
+         "SHARES of")]
     try:
         cluster.encrypt(150)
         before = {name: dict(vars(obj)) for name, obj in state().items()}
@@ -1110,23 +1109,47 @@ def test_malformed_query_or_cleanup_reply_is_a_protocol_error():
 
 
 def test_every_single_share_bit_flip_detected():
-    for bit in range(4):
-        cluster, _ = make_cluster(EXAMPLE, seed=13 + bit,
-                                  params=small_params(m=28))
-        try:
-            orig_send = cluster.do.csp_ch.send
+    # the owner's SHARES holds each output's zero-hash, then its one-hash.
+    # Over EXAMPLE the first node is 25, so the first round's outputs for
+    # 15 are [15 != 25] = 1 and [15 > 25] = 0, and hashes 1 and 2 are
+    # the ones its labels match.  A flipped bit in either aborts the
+    # session; one in hash 0 or 3, which no label matches, changes
+    # nothing.  Each session that succeeds is cleaned up, so every one
+    # sees the same table.
+    params = small_params(m=28)
+    cluster, ctx = make_cluster(EXAMPLE, seed=13, params=params)
+    want = Mope2Oracle(params.m).load(EXAMPLE).encrypt(15)
+    end = cluster.do.csp_ch
+    try:
+        table_before = table_snapshot(ctx["table"])
+        aborted = []
+        for k in range(4):
+            seen = []
 
-            def tampered(frame, _bit=bit):
+            def tampered(frame, at=16 * k + k):
                 if frame.ftype == transport.SHARES:
-                    frame = Frame(frame.ftype, frame.session_id,
-                                  bytes([frame.payload[0] ^ (1 << _bit)]))
-                orig_send(frame)
+                    seen.append(frame)
+                    if len(seen) == 1:
+                        blob = bytearray(frame.payload)
+                        blob[at] ^= 1 << k
+                        frame = Frame(frame.ftype, frame.session_id,
+                                      bytes(blob))
+                transport.Channel.send(end, frame)
 
-            cluster.do.csp_ch.send = tampered
-            with pytest.raises(SessionAborted):
-                cluster.encrypt(15)
-        finally:
-            cluster.close()
+            end.send = tampered
+            try:
+                assert cluster.encrypt(15) == want
+                assert cluster.da.cleanup() == 1
+            except SessionAborted as e:
+                assert e.reason == DECODE_FAILED
+                aborted.append(k)
+            del end.send
+            assert table_snapshot(ctx["table"]) == table_before
+        assert aborted == [1, 2]
+        assert cluster.encrypt(15) == want
+        assert not cluster.errors
+    finally:
+        cluster.close()
 
 
 def test_rebalance_mid_session():
@@ -1190,24 +1213,26 @@ def test_owner_view_does_not_depend_on_rebalancing(monkeypatch):
 
 
 def test_masked_bits_look_uniform():
-    # analyst-side masked outputs over repeated identical comparisons
+    # the analyst's output labels over repeated identical comparisons,
+    # whose outputs never change: each label is fresh, and its low bit,
+    # the output masked by the wire's random permute bit, is uniform, so
+    # the analyst, which holds no decode hashes, does not see the output
     cluster, _ = make_cluster([42], seed=29)
     try:
         for ch in cluster.channels:
-            if ch.name == "da->do":
+            if ch.name == "da->csp":
                 ch.record = True
         for _ in range(60):
             cluster.encrypt(7)  # fixed query, fixed singleton node
-        frames = [transport.decode_frame(b[4:]) for ch in cluster.channels
-                  if ch.name == "da->do" for b in ch.transcript]
-        bits_e = [f.payload[0] & 1 for f in frames
-                  if f.ftype == transport.GC_RESULT]
-        bits_g = [(f.payload[0] >> 1) & 1 for f in frames
-                  if f.ftype == transport.GC_RESULT]
-        assert len(bits_e) >= 60
-        for bits in (bits_e, bits_g):
-            ones = sum(bits)
-            assert 0.25 < ones / len(bits) < 0.75
+        labels = [transport.decode_frame(b[4:]).payload
+                  for ch in cluster.channels if ch.name == "da->csp"
+                  for b in ch.transcript
+                  if b[4] == transport.SHARES]
+        assert len(labels) >= 60
+        assert len(set(labels)) == len(labels)
+        for last in (15, 31):  # the last byte of each output's label
+            ones = sum(blob[last] & 1 for blob in labels)
+            assert 0.25 < ones / len(labels) < 0.75
     finally:
         cluster.close()
 
@@ -1642,6 +1667,8 @@ def test_fh_copies_land_by_a_coin_per_equal_node(data):
 
 
 def test_fh_shares_carry_no_equality_bit():
+    # one output, the traversal bit: the analyst sends one label and the
+    # owner one pair of decode hashes per round
     data = [7, 7, 9]
     cluster, _ = make_cluster(data, seed=53, params=fh_params())
     try:
@@ -1650,12 +1677,12 @@ def test_fh_shares_carry_no_equality_bit():
                 ch.record = True
         cluster.encrypt(7)
         cluster.encrypt(8)
-        shares = [transport.decode_frame(b[4:]) for ch in cluster.channels
+        shares = [(ch.name, len(b) - 21) for ch in cluster.channels
                   if ch.name in ("da->csp", "do->csp")
-                  for b in ch.transcript]
-        shares = [f for f in shares if f.ftype == transport.SHARES]
-        assert shares
-        assert all(f.payload[0] >> 2 == 0 for f in shares)
+                  for b in ch.transcript if b[4] == transport.SHARES]
+        assert len(shares) == 2 * (2 + 3)  # h = 2 rounds, then 3
+        assert set(shares) == {("da->csp", 16), ("do->csp", 32)}
+        assert not cluster.errors
     finally:
         cluster.close()
 

@@ -29,26 +29,20 @@ def chosen(pairs, bits):
 
 
 def garbled_run(circuit, gc, gen_bits, eval_bits):
-    """Evaluate one instance through its payload, as the analyst does."""
-    tables, dec, gen_labels = garbling.parse_payload(
+    """Evaluate one instance through its payload, as the analyst does,
+    and decode its output labels, as the server does."""
+    tables, gen_labels = garbling.parse_payload(
         circuit, garbling.payload(gc, gen_bits))
     eval_labels = chosen(gc.eval_label_pairs(), eval_bits)
-    return garbling.decode(dec, garbling.evaluate(circuit, tables, gen_labels,
-                                                  eval_labels))
+    return garbling.decode(gc.decode_hashes, garbling.evaluate(
+        circuit, tables, gen_labels, eval_labels))
 
 
 def tables_of(circuit, gc):
     """The T_G || T_E bytes the analyst reads from gc's payload."""
-    tables, _, _ = garbling.parse_payload(
+    tables, _ = garbling.parse_payload(
         circuit, garbling.payload(gc, [0] * len(circuit.gen_inputs)))
     return tables
-
-
-def decode_info_of(circuit, gc):
-    """The decode hashes the analyst reads from gc's payload."""
-    _, dec, _ = garbling.parse_payload(
-        circuit, garbling.payload(gc, [0] * len(circuit.gen_inputs)))
-    return dec
 
 
 def test_garbled_matches_plain_random_inputs():
@@ -76,7 +70,7 @@ def test_exhaustive_width2():
     n_gen, n_ev = len(c.gen_inputs), len(c.eval_inputs)
     for _ in range(garbling.BATCH):
         gc = batch.pop()
-        tables, dec = tables_of(c, gc), decode_info_of(c, gc)
+        tables, dec = tables_of(c, gc), gc.decode_hashes
         pairs = gc.eval_label_pairs()
         for assign in range(1 << (n_gen + n_ev)):
             gen = [(assign >> i) & 1 for i in range(n_gen)]
@@ -87,14 +81,14 @@ def test_exhaustive_width2():
 
 
 def test_exhaustive_width2_fh_across_a_batch():
-    # all 2^9 inputs in every lane of a batch
+    # all 2^7 inputs in every lane of a batch
     c = build_fh_comparator(2)
     batch = garbling.GarbledCircuit(c, make_rng(8))
     n_gen, n_ev = len(c.gen_inputs), len(c.eval_inputs)
-    assert n_gen + n_ev == 9
+    assert n_gen + n_ev == 7
     for _ in range(garbling.BATCH):
         gc = batch.pop()
-        tables, dec = tables_of(c, gc), decode_info_of(c, gc)
+        tables, dec = tables_of(c, gc), gc.decode_hashes
         pairs = gc.eval_label_pairs()
         for assign in range(1 << (n_gen + n_ev)):
             gen = [(assign >> i) & 1 for i in range(n_gen)]
@@ -134,12 +128,13 @@ def test_fresh_seeds_give_fresh_labels():
 def test_decode_rejects_corrupted_label():
     c = build_comparator(4)
     gc = garbling.GarbledCircuit(c, make_rng(9)).pop()
-    out = garbling.evaluate(c, tables_of(c, gc), gc.encode([0] * 6),
+    out = garbling.evaluate(c, tables_of(c, gc), gc.encode([0] * 4),
                             gc.eval_label_pairs()[:, 0])
-    corrupted = out.copy()
-    corrupted[0, 0] ^= 1  # bit 120 of the first output label
-    with pytest.raises(IntegrityError):
-        garbling.decode(decode_info_of(c, gc), corrupted)
+    for at in (0, 16):  # bit 120 of each output label
+        corrupted = bytearray(out)
+        corrupted[at] ^= 1
+        with pytest.raises(IntegrityError, match="failed to decode"):
+            garbling.decode(gc.decode_hashes, bytes(corrupted))
 
 
 def test_wrong_label_fails_decoding():
@@ -149,20 +144,23 @@ def test_wrong_label_fails_decoding():
     eval_labels = gc.eval_label_pairs()[:, 0].copy()
     # swap one evaluator label for garbage
     eval_labels[0] = 0
-    out = garbling.evaluate(c, tables_of(c, gc), gc.encode([0] * 6),
+    out = garbling.evaluate(c, tables_of(c, gc), gc.encode([0] * 4),
                             eval_labels)
     with pytest.raises(IntegrityError):
-        garbling.decode(decode_info_of(c, gc), out)
+        garbling.decode(gc.decode_hashes, out)
 
 
 def test_payload_roundtrip():
     c = build_comparator(4)
     gc = garbling.GarbledCircuit(c, make_rng(13)).pop()
-    gen_bits = int_to_bits(9, 4) + [1, 0]
+    gen_bits = int_to_bits(9, 4)
     blob = garbling.payload(gc, gen_bits)
-    tables, dec, gen_labels = garbling.parse_payload(c, blob)
-    assert tables + b"".join(h for pair in dec for h in pair) == gc.prefix
+    tables, gen_labels = garbling.parse_payload(c, blob)
+    assert tables == gc.prefix
     assert len(tables) == 32 * len(c.nonfree_gates())
+    # the decode hashes travel apart, to the server
+    assert len(gc.decode_hashes) == 32 * len(c.outputs)
+    assert gc.decode_hashes not in blob
     assert np.array_equal(gen_labels, gc.encode(gen_bits))
     with pytest.raises(ProtocolError):
         garbling.parse_payload(build_comparator(5), blob)
@@ -172,8 +170,8 @@ def test_payload_size_is_input_independent():
     # frame sizes must not depend on the plaintext bits
     c = build_comparator(8)
     gc = garbling.GarbledCircuit(c, make_rng(15)).pop()
-    a = garbling.payload(gc, int_to_bits(0, 8) + [0, 0])
-    b = garbling.payload(gc, int_to_bits(255, 8) + [1, 1])
+    a = garbling.payload(gc, int_to_bits(0, 8))
+    b = garbling.payload(gc, int_to_bits(255, 8))
     assert len(a) == len(b)
 
 
@@ -182,27 +180,23 @@ WIDE = {"det": build_comparator(65), "fh": build_fh_comparator(65)}
 
 @pytest.mark.parametrize("kind", sorted(WIDE))
 @settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 2**64 - 1), gen=st.integers(0, 2**67 - 1),
-       ev=st.integers(0, 2**68 - 1))
+@given(seed=st.integers(0, 2**64 - 1), gen=st.integers(0, 2**66 - 1),
+       ev=st.integers(0, 2**67 - 1))
 def test_wide_circuits_match_plain(kind, seed, gen, ev):
     c = WIDE[kind]
     gen_bits = int_to_bits(gen, len(c.gen_inputs))
     eval_bits = int_to_bits(ev, len(c.eval_inputs))
     gc = garbling.GarbledCircuit(c, make_rng(seed)).pop()
-    tables, dec, gen_labels = garbling.parse_payload(
-        c, garbling.payload(gc, gen_bits))
-    eval_labels = chosen(gc.eval_label_pairs(), eval_bits)
-    out = garbling.evaluate(c, tables, gen_labels, eval_labels)
-    assert garbling.decode(dec, out) == eval_plain(c, gen_bits, eval_bits)
+    assert garbled_run(c, gc, gen_bits, eval_bits) == \
+        eval_plain(c, gen_bits, eval_bits)
 
 
 @pytest.mark.parametrize("kind", sorted(WIDE))
 def test_payload_length_formula(kind):
-    # two ciphertexts per non-free gate, two decode hashes per output,
-    # one label per generator input, and nothing else
+    # two ciphertexts per non-free gate, one label per generator input,
+    # and nothing else
     c = WIDE[kind]
-    expected = (32 * len(c.nonfree_gates()) + 32 * len(c.outputs) +
-                16 * len(c.gen_inputs))
+    expected = 32 * len(c.nonfree_gates()) + 16 * len(c.gen_inputs)
     rng = make_rng(21)
     for gc in instances(c, rng, 4):
         gen_bits = [rng.getrandbits(1) for _ in c.gen_inputs]
@@ -235,7 +229,7 @@ def test_flipped_ciphertext_in_use_fails_decoding(kind):
     gc = garbling.GarbledCircuit(c, rng).pop()
     gen_labels = gc.encode(gen_bits)
     eval_labels = chosen(gc.eval_label_pairs(), eval_bits)
-    tables, dec = tables_of(c, gc), decode_info_of(c, gc)
+    tables, dec = tables_of(c, gc), gc.decode_hashes
     honest = garbling.evaluate(c, tables, gen_labels, eval_labels)
     assert garbling.decode(dec, honest) == eval_plain(c, gen_bits, eval_bits)
     used = []
@@ -244,7 +238,7 @@ def test_flipped_ciphertext_in_use_fails_decoding(kind):
         flipped = bytearray(tables)
         flipped[16 * t + rng.randrange(16)] ^= 1 << rng.randrange(8)
         out = garbling.evaluate(c, bytes(flipped), gen_labels, eval_labels)
-        if not np.array_equal(out, honest):
+        if out != honest:
             used.append(t)
             with pytest.raises(IntegrityError):
                 garbling.decode(dec, out)

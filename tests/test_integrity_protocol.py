@@ -51,16 +51,16 @@ def test_substituted_node_detected_before_evaluation(scheme):
                 ch.record = True
         with pytest.raises(SessionAborted, match="authentication") as err:
             cluster.encrypt(15)
-        # the analyst sent its first OT flips, one-time padded, before the
-        # node arrived, but it evaluated nothing: no masked output and no
-        # share left its side for this session
+        # the analyst sent its OT choices, one-time padded, before the
+        # node arrived, but it evaluated nothing: no output label left
+        # its side for this session
         sent = [transport.decode_frame(b[4:]) for ch in cluster.channels
                 if ch.name in ("da->do", "da->csp") for b in ch.transcript]
         sid = err.value.session_id
         assert transport.OT_MSG in {f.ftype for f in sent
                                     if f.session_id == sid}
         assert not [f for f in sent if f.session_id == sid and
-                    f.ftype in (transport.GC_RESULT, transport.SHARES)]
+                    f.ftype == transport.SHARES]
     finally:
         cluster.close()
 

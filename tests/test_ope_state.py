@@ -4,11 +4,12 @@ import math
 import os
 import signal
 import threading
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import table_snapshot
+from oracles import fh_gap_distribution, table_snapshot
 
 from oope import engine, integrity, modexp, ope_state, paillier
 from oope.errors import (CapacityError, ConfigurationError, DomainError,
@@ -240,6 +241,30 @@ def test_fh_init_duplicates_get_distinct_orders(keys):
     assert plain == sorted(data)
     # every occurrence is present in the owner's pairs
     assert sorted(x for x, _ in owner.pairs) == sorted(data)
+
+
+# Pearson's chi-square at its 0.1% point with 5 degrees of freedom
+CHI2_999_5 = 20.515
+
+
+def test_fh_setup_places_a_copy_by_the_session_rule(keys):
+    # set-up puts the last copy of [7] * 6 into a gap of the first five
+    # as a session's search would: 1/8, 1/8, 1/4, 1/8, 1/8, 1/4 in gaps
+    # 0 to 5 (fh_gap_distribution), where a uniform pick gives 1/6 each
+    pk, _ = keys
+    samples = 480
+    want = fh_gap_distribution([7] * 5, 7)
+    rng = make_rng(71)
+    gaps = Counter()
+    for _ in range(samples):
+        owner, _ = init_state([7] * 6, (1 << 20) - 3, pk, l=16, mode="fh",
+                              rng=rng)
+        *first, (_, last) = owner.pairs
+        gaps[sum(y < last for _, y in first)] += 1
+    assert set(gaps) <= set(want)
+    chi2 = sum((gaps[g] - samples * p) ** 2 / (samples * p)
+               for g, p in want.items())
+    assert chi2 < CHI2_999_5, gaps
 
 
 @pytest.mark.parametrize("mode,tagged", [("det", False), ("fh", False),

@@ -90,9 +90,9 @@ def test_loopback_and_tcp_identical_bound(mode):
 
 
 def aborted_then_encrypts(cluster, xs):
-    """An encrypt of xs[0] that the server aborts, the analyst's second
-    SHARES damaged, then a good encrypt of each of xs; returns the abort
-    reason and the orders."""
+    """An encrypt of xs[0] that the server aborts, a bit of the analyst's
+    second SHARES flipped, then a good encrypt of each of xs; returns the
+    abort reason and the orders."""
     end = cluster.da.csp_ch
     seen = []
 
@@ -101,12 +101,13 @@ def aborted_then_encrypts(cluster, xs):
             seen.append(frame)
             if len(seen) == 2:
                 frame = Frame(frame.ftype, frame.session_id,
-                              bytes([frame.payload[0] ^ 0b0100]))
+                              bytes([frame.payload[0] ^ 0b0100]) +
+                              frame.payload[1:])
         transport.Channel.send(end, frame)
 
     end.send = damaged
     try:
-        with pytest.raises(SessionAborted, match="disagree") as err:
+        with pytest.raises(SessionAborted, match="failed to decode") as err:
             cluster.encrypt(xs[0])
     finally:
         del end.send
@@ -121,7 +122,7 @@ def test_loopback_and_tcp_identical_under_integrity(scheme):
 
 
 # SHA-256 of each channel's transcript, its sent frames concatenated, in
-# seeded runs of protocol 12: det, fh and Pedersen on a 256-bit key, det
+# seeded runs of protocol 13: det, fh and Pedersen on a 256-bit key, det
 # on a 1024-bit key, whose N^2 of 2048 bits takes encryption through
 # modexp.FixedBase, and det with a session the server aborts in its
 # second round, then two good ones, so the ABORT frames and the OT
@@ -142,87 +143,87 @@ PINNED_CASES = {
 PINNED_DIGESTS = {
     "det": {
         "csp->da":
-            "084b60187bf1e9104754846d011d468185fdab61b2e8454539861418efcdd581",
+            "8f0a3cc32a9c3b86a74c7e8ac009b10969ac3d7ea0ab0a67de9e95972a62c805",
         "csp->do":
-            "1b1dbbe5c580c40a902243fde2a2e45e946aa3fefe4a2cd5faae80e4d89cd928",
+            "7ef951716ef841aa3228291ef1b7f40a66413921b4060e0d821727d243acf7c2",
         "da->csp":
-            "9f1b8d0f87980a2efbe87b89966c3222efb9352c4b89b68978b1ad94ec0d213a",
+            "25f58b79f99c780c9037f45d7db5ed410114af6b0c88c50487e60879271fc044",
         "da->do":
-            "0c3e9d28985ba6d2b8708e15898a491fb489308ba2e526571a0d97f4ff2c257a",
+            "e5cc5de57e996d55d31ad694e7f7cb4b3906beca4f307734f13fa3697961accd",
         "do->csp":
-            "deb1d9b02188be82852f37c4ae20b4e49e3f79e5d1f3af308e4e5de4a789c00e",
+            "7b2eb56ae083f8c92e54cfb12a2b5c658ec60c9ffcaf53e39be74d4491083485",
         "do->da":
-            "32e302c122a691a5bdceb2b048cea6bb549c15899cec595e56e360b03fc06374",
+            "8b754c527d8bda91bdbf77e31468fcc1a3b2434874b0f4ade1bb0d8b9b3291be",
     },
     "fh": {
         "csp->da":
-            "14d3a1fa71434e372fdfe5ed4e0092a3ce348ddf66272aeedb61aae9fecbc4cb",
+            "d399518713eb8267cf4008d670a53870f9e0d218b619b69c3103bb19a07ab2c6",
         "csp->do":
-            "a34fa68921429af61d0bd609668850169cede929b713c087ca86cae5f1716149",
+            "0d7b18ef3b68c213c9e49ee16ea8e8c9a8b549251cf586d404555338d9ff39da",
         "da->csp":
-            "757425567bb723fde3a23166abf0679b1e573d6eb0bad058ddd0ddd07122cfa9",
+            "c451d813f3dfd2e71f9b326065b755e9c67deb3a6e1ace3fa66b1229e97a073e",
         "da->do":
-            "86fda25f47f6937377ba4d519c7020b29dfe4bd894b2718fc2cf4e4a204791b8",
+            "1101eb39b0e184e5cf6663eb130abd771e7e6efadf2c77f2bb287a6986a5f756",
         "do->csp":
-            "7591609b17a63d833ae924665405c659fa573e8151862c7bb2dbfa68017748cc",
+            "57dc7278922835694b81fca23236c8d4277cdacadec3a1e98cf3fc4081c1a488",
         "do->da":
-            "e983c6213cb2118c8c733f4d0298c2a9c2bfa4f55c5e6f25c7a7f9cbfdaf6715",
+            "15c3a010903b2562a7b7d2e7e2d83056c1ec7bfd48f0af816b8f280a3aa45ee7",
     },
     "pedersen": {
         "csp->da":
-            "3b36102b85dcdd3dfbb35ba875bcede913d85357247c8f6792607d78677a9855",
+            "af3aea386f5e57584c712ede3d916c816db69066d5f39b204e37c0c494b03279",
         "csp->do":
-            "cd646e661df87b75f9f00cd443e3afa7b4960189f8c0de81681fe25b0e93dc64",
+            "0b9abad49484d54687479c066de2f45c6f4ea6a9d62f930591a7266dff4675a6",
         "da->csp":
-            "623b2344eca2e33a8df7c4dc227eefdb94e9fff1cb8b08b2fa48e2ba65c980c1",
+            "146f7150ae06afb09fa7b8fc3352f022daec07760e2780b74fcc72d7c2d35ed2",
         "da->do":
-            "b46a0f520b5299070ed4027ce81c5c269b13868f612255d509c0ad69e79e10ad",
+            "140a007b2a93c2ec541c0e61f2a3800bf57b00bcbb7c809d54c320e38fc5f6e7",
         "do->csp":
-            "fb3c8cd8d0ab1cae8a6f23a8442f56c3c6040a9932be2bb6bb3e3e0dc67b146d",
+            "dbb070d71dc0bd6e451046630f520c95d9fcadbedb020fd6a1a6f3204c2d91e7",
         "do->da":
-            "4b3b0e4a584e150b43e9100e934a4ee529b63077ae512c894222d9b9a86bcb2f",
+            "4ab38af1fee52ec678ce3e38146059f4e76f26dd27fe42dd4934d90fb60981e4",
     },
     "det-1024": {
         "csp->da":
-            "9febe425b7a01863117e9a256bd653aa29b7f2d48160a1e486d18ab3f68ccdf3",
+            "292851b5216eb4467ab30929e1178ab34a15bd35284bbb4be23402374cf0376f",
         "csp->do":
-            "f1d34c3ccbba2009ff70a133c5ed164a99d4e3e27bdfb8fc8caf3ed1ae89b104",
+            "99035081f4e1da76ed3c27d325a3ccdbd2ce2c9bdd97ef041d23555f88d47879",
         "da->csp":
-            "644d783d50b301f43caa95e7a97f88a45533ed7dbaceafb5ec274ac7c6dace9b",
+            "6eebcfbed251d5dc1d165a2b2579c773fb98aca20de8c01b137337160df7c747",
         "da->do":
-            "d107b4cb97e0dcf136cb0e9c26a8eb0d42a674114453d0700ecdf51d6abe4857",
+            "e512099ec31e061d4eb5d94542ec45570f7186329b76e280697dbc18e9dd5837",
         "do->csp":
-            "203b938d645a1141964194998f68bc222825575a40f6984d44067e9b3c169936",
+            "9e99e8ca3f963b59e01f425cdd89ae7caf587524354e5c64934c5c159c255287",
         "do->da":
-            "18f7c5a6af48214dc16fcfc31953f7460f20fb848d3e12a57b3132bccf19354a",
+            "1ab02da4f16f6bcf9be7ff8db978d087a7095d9528ec7012096603326e9d75c7",
     },
     "abort": {
         "csp->da":
-            "5c562946ad8daaa1bb988c06e5e9518d2ec615db74321ef6ca378f8c68797dee",
+            "d48ba8a83611900403e0a066320cae2b1bde16288539a1de8744733ed9c97080",
         "csp->do":
-            "f6ae45bc6c004e749c215004eab2e354ab05eea62e8e579c7af3724635d6f296",
+            "f9ac29c829dcae8577bc86d943414d824eb2366abf60eccea8ebec688d442bd8",
         "da->csp":
-            "0f23b73585cb5fd062ea7f311c582f33730a65d1e0b155ddad411a639b38c888",
+            "ff6cf1ca7b6e76b08cb230bab55100b53d6cbbeff9e94fd9b878808046d045d0",
         "da->do":
-            "dc18938d32759fafa7f16b2b7042d0c460bb42df37f32a74471c6cc11c796005",
+            "e29fa218ce0dcfaf50274d57a383fe8095b4112554feb05e1fe115a972032357",
         "do->csp":
-            "2950f6fb3d8d3bd95a79eb2669a21946028c4d6226efdfa20f4f8d35895eda43",
+            "ad502263b77faa4e8108e06aa57ba29a59a621dfc025284f955976d6bceffb95",
         "do->da":
-            "74afb993106d4e3bbb7f3ba8710a1f1cf2ba2e720c95fbafb73a99e00fd2d48a",
+            "2e3fb73009e8ec9814a194bf1325dd7d4bd1fa44e9a9f632566b449079161cee",
     },
     "fh-stop": {
         "csp->da":
-            "ec864808c0cadc6f934ba70afd6f3d3bd11948ef087043ccce5f2d3511ab8de3",
+            "460fc16c756d89915a89f7ab6ee36b9f0ca22d2040ab7cd063c8745b621ed5e4",
         "csp->do":
-            "971935547288dde0fccc19b668e63d1291ce34736ba4b915ae1564ce6b9dfc2b",
+            "569b5ebd16d91f17fa951deb7b9aa8b021b1e61b37be4b519474abb3a4aae043",
         "da->csp":
-            "b7a7eff5c9b4d394ef05f3d9927dcca4f97f71b8dc48ca4dbe0ad99cd101885a",
+            "fde885a0c900d349cd9d935c8590f04eecf9d2915ecc616e25fb7a1642f7a7c5",
         "da->do":
-            "3b45800a026d5363392cdc175c2428f21a891ebc46e9a19fc7981bc4ad04c1fd",
+            "cb5cfee6536e511a93c44b29c543e0aae5bb3c3c08a5d36a7107fc579abeea2b",
         "do->csp":
-            "d0fc876dc15f56bd3b914f83ae376f69afcaa9caa73869cebc5ecba2a6c36d69",
+            "5a2cc927950e6b09103f097224a500eedb6bdcf7e1268fda0a11629134434efd",
         "do->da":
-            "55424cafbcff37f73fbc60b8f207f44b8746764545487b57bcee67522610a31d",
+            "ab153387e3d0d6f5bb8bf22af347fe1eb0993da0ffaceb21b805895aff36c118",
     },
 }
 
@@ -243,9 +244,11 @@ def test_different_seeds_differ():
 @pytest.mark.parametrize("mode", ["det", "fh"])
 @pytest.mark.parametrize("scheme", [integrity.SCHEME_OFF,
                                     integrity.SCHEME_PEDERSEN])
-def test_session_frames_have_the_v12_lengths(mode, scheme):
+def test_session_frames_have_the_v13_lengths(mode, scheme):
     # every session frame has one layout, whose length follows from h,
-    # the key and MAC group widths and the circuit alone
+    # the key and MAC group widths and the circuit alone: GC_PAYLOAD
+    # carries no decode hashes, which the owner's SHARES carries, 32
+    # bytes per output, and the analyst's SHARES is 16 bytes per output
     params = ProtocolParams(l=16, k=16, m=(1 << 20) - 3, key_bits=256,
                             mode=mode, integrity=scheme,
                             mac_subgroup_bits=160)
@@ -267,12 +270,13 @@ def test_session_frames_have_the_v12_lengths(mode, scheme):
                      cluster.transcripts().items()}
             h = ctx["table"].height
             op(cluster, x)
-            frames = [transport.decode_frame(blob[4:])
+            frames = [(name, transport.decode_frame(blob[4:]))
                       for name, blobs in cluster.transcripts().items()
                       for blob in blobs[start[name]:]]
-            for sid in {f.session_id for f in frames
+            for sid in {f.session_id for _, f in frames
                         if f.ftype == transport.SESSION_START}:
-                session = [f for f in frames if f.session_id == sid]
+                session = [(name, f) for name, f in frames
+                           if f.session_id == sid]
                 m = 8 * -(-h * n // 8)
                 want = {
                     transport.SESSION_START: [1],
@@ -280,23 +284,27 @@ def test_session_frames_have_the_v12_lengths(mode, scheme):
                     transport.OT_MSG: [4 + 16 * m],
                     transport.RANDOMIZED_NODE: [w * (1 + pedersen)] * h,
                     transport.GC_PAYLOAD: [
-                        32 * (len(circuit.nonfree_gates()) +
-                              len(circuit.outputs)) +
+                        32 * len(circuit.nonfree_gates()) +
                         16 * len(circuit.gen_inputs) + 32 * n] * h,
-                    transport.GC_RESULT: [1] * h,
-                    transport.SHARES: [1] * 2 * h,
                     transport.ORDER_RESULT: [16],
                     transport.SESSION_DONE: [0]}
                 if pedersen:
                     want[transport.INTEGRITY_TAG] = [64 + g] * h
                     want[transport.INTEGRITY_PROOF] = [g] * h
-                if any(f.ftype == transport.CIPHER_UPLOAD for f in session):
+                if any(f.ftype == transport.CIPHER_UPLOAD
+                       for _, f in session):
                     want[transport.CIPHER_UPLOAD] = [
                         2 * w + g if pedersen else w]
-                got = {}
-                for f in session:
-                    got.setdefault(f.ftype, []).append(len(f.payload))
+                got, shares = {}, {}
+                for name, f in session:
+                    if f.ftype == transport.SHARES:
+                        shares.setdefault(name, []).append(len(f.payload))
+                    else:
+                        got.setdefault(f.ftype, []).append(len(f.payload))
                 assert got == want
+                outputs = len(circuit.outputs)
+                assert shares == {"do->csp": [32 * outputs] * h,
+                                  "da->csp": [16 * outputs] * h}
                 seen |= got.keys()
         assert transport.CIPHER_UPLOAD in seen
         assert not cluster.errors

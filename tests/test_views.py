@@ -1,7 +1,7 @@
 """The privacy contract and the round's shape, seen from each role:
 what the owner and the analyst see depends on nothing they must not
-learn, the server sees one bit per table node, and a round costs four
-one-way flights."""
+learn, the server sees one bit per table node and frames that depend on
+no query, and a round costs three one-way flights."""
 
 from collections import Counter, defaultdict
 
@@ -48,11 +48,11 @@ def role_view(role, mode, scheme, data, op, xbar):
 
 @pytest.mark.parametrize("mode", ["det", "fh"])
 @pytest.mark.parametrize("scheme", SCHEMES)
-def test_a_round_is_four_flights(mode, scheme):
-    # node, garbled circuit with the OT reply, GC_RESULT, SHARES: the
-    # first round adds the offsets and the session's OT batch, which
-    # holds every round's choices, and the session adds SESSION_START
-    # and ORDER_RESULT
+def test_a_round_is_three_flights(mode, scheme):
+    # node, garbled circuit with the OT reply beside the owner's SHARES,
+    # the analyst's SHARES: the first round adds the offsets and the
+    # session's OT batch, which holds every round's choices, and the
+    # session adds SESSION_START and ORDER_RESULT
     data = list(range(100, 2100, 100))
     pedersen = scheme == integrity.SCHEME_PEDERSEN
     with views.tap() as tap:
@@ -70,13 +70,12 @@ def test_a_round_is_four_flights(mode, scheme):
                        if f.ftype == transport.SESSION_START][-1]
                 flights = tap.stamp(transport.ORDER_RESULT, sid) - \
                     tap.stamp(transport.SESSION_START, sid)
-                assert flights <= 4 * h + 3, (op, h, flights)
+                assert flights <= 3 * h + 3, (op, h, flights)
                 counts = Counter(f.ftype for f in tap.session_frames(sid))
                 # one extension batch per session, and no OT frame after
                 assert counts.pop(transport.OT_MSG) == 1
                 per_round = [transport.RANDOMIZED_NODE, transport.GC_PAYLOAD,
-                             transport.GC_RESULT, transport.SHARES,
-                             transport.SHARES]
+                             transport.SHARES, transport.SHARES]
                 if pedersen:
                     per_round += [transport.INTEGRITY_TAG,
                                   transport.INTEGRITY_PROOF]
@@ -103,6 +102,23 @@ def test_owner_view_is_the_same_for_any_query(mode, scheme, data, draw):
                 for _ in range(2)]
     first, second = (role_view("do", mode, scheme, data, op, xbar)
                      for op, xbar in sessions)
+    assert first == second
+
+
+@pytest.mark.parametrize("mode", ["det", "fh"])
+@pytest.mark.parametrize("scheme", SCHEMES)
+@settings(max_examples=5, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.lists(PLAIN, min_size=1, max_size=12),
+       op=st.sampled_from(sorted(OPS)), draw=st.data())
+def test_server_view_is_the_same_for_any_query(mode, scheme, data, op, draw):
+    # over one table and one op: any two xbar, hits or misses, show the
+    # server frames of the same types and lengths, the analyst's output
+    # labels and the owner's decode hashes among them
+    first, second = (role_view("csp", mode, scheme, data, op,
+                               draw.draw(st.one_of(st.sampled_from(data),
+                                                   PLAIN)))
+                     for _ in range(2))
     assert first == second
 
 
