@@ -1,30 +1,41 @@
-"""Boolean comparator circuits.
+"""Boolean comparator circuits over blinded values.
 
 One circuit computes both the inequality bit [xbar != x] and the
-greater-than bit [xbar > x] over w-bit inputs, and outputs them as they
-are: garbled, an output is a label that only the holder of its decode
-hashes, the server, can map to its bit (garbling).  The
-frequency-hiding variant folds a coin into the same circuit and emits a
-single traversal bit.
+greater-than bit [xbar > x] and outputs them as they are: garbled, an
+output is a label that only the holder of its decode hashes, the
+server, can map to its bit (garbling).  The frequency-hiding variant
+folds a coin into the same circuit and emits a single traversal bit.
 
 Circuits have two gate kinds, XOR and AND, and one constant wire, ONE
 (wire 0), which holds 1: NOT a is XOR(a, ONE), and the comparators
 carry equality, not inequality, through their ANDs, so they need no OR.
 
-Both compute the two bits the same way (_compare_stages): blocks of
-BLOCK_BITS = 8 bits ripple side by side, and a balanced tree merges
-the blocks' results.  At the paper width of 65 bits that is 137
-AND gates 12 levels deep, where one ripple over all 65 bits takes 129
-gates 65 levels deep.  The garbling hashes one AND level per pair of
-AES calls, so the levels, more than the gates, set an evaluation's
-cost.  The frequency-hiding circuit adds two AND gates and one level:
-139 AND gates at w = 65.
+The inputs are the low w bits of the blinded values a = x + r and
+b = xbar + r, and those bits decide whenever |a - b| < 2^(w-1)
+(_blinded_stages).  The low w - 1 bits give the comparison of a and b
+modulo 2^(w-1), and bit w - 1 of a XOR that of b says whether the
+difference wrapped round that modulus, which flips its greater-than
+bit.  Equality needs the low w - 1 bits alone.  The engine takes
+w = l + 2: a - b = x - xbar, with x a plaintext below 2^l or the
+sentinel 2^l of the rounds after a search stops and xbar below 2^l, so
+|a - b| <= 2^l < 2^(l+1).  One bit fewer fails at the sentinel
+against xbar = 0, where a - b = 2^l reads as equal.  The blinding
+offset r < 2^(l+k) never enters the circuit, so k adds no gates.
+
+Both variants compare the low bits the same way (_compare_stages):
+blocks of BLOCK_BITS = 8 bits ripple side by side, and a balanced tree
+merges the blocks' results.  At the paper width w = l + 2 = 34 that is
+69 AND gates 11 levels deep over the low 33 bits, where one ripple over
+them takes 65 gates 33 levels deep.  The garbling hashes one AND level
+per pair of AES calls, so the levels, more than the gates, set an
+evaluation's cost.  The frequency-hiding circuit adds two AND gates and
+one level: 71 AND gates at w = 34.
 
 Bit order is LSB first.  Input wire layout (generator = key owner
-holding x, evaluator = analyst holding xbar):
+holding a, evaluator = analyst holding b):
 
-  comparator:      gen = x bits           eval = xbar bits
-  fh comparator:   gen = x bits, r_x      eval = xbar bits, r_xbar, stick
+  comparator:      gen = a bits           eval = b bits
+  fh comparator:   gen = a bits, r_x      eval = b bits, r_xbar, stick
 """
 
 from collections import namedtuple
@@ -134,17 +145,19 @@ def _ripple(c: BooleanCircuit, x: list, xbar: list):
 
 
 def _compare_stages(c: BooleanCircuit, x: list, xbar: list):
-    """Wires for [xbar != x] and [xbar > x].
+    """Wires for [xbar != x] and [xbar > x] of the plain values x and
+    xbar, LSB first.
 
     The bits are cut into blocks of BLOCK_BITS from the low end, and
     each block ripples on its own (_ripple), after Kolesnikov, Sadeghi
     and Schneider (CANS 2009).  A balanced tree then merges adjacent
     blocks' (eq, gt) pairs, the high one deciding unless it is equal:
     eq = eq_hi AND eq_lo and gt = gt_hi XOR (eq_hi AND gt_lo), two ANDs
-    per merge.  Over w bits in B = ceil(w / BLOCK_BITS) blocks that is
-    2w + B - 2 AND gates, min(w, BLOCK_BITS) + ceil(log2 B) levels
-    deep: 137 gates and 12 levels at w = 65, against 129 gates and 65
-    levels for one ripple over all w bits.
+    per merge.  Over n bits in B = ceil(n / BLOCK_BITS) blocks that is
+    2n + B - 2 AND gates, min(n, BLOCK_BITS) + ceil(log2 B) levels
+    deep: 69 gates and 11 levels over the 33 bits that _blinded_stages
+    compares at the paper width, against 65 gates and 33 levels for one
+    ripple over all of them.
     """
     pairs = [_ripple(c, x[i:i + BLOCK_BITS], xbar[i:i + BLOCK_BITS])
              for i in range(0, len(x), BLOCK_BITS)]
@@ -159,14 +172,27 @@ def _compare_stages(c: BooleanCircuit, x: list, xbar: list):
     return c.emit(XOR, eq, ONE), gt
 
 
+def _blinded_stages(c: BooleanCircuit, a: list, b: list):
+    """Wires for [b != a] and [b > a] from the low w bits of a and b,
+    right whenever |a - b| < 2^(w-1) (module docstring): the low w - 1
+    bits compared, and bit w - 1 of both XORed into the greater-than
+    wire, which costs no AND gate."""
+    ne, gt = _compare_stages(c, a[:-1], b[:-1])
+    return ne, c.emit(XOR, gt, c.emit(XOR, a[-1], b[-1]))
+
+
+def _check_width(width: int):
+    if width < 2:
+        raise DomainError("comparator width must be >= 2")
+
+
 def build_comparator(width: int) -> BooleanCircuit:
-    """Equality/greater-than circuit over width-bit inputs, with
-    outputs ([xbar != x], [xbar > x])."""
-    if width < 1:
-        raise DomainError("comparator width must be >= 1")
+    """Equality/greater-than circuit over the low width bits of blinded
+    values, with outputs ([xbar != x], [xbar > x])."""
+    _check_width(width)
     c = BooleanCircuit()
     _inputs(c, width, width)
-    c.outputs = list(_compare_stages(c, c.gen_inputs, c.eval_inputs))
+    c.outputs = list(_blinded_stages(c, c.gen_inputs, c.eval_inputs))
     return c
 
 
@@ -185,14 +211,13 @@ def build_fh_comparator(width: int) -> BooleanCircuit:
     sets stick = 1 and r_xbar to its side, so ties go its way whatever
     r_x is.
     """
-    if width < 1:
-        raise DomainError("comparator width must be >= 1")
+    _check_width(width)
     c = BooleanCircuit()
     _inputs(c, width + 1, width + 2)
     x, r_x = c.gen_inputs[:width], c.gen_inputs[width]
     xbar, (r_xbar, stick) = c.eval_inputs[:width], c.eval_inputs[width:]
 
-    b_e, b_g = _compare_stages(c, x, xbar)
+    b_e, b_g = _blinded_stages(c, x, xbar)
     coin = c.emit(XOR, r_xbar, c.emit(AND, r_x, c.emit(XOR, stick, ONE)))
     c.outputs = [_mux(c, b_e, b_g, coin)]
     return c

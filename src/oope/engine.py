@@ -26,7 +26,8 @@ so tells the sentinel's rounds, as it told a replayed node's).  The
 rounds after the search stops compare a sentinel, not a table node:
 2^l, above every plaintext, so their bits are those of xbar < 2^l
 whatever the coins, and the server ignores them
-(CspEngine.run_session).  The server encrypts the sentinel itself;
+(CspEngine.run_session); the comparator's l + 2 bits decide it against
+every xbar, 0 included.  The server encrypts the sentinel itself;
 under Pedersen set-up tags it (OpeTable.sentinel_tag).  A replay of
 the stop node would show the server, in fh, whether that node equals
 xbar: an unequal node repeats its bit, an equal one tosses a fresh
@@ -75,7 +76,10 @@ and last batch index outlive a session.
 Each session frame has one layout, and says nothing that its framing,
 the parameters HELLO checked or the circuit built from them fix.  With
 w = paillier.cipher_width, g the MAC group's width (wire_group), n the
-circuit's evaluator inputs and o its outputs; [...] is Pedersen's part:
+circuit's evaluator inputs and o its outputs; [...] is Pedersen's part.
+Each party feeds the circuit only the low l + 2 bits of its blinded
+value (ProtocolParams.width), so n is l + 2 in det and l + 4 in fh,
+with the coin and stick.
 
   SESSION_START    op u8 | column, UTF-8
   RANDOM_OFFSET    h offsets r, 16 bytes each
@@ -89,6 +93,12 @@ circuit's evaluator inputs and o its outputs; [...] is Pedersen's part:
   ORDER_RESULT     order, 16 bytes
   CIPHER_UPLOAD    Enc(xbar), w bytes [| Enc(a), w bytes | commitment]
   SESSION_DONE     empty
+
+At the paper profile (2048-bit key, l = k = 32) a det round's payloads
+are 4992 bytes: the node (512), GC_PAYLOAD (3840: 69 AND gates at 32
+bytes, 34 owner labels at 16, the OT reply's 34 pairs at 32), both
+SHARES (64 + 32) and the round's 34 rows of the OT_MSG (544); framing
+adds 21 bytes per frame.
 
 The commitment ends CIPHER_UPLOAD because the server does not know g;
 the analyst checks its width when the node's INTEGRITY_TAG comes back.
@@ -262,9 +272,11 @@ class ProtocolParams:
 
     @property
     def width(self) -> int:
-        # compared values are x+r with r < 2^(l+k), so sums need one
-        # extra carry bit
-        return self.l + self.k + 1
+        # the comparator's bits of each blinded value: x + r and xbar + r
+        # differ by x - xbar, at most 2^l in magnitude with the sentinel
+        # 2^l, so their low l + 2 bits decide (comparator).  Ranges and
+        # wire widths of x + r follow from l and k, never from this
+        return self.l + 2
 
     def digest(self) -> bytes:
         blob = (b"oope-params" + u16(transport.PROTOCOL_VERSION) +

@@ -58,7 +58,7 @@ uniform, so one lane's queries tell nothing about another's hashes
 beyond the q·p/2^128 above (q counting every lane).  The gates run in
 the AND-depth order of circuit.schedule, and all hashes of one level,
 in every lane, go through one aes.tccr call: one pair of AES calls per
-level, 12 levels for the det comparator at the paper width (comparator)
+level, 11 levels for the det comparator at the paper width (comparator)
 instead of four SHA-256 calls per gate.  The evaluator walks the same
 schedule for its one instance, one pair of AES calls per level.  Each
 level's tweaks are packed into bytes once per circuit

@@ -147,17 +147,19 @@ def decrypt_direct(sk, c):
     return (powmod(c, lam, sk.public.n_sq) - 1) // n * mu % n
 
 
-def eval_plain(circuit, gen_bits, eval_bits):
+def eval_plain(circuit, gen_bits, eval_bits, lanes=1):
     """Gate-by-gate evaluation of a comparator in the clear: the
-    garbling oracle."""
+    garbling oracle.  With lanes > 1 it evaluates that many inputs at
+    once: bit j of each input and output int is lane j's bit."""
     if len(gen_bits) != len(circuit.gen_inputs) or \
             len(eval_bits) != len(circuit.eval_inputs):
         raise UsageError("incomplete input assignment")
-    values = {ONE: 1}
+    ones = (1 << lanes) - 1
+    values = {ONE: ones}
     for w, b in zip(circuit.gen_inputs, gen_bits):
-        values[w] = b & 1
+        values[w] = b & ones
     for w, b in zip(circuit.eval_inputs, eval_bits):
-        values[w] = b & 1
+        values[w] = b & ones
     for g in circuit.gates:
         if g.op == XOR:
             values[g.out] = values[g.a] ^ values[g.b]

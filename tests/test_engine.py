@@ -1175,41 +1175,57 @@ def test_rebalance_mid_session():
         cluster.close()
 
 
-def test_owner_view_does_not_depend_on_rebalancing(monkeypatch):
-    # a rebalance stays on the server: per session, the owner gets the
-    # same frames of the same lengths from the server, and sends it the
-    # same ones, whether the session rebalanced or not
-    params = small_params(m=67)
-    data = [9000, 100, 52000, 7, 31000, 2500, 640, 12000]
-    cluster, ctx = make_cluster(data, seed=61, params=params, record=True)
+OWNER_LINKS = ("csp->do", "do->csp", "da->do", "do->da")
+
+
+def owner_views_by_height(mode, seed, rebalances):
+    """{table height: [(rebalanced, the owner's frames)]} over 24
+    encrypts into a seeded table of 8 at M = 67, a copy of a stored
+    value in every third; a frame is its (type, length) on each of the
+    owner's links, and rebalances is count_rebalances's list."""
+    rng = make_rng(seed)
+    data = [rng.randrange(1 << 16) for _ in range(8)]
+    queries = [rng.choice(data) if i % 3 == 0 else rng.randrange(1 << 16)
+               for i in range(24)]
+    cluster, ctx = make_cluster(data, seed=seed, record=True,
+                                params=small_params(m=67, mode=mode))
     table = ctx["table"]
-    rebalances = count_rebalances(monkeypatch)
-    views = {}  # table height -> [(rebalanced, owner's frames)]
-
-    def sent(name, start):
-        return [(blob[4], len(blob))
-                for blob in cluster.transcripts()[name][start[name]:]]
-
+    views = {}
     try:
-        for xbar in range(1000, 51000, 2500):
+        for xbar in queries:
             start = {n: len(v) for n, v in cluster.transcripts().items()}
             height, before = table.height, len(rebalances)
             cluster.encrypt(xbar)
-            to_owner, from_owner = sent("csp->do", start), \
-                sent("do->csp", start)
+            seen = tuple(tuple((blob[4], len(blob)) for blob in
+                               cluster.transcripts()[name][start[name]:])
+                         for name in OWNER_LINKS)
+            to_owner, from_owner = seen[:2]
             assert {t for t, _ in to_owner} <= {transport.RANDOMIZED_NODE,
                                                 transport.ABORT}
             assert {t for t, _ in from_owner} == {transport.SHARES}
             views.setdefault(height, []).append(
-                (len(rebalances) > before, to_owner, from_owner))
+                (len(rebalances) > before, seen))
         assert not cluster.errors
     finally:
         cluster.close()
-    assert rebalances
-    mixed = [h for h, v in views.items() if len({r for r, *_ in v}) == 2]
-    assert mixed, "no height saw sessions with and without a rebalance"
-    for sessions in views.values():
-        assert len({(tuple(a), tuple(b)) for _, a, b in sessions}) == 1
+    return views
+
+
+def test_owner_view_does_not_depend_on_rebalancing(monkeypatch):
+    # a rebalance stays on the server: per session, the owner gets the
+    # same frames of the same lengths from the server and the analyst,
+    # and sends them the same ones, whether the session rebalanced or
+    # not, over several seeded tables at M = 67 in both modes
+    rebalances = count_rebalances(monkeypatch)
+    for mode in ("det", "fh"):
+        mixed = 0
+        for seed in range(4):
+            views = owner_views_by_height(mode, seed, rebalances)
+            for sessions in views.values():
+                assert len({seen for _, seen in sessions}) == 1, (mode, seed)
+            mixed += sum(len({r for r, _ in v}) == 2 for v in views.values())
+        # the property saw both kinds of session at one height
+        assert mixed >= 2, mode
 
 
 def test_masked_bits_look_uniform():

@@ -122,7 +122,7 @@ def test_loopback_and_tcp_identical_under_integrity(scheme):
 
 
 # SHA-256 of each channel's transcript, its sent frames concatenated, in
-# seeded runs of protocol 13: det, fh and Pedersen on a 256-bit key, det
+# seeded runs of protocol 14: det, fh and Pedersen on a 256-bit key, det
 # on a 1024-bit key, whose N^2 of 2048 bits takes encryption through
 # modexp.FixedBase, and det with a session the server aborts in its
 # second round, then two good ones, so the ABORT frames and the OT
@@ -143,87 +143,87 @@ PINNED_CASES = {
 PINNED_DIGESTS = {
     "det": {
         "csp->da":
-            "8f0a3cc32a9c3b86a74c7e8ac009b10969ac3d7ea0ab0a67de9e95972a62c805",
+            "34a4ad714e11cd8e579426710745da33d5a4750ab5390584f89fabe0b9f49cc0",
         "csp->do":
-            "7ef951716ef841aa3228291ef1b7f40a66413921b4060e0d821727d243acf7c2",
+            "ad88d6154b04072e1280c174227dec0d5763be1bcb7f43043ebf93baea613ac0",
         "da->csp":
-            "25f58b79f99c780c9037f45d7db5ed410114af6b0c88c50487e60879271fc044",
+            "3d26ae6c8ca58f99ae03daa2f4f3bd32e68345c7c1dda40149aa40e8e73706cf",
         "da->do":
-            "e5cc5de57e996d55d31ad694e7f7cb4b3906beca4f307734f13fa3697961accd",
+            "850a7090057babe323a76f401a0024080608d2484a72762fee97ae0784a1f8b1",
         "do->csp":
-            "7b2eb56ae083f8c92e54cfb12a2b5c658ec60c9ffcaf53e39be74d4491083485",
+            "dc233a9e5ca402417a25dc5fb66acec5aec184cb24ce27cb97072e10a9f0145d",
         "do->da":
-            "8b754c527d8bda91bdbf77e31468fcc1a3b2434874b0f4ade1bb0d8b9b3291be",
+            "3fbc3c843ba4d0fc0328baa3ac9434fe7a82c27f5e45ef8d3dea16030a479126",
     },
     "fh": {
         "csp->da":
-            "d399518713eb8267cf4008d670a53870f9e0d218b619b69c3103bb19a07ab2c6",
+            "a3f082b2467e91d71087ee9527961ab3b52a5b12be301d8b784324b2f987cfb1",
         "csp->do":
-            "0d7b18ef3b68c213c9e49ee16ea8e8c9a8b549251cf586d404555338d9ff39da",
+            "ca48f765590459fa2afbd3b5eb580f2f6125e7b5e36a14da5649ba9d745cbfe3",
         "da->csp":
-            "c451d813f3dfd2e71f9b326065b755e9c67deb3a6e1ace3fa66b1229e97a073e",
+            "d785ac3179133c72e93040d4bc1b502f2a5fdaa9f2d5e160f5d6e77a24303071",
         "da->do":
-            "1101eb39b0e184e5cf6663eb130abd771e7e6efadf2c77f2bb287a6986a5f756",
+            "96c2ddff5ebc32622ad14431fa7836c93bc713b3716d9d3df65592f16d90f786",
         "do->csp":
-            "57dc7278922835694b81fca23236c8d4277cdacadec3a1e98cf3fc4081c1a488",
+            "052b09fc63a2844cbe6b1534d75b27d80d3059daf2e4e136fa3bc2e31a822f08",
         "do->da":
-            "15c3a010903b2562a7b7d2e7e2d83056c1ec7bfd48f0af816b8f280a3aa45ee7",
+            "a765f528ea420d38fe93576e45054c7653c9b5cd4420cab1c55ee562d88c659b",
     },
     "pedersen": {
         "csp->da":
-            "af3aea386f5e57584c712ede3d916c816db69066d5f39b204e37c0c494b03279",
+            "bc9e5a056fd82698b2889057538a98b0e8b4e1c9a41add67476c8c9b06c12258",
         "csp->do":
-            "0b9abad49484d54687479c066de2f45c6f4ea6a9d62f930591a7266dff4675a6",
+            "4367c265f6ed53e2f2cbacc2e3fe7e7e5b1f31f0dca9e58f66e0f2c019b885d3",
         "da->csp":
-            "146f7150ae06afb09fa7b8fc3352f022daec07760e2780b74fcc72d7c2d35ed2",
+            "d032775397c266ba683649618e6db84298d9500edf0a7eccd3f6b23868359fd8",
         "da->do":
-            "140a007b2a93c2ec541c0e61f2a3800bf57b00bcbb7c809d54c320e38fc5f6e7",
+            "87dc1806ba8dc64444aecb8b649a28899d021982eec4bd93d169e9e4449176c4",
         "do->csp":
-            "dbb070d71dc0bd6e451046630f520c95d9fcadbedb020fd6a1a6f3204c2d91e7",
+            "2a11a6fb8bf740fad4c381a323aaee3b6adc469ee7f7b71af498b86c0066cc9d",
         "do->da":
-            "4ab38af1fee52ec678ce3e38146059f4e76f26dd27fe42dd4934d90fb60981e4",
+            "c6eae801362a6d06677e579b1b24a2148ec212b8d57648146cffe4b4482039f1",
     },
     "det-1024": {
         "csp->da":
-            "292851b5216eb4467ab30929e1178ab34a15bd35284bbb4be23402374cf0376f",
+            "83c2c72008e7b55e366a735fd114b10690722c2bcebbac2c8ba87b387ea6dc1b",
         "csp->do":
-            "99035081f4e1da76ed3c27d325a3ccdbd2ce2c9bdd97ef041d23555f88d47879",
+            "39fbe503ab44b36adf7bc20078d822137cc6c7af0511aeff2a0d84f5c3ec5da1",
         "da->csp":
-            "6eebcfbed251d5dc1d165a2b2579c773fb98aca20de8c01b137337160df7c747",
+            "833161f5d4d2642dfdd41e8fd0ee8b660106050239a5437744fb65de303b689f",
         "da->do":
-            "e512099ec31e061d4eb5d94542ec45570f7186329b76e280697dbc18e9dd5837",
+            "a7c668fdbf20cd28006b6a6edfa0253cd071ba1d98ad5992bd409a51fe34067f",
         "do->csp":
-            "9e99e8ca3f963b59e01f425cdd89ae7caf587524354e5c64934c5c159c255287",
+            "59496c9ff96525b21ad70f5e813604e0f1a5cd131c726c7a4ce10f48f92bd90e",
         "do->da":
-            "1ab02da4f16f6bcf9be7ff8db978d087a7095d9528ec7012096603326e9d75c7",
+            "741bfa953428d328967936f6bc1d6eecf5d6a9784fba2bf38f0998f1f1f96e73",
     },
     "abort": {
         "csp->da":
-            "d48ba8a83611900403e0a066320cae2b1bde16288539a1de8744733ed9c97080",
+            "5bb83ff93a509c89ffbe31f94e92eddf04ebbc2faaeb90fc1cf3a3c4d22940d7",
         "csp->do":
-            "f9ac29c829dcae8577bc86d943414d824eb2366abf60eccea8ebec688d442bd8",
+            "935855a30f72a2ea08e689aaedc5adbb7ff7f2c0a4d8360368317567a14891f8",
         "da->csp":
-            "ff6cf1ca7b6e76b08cb230bab55100b53d6cbbeff9e94fd9b878808046d045d0",
+            "addc74fbb32bfd9877b9061f6735ee52da366d8782491796163ba17cc7329487",
         "da->do":
-            "e29fa218ce0dcfaf50274d57a383fe8095b4112554feb05e1fe115a972032357",
+            "da96e01b54f768adae924ae43ace5c21a5d5734b6b979de540935f27f1421775",
         "do->csp":
-            "ad502263b77faa4e8108e06aa57ba29a59a621dfc025284f955976d6bceffb95",
+            "c1edd186bfb973b5377f7cf146187f91f503660785a1b2be44e1248d4ae02e46",
         "do->da":
-            "2e3fb73009e8ec9814a194bf1325dd7d4bd1fa44e9a9f632566b449079161cee",
+            "5be98b1f12a32bb7893d2e117b84639dc3dc72d7fa1282077f9657662113c9c3",
     },
     "fh-stop": {
         "csp->da":
-            "460fc16c756d89915a89f7ab6ee36b9f0ca22d2040ab7cd063c8745b621ed5e4",
+            "55b368230684615b204106906631f69e5225cf6feca514bd6f3dcb1c6c4ba425",
         "csp->do":
-            "569b5ebd16d91f17fa951deb7b9aa8b021b1e61b37be4b519474abb3a4aae043",
+            "518f981ca2d5f51132bdacadf79759695a443a6e842b2ca86fc7aca4d9ac4128",
         "da->csp":
-            "fde885a0c900d349cd9d935c8590f04eecf9d2915ecc616e25fb7a1642f7a7c5",
+            "4fb6ef24ec0a4236beebe998cfc59219b696d2475ca3f730212e9362ef2c3957",
         "da->do":
-            "cb5cfee6536e511a93c44b29c543e0aae5bb3c3c08a5d36a7107fc579abeea2b",
+            "ea685338a6106cd3cebd8b1b4f6aa8505a991cb8ba30c1c064858bd6f7e889c0",
         "do->csp":
-            "5a2cc927950e6b09103f097224a500eedb6bdcf7e1268fda0a11629134434efd",
+            "dfc34cbaa2200e989dcaba4bf6383e2c24f70dca911323a41cf79116b0350771",
         "do->da":
-            "ab153387e3d0d6f5bb8bf22af347fe1eb0993da0ffaceb21b805895aff36c118",
+            "a1cbcadf0895f11452e74d2830d1941ac5e12b889918653c827401af2c2bb9fa",
     },
 }
 
@@ -244,7 +244,7 @@ def test_different_seeds_differ():
 @pytest.mark.parametrize("mode", ["det", "fh"])
 @pytest.mark.parametrize("scheme", [integrity.SCHEME_OFF,
                                     integrity.SCHEME_PEDERSEN])
-def test_session_frames_have_the_v13_lengths(mode, scheme):
+def test_session_frames_have_the_v14_lengths(mode, scheme):
     # every session frame has one layout, whose length follows from h,
     # the key and MAC group widths and the circuit alone: GC_PAYLOAD
     # carries no decode hashes, which the owner's SHARES carries, 32

@@ -151,29 +151,54 @@ def stop_round(n, bits):
             return rnd
 
 
-def test_rounds_after_the_stop_show_the_server_nothing():
-    # over [3, 7, 7, 7, 12] a copy of 7 stops at node 1, a 7, in round 2
-    # when its coins are 0 then 1, with round 3 to go.  The bits of the
-    # rounds after a stop must follow from those before it alike for
-    # every xbar: a replay of an equal stop node tossed a fresh coin,
-    # where an unequal one (13 stops at node 4 in round 2) repeats its bit
-    data = [3, 7, 7, 7, 12]
-    cluster, _ = build("fh", integrity.SCHEME_OFF, data)
+def stop_tails(mode, data, queries):
+    """The server's bits of each encrypt of queries over data, split at
+    the round where its search stops: the set of tails seen after each
+    head.  Each encrypt's insert is cleaned up again."""
+    cluster, ctx = build(mode, integrity.SCHEME_OFF, data)
+    table = ctx["table"]
     real = cluster.csp._shares
     tails = defaultdict(set)
     try:
-        for xbar in [7] * 40 + [13, 5, 12]:
-            bits = []
+        for xbar in queries:
+            n, bits = len(table), []
             cluster.csp._shares = lambda sid: bits.append(real(sid)) or \
                 bits[-1]
             cluster.da.encrypt(xbar)
-            assert cluster.da.cleanup() == 1
-            stop = stop_round(len(data), bits) + 1
+            cluster.da.cleanup()
+            assert len(table) == n
+            stop = stop_round(n, bits) + 1
             tails[tuple(bits[:stop])].add(tuple(bits[stop:]))
-        assert all(len(tail) == 1 for tail in tails.values()), tails
-        assert {((1, 0), (1, 1)), ((1, 1), (1, 1))} <= set(tails)
-        # the sentinel's bits, xbar < 2^l, in every round after a stop
-        assert {bit for tail, in tails.values() for bit in tail} == {(1, 0)}
         assert not cluster.errors
     finally:
         cluster.close()
+    return tails
+
+
+TOP = (1 << 16) - 1  # the largest plaintext at l = 16
+
+
+def test_rounds_after_the_stop_show_the_server_nothing():
+    # the bits of the rounds after a stop must follow from those before
+    # it alike for every xbar.  Over [3, 7, 7, 7, 12] an fh copy of 7
+    # stops at node 1, a 7, in round 2 when its coins are 0 then 1, with
+    # round 3 to go: a replay of an equal stop node tossed a fresh coin,
+    # where an unequal one (13 stops at node 4 in round 2) repeats its
+    # bit.  The sentinel 2^l lies furthest from xbar = 0, 2^l apart,
+    # which only l + 2 comparator bits tell from equal; an fh search for
+    # 0 stops early over copies of 0 whose coins lead it right, and a det
+    # search for 0 never does, index 0 being the last round's node.  Over
+    # det's [3, 7, 12, 20] a 7 and TOP stop in round 2 of 3
+    cases = [("fh", [3, 7, 7, 7, 12], [7] * 40 + [13, 5, 12, 0, TOP]),
+             ("fh", [0] * 5, [0] * 30),
+             ("det", [3, 7, 7, 7, 12, 20], [7, 3, 12, 13, 20, 5, 0, TOP])]
+    for mode, data, queries in cases:
+        tails = stop_tails(mode, data, queries)
+        assert all(len(tail) == 1 for tail in tails.values()), tails
+        # the sentinel's bits, xbar < 2^l, in every round after a stop
+        assert {bit for tail, in tails.values() for bit in tail} == {(1, 0)}
+        if data == [3, 7, 7, 7, 12]:
+            assert {((1, 0), (1, 1)), ((1, 1), (1, 1))} <= set(tails)
+        # every case has rounds after a stop, and over [0] * 5 they
+        # compare the sentinel with 0
+        assert any(tail for tail, in tails.values())
