@@ -8,18 +8,20 @@ is the order at the midpoint of an index range that starts as the whole
 table and halves towards the side the comparison names, which visits
 exactly the nodes of the balanced mOPE tree over those orders.  Per
 round the server blinds the current node additively, the owner garbles
-a comparator over the blinded values and the analyst evaluates it.  As
-the owner sends the analyst the circuit, it sends the server the decode
-hashes of its outputs (two in det, one in fh), and the analyst sends
-the server the output labels it computed (SHARES, both); one
-garbling.decode gives the server the round's bits, and a label that
-matches neither of its hashes aborts the session.  The analyst, without
+a comparator over the blinded values and the analyst evaluates it.  The
+owner sends the server the decode hashes of the outputs (two in det,
+one in fh) of a whole garbled batch at once, and the analyst sends the
+server the output labels it computed each round (SHARES, both); one
+garbling.decode by the round's instance's hashes gives the server the
+round's bits, and a label that matches neither of its hashes aborts the
+session.  The analyst, without
 decode hashes, learns no output, the owner sees none, and the server
 learns the bits its search needs.  By the authenticity of garbled
 circuits (Bellare, Hoang and Rogaway, CCS 2012) the analyst cannot make
 the label of an output it did not compute.  A session always runs
-exactly h = ceil(log2(n+1)) comparison rounds, in every mode and for
-every op, and each of them sends the owner one blinded node, so neither
+exactly h = ceil(log2(n+1)) comparison rounds, one over an empty table,
+in every mode and for every op, and each of them sends the owner one
+blinded node, so neither
 the owner nor the analyst learns where the search stopped (but under
 Pedersen the analyst reads each node's commitment in INTEGRITY_TAG, and
 so tells the sentinel's rounds, as it told a replayed node's).  The
@@ -34,11 +36,15 @@ xbar: an unequal node repeats its bit, an equal one tosses a fresh
 coin every round.  The analyst learns only the order, and the
 owner nothing about the query.
 
-A round is three one-way flights: the node (RANDOMIZED_NODE), the
-garbled circuit with the OT reply behind it (GC_PAYLOAD) beside the
-owner's SHARES, and the analyst's SHARES, four frames in all.  The
-analyst's OT choices for a round are xbar + r and, in fh, its coin and
-stick, and none depends on an earlier round's circuit.
+A round is three one-way flights and three frames: the node
+(RANDOMIZED_NODE), the garbled circuit with the OT reply behind it
+(GC_PAYLOAD) and the analyst's SHARES.  A round that refills the owner's
+garbled pool adds the owner's SHARES of the new batch's decode hashes
+beside GC_PAYLOAD.  An encrypt's upload rides behind the output labels
+of its last round's SHARES, and the server sends ORDER_RESULT, which
+ends every session, after its commit point.  The analyst's OT choices
+for a round are xbar + r and, in fh, its coin and stick, and none
+depends on an earlier round's circuit.
 The server sends the analyst every offset of the session at once, h
 16-byte records in one RANDOM_OFFSET right after the first node, so
 the analyst knows all h·n choices from then on.
@@ -53,12 +59,11 @@ n OTs at both ends, so a batch too small for the h rounds aborts the
 session where it runs out.  A table holds at most M - 1 orders, so
 h <= M.bit_length(): the analyst refuses more offsets and the owner a
 larger batch, as it does a batch index not above the last it took.  m
-shows the owner h, as the round count does anyway.  An encrypt session
-over a non-empty table is 4h + 6 frames (SESSION_START, RANDOM_OFFSET,
-the OT_MSG, ORDER_RESULT, CIPHER_UPLOAD and SESSION_DONE besides the
-rounds; a bound sends no upload) and 3h + 2 flights from SESSION_START
-to ORDER_RESULT, plus Pedersen's INTEGRITY_TAG and INTEGRITY_PROOF per
-round.
+shows the owner h, as the round count does anyway.  A session is 3h + 4
+frames (SESSION_START, RANDOM_OFFSET, the OT_MSG and ORDER_RESULT
+besides the rounds), plus one per refill, and 3h + 2 flights from
+SESSION_START to ORDER_RESULT, its last frame, plus Pedersen's
+INTEGRITY_TAG and INTEGRITY_PROOF per round.
 
 Set-up is each engine's attach: a transport.handshake on each of its
 links, which judges the peer's HELLO and parses its extra whole, then
@@ -70,8 +75,20 @@ Session state lives with its session.  The analyst keeps a session's
 batch in locals of _session; the owner keeps its batch in an
 _OwnerSession of its serve loop, which the next session's first node
 replaces, so an OT_MSG the owner never read is stale by then.  Only the
-server's next blind, the owner's garbled pool and each OT end's base OT
-and last batch index outlive a session.
+server's next blind, the owner's garbled pool, the server's copy of
+that pool's decode hashes and each OT end's base OT and last batch
+index outlive a session.
+
+The two pools stay in step with no index on the wire.  The owner pops
+one instance per node it reads, first thing in its round, before
+anything can abort, and the server pops that instance's hashes per node
+it sends; when the pools run empty, the owner garbles a batch and sends
+its hashes, and the server reads them before that round's labels.  An
+abort empties both: the server's in run_session's handler, the owner's
+when it aborts or reads the server's ABORT, which precedes the next
+node.  So a batch frame lost with its session, or a node the owner
+never reads, cannot put them out of step, and no instance's hashes
+decode two rounds.
 
 Each session frame has one layout, and says nothing that its framing,
 the parameters HELLO checked or the circuit built from them fix.  With
@@ -88,20 +105,24 @@ with the coin and stick.
   INTEGRITY_TAG    r', 64 bytes | commitment, g bytes
   INTEGRITY_PROOF  opening, g bytes
   GC_PAYLOAD       garbling.payload | OT reply, 32·n bytes
-  SHARES           the owner's: decode hashes, 32·o bytes
-                   the analyst's: output labels, 16·o bytes
+  SHARES           the owner's: a batch's decode hashes, 32·o bytes
+                   per instance, garbling.BATCH instances
+                   the analyst's: output labels, 16·o bytes, and in an
+                   encrypt's last round behind them the upload:
+                   Enc(xbar), w bytes [| Enc(a), w bytes | commitment]
   ORDER_RESULT     order, 16 bytes
-  CIPHER_UPLOAD    Enc(xbar), w bytes [| Enc(a), w bytes | commitment]
-  SESSION_DONE     empty
 
+CIPHER_UPLOAD and SESSION_DONE keep their numbers, reserved (transport).
 At the paper profile (2048-bit key, l = k = 32) a det round's payloads
 are 4992 bytes: the node (512), GC_PAYLOAD (3840: 69 AND gates at 32
-bytes, 34 owner labels at 16, the OT reply's 34 pairs at 32), both
-SHARES (64 + 32) and the round's 34 rows of the OT_MSG (544); framing
-adds 21 bytes per frame.
+bytes, 34 owner labels at 16, the OT reply's 34 pairs at 32), the
+analyst's SHARES (32), a 32nd of the owner's batch of 2048 (64) and
+the round's 34 rows of the OT_MSG (544); framing adds 21 bytes per
+frame, three per round and one per batch.
 
-The commitment ends CIPHER_UPLOAD because the server does not know g;
-the analyst checks its width when the node's INTEGRITY_TAG comes back.
+The commitment ends the upload, and so its SHARES, because the server
+does not know g; the analyst checks its width when the node's
+INTEGRITY_TAG comes back.
 The server parses a node tag once, as the upload arrives, and stores it
 parsed.  One exact-length reader (_fields) cuts each frame, so a frame
 of any other length aborts its session instead of reaching the table or
@@ -123,7 +144,7 @@ nodes and no offset the analyst has seen returns.  Only the blind made
 in a session's last round, whose offset nobody has seen, serves the
 next session's first.  The analyst builds its whole upload right after
 it sends its OT_MSG, while the peers run the first round, and sends it
-unchanged once the order arrives.  The owner decrypts each
+unchanged behind its last round's output labels.  The owner decrypts each
 blinded node with the mod-P half of the CRT alone, one exponentiation
 mod P^2 by the 256-bit subgroup order t_p (paillier.decrypt), since it
 range-checks the result; the Pedersen a + r' has no range check and
@@ -136,15 +157,21 @@ so they overlap the peers' work.
 
 The search ends at a node; a new value goes into the gap at the index
 left or right of it, and ope_state.place gives its order by the rule
-set-up uses.  On a unit gap, in either mode, place also returns a
-rebalance's remap of every order, and changes nothing itself.  The
-server applies the remap to the table and the row store, and inserts
-the entry, at one commit point after a session's last read
-(CspEngine.run_session), so an abort has nothing to roll back.  A
-rebalance stays on the server, as in mOPE, where the key holder keeps
-no encodings: the owner keeps no orders after set-up and sees nothing
-of a rebalance.  The remap would show it every order in the table, the
-analyst's included, each between two of its own plaintexts.
+set-up uses.  On a unit gap, in either mode, place respreads every
+order, with a slot left for the new one, and returns that remap; it
+changes nothing itself.  The server applies the remap to the table and
+the row store, and inserts the entry, at one commit point after it has
+read a session's last frame (CspEngine.run_session), so an abort has
+nothing to roll back.  A rebalance stays on the server, as in mOPE,
+where the key holder keeps no encodings: the owner keeps no orders
+after set-up and sees no frame of a rebalance.  The remap would show it
+every order in the table, the analyst's included, each between two of
+its own plaintexts.  Leakage: the owner can time a rebalance.  The
+commit point's respread delays the server's next node, and so the next
+session's first, by its cost: a whole-table respread took 0.87 s at
+2^20 entries under ascending inserts (ROADMAP Baseline), against a
+round's few milliseconds, so the owner learns which sessions
+rebalanced and, from the stall's length, roughly the table's size.
 
 Garbled labels are numpy uint8 rows of 16 bytes between the wire and
 the gate loops, and 128-bit ints only inside those loops (garbling).
@@ -155,12 +182,13 @@ which garbling.evaluate turns into ints.
 The owner garbles ahead.  It keeps a pool of garbled comparators: one
 garbling.GarbledCircuit, whose garbling.BATCH = 32 instances were
 garbled in one pass, each with its own Δ and labels.  The round that
-finds the pool empty garbles the next batch, so about one round in 32
-carries the refill and set-up garbles nothing.  A round pops its
-instance before it sends anything.  An instance serves one round only,
-and one popped by a round that then aborts is dropped with it, never
-sent.  Garbled tables do not depend on the owner's input, only the
-labels chosen for its bits do, so an instance garbled ahead is the
+finds the pool empty garbles the next batch and sends the server its
+decode hashes first, so about one round in 32 carries the refill and
+set-up garbles and sends nothing.  A round pops its instance before it
+sends anything else.  An instance serves one round only, and one popped
+by a round that then aborts is dropped with it, never sent, as the
+abort drops the rest of the pool.  Garbled tables do not depend on the
+owner's input, only the labels chosen for its bits do, so an instance garbled ahead is the
 same as one garbled in its round.  Gates and IKNP rows hash with
 fixed-key AES through libcrypto (garbling, ot).
 
@@ -204,24 +232,29 @@ Abort discipline: an engine raises a fault it finds itself and never
 aborts inline.  One handler per engine (run_session at the server, the
 serve loop at the owner, _session at the analyst) hands it to _abort,
 which sends ABORT to both peers; none has state to roll back.  A
-request the server cannot even start, such as a SESSION_START naming
-no known op, only concerns the analyst, and the server's serve loop
-aborts it there.  _abort also passes an abort received from one peer
-on to the other, which may be waiting on a channel the sender did not
-use: the server waits on the owner's SHARES, then the analyst's.  The
-owner waits on the analyst only for the session's OT_MSG, and an abort
-the analyst sends it later lies unread until the next OT_MSG receive
-drops it as stale.  The analyst, which has every offset, waits on the
-owner alone between rounds, so the owner relays the server's aborts,
-even those its serve loop reads while idle.  A remote SessionAborted
-carries the session id it names, which the relay repeats.  A relayed
-abort that finds its session over is dropped as stale.  A receive that
-times out before its frame has begun aborts its session like any other
-fault and leaves the channel usable (transport).  A SHARES of the wrong
-length is a ProtocolError like any other malformed frame, and so is a
-RANDOM_OFFSET that is empty, not whole records or out of range, or an
-ORDER_RESULT of the wrong width or out of range.  Stale aborts from a
-dead session are dropped by session-id filtering in Channel.recv.
+request the server cannot even start, such as a SESSION_START naming no
+known op, only concerns the analyst, and the server's serve loop aborts
+it there.  _abort also passes an abort received from one peer on to the
+other, which may be waiting on a channel the sender did not use.  The
+server waits on the owner only for a batch's decode hashes, which
+precede anything else the owner sends in a refill round, so the owner's
+aborts reach it through the analyst's relay; one the server never reads
+is dropped as stale by the session filter of its next receive from the
+owner.  The owner waits on the analyst only for the session's OT_MSG,
+and an abort the analyst sends it later lies unread until the next
+OT_MSG receive drops it as stale.  The analyst, which has every offset,
+waits on the owner alone between rounds, so the owner relays the
+server's aborts, even those its serve loop reads while idle.  A remote
+SessionAborted carries the session id it names, which the relay
+repeats.  A relayed abort that finds its session over is dropped as
+stale.  A receive that times out before its frame has begun aborts its
+session like any other fault and leaves the channel usable (transport).
+A SHARES of the wrong length is a ProtocolError like any other
+malformed frame, and so is a RANDOM_OFFSET that is empty, not whole
+records or out of range, or an ORDER_RESULT of the wrong width or out
+of range; the last comes after the commit point, so the analyst's abort
+names a session whose entry cleanup removes.  Stale aborts from a dead
+session are dropped by session-id filtering in Channel.recv.
 """
 
 import hashlib
@@ -237,12 +270,11 @@ from .errors import (ConfigurationError, HandshakeError, IntegrityError,
 from .ope_state import MODE_DET, MODE_FH, OpeEntry
 from .ot import GROUP_DEFAULT, OtExtReceiver, OtExtSender
 from .rng import make_rng
-from .transport import (CIPHER_UPLOAD, CLEANUP, CLEANUP_DONE, Frame,
-                        GC_PAYLOAD, QUERY_EXEC, QUERY_RESULT,
-                        INTEGRITY_PROOF, INTEGRITY_TAG, NULL_SESSION,
-                        ORDER_RESULT, OT_MSG, RANDOM_OFFSET, RANDOMIZED_NODE,
-                        ROLE_CSP, ROLE_DA, ROLE_DO, SESSION_DONE,
-                        SESSION_START, SHARES, handshake)
+from .transport import (CLEANUP, CLEANUP_DONE, Frame, GC_PAYLOAD,
+                        QUERY_EXEC, QUERY_RESULT, INTEGRITY_PROOF,
+                        INTEGRITY_TAG, NULL_SESSION, ORDER_RESULT, OT_MSG,
+                        RANDOM_OFFSET, RANDOMIZED_NODE, ROLE_CSP, ROLE_DA,
+                        ROLE_DO, SESSION_START, SHARES, handshake)
 from .wire import fixed_bytes, u16, u32
 
 BOUND_LOW, BOUND_HIGH = 0, 1  # which end of a range a bound closes
@@ -463,7 +495,15 @@ class CspEngine:
         self.params = params
         self.rng = rng or make_rng()
         self._blind = None  # the next round's blind, made but never sent
+        # the decode hashes of the owner's garbled pool, one instance's
+        # per item, the next last: one is popped per node sent
+        self._hashes = []
         self._outputs = len(params.build_circuit().outputs)
+        # an upload's fields behind the last round's labels: Enc(xbar),
+        # then under Pedersen Enc(a) and the commitment, of any width
+        width = paillier.cipher_width(pk.key_bits)
+        self._pedersen = params.integrity == integrity.SCHEME_PEDERSEN
+        self._upload_widths = (width, width) if self._pedersen else (width,)
         # the sentinel 2^l, above every plaintext, encrypted under
         # randomness 1: each round's blind rerandomizes what is sent
         self._sentinel = 1 + (1 << params.l) * pk.n
@@ -512,27 +552,29 @@ class CspEngine:
                 self.da_ch.abort(frame.session_id, str(e))
 
     def run_session(self, sid: bytes, op: int, column: str = DEFAULT_COLUMN):
-        """Protocol main loop: h compare rounds, an encrypt's order and
-        upload or a bound's order alone, then the commit point.
+        """Protocol main loop: h compare rounds, the last of which brings
+        an encrypt's upload, then the commit point and the order.
 
         A fault before the commit aborts the session at both peers, and
-        an abort from one peer is passed on to the other.  A fault after
-        it, such as a failed SESSION_DONE send, rolls nothing back: the
-        entry stays, tagged with its session id, for DaEngine.cleanup to
-        remove.
+        an abort from one peer is passed on to the other; either way the
+        pool of decode hashes is emptied, as the owner empties its
+        garbled pool.  A fault after it, such as a failed ORDER_RESULT
+        send, rolls nothing back: the entry stays, tagged with its
+        session id, for DaEngine.cleanup to remove.
         """
+        encrypt = op == OP_ENCRYPT
         try:
             table = self.tables.get(column)
             if table is None:
                 raise ProtocolError(f"unknown column {column!r}")
-            h = table.height
-            if h:
-                # the first blind is spent from the first send on, sent
-                # or not; the other rounds' offsets go out with the first
-                # node, and their encryptions are made a round ahead
-                blind, self._blind = self._blind or self._make_blind(), None
-                offsets = [blind[0]] + [self._draw_offset()
-                                        for _ in range(h - 1)]
+            # an empty table runs one round, against the sentinel, so
+            # every session has a last round to carry the upload
+            h = max(table.height, 1)
+            # the first blind is spent from the first send on, sent or
+            # not; the other rounds' offsets go out with the first node,
+            # and their encryptions are made a round ahead
+            blind, self._blind = self._blind or self._make_blind(), None
+            offsets = [blind[0]] + [self._draw_offset() for _ in range(h - 1)]
             # implicit binary search: the node is the order at the
             # midpoint of [lo, hi), and the search moves to the half the
             # comparison names.  It stops at a det equal node (b_e = 0)
@@ -543,7 +585,7 @@ class CspEngine:
             sentinel = OpeEntry(self._sentinel, table.m,
                                 node_tag=table.sentinel_tag)
             lo, hi = 0, len(table)
-            b_e, side, searching = 1, 0, True
+            b_e, side, searching = 1, 0, lo < hi
             for rnd in range(h):
                 mid = (lo + hi) // 2
                 self._blind_node(sid, table.entry_at(mid) if searching
@@ -556,7 +598,7 @@ class CspEngine:
                     blind = self._make_blind(offsets[rnd + 1])
                 else:
                     self._blind = self._make_blind()
-                bits = self._shares(sid)
+                bits, upload = self._shares(sid, encrypt and rnd + 1 == h)
                 if not searching:
                     continue
                 b_e, side = bits
@@ -574,18 +616,14 @@ class CspEngine:
             remap = entry = None
             if not b_e:
                 ybar = table.entry_at(j).order
-            elif op != OP_ENCRYPT:
+            elif not encrypt:
                 # a bound answers the included side of its gap
                 ybar = table.gap(i)[1 if op == OP_BOUND_LOW else 0]
             else:
                 ybar, remap = ope_state.place(table, i)
-
-            self.da_ch.send(Frame(ORDER_RESULT, sid, _offset_blob(ybar)))
-            if op == OP_ENCRYPT:
-                upload = self.da_ch.recv(CIPHER_UPLOAD, session=sid)
-                if b_e:
-                    entry = self._parse_upload(sid, upload, ybar)
+                entry = self._parse_upload(sid, upload, ybar)
         except OopeError as e:
+            self._hashes = []
             raise _abort(e, sid, self.do_ch, self.da_ch)
 
         # the commit point
@@ -595,7 +633,7 @@ class CspEngine:
                 self.rows.apply_remap(column, remap)
         if entry is not None:
             table.insert(entry)
-        self.da_ch.send(Frame(SESSION_DONE, sid))
+        self.da_ch.send(Frame(ORDER_RESULT, sid, _offset_blob(ybar)))
         return ybar
 
     # -- rounds --
@@ -627,8 +665,7 @@ class CspEngine:
         width = paillier.cipher_width(pk.key_bits)
         r, c_r, rp, c_rp = blind
         payload = fixed_bytes(paillier.hom_add(pk, entry.cipher, c_r), width)
-        pedersen = self.params.integrity == integrity.SCHEME_PEDERSEN
-        if pedersen:
+        if self._pedersen:
             if entry.node_tag is None:
                 raise IntegrityError("node lacks its integrity tag")
             a_cipher, commit = entry.node_tag
@@ -638,34 +675,42 @@ class CspEngine:
         if offsets:
             self.da_ch.send(Frame(RANDOM_OFFSET, sid, b"".join(
                 map(_offset_blob, offsets))))
-        if pedersen:
+        if self._pedersen:
             self.da_ch.send(Frame(INTEGRITY_TAG, sid, fixed_bytes(
                 rp, PED_BLIND_BYTES) + commit))
 
-    def _shares(self, sid):
-        """(b_e, side) from the round's two SHARES: the owner's decode
-        hashes decode the analyst's output labels, and a label that
-        matches neither of its hashes is an IntegrityError."""
+    def _shares(self, sid, upload):
+        """((b_e, side), the upload's fields) from the round's SHARES:
+        the analyst's output labels, decoded by the next instance's
+        hashes from the owner's batch, which is read first when the pool
+        is empty, and with upload, the analyst's upload behind them.  A
+        label that matches neither of its hashes is an IntegrityError."""
         n, size = self._outputs, garbling.LABEL_BYTES
-        hashes, = _fields(self.do_ch.recv(SHARES, session=sid), 2 * size * n)
-        labels, = _fields(self.da_ch.recv(SHARES, session=sid), size * n)
+        per = 2 * size * n  # one instance's decode hashes
+        if not self._hashes:
+            blob, = _fields(self.do_ch.recv(SHARES, session=sid),
+                            garbling.BATCH * per)
+            self._hashes = [blob[i:i + per]
+                            for i in reversed(range(0, len(blob), per))]
+        hashes = self._hashes.pop()
+        labels, *fields = _fields(
+            self.da_ch.recv(SHARES, session=sid), size * n,
+            *self._upload_widths if upload else (),
+            rest=upload and self._pedersen)
         bits = garbling.decode(hashes, labels)
         # fh's one traversal bit always moves the search
-        return (1, bits[0]) if n == 1 else bits
+        return (1, bits[0]) if n == 1 else bits, fields
 
     # -- state updates --
 
-    def _parse_upload(self, sid, frame, ybar) -> OpeEntry:
-        """The entry at order ybar from the analyst's CIPHER_UPLOAD:
-        Enc(xbar), then under Pedersen Enc(a) and the commitment, whose
-        width only owner and analyst know."""
-        width = paillier.cipher_width(self.pk.key_bits)
-        if self.params.integrity == integrity.SCHEME_OFF:
-            cipher, = _fields(frame, width)
-            return OpeEntry(int.from_bytes(cipher, "big"), ybar, tag=sid)
-        cipher, a_cipher, commit = _fields(frame, width, width, rest=True)
+    def _parse_upload(self, sid, fields, ybar) -> OpeEntry:
+        """The entry at order ybar from the upload's fields: Enc(xbar),
+        then under Pedersen Enc(a) and the commitment, whose width only
+        owner and analyst know."""
+        cipher, *tag = fields
+        node_tag = (int.from_bytes(tag[0], "big"), tag[1]) if tag else None
         return OpeEntry(int.from_bytes(cipher, "big"), ybar, tag=sid,
-                        node_tag=(int.from_bytes(a_cipher, "big"), commit))
+                        node_tag=node_tag)
 
     def _exec_query(self, frame):
         if self.rows is None:
@@ -729,12 +774,15 @@ class DoEngine:
         wait for the next one has no time limit.  A node under a new
         session id starts that session; no frame ends one.  An abort
         from either peer is passed on to the other: the analyst waits on
-        this engine alone between rounds."""
+        this engine alone between rounds.  Every abort, made here or
+        read from the server, empties the garbled pool, as the server
+        empties its pool of decode hashes."""
         session = _OwnerSession(NULL_SESSION)
         while True:
             try:
                 frame = self.csp_ch.recv(RANDOMIZED_NODE, idle=True)
             except SessionAborted as e:
+                self._garbled = ()
                 self.da_ch.abort(e.session_id, e.reason)
                 continue
             except ProtocolError:
@@ -753,11 +801,20 @@ class DoEngine:
                 # ends the loop
                 if self.csp_ch.poisoned or self.da_ch.poisoned:
                     return
+                self._garbled = ()
                 _abort(e, frame.session_id, self.csp_ch, self.da_ch)
 
     def _round(self, session, frame):
         sid = session.sid
         p = self.params
+        # the round's instance is popped before anything can abort, since
+        # the server pops one instance's decode hashes per node it sends;
+        # an empty pool is refilled first, and the new batch's decode
+        # hashes go to the server
+        if not self._garbled:
+            self._garbled = garbling.GarbledCircuit(self.circuit, self.rng)
+            self.csp_ch.send(Frame(SHARES, sid, self._garbled.decode_hashes))
+        gc = self._garbled.pop()
         pedersen = p.integrity == integrity.SCHEME_PEDERSEN
         # Enc(x + r), then under Pedersen Enc(a + r')
         width = paillier.cipher_width(self.sk.public.key_bits)
@@ -778,11 +835,6 @@ class DoEngine:
             self.da_ch.send(Frame(INTEGRITY_PROOF, sid,
                                   wire_group(proof, self.mac_params)))
 
-        if not self._garbled:
-            self._garbled = garbling.GarbledCircuit(self.circuit, self.rng)
-        # popped before anything is sent: an instance serves one round,
-        # and one an abort leaves unsent is dropped with it
-        gc = self._garbled.pop()
         gen_bits = int_to_bits(v, p.width)
         if p.mode == MODE_FH:
             gen_bits.append(self.rng.getrandbits(1))  # r_x, the owner's coin
@@ -791,12 +843,10 @@ class DoEngine:
             session.batch = self.ot_sender.extend(
                 self.da_ch.recv(OT_MSG, session=sid).payload,
                 p.m.bit_length() * len(self.circuit.eval_inputs))
-        # the OT reply rides behind the garbled circuit, and the decode
-        # hashes go to the server at once
+        # the OT reply rides behind the garbled circuit
         self.da_ch.send(Frame(
             GC_PAYLOAD, sid, garbling.payload(gc, gen_bits) +
             self.ot_sender.send_pairs(session.batch, gc.eval_label_pairs())))
-        self.csp_ch.send(Frame(SHARES, sid, gc.decode_hashes))
 
 
 # ---------------------------------------------------------------------------
@@ -856,31 +906,25 @@ class DaEngine:
         if not 0 <= xbar < (1 << p.l):
             raise UsageError(f"query plaintext outside [0, 2^{p.l})")
         sid = self._new_sid()
-        encrypt = op == OP_ENCRYPT
         self.csp_ch.send(Frame(SESSION_START, sid,
                                bytes([op]) + column.encode()))
         try:
-            # every round's offset, or at once the order of an empty table
-            frame = self.csp_ch.recv(RANDOM_OFFSET, ORDER_RESULT,
-                                     session=sid)
-            offsets = []
-            if frame.ftype == RANDOM_OFFSET:
-                offsets = _read_offsets(frame, 1 << (p.l + p.k),
-                                        p.m.bit_length())
-                # every round's choices are known now: one batch carries
-                # them all, before the upload is built
-                blob, batch = self.ot_receiver.extend(
-                    [b for r in offsets for b in self._choices(op, xbar, r)])
-                self.da_do_ch.send(Frame(OT_MSG, sid, blob))
-            upload = self._cipher_upload(xbar) if encrypt else None
-            for r in offsets:
-                self._round(sid, batch, r)
-            if offsets:
-                frame = self.csp_ch.recv(ORDER_RESULT, session=sid)
-            ybar, = _read_offsets(frame, p.m + 1, 1)
-            if encrypt:
-                self.csp_ch.send(Frame(CIPHER_UPLOAD, sid, upload))
-            self.csp_ch.recv(SESSION_DONE, session=sid)
+            offsets = _read_offsets(
+                self.csp_ch.recv(RANDOM_OFFSET, session=sid),
+                1 << (p.l + p.k), p.m.bit_length())
+            # every round's choices are known now: one batch carries them
+            # all, before the upload is built
+            blob, batch = self.ot_receiver.extend(
+                [b for r in offsets for b in self._choices(op, xbar, r)])
+            self.da_do_ch.send(Frame(OT_MSG, sid, blob))
+            # an encrypt's upload rides behind the last round's labels
+            tails = [b""] * len(offsets)
+            if op == OP_ENCRYPT:
+                tails[-1] = self._cipher_upload(xbar)
+            for r, tail in zip(offsets, tails):
+                self._round(sid, batch, r, tail)
+            ybar, = _read_offsets(self.csp_ch.recv(ORDER_RESULT, session=sid),
+                                  p.m + 1, 1)
             return ybar
         except OopeError as e:
             # each peer may be waiting on this engine alone, so a fault
@@ -912,8 +956,9 @@ class DaEngine:
                 [op - OP_BOUND_LOW, 1]
         return bits
 
-    def _round(self, sid, batch, r):
-        """The round blinded by r, whose OT choices batch holds."""
+    def _round(self, sid, batch, r, tail):
+        """The round blinded by r, whose OT choices batch holds; tail
+        follows the output labels in its SHARES."""
         p = self.params
         if p.integrity != integrity.SCHEME_OFF:
             self._verify_node(sid, r)
@@ -927,11 +972,11 @@ class DaEngine:
                                                      n)
         # the output labels, which only the server can decode
         self.csp_ch.send(Frame(SHARES, sid, garbling.evaluate(
-            self.circuit, tables, gen_labels, eval_labels)))
+            self.circuit, tables, gen_labels, eval_labels) + tail))
 
     def _cipher_upload(self, xbar):
-        """CIPHER_UPLOAD payload: Enc(xbar), then under Pedersen Enc(a)
-        and the commitment."""
+        """The upload: Enc(xbar), then under Pedersen Enc(a) and the
+        commitment."""
         pk = self.pk_owner
         width = paillier.cipher_width(pk.key_bits)
         payload = fixed_bytes(paillier.encrypt(pk, xbar, self.rng), width)

@@ -75,9 +75,9 @@ does, so about half of them.
 Decoding maps an output label to a bit through its decode hashes,
 SHA-256("out" || label)[:16] of each of the wire's two labels, and
 rejects a label that matches neither.  Decoding runs at the server: the
-owner sends it an instance's decode hashes (engine, SHARES) and the
-analyst the output labels it computed, never the hashes, so the
-analyst learns no output.  By the authenticity of garbled circuits
+owner sends it a batch's decode hashes (engine, SHARES) and the analyst
+the output labels it computed, never the hashes, so the analyst learns
+no output.  By the authenticity of garbled circuits
 (Bellare, Hoang and Rogaway, CCS 2012) the analyst cannot make the
 label of the output it did not compute, so a label that decodes is the
 honest evaluation's.
@@ -93,8 +93,9 @@ Wire format (the GC_PAYLOAD frame), big-endian:
 so a payload is exactly 32·tables + 16·labels bytes long, whatever the
 input bits.  An instance's decode hashes travel apart from it, as
 SHA-256("out" || zero-label)[:16] || the same of the one-label, 32
-bytes per output (GarbledInstance.decode_hashes), and the output labels
-as 16 bytes each.  Nothing names the circuit: every end builds it from
+bytes per output (GarbledInstance.decode_hashes), a whole batch's at
+once (GarbledCircuit.decode_hashes), and the output labels as 16 bytes
+each.  Nothing names the circuit: every end builds it from
 the parameters whose digest HELLO checked.
 
 Correctness contract: decode(d, evaluate(F, T, encode(x), labels of
@@ -147,7 +148,8 @@ def _split(blob: bytes, width: int) -> list:
 
 class GarbledCircuit:
     """BATCH garbled instances of one circuit, garbled in one pass (module
-    docstring); pop() hands each out once, as a GarbledInstance."""
+    docstring); pop() hands each out once, as a GarbledInstance, and
+    decode_hashes holds every instance's decode hashes in that order."""
 
     def __init__(self, circuit: BooleanCircuit, rng):
         delta = rng.getrandbits(_BATCH_BITS) | _LOW_BITS
@@ -195,6 +197,9 @@ class GarbledCircuit:
         outs = np.stack((out0, out0 ^ deltas[:, None]), axis=2).tobytes()
         hashes = b"".join([_decode_hash(outs[i:i + LABEL_BYTES])
                            for i in range(0, len(outs), LABEL_BYTES)])
+        # every instance's decode hashes, in the order pop() hands the
+        # instances out, for the server in one frame
+        self.decode_hashes = hashes
         lane_hashes = len(hashes) // BATCH
         grid = np.frombuffer(tables, dtype=np.uint8).reshape(
             -1, BATCH, LABEL_BYTES).swapaxes(0, 1)
@@ -216,9 +221,9 @@ class GarbledCircuit:
 class GarbledInstance:
     """One lane of a GarbledCircuit: `prefix` is its GC_PAYLOAD up to the
     generator labels, T_G || T_E of each AND gate, and `decode_hashes`
-    the decode hashes of each output, which go to the server alone; its
-    generator zero-labels, evaluator label pairs and Δ are 16-byte
-    rows."""
+    the decode hashes of each output, which go to the server alone, in
+    the batch's; its generator zero-labels, evaluator label pairs and Δ
+    are 16-byte rows."""
 
     def __init__(self, prefix, decode_hashes, gen0, eval_pairs, delta):
         self.prefix = prefix

@@ -7,10 +7,12 @@ an index of the table, and its gap is the pair of orders either side of
 that index, with 0 and M as the virtual ends (OpeTable.gap).  One rule,
 place, gives every new order, at set-up and in a session alike: the
 midpoint (rounded up) of its gap.  On a unit gap (GapExhausted), place
-takes the gap at the same index among the orders of a uniform,
-rank-keeping respread (rebalance), and a unit gap there is a
-CapacityError.  Neither changes the table: the respread comes back as an
-old -> new map for the caller to apply to the table and the row store.
+respreads n + 1 slots uniformly across [1, M-1], keeping ranks, with a
+hole at the new entry's index, which is its order (rebalance); so an
+insert into a table of up to M - 2 entries always succeeds, and only a
+full table, of M - 1, is a CapacityError.  Neither changes the table:
+the respread comes back as an old -> new map for the caller to apply to
+the table and the row store.
 Set-up also returns the owner's plaintext/order pairs (OwnerState), one
 per dataset value, from which the caller builds the server's row store
 (datastore.RowStore); the owner keeps no orders afterwards.
@@ -150,33 +152,30 @@ def _uniform_orders(n: int, m: int) -> list:
     return [-(-i * m // (n + 1)) for i in range(1, n + 1)]
 
 
-def rebalance(table: OpeTable) -> dict:
-    """The old -> new map of a uniform respread of every order across
-    [1, M-1] that keeps their ranks; the table is left as it is."""
+def rebalance(table: OpeTable, index: int):
+    """(order, remap) for a new entry at index: a uniform respread of n
+    + 1 slots across [1, M-1] that keeps ranks, the table's n entries
+    taking every slot but the one at index, which is the new entry's
+    order, and remap the old -> new map of the table's orders.  The
+    table is left as it is, and a full one, of M - 1 entries, is a
+    CapacityError."""
     n = len(table)
-    if n == 0:
-        raise UsageError("cannot rebalance an empty table")
     if n >= table.m - 1:
         raise CapacityError("order space exhausted")
-    return dict(zip(table.orders(), _uniform_orders(n, table.m)))
+    slots = _uniform_orders(n + 1, table.m)
+    order = slots.pop(index)
+    return order, dict(zip(table.orders(), slots))
 
 
 def place(table: OpeTable, index: int):
     """(order, remap or None) for a new entry at index: the midpoint of
-    its gap, or on a unit gap, of the gap at index among the orders of
-    remap, a rebalance.  The table is never changed; a unit gap among
-    the respread orders is a CapacityError."""
+    its gap, or on a unit gap, its slot in a rebalance.  The table is
+    never changed, and a table of up to M - 2 entries takes one more at
+    any index."""
     try:
         return assign_order(*table.gap(index)), None
     except GapExhausted:
-        remap = rebalance(table)
-    respread = [0, *remap.values(), table.m]
-    try:
-        return assign_order(respread[index], respread[index + 1]), remap
-    except GapExhausted:
-        # a uniform respread left no room here: M is too dense
-        raise CapacityError("order space too dense for another "
-                            "entry at this position") from None
+        return rebalance(table, index)
 
 
 def _fh_index(xs, x, rng) -> int:

@@ -14,19 +14,24 @@ Two layers:
   any size using only hashing.  Base seeds are reused across batches
   under a per-batch index, which is fine against passive adversaries.
 
-The extension stretches each 256-bit base-OT seed k into one row of
-the batch's bit matrix with G(k, b) = SHAKE-128(k || "prg" || u32(b)),
-read to the row's m/8 bytes in one call (_prg); b is the batch index.
-IKNP needs G(k, b) to look random to a party that does not know k, for
-every batch b.  SHAKE-128 has a 256-bit capacity, so it is
-indifferentiable from a random oracle up to about q²/2^256 for q
-queries, and its outputs are 128-bit secure against generic attack.
-Under a random oracle a distinguisher has two ways in: guess a 256-bit
-seed, each query hitting with probability 2^-256, or find two inputs
-that collide.  The inputs are of one fixed length and differ in the
-seed or in b, so no two calls share one, and rows of different batches
-are independent.  Up to q = 2^64 queries both terms stay at or below
-2^-128, so G is a PRG at κ = 128.
+The extension stretches each base-OT seed k into one row of the batch's
+bit matrix in counter mode: block j of the row of batch b is G(k, b, j)
+= H(k', 2^126 | b·2^32 | j), k' being k's first 16 bytes and H the
+fixed-key AES hash below (aes.tccr), every seed's row of a batch in one
+call (_prg_matrix).  IKNP needs the row to look random to a party that
+does not know k.  For a fixed k, H(k', t) = π(π(k') ⊕ t) ⊕ π(k') is
+the single-key Even–Mansour cipher t -> π(K ⊕ t) ⊕ K keyed by K =
+π(k') (Dunkelman, Keller and Shamir, EUROCRYPT 2012), and K is uniform
+to whoever does not know k' if π is ideal, the assumption H already
+makes.  Even–Mansour is then a pseudorandom permutation: q blocks and p
+calls of π tell it from random with probability about q·p/2^128, and
+the switch from a permutation to a function costs q²/2^129 more.  Its
+counters never repeat under one seed: the batch index rises with every
+batch at the receiver, the sender refuses one that does not, and j <
+2^32 numbers a row's blocks.  The tweaks, bit 127 clear and bit 126
+set, are disjoint from the row tweaks below (bit 127 set) and the gate
+tweaks 2j and 2j + 1 of garbling, so no hash here is one a row or a
+gate would compute.
 
 The extension's pads for row j are H(q_j, i_j) and H(q_j ⊕ s, i_j) at
 the sender, where s is its secret base-OT choice vector, and the
@@ -192,16 +197,29 @@ def base_ot_recv(send, recv, choice_bits, group=GROUP_DEFAULT, rng=None):
     return out
 
 
-def _prg(seed: bytes, nbytes: int, batch: int) -> bytes:
-    """nbytes of SHAKE-128 output on seed, separated by batch (module
-    docstring)."""
-    return hashlib.shake_128(seed + b"prg" + u32(batch)).digest(nbytes)
+def _tweaks(top: int, batch: int, count: int):
+    """count 16-byte tweaks top·2^96 | batch·2^32 | j for j < count, as a
+    (count, 16) uint8 array."""
+    tweaks = np.empty((count, LABEL_BYTES), dtype=np.uint8)
+    tweaks[:, :-4] = np.frombuffer((top << 64 | batch).to_bytes(
+        LABEL_BYTES - 4, "big"), dtype=np.uint8)
+    tweaks[:, -4:] = np.arange(count, dtype=">u4").view(np.uint8).reshape(
+        count, 4)
+    return tweaks
 
 
 def _prg_matrix(seeds, nbytes: int, batch: int):
-    """One row of nbytes PRG output per seed, as a uint8 matrix."""
-    blob = b"".join(_prg(seed, nbytes, batch) for seed in seeds)
-    return np.frombuffer(blob, dtype=np.uint8).reshape(len(seeds), nbytes)
+    """One row of nbytes PRG output per seed, as a uint8 matrix, from one
+    aes.tccr call: block j of seed k's row is H(k[:16], 2^126 | batch·2^32
+    | j) (module docstring)."""
+    blocks = -(-nbytes // LABEL_BYTES)
+    keys = np.frombuffer(b"".join(seed[:LABEL_BYTES] for seed in seeds),
+                         dtype=np.uint8).reshape(len(seeds), 1, LABEL_BYTES)
+    stream = aes.tccr(
+        np.broadcast_to(keys, (len(seeds), blocks, LABEL_BYTES)).tobytes(),
+        np.tile(_tweaks(1 << 30, batch, blocks), (len(seeds), 1)).tobytes())
+    return np.frombuffer(stream, dtype=np.uint8).reshape(
+        len(seeds), blocks * LABEL_BYTES)[:, :nbytes]
 
 
 def _row_hashes(batch: int, rows):
@@ -209,11 +227,7 @@ def _row_hashes(batch: int, rows):
     of rows[j], rows being an (m, 16) or (m, k, 16) uint8 array, in one
     call; the hashes come back in an array of rows' shape."""
     m, per_row = len(rows), rows[0].size // LABEL_BYTES
-    tweaks = np.empty((m, per_row, LABEL_BYTES), dtype=np.uint8)
-    tweaks[..., :-4] = np.frombuffer((1 << 95 | batch).to_bytes(
-        LABEL_BYTES - 4, "big"), dtype=np.uint8)
-    tweaks[..., -4:] = np.arange(m, dtype=">u4").view(np.uint8).reshape(
-        m, 1, 4)
+    tweaks = np.repeat(_tweaks(1 << 31, batch, m), per_row, axis=0)
     hashes = aes.tccr(rows.tobytes(), tweaks.tobytes())
     return np.frombuffer(hashes, dtype=np.uint8).reshape(rows.shape)
 

@@ -38,16 +38,18 @@ class Mope2Oracle:
         i = bisect.bisect_left(self.xs, x)
         if i < len(self.xs) and self.xs[i] == x:
             return self.ys[i]
-        for attempt in range(2):
-            y_left = self.ys[i - 1] if i > 0 else 0
-            y_right = self.ys[i] if i < len(self.xs) else self.m
-            if y_right - y_left > 1:
-                y = midpoint(y_left, y_right)
-                self.xs.insert(i, x)
-                self.ys.insert(i, y)
-                return y
+        y_left = self.ys[i - 1] if i > 0 else 0
+        y_right = self.ys[i] if i < len(self.xs) else self.m
+        self.xs.insert(i, x)
+        if y_right - y_left > 1:
+            self.ys.insert(i, midpoint(y_left, y_right))
+        elif len(self.xs) < self.m:
+            # a unit gap: every value, the new one included, respread
             self.ys = uniform_orders(len(self.xs), self.m)
-        raise OverflowError("order space too dense")
+        else:
+            del self.xs[i]
+            raise OverflowError("order space full")
+        return self.ys[i]
 
     def load(self, dataset):
         for x in dataset:

@@ -232,12 +232,13 @@ def test_aborted_insert_restores_table():
         cluster.close()
 
 
-# damage -> (sender, frame type, payload edit); with integrity off, an
-# upload and a node are one ciphertext of exactly cipher_width bytes
+# damage -> (sender, frame type, record edit); with integrity off, an
+# upload and a node are one ciphertext of exactly cipher_width bytes, the
+# upload behind the output labels of the last round's SHARES
 RECORD_DAMAGE = {
-    "upload-oversize": ("da", transport.CIPHER_UPLOAD, lambda p: b"\0" + p),
-    "upload-undersize": ("da", transport.CIPHER_UPLOAD, lambda p: p[1:]),
-    "upload-trailing": ("da", transport.CIPHER_UPLOAD, lambda p: p + b"\0"),
+    "upload-oversize": ("da", transport.SHARES, lambda p: b"\0" + p),
+    "upload-undersize": ("da", transport.SHARES, lambda p: p[1:]),
+    "upload-trailing": ("da", transport.SHARES, lambda p: p + b"\0"),
     "node-oversize": ("csp", transport.RANDOMIZED_NODE, lambda p: b"\0" + p),
     "node-trailing": ("csp", transport.RANDOMIZED_NODE, lambda p: p + b"\0"),
 }
@@ -256,10 +257,14 @@ def test_malformed_cipher_record_aborts_and_leaves_the_table(damage):
         table_before = table_snapshot(ctx["table"])
         ch = cluster.da.csp_ch if sender == "da" else cluster.csp.do_ch
         orig_send = ch.send
+        # a SHARES's record is the upload behind its labels, if any
+        labels = 16 * len(cluster.da.circuit.outputs) \
+            if ftype == transport.SHARES else 0
 
         def damaged(frame):
-            if frame.ftype == ftype:
-                frame = Frame(ftype, frame.session_id, edit(frame.payload))
+            head, record = frame.payload[:labels], frame.payload[labels:]
+            if frame.ftype == ftype and record:
+                frame = Frame(ftype, frame.session_id, head + edit(record))
             orig_send(frame)
 
         ch.send = damaged
@@ -396,8 +401,9 @@ def test_malformed_garbled_payload_aborts_at_analyst(damage):
 
 
 # damage -> (frame type, payload edit, sender, abort reason).  A SHARES
-# is 16 bytes per circuit output from the analyst and 32 from the owner,
-# so one a byte short or long is malformed
+# is 16 bytes per circuit output from the analyst, and from the owner 32
+# per output of each instance of a garbled batch, so one a byte short or
+# long is malformed
 BIT_VECTOR_DAMAGE = {
     "session_start": (transport.SESSION_START, lambda p: b"", "da->csp",
                       "no known op"),
@@ -406,7 +412,7 @@ BIT_VECTOR_DAMAGE = {
     "da_shares": (transport.SHARES, lambda p: p[:-1], "da->csp",
                   "SHARES of (15|31) bytes, expected (16|32)"),
     "do_shares": (transport.SHARES, lambda p: p + b"\0", "do->csp",
-                  "SHARES of (33|65) bytes, expected (32|64)"),
+                  "SHARES of (1025|2049) bytes, expected (1024|2048)"),
 }
 
 
@@ -502,12 +508,15 @@ def test_hostile_upload_poisons_its_node_until_cleanup(upload):
                                  "subgroup")}[upload]
         orig_send = cluster.da.csp_ch.send
         hostile = []
+        labels = 16 * len(cluster.da.circuit.outputs)
 
         def substituted(frame):
-            if frame.ftype == transport.CIPHER_UPLOAD:
+            # the upload behind the last round's output labels
+            if frame.ftype == transport.SHARES and \
+                    len(frame.payload) > labels:
                 hostile.append(frame.session_id)
                 frame = Frame(frame.ftype, frame.session_id,
-                              record(cipher, pk))
+                              frame.payload[:labels] + record(cipher, pk))
             orig_send(frame)
 
         cluster.da.csp_ch.send = substituted
@@ -720,17 +729,90 @@ def test_ot_pads_stay_in_step_after_an_abort(abort):
         cluster.close()
 
 
+# abort -> (sending end, frame type, edit, abort reason): an owner
+# abort, an analyst abort and a damaged batch of decode hashes, each in
+# the round that refills the owner's garbled pool
+REFILL_ABORTS = {
+    "owner": ("csp->do", transport.RANDOMIZED_NODE, _node_out_of_range,
+              "out of range"),
+    "analyst": ("do->da", transport.GC_PAYLOAD, lambda blob: blob[:-1],
+                "garbled payload"),
+    "batch": ("do->csp", transport.SHARES, lambda blob: blob[:-1],
+              "SHARES of"),
+}
+
+
+@pytest.mark.parametrize("abort", sorted(REFILL_ABORTS))
+def test_an_abort_in_a_refill_round_keeps_the_pools_in_step(abort,
+                                                            monkeypatch):
+    # six bounds over 30 entries run 30 rounds of the first garbled
+    # batch; the seventh session's third round pops its 33rd instance,
+    # refilling the pool, and aborts.  The table stays as it was, the
+    # abort empties both pools, and the next sessions, across another
+    # batch boundary, decode every round and match the oracle; no
+    # instance's decode hashes decode two rounds.
+    sender, ftype, edit, reason = REFILL_ABORTS[abort]
+    params = small_params()
+    data = list(range(100, 3100, 100))
+    cluster, ctx = make_cluster(data, seed=58, params=params)
+    oracle = Mope2Oracle(params.m).load(data)
+    if edit is _node_out_of_range:
+        edit = edit(params, ctx["pk"])
+    # the batch's frame is the owner's second SHARES, every other the 33rd
+    nth = 2 if ftype == transport.SHARES else garbling.BATCH + 1
+    decoded = []
+    real_decode = garbling.decode
+    monkeypatch.setattr(garbling, "decode", lambda hashes, labels: (
+        decoded.append(hashes), real_decode(hashes, labels))[1])
+    end = next(ch for ch in cluster.channels if ch.name == sender)
+    seen = []
+
+    def damaged(frame):
+        if frame.ftype == ftype:
+            seen.append(frame)
+            if len(seen) == nth:
+                frame = Frame(ftype, frame.session_id, edit(frame.payload))
+        transport.Channel.send(end, frame)
+
+    try:
+        for ch in cluster.channels:
+            ch.timeout = 3
+        table = ctx["table"]
+        assert table.height == 5
+        end.send = damaged
+        for xbar in range(150, 750, 100):
+            cluster.da.bound(xbar, BOUND_LOW)
+        assert len(decoded) == 30
+        before = table_snapshot(table)
+        with pytest.raises(SessionAborted, match=reason):
+            cluster.encrypt(250)
+        # the session decoded its first two rounds and aborted its third
+        assert len(seen) == nth and len(decoded) == 32
+        del end.send
+        assert table_snapshot(table) == before
+        for xbar in (250, 350, 1000, 5000, 120, 2050, 7, 3000):
+            assert cluster.encrypt(xbar) == oracle.encrypt(xbar)
+            assert len(cluster.do._garbled) == len(cluster.csp._hashes)
+        assert len(decoded) > 30 + garbling.BATCH
+        assert len(set(decoded)) == len(decoded)
+        assert not any(ch.poisoned for ch in cluster.channels)
+        assert not cluster.errors
+    finally:
+        cluster.close()
+
+
 @pytest.mark.parametrize("mode", ["det", "fh"])
 def test_no_session_state_outlives_its_session(mode):
     # after each session, ended or aborted at any of the three roles,
     # every attribute of the engines and OT ends is the object or value
-    # it was, but the server's next blind, the owner's garbled pool and
-    # the OT ends' last batch index: a session's OT batch, and in fh its
-    # coins, live in the session's own locals and _OwnerSession alone
+    # it was, but the server's next blind, the owner's garbled pool, the
+    # server's copy of its decode hashes and the OT ends' last batch
+    # index: a session's OT batch, and in fh its coins, live in the
+    # session's own locals and _OwnerSession alone
     params = small_params(mode=mode)
     data = list(range(100, 3100, 100))
     cluster, ctx = make_cluster(data, seed=61, params=params)
-    outlive = {"csp": {"_blind"}, "do": {"_garbled"},
+    outlive = {"csp": {"_blind", "_hashes"}, "do": {"_garbled"},
                "ot_sender": {"_batch"}, "ot_receiver": {"_batch"}}
 
     def state():
@@ -738,28 +820,31 @@ def test_no_session_state_outlives_its_session(mode):
                 "ot_sender": cluster.do.ot_sender,
                 "ot_receiver": cluster.da.ot_receiver}
 
-    def damaged(end, ftype, edit):
-        # the session's second frame of ftype from end, edited
+    def damaged(end, ftype, edit, nth):
+        # the session's nth frame of ftype from end, edited
         seen = []
 
         def send(frame):
             if frame.ftype == ftype:
                 seen.append(frame)
-                if len(seen) == 2:
+                if len(seen) == nth:
                     frame = Frame(ftype, frame.session_id,
                                   edit(frame.payload))
             transport.Channel.send(end, frame)
         return send
 
     tables_end = 32 * len(cluster.da.circuit.nonfree_gates())
+    # an abort empties both pools, so the owner's batch SHARES, the last
+    # case, is the first frame of its session's first round
     aborts = [
         (cluster.csp.do_ch, transport.RANDOMIZED_NODE,
-         _node_out_of_range(params, ctx["pk"]), "out of range"),
+         _node_out_of_range(params, ctx["pk"]), 2, "out of range"),
         (cluster.do.da_ch, transport.GC_PAYLOAD,
          lambda blob: bytes(b ^ 0xff for b in blob[:tables_end]) +
-         blob[tables_end:], DECODE_FAILED),
-        (cluster.da.csp_ch, transport.SHARES, flip_label_bit, DECODE_FAILED),
-        (cluster.do.csp_ch, transport.SHARES, lambda blob: blob[:-1],
+         blob[tables_end:], 2, DECODE_FAILED),
+        (cluster.da.csp_ch, transport.SHARES, flip_label_bit, 2,
+         DECODE_FAILED),
+        (cluster.do.csp_ch, transport.SHARES, lambda blob: blob[:-1], 1,
          "SHARES of")]
     try:
         cluster.encrypt(150)
@@ -781,8 +866,8 @@ def test_no_session_state_outlives_its_session(mode):
         assert_unchanged()
         cluster.da.bound(1000, BOUND_HIGH)
         assert_unchanged()
-        for end, ftype, edit, reason in aborts:
-            end.send = damaged(end, ftype, edit)
+        for end, ftype, edit, nth, reason in aborts:
+            end.send = damaged(end, ftype, edit, nth)
             with pytest.raises(SessionAborted, match=reason):
                 cluster.encrypt(350)
             del end.send
@@ -831,9 +916,10 @@ def test_bits_after_the_search_stops_are_ignored():
     real = cluster.csp._shares
     bits = []
 
-    def moving_after_the_first(sid):
-        bits.append(real(sid))
-        return bits[-1] if len(bits) == 1 else (1, len(bits) % 2)
+    def moving_after_the_first(*args):
+        got, upload = real(*args)
+        bits.append(got)
+        return got if len(bits) == 1 else (1, len(bits) % 2), upload
 
     try:
         cluster.csp._shares = moving_after_the_first
@@ -935,7 +1021,7 @@ def test_aborted_rebalance_leaves_rows_on_table_orders(monkeypatch):
         in_step()
 
     try:
-        for xbar in (15, 17, 18):
+        for xbar in (15, 17, 25):
             assert cluster.encrypt(xbar) == oracle.encrypt(xbar)
             in_step()
         consistent()
@@ -957,23 +1043,23 @@ def test_aborted_rebalance_leaves_rows_on_table_orders(monkeypatch):
 
 
 def test_rebalance_that_leaves_no_room_rolls_back(monkeypatch):
-    # at M=11 the uniform respread of six entries still leaves 19 a unit
-    # gap: the session rebalances, aborts, and the table goes back
+    # at M=11 ten entries take every order: the session for a new value
+    # finds a unit gap, its rebalance finds the table full, the session
+    # aborts and the table stays as it was
     params = small_params(m=11)
-    data = [10, 20, 30]
+    data = list(range(10, 110, 10))
     cluster, ctx = make_cluster(data, seed=23, params=params)
     table, sk = ctx["table"], ctx["sk"]
     rows = rows_of(ctx["owner"])
     cluster.csp.rows = rows
     oracle = Mope2Oracle(params.m).load(data)
     try:
-        for xbar in (15, 17, 18):
-            assert cluster.encrypt(xbar) == oracle.encrypt(xbar)
+        assert table.orders() == list(range(1, 11))
         before = table_snapshot(table)
         rebalances = count_rebalances(monkeypatch)
-        with pytest.raises(SessionAborted, match="too dense"):
-            cluster.encrypt(19)
-        assert rebalances == [6]
+        with pytest.raises(SessionAborted, match="exhausted"):
+            cluster.encrypt(15)
+        assert rebalances == [10]
         assert table_snapshot(table) == before
         assert row_plaintexts(rows, table, sk) == data
         assert cluster.encrypt(10) == oracle.encrypt(10)
@@ -982,8 +1068,40 @@ def test_rebalance_that_leaves_no_room_rolls_back(monkeypatch):
         cluster.close()
 
 
-def test_failed_session_done_leaves_rows_on_table_orders(monkeypatch):
-    # the server's SESSION_DONE send fails once, after a session that
+def test_an_fh_table_fills_every_order_of_m(monkeypatch):
+    # at M = 67, eight seeded values and seeded encrypts fill all 66
+    # orders, each rebalance making room for the entry that set it off;
+    # only then does an encrypt abort, and the table stays as it was
+    params = small_params(m=67, mode="fh")
+    rng = make_rng(7)
+    data = [rng.randrange(1 << 16) for _ in range(8)]
+    cluster, ctx = make_cluster(data, seed=7, params=params)
+    table, sk = ctx["table"], ctx["sk"]
+    rebalances = count_rebalances(monkeypatch)
+    try:
+        xs = list(data)
+        while len(table) < params.m - 1:
+            xs.append(rng.choice(xs) if rng.random() < 0.3 else
+                      rng.randrange(1 << 16))
+            y = cluster.encrypt(xs[-1])
+            pairs = [(paillier.decrypt(sk, e.cipher), e.order)
+                     for e in table.entries()]
+            assert rank_interval_holds(pairs, xs[-1], y)
+        assert rebalances
+        assert table.orders() == list(range(1, params.m))
+        plain = [x for x, _ in pairs]
+        assert plain == sorted(plain) == sorted(xs)
+        before = table_snapshot(table)
+        with pytest.raises(SessionAborted, match="exhausted"):
+            cluster.encrypt(xs[0])
+        assert table_snapshot(table) == before
+        assert not cluster.errors
+    finally:
+        cluster.close()
+
+
+def test_failed_order_result_leaves_rows_on_table_orders(monkeypatch):
+    # the server's ORDER_RESULT send fails once, after a session that
     # rebalances: its commit stands, entry and remap alike, so every row
     # still decrypts through the table and the next encrypt is right
     params = small_params(m=19)
@@ -995,19 +1113,19 @@ def test_failed_session_done_leaves_rows_on_table_orders(monkeypatch):
     oracle = Mope2Oracle(params.m).load(data)
     real_send = cluster.csp.da_ch.send
 
-    def failing_done(frame):
-        if frame.ftype == transport.SESSION_DONE:
+    def failing_order(frame):
+        if frame.ftype == transport.ORDER_RESULT:
             cluster.csp.da_ch.send = real_send
-            raise FramingError("SESSION_DONE send failed")
+            raise FramingError("ORDER_RESULT send failed")
         real_send(frame)
 
     try:
-        for xbar in (15, 17, 18):
+        for xbar in (15, 17, 25):
             assert cluster.encrypt(xbar) == oracle.encrypt(xbar)
         rebalances = count_rebalances(monkeypatch)
-        cluster.csp.da_ch.send = failing_done
+        cluster.csp.da_ch.send = failing_order
         with pytest.raises(SessionAborted,
-                           match="SESSION_DONE send failed") as aborted:
+                           match="ORDER_RESULT send failed") as aborted:
             cluster.encrypt(19)
         assert rebalances == [6]
         assert row_plaintexts(rows, table, sk) == data
@@ -1035,9 +1153,6 @@ OFFSET_DAMAGE = {
     # more rounds than a table under M = 2^20 - 3 can take, each one
     # more OT batch row
     "offset-too-many": (transport.RANDOM_OFFSET, lambda p: p[:16] * 21),
-    "order-long": (transport.ORDER_RESULT, lambda p: b"\0" + p),
-    "order-above-m": (transport.ORDER_RESULT,
-                      lambda p: (1 << 20).to_bytes(16, "big")),
 }
 
 
@@ -1060,6 +1175,39 @@ def test_malformed_offset_or_order_aborts_before_the_commit(damage):
         with pytest.raises(SessionAborted, match="malformed"):
             cluster.encrypt(15)
         cluster.csp.da_ch.send = orig_send
+        assert table_snapshot(ctx["table"]) == table_before
+        assert cluster.encrypt(15) == \
+            Mope2Oracle(params.m).load(data).encrypt(15)
+        assert not cluster.errors
+    finally:
+        cluster.close()
+
+
+@pytest.mark.parametrize("damage", ["order-long", "order-above-m"])
+def test_malformed_order_aborts_after_the_commit(damage):
+    # ORDER_RESULT follows the commit point, so the analyst that refuses
+    # it holds an abort naming the session, whose entry cleanup removes
+    edit = {"order-long": lambda p: b"\0" + p,
+            "order-above-m": lambda p: (1 << 20).to_bytes(16, "big")}[damage]
+    params = small_params()
+    data = [32, 20, 25, 69, 10, 500, 900, 4000]
+    cluster, ctx = make_cluster(data, seed=5, params=params)
+    try:
+        table_before = table_snapshot(ctx["table"])
+        orig_send = cluster.csp.da_ch.send
+
+        def damaged(frame):
+            if frame.ftype == transport.ORDER_RESULT:
+                frame = Frame(frame.ftype, frame.session_id,
+                              edit(frame.payload))
+            orig_send(frame)
+
+        cluster.csp.da_ch.send = damaged
+        with pytest.raises(SessionAborted, match="malformed") as aborted:
+            cluster.encrypt(15)
+        cluster.csp.da_ch.send = orig_send
+        assert table_snapshot(ctx["table"]) != table_before
+        assert cluster.da.cleanup([aborted.value.session_id]) == 1
         assert table_snapshot(ctx["table"]) == table_before
         assert cluster.encrypt(15) == \
             Mope2Oracle(params.m).load(data).encrypt(15)
@@ -1109,21 +1257,22 @@ def test_malformed_query_or_cleanup_reply_is_a_protocol_error():
 
 
 def test_every_single_share_bit_flip_detected():
-    # the owner's SHARES holds each output's zero-hash, then its one-hash.
-    # Over EXAMPLE the first node is 25, so the first round's outputs for
-    # 15 are [15 != 25] = 1 and [15 > 25] = 0, and hashes 1 and 2 are
-    # the ones its labels match.  A flipped bit in either aborts the
-    # session; one in hash 0 or 3, which no label matches, changes
-    # nothing.  Each session that succeeds is cleaned up, so every one
-    # sees the same table.
+    # the owner's SHARES holds each instance's decode hashes, each
+    # output's zero-hash, then its one-hash, the first round's instance
+    # first.  Over EXAMPLE the first node is 25, so the first round's
+    # outputs for 15 are [15 != 25] = 1 and [15 > 25] = 0, and hashes 1
+    # and 2 are the ones its labels match.  A flipped bit in either
+    # aborts the session; one in hash 0 or 3, which no label matches,
+    # changes nothing.  Each flip goes to a new cluster, whose first
+    # round sends the owner's first batch.
     params = small_params(m=28)
-    cluster, ctx = make_cluster(EXAMPLE, seed=13, params=params)
     want = Mope2Oracle(params.m).load(EXAMPLE).encrypt(15)
-    end = cluster.do.csp_ch
-    try:
-        table_before = table_snapshot(ctx["table"])
-        aborted = []
-        for k in range(4):
+    aborted = []
+    for k in range(4):
+        cluster, ctx = make_cluster(EXAMPLE, seed=13, params=params)
+        end = cluster.do.csp_ch
+        try:
+            table_before = table_snapshot(ctx["table"])
             seen = []
 
             def tampered(frame, at=16 * k + k):
@@ -1145,11 +1294,11 @@ def test_every_single_share_bit_flip_detected():
                 aborted.append(k)
             del end.send
             assert table_snapshot(ctx["table"]) == table_before
-        assert aborted == [1, 2]
-        assert cluster.encrypt(15) == want
-        assert not cluster.errors
-    finally:
-        cluster.close()
+            assert cluster.encrypt(15) == want
+            assert not cluster.errors
+        finally:
+            cluster.close()
+    assert aborted == [1, 2]
 
 
 def test_rebalance_mid_session():
@@ -1179,10 +1328,12 @@ OWNER_LINKS = ("csp->do", "do->csp", "da->do", "do->da")
 
 
 def owner_views_by_height(mode, seed, rebalances):
-    """{table height: [(rebalanced, the owner's frames)]} over 24
-    encrypts into a seeded table of 8 at M = 67, a copy of a stored
-    value in every third; a frame is its (type, length) on each of the
-    owner's links, and rebalances is count_rebalances's list."""
+    """{(table height, refills): [(rebalanced, the owner's frames)]}
+    over 24 encrypts into a seeded table of 8 at M = 67, a copy of a
+    stored value in every third; a frame is its (type, length) on each
+    of the owner's links, refills counts the garbled batches whose
+    decode hashes the owner sent the server in the session, and
+    rebalances is count_rebalances's list."""
     rng = make_rng(seed)
     data = [rng.randrange(1 << 16) for _ in range(8)]
     queries = [rng.choice(data) if i % 3 == 0 else rng.randrange(1 << 16)
@@ -1202,8 +1353,8 @@ def owner_views_by_height(mode, seed, rebalances):
             to_owner, from_owner = seen[:2]
             assert {t for t, _ in to_owner} <= {transport.RANDOMIZED_NODE,
                                                 transport.ABORT}
-            assert {t for t, _ in from_owner} == {transport.SHARES}
-            views.setdefault(height, []).append(
+            assert {t for t, _ in from_owner} <= {transport.SHARES}
+            views.setdefault((height, len(from_owner)), []).append(
                 (len(rebalances) > before, seen))
         assert not cluster.errors
     finally:
@@ -1215,7 +1366,9 @@ def test_owner_view_does_not_depend_on_rebalancing(monkeypatch):
     # a rebalance stays on the server: per session, the owner gets the
     # same frames of the same lengths from the server and the analyst,
     # and sends them the same ones, whether the session rebalanced or
-    # not, over several seeded tables at M = 67 in both modes
+    # not, over several seeded tables at M = 67 in both modes.  Sessions
+    # are compared by table height and by the garbled batches their
+    # rounds refilled, which follow from the rounds run before
     rebalances = count_rebalances(monkeypatch)
     for mode in ("det", "fh"):
         mixed = 0
@@ -1240,7 +1393,8 @@ def test_masked_bits_look_uniform():
                 ch.record = True
         for _ in range(60):
             cluster.encrypt(7)  # fixed query, fixed singleton node
-        labels = [transport.decode_frame(b[4:]).payload
+        # each SHARES carries the upload behind the two labels
+        labels = [transport.decode_frame(b[4:]).payload[:32]
                   for ch in cluster.channels if ch.name == "da->csp"
                   for b in ch.transcript
                   if b[4] == transport.SHARES]
@@ -1683,8 +1837,9 @@ def test_fh_copies_land_by_a_coin_per_equal_node(data):
 
 
 def test_fh_shares_carry_no_equality_bit():
-    # one output, the traversal bit: the analyst sends one label and the
-    # owner one pair of decode hashes per round
+    # one output, the traversal bit: the analyst sends one label per
+    # round, the last round's with the upload behind it, and the owner
+    # one pair of decode hashes per instance of its garbled batch
     data = [7, 7, 9]
     cluster, _ = make_cluster(data, seed=53, params=fh_params())
     try:
@@ -1696,8 +1851,11 @@ def test_fh_shares_carry_no_equality_bit():
         shares = [(ch.name, len(b) - 21) for ch in cluster.channels
                   if ch.name in ("da->csp", "do->csp")
                   for b in ch.transcript if b[4] == transport.SHARES]
-        assert len(shares) == 2 * (2 + 3)  # h = 2 rounds, then 3
-        assert set(shares) == {("da->csp", 16), ("do->csp", 32)}
+        upload = paillier.cipher_width(cluster.da.params.key_bits)
+        # h = 2 rounds, then 3, and one batch
+        assert Counter(shares) == {("da->csp", 16): 3,
+                                   ("da->csp", 16 + upload): 2,
+                                   ("do->csp", 32 * garbling.BATCH): 1}
         assert not cluster.errors
     finally:
         cluster.close()
@@ -1750,9 +1908,9 @@ def count_rebalances(monkeypatch):
     sizes = []
     real = ope_state.rebalance
 
-    def counting(table):
+    def counting(table, index):
         sizes.append(len(table))
-        return real(table)
+        return real(table, index)
 
     monkeypatch.setattr(ope_state, "rebalance", counting)
     return sizes

@@ -80,26 +80,29 @@ def test_analyst_uploads_are_tagged_and_verifiable(scheme):
 
 
 def test_upload_without_a_commitment_aborts():
-    # an upload is Enc(xbar) | Enc(a) | commitment; the server does not
-    # know the commitment's width, but it refuses an upload with none
-    # before the tag reaches the table, where every later session that
-    # visited the node would abort
+    # an upload is Enc(xbar) | Enc(a) | commitment, behind the output
+    # labels of the last round's SHARES; the server does not know the
+    # commitment's width, but it refuses an upload with none before the
+    # tag reaches the table, where every later session that visited the
+    # node would abort
     cluster, ctx = build(integrity.SCHEME_PEDERSEN, seed=111)
     try:
         table, pk = ctx["table"], ctx["pk"]
         orders = table.orders()
         orig_send = cluster.da.csp_ch.send
-        end = 2 * paillier.cipher_width(pk.key_bits)
+        labels = 16 * len(cluster.da.circuit.outputs)
+        end = labels + 2 * paillier.cipher_width(pk.key_bits)
 
         def cut(frame):
-            if frame.ftype == transport.CIPHER_UPLOAD:
+            if frame.ftype == transport.SHARES and \
+                    len(frame.payload) > labels:
                 frame = transport.Frame(frame.ftype, frame.session_id,
                                         frame.payload[:end])
             orig_send(frame)
 
         cluster.da.csp_ch.send = cut
         with pytest.raises(SessionAborted, match=(
-                f"CIPHER_UPLOAD of {end} bytes, expected more than {end}")):
+                f"SHARES of {end} bytes, expected more than {end}")):
             cluster.encrypt(15)
         cluster.da.csp_ch.send = orig_send
         assert table.orders() == orders
@@ -261,7 +264,7 @@ def test_subgroup_bits_must_match_the_mac_group(bits):
                                      "MAC parameters at the analyst"])
 def test_hello_extra_with_trailing_bytes_refused(damaged):
     # a HELLO extra holds one key or one parameter set and nothing else,
-    # as a CIPHER_UPLOAD holds one upload
+    # as the last round's SHARES holds one upload
     params = ProtocolParams(l=16, k=16, m=28, key_bits=256,
                             integrity=integrity.SCHEME_PEDERSEN,
                             mac_subgroup_bits=160)

@@ -2,14 +2,14 @@
 
 import math
 import os
-import signal
 import threading
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import fh_gap_distribution, table_snapshot
+from oracles import Mope2Oracle, fh_gap_distribution, table_snapshot
 
 from oope import engine, integrity, modexp, ope_state, paillier
 from oope.errors import (CapacityError, ConfigurationError, DomainError,
@@ -138,28 +138,52 @@ def test_place_rebalances_a_unit_gap_once(keys, monkeypatch):
     before = table_snapshot(table)
     calls = []
     monkeypatch.setattr(ope_state, "rebalance",
-                        lambda t: calls.append(1) or rebalance(t))
-    # (4, 5) is a unit gap; the respread would put the entries on 7, 14,
-    # 21, and the new one goes between the first two
-    assert place(table, 1) == (11, {4: 7, 5: 14, 21: 21})
+                        lambda *a: calls.append(a[1]) or rebalance(*a))
+    # (4, 5) is a unit gap; the respread of four slots over M=28 is 6,
+    # 12, 17, 23, and the new entry takes the one at its index
+    assert place(table, 1) == (12, {4: 6, 5: 17, 21: 23})
     assert calls == [1]
     assert table_snapshot(table) == before
 
 
 def test_place_without_room_restores_the_table(keys):
-    # three entries respread over M=6 sit on 2, 3, 5: (2, 3) is still a
-    # unit gap, and the table stays on 1, 2, 4
-    table = table_on(keys, 6, [1, 2, 4])
+    # M=6 holds five orders; a full table takes no sixth
+    table = table_on(keys, 6, [1, 2, 3, 4, 5])
     before = table_snapshot(table)
-    with pytest.raises(CapacityError, match="too dense"):
+    with pytest.raises(CapacityError, match="exhausted"):
         place(table, 1)
     assert table_snapshot(table) == before
+
+
+@pytest.mark.parametrize("m", [3, 4, 7, 67])
+def test_place_fills_every_order_at_any_index(keys, m):
+    # a table of n <= M - 2 entries takes one more wherever it goes, by
+    # the rule the oracle models, until all M - 1 orders are taken
+    for at in ("left", "middle", "right"):
+        table, oracle, xs = OpeTable(m), Mope2Oracle(m), []
+        for n in range(m - 1):
+            index = {"left": 0, "middle": n // 2, "right": n}[at]
+            # a plaintext that the oracle puts at index
+            left = xs[index - 1] if index else (xs[0] if xs else 0) - 1
+            right = xs[index] if index < n else (xs[-1] if xs else 0) + 1
+            xs.insert(index, Fraction(left + right, 2))
+            order, remap = place(table, index)
+            if remap is not None:
+                table.reassign_orders(remap)
+            table.insert(OpeEntry(0, order))
+            assert order == oracle.encrypt(xs[index])
+            assert table.orders() == oracle.ys
+        assert table.orders() == list(range(1, m))
+        with pytest.raises(CapacityError):
+            place(table, 0)
 
 
 def test_rebalance_single_entry(keys):
     table = table_on(keys, 28, [3])
     before = table_snapshot(table)
-    assert rebalance(table) == {3: 14}
+    # two slots over M=28, 10 and 19: the hole at index 0 or 1
+    assert rebalance(table, 0) == (10, {3: 19})
+    assert rebalance(table, 1) == (19, {3: 10})
     assert table_snapshot(table) == before
 
 
@@ -168,7 +192,7 @@ def test_rebalance_preserves_rank(keys):
     _, table = example_state(keys)
     before = [(paillier.decrypt(sk, e.cipher), e.order) for e in table.entries()]
     snapshot = table_snapshot(table)
-    remap = rebalance(table)
+    order, remap = rebalance(table, 2)
     assert table_snapshot(table) == snapshot
     table.reassign_orders(remap)
     after = [(paillier.decrypt(sk, e.cipher), e.order) for e in table.entries()]
@@ -177,30 +201,23 @@ def test_rebalance_preserves_rank(keys):
     assert orders == sorted(orders)
     assert all(1 <= y <= table.m - 1 for y in orders)
     assert [remap[y] for _, y in before] == orders
+    # the hole at index 2 lies between the second and third entries
+    assert orders[1] < order < orders[2]
 
 
 def test_rebalance_capacity_error(keys):
     table = table_on(keys, 6, [1, 2, 3, 4, 5])
     with pytest.raises(CapacityError):
-        rebalance(table)
+        rebalance(table, 0)
 
 
-def test_init_unit_gap_after_respread_raises_capacity_error(keys):
+def test_init_fills_every_order_of_a_small_m(keys):
     pk, _ = keys
-    # 0 takes order 2 of M=3, 1 finds a unit gap above it, and the
-    # respread puts 0 back on 2
-
-    def hung(signum, frame):
-        raise TimeoutError("init_state did not return")
-
-    old = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(5)
-    try:
-        with pytest.raises(CapacityError):
-            init_state([0, 1], 3, pk, l=8)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, old)
+    # M=3 holds two orders: 0 takes 2, 1 finds a unit gap above it, and
+    # the respread of two slots puts 0 on 1 and 1 on 2
+    owner, table = init_state([0, 1], 3, pk, l=8)
+    assert owner.pairs == [(0, 1), (1, 2)]
+    assert table.orders() == [1, 2]
 
 
 def test_no_rebalance_for_uniform_inputs_with_large_m(keys):
@@ -374,6 +391,8 @@ def test_table_invariants_hold_against_a_sorted_list_model(data, m):
             try:
                 order, remap = place(table, index)
             except CapacityError:
+                # only a full table refuses a new entry
+                assert len(orders) == m - 1
                 continue
             if remap is not None:
                 table.reassign_orders(remap)

@@ -1,7 +1,6 @@
 """Oblivious transfer: base OT, IKNP extension, chosen-input transfers."""
 
 import functools
-import hashlib
 import os
 import queue
 import threading
@@ -11,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oope import ot
+from oope import aes, ot
 from oope.errors import ProtocolError, UsageError
 from oope.rng import make_rng
 
@@ -253,13 +252,18 @@ def test_a_batch_is_refused_unless_new_and_whole():
     assert sender._batch == receiver._batch == 4
 
 
-def test_prg_is_shake128_per_seed_and_batch():
-    seed = bytes(range(32))
-    assert ot._prg(seed, 300, 5) == hashlib.shake_128(
-        seed + b"prg" + (5).to_bytes(4, "big")).digest(300)
+def test_prg_is_aes_counter_mode_per_seed_and_batch():
+    # block j of seed k's row in batch b is tccr(k[:16], 2^126 | b·2^32 | j)
+    seeds = [bytes(range(32)), bytes(32), b"\xff" * 32]
+    rows = ot._prg_matrix(seeds, 40, 5)
+    assert rows.shape == (3, 40)
+    for seed, row in zip(seeds, rows):
+        want = b"".join(aes.tccr(seed[:16], (
+            1 << 126 | 5 << 32 | j).to_bytes(16, "big")) for j in range(3))
+        assert row.tobytes() == want[:40]
     # a prefix of the longer output, and fresh across batches and seeds
-    assert ot._prg(seed, 25, 5) == ot._prg(seed, 300, 5)[:25]
-    outputs = {ot._prg(s, 256, b) for s in (seed, bytes(32), b"\xff" * 32)
+    assert (ot._prg_matrix(seeds, 25, 5) == rows[:, :25]).all()
+    outputs = {ot._prg_matrix([s], 256, b).tobytes() for s in seeds
                for b in (0, 1, 2, 1 << 31)}
     assert len(outputs) == 12
 

@@ -2,10 +2,11 @@
 seeded runs byte-match pinned digests."""
 
 import hashlib
+from collections import Counter
 
 import pytest
 
-from oope import integrity, ope_state, paillier, transport
+from oope import garbling, integrity, ope_state, paillier, transport
 from oope.cluster import LocalCluster, build_cluster
 from oope.engine import (BOUND_HIGH, BOUND_LOW, OP_BOUND_HIGH, OP_BOUND_LOW,
                          OP_ENCRYPT, ProtocolParams)
@@ -57,9 +58,9 @@ def test_loopback_and_tcp_identical_across_rebalances(monkeypatch):
     rebalances = []
     real_rebalance = ope_state.rebalance
 
-    def counting_rebalance(table):
+    def counting_rebalance(table, index):
         rebalances.append(len(table))
-        return real_rebalance(table)
+        return real_rebalance(table, index)
 
     monkeypatch.setattr(ope_state, "rebalance", counting_rebalance)
     loop = assert_identical(data=[9000, 100, 52000, 7, 31000, 2500, 640,
@@ -85,8 +86,11 @@ def test_loopback_and_tcp_identical_bound(mode):
                             session=bounds_and_encrypt, mode=mode)
     starts = [b[21] for b in loop["da->csp"] if b[4] == transport.SESSION_START]
     assert starts == [OP_BOUND_LOW, OP_BOUND_HIGH, OP_ENCRYPT] * 4
-    # only the encrypts upload
-    assert sum(b[4] == transport.CIPHER_UPLOAD for b in loop["da->csp"]) == 4
+    # only the encrypts upload, behind their last round's output labels
+    shares = Counter(len(b) for b in loop["da->csp"]
+                     if b[4] == transport.SHARES)
+    assert len(shares) == 2 and min(shares.items())[1] > 4
+    assert max(shares.items())[1] == 4
 
 
 def aborted_then_encrypts(cluster, xs):
@@ -122,7 +126,7 @@ def test_loopback_and_tcp_identical_under_integrity(scheme):
 
 
 # SHA-256 of each channel's transcript, its sent frames concatenated, in
-# seeded runs of protocol 14: det, fh and Pedersen on a 256-bit key, det
+# seeded runs of protocol 15: det, fh and Pedersen on a 256-bit key, det
 # on a 1024-bit key, whose N^2 of 2048 bits takes encryption through
 # modexp.FixedBase, and det with a session the server aborts in its
 # second round, then two good ones, so the ABORT frames and the OT
@@ -143,87 +147,87 @@ PINNED_CASES = {
 PINNED_DIGESTS = {
     "det": {
         "csp->da":
-            "34a4ad714e11cd8e579426710745da33d5a4750ab5390584f89fabe0b9f49cc0",
+            "02892776a4941e594c82aeb16b3b492442aad5d0dacdf651010b6bc35fcaff05",
         "csp->do":
-            "ad88d6154b04072e1280c174227dec0d5763be1bcb7f43043ebf93baea613ac0",
+            "ed27717c731ecf04562741ba4685c8400b58ace6d58b36eb2f26e29ba52d4075",
         "da->csp":
-            "3d26ae6c8ca58f99ae03daa2f4f3bd32e68345c7c1dda40149aa40e8e73706cf",
+            "58e223801b6ca2727e70ee0afe58834e627a5d4bd5607d055e3465a8aa083c81",
         "da->do":
-            "850a7090057babe323a76f401a0024080608d2484a72762fee97ae0784a1f8b1",
+            "8d9ee6469a95252ac5ec0cf8f118d68f8db365535bf58836e4090a8fce7ab0c0",
         "do->csp":
-            "dc233a9e5ca402417a25dc5fb66acec5aec184cb24ce27cb97072e10a9f0145d",
+            "886ae49281df714b4fce6075d4d72f5420921eeabd733e59965a654b77ae93b7",
         "do->da":
-            "3fbc3c843ba4d0fc0328baa3ac9434fe7a82c27f5e45ef8d3dea16030a479126",
+            "f4cb60a463d28a4449810f76450c5dda99c5e95a83663467884de3d51ca83659",
     },
     "fh": {
         "csp->da":
-            "a3f082b2467e91d71087ee9527961ab3b52a5b12be301d8b784324b2f987cfb1",
+            "a70fbfdc437e7bc449df9c5fd094d1b771d7f1cefa2bf30b361fbaef324bdac8",
         "csp->do":
-            "ca48f765590459fa2afbd3b5eb580f2f6125e7b5e36a14da5649ba9d745cbfe3",
+            "bb7de6272b9f23446152e5e0cea4f9330723a9035c41d620b8f65ed8a57765f8",
         "da->csp":
-            "d785ac3179133c72e93040d4bc1b502f2a5fdaa9f2d5e160f5d6e77a24303071",
+            "a0f523c1734ac81a03ed0ce18a984034982575a2e40dc184f7a191886512b96b",
         "da->do":
-            "96c2ddff5ebc32622ad14431fa7836c93bc713b3716d9d3df65592f16d90f786",
+            "36323ab4972143c0221654e4c22422134acd130860151aba44ebad4726b299da",
         "do->csp":
-            "052b09fc63a2844cbe6b1534d75b27d80d3059daf2e4e136fa3bc2e31a822f08",
+            "42bfe2f9c65346bd9b2c78209761d42b8cd372e9b85eccc9870e2d5f5cc6dfbd",
         "do->da":
-            "a765f528ea420d38fe93576e45054c7653c9b5cd4420cab1c55ee562d88c659b",
+            "25d782ddd60aa2d512f47646de8e5c57011e75c9c202d4c74556dbf893f933b0",
     },
     "pedersen": {
         "csp->da":
-            "bc9e5a056fd82698b2889057538a98b0e8b4e1c9a41add67476c8c9b06c12258",
+            "ee8b92012564067cdc14623d05837720e3154a682bb78b1e4659ccecabe2bc60",
         "csp->do":
-            "4367c265f6ed53e2f2cbacc2e3fe7e7e5b1f31f0dca9e58f66e0f2c019b885d3",
+            "fd6defc470231f051a0cbb8d27db49ccf7a4090ce2468d65b818f3175969b6d0",
         "da->csp":
-            "d032775397c266ba683649618e6db84298d9500edf0a7eccd3f6b23868359fd8",
+            "d7b0a40cce0c16efcde15a41183ce2f9283f9638add85888b604daba53c9a154",
         "da->do":
-            "87dc1806ba8dc64444aecb8b649a28899d021982eec4bd93d169e9e4449176c4",
+            "90337e3c96eb4c939595fa27f74d500234d62980392f2e95dc0bed93b67fbedd",
         "do->csp":
-            "2a11a6fb8bf740fad4c381a323aaee3b6adc469ee7f7b71af498b86c0066cc9d",
+            "91f49a5318dfcecf91f0093e425e96ec00b6ac4676d66198c622f907794fb582",
         "do->da":
-            "c6eae801362a6d06677e579b1b24a2148ec212b8d57648146cffe4b4482039f1",
+            "5e47051c27e08e187893e834e7413904e54398812c4daabf9cefc58018d5e86e",
     },
     "det-1024": {
         "csp->da":
-            "83c2c72008e7b55e366a735fd114b10690722c2bcebbac2c8ba87b387ea6dc1b",
+            "98c70e544ec1ba5bf1c0b38af708d6f1c854c2ac846eb15dd5cf82382f9f5e2a",
         "csp->do":
-            "39fbe503ab44b36adf7bc20078d822137cc6c7af0511aeff2a0d84f5c3ec5da1",
+            "c4e98b54b0980f771465ed18b3d013652adf4c5b5bac84ff68351a681a6b8b7b",
         "da->csp":
-            "833161f5d4d2642dfdd41e8fd0ee8b660106050239a5437744fb65de303b689f",
+            "e6765c97b20a08f9e0eb55bc7879ce1c7b113c8cc4750bb804e3c311176233d2",
         "da->do":
-            "a7c668fdbf20cd28006b6a6edfa0253cd071ba1d98ad5992bd409a51fe34067f",
+            "5552edbb8c137e91c3955696500958296a71a559de3c4133e0a128ea8d5bdfe6",
         "do->csp":
-            "59496c9ff96525b21ad70f5e813604e0f1a5cd131c726c7a4ce10f48f92bd90e",
+            "2e9de840128dfe748304de3d2fe45b37f3993af19ffd3006be4c56c0fc92306a",
         "do->da":
-            "741bfa953428d328967936f6bc1d6eecf5d6a9784fba2bf38f0998f1f1f96e73",
+            "22ec51ea140aad79f0e3e57a7cdc45d9884b16cd3fcb5fa8fee924fe789fbddd",
     },
     "abort": {
         "csp->da":
-            "5bb83ff93a509c89ffbe31f94e92eddf04ebbc2faaeb90fc1cf3a3c4d22940d7",
+            "7302d91b07b133883d9f0cd21b1c79a0a3da0cc946c0aaa57f8d12dae7fbc1e9",
         "csp->do":
-            "935855a30f72a2ea08e689aaedc5adbb7ff7f2c0a4d8360368317567a14891f8",
+            "9a4516598b72e83b6540b5e4362e8f580637be725a0cc2841bd421ad07ff016b",
         "da->csp":
-            "addc74fbb32bfd9877b9061f6735ee52da366d8782491796163ba17cc7329487",
+            "86d304220a4891a402739fec28e949ce2f04f6cdf92154bf26dfdb8b5e04be3b",
         "da->do":
-            "da96e01b54f768adae924ae43ace5c21a5d5734b6b979de540935f27f1421775",
+            "c469dccf918192a26c74f010b6754d0ccd11ec26eeb8494c28b229fcbb93c26b",
         "do->csp":
-            "c1edd186bfb973b5377f7cf146187f91f503660785a1b2be44e1248d4ae02e46",
+            "741195fd19ed304c4da52d4ac0ea0b0f0491a149644b67b813169461cff77d68",
         "do->da":
-            "5be98b1f12a32bb7893d2e117b84639dc3dc72d7fa1282077f9657662113c9c3",
+            "69bedf94c8219311272600b38262afa760d16ce7c87ea003d5c2b1c9134cccac",
     },
     "fh-stop": {
         "csp->da":
-            "55b368230684615b204106906631f69e5225cf6feca514bd6f3dcb1c6c4ba425",
+            "28d158bbb51abd3be14b3237f3d1c7350b6384642dc634aea71a0e07a8ca3f8e",
         "csp->do":
-            "518f981ca2d5f51132bdacadf79759695a443a6e842b2ca86fc7aca4d9ac4128",
+            "c3af07b192161f918da4bf29069143176f7c4f2dd096579952070eb93781e147",
         "da->csp":
-            "4fb6ef24ec0a4236beebe998cfc59219b696d2475ca3f730212e9362ef2c3957",
+            "0f21c7112f4eb1da83b662230e23a588b047597c70e6e58e843c062ec22acf42",
         "da->do":
-            "ea685338a6106cd3cebd8b1b4f6aa8505a991cb8ba30c1c064858bd6f7e889c0",
+            "fd12a0de74fa80f27afce6c5b1494d13163c16cf2081a21e0f28d80984e2ad4d",
         "do->csp":
-            "dfc34cbaa2200e989dcaba4bf6383e2c24f70dca911323a41cf79116b0350771",
+            "52ae9a46e474b52c4f303315f77b400f697e7cd58b7504b06554076aaf1ab95e",
         "do->da":
-            "a1cbcadf0895f11452e74d2830d1941ac5e12b889918653c827401af2c2bb9fa",
+            "620a99ba40d3d90bc65d2c713b6468c5457ea4f1ced12a6ec15f24c1f21f7120",
     },
 }
 
@@ -244,11 +248,13 @@ def test_different_seeds_differ():
 @pytest.mark.parametrize("mode", ["det", "fh"])
 @pytest.mark.parametrize("scheme", [integrity.SCHEME_OFF,
                                     integrity.SCHEME_PEDERSEN])
-def test_session_frames_have_the_v14_lengths(mode, scheme):
+def test_session_frames_have_the_v15_lengths(mode, scheme):
     # every session frame has one layout, whose length follows from h,
     # the key and MAC group widths and the circuit alone: GC_PAYLOAD
-    # carries no decode hashes, which the owner's SHARES carries, 32
-    # bytes per output, and the analyst's SHARES is 16 bytes per output
+    # carries no decode hashes; the owner's SHARES carries a garbled
+    # batch's, 32 bytes per output of each instance, in the rounds that
+    # refill its pool, and the analyst's SHARES is 16 bytes per output,
+    # the upload behind it in an encrypt's last round
     params = ProtocolParams(l=16, k=16, m=(1 << 20) - 3, key_bits=256,
                             mode=mode, integrity=scheme,
                             mac_subgroup_bits=160)
@@ -260,12 +266,15 @@ def test_session_frames_have_the_v14_lengths(mode, scheme):
         mac_params=MAC_PARAMS if pedersen else None)
     circuit = params.build_circuit()
     n = len(circuit.eval_inputs)
+    outputs = len(circuit.outputs)
     w = paillier.cipher_width(params.key_bits)
     g = (MAC_PARAMS.p.bit_length() + 7) // 8
-    seen = set()
+    rounds = 0  # rounds run so far: the owner refills every BATCH
+    inside = False  # whether a refill fell after a session's first round
     try:
         for op, x in ((LocalCluster.encrypt, 77), (LocalCluster.encrypt, 77),
-                      (bounds_and_encrypt, 300)):
+                      (bounds_and_encrypt, 300)) + \
+                ((LocalCluster.encrypt, 500),) * 4:
             start = {name: len(t) for name, t in
                      cluster.transcripts().items()}
             h = ctx["table"].height
@@ -273,8 +282,8 @@ def test_session_frames_have_the_v14_lengths(mode, scheme):
             frames = [(name, transport.decode_frame(blob[4:]))
                       for name, blobs in cluster.transcripts().items()
                       for blob in blobs[start[name]:]]
-            for sid in {f.session_id for _, f in frames
-                        if f.ftype == transport.SESSION_START}:
+            for sid in [f.session_id for _, f in frames
+                        if f.ftype == transport.SESSION_START]:
                 session = [(name, f) for name, f in frames
                            if f.session_id == sid]
                 m = 8 * -(-h * n // 8)
@@ -286,15 +295,10 @@ def test_session_frames_have_the_v14_lengths(mode, scheme):
                     transport.GC_PAYLOAD: [
                         32 * len(circuit.nonfree_gates()) +
                         16 * len(circuit.gen_inputs) + 32 * n] * h,
-                    transport.ORDER_RESULT: [16],
-                    transport.SESSION_DONE: [0]}
+                    transport.ORDER_RESULT: [16]}
                 if pedersen:
                     want[transport.INTEGRITY_TAG] = [64 + g] * h
                     want[transport.INTEGRITY_PROOF] = [g] * h
-                if any(f.ftype == transport.CIPHER_UPLOAD
-                       for _, f in session):
-                    want[transport.CIPHER_UPLOAD] = [
-                        2 * w + g if pedersen else w]
                 got, shares = {}, {}
                 for name, f in session:
                     if f.ftype == transport.SHARES:
@@ -302,11 +306,22 @@ def test_session_frames_have_the_v14_lengths(mode, scheme):
                     else:
                         got.setdefault(f.ftype, []).append(len(f.payload))
                 assert got == want
-                outputs = len(circuit.outputs)
-                assert shares == {"do->csp": [32 * outputs] * h,
-                                  "da->csp": [16 * outputs] * h}
-                seen |= got.keys()
-        assert transport.CIPHER_UPLOAD in seen
+                labels = [16 * outputs] * h
+                op_byte, = {f.payload[0] for _, f in session
+                            if f.ftype == transport.SESSION_START}
+                if op_byte == OP_ENCRYPT:
+                    labels[-1] += 2 * w + g if pedersen else w
+                refills = [r for r in range(rounds, rounds + h)
+                           if r % garbling.BATCH == 0]
+                inside |= any(r > rounds for r in refills)
+                rounds += h
+                want_shares = {"da->csp": labels}
+                if refills:
+                    want_shares["do->csp"] = \
+                        [32 * outputs * garbling.BATCH] * len(refills)
+                assert shares == want_shares
+        # a refill in the first round, and one inside a later session
+        assert inside
         assert not cluster.errors
     finally:
         cluster.close()

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from oracles import Mope2Oracle
 
 import views
-from oope import integrity, transport
+from oope import garbling, integrity, transport
 from oope.cluster import build_cluster
 from oope.engine import BOUND_HIGH, BOUND_LOW, ProtocolParams
 from oope.ot import GROUP_TEST
@@ -49,18 +49,22 @@ def role_view(role, mode, scheme, data, op, xbar):
 @pytest.mark.parametrize("mode", ["det", "fh"])
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_a_round_is_three_flights(mode, scheme):
-    # node, garbled circuit with the OT reply beside the owner's SHARES,
-    # the analyst's SHARES: the first round adds the offsets and the
-    # session's OT batch, which holds every round's choices, and the
-    # session adds SESSION_START and ORDER_RESULT
+    # node, garbled circuit with the OT reply, the analyst's SHARES: the
+    # first round adds the offsets and the session's OT batch, which
+    # holds every round's choices, the session adds SESSION_START and
+    # ORDER_RESULT, its last frame, and a round that refills the owner's
+    # garbled pool adds the owner's SHARES: 3h + 4 frames outside
+    # Pedersen, plus one per refill.  Twelve sessions of five rounds or
+    # more cross a batch boundary inside a session
     data = list(range(100, 2100, 100))
     pedersen = scheme == integrity.SCHEME_PEDERSEN
     with views.tap() as tap:
         cluster, ctx = build(mode, scheme, data)
         oracle = Mope2Oracle(cluster.da.params.m).load(data)
+        rounds, inside = 0, False
         try:
             for op, xbar in (("encrypt", 1050), ("bound-low", 1050),
-                             ("bound-high", 1050), ("encrypt", 700)):
+                             ("bound-high", 1050), ("encrypt", 700)) * 3:
                 h = ctx["table"].height
                 assert h >= 2
                 ybar = OPS[op](cluster, xbar)
@@ -68,23 +72,28 @@ def test_a_round_is_three_flights(mode, scheme):
                     assert ybar == oracle.encrypt(xbar)
                 sid = [f.session_id for f, _ in tap.sent
                        if f.ftype == transport.SESSION_START][-1]
-                flights = tap.stamp(transport.ORDER_RESULT, sid) - \
-                    tap.stamp(transport.SESSION_START, sid)
+                last = max(s for f, s in tap.sent if f.session_id == sid)
+                assert last == tap.stamp(transport.ORDER_RESULT, sid)
+                flights = last - tap.stamp(transport.SESSION_START, sid)
                 assert flights <= 3 * h + 3, (op, h, flights)
                 counts = Counter(f.ftype for f in tap.session_frames(sid))
                 # one extension batch per session, and no OT frame after
                 assert counts.pop(transport.OT_MSG) == 1
                 per_round = [transport.RANDOMIZED_NODE, transport.GC_PAYLOAD,
-                             transport.SHARES, transport.SHARES]
+                             transport.SHARES]
                 if pedersen:
                     per_round += [transport.INTEGRITY_TAG,
                                   transport.INTEGRITY_PROOF]
-                want = Counter(per_round * h + [
+                refills = [r for r in range(rounds, rounds + h)
+                           if r % garbling.BATCH == 0]
+                inside |= any(r > rounds for r in refills)
+                rounds += h
+                want = Counter(per_round * h + [transport.SHARES] *
+                               len(refills) + [
                     transport.SESSION_START, transport.RANDOM_OFFSET,
-                    transport.ORDER_RESULT, transport.SESSION_DONE])
-                if op == "encrypt":
-                    want[transport.CIPHER_UPLOAD] = 1
+                    transport.ORDER_RESULT])
                 assert counts == want
+            assert rounds > garbling.BATCH and inside
             assert not cluster.errors
         finally:
             cluster.close()
@@ -162,11 +171,12 @@ def stop_tails(mode, data, queries):
     try:
         for xbar in queries:
             n, bits = len(table), []
-            cluster.csp._shares = lambda sid: bits.append(real(sid)) or \
-                bits[-1]
+            cluster.csp._shares = lambda *args: bits.append(real(*args)) \
+                or bits[-1]
             cluster.da.encrypt(xbar)
             cluster.da.cleanup()
             assert len(table) == n
+            bits = [b for b, _ in bits]  # without the upload's fields
             stop = stop_round(n, bits) + 1
             tails[tuple(bits[:stop])].add(tuple(bits[stop:]))
         assert not cluster.errors
