@@ -38,7 +38,9 @@ owner nothing about the query.
 
 A round is three one-way flights and three frames: the node
 (RANDOMIZED_NODE), the garbled circuit with the OT reply behind it
-(GC_PAYLOAD) and the analyst's SHARES.  A round that refills the owner's
+(GC_PAYLOAD) and the analyst's SHARES; Pedersen adds the node's
+commitment (INTEGRITY_TAG) beside the node, and its opening rides at the
+head of GC_PAYLOAD, so four frames.  A round that refills the owner's
 garbled pool adds the owner's SHARES of the new batch's decode hashes
 beside GC_PAYLOAD.  An encrypt's upload rides behind the output labels
 of its last round's SHARES, and the server sends ORDER_RESULT, which
@@ -46,8 +48,8 @@ ends every session, after its commit point.  The analyst's OT choices
 for a round are xbar + r and, in fh, its coin and stick, and none
 depends on an earlier round's circuit.
 The server sends the analyst every offset of the session at once, h
-16-byte records in one RANDOM_OFFSET right after the first node, so
-the analyst knows all h·n choices from then on.
+records of r and, under Pedersen, r' in one RANDOM_OFFSET right after
+the first node, so the analyst knows all h·n choices from then on.
 
 Each session carries its own IKNP extension batch (ot) of m =
 8·ceil(h·n / 8) chosen-input OTs, for h transfers of n evaluator
@@ -63,7 +65,7 @@ shows the owner h, as the round count does anyway.  A session is 3h + 4
 frames (SESSION_START, RANDOM_OFFSET, the OT_MSG and ORDER_RESULT
 besides the rounds), plus one per refill, and 3h + 2 flights from
 SESSION_START to ORDER_RESULT, its last frame, plus Pedersen's
-INTEGRITY_TAG and INTEGRITY_PROOF per round.
+INTEGRITY_TAG per round.
 
 Set-up is each engine's attach: a transport.handshake on each of its
 links, which judges the peer's HELLO and parses its extra whole, then
@@ -71,13 +73,14 @@ base OT between owner and analyst.  Keys and the MAC group are checked
 against ProtocolParams where an engine gets them, when constructed or,
 at the analyst, at HELLO; the server also matches the owner's key.
 
-Session state lives with its session.  The analyst keeps a session's
-batch in locals of _session; the owner keeps its batch in an
-_OwnerSession of its serve loop, which the next session's first node
-replaces, so an OT_MSG the owner never read is stale by then.  Only the
-server's next blind, the owner's garbled pool, the server's copy of
-that pool's decode hashes and each OT end's base OT and last batch
-index outlive a session.
+Session state lives with its session.  The server keeps a session's
+offsets in locals of run_session, the analyst its offsets and batch in
+locals of _session, and the owner its session id and batch in locals of
+its serve loop, which the next session's first node resets, so an
+OT_MSG the owner never read is stale by then.  Only the server's next
+Enc(0)s, which hold no offset, the owner's garbled pool, the server's
+copy of that pool's decode hashes and each OT end's base OT and last
+batch index outlive a session.
 
 The two pools stay in step with no index on the wire.  The owner pops
 one instance per node it reads, first thing in its round, before
@@ -85,8 +88,8 @@ anything can abort, and the server pops that instance's hashes per node
 it sends; when the pools run empty, the owner garbles a batch and sends
 its hashes, and the server reads them before that round's labels.  An
 abort empties both: the server's in run_session's handler, the owner's
-when it aborts or reads the server's ABORT, which precedes the next
-node.  So a batch frame lost with its session, or a node the owner
+when it aborts or reads an ABORT from the server, which precedes the
+next node.  So a batch frame lost with its session, or a node the owner
 never reads, cannot put them out of step, and no instance's hashes
 decode two rounds.
 
@@ -99,61 +102,67 @@ value (ProtocolParams.width), so n is l + 2 in det and l + 4 in fh,
 with the coin and stick.
 
   SESSION_START    op u8 | column, UTF-8
-  RANDOM_OFFSET    h offsets r, 16 bytes each
+  RANDOM_OFFSET    h records: r, 16 bytes [| r', 64 bytes]
   OT_MSG           batch index u32 | u matrix, 16·m bytes
   RANDOMIZED_NODE  Enc(x + r), w bytes [| Enc(a + r'), w bytes]
-  INTEGRITY_TAG    r', 64 bytes | commitment, g bytes
-  INTEGRITY_PROOF  opening, g bytes
-  GC_PAYLOAD       garbling.payload | OT reply, 32·n bytes
+  INTEGRITY_TAG    commitment, g bytes
+  GC_PAYLOAD       [opening, g bytes |] garbling.payload |
+                   OT reply, 32·n bytes
   SHARES           the owner's: a batch's decode hashes, 32·o bytes
                    per instance, garbling.BATCH instances
                    the analyst's: output labels, 16·o bytes, and in an
                    encrypt's last round behind them the upload:
                    Enc(xbar), w bytes [| Enc(a), w bytes | commitment]
   ORDER_RESULT     order, 16 bytes
+  ABORT            the role that found the fault, u8 | reason, UTF-8
 
-CIPHER_UPLOAD and SESSION_DONE keep their numbers, reserved (transport).
-At the paper profile (2048-bit key, l = k = 32) a det round's payloads
-are 4992 bytes: the node (512), GC_PAYLOAD (3840: 69 AND gates at 32
-bytes, 34 owner labels at 16, the OT reply's 34 pairs at 32), the
-analyst's SHARES (32), a 32nd of the owner's batch of 2048 (64) and
-the round's 34 rows of the OT_MSG (544); framing adds 21 bytes per
-frame, three per round and one per batch.
+The types in transport.RESERVED, INTEGRITY_PROOF among them, keep their
+numbers and are never sent.  At the paper profile (2048-bit key,
+l = k = 32) a det round's payloads are 4992 bytes: the node (512),
+GC_PAYLOAD (3840: 69 AND gates at 32 bytes, 34 owner labels at 16, the
+OT reply's 34 pairs at 32), the analyst's SHARES (32), a 32nd of the
+owner's batch of 2048 (64) and the round's 34 rows of the OT_MSG (544);
+framing adds 21 bytes per frame, three per round and one per batch.
 
 The commitment ends the upload, and so its SHARES, because the server
 does not know g; the analyst checks its width when the node's
 INTEGRITY_TAG comes back.
 The server parses a node tag once, as the upload arrives, and stores it
-parsed.  One exact-length reader (_fields) cuts each frame, so a frame
-of any other length aborts its session instead of reaching the table or
-a decryption.
+parsed.  One exact-length reader (_fields) cuts each session frame,
+RANDOM_OFFSET's records included, so a frame of any other length aborts
+its session instead of reaching the table or a decryption.  A frame has
+at most one field of no fixed width, which its user checks: the
+garbled circuit in GC_PAYLOAD (garbling.parse_payload) or the upload's
+commitment.
 
 No exponentiation waits on a peer where it need not.  Encryptions use
 short exponents (paillier): each raises the key's fixed h^N to a
 256-bit alpha instead of computing a full-size r^N, and from 1024-bit
 keys up reads h^N's powers from a comb table shared by every copy of
 the key in the process, 43 multiplications instead of a 256-bit
-exponentiation.  A round's blind, r and Enc(r) (plus r' and
-Enc(r') under Pedersen), does not depend on the comparison, so the
-server still makes it one round ahead: right after sending a round's
-frames and before waiting for its shares.  A session draws all its
-offsets r at its start, since they go out with the first node, and
-encrypts each a round ahead.  A blind is spent once its offset is sent,
-even if the session then aborts before its node is, so no r blinds two
-nodes and no offset the analyst has seen returns.  Only the blind made
-in a session's last round, whose offset nobody has seen, serves the
-next session's first.  The analyst builds its whole upload right after
-it sends its OT_MSG, while the peers run the first round, and sends it
-unchanged behind its last round's output labels.  The owner decrypts each
-blinded node with the mod-P half of the CRT alone, one exponentiation
-mod P^2 by the 256-bit subgroup order t_p (paillier.decrypt), since it
-range-checks the result; the Pedersen a + r' has no range check and
-stays on the full CRT, by t_p and t_q.
+exponentiation.  The server blinds a node as the paper does, additively:
+it sends Enc(x)·Enc(0)·(1 + rN) = Enc(x + r), where Enc(0) rerandomizes
+the ciphertext and the offset r hides x, and under Pedersen Enc(a + r')
+alike.  The fold (1 + rN)·z = z + N·(r·z mod N) mod N^2
+(paillier.add_plain) is one product mod N, and gives the ciphertext
+Enc(x)·Enc(r) would under the same alpha.  A session draws its h offset
+records at its start, since they all go out with its first node, and
+no offset outlives its session.  Enc(0) = (h^N)^alpha, the one costly
+part, depends on nothing, so the server makes it ahead, one per node
+ciphertext: right after sending a node's frames and before waiting for
+its shares.  One that no sent frame used serves the next node of any
+session, so no blinded node repeats.  The analyst builds its whole
+upload right after it sends its OT_MSG, while the peers run the first
+round, and sends it unchanged behind its last round's output labels.
+The owner decrypts each blinded node with the mod-P half of the CRT
+alone, one exponentiation mod P^2 by the 256-bit subgroup order t_p
+(paillier.decrypt), since it range-checks the result; the Pedersen
+a + r' has no range check and stays on the full CRT, by t_p and t_q.
 A node whose randomness lies outside the key's subgroup fails that
 decryption with an IntegrityError and aborts the session as an
-out-of-range node does, so no a + r' decrypted from one reaches
-INTEGRITY_PROOF.  These exponentiations release the interpreter lock,
-so they overlap the peers' work.
+out-of-range node does, so no a + r' decrypted from one reaches an
+opening.  These exponentiations release the interpreter lock, so they
+overlap the peers' work.
 
 The search ends at a node; a new value goes into the gap at the index
 left or right of it, and ope_state.place gives its order by the rule
@@ -231,24 +240,27 @@ the owner learns nothing about which op runs.
 Abort discipline: an engine raises a fault it finds itself and never
 aborts inline.  One handler per engine (run_session at the server, the
 serve loop at the owner, _session at the analyst) hands it to _abort,
-which sends ABORT to both peers; none has state to roll back.  A
-request the server cannot even start, such as a SESSION_START naming no
-known op, only concerns the analyst, and the server's serve loop aborts
-it there.  _abort also passes an abort received from one peer on to the
-other, which may be waiting on a channel the sender did not use.  The
-server waits on the owner only for a batch's decode hashes, which
-precede anything else the owner sends in a refill round, so the owner's
-aborts reach it through the analyst's relay; one the server never reads
-is dropped as stale by the session filter of its next receive from the
-owner.  The owner waits on the analyst only for the session's OT_MSG,
-and an abort the analyst sends it later lies unread until the next
-OT_MSG receive drops it as stale.  The analyst, which has every offset,
-waits on the owner alone between rounds, so the owner relays the
-server's aborts, even those its serve loop reads while idle.  A remote
-SessionAborted carries the session id it names, which the relay
-repeats.  A relayed abort that finds its session over is dropped as
-stale.  A receive that times out before its frame has begun aborts its
-session like any other fault and leaves the channel usable (transport).
+which sends ABORT to both peers, the role that found the fault ahead of
+the reason; none has state to roll back.  A request the server cannot
+even start, such as a SESSION_START naming no known op, only concerns
+the analyst, and the server's serve loop aborts it there.  A received
+abort is passed on, once, only by the ring successor of the role that
+found it, to the third role, which may be waiting on that successor
+alone.  The owner passes on the server's: the analyst, which has every
+offset, waits on the owner alone between rounds, and the owner's serve
+loop passes on what it reads while idle too.  The analyst passes on the
+owner's: the server waits on the owner only for a batch's decode
+hashes, which precede anything else the owner sends in a refill round.
+The server passes on the analyst's: the owner, idle between nodes,
+waits on the server.  So an abort costs three ABORT frames, and the
+copy a role never reads is dropped as stale by the session filter of
+its next receive on that channel: the owner's OT_MSG receive drops the
+analyst's, the server's next receive from the owner the owner's.  A
+remote SessionAborted carries the session id it names and the role
+that found it, which the relay repeats.  A relayed abort that finds its
+session over is dropped as stale.  A receive that times out before its
+frame has begun aborts its session like any other fault and leaves the
+channel usable (transport).
 A SHARES of the wrong length is a ProtocolError like any other
 malformed frame, and so is a RANDOM_OFFSET that is empty, not whole
 records or out of range, or an ORDER_RESULT of the wrong width or out
@@ -271,10 +283,10 @@ from .ope_state import MODE_DET, MODE_FH, OpeEntry
 from .ot import GROUP_DEFAULT, OtExtReceiver, OtExtSender
 from .rng import make_rng
 from .transport import (CLEANUP, CLEANUP_DONE, Frame, GC_PAYLOAD,
-                        QUERY_EXEC, QUERY_RESULT, INTEGRITY_PROOF,
-                        INTEGRITY_TAG, NULL_SESSION, ORDER_RESULT, OT_MSG,
-                        RANDOM_OFFSET, RANDOMIZED_NODE, ROLE_CSP, ROLE_DA,
-                        ROLE_DO, SESSION_START, SHARES, handshake)
+                        QUERY_EXEC, QUERY_RESULT, INTEGRITY_TAG,
+                        NULL_SESSION, ORDER_RESULT, OT_MSG, RANDOM_OFFSET,
+                        RANDOMIZED_NODE, ROLE_CSP, ROLE_DA, ROLE_DO,
+                        SESSION_START, SHARES, handshake)
 from .wire import fixed_bytes, u16, u32
 
 BOUND_LOW, BOUND_HIGH = 0, 1  # which end of a range a bound closes
@@ -284,6 +296,8 @@ OP_ENCRYPT, OP_BOUND_LOW, OP_BOUND_HIGH = 0, 1, 2
 
 OFFSET_BYTES = 16      # additive blinding offsets on the wire
 PED_BLIND_BYTES = 64   # commitment-randomness blinding offsets
+# one round's offset record: r, then under Pedersen r'
+_RECORD_WIDTHS = (OFFSET_BYTES, PED_BLIND_BYTES)
 
 
 _SCHEME_OFF = integrity.SCHEME_OFF
@@ -350,48 +364,69 @@ class ProtocolParams:
 DEFAULT_COLUMN = ""
 
 
-def _offset_blob(v: int) -> bytes:
-    return fixed_bytes(v, OFFSET_BYTES)
+def _offset_bounds(params) -> tuple:
+    """The bound of each value of a round's offset record: r <
+    2^(l+k), then under Pedersen r' < 2^(mac_subgroup_bits + k), which
+    blinds every a < q."""
+    bounds = (1 << (params.l + params.k),)
+    if params.integrity == integrity.SCHEME_PEDERSEN:
+        bounds += (1 << (params.mac_subgroup_bits + params.k),)
+    return bounds
 
 
-def _read_offsets(frame, bound: int, most: int) -> list:
-    """The values _offset_blob put in frame, one OFFSET_BYTES record
-    each; a ProtocolError unless there are 1 to most records and each
-    lies below bound."""
-    blob = frame.payload
-    values = [int.from_bytes(blob[i:i + OFFSET_BYTES], "big")
-              for i in range(0, len(blob), OFFSET_BYTES)]
-    if not blob or len(blob) % OFFSET_BYTES or max(values) >= bound or \
-            len(values) > most:
+def _read_offsets(frame, bounds, most: int) -> list:
+    """frame's records, one value per bound each, as many bytes as
+    _RECORD_WIDTHS gives; a ProtocolError unless there are 1 to most
+    records and each value lies below its bound."""
+    records = [[int.from_bytes(f, "big") for f in fields] for fields in
+               _fields(frame, *_RECORD_WIDTHS[:len(bounds)], most=most)]
+    if any(v >= b for record in records for v, b in zip(record, bounds)):
         raise ProtocolError(f"malformed {transport.type_name(frame.ftype)}")
-    return values
+    return records
 
 
-def _fields(frame, *widths, rest=False) -> list:
-    """frame's payload cut into fields of the given widths and, with
-    rest, the bytes after them, of which there must be some; a payload
-    of any other length is a ProtocolError."""
-    blob, total = frame.payload, sum(widths)
-    if len(blob) <= total if rest else len(blob) != total:
+def _fields(frame, *widths, most=0) -> list:
+    """frame's payload cut into fields of the given widths, one of which
+    may be None: the bytes the others leave, of which there must be
+    some.  With most, the payload is 1 to most records of those widths,
+    and the result one list of fields per record.  A payload of any
+    other length is a ProtocolError."""
+    blob, size = frame.payload, sum(w or 0 for w in widths)
+    count = len(blob) // size if most else 1
+    rest = len(blob) - count * size
+    if (rest <= 0 if None in widths else rest) or \
+            not 0 < count <= max(most, 1):
         raise ProtocolError(
-            f"{transport.type_name(frame.ftype)} of {len(blob)} bytes, "
-            f"expected {'more than ' if rest else ''}{total}")
-    cuts = list(accumulate(widths, initial=0))
+            f"malformed {transport.type_name(frame.ftype)} of {len(blob)} "
+            f"bytes, expected {f'1 to {most} records of ' if most else ''}"
+            f"{'more than ' if None in widths else ''}{size}")
+    cuts = list(accumulate([rest if w is None else w for w in widths] * count,
+                           initial=0))
     fields = [blob[a:b] for a, b in zip(cuts, cuts[1:])]
-    return fields + [blob[total:]] if rest else fields
+    if most:
+        return [fields[i:i + len(widths)]
+                for i in range(0, len(fields), len(widths))]
+    return fields
 
 
-def _abort(e, sid, a, b) -> SessionAborted:
-    """The SessionAborted to raise for fault e of session sid at a role
-    whose channel ends are a and b: an abort received from one peer is
-    passed on to the other, and a fault found here goes to both."""
+# the ring predecessor of each role, whose aborts it passes on (_abort)
+_PREDECESSOR = {ROLE_CSP: ROLE_DA, ROLE_DO: ROLE_CSP, ROLE_DA: ROLE_DO}
+
+
+def _abort(e, sid, role, a, b) -> SessionAborted:
+    """The SessionAborted to raise for fault e of session sid at role,
+    whose channel ends are a and b.  A fault found here goes to both
+    peers.  An abort received from one peer is passed on to the other
+    only by the ring successor of the role that found it (server, then
+    owner, then analyst, then server): that peer is the one the finder's
+    other peer may be waiting on."""
     if isinstance(e, SessionAborted):
-        if e.remote:
-            (b if e.channel is a else a).abort(sid, e.reason)
+        if e.origin == _PREDECESSOR[role]:
+            (b if e.channel is a else a).abort(sid, e.reason, e.origin)
         err = e
     else:
-        a.abort(sid, str(e))
-        b.abort(sid, str(e))
+        a.abort(sid, str(e), role)
+        b.abort(sid, str(e), role)
         err = SessionAborted(str(e))
         err.__cause__ = e
     err.session_id = sid
@@ -494,7 +529,9 @@ class CspEngine:
         self.rows = None  # optional RowStore for query execution
         self.params = params
         self.rng = rng or make_rng()
-        self._blind = None  # the next round's blind, made but never sent
+        # the next node's rerandomizers, Enc(0) per node ciphertext,
+        # made but never sent
+        self._zeros = None
         # the decode hashes of the owner's garbled pool, one instance's
         # per item, the next last: one is popped per node sent
         self._hashes = []
@@ -503,10 +540,12 @@ class CspEngine:
         # then under Pedersen Enc(a) and the commitment, of any width
         width = paillier.cipher_width(pk.key_bits)
         self._pedersen = params.integrity == integrity.SCHEME_PEDERSEN
-        self._upload_widths = (width, width) if self._pedersen else (width,)
+        self._upload_widths = (width, width, None) if self._pedersen \
+            else (width,)
+        self._bounds = _offset_bounds(params)
         # the sentinel 2^l, above every plaintext, encrypted under
-        # randomness 1: each round's blind rerandomizes what is sent
-        self._sentinel = 1 + (1 << params.l) * pk.n
+        # randomness 1: each node's Enc(0) rerandomizes what is sent
+        self._sentinel = paillier.add_plain(pk, 1, 1 << params.l)
 
     def attach(self, do_ch, da_ch):
         self.do_ch, self.da_ch = do_ch, da_ch
@@ -549,15 +588,15 @@ class CspEngine:
             except SessionAborted:
                 continue
             except OopeError as e:
-                self.da_ch.abort(frame.session_id, str(e))
+                self.da_ch.abort(frame.session_id, str(e), ROLE_CSP)
 
     def run_session(self, sid: bytes, op: int, column: str = DEFAULT_COLUMN):
         """Protocol main loop: h compare rounds, the last of which brings
         an encrypt's upload, then the commit point and the order.
 
         A fault before the commit aborts the session at both peers, and
-        an abort from one peer is passed on to the other; either way the
-        pool of decode hashes is emptied, as the owner empties its
+        an abort from the analyst is passed on to the owner; either way
+        the pool of decode hashes is emptied, as the owner empties its
         garbled pool.  A fault after it, such as a failed ORDER_RESULT
         send, rolls nothing back: the entry stays, tagged with its
         session id, for DaEngine.cleanup to remove.
@@ -570,11 +609,9 @@ class CspEngine:
             # an empty table runs one round, against the sentinel, so
             # every session has a last round to carry the upload
             h = max(table.height, 1)
-            # the first blind is spent from the first send on, sent or
-            # not; the other rounds' offsets go out with the first node,
-            # and their encryptions are made a round ahead
-            blind, self._blind = self._blind or self._make_blind(), None
-            offsets = [blind[0]] + [self._draw_offset() for _ in range(h - 1)]
+            # every round's offsets, which go out with the first node
+            records = [[self.rng.randrange(b) for b in self._bounds]
+                       for _ in range(h)]
             # implicit binary search: the node is the order at the
             # midpoint of [lo, hi), and the search moves to the half the
             # comparison names.  It stops at a det equal node (b_e = 0)
@@ -589,15 +626,8 @@ class CspEngine:
             for rnd in range(h):
                 mid = (lo + hi) // 2
                 self._blind_node(sid, table.entry_at(mid) if searching
-                                 else sentinel, blind,
-                                 offsets if rnd == 0 else None)
-                # the next round's blind is made while owner and analyst
-                # work on this round; the last round's, whose offset
-                # nobody has seen, serves the next session
-                if rnd + 1 < h:
-                    blind = self._make_blind(offsets[rnd + 1])
-                else:
-                    self._blind = self._make_blind()
+                                 else sentinel, records[rnd],
+                                 records if rnd == 0 else None)
                 bits, upload = self._shares(sid, encrypt and rnd + 1 == h)
                 if not searching:
                     continue
@@ -624,7 +654,7 @@ class CspEngine:
                 entry = self._parse_upload(sid, upload, ybar)
         except OopeError as e:
             self._hashes = []
-            raise _abort(e, sid, self.do_ch, self.da_ch)
+            raise _abort(e, sid, ROLE_CSP, self.do_ch, self.da_ch)
 
         # the commit point
         if remap is not None:
@@ -633,51 +663,41 @@ class CspEngine:
                 self.rows.apply_remap(column, remap)
         if entry is not None:
             table.insert(entry)
-        self.da_ch.send(Frame(ORDER_RESULT, sid, _offset_blob(ybar)))
+        self.da_ch.send(Frame(ORDER_RESULT, sid,
+                              fixed_bytes(ybar, OFFSET_BYTES)))
         return ybar
 
     # -- rounds --
 
-    def _draw_offset(self):
-        p = self.params
-        return self.rng.randrange(0, 1 << (p.l + p.k))
+    def _make_zeros(self):
+        """Enc(0) for each ciphertext of a node."""
+        return tuple(paillier.encrypt(self.pk, 0, self.rng)
+                     for _ in range(1 + self._pedersen))
 
-    def _make_blind(self, r=None):
-        """(r, Enc(r), rp, Enc(rp)) for one round, with a fresh r unless
-        given; rp and Enc(rp) blind the commitment randomness and are
-        None unless Pedersen."""
-        p = self.params
-        pk = self.pk
-        if r is None:
-            r = self._draw_offset()
-        c_r = paillier.encrypt(pk, r, self.rng)
-        rp = c_rp = None
-        if p.integrity == integrity.SCHEME_PEDERSEN:
-            rp = self.rng.randrange(0, 1 << (p.mac_subgroup_bits + p.k))
-            c_rp = paillier.encrypt(pk, rp, self.rng)
-        return r, c_r, rp, c_rp
-
-    def _blind_node(self, sid, entry, blind, offsets=None):
-        """Send the owner entry blinded by blind, and the analyst the
-        session's offsets with the first node, then under Pedersen the
-        node's commitment and rp."""
+    def _blind_node(self, sid, entry, record, records=None):
+        """Send the owner entry's Enc(x + r), and under Pedersen its
+        Enc(a + r'), record being (r[, r']), then the analyst the
+        session's offset records with the first node and under Pedersen
+        the node's commitment; then make the next node's Enc(0)s."""
         pk = self.pk
         width = paillier.cipher_width(pk.key_bits)
-        r, c_r, rp, c_rp = blind
-        payload = fixed_bytes(paillier.hom_add(pk, entry.cipher, c_r), width)
+        ciphers = [entry.cipher]
         if self._pedersen:
             if entry.node_tag is None:
                 raise IntegrityError("node lacks its integrity tag")
-            a_cipher, commit = entry.node_tag
-            payload += fixed_bytes(paillier.hom_add(pk, a_cipher, c_rp),
-                                   width)
-        self.do_ch.send(Frame(RANDOMIZED_NODE, sid, payload))
-        if offsets:
+            ciphers.append(entry.node_tag[0])
+        zeros, self._zeros = self._zeros or self._make_zeros(), None
+        self.do_ch.send(Frame(RANDOMIZED_NODE, sid, b"".join(
+            fixed_bytes(paillier.add_plain(pk, paillier.hom_add(pk, c, z), v),
+                        width) for c, z, v in zip(ciphers, zeros, record))))
+        if records:
             self.da_ch.send(Frame(RANDOM_OFFSET, sid, b"".join(
-                map(_offset_blob, offsets))))
+                fixed_bytes(v, w) for record in records
+                for v, w in zip(record, _RECORD_WIDTHS))))
         if self._pedersen:
-            self.da_ch.send(Frame(INTEGRITY_TAG, sid, fixed_bytes(
-                rp, PED_BLIND_BYTES) + commit))
+            self.da_ch.send(Frame(INTEGRITY_TAG, sid, entry.node_tag[1]))
+        # made while owner and analyst work on this node
+        self._zeros = self._make_zeros()
 
     def _shares(self, sid, upload):
         """((b_e, side), the upload's fields) from the round's SHARES:
@@ -686,17 +706,14 @@ class CspEngine:
         is empty, and with upload, the analyst's upload behind them.  A
         label that matches neither of its hashes is an IntegrityError."""
         n, size = self._outputs, garbling.LABEL_BYTES
-        per = 2 * size * n  # one instance's decode hashes
         if not self._hashes:
-            blob, = _fields(self.do_ch.recv(SHARES, session=sid),
-                            garbling.BATCH * per)
-            self._hashes = [blob[i:i + per]
-                            for i in reversed(range(0, len(blob), per))]
+            # one instance's decode hashes per field, the next last
+            self._hashes = _fields(self.do_ch.recv(SHARES, session=sid),
+                                   *[2 * size * n] * garbling.BATCH)[::-1]
         hashes = self._hashes.pop()
         labels, *fields = _fields(
             self.da_ch.recv(SHARES, session=sid), size * n,
-            *self._upload_widths if upload else (),
-            rest=upload and self._pedersen)
+            *self._upload_widths if upload else ())
         bits = garbling.decode(hashes, labels)
         # fh's one traversal bit always moves the search
         return (1, bits[0]) if n == 1 else bits, fields
@@ -733,14 +750,6 @@ class CspEngine:
 # ---------------------------------------------------------------------------
 # Owner engine
 
-@dataclass
-class _OwnerSession:
-    """One session's state at the owner (module docstring)."""
-
-    sid: bytes
-    batch: object = None
-
-
 class DoEngine:
     """Decrypts blinded nodes, generates circuits, sends the decode
     hashes to the server."""
@@ -772,18 +781,18 @@ class DoEngine:
     def serve(self):
         """Serve the server's blinded nodes until its channel closes; the
         wait for the next one has no time limit.  A node under a new
-        session id starts that session; no frame ends one.  An abort
-        from either peer is passed on to the other: the analyst waits on
-        this engine alone between rounds.  Every abort, made here or
-        read from the server, empties the garbled pool, as the server
-        empties its pool of decode hashes."""
-        session = _OwnerSession(NULL_SESSION)
+        session id starts that session, whose OT batch round 1 reads; no
+        frame ends one.  The server's aborts are passed on to the
+        analyst, which waits on this engine alone between rounds.  Every
+        abort, made here or read from the server, empties the garbled
+        pool, as the server empties its pool of decode hashes."""
+        sid, batch = NULL_SESSION, None
         while True:
             try:
                 frame = self.csp_ch.recv(RANDOMIZED_NODE, idle=True)
             except SessionAborted as e:
                 self._garbled = ()
-                self.da_ch.abort(e.session_id, e.reason)
+                _abort(e, e.session_id, ROLE_DO, self.csp_ch, self.da_ch)
                 continue
             except ProtocolError:
                 # a frame of another type is dropped; a dead channel ends
@@ -791,10 +800,10 @@ class DoEngine:
                 if self.csp_ch.poisoned:
                     return
                 continue
-            if frame.session_id != session.sid:
-                session = _OwnerSession(frame.session_id)
+            if frame.session_id != sid:
+                sid, batch = frame.session_id, None
             try:
-                self._round(session, frame)
+                batch = self._round(frame, batch)
             except OopeError as e:
                 # a frame this engine cannot use aborts its session, and
                 # a peer's abort goes on to the other; a dead channel
@@ -802,10 +811,12 @@ class DoEngine:
                 if self.csp_ch.poisoned or self.da_ch.poisoned:
                     return
                 self._garbled = ()
-                _abort(e, frame.session_id, self.csp_ch, self.da_ch)
+                _abort(e, sid, ROLE_DO, self.csp_ch, self.da_ch)
 
-    def _round(self, session, frame):
-        sid = session.sid
+    def _round(self, frame, batch):
+        """Serve one node of the session whose OT batch is batch, None
+        before round 1 reads it; returns the batch."""
+        sid = frame.session_id
         p = self.params
         # the round's instance is popped before anything can abort, since
         # the server pops one instance's decode hashes per node it sends;
@@ -827,26 +838,28 @@ class DoEngine:
         v = paillier.decrypt(self.sk, ciphers[0], below=bound)
         if not 0 <= v < bound:
             raise IntegrityError("blinded node out of range")
+        opening = b""
         if pedersen:
             # full CRT: the analyst chose a and nothing range-checks
             # a + r', so a mod-P result would tell it whether a + r' < P
             a_blind = paillier.decrypt(self.sk, ciphers[1])
-            proof = integrity.ped_open(v, a_blind, self.mac_params)
-            self.da_ch.send(Frame(INTEGRITY_PROOF, sid,
-                                  wire_group(proof, self.mac_params)))
+            opening = wire_group(integrity.ped_open(v, a_blind,
+                                                    self.mac_params),
+                                 self.mac_params)
 
         gen_bits = int_to_bits(v, p.width)
         if p.mode == MODE_FH:
             gen_bits.append(self.rng.getrandbits(1))  # r_x, the owner's coin
-        if session.batch is None:
+        if batch is None:
             # round 1 reads the session's extension batch only now
-            session.batch = self.ot_sender.extend(
+            batch = self.ot_sender.extend(
                 self.da_ch.recv(OT_MSG, session=sid).payload,
                 p.m.bit_length() * len(self.circuit.eval_inputs))
-        # the OT reply rides behind the garbled circuit
+        # the Pedersen opening, the garbled circuit, the OT reply
         self.da_ch.send(Frame(
-            GC_PAYLOAD, sid, garbling.payload(gc, gen_bits) +
-            self.ot_sender.send_pairs(session.batch, gc.eval_label_pairs())))
+            GC_PAYLOAD, sid, opening + garbling.payload(gc, gen_bits) +
+            self.ot_sender.send_pairs(batch, gc.eval_label_pairs())))
+        return batch
 
 
 # ---------------------------------------------------------------------------
@@ -874,6 +887,9 @@ class DaEngine:
             parse=lambda blob: integrity.parse_params(blob) if blob else None)
         self._tag = make_node_tagger(self.params, self.mac_params,
                                      self.pk_owner, self.rng, HandshakeError)
+        # the width of a Pedersen commitment and opening, none without
+        self._opening = () if self._tag is None else \
+            (_group_width(self.mac_params),)
         self.ot_receiver = OtExtReceiver(self.rng, self.ot_group)
         self.ot_receiver.setup(*_ot_link(self.da_do_ch))
 
@@ -909,22 +925,22 @@ class DaEngine:
         self.csp_ch.send(Frame(SESSION_START, sid,
                                bytes([op]) + column.encode()))
         try:
-            offsets = _read_offsets(
+            records = _read_offsets(
                 self.csp_ch.recv(RANDOM_OFFSET, session=sid),
-                1 << (p.l + p.k), p.m.bit_length())
+                _offset_bounds(p), p.m.bit_length())
             # every round's choices are known now: one batch carries them
             # all, before the upload is built
             blob, batch = self.ot_receiver.extend(
-                [b for r in offsets for b in self._choices(op, xbar, r)])
+                [b for r, *_ in records for b in self._choices(op, xbar, r)])
             self.da_do_ch.send(Frame(OT_MSG, sid, blob))
             # an encrypt's upload rides behind the last round's labels
-            tails = [b""] * len(offsets)
+            tails = [b""] * len(records)
             if op == OP_ENCRYPT:
                 tails[-1] = self._cipher_upload(xbar)
-            for r, tail in zip(offsets, tails):
-                self._round(sid, batch, r, tail)
-            ybar, = _read_offsets(self.csp_ch.recv(ORDER_RESULT, session=sid),
-                                  p.m + 1, 1)
+            for record, tail in zip(records, tails):
+                self._round(sid, batch, record, tail)
+            (ybar,), = _read_offsets(
+                self.csp_ch.recv(ORDER_RESULT, session=sid), (p.m + 1,), 1)
             return ybar
         except OopeError as e:
             # each peer may be waiting on this engine alone, so a fault
@@ -932,18 +948,7 @@ class DaEngine:
             # session at both; a dead channel just ends it
             if self.csp_ch.poisoned or self.da_do_ch.poisoned:
                 raise
-            raise _abort(e, sid, self.csp_ch, self.da_do_ch)
-
-    def _verify_node(self, sid, r):
-        width = _group_width(self.mac_params)
-        rp, commit = _fields(self.csp_ch.recv(INTEGRITY_TAG, session=sid),
-                             PED_BLIND_BYTES, width)
-        proof, = _fields(self.da_do_ch.recv(INTEGRITY_PROOF, session=sid),
-                         width)
-        if not integrity.ped_verify(
-                int.from_bytes(commit, "big"), r, int.from_bytes(rp, "big"),
-                int.from_bytes(proof, "big"), self.mac_params):
-            raise IntegrityError("node authentication failed")
+            raise _abort(e, sid, ROLE_DA, self.csp_ch, self.da_do_ch)
 
     def _choices(self, op, xbar, r):
         """The analyst's circuit inputs, its OT choices, in the round
@@ -956,20 +961,25 @@ class DaEngine:
                 [op - OP_BOUND_LOW, 1]
         return bits
 
-    def _round(self, sid, batch, r, tail):
-        """The round blinded by r, whose OT choices batch holds; tail
-        follows the output labels in its SHARES."""
-        p = self.params
-        if p.integrity != integrity.SCHEME_OFF:
-            self._verify_node(sid, r)
-        payload = self.da_do_ch.recv(GC_PAYLOAD, session=sid).payload
-        # the garbled circuit, then the OT reply, one label pair per input
+    def _round(self, sid, batch, record, tail):
+        """The round blinded by record, (r[, r']), whose OT choices batch
+        holds; tail follows the output labels in its SHARES.  Under
+        Pedersen the node's opening is checked against its commitment
+        before anything is evaluated."""
+        commit = _fields(self.csp_ch.recv(INTEGRITY_TAG, session=sid),
+                         *self._opening) if self._opening else ()
+        # [the opening,] the garbled circuit, the OT reply, one label
+        # pair per input
         n = len(self.circuit.eval_inputs)
-        split = len(payload) - 2 * garbling.LABEL_BYTES * n
-        tables, gen_labels = garbling.parse_payload(
-            self.circuit, payload[:max(split, 0)])
-        eval_labels = self.ot_receiver.receive_pairs(batch, payload[split:],
-                                                     n)
+        *opening, payload, reply = _fields(
+            self.da_do_ch.recv(GC_PAYLOAD, session=sid), *self._opening,
+            None, 2 * garbling.LABEL_BYTES * n)
+        tables, gen_labels = garbling.parse_payload(self.circuit, payload)
+        if opening and not integrity.ped_verify(
+                int.from_bytes(commit[0], "big"), *record,
+                int.from_bytes(opening[0], "big"), self.mac_params):
+            raise IntegrityError("node authentication failed")
+        eval_labels = self.ot_receiver.receive_pairs(batch, reply, n)
         # the output labels, which only the server can decode
         self.csp_ch.send(Frame(SHARES, sid, garbling.evaluate(
             self.circuit, tables, gen_labels, eval_labels) + tail))

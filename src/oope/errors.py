@@ -48,11 +48,13 @@ class FramingError(ProtocolError):
 class SessionAborted(OopeError):
     """The session was aborted, locally or by a peer."""
 
-    def __init__(self, reason: str, remote: bool = False, session_id=None):
+    def __init__(self, reason: str, origin=None, session_id=None):
         super().__init__(reason)
         self.reason = reason
-        self.remote = remote
-        self.channel = None  # which channel delivered a remote abort
+        # a remote abort's: the role that found the fault, and the
+        # channel that delivered it; None for an abort raised here
+        self.origin = origin
+        self.channel = None
         # the aborted session: a remote abort's, to pass it on, and the
         # analyst's, for DaEngine.cleanup
         self.session_id = session_id

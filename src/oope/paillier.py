@@ -314,6 +314,12 @@ def hom_add(pk: PaillierPublicKey, c1: int, c2: int) -> int:
     return c1 * c2 % pk.n_sq
 
 
+def add_plain(pk: PaillierPublicKey, c: int, v: int) -> int:
+    """Ciphertext of (m + v) mod N under c's randomness: (1 + vN)·c,
+    computed as c + N·(v·c mod N) mod N^2, one product mod N."""
+    return (c + pk.n * (v * c % pk.n)) % pk.n_sq
+
+
 def hom_scale(pk: PaillierPublicKey, c: int, s: int) -> int:
     """Ciphertext of (m * s) mod N for 0 < s < N."""
     if not 0 < s < pk.n:

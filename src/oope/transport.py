@@ -36,54 +36,44 @@ NULL_SESSION = bytes(SESSION_BYTES)
 # raised whenever a frame's layout or meaning changes, so that peers of
 # two layouts fail at HELLO instead of misreading each other; it is part
 # of the parameter digest too (engine.ProtocolParams.digest)
-PROTOCOL_VERSION = 15
+PROTOCOL_VERSION = 16
 
 ROLE_CSP, ROLE_DO, ROLE_DA = 0, 1, 2
 
 # frame types
 HELLO = 0x01
 SESSION_START = 0x02
-# no code sends SESSION_DONE or CIPHER_UPLOAD any more: an encrypt's
-# upload rides behind the output labels of its last round's SHARES, and
-# ORDER_RESULT, sent after the commit point, ends every session
-# (engine).  Their numbers stay reserved, and the benchmark still
-# enumerates them until its next revision.
 SESSION_DONE = 0x03
 ABORT = 0x0F
 RANDOMIZED_NODE = 0x10
 RANDOM_OFFSET = 0x11
 GC_PAYLOAD = 0x12
 OT_MSG = 0x13
-# no code sends GC_RESULT any more: the server decodes the analyst's
-# output labels itself (engine), so the owner reads no output.  The
-# number stays reserved, and the benchmark still enumerates it until its
-# next revision.
 GC_RESULT = 0x14
 SHARES = 0x15
 ORDER_RESULT = 0x16
 CIPHER_UPLOAD = 0x17
-# no code sends the MINMAX_* types any more (range bounds are found by
-# search, engine.DaEngine.bound); their numbers stay reserved, and the
-# benchmark still enumerates them until its next revision
 MINMAX_TRIPLE = 0x20
 MINMAX_RANDOMS = 0x21
 MINMAX_SELECTED = 0x22
 INTEGRITY_TAG = 0x30
 INTEGRITY_PROOF = 0x31
-# no code sends REBALANCE any more: a rebalance stays on the server, and
-# the remap it sent showed the owner every order in the table.  The
-# number stays reserved, and the benchmark still enumerates it until its
-# next revision.
 REBALANCE = 0x32
-# no code sends UID_COMPARE any more: the analyst-resolved comparison
-# against a node it uploaded as a bare uid skipped the owner, who could
-# then count the rounds it missed.  The number stays reserved, and the
-# benchmark still counts it as a round until its next revision.
 UID_COMPARE = 0x33
 QUERY_EXEC = 0x40
 QUERY_RESULT = 0x41
 CLEANUP = 0x42
 CLEANUP_DONE = 0x43
+# types no code sends any more, whose numbers stay reserved because the
+# benchmark still enumerates them until its next revision: ORDER_RESULT
+# ends every session and an encrypt's upload rides on its last SHARES;
+# the server decodes the output labels itself; bounds are found by
+# search; a rebalance stays on the server; every comparison goes
+# through the owner; and the Pedersen opening rides in GC_PAYLOAD
+# (engine)
+RESERVED = (SESSION_DONE, CIPHER_UPLOAD, GC_RESULT, MINMAX_TRIPLE,
+            MINMAX_RANDOMS, MINMAX_SELECTED, REBALANCE, UID_COMPARE,
+            INTEGRITY_PROOF)
 
 _TYPE_NAMES = {v: k for k, v in list(globals().items())
                if isinstance(v, int) and k.isupper() and k not in
@@ -205,8 +195,11 @@ class Channel:
             if session is not None and frame.session_id != session:
                 continue
             if frame.ftype == ABORT and ABORT not in expected:
+                # ABORT: the role that found the fault u8 | reason,
+                # UTF-8; an empty one names no role (-1)
                 err = SessionAborted(
-                    frame.payload.decode("utf-8", "replace"), remote=True,
+                    frame.payload[1:].decode("utf-8", "replace"),
+                    origin=frame.payload[0] if frame.payload else -1,
                     session_id=frame.session_id)
                 err.channel = self
                 raise err
@@ -247,9 +240,11 @@ class Channel:
         del buf[:n]
         return out
 
-    def abort(self, session_id: bytes, reason: str):
+    def abort(self, session_id: bytes, reason: str, origin: int):
+        """Send ABORT for session_id, found by the role origin."""
         try:
-            self.send(Frame(ABORT, session_id, reason.encode()))
+            self.send(Frame(ABORT, session_id,
+                            bytes([origin]) + reason.encode()))
         except FramingError:
             pass
 

@@ -539,11 +539,11 @@ def test_hostile_upload_poisons_its_node_until_cleanup(upload):
 
 
 def test_no_blind_is_sent_twice():
-    # a session's offsets all go out with its first node, and the blind
-    # made in its last round serves the next session's first, so blinds
-    # survive aborts; still no offset and no blinded node repeats, and
-    # each node, a table plaintext or after the search stops the
-    # sentinel 2^l, is blinded by its own round's offset
+    # each session draws its own offsets, which all go out with its
+    # first node, and the server makes only an Enc(0) ahead, so across
+    # aborts no offset record and no blinded node repeats, and each
+    # node, a table plaintext or after the search stops the sentinel
+    # 2^l, minus its own round's r decrypts to that plaintext
     params = small_params()
     data = list(range(100, 3100, 100))
     cluster, ctx = make_cluster(data, seed=51, params=params, record=True)
@@ -801,18 +801,79 @@ def test_an_abort_in_a_refill_round_keeps_the_pools_in_step(abort,
         cluster.close()
 
 
+# finder -> (its role, the sending end, frame type and payload edit of a
+# fault it finds, the abort reason, the links of the ABORT frames): the
+# finder sends one to each peer, and its ring successor (server, owner,
+# analyst, server) passes it on to the third role, which may be waiting
+# on the successor alone
+ABORT_FINDERS = {
+    "server": (transport.ROLE_CSP, "da->csp", transport.SHARES,
+               flip_label_bit, DECODE_FAILED,
+               ["csp->da", "csp->do", "do->da"]),
+    "owner": (transport.ROLE_DO, "csp->do", transport.RANDOMIZED_NODE, None,
+              "out of range", ["da->csp", "do->csp", "do->da"]),
+    "analyst": (transport.ROLE_DA, "do->da", transport.GC_PAYLOAD,
+                lambda blob: blob[:-1], "garbled payload",
+                ["csp->do", "da->csp", "da->do"]),
+}
+
+
+@pytest.mark.parametrize("finder", sorted(ABORT_FINDERS))
+def test_an_abort_costs_three_frames(finder):
+    # a fault found in a session's second round costs three ABORT
+    # frames, each naming the role that found it, and fails the encrypt
+    # well inside the channel timeout; the next session runs as before
+    params = small_params()
+    cluster, ctx = make_cluster(EXAMPLE, seed=57, params=params, record=True)
+    role, sender, ftype, edit, reason, links = ABORT_FINDERS[finder]
+    edit = edit or _node_out_of_range(params, ctx["pk"])
+    try:
+        for ch in cluster.channels:
+            ch.timeout = 5
+        end = next(ch for ch in cluster.channels if ch.name == sender)
+        seen = []
+
+        def damaged(frame):
+            if frame.ftype == ftype:
+                seen.append(frame)
+                if len(seen) == 2:
+                    frame = Frame(ftype, frame.session_id,
+                                  edit(frame.payload))
+            transport.Channel.send(end, frame)
+
+        start = {n: len(t) for n, t in cluster.transcripts().items()}
+        end.send = damaged
+        t0 = time.monotonic()
+        with pytest.raises(SessionAborted, match=reason):
+            cluster.encrypt(15)
+        assert time.monotonic() - t0 < 5
+        del end.send
+        assert cluster.encrypt(15) == \
+            Mope2Oracle(params.m).load(EXAMPLE).encrypt(15)
+        aborts = sorted(
+            (name, frame.payload[0]) for name, blobs in
+            cluster.transcripts().items() for blob in blobs[start[name]:]
+            for frame in [transport.decode_frame(blob[4:])]
+            if frame.ftype == transport.ABORT)
+        assert aborts == [(name, role) for name in links]
+        assert not cluster.errors
+    finally:
+        cluster.close()
+
+
 @pytest.mark.parametrize("mode", ["det", "fh"])
 def test_no_session_state_outlives_its_session(mode):
     # after each session, ended or aborted at any of the three roles,
     # every attribute of the engines and OT ends is the object or value
-    # it was, but the server's next blind, the owner's garbled pool, the
+    # it was, but the server's next Enc(0), the owner's garbled pool, the
     # server's copy of its decode hashes and the OT ends' last batch
-    # index: a session's OT batch, and in fh its coins, live in the
-    # session's own locals and _OwnerSession alone
+    # index: a session's offsets and OT batch, and in fh its coins, live
+    # in the session's own locals alone, and the one server value that
+    # crosses sessions decrypts to 0
     params = small_params(mode=mode)
     data = list(range(100, 3100, 100))
     cluster, ctx = make_cluster(data, seed=61, params=params)
-    outlive = {"csp": {"_blind", "_hashes"}, "do": {"_garbled"},
+    outlive = {"csp": {"_zeros", "_hashes"}, "do": {"_garbled"},
                "ot_sender": {"_batch"}, "ot_receiver": {"_batch"}}
 
     def state():
@@ -851,6 +912,9 @@ def test_no_session_state_outlives_its_session(mode):
         before = {name: dict(vars(obj)) for name, obj in state().items()}
 
         def assert_unchanged():
+            zeros = cluster.csp._zeros
+            assert len(zeros) == 1
+            assert paillier.decrypt(ctx["sk"], zeros[0]) == 0
             for name, obj in state().items():
                 now = vars(obj)
                 assert now.keys() == before[name].keys(), name

@@ -112,22 +112,29 @@ def test_upload_without_a_commitment_aborts():
         cluster.close()
 
 
-# damage -> (sending end, frame type, payload edit).  Under Pedersen a
-# node is Enc(x + r) | Enc(a + r'), cipher_width bytes each, its tag r'
-# (64 bytes) | commitment and its proof one group element, each of the
-# MAC group's width.
+# damage -> (sending end, frame type, payload edit, abort reason).  Under
+# Pedersen a node is Enc(x + r) | Enc(a + r'), cipher_width bytes each,
+# its tag the commitment, and GC_PAYLOAD opens with the proof, the
+# opening; both are one group element of the MAC group's width.  The
+# garbled payload is GC_PAYLOAD's one field of no fixed width, so a
+# proof one byte long shows there.
 PEDERSEN_DAMAGE = {
     "node-trailing": ("csp->do", transport.RANDOMIZED_NODE,
-                      lambda p: p + b"\0"),
-    "tag-trailing": ("csp->da", transport.INTEGRITY_TAG, lambda p: p + b"\0"),
-    "proof-leading-zero": ("do->da", transport.INTEGRITY_PROOF,
-                           lambda p: b"\0" + p),
+                      lambda p: p + b"\0",
+                      "RANDOMIZED_NODE of \\d+ bytes, expected"),
+    "tag-trailing": ("csp->da", transport.INTEGRITY_TAG, lambda p: p + b"\0",
+                     "INTEGRITY_TAG of \\d+ bytes, expected"),
+    "proof-leading-zero": ("do->da", transport.GC_PAYLOAD,
+                           lambda p: b"\0" + p,
+                           "garbled payload of \\d+ bytes, expected"),
+    "proof-flipped": ("do->da", transport.GC_PAYLOAD,
+                      lambda p: bytes([p[0] ^ 1]) + p[1:], "authentication"),
 }
 
 
 @pytest.mark.parametrize("damage", sorted(PEDERSEN_DAMAGE))
 def test_malformed_pedersen_frames_abort_and_leave_the_table(damage):
-    sender, ftype, edit = PEDERSEN_DAMAGE[damage]
+    sender, ftype, edit, reason = PEDERSEN_DAMAGE[damage]
     cluster, ctx = build(integrity.SCHEME_PEDERSEN, seed=115)
     try:
         before = table_snapshot(ctx["table"])
@@ -140,8 +147,7 @@ def test_malformed_pedersen_frames_abort_and_leave_the_table(damage):
             transport.Channel.send(end, frame)
 
         end.send = damaged
-        with pytest.raises(SessionAborted, match=(
-                f"{transport.type_name(ftype)} of \\d+ bytes, expected")):
+        with pytest.raises(SessionAborted, match=reason):
             cluster.encrypt(15)
         del end.send
         assert table_snapshot(ctx["table"]) == before
@@ -186,6 +192,7 @@ def test_pedersen_blind_decrypts_on_full_crt():
         orig_node, orig_proof = cluster.csp.do_ch.send, cluster.do.da_ch.send
         shifted, proofs = [], []
         width = paillier.cipher_width(pk.key_bits)
+        g = (MAC_PARAMS.p.bit_length() + 7) // 8
 
         def shift_a_blind(frame):
             if frame.ftype == transport.RANDOMIZED_NODE:
@@ -202,8 +209,9 @@ def test_pedersen_blind_decrypts_on_full_crt():
             orig_node(frame)
 
         def capture(frame):
-            if frame.ftype == transport.INTEGRITY_PROOF:
-                proofs.append(frame.payload)
+            # GC_PAYLOAD opens with the proof
+            if frame.ftype == transport.GC_PAYLOAD:
+                proofs.append(frame.payload[:g])
             orig_proof(frame)
 
         cluster.csp.do_ch.send = shift_a_blind

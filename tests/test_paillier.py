@@ -84,6 +84,24 @@ def test_hom_add(keys):
             == (a + b + c) % pk.n
 
 
+def test_add_plain_is_hom_add_of_an_encryption_under_the_same_alpha(keys):
+    # how the server blinds a node: Enc(x)·Enc(0)·(1 + rN) is the
+    # ciphertext Enc(x)·Enc(r) under Enc(0)'s alpha, and 1 + 2^l·N the
+    # sentinel encrypted under randomness 1
+    pk, sk = keys
+    rng = make_rng(14)
+    assert paillier.add_plain(pk, 1, 1 << 32) == 1 + (1 << 32) * pk.n
+    for _ in range(20):
+        x, r = rng.randrange(pk.n), rng.randrange(1 << 64)
+        alpha = paillier.fresh_alpha(rng)
+        c = paillier.encrypt(pk, x, rng)
+        assert paillier.add_plain(pk, paillier.hom_add(
+            pk, c, paillier.encrypt(pk, 0, alpha=alpha)), r) == \
+            paillier.hom_add(pk, c, paillier.encrypt(pk, r, alpha=alpha))
+        assert paillier.decrypt(sk, paillier.add_plain(pk, c, r)) == \
+            (x + r) % pk.n
+
+
 def test_hom_scale(keys):
     pk, sk = keys
     rng = make_rng(17)

@@ -1,10 +1,13 @@
 """The test suite and the source tree: no test module shadows one of its
-own definitions, every public name in src has a caller, and no function
-defers a sibling import."""
+own definitions, every public name in src has a caller, no function
+defers a sibling import, and src sends every frame type but the
+reserved ones."""
 
 import ast
 import collections
 import pathlib
+
+from oope import transport
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -87,6 +90,22 @@ def test_only_transport_raises_framing_error():
                     if isinstance(node, ast.Raise) and node.exc is not None
                     and "FramingError" in _references(node.exc)]
     assert not raisers, raisers
+
+
+def test_src_sends_every_frame_type_but_the_reserved():
+    # a type is sent where src builds a Frame of it by name; none of
+    # transport.RESERVED is, and every other type is
+    types = {transport.type_name(t) for t in range(256)} - \
+        {f"0x{t:02x}" for t in range(256)}
+    reserved = {transport.type_name(t) for t in transport.RESERVED}
+    sent = set()
+    for path in sorted(ROOT.glob("src/oope/*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and node.args and \
+                    "Frame" in _references(node.func):
+                sent |= _references(node.args[0]).keys() & types
+    assert reserved <= types
+    assert sent == types - reserved
 
 
 def _imports_oope(node):

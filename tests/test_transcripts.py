@@ -122,11 +122,11 @@ def aborted_then_encrypts(cluster, xs):
 def test_loopback_and_tcp_identical_under_integrity(scheme):
     loop = assert_identical(integrity=scheme, mac_subgroup_bits=160,
                             mac_params=MAC_PARAMS)
-    assert any(b[4] == transport.INTEGRITY_PROOF for b in loop["do->da"])
+    assert any(b[4] == transport.INTEGRITY_TAG for b in loop["csp->da"])
 
 
 # SHA-256 of each channel's transcript, its sent frames concatenated, in
-# seeded runs of protocol 15: det, fh and Pedersen on a 256-bit key, det
+# seeded runs of protocol 16: det, fh and Pedersen on a 256-bit key, det
 # on a 1024-bit key, whose N^2 of 2048 bits takes encryption through
 # modexp.FixedBase, and det with a session the server aborts in its
 # second round, then two good ones, so the ABORT frames and the OT
@@ -147,87 +147,87 @@ PINNED_CASES = {
 PINNED_DIGESTS = {
     "det": {
         "csp->da":
-            "02892776a4941e594c82aeb16b3b492442aad5d0dacdf651010b6bc35fcaff05",
+            "2b2ebf938d7720f823c2c4fb81cf8c5f3e073b178df2cb214017c879ced56af2",
         "csp->do":
-            "ed27717c731ecf04562741ba4685c8400b58ace6d58b36eb2f26e29ba52d4075",
+            "cc3f1139c5a4ee09be556445c5ac6d0b515c52c28e2174b727a6f142f9f84612",
         "da->csp":
-            "58e223801b6ca2727e70ee0afe58834e627a5d4bd5607d055e3465a8aa083c81",
+            "b33d5b7d08d43502301c909ecb12121e39d4c8ad8c9fa8c44a3b96b7f99db068",
         "da->do":
-            "8d9ee6469a95252ac5ec0cf8f118d68f8db365535bf58836e4090a8fce7ab0c0",
+            "248ddc4512f6c9a9c3b4d64d9b3c1e00b412c88ee5a601bb5ca60b7d95968faa",
         "do->csp":
-            "886ae49281df714b4fce6075d4d72f5420921eeabd733e59965a654b77ae93b7",
+            "cb57cae7c37b71f87f9934a686fd63e0275331dbf22c8f7b46df0443ccf90949",
         "do->da":
-            "f4cb60a463d28a4449810f76450c5dda99c5e95a83663467884de3d51ca83659",
+            "eac8a0bc572a9af23481f7770b0cdecb8ce83f1265d5a028f93e02199329a725",
     },
     "fh": {
         "csp->da":
-            "a70fbfdc437e7bc449df9c5fd094d1b771d7f1cefa2bf30b361fbaef324bdac8",
+            "81f9b9f0851ffc1e5db7e7d073252a3717979ea555edba0670754d4632a4e0ec",
         "csp->do":
-            "bb7de6272b9f23446152e5e0cea4f9330723a9035c41d620b8f65ed8a57765f8",
+            "c6f4909a7bc5ac29cb1d4f05189fac7a871390412187ca9478f28d7255cbc3e3",
         "da->csp":
-            "a0f523c1734ac81a03ed0ce18a984034982575a2e40dc184f7a191886512b96b",
+            "b9123e6686ce6248f64a3a54b3aaf519e292e8faeba77996d46c80ef5ff55dc9",
         "da->do":
-            "36323ab4972143c0221654e4c22422134acd130860151aba44ebad4726b299da",
+            "dea28626c5cccab87b08902e6a1fc816f47cddeedffd4eef0935a8ead399cc63",
         "do->csp":
-            "42bfe2f9c65346bd9b2c78209761d42b8cd372e9b85eccc9870e2d5f5cc6dfbd",
+            "a46a4366dab3b6745999d7c406e7d248ac30d67e47c2b0887cc69c706d33582a",
         "do->da":
-            "25d782ddd60aa2d512f47646de8e5c57011e75c9c202d4c74556dbf893f933b0",
+            "afc24930f5db646c18c3335b93a6aa9301d6f2b4417961f91a6b7e0316b422b1",
     },
     "pedersen": {
         "csp->da":
-            "ee8b92012564067cdc14623d05837720e3154a682bb78b1e4659ccecabe2bc60",
+            "f4c708109db36602d0f2915aa8663dfd6a35876e714fdbf5fc6111b4669cacae",
         "csp->do":
-            "fd6defc470231f051a0cbb8d27db49ccf7a4090ce2468d65b818f3175969b6d0",
+            "632591d969c488fd4da80338c501ad1230d3bc6a024b5dc1f120b21114efdc8e",
         "da->csp":
-            "d7b0a40cce0c16efcde15a41183ce2f9283f9638add85888b604daba53c9a154",
+            "a96e4005baebacac346c30bd639eeea0530ae28e360811f4437405c9013eda99",
         "da->do":
-            "90337e3c96eb4c939595fa27f74d500234d62980392f2e95dc0bed93b67fbedd",
+            "34e8c9a148d2b1d9768cf78ad305014d9ec0f96c7c0d1a807b97b6355369dc36",
         "do->csp":
-            "91f49a5318dfcecf91f0093e425e96ec00b6ac4676d66198c622f907794fb582",
+            "15faa566d5ced29d919ab8dd5ec711f31d031014de7e5ad7e006f5dbc2b533aa",
         "do->da":
-            "5e47051c27e08e187893e834e7413904e54398812c4daabf9cefc58018d5e86e",
+            "d94f8cc5ee339312f3f0afb205ea1818d09de2ba16aa8cebabbf9904c151e724",
     },
     "det-1024": {
         "csp->da":
-            "98c70e544ec1ba5bf1c0b38af708d6f1c854c2ac846eb15dd5cf82382f9f5e2a",
+            "2944b06c404dabe300ad44c74184278b5b9bbae7b135f80587862f811b4587b6",
         "csp->do":
-            "c4e98b54b0980f771465ed18b3d013652adf4c5b5bac84ff68351a681a6b8b7b",
+            "b1cf9c5a2ee476e4989593e7c1f8c0585d0e9e2b751b4a6114a69502747501e2",
         "da->csp":
-            "e6765c97b20a08f9e0eb55bc7879ce1c7b113c8cc4750bb804e3c311176233d2",
+            "b11c15c04acf1ecef3b3bd7c419abc371f31524c17777faa06d28a7c28ef514d",
         "da->do":
-            "5552edbb8c137e91c3955696500958296a71a559de3c4133e0a128ea8d5bdfe6",
+            "5fbe02f88571bd68fa0c7da612c7d74370bc61e8dcce0da43903ab3f0aba6b34",
         "do->csp":
-            "2e9de840128dfe748304de3d2fe45b37f3993af19ffd3006be4c56c0fc92306a",
+            "a3b7209cbabdaa23059395e6fa7d488efd47fd4530db5b5875fcb097ffbe9243",
         "do->da":
-            "22ec51ea140aad79f0e3e57a7cdc45d9884b16cd3fcb5fa8fee924fe789fbddd",
+            "7685b95f8ebe3f6b4491c7ec6325ad23aaf6799789a0018dfc4756f172421fba",
     },
     "abort": {
         "csp->da":
-            "7302d91b07b133883d9f0cd21b1c79a0a3da0cc946c0aaa57f8d12dae7fbc1e9",
+            "6eaa1d5f7b360b70c41d9c5570ae885ca3ffdf11e6e98f94bf7f9f882f494be2",
         "csp->do":
-            "9a4516598b72e83b6540b5e4362e8f580637be725a0cc2841bd421ad07ff016b",
+            "70d822d8088712f9aa190f616cd37a72e2c15e4702831c7c20f1178a539d0420",
         "da->csp":
-            "86d304220a4891a402739fec28e949ce2f04f6cdf92154bf26dfdb8b5e04be3b",
+            "d9e7d18eac86bbd4281b6f96f25c396c35088ca3dbcbe3143744a96bb351e385",
         "da->do":
-            "c469dccf918192a26c74f010b6754d0ccd11ec26eeb8494c28b229fcbb93c26b",
+            "fb624b0d91ea8b832bb9cc8c7698fed0040d4a3d3e01fe6735ce344e420bb9cf",
         "do->csp":
-            "741195fd19ed304c4da52d4ac0ea0b0f0491a149644b67b813169461cff77d68",
+            "8a1ba913aa1ecb6e1542ba899c1d85e0d52b729101fc26ac894358d3c5d6e806",
         "do->da":
-            "69bedf94c8219311272600b38262afa760d16ce7c87ea003d5c2b1c9134cccac",
+            "074accb79517e03ceb54931d3967e173db929f047933112925bb5c7fa41a22fc",
     },
     "fh-stop": {
         "csp->da":
-            "28d158bbb51abd3be14b3237f3d1c7350b6384642dc634aea71a0e07a8ca3f8e",
+            "bdcc477dcc1a98ee105dbb6406c17a1c6605b0a57156fc69fee4b8c8efc65e19",
         "csp->do":
-            "c3af07b192161f918da4bf29069143176f7c4f2dd096579952070eb93781e147",
+            "a5bdc6e8dd3c8ddac4ebc9f6e44a09bc0699c4103fde067955305bf6f4f0a03f",
         "da->csp":
-            "0f21c7112f4eb1da83b662230e23a588b047597c70e6e58e843c062ec22acf42",
+            "f992c4fbba6e3b0a22c063a46ee5639983ffe04818d0ceb529461a2419bf3f24",
         "da->do":
-            "fd12a0de74fa80f27afce6c5b1494d13163c16cf2081a21e0f28d80984e2ad4d",
+            "5c9c232751420ef9a29818fa47f7727d8a5138ff5cf3e54974bf6128c2479489",
         "do->csp":
-            "52ae9a46e474b52c4f303315f77b400f697e7cd58b7504b06554076aaf1ab95e",
+            "09198e030109af9d021d9f86a49e1d48cf33a6bcee289e8dfea0d8e31d2421e9",
         "do->da":
-            "620a99ba40d3d90bc65d2c713b6468c5457ea4f1ced12a6ec15f24c1f21f7120",
+            "42e9b2df6e7d8c72caa18e397fbbafb028ca862d057950d986f5bfa26f43d164",
     },
 }
 
@@ -248,10 +248,12 @@ def test_different_seeds_differ():
 @pytest.mark.parametrize("mode", ["det", "fh"])
 @pytest.mark.parametrize("scheme", [integrity.SCHEME_OFF,
                                     integrity.SCHEME_PEDERSEN])
-def test_session_frames_have_the_v15_lengths(mode, scheme):
+def test_session_frames_have_the_v16_lengths(mode, scheme):
     # every session frame has one layout, whose length follows from h,
-    # the key and MAC group widths and the circuit alone: GC_PAYLOAD
-    # carries no decode hashes; the owner's SHARES carries a garbled
+    # the key and MAC group widths and the circuit alone: under Pedersen
+    # an offset record is r and r', INTEGRITY_TAG the commitment alone
+    # and GC_PAYLOAD opens with the opening; GC_PAYLOAD carries no
+    # decode hashes; the owner's SHARES carries a garbled
     # batch's, 32 bytes per output of each instance, in the rounds that
     # refill its pool, and the analyst's SHARES is 16 bytes per output,
     # the upload behind it in an encrypt's last round
@@ -289,16 +291,15 @@ def test_session_frames_have_the_v15_lengths(mode, scheme):
                 m = 8 * -(-h * n // 8)
                 want = {
                     transport.SESSION_START: [1],
-                    transport.RANDOM_OFFSET: [16 * h],
+                    transport.RANDOM_OFFSET: [(16 + 64 * pedersen) * h],
                     transport.OT_MSG: [4 + 16 * m],
                     transport.RANDOMIZED_NODE: [w * (1 + pedersen)] * h,
                     transport.GC_PAYLOAD: [
-                        32 * len(circuit.nonfree_gates()) +
+                        g * pedersen + 32 * len(circuit.nonfree_gates()) +
                         16 * len(circuit.gen_inputs) + 32 * n] * h,
                     transport.ORDER_RESULT: [16]}
                 if pedersen:
-                    want[transport.INTEGRITY_TAG] = [64 + g] * h
-                    want[transport.INTEGRITY_PROOF] = [g] * h
+                    want[transport.INTEGRITY_TAG] = [g] * h
                 got, shares = {}, {}
                 for name, f in session:
                     if f.ftype == transport.SHARES:

@@ -54,10 +54,13 @@ def test_unexpected_type_names_both_tags(loopback):
 
 
 def test_abort_frame_raises(loopback):
+    # an ABORT names the role that found the fault ahead of its reason
     a, b = loopback()
-    a.abort(b"x" * 16, "share inconsistency")
-    with pytest.raises(SessionAborted, match="share inconsistency"):
+    a.abort(b"x" * 16, "share inconsistency", transport.ROLE_DO)
+    with pytest.raises(SessionAborted, match="^share inconsistency$") as e:
         b.recv(transport.SHARES)
+    assert e.value.origin == transport.ROLE_DO
+    assert e.value.channel is b and e.value.session_id == b"x" * 16
 
 
 def test_per_session_fifo_random_interleavings(loopback):
