@@ -10,15 +10,15 @@ exactly the nodes of the balanced mOPE tree over those orders.  Per
 round the server blinds the current node additively, the owner garbles
 a comparator over the blinded values and the analyst evaluates it.  The
 owner sends the server the decode hashes of the outputs (two in det,
-one in fh) of a whole garbled batch at once, and the analyst sends the
-server the output labels it computed each round (SHARES, both); one
-garbling.decode by the round's instance's hashes gives the server the
-round's bits, and a label that matches neither of its hashes aborts the
-session.  The analyst, without
-decode hashes, learns no output, the owner sees none, and the server
-learns the bits its search needs.  By the authenticity of garbled
-circuits (Bellare, Hoang and Rogaway, CCS 2012) the analyst cannot make
-the label of an output it did not compute.  A session always runs
+one in fh) of all the session's comparators at once, and the analyst
+sends the server the output labels it computed each round (SHARES,
+both); one garbling.decode by the round's comparator's hashes gives the
+server the round's bits, and a label that matches neither of its hashes
+aborts the session.  The analyst, without decode hashes, learns no
+output, the owner sees none, and the server learns the bits its search
+needs.  By the authenticity of garbled circuits (Bellare, Hoang and
+Rogaway, CCS 2012) the analyst cannot make the label of an output it
+did not compute.  A session always runs
 exactly h = ceil(log2(n+1)) comparison rounds, one over an empty table,
 in every mode and for every op, and each of them sends the owner one
 blinded node, so neither
@@ -40,11 +40,14 @@ A round is three one-way flights and three frames: the node
 (RANDOMIZED_NODE), the garbled circuit with the OT reply behind it
 (GC_PAYLOAD) and the analyst's SHARES; Pedersen adds the node's
 commitment (INTEGRITY_TAG) beside the node, and its opening rides at the
-head of GC_PAYLOAD, so four frames.  A round that refills the owner's
-garbled pool adds the owner's SHARES of the new batch's decode hashes
-beside GC_PAYLOAD.  An encrypt's upload rides behind the output labels
-of its last round's SHARES, and the server sends ORDER_RESULT, which
-ends every session, after its commit point.  The analyst's OT choices
+head of GC_PAYLOAD, so four frames.  Round 1 adds the owner's SHARES of
+the session's decode hashes, the first frame the owner sends in the
+session, beside GC_PAYLOAD.  An encrypt's upload rides behind the
+output labels of its last round's SHARES, and the server sends
+ORDER_RESULT, which ends every session, after its commit point.
+Nothing binds the upload to the value the session searched for: an
+analyst can upload Enc(y) for a y other than its xbar, which the
+paper's passive model leaves out of scope.  The analyst's OT choices
 for a round are xbar + r and, in fh, its coin and stick, and none
 depends on an earlier round's circuit.
 The server sends the analyst every offset of the session at once, h
@@ -55,17 +58,22 @@ Each session carries its own IKNP extension batch (ot) of m =
 8·ceil(h·n / 8) chosen-input OTs, for h transfers of n evaluator
 inputs, under a batch index the analyst raises every session: the
 session's OT_MSG, which the analyst sends as soon as RANDOM_OFFSET
-arrives and the owner reads only to build round 1's OT reply, after it
-has decrypted and garbled.  Each round's reply spends the batch's next
-n OTs at both ends, so a batch too small for the h rounds aborts the
-session where it runs out.  A table holds at most M - 1 orders, so
-h <= M.bit_length(): the analyst refuses more offsets and the owner a
-larger batch, as it does a batch index not above the last it took.  m
-shows the owner h, as the round count does anyway.  A session is 3h + 4
-frames (SESSION_START, RANDOM_OFFSET, the OT_MSG and ORDER_RESULT
-besides the rounds), plus one per refill, and 3h + 2 flights from
-SESSION_START to ORDER_RESULT, its last frame, plus Pedersen's
-INTEGRITY_TAG per round.
+arrives and the owner reads in round 1, after it has decrypted the
+node.  m shows the owner h = m // n, exact since n >= 8
+(ProtocolParams.validate), as the round count does anyway, and the
+owner garbles the session's h comparators in one pass (garbling),
+before it knows the later rounds' nodes: garbled tables do not depend
+on its input, only the labels chosen for its bits do.  Each round
+takes the next comparator, and its reply spends the batch's next n OTs
+at both ends.  The server reads exactly h comparators' decode hashes,
+so an analyst whose m names another h aborts the session in round 1.
+A table holds at most M - 1 orders, so h <= M.bit_length(): the
+analyst refuses more offsets and the owner a larger batch, as it does
+a batch index not above the last it took.  A session is 3h + 5 frames
+(SESSION_START, RANDOM_OFFSET, the OT_MSG, the owner's SHARES and
+ORDER_RESULT besides the rounds) and 3h + 2 flights from SESSION_START
+to ORDER_RESULT, its last frame, plus Pedersen's INTEGRITY_TAG per
+round.
 
 Set-up is each engine's attach: a transport.handshake on each of its
 links, which judges the peer's HELLO and parses its extra whole, then
@@ -74,24 +82,13 @@ against ProtocolParams where an engine gets them, when constructed or,
 at the analyst, at HELLO; the server also matches the owner's key.
 
 Session state lives with its session.  The server keeps a session's
-offsets in locals of run_session, the analyst its offsets and batch in
-locals of _session, and the owner its session id and batch in locals of
-its serve loop, which the next session's first node resets, so an
-OT_MSG the owner never read is stale by then.  Only the server's next
-Enc(0)s, which hold no offset, the owner's garbled pool, the server's
-copy of that pool's decode hashes and each OT end's base OT and last
-batch index outlive a session.
-
-The two pools stay in step with no index on the wire.  The owner pops
-one instance per node it reads, first thing in its round, before
-anything can abort, and the server pops that instance's hashes per node
-it sends; when the pools run empty, the owner garbles a batch and sends
-its hashes, and the server reads them before that round's labels.  An
-abort empties both: the server's in run_session's handler, the owner's
-when it aborts or reads an ABORT from the server, which precedes the
-next node.  So a batch frame lost with its session, or a node the owner
-never reads, cannot put them out of step, and no instance's hashes
-decode two rounds.
+offsets and decode hashes in locals of run_session, the analyst its
+offsets and batch in locals of _session, and the owner its session id,
+batch and garbled comparators in locals of its serve loop, which the
+next session's first node resets, so an OT_MSG the owner never read is
+stale by then, and an aborted session's comparators are dropped unsent.
+Only the server's next Enc(0)s, which hold no offset, and each OT end's
+base OT and last batch index outlive a session.
 
 Each session frame has one layout, and says nothing that its framing,
 the parameters HELLO checked or the circuit built from them fix.  With
@@ -108,8 +105,8 @@ with the coin and stick.
   INTEGRITY_TAG    commitment, g bytes
   GC_PAYLOAD       [opening, g bytes |] garbling.payload |
                    OT reply, 32·n bytes
-  SHARES           the owner's: a batch's decode hashes, 32·o bytes
-                   per instance, garbling.BATCH instances
+  SHARES           the owner's, in round 1: the decode hashes of the
+                   session's h comparators, 32·o bytes each
                    the analyst's: output labels, 16·o bytes, and in an
                    encrypt's last round behind them the upload:
                    Enc(xbar), w bytes [| Enc(a), w bytes | commitment]
@@ -120,9 +117,10 @@ The types in transport.RESERVED, INTEGRITY_PROOF among them, keep their
 numbers and are never sent.  At the paper profile (2048-bit key,
 l = k = 32) a det round's payloads are 4992 bytes: the node (512),
 GC_PAYLOAD (3840: 69 AND gates at 32 bytes, 34 owner labels at 16, the
-OT reply's 34 pairs at 32), the analyst's SHARES (32), a 32nd of the
-owner's batch of 2048 (64) and the round's 34 rows of the OT_MSG (544);
-framing adds 21 bytes per frame, three per round and one per batch.
+OT reply's 34 pairs at 32), the analyst's SHARES (32), the round's
+comparator's decode hashes in the owner's SHARES (64) and the round's
+34 rows of the OT_MSG (544); framing adds 21 bytes per frame, three
+per round and five per session.
 
 The commitment ends the upload, and so its SHARES, because the server
 does not know g; the analyst checks its width when the node's
@@ -186,19 +184,7 @@ Garbled labels are numpy uint8 rows of 16 bytes between the wire and
 the gate loops, and 128-bit ints only inside those loops (garbling).
 The owner hands its OT sender an instance's label pairs as rows, and
 the analyst gets rows back from its OT receiver and from the payload,
-which garbling.evaluate turns into ints.
-
-The owner garbles ahead.  It keeps a pool of garbled comparators: one
-garbling.GarbledCircuit, whose garbling.BATCH = 32 instances were
-garbled in one pass, each with its own Δ and labels.  The round that
-finds the pool empty garbles the next batch and sends the server its
-decode hashes first, so about one round in 32 carries the refill and
-set-up garbles and sends nothing.  A round pops its instance before it
-sends anything else.  An instance serves one round only, and one popped
-by a round that then aborts is dropped with it, never sent, as the
-abort drops the rest of the pool.  Garbled tables do not depend on the
-owner's input, only the labels chosen for its bits do, so an instance garbled ahead is the
-same as one garbled in its round.  Gates and IKNP rows hash with
+which garbling.evaluate turns into ints.  Gates and IKNP rows hash with
 fixed-key AES through libcrypto (garbling, ot).
 
 In frequency-hiding mode the circuit emits a single traversal bit that
@@ -249,8 +235,8 @@ found it, to the third role, which may be waiting on that successor
 alone.  The owner passes on the server's: the analyst, which has every
 offset, waits on the owner alone between rounds, and the owner's serve
 loop passes on what it reads while idle too.  The analyst passes on the
-owner's: the server waits on the owner only for a batch's decode
-hashes, which precede anything else the owner sends in a refill round.
+owner's: the server waits on the analyst, and reads the owner's decode
+hashes only after the analyst's first labels, which follow them.
 The server passes on the analyst's: the owner, idle between nodes,
 waits on the server.  So an abort costs three ABORT frames, and the
 copy a role never reads is dropped as stale by the session filter of
@@ -335,6 +321,9 @@ class ProtocolParams:
         for name in ("l", "k", "key_bits", "mac_subgroup_bits"):
             if not 0 < getattr(self, name) < 1 << 16:
                 raise ConfigurationError(f"{name} must lie in [1, 2^16)")
+        if self.l < 6:
+            raise ConfigurationError("l must be at least 6: the owner reads h "
+                                     "as m // n, exact only for n = l + 2 >= 8")
         if not 3 <= self.m < 1 << 128:
             raise ConfigurationError("m must lie in [3, 2^128)")
         # an offset r < 2^(l+k) goes on the wire in OFFSET_BYTES, and a
@@ -532,10 +521,9 @@ class CspEngine:
         # the next node's rerandomizers, Enc(0) per node ciphertext,
         # made but never sent
         self._zeros = None
-        # the decode hashes of the owner's garbled pool, one instance's
-        # per item, the next last: one is popped per node sent
-        self._hashes = []
-        self._outputs = len(params.build_circuit().outputs)
+        # the analyst's output labels, 16 bytes per circuit output
+        self._labels_width = garbling.LABEL_BYTES * len(
+            params.build_circuit().outputs)
         # an upload's fields behind the last round's labels: Enc(xbar),
         # then under Pedersen Enc(a) and the commitment, of any width
         width = paillier.cipher_width(pk.key_bits)
@@ -595,11 +583,10 @@ class CspEngine:
         an encrypt's upload, then the commit point and the order.
 
         A fault before the commit aborts the session at both peers, and
-        an abort from the analyst is passed on to the owner; either way
-        the pool of decode hashes is emptied, as the owner empties its
-        garbled pool.  A fault after it, such as a failed ORDER_RESULT
-        send, rolls nothing back: the entry stays, tagged with its
-        session id, for DaEngine.cleanup to remove.
+        an abort from the analyst is passed on to the owner.  A fault
+        after it, such as a failed ORDER_RESULT send, rolls nothing
+        back: the entry stays, tagged with its session id, for
+        DaEngine.cleanup to remove.
         """
         encrypt = op == OP_ENCRYPT
         try:
@@ -628,10 +615,23 @@ class CspEngine:
                 self._blind_node(sid, table.entry_at(mid) if searching
                                  else sentinel, records[rnd],
                                  records if rnd == 0 else None)
-                bits, upload = self._shares(sid, encrypt and rnd + 1 == h)
+                # the analyst's output labels, and behind an encrypt's
+                # last the upload
+                labels, *upload = _fields(
+                    self.da_ch.recv(SHARES, session=sid), self._labels_width,
+                    *self._upload_widths if encrypt and rnd + 1 == h else ())
+                if rnd == 0:
+                    # the owner's decode hashes of the session's h
+                    # comparators, one per round, read after the labels
+                    # that follow them, so that the server waits on the
+                    # analyst alone and hears every abort (_abort)
+                    hashes = _fields(self.do_ch.recv(SHARES, session=sid),
+                                     *[2 * self._labels_width] * h)
+                bits = garbling.decode(hashes[rnd], labels)
                 if not searching:
                     continue
-                b_e, side = bits
+                # fh's one traversal bit always moves the search
+                b_e, side = bits if len(bits) == 2 else (1, *bits)
                 if b_e and side and mid + 1 < hi:
                     lo = mid + 1
                 elif b_e and not side and lo < mid:
@@ -653,7 +653,6 @@ class CspEngine:
                 ybar, remap = ope_state.place(table, i)
                 entry = self._parse_upload(sid, upload, ybar)
         except OopeError as e:
-            self._hashes = []
             raise _abort(e, sid, ROLE_CSP, self.do_ch, self.da_ch)
 
         # the commit point
@@ -698,25 +697,6 @@ class CspEngine:
             self.da_ch.send(Frame(INTEGRITY_TAG, sid, entry.node_tag[1]))
         # made while owner and analyst work on this node
         self._zeros = self._make_zeros()
-
-    def _shares(self, sid, upload):
-        """((b_e, side), the upload's fields) from the round's SHARES:
-        the analyst's output labels, decoded by the next instance's
-        hashes from the owner's batch, which is read first when the pool
-        is empty, and with upload, the analyst's upload behind them.  A
-        label that matches neither of its hashes is an IntegrityError."""
-        n, size = self._outputs, garbling.LABEL_BYTES
-        if not self._hashes:
-            # one instance's decode hashes per field, the next last
-            self._hashes = _fields(self.do_ch.recv(SHARES, session=sid),
-                                   *[2 * size * n] * garbling.BATCH)[::-1]
-        hashes = self._hashes.pop()
-        labels, *fields = _fields(
-            self.da_ch.recv(SHARES, session=sid), size * n,
-            *self._upload_widths if upload else ())
-        bits = garbling.decode(hashes, labels)
-        # fh's one traversal bit always moves the search
-        return (1, bits[0]) if n == 1 else bits, fields
 
     # -- state updates --
 
@@ -765,7 +745,6 @@ class DoEngine:
         self.mac_params = mac_params
         self.ot_group = ot_group
         self.circuit = params.build_circuit()
-        self._garbled = ()  # the pool: a garbling.GarbledCircuit batch
 
     def attach(self, csp_ch, da_ch):
         self.csp_ch, self.da_ch = csp_ch, da_ch
@@ -781,17 +760,15 @@ class DoEngine:
     def serve(self):
         """Serve the server's blinded nodes until its channel closes; the
         wait for the next one has no time limit.  A node under a new
-        session id starts that session, whose OT batch round 1 reads; no
-        frame ends one.  The server's aborts are passed on to the
-        analyst, which waits on this engine alone between rounds.  Every
-        abort, made here or read from the server, empties the garbled
-        pool, as the server empties its pool of decode hashes."""
-        sid, batch = NULL_SESSION, None
+        session id starts that session, whose OT batch and garbled
+        comparators round 1 makes; no frame ends one.  The server's
+        aborts are passed on to the analyst, which waits on this engine
+        alone between rounds."""
+        sid, batch, garbled = NULL_SESSION, None, None
         while True:
             try:
                 frame = self.csp_ch.recv(RANDOMIZED_NODE, idle=True)
             except SessionAborted as e:
-                self._garbled = ()
                 _abort(e, e.session_id, ROLE_DO, self.csp_ch, self.da_ch)
                 continue
             except ProtocolError:
@@ -801,31 +778,23 @@ class DoEngine:
                     return
                 continue
             if frame.session_id != sid:
-                sid, batch = frame.session_id, None
+                sid, batch, garbled = frame.session_id, None, None
             try:
-                batch = self._round(frame, batch)
+                batch, garbled = self._round(frame, batch, garbled)
             except OopeError as e:
                 # a frame this engine cannot use aborts its session, and
                 # a peer's abort goes on to the other; a dead channel
                 # ends the loop
                 if self.csp_ch.poisoned or self.da_ch.poisoned:
                     return
-                self._garbled = ()
                 _abort(e, sid, ROLE_DO, self.csp_ch, self.da_ch)
 
-    def _round(self, frame, batch):
-        """Serve one node of the session whose OT batch is batch, None
-        before round 1 reads it; returns the batch."""
+    def _round(self, frame, batch, garbled):
+        """Serve one node of the session whose OT batch and garbled
+        comparators are batch and garbled, both None before round 1
+        makes them; returns both."""
         sid = frame.session_id
         p = self.params
-        # the round's instance is popped before anything can abort, since
-        # the server pops one instance's decode hashes per node it sends;
-        # an empty pool is refilled first, and the new batch's decode
-        # hashes go to the server
-        if not self._garbled:
-            self._garbled = garbling.GarbledCircuit(self.circuit, self.rng)
-            self.csp_ch.send(Frame(SHARES, sid, self._garbled.decode_hashes))
-        gc = self._garbled.pop()
         pedersen = p.integrity == integrity.SCHEME_PEDERSEN
         # Enc(x + r), then under Pedersen Enc(a + r')
         width = paillier.cipher_width(self.sk.public.key_bits)
@@ -851,15 +820,26 @@ class DoEngine:
         if p.mode == MODE_FH:
             gen_bits.append(self.rng.getrandbits(1))  # r_x, the owner's coin
         if batch is None:
-            # round 1 reads the session's extension batch only now
+            # round 1 reads the session's extension batch only now, and
+            # garbles a comparator per round, h = m // n of them (exact,
+            # as n >= 8), whose decode hashes go to the server first
+            n = len(self.circuit.eval_inputs)
             batch = self.ot_sender.extend(
                 self.da_ch.recv(OT_MSG, session=sid).payload,
-                p.m.bit_length() * len(self.circuit.eval_inputs))
+                p.m.bit_length() * n)
+            if len(batch) < n:
+                raise ProtocolError("OT extension batch too small for a round")
+            garbled = garbling.GarbledCircuit(self.circuit, self.rng,
+                                              len(batch) // n)
+            self.csp_ch.send(Frame(SHARES, sid, garbled.decode_hashes))
+        if not garbled:
+            raise ProtocolError("session's garbled comparators used up")
+        gc = garbled.pop()
         # the Pedersen opening, the garbled circuit, the OT reply
         self.da_ch.send(Frame(
             GC_PAYLOAD, sid, opening + garbling.payload(gc, gen_bits) +
             self.ot_sender.send_pairs(batch, gc.eval_label_pairs())))
-        return batch
+        return batch, garbled
 
 
 # ---------------------------------------------------------------------------

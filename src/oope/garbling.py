@@ -1,5 +1,5 @@
 """Garbling scheme for boolean circuits: half-gates over integer labels,
-garbled BATCH instances at a time under a fixed-key AES hash.
+any number of instances garbled at once under a fixed-key AES hash.
 
 Inside the gate loops of GarbledCircuit and evaluate, labels are
 128-bit Python ints, so XORing two labels is one native operation.
@@ -45,27 +45,28 @@ every instance ever garbled, so it covers all batches together: with
 that hits a point X ⊕ Δ of some instance, and each of its p queries
 hits one of the q hashed points with probability about q/2^128.
 
-Batches.  GarbledCircuit garbles BATCH instances in one pass.  Lane i
-of every batch-wide int is instance i's 128-bit value (bits
-128·(BATCH−1−i) up, so lane i is block i of the int's big-endian
-bytes), and XOR on batch-wide ints is XOR in every lane at once.  Each
-lane has its own Δ and its own fresh input labels, so the lanes are
-independent garblings: the evaluator of one instance sees exactly what
-it would see of a circuit garbled alone.  Every lane hashes gate j
-under the same tweaks 2j and 2j + 1.  That is harmless: TCCR forbids
-reusing a tweak under one Δ, and the lanes' Δs are independent and
-uniform, so one lane's queries tell nothing about another's hashes
-beyond the q·p/2^128 above (q counting every lane).  The gates run in
+Batches.  GarbledCircuit(circuit, rng, lanes) garbles `lanes` instances
+in one pass.  Lane i of every batch-wide int is instance i's 128-bit
+value (bits 128·(lanes−1−i) up, so lane i is block i of the int's
+big-endian bytes), and XOR on batch-wide ints is XOR in every lane at
+once.  Each lane has its own Δ and its own fresh input labels, so the
+lanes are independent garblings: the evaluator of one instance sees
+exactly what it would see of a circuit garbled alone.  Every lane
+hashes gate j under the same tweaks 2j and 2j + 1.  That is harmless:
+TCCR forbids reusing a tweak under one Δ, and the lanes' Δs are
+independent and uniform, so one lane's queries tell nothing about
+another's hashes beyond the q·p/2^128 above (q counting every lane).  The gates run in
 the AND-depth order of circuit.schedule, and all hashes of one level,
 in every lane, go through one aes.tccr call: one pair of AES calls per
 level, 11 levels for the det comparator at the paper width (comparator)
 instead of four SHA-256 calls per gate.  The evaluator walks the same
 schedule for its one instance, one pair of AES calls per level.  Each
-level's tweaks are packed into bytes once per circuit
-(circuit.hash_tweaks), one lane wide for the evaluator and BATCH lanes
-wide for the generator, which hashes a level's zero-labels and then its
-one-labels under the tweaks twice over.  pop() hands each instance out
-once; the owner keeps the batch as its pool (engine).
+level's tweaks are packed into bytes once per circuit and lane count
+(circuit.hash_tweaks), one lane wide for the evaluator and a batch's
+lanes wide for the generator, which hashes a level's zero-labels and
+then its one-labels under the tweaks twice over.  pop() hands each
+instance out once; the owner garbles one batch per session, a lane per
+round (engine).
 
 The evaluator reads the tables as the payload's bytes and converts a
 ciphertext to an int only where a permute bit selects it: T_G of gate j
@@ -75,9 +76,9 @@ does, so about half of them.
 Decoding maps an output label to a bit through its decode hashes,
 SHA-256("out" || label)[:16] of each of the wire's two labels, and
 rejects a label that matches neither.  Decoding runs at the server: the
-owner sends it a batch's decode hashes (engine, SHARES) and the analyst
-the output labels it computed, never the hashes, so the analyst learns
-no output.  By the authenticity of garbled circuits
+owner sends it a session's decode hashes (engine, SHARES) and the
+analyst the output labels it computed, never the hashes, so the analyst
+learns no output.  By the authenticity of garbled circuits
 (Bellare, Hoang and Rogaway, CCS 2012) the analyst cannot make the
 label of the output it did not compute, so a label that decodes is the
 honest evaluation's.
@@ -113,12 +114,8 @@ from .comparator import ONE, BooleanCircuit
 from .errors import IntegrityError, ProtocolError
 
 LABEL_BYTES = 16
-BATCH = 32  # instances garbled per pass
 _LABEL_BITS = 8 * LABEL_BYTES
 _LABEL_MASK = (1 << _LABEL_BITS) - 1
-_BATCH_BITS = BATCH * _LABEL_BITS
-_BATCH_BYTES = BATCH * LABEL_BYTES
-_LOW_BITS = sum(1 << (_LABEL_BITS * i) for i in range(BATCH))
 _sha256 = hashlib.sha256
 
 
@@ -126,18 +123,19 @@ def _decode_hash(label: bytes) -> bytes:
     return _sha256(b"out" + label).digest()[:LABEL_BYTES]
 
 
-def _lane_masks(v: int) -> int:
-    """All ones in every lane whose low (permute) bit is set in v."""
-    low = v & _LOW_BITS
-    return (low << _LABEL_BITS) - low
+def _lane_masks(v: int, low: int) -> int:
+    """All ones in every lane whose low (permute) bit is set in v, low
+    being the low bit of every lane."""
+    v &= low
+    return (v << _LABEL_BITS) - v
 
 
-def _lanes(values):
-    """Each lane's rows of the batch-wide ints values: a (BATCH,
+def _lanes(values, lanes: int):
+    """Each lane's rows of the batch-wide ints values: a (lanes,
     len(values), 16) uint8 array."""
-    blob = b"".join([v.to_bytes(_BATCH_BYTES, "big") for v in values])
+    blob = b"".join([v.to_bytes(lanes * LABEL_BYTES, "big") for v in values])
     return np.frombuffer(blob, dtype=np.uint8).reshape(
-        len(values), BATCH, LABEL_BYTES).swapaxes(0, 1).copy()
+        len(values), lanes, LABEL_BYTES).swapaxes(0, 1).copy()
 
 
 def _split(blob: bytes, width: int) -> list:
@@ -147,20 +145,23 @@ def _split(blob: bytes, width: int) -> list:
 
 
 class GarbledCircuit:
-    """BATCH garbled instances of one circuit, garbled in one pass (module
-    docstring); pop() hands each out once, as a GarbledInstance, and
-    decode_hashes holds every instance's decode hashes in that order."""
+    """`lanes` garbled instances of one circuit, garbled in one pass
+    (module docstring); pop() hands each out once, as a GarbledInstance,
+    and decode_hashes holds every instance's decode hashes in that
+    order."""
 
-    def __init__(self, circuit: BooleanCircuit, rng):
-        delta = rng.getrandbits(_BATCH_BITS) | _LOW_BITS
+    def __init__(self, circuit: BooleanCircuit, rng, lanes: int):
+        width = lanes * LABEL_BYTES  # the bytes of a batch-wide int
+        low = int.from_bytes((bytes(LABEL_BYTES - 1) + b"\1") * lanes, "big")
+        delta = rng.getrandbits(8 * width) | low
         label0 = [0] * circuit.n_wires
         label0[ONE] = delta
         for w in circuit.gen_inputs + circuit.eval_inputs:
-            label0[w] = rng.getrandbits(_BATCH_BITS)
+            label0[w] = rng.getrandbits(8 * width)
         # T_G and T_E of gate j, all lanes, at blocks 2j and 2j + 1
-        tables = bytearray(2 * _BATCH_BYTES * len(circuit.nonfree_gates()))
+        tables = bytearray(2 * width * len(circuit.nonfree_gates()))
         for (free, nonfree), tweaks in zip(circuit.schedule,
-                                           circuit.hash_tweaks(BATCH)):
+                                           circuit.hash_tweaks(lanes)):
             for a, b, out in free:
                 label0[out] = label0[a] ^ label0[b]
             if not nonfree:
@@ -170,27 +171,27 @@ class GarbledCircuit:
             zeros = [label0[w] for a, b, _, _ in nonfree for w in (a, b)]
             n = len(zeros)
             hashes = _split(aes.tccr(b"".join(
-                [v.to_bytes(_BATCH_BYTES, "big") for v in zeros] +
-                [(v ^ delta).to_bytes(_BATCH_BYTES, "big") for v in zeros]),
-                tweaks + tweaks), _BATCH_BYTES)
+                [v.to_bytes(width, "big") for v in zeros] +
+                [(v ^ delta).to_bytes(width, "big") for v in zeros]),
+                tweaks + tweaks), width)
             for k, (a, b, out, j) in enumerate(nonfree):
                 a0, b0 = zeros[2 * k], zeros[2 * k + 1]
                 ha0, hb0 = hashes[2 * k], hashes[2 * k + 1]
                 ha1, hb1 = hashes[n + 2 * k], hashes[n + 2 * k + 1]
-                permute_b = _lane_masks(b0)
+                permute_b = _lane_masks(b0, low)
                 # generator half: a AND (permute bit of b)
                 t_g = ha0 ^ ha1 ^ (delta & permute_b)
                 t_e = hb0 ^ hb1
-                w = ha0 ^ (t_g & _lane_masks(a0))
+                w = ha0 ^ (t_g & _lane_masks(a0, low))
                 # evaluator half: a AND (b XOR its permute bit)
                 label0[out] = w ^ hb0 ^ (t_e & permute_b)
-                at = 2 * _BATCH_BYTES * j
-                tables[at:at + 2 * _BATCH_BYTES] = (
-                    t_g << _BATCH_BITS | (t_e ^ a0)).to_bytes(
-                        2 * _BATCH_BYTES, "big")
-        deltas = _lanes([delta])[:, 0]
-        gen0, eval0, out0 = (_lanes([label0[w] for w in wires]) for wires in (
-            circuit.gen_inputs, circuit.eval_inputs, circuit.outputs))
+                at = 2 * width * j
+                tables[at:at + 2 * width] = (
+                    t_g << 8 * width | (t_e ^ a0)).to_bytes(2 * width, "big")
+        deltas = _lanes([delta], lanes)[:, 0]
+        gen0, eval0, out0 = (_lanes([label0[w] for w in ws], lanes)
+                             for ws in (circuit.gen_inputs,
+                                        circuit.eval_inputs, circuit.outputs))
         eval_pairs = np.stack((eval0, eval0 ^ deltas[:, None]), axis=2)
         # per lane: T_G || T_E of each gate, and apart from them the
         # decode hashes of each output's zero-label and one-label
@@ -200,21 +201,21 @@ class GarbledCircuit:
         # every instance's decode hashes, in the order pop() hands the
         # instances out, for the server in one frame
         self.decode_hashes = hashes
-        lane_hashes = len(hashes) // BATCH
+        lane_hashes = len(hashes) // lanes
         grid = np.frombuffer(tables, dtype=np.uint8).reshape(
-            -1, BATCH, LABEL_BYTES).swapaxes(0, 1)
+            -1, lanes, LABEL_BYTES).swapaxes(0, 1)
         self._instances = [
             GarbledInstance(grid[i].tobytes(),
                             hashes[i * lane_hashes:(i + 1) * lane_hashes],
                             gen0[i], eval_pairs[i], deltas[i])
-            for i in reversed(range(BATCH))]
+            for i in reversed(range(lanes))]
 
     def __len__(self):
         return len(self._instances)
 
     def pop(self) -> "GarbledInstance":
         """The next instance, which leaves the batch; IndexError once
-        all BATCH are taken."""
+        all are taken."""
         return self._instances.pop()
 
 

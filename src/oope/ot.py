@@ -251,6 +251,10 @@ class _Batch:
         self._arrays = arrays
         self._spent = 0
 
+    def __len__(self):
+        """m, the batch's OTs, spent or not."""
+        return len(self._arrays[0])
+
     def take(self, n) -> list:
         """Spends the next n OTs, or all left if fewer: their rows."""
         self._spent += n

@@ -8,7 +8,6 @@ import pytest
 from oracles import eval_plain
 from test_garbling import garbled_run, instances
 
-from oope import garbling
 from oope.comparator import (BLOCK_BITS, ONE, build_comparator,
                              build_fh_comparator, int_to_bits)
 from oope.engine import ProtocolParams
@@ -251,7 +250,7 @@ def test_blinded_exhaustive(l, k):
     # l + 2 bits of x + r and xbar + r: det's two outputs and fh's bit
     # under every (r_x, r_xbar, stick), in the clear in one lane per
     # (x, xbar, r) and garbled once per distinct circuit input, over the
-    # instances of one batch
+    # first 32 instances of batches of ten
     width, cases = l + 2, blinded_round(l, k)
     det, fh = build_comparator(width), build_fh_comparator(width)
     a = lane_ints([x + r for x, _, r in cases], width)
@@ -270,17 +269,14 @@ def test_blinded_exhaustive(l, k):
 
     inputs = {((x + r) % (1 << width), (xbar + r) % (1 << width)):
               reference(x, xbar) for x, xbar, r in cases}
-    batch = garbling.GarbledCircuit(det, make_rng(l))
-    det_lanes = [batch.pop() for _ in range(garbling.BATCH)]
-    batch = garbling.GarbledCircuit(fh, make_rng(l + 1))
-    fh_lanes = [batch.pop() for _ in range(garbling.BATCH)]
+    det_lanes = list(instances(det, make_rng(l), 32))
+    fh_lanes = list(instances(fh, make_rng(l + 1), 32))
     for n, ((a_low, b_low), want) in enumerate(sorted(inputs.items())):
         gen, ev = int_to_bits(a_low, width), int_to_bits(b_low, width)
-        assert garbled_run(det, det_lanes[n % garbling.BATCH], gen,
-                           ev) == want
+        assert garbled_run(det, det_lanes[n % 32], gen, ev) == want
         for r_x, r_xbar, stick in COINS:
             coin = fh_reference(0, 0, r_x, r_xbar, stick)
-            assert garbled_run(fh, fh_lanes[n % garbling.BATCH],
+            assert garbled_run(fh, fh_lanes[n % 32],
                                gen + [r_x], ev + [r_xbar, stick]) == \
                 (want[1] if want[0] else coin,)
 
@@ -316,7 +312,7 @@ def boundary_pairs(bits):
 def test_det_across_block_boundaries(bits):
     width = bits + 1
     c = build_comparator(width)
-    lanes = list(instances(c, make_rng(width), garbling.BATCH))
+    lanes = list(instances(c, make_rng(width), 32))
     for n, (a, b) in enumerate(boundary_pairs(bits)):
         gen, ev = int_to_bits(a, width), int_to_bits(b, width)
         want = reference(a, b)
@@ -329,7 +325,7 @@ def test_fh_across_block_boundaries(bits):
     # every combination of the coins and stick per pair
     width = bits + 1
     c = build_fh_comparator(width)
-    lanes = list(instances(c, make_rng(width + 1), garbling.BATCH))
+    lanes = list(instances(c, make_rng(width + 1), 32))
     n = 0
     for a, b in boundary_pairs(bits):
         for r_x, r_xbar, stick in COINS:

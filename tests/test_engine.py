@@ -402,8 +402,8 @@ def test_malformed_garbled_payload_aborts_at_analyst(damage):
 
 # damage -> (frame type, payload edit, sender, abort reason).  A SHARES
 # is 16 bytes per circuit output from the analyst, and from the owner 32
-# per output of each instance of a garbled batch, so one a byte short or
-# long is malformed
+# per output of each of the session's h = 3 comparators, so one a byte
+# short or long is malformed
 BIT_VECTOR_DAMAGE = {
     "session_start": (transport.SESSION_START, lambda p: b"", "da->csp",
                       "no known op"),
@@ -412,7 +412,7 @@ BIT_VECTOR_DAMAGE = {
     "da_shares": (transport.SHARES, lambda p: p[:-1], "da->csp",
                   "SHARES of (15|31) bytes, expected (16|32)"),
     "do_shares": (transport.SHARES, lambda p: p + b"\0", "do->csp",
-                  "SHARES of (1025|2049) bytes, expected (1024|2048)"),
+                  "SHARES of (193|97) bytes, expected (192|96)"),
 }
 
 
@@ -603,14 +603,19 @@ def test_no_blind_is_sent_twice():
         cluster.close()
 
 
-def test_no_garbled_instance_is_sent_twice():
-    # the owner garbles garbling.BATCH instances at a time and pops one
-    # per round; one an aborted round took is dropped, so no garbled
-    # table repeats across aborts and batch refills
+def test_no_garbled_instance_is_sent_twice(monkeypatch):
+    # the owner garbles a session's h instances in its first round and
+    # pops one per round; the rest of an aborted session's are dropped
+    # with it, so no garbled table repeats across sessions and aborts,
+    # and no instance's decode hashes decode two rounds
     params = small_params()
     data = list(range(100, 3100, 100))
     cluster, ctx = make_cluster(data, seed=52, params=params, record=True)
     oracle = Mope2Oracle(params.m).load(data)
+    decoded = []
+    real_decode = garbling.decode
+    monkeypatch.setattr(garbling, "decode", lambda hashes, labels: (
+        decoded.append(hashes), real_decode(hashes, labels))[1])
     try:
         ch = next(c for c in cluster.channels if c.name == "do->da")
         tables_end = 32 * len(cluster.da.circuit.nonfree_gates())
@@ -648,8 +653,10 @@ def test_no_garbled_instance_is_sent_twice():
             assert cluster.encrypt(xbar) == oracle.encrypt(xbar)
         tables = [transport.decode_frame(b[4:]).payload[:tables_end]
                   for b in ch.transcript if b[4] == transport.GC_PAYLOAD]
-        assert len(tables) > garbling.BATCH
+        assert len(tables) > 32
         assert len(set(tables)) == len(tables)
+        assert len(decoded) > 32
+        assert len(set(decoded)) == len(decoded)
         assert not cluster.errors
     finally:
         cluster.close()
@@ -670,6 +677,9 @@ PAD_SYNC_ABORTS = {
                                 _node_out_of_range, "out of range"),
     "share-mismatch": ("da->csp", transport.SHARES, 2, flip_label_bit,
                        DECODE_FAILED),
+    # the owner's decode hashes of the session's comparators, cut short
+    "hashes": ("do->csp", transport.SHARES, 1, lambda blob: blob[:-1],
+               "SHARES of"),
     "pedersen-authentication": ("csp->da", transport.INTEGRITY_TAG, 2,
                                 lambda blob: blob[:-1] + bytes([blob[-1] ^ 1]),
                                 "authentication"),
@@ -723,78 +733,6 @@ def test_ot_pads_stay_in_step_after_an_abort(abort):
             t0 = time.monotonic()
             assert cluster.encrypt(xbar) == oracle.encrypt(xbar)
             assert time.monotonic() - t0 < timeout
-        assert not any(ch.poisoned for ch in cluster.channels)
-        assert not cluster.errors
-    finally:
-        cluster.close()
-
-
-# abort -> (sending end, frame type, edit, abort reason): an owner
-# abort, an analyst abort and a damaged batch of decode hashes, each in
-# the round that refills the owner's garbled pool
-REFILL_ABORTS = {
-    "owner": ("csp->do", transport.RANDOMIZED_NODE, _node_out_of_range,
-              "out of range"),
-    "analyst": ("do->da", transport.GC_PAYLOAD, lambda blob: blob[:-1],
-                "garbled payload"),
-    "batch": ("do->csp", transport.SHARES, lambda blob: blob[:-1],
-              "SHARES of"),
-}
-
-
-@pytest.mark.parametrize("abort", sorted(REFILL_ABORTS))
-def test_an_abort_in_a_refill_round_keeps_the_pools_in_step(abort,
-                                                            monkeypatch):
-    # six bounds over 30 entries run 30 rounds of the first garbled
-    # batch; the seventh session's third round pops its 33rd instance,
-    # refilling the pool, and aborts.  The table stays as it was, the
-    # abort empties both pools, and the next sessions, across another
-    # batch boundary, decode every round and match the oracle; no
-    # instance's decode hashes decode two rounds.
-    sender, ftype, edit, reason = REFILL_ABORTS[abort]
-    params = small_params()
-    data = list(range(100, 3100, 100))
-    cluster, ctx = make_cluster(data, seed=58, params=params)
-    oracle = Mope2Oracle(params.m).load(data)
-    if edit is _node_out_of_range:
-        edit = edit(params, ctx["pk"])
-    # the batch's frame is the owner's second SHARES, every other the 33rd
-    nth = 2 if ftype == transport.SHARES else garbling.BATCH + 1
-    decoded = []
-    real_decode = garbling.decode
-    monkeypatch.setattr(garbling, "decode", lambda hashes, labels: (
-        decoded.append(hashes), real_decode(hashes, labels))[1])
-    end = next(ch for ch in cluster.channels if ch.name == sender)
-    seen = []
-
-    def damaged(frame):
-        if frame.ftype == ftype:
-            seen.append(frame)
-            if len(seen) == nth:
-                frame = Frame(ftype, frame.session_id, edit(frame.payload))
-        transport.Channel.send(end, frame)
-
-    try:
-        for ch in cluster.channels:
-            ch.timeout = 3
-        table = ctx["table"]
-        assert table.height == 5
-        end.send = damaged
-        for xbar in range(150, 750, 100):
-            cluster.da.bound(xbar, BOUND_LOW)
-        assert len(decoded) == 30
-        before = table_snapshot(table)
-        with pytest.raises(SessionAborted, match=reason):
-            cluster.encrypt(250)
-        # the session decoded its first two rounds and aborted its third
-        assert len(seen) == nth and len(decoded) == 32
-        del end.send
-        assert table_snapshot(table) == before
-        for xbar in (250, 350, 1000, 5000, 120, 2050, 7, 3000):
-            assert cluster.encrypt(xbar) == oracle.encrypt(xbar)
-            assert len(cluster.do._garbled) == len(cluster.csp._hashes)
-        assert len(decoded) > 30 + garbling.BATCH
-        assert len(set(decoded)) == len(decoded)
         assert not any(ch.poisoned for ch in cluster.channels)
         assert not cluster.errors
     finally:
@@ -865,16 +803,15 @@ def test_an_abort_costs_three_frames(finder):
 def test_no_session_state_outlives_its_session(mode):
     # after each session, ended or aborted at any of the three roles,
     # every attribute of the engines and OT ends is the object or value
-    # it was, but the server's next Enc(0), the owner's garbled pool, the
-    # server's copy of its decode hashes and the OT ends' last batch
-    # index: a session's offsets and OT batch, and in fh its coins, live
-    # in the session's own locals alone, and the one server value that
-    # crosses sessions decrypts to 0
+    # it was, but the server's next Enc(0) and the OT ends' last batch
+    # index: a session's offsets, OT batch and garbled comparators, and
+    # in fh its coins, live in the session's own locals alone, and the
+    # one server value that crosses sessions decrypts to 0
     params = small_params(mode=mode)
     data = list(range(100, 3100, 100))
     cluster, ctx = make_cluster(data, seed=61, params=params)
-    outlive = {"csp": {"_zeros", "_hashes"}, "do": {"_garbled"},
-               "ot_sender": {"_batch"}, "ot_receiver": {"_batch"}}
+    outlive = {"csp": {"_zeros"}, "ot_sender": {"_batch"},
+               "ot_receiver": {"_batch"}}
 
     def state():
         return {"csp": cluster.csp, "do": cluster.do, "da": cluster.da,
@@ -895,8 +832,8 @@ def test_no_session_state_outlives_its_session(mode):
         return send
 
     tables_end = 32 * len(cluster.da.circuit.nonfree_gates())
-    # an abort empties both pools, so the owner's batch SHARES, the last
-    # case, is the first frame of its session's first round
+    # the owner's SHARES, the last case, carries the session's decode
+    # hashes in its first round
     aborts = [
         (cluster.csp.do_ch, transport.RANDOMIZED_NODE,
          _node_out_of_range(params, ctx["pk"]), 2, "out of range"),
@@ -912,6 +849,12 @@ def test_no_session_state_outlives_its_session(mode):
         before = {name: dict(vars(obj)) for name, obj in state().items()}
 
         def assert_unchanged():
+            # an aborted encrypt can return while the server still makes
+            # its next Enc(0), right after the session's last node
+            deadline = time.monotonic() + 5
+            while cluster.csp._zeros is None and \
+                    time.monotonic() < deadline:
+                time.sleep(0.001)
             zeros = cluster.csp._zeros
             assert len(zeros) == 1
             assert paillier.decrypt(ctx["sk"], zeros[0]) == 0
@@ -944,9 +887,11 @@ def test_no_session_state_outlives_its_session(mode):
 @pytest.mark.parametrize("mode", ["det", "fh"])
 def test_an_ot_batch_too_small_for_the_rounds_aborts_where_it_runs_out(
         mode):
-    # the analyst's batch holds the choices of every round but the last;
-    # the owner's reply for the last round finds it used up, and the next
-    # sessions, each with its own batch, run as before
+    # the analyst's batch holds the choices of every round but the last,
+    # so the owner reads h - 1 rounds from its size and garbles as many
+    # comparators; the server, which reads h rounds' decode hashes in
+    # round 1, aborts there, and the next sessions, each with its own
+    # batch, run as before
     params = small_params(mode=mode)
     data = list(range(100, 3100, 100))
     cluster, ctx = make_cluster(data, seed=63, params=params)
@@ -958,7 +903,7 @@ def test_an_ot_batch_too_small_for_the_rounds_aborts_where_it_runs_out(
             ch.timeout = 3
         receiver.extend = lambda bits: type(receiver).extend(receiver,
                                                              bits[:-n])
-        with pytest.raises(SessionAborted, match="used up"):
+        with pytest.raises(SessionAborted, match="SHARES of"):
             cluster.encrypt(250)
         del receiver.extend
         assert len(ctx["table"]) == len(data)
@@ -972,21 +917,21 @@ def test_an_ot_batch_too_small_for_the_rounds_aborts_where_it_runs_out(
         cluster.close()
 
 
-def test_bits_after_the_search_stops_are_ignored():
+def test_bits_after_the_search_stops_are_ignored(monkeypatch):
     # over [10, 20, 25, 32, 69] the search for 25 stops at its first
     # node, an equal one; the later rounds compare the sentinel 2^l, and
     # bits that would move the search from there change nothing
     cluster, ctx = make_cluster(EXAMPLE, seed=65)
-    real = cluster.csp._shares
+    real = garbling.decode
     bits = []
 
     def moving_after_the_first(*args):
-        got, upload = real(*args)
+        got = real(*args)
         bits.append(got)
-        return got if len(bits) == 1 else (1, len(bits) % 2), upload
+        return got if len(bits) == 1 else (1, len(bits) % 2)
 
     try:
-        cluster.csp._shares = moving_after_the_first
+        monkeypatch.setattr(garbling, "decode", moving_after_the_first)
         assert ctx["table"].height == 3
         assert cluster.encrypt(25) == \
             Mope2Oracle(cluster.da.params.m).load(EXAMPLE).encrypt(25)
@@ -996,12 +941,16 @@ def test_bits_after_the_search_stops_are_ignored():
         cluster.close()
 
 
-@pytest.mark.parametrize("damage", ["truncated", "flipped", "oversized"])
+@pytest.mark.parametrize("damage", ["truncated", "flipped", "oversized",
+                                    "round-more", "no-round"])
 def test_damaged_ot_batch_aborts_its_session_alone(damage):
     # the session's OT_MSG, its extension batch of m OTs (KAPPA columns
     # of m/8 bytes behind a u32 batch index), cut by a byte, with one
-    # byte of the matrix flipped, or with a matrix of more OTs than
-    # M.bit_length() rounds need
+    # byte of the matrix flipped, with a matrix of more OTs than
+    # M.bit_length() rounds need, with each column one round longer, so
+    # that m names h + 1 rounds: the owner garbles h + 1 comparators, and
+    # the server refuses their decode hashes, or with m = 8 OTs, fewer
+    # than one round's n
     params = small_params()
     data = list(range(100, 3100, 100))
     cluster, ctx = make_cluster(data, seed=59, params=params)
@@ -1030,6 +979,13 @@ def test_damaged_ot_batch_aborts_its_session_alone(damage):
                 elif damage == "oversized":
                     most = params.m.bit_length() * n
                     blob = blob[:4] + bytes(ot.KAPPA * (most // 8 + 2))
+                elif damage == "no-round":
+                    blob = blob[:4] + bytes(ot.KAPPA)
+                elif damage == "round-more":
+                    more = bytes(-(-n // 8))
+                    blob = blob[:4] + b"".join(
+                        blob[at:at + row_bytes] + more
+                        for at in range(4, len(blob), row_bytes))
                 else:
                     at = 4 + column * row_bytes
                     blob = blob[:at] + bytes([blob[at] ^ 0xff]) + \
@@ -1039,7 +995,8 @@ def test_damaged_ot_batch_aborts_its_session_alone(damage):
 
         end.send = damaged
         t0 = time.monotonic()
-        reason = "decode" if damage == "flipped" else "wrong size"
+        reason = {"flipped": "decode", "round-more": "SHARES of",
+                  "no-round": "too small"}.get(damage, "wrong size")
         with pytest.raises(SessionAborted, match=reason):
             cluster.encrypt(250)
         assert time.monotonic() - t0 < timeout
@@ -1051,6 +1008,37 @@ def test_damaged_ot_batch_aborts_its_session_alone(damage):
             assert cluster.encrypt(xbar) == oracle.encrypt(xbar)
             assert time.monotonic() - t0 < timeout
         assert not any(ch.poisoned for ch in cluster.channels)
+        assert not cluster.errors
+    finally:
+        cluster.close()
+
+
+def test_a_node_past_the_sessions_comparators_aborts_at_the_owner():
+    # a server that sends the owner one node more than the session's h
+    # rounds finds it out of garbled comparators: the owner aborts, the
+    # analyst, done with its rounds, still gets its order, and the owner
+    # goes on serving
+    params = small_params()
+    cluster, ctx = make_cluster(EXAMPLE, seed=67, params=params)
+    oracle = Mope2Oracle(params.m).load(EXAMPLE)
+    h = ctx["table"].height
+    real = cluster.csp._blind_node
+    nodes = []
+
+    def one_more(*args):
+        real(*args)
+        nodes.append(args)
+        if len(nodes) == h:
+            real(*args)
+
+    try:
+        for ch in cluster.channels:
+            ch.timeout = 3
+        cluster.csp._blind_node = one_more
+        assert cluster.encrypt(15) == oracle.encrypt(15)
+        del cluster.csp._blind_node
+        for xbar in (25, 40):
+            assert cluster.encrypt(xbar) == oracle.encrypt(xbar)
         assert not cluster.errors
     finally:
         cluster.close()
@@ -1321,14 +1309,13 @@ def test_malformed_query_or_cleanup_reply_is_a_protocol_error():
 
 
 def test_every_single_share_bit_flip_detected():
-    # the owner's SHARES holds each instance's decode hashes, each
-    # output's zero-hash, then its one-hash, the first round's instance
-    # first.  Over EXAMPLE the first node is 25, so the first round's
+    # the owner's SHARES holds the decode hashes of each of the
+    # session's comparators, each output's zero-hash, then its one-hash,
+    # the first round's comparator first.  Over EXAMPLE the first node is 25, so the first round's
     # outputs for 15 are [15 != 25] = 1 and [15 > 25] = 0, and hashes 1
     # and 2 are the ones its labels match.  A flipped bit in either
     # aborts the session; one in hash 0 or 3, which no label matches,
-    # changes nothing.  Each flip goes to a new cluster, whose first
-    # round sends the owner's first batch.
+    # changes nothing.  Each flip goes to a new cluster.
     params = small_params(m=28)
     want = Mope2Oracle(params.m).load(EXAMPLE).encrypt(15)
     aborted = []
@@ -1392,12 +1379,10 @@ OWNER_LINKS = ("csp->do", "do->csp", "da->do", "do->da")
 
 
 def owner_views_by_height(mode, seed, rebalances):
-    """{(table height, refills): [(rebalanced, the owner's frames)]}
-    over 24 encrypts into a seeded table of 8 at M = 67, a copy of a
-    stored value in every third; a frame is its (type, length) on each
-    of the owner's links, refills counts the garbled batches whose
-    decode hashes the owner sent the server in the session, and
-    rebalances is count_rebalances's list."""
+    """{table height: [(rebalanced, the owner's frames)]} over 24
+    encrypts into a seeded table of 8 at M = 67, a copy of a stored
+    value in every third; a frame is its (type, length) on each of the
+    owner's links, and rebalances is count_rebalances's list."""
     rng = make_rng(seed)
     data = [rng.randrange(1 << 16) for _ in range(8)]
     queries = [rng.choice(data) if i % 3 == 0 else rng.randrange(1 << 16)
@@ -1417,8 +1402,8 @@ def owner_views_by_height(mode, seed, rebalances):
             to_owner, from_owner = seen[:2]
             assert {t for t, _ in to_owner} <= {transport.RANDOMIZED_NODE,
                                                 transport.ABORT}
-            assert {t for t, _ in from_owner} <= {transport.SHARES}
-            views.setdefault((height, len(from_owner)), []).append(
+            assert [t for t, _ in from_owner] == [transport.SHARES]
+            views.setdefault(height, []).append(
                 (len(rebalances) > before, seen))
         assert not cluster.errors
     finally:
@@ -1431,8 +1416,7 @@ def test_owner_view_does_not_depend_on_rebalancing(monkeypatch):
     # same frames of the same lengths from the server and the analyst,
     # and sends them the same ones, whether the session rebalanced or
     # not, over several seeded tables at M = 67 in both modes.  Sessions
-    # are compared by table height and by the garbled batches their
-    # rounds refilled, which follow from the rounds run before
+    # are compared by table height
     rebalances = count_rebalances(monkeypatch)
     for mode in ("det", "fh"):
         mixed = 0
@@ -1809,7 +1793,8 @@ def test_owner_stalled_mid_session_fails_encrypt_in_time(kind):
         for ch in cluster.channels:
             ch.timeout = 0.3
         # the owner takes its round's node and does not answer
-        cluster.do._round = lambda *args: release.wait(30)
+        cluster.do._round = lambda frame, *session: release.wait(30) and \
+            session
         watchdog.start()
         t0 = time.monotonic()
         with pytest.raises(SessionAborted, match="timed out") as err:
@@ -1903,7 +1888,7 @@ def test_fh_copies_land_by_a_coin_per_equal_node(data):
 def test_fh_shares_carry_no_equality_bit():
     # one output, the traversal bit: the analyst sends one label per
     # round, the last round's with the upload behind it, and the owner
-    # one pair of decode hashes per instance of its garbled batch
+    # one pair of decode hashes per round, all in the session's first
     data = [7, 7, 9]
     cluster, _ = make_cluster(data, seed=53, params=fh_params())
     try:
@@ -1916,10 +1901,11 @@ def test_fh_shares_carry_no_equality_bit():
                   if ch.name in ("da->csp", "do->csp")
                   for b in ch.transcript if b[4] == transport.SHARES]
         upload = paillier.cipher_width(cluster.da.params.key_bits)
-        # h = 2 rounds, then 3, and one batch
+        # h = 2 rounds, then 3
         assert Counter(shares) == {("da->csp", 16): 3,
                                    ("da->csp", 16 + upload): 2,
-                                   ("do->csp", 32 * garbling.BATCH): 1}
+                                   ("do->csp", 32 * 2): 1,
+                                   ("do->csp", 32 * 3): 1}
         assert not cluster.errors
     finally:
         cluster.close()

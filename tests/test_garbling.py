@@ -12,13 +12,13 @@ from oope.errors import IntegrityError, ProtocolError
 from oope.rng import make_rng
 
 
-def instances(circuit, rng, count):
+def instances(circuit, rng, count, lanes=10):
     """count garbled instances of circuit, popped from as many batches
-    as it takes."""
-    batch = garbling.GarbledCircuit(circuit, rng)
+    of `lanes` lanes as it takes."""
+    batch = garbling.GarbledCircuit(circuit, rng, lanes)
     for _ in range(count):
         if not batch:
-            batch = garbling.GarbledCircuit(circuit, rng)
+            batch = garbling.GarbledCircuit(circuit, rng, lanes)
         yield batch.pop()
 
 
@@ -64,12 +64,11 @@ def test_garbled_matches_plain_fh():
 
 
 def test_exhaustive_width2():
-    # every lane of a batch, on every input
+    # every lane of a batch of one lane and of 33, on every input
     c = build_comparator(2)
-    batch = garbling.GarbledCircuit(c, make_rng(7))
     n_gen, n_ev = len(c.gen_inputs), len(c.eval_inputs)
-    for _ in range(garbling.BATCH):
-        gc = batch.pop()
+    for gc in [gc for lanes in (1, 33)
+               for gc in instances(c, make_rng(7), lanes, lanes)]:
         tables, dec = tables_of(c, gc), gc.decode_hashes
         pairs = gc.eval_label_pairs()
         for assign in range(1 << (n_gen + n_ev)):
@@ -81,13 +80,12 @@ def test_exhaustive_width2():
 
 
 def test_exhaustive_width2_fh_across_a_batch():
-    # all 2^7 inputs in every lane of a batch
+    # all 2^7 inputs in every lane of a batch of one lane and of 33
     c = build_fh_comparator(2)
-    batch = garbling.GarbledCircuit(c, make_rng(8))
     n_gen, n_ev = len(c.gen_inputs), len(c.eval_inputs)
     assert n_gen + n_ev == 7
-    for _ in range(garbling.BATCH):
-        gc = batch.pop()
+    for gc in [gc for lanes in (1, 33)
+               for gc in instances(c, make_rng(8), lanes, lanes)]:
         tables, dec = tables_of(c, gc), gc.decode_hashes
         pairs = gc.eval_label_pairs()
         for assign in range(1 << (n_gen + n_ev)):
@@ -98,28 +96,31 @@ def test_exhaustive_width2_fh_across_a_batch():
             assert garbling.decode(dec, out) == eval_plain(c, gen, ev)
 
 
-def test_batch_hands_out_each_instance_once():
+@pytest.mark.parametrize("count", [2, 10, 33])
+def test_batch_hands_out_each_instance_once(count):
     c = build_comparator(4)
-    batch = garbling.GarbledCircuit(c, make_rng(4))
-    assert len(batch) == garbling.BATCH
-    lanes = [batch.pop() for _ in range(garbling.BATCH)]
+    batch = garbling.GarbledCircuit(c, make_rng(4), count)
+    assert len(batch) == count
+    lanes = [batch.pop() for _ in range(count)]
     assert not batch
     with pytest.raises(IndexError):
         batch.pop()
-    # every lane has its own offset, labels and tables
+    # every lane has its own offset, labels, tables and decode hashes,
+    # which the batch's decode_hashes holds in the order of pop()
     zeros = [0] * len(c.gen_inputs)
     assert len({(gc.eval_label_pairs()[0, 1] ^
                  gc.eval_label_pairs()[0, 0]).tobytes()
-                for gc in lanes}) == garbling.BATCH
-    assert len({gc.encode(zeros)[0].tobytes()
-                for gc in lanes}) == garbling.BATCH
-    assert len({tables_of(c, gc) for gc in lanes}) == garbling.BATCH
+                for gc in lanes}) == count
+    assert len({gc.encode(zeros)[0].tobytes() for gc in lanes}) == count
+    assert len({tables_of(c, gc) for gc in lanes}) == count
+    assert len({gc.decode_hashes for gc in lanes}) == count
+    assert batch.decode_hashes == b"".join(gc.decode_hashes for gc in lanes)
 
 
 def test_fresh_seeds_give_fresh_labels():
     c = build_comparator(4)
-    gc1 = garbling.GarbledCircuit(c, make_rng(1)).pop()
-    gc2 = garbling.GarbledCircuit(c, make_rng(2)).pop()
+    gc1 = garbling.GarbledCircuit(c, make_rng(1), 1).pop()
+    gc2 = garbling.GarbledCircuit(c, make_rng(2), 1).pop()
     zeros = [0] * len(c.gen_inputs)
     assert not np.array_equal(gc1.encode(zeros)[0], gc2.encode(zeros)[0])
     assert tables_of(c, gc1) != tables_of(c, gc2)
@@ -127,7 +128,7 @@ def test_fresh_seeds_give_fresh_labels():
 
 def test_decode_rejects_corrupted_label():
     c = build_comparator(4)
-    gc = garbling.GarbledCircuit(c, make_rng(9)).pop()
+    gc = garbling.GarbledCircuit(c, make_rng(9), 1).pop()
     out = garbling.evaluate(c, tables_of(c, gc), gc.encode([0] * 4),
                             gc.eval_label_pairs()[:, 0])
     for at in (0, 16):  # bit 120 of each output label
@@ -140,7 +141,7 @@ def test_decode_rejects_corrupted_label():
 def test_wrong_label_fails_decoding():
     # evaluating with a non-chosen input label cannot produce decodable output
     c = build_comparator(4)
-    gc = garbling.GarbledCircuit(c, make_rng(11)).pop()
+    gc = garbling.GarbledCircuit(c, make_rng(11), 1).pop()
     eval_labels = gc.eval_label_pairs()[:, 0].copy()
     # swap one evaluator label for garbage
     eval_labels[0] = 0
@@ -152,7 +153,7 @@ def test_wrong_label_fails_decoding():
 
 def test_payload_roundtrip():
     c = build_comparator(4)
-    gc = garbling.GarbledCircuit(c, make_rng(13)).pop()
+    gc = garbling.GarbledCircuit(c, make_rng(13), 1).pop()
     gen_bits = int_to_bits(9, 4)
     blob = garbling.payload(gc, gen_bits)
     tables, gen_labels = garbling.parse_payload(c, blob)
@@ -169,7 +170,7 @@ def test_payload_roundtrip():
 def test_payload_size_is_input_independent():
     # frame sizes must not depend on the plaintext bits
     c = build_comparator(8)
-    gc = garbling.GarbledCircuit(c, make_rng(15)).pop()
+    gc = garbling.GarbledCircuit(c, make_rng(15), 1).pop()
     a = garbling.payload(gc, int_to_bits(0, 8))
     b = garbling.payload(gc, int_to_bits(255, 8))
     assert len(a) == len(b)
@@ -187,7 +188,7 @@ def test_wide_circuits_match_plain(kind, seed, gen, ev):
     c = WIDE[kind]
     gen_bits = int_to_bits(gen, len(c.gen_inputs))
     eval_bits = int_to_bits(ev, len(c.eval_inputs))
-    gc = garbling.GarbledCircuit(c, make_rng(seed)).pop()
+    gc = garbling.GarbledCircuit(c, make_rng(seed), 1).pop()
     assert garbled_run(c, gc, gen_bits, eval_bits) == \
         eval_plain(c, gen_bits, eval_bits)
 
@@ -209,7 +210,7 @@ def test_payload_length_formula(kind):
 @pytest.mark.parametrize("kind", sorted(WIDE))
 def test_payload_of_wrong_length_rejected(kind):
     c = WIDE[kind]
-    blob = garbling.payload(garbling.GarbledCircuit(c, make_rng(23)).pop(),
+    blob = garbling.payload(garbling.GarbledCircuit(c, make_rng(23), 1).pop(),
                             [1] * len(c.gen_inputs))
     garbling.parse_payload(c, blob)
     for bad in (blob[:-1], blob + b"\0"):
@@ -227,7 +228,7 @@ def test_flipped_ciphertext_in_use_fails_decoding(kind):
     rng = make_rng(25)
     gen_bits = [rng.getrandbits(1) for _ in c.gen_inputs]
     eval_bits = [rng.getrandbits(1) for _ in c.eval_inputs]
-    gc = garbling.GarbledCircuit(c, rng).pop()
+    gc = garbling.GarbledCircuit(c, rng, 1).pop()
     gen_labels = gc.encode(gen_bits)
     eval_labels = chosen(gc.eval_label_pairs(), eval_bits)
     tables, dec = tables_of(c, gc), gc.decode_hashes

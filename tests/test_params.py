@@ -43,6 +43,8 @@ def test_unknown_integrity_scheme_rejected(scheme):
     ({"m": 2}, "m must lie in"),
     ({"l": 64, "k": 65}, "offset wire width"),
     ({"l": 32, "k": 32, "key_bits": 65}, "key too small"),
+    # the owner reads a session's h as m // n, exact only for n >= 8
+    ({"l": 5}, "l must be at least 6"),
 ])
 def test_out_of_range_fields_rejected(fields, match):
     # each of these once passed validate, then made digest() or the

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from oope import garbling, integrity, ope_state, paillier, transport
+from oope import integrity, ope_state, paillier, transport
 from oope.cluster import LocalCluster, build_cluster
 from oope.engine import (BOUND_HIGH, BOUND_LOW, OP_BOUND_HIGH, OP_BOUND_LOW,
                          OP_ENCRYPT, ProtocolParams)
@@ -126,7 +126,7 @@ def test_loopback_and_tcp_identical_under_integrity(scheme):
 
 
 # SHA-256 of each channel's transcript, its sent frames concatenated, in
-# seeded runs of protocol 16: det, fh and Pedersen on a 256-bit key, det
+# seeded runs of protocol 17: det, fh and Pedersen on a 256-bit key, det
 # on a 1024-bit key, whose N^2 of 2048 bits takes encryption through
 # modexp.FixedBase, and det with a session the server aborts in its
 # second round, then two good ones, so the ABORT frames and the OT
@@ -147,87 +147,87 @@ PINNED_CASES = {
 PINNED_DIGESTS = {
     "det": {
         "csp->da":
-            "2b2ebf938d7720f823c2c4fb81cf8c5f3e073b178df2cb214017c879ced56af2",
+            "575952b15147703d8f4a8238ca2a1a935ac3753849cb357b2a2bb89382ece207",
         "csp->do":
-            "cc3f1139c5a4ee09be556445c5ac6d0b515c52c28e2174b727a6f142f9f84612",
+            "4caa4b9ac9373b027ada5b55dbcb352b06670d14dc364c60b848fe1fefdd2c27",
         "da->csp":
-            "b33d5b7d08d43502301c909ecb12121e39d4c8ad8c9fa8c44a3b96b7f99db068",
+            "90c1e22aadcc471b24cdeaefd0535a10f3beaed3ec38abf3a565c6b5fa28db83",
         "da->do":
-            "248ddc4512f6c9a9c3b4d64d9b3c1e00b412c88ee5a601bb5ca60b7d95968faa",
+            "49a6957e00bc69f77be9f72355e430a30028b8fb46f72d12cde17a30efea43cf",
         "do->csp":
-            "cb57cae7c37b71f87f9934a686fd63e0275331dbf22c8f7b46df0443ccf90949",
+            "9080f9936a8ca28830489dd888df62987733dd2aafa2a7f075d63e811923ef8c",
         "do->da":
-            "eac8a0bc572a9af23481f7770b0cdecb8ce83f1265d5a028f93e02199329a725",
+            "6e65dbac7ed53881257602d7cbc40e08a8a07ae605b61ba33378dac8c2558cb0",
     },
     "fh": {
         "csp->da":
-            "81f9b9f0851ffc1e5db7e7d073252a3717979ea555edba0670754d4632a4e0ec",
+            "dda094269f8e1034cc59f9e20b816f69ae5007ccb03a8422e7659c739f20341b",
         "csp->do":
-            "c6f4909a7bc5ac29cb1d4f05189fac7a871390412187ca9478f28d7255cbc3e3",
+            "e895d61d5c7c5af5cef7b082bc8af7f74e791deea512216f145e701aebccf862",
         "da->csp":
-            "b9123e6686ce6248f64a3a54b3aaf519e292e8faeba77996d46c80ef5ff55dc9",
+            "002487bf02f2f967ce47c117738df719748dd8cc282f241834207da8a25e0ba7",
         "da->do":
-            "dea28626c5cccab87b08902e6a1fc816f47cddeedffd4eef0935a8ead399cc63",
+            "6186ce37adbed71f5746134f1785f84185d17f04e73f6fb17218548bd4f5d619",
         "do->csp":
-            "a46a4366dab3b6745999d7c406e7d248ac30d67e47c2b0887cc69c706d33582a",
+            "4f12cdc688655e6be9c302493906dc4d751c610cff7e1d01b7bca81fb757ed44",
         "do->da":
-            "afc24930f5db646c18c3335b93a6aa9301d6f2b4417961f91a6b7e0316b422b1",
+            "58d2c3fc6e671ac1deafb6a0fec1cb7c13fc51322e6c4fb750cc7e38067a6178",
     },
     "pedersen": {
         "csp->da":
-            "f4c708109db36602d0f2915aa8663dfd6a35876e714fdbf5fc6111b4669cacae",
+            "2b36e3cb098221d3d6a667b94f5880e7edfe29397598022df032f5603963497e",
         "csp->do":
-            "632591d969c488fd4da80338c501ad1230d3bc6a024b5dc1f120b21114efdc8e",
+            "c68a435e7b8f29489b14ff7f7a2f7842dbedeb617cd3ee57582e0d2aa3193d4d",
         "da->csp":
-            "a96e4005baebacac346c30bd639eeea0530ae28e360811f4437405c9013eda99",
+            "d98bf5a400830ee67dc370f92b51133fe2b62213377f1b53279e05b99c26b31d",
         "da->do":
-            "34e8c9a148d2b1d9768cf78ad305014d9ec0f96c7c0d1a807b97b6355369dc36",
+            "3afb0307b2704ba9e0e75ab5ff57efaf454ccdf4078e06f19bffc40a072770c4",
         "do->csp":
-            "15faa566d5ced29d919ab8dd5ec711f31d031014de7e5ad7e006f5dbc2b533aa",
+            "029906352bad67328980956e9e58c22fac3c1e71d55f4a5aa0b6c16e7e12ce95",
         "do->da":
-            "d94f8cc5ee339312f3f0afb205ea1818d09de2ba16aa8cebabbf9904c151e724",
+            "948dc78ee084f0d29515c7b95aef11109ee1b5f99675d24f0f7bcaf5aa716616",
     },
     "det-1024": {
         "csp->da":
-            "2944b06c404dabe300ad44c74184278b5b9bbae7b135f80587862f811b4587b6",
+            "8bccae1f7bba5d4d943bdb2e03dffcad06c5d3dfa8bb1908b501448819c9b896",
         "csp->do":
-            "b1cf9c5a2ee476e4989593e7c1f8c0585d0e9e2b751b4a6114a69502747501e2",
+            "a7e9ba9d1a0d44d3f7993c3dabb4bbc3b4929e1e86480811f53d92c87fabdf3b",
         "da->csp":
-            "b11c15c04acf1ecef3b3bd7c419abc371f31524c17777faa06d28a7c28ef514d",
+            "d42ab895b1184359ce842152e7788525fe80960a2a7c8e1333837586a72f3cf7",
         "da->do":
-            "5fbe02f88571bd68fa0c7da612c7d74370bc61e8dcce0da43903ab3f0aba6b34",
+            "58e43ff0e367f7dbfeecad02f3899991483f56478e99aa4f05bad1e6e440ebda",
         "do->csp":
-            "a3b7209cbabdaa23059395e6fa7d488efd47fd4530db5b5875fcb097ffbe9243",
+            "4dc4d939fb3ad5b85f038544abe56b32f463380c3998e64a9c96cd68005bd011",
         "do->da":
-            "7685b95f8ebe3f6b4491c7ec6325ad23aaf6799789a0018dfc4756f172421fba",
+            "3087e46f281acfa00a48acab1cd4bb1c4a047e8e3054167a76afa10117a45ac5",
     },
     "abort": {
         "csp->da":
-            "6eaa1d5f7b360b70c41d9c5570ae885ca3ffdf11e6e98f94bf7f9f882f494be2",
+            "6bce6392f8f8f64b70f9ee2d09842d0926741eb59ca5cb3742d45c340902fde1",
         "csp->do":
-            "70d822d8088712f9aa190f616cd37a72e2c15e4702831c7c20f1178a539d0420",
+            "a192dffda069e6c7279a6f01f6ef2d883536aa6a5017ae5fb8fecbde0c25e5f0",
         "da->csp":
-            "d9e7d18eac86bbd4281b6f96f25c396c35088ca3dbcbe3143744a96bb351e385",
+            "7db682015b4f42b806f170f51bf4c384256e65a7f619bcce0ce589f817c7f622",
         "da->do":
-            "fb624b0d91ea8b832bb9cc8c7698fed0040d4a3d3e01fe6735ce344e420bb9cf",
+            "4e248a7226fb1d123cdef8ab6d45005c01b8a1df327a9e42808a20abcab0a754",
         "do->csp":
-            "8a1ba913aa1ecb6e1542ba899c1d85e0d52b729101fc26ac894358d3c5d6e806",
+            "012bff22a49be8ecf42c4ae24506ba493695d331b1cc1708df2a579490ef369d",
         "do->da":
-            "074accb79517e03ceb54931d3967e173db929f047933112925bb5c7fa41a22fc",
+            "4b485e94c2da3336e27b953c8d01eaa8bbbcba95a132310bce35c6caca6b933d",
     },
     "fh-stop": {
         "csp->da":
-            "bdcc477dcc1a98ee105dbb6406c17a1c6605b0a57156fc69fee4b8c8efc65e19",
+            "c8291b272b526dcb628b356dce5e9964ac8d9b13b7b81fb06f9eb51bbeee0c69",
         "csp->do":
-            "a5bdc6e8dd3c8ddac4ebc9f6e44a09bc0699c4103fde067955305bf6f4f0a03f",
+            "313e1e0cffdbed52e5e75014b0689e1634c03db1f1898f8a5e7ce729eaf40a77",
         "da->csp":
-            "f992c4fbba6e3b0a22c063a46ee5639983ffe04818d0ceb529461a2419bf3f24",
+            "1a56bc20760fc9a654e5f4704409da3a7d1d4819e8073a6b0c1a9219eb66aa3d",
         "da->do":
-            "5c9c232751420ef9a29818fa47f7727d8a5138ff5cf3e54974bf6128c2479489",
+            "783132267897110b21035a68f197935b3fd7fc21e72a003270bc4ef1a6dd6e96",
         "do->csp":
-            "09198e030109af9d021d9f86a49e1d48cf33a6bcee289e8dfea0d8e31d2421e9",
+            "ed76563834609c398da8667d058488faf759861209720cf37277d998cd3207fe",
         "do->da":
-            "42e9b2df6e7d8c72caa18e397fbbafb028ca862d057950d986f5bfa26f43d164",
+            "69561fb8c54b572f7128d677e338ab296352572aa967cb5e0f5372d4ac72066a",
     },
 }
 
@@ -253,10 +253,10 @@ def test_session_frames_have_the_v16_lengths(mode, scheme):
     # the key and MAC group widths and the circuit alone: under Pedersen
     # an offset record is r and r', INTEGRITY_TAG the commitment alone
     # and GC_PAYLOAD opens with the opening; GC_PAYLOAD carries no
-    # decode hashes; the owner's SHARES carries a garbled
-    # batch's, 32 bytes per output of each instance, in the rounds that
-    # refill its pool, and the analyst's SHARES is 16 bytes per output,
-    # the upload behind it in an encrypt's last round
+    # decode hashes; the owner's one SHARES carries those of the
+    # session's h comparators, 32 bytes per output of each, and the
+    # analyst's SHARES is 16 bytes per output, the upload behind it in
+    # an encrypt's last round: 3h + 5 frames, 4h + 5 under Pedersen
     params = ProtocolParams(l=16, k=16, m=(1 << 20) - 3, key_bits=256,
                             mode=mode, integrity=scheme,
                             mac_subgroup_bits=160)
@@ -271,8 +271,6 @@ def test_session_frames_have_the_v16_lengths(mode, scheme):
     outputs = len(circuit.outputs)
     w = paillier.cipher_width(params.key_bits)
     g = (MAC_PARAMS.p.bit_length() + 7) // 8
-    rounds = 0  # rounds run so far: the owner refills every BATCH
-    inside = False  # whether a refill fell after a session's first round
     try:
         for op, x in ((LocalCluster.encrypt, 77), (LocalCluster.encrypt, 77),
                       (bounds_and_encrypt, 300)) + \
@@ -307,22 +305,14 @@ def test_session_frames_have_the_v16_lengths(mode, scheme):
                     else:
                         got.setdefault(f.ftype, []).append(len(f.payload))
                 assert got == want
+                assert len(session) == (3 + pedersen) * h + 5
                 labels = [16 * outputs] * h
                 op_byte, = {f.payload[0] for _, f in session
                             if f.ftype == transport.SESSION_START}
                 if op_byte == OP_ENCRYPT:
                     labels[-1] += 2 * w + g if pedersen else w
-                refills = [r for r in range(rounds, rounds + h)
-                           if r % garbling.BATCH == 0]
-                inside |= any(r > rounds for r in refills)
-                rounds += h
-                want_shares = {"da->csp": labels}
-                if refills:
-                    want_shares["do->csp"] = \
-                        [32 * outputs * garbling.BATCH] * len(refills)
-                assert shares == want_shares
-        # a refill in the first round, and one inside a later session
-        assert inside
+                assert shares == {"da->csp": labels,
+                                  "do->csp": [32 * outputs * h]}
         assert not cluster.errors
     finally:
         cluster.close()

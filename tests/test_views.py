@@ -50,20 +50,18 @@ def role_view(role, mode, scheme, data, op, xbar):
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_a_round_is_three_flights(mode, scheme):
     # node, garbled circuit with the OT reply, the analyst's SHARES: the
-    # first round adds the offsets and the session's OT batch, which
-    # holds every round's choices, the session adds SESSION_START and
-    # ORDER_RESULT, its last frame, and a round that refills the owner's
-    # garbled pool adds the owner's SHARES: 3h + 4 frames, plus one per
-    # refill.  Pedersen adds one frame per round, the node's commitment
-    # in INTEGRITY_TAG, since its opening rides in GC_PAYLOAD.  Twelve
-    # sessions of five rounds or more cross a batch boundary inside a
-    # session
+    # first round adds the offsets, the session's OT batch, which holds
+    # every round's choices, and the owner's SHARES of the decode hashes
+    # of the session's h comparators, the first frame it sends; the
+    # session adds SESSION_START and ORDER_RESULT, its last frame: 3h + 5
+    # frames.  Pedersen adds one frame per round, the node's commitment
+    # in INTEGRITY_TAG, since its opening rides in GC_PAYLOAD: 4h + 5
     data = list(range(100, 2100, 100))
     pedersen = scheme == integrity.SCHEME_PEDERSEN
     with views.tap() as tap:
         cluster, ctx = build(mode, scheme, data)
         oracle = Mope2Oracle(cluster.da.params.m).load(data)
-        rounds, inside = 0, False
+        outputs = len(cluster.da.circuit.outputs)
         try:
             for op, xbar in (("encrypt", 1050), ("bound-low", 1050),
                              ("bound-high", 1050), ("encrypt", 700)) * 3:
@@ -78,23 +76,22 @@ def test_a_round_is_three_flights(mode, scheme):
                 assert last == tap.stamp(transport.ORDER_RESULT, sid)
                 flights = last - tap.stamp(transport.SESSION_START, sid)
                 assert flights <= 3 * h + 3, (op, h, flights)
-                counts = Counter(f.ftype for f in tap.session_frames(sid))
-                # one extension batch per session, and no OT frame after
-                assert counts.pop(transport.OT_MSG) == 1
+                frames = tap.session_frames(sid)
+                assert len(frames) == (3 + pedersen) * h + 5
                 per_round = [transport.RANDOMIZED_NODE, transport.GC_PAYLOAD,
                              transport.SHARES]
                 if pedersen:
                     per_round.append(transport.INTEGRITY_TAG)
-                refills = [r for r in range(rounds, rounds + h)
-                           if r % garbling.BATCH == 0]
-                inside |= any(r > rounds for r in refills)
-                rounds += h
-                want = Counter(per_round * h + [transport.SHARES] *
-                               len(refills) + [
-                    transport.SESSION_START, transport.RANDOM_OFFSET,
-                    transport.ORDER_RESULT])
-                assert counts == want
-            assert rounds > garbling.BATCH and inside
+                # one extension batch per session, and no OT frame after
+                assert Counter(f.ftype for f in frames) == Counter(
+                    per_round * h + [transport.SHARES, transport.OT_MSG,
+                                     transport.SESSION_START,
+                                     transport.RANDOM_OFFSET,
+                                     transport.ORDER_RESULT])
+                owner = [(f.ftype, len(f.payload))
+                         for f in tap.session_frames(sid, "do")]
+                assert owner[0] == (transport.SHARES, 32 * outputs * h)
+                assert [t for t, _ in owner].count(transport.SHARES) == 1
             assert not cluster.errors
         finally:
             cluster.close()
@@ -167,17 +164,19 @@ def stop_tails(mode, data, queries):
     head.  Each encrypt's insert is cleaned up again."""
     cluster, ctx = build(mode, integrity.SCHEME_OFF, data)
     table = ctx["table"]
-    real = cluster.csp._shares
+    real = garbling.decode
     tails = defaultdict(set)
     try:
         for xbar in queries:
             n, bits = len(table), []
-            cluster.csp._shares = lambda *args: bits.append(real(*args)) \
-                or bits[-1]
-            cluster.da.encrypt(xbar)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(garbling, "decode", lambda *args: bits.append(
+                    real(*args)) or bits[-1])
+                cluster.da.encrypt(xbar)
             cluster.da.cleanup()
             assert len(table) == n
-            bits = [b for b, _ in bits]  # without the upload's fields
+            # fh's one bit is its traversal bit, with b_e = 1
+            bits = [b if len(b) == 2 else (1, *b) for b in bits]
             stop = stop_round(n, bits) + 1
             tails[tuple(bits[:stop])].add(tuple(bits[stop:]))
         assert not cluster.errors

@@ -28,6 +28,7 @@ class Tap:
     def __init__(self):
         self.views = defaultdict(list)   # role -> [(peer, dir, type, len)]
         self.sent = []                   # (frame, stamp) in send order
+        self._senders = []               # the sending role of each
         self._depth = defaultdict(int)   # role -> depth
         self._links = defaultdict(deque)  # sender's end name -> (frame, stamp)
 
@@ -36,13 +37,17 @@ class Tap:
         return [s for f, s in self.sent
                 if f.ftype == ftype and f.session_id == sid][-1]
 
-    def session_frames(self, sid) -> list:
-        return [f for f, _ in self.sent if f.session_id == sid]
+    def session_frames(self, sid, sender=None) -> list:
+        """Session sid's frames in send order, with sender only those
+        that role sent."""
+        return [f for (f, _), role in zip(self.sent, self._senders)
+                if f.session_id == sid and sender in (None, role)]
 
     def _on_send(self, channel, frame):
         role, peer = channel.name.split("->")
         stamp = self._depth[role] + 1
         self.sent.append((frame, stamp))
+        self._senders.append(role)
         # queued before the frame leaves, so its receiver finds it
         self._links[channel.name].append((frame, stamp))
         self.views[role].append((peer, "send", frame.ftype,
