@@ -9,7 +9,6 @@ Analyst-inserted table entries are tagged by session and can be swept
 out again without touching the rows.
 """
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -116,18 +115,13 @@ def cleanup_da_entries(tables, session_ids=None):
     return how many went; database rows are untouched.
 
     session_ids None removes every tagged entry.  A session's entry goes
-    once however often its id is named, and an id that no table holds
-    is a warning, not an error.
+    once however often its id is named.
     """
-    wanted = None if session_ids is None else dict.fromkeys(session_ids)
-    removed, seen = 0, set()
+    wanted = None if session_ids is None else set(session_ids)
+    removed = 0
     for table in tables:
         for e in table.entries():
             if e.tag is not None and (wanted is None or e.tag in wanted):
                 table.remove(e.order)
                 removed += 1
-                seen.add(e.tag)
-    for sid in wanted or ():
-        if sid not in seen:
-            warnings.warn(f"no analyst entry for session {sid.hex()}")
     return removed

@@ -37,14 +37,16 @@ coin every round.  The analyst learns only the order, and the
 owner nothing about the query.
 
 A round is three one-way flights and three frames: the node
-(RANDOMIZED_NODE), the garbled circuit with the OT reply behind it
+(RANDOMIZED_NODE), the owner's input labels for its comparator
 (GC_PAYLOAD) and the analyst's SHARES; Pedersen adds the node's
 commitment (INTEGRITY_TAG) beside the node, and its opening rides at the
-head of GC_PAYLOAD, so four frames.  Round 1 adds the owner's SHARES of
-the session's decode hashes, the first frame the owner sends in the
-session, beside GC_PAYLOAD.  An encrypt's upload rides behind the
-output labels of its last round's SHARES, and the server sends
-ORDER_RESULT, which ends every session, after its commit point.
+head of GC_PAYLOAD, so four frames.  Round 1's GC_PAYLOAD also carries
+the garbled tables of all the session's comparators and the whole OT
+reply, and round 1 adds the owner's SHARES of the session's decode
+hashes, the first frame the owner sends in the session, beside it.  An
+encrypt's upload rides behind the output labels of its last round's
+SHARES, and the server sends ORDER_RESULT, which ends every session,
+after its commit point.
 Nothing binds the upload to the value the session searched for: an
 analyst can upload Enc(y) for a y other than its xbar, which the
 paper's passive model leaves out of scope.  The analyst's OT choices
@@ -63,10 +65,13 @@ node.  m shows the owner h = m // n, exact since n >= 8
 (ProtocolParams.validate), as the round count does anyway, and the
 owner garbles the session's h comparators in one pass (garbling),
 before it knows the later rounds' nodes: garbled tables do not depend
-on its input, only the labels chosen for its bits do.  Each round
-takes the next comparator, and its reply spends the batch's next n OTs
-at both ends.  The server reads exactly h comparators' decode hashes,
-so an analyst whose m names another h aborts the session in round 1.
+on its input, only the labels chosen for its bits do.  Nor does the OT
+reply, so round 1 sends every comparator's tables and the reply of all
+h·n OTs, which spends the batch at both ends, and round i evaluates
+comparator i under the owner's labels of that round.  The server reads
+exactly h comparators' decode hashes and the analyst exactly h
+comparators' tables, so an m that names another h aborts the session
+in round 1.
 A table holds at most M - 1 orders, so h <= M.bit_length(): the
 analyst refuses more offsets and the owner a larger batch, as it does
 a batch index not above the last it took.  A session is 3h + 5 frames
@@ -83,10 +88,12 @@ at the analyst, at HELLO; the server also matches the owner's key.
 
 Session state lives with its session.  The server keeps a session's
 offsets and decode hashes in locals of run_session, the analyst its
-offsets and batch in locals of _session, and the owner its session id,
-batch and garbled comparators in locals of its serve loop, which the
-next session's first node resets, so an OT_MSG the owner never read is
-stale by then, and an aborted session's comparators are dropped unsent.
+offsets, batch and round 1's tables and labels in locals of _session,
+and the owner its session id, garbled comparators and round index in
+locals of its serve loop, which the next session's first node resets.
+Round 1 spends the owner's OT batch whole, an OT_MSG the owner never
+read is stale by the next session, and an aborted session's owner
+labels are dropped unsent.
 Only the server's next Enc(0)s, which hold no offset, and each OT end's
 base OT and last batch index outlive a session.
 
@@ -103,8 +110,10 @@ with the coin and stick.
   OT_MSG           batch index u32 | u matrix, 16·m bytes
   RANDOMIZED_NODE  Enc(x + r), w bytes [| Enc(a + r'), w bytes]
   INTEGRITY_TAG    commitment, g bytes
-  GC_PAYLOAD       [opening, g bytes |] garbling.payload |
-                   OT reply, 32·n bytes
+  GC_PAYLOAD       [opening, g bytes |] the round's owner labels,
+                   garbling.payload, 16 bytes per owner input; in round
+                   1 behind them: the h comparators' tables,
+                   GarbledCircuit.tables | OT reply, 32·n bytes each
   SHARES           the owner's, in round 1: the decode hashes of the
                    session's h comparators, 32·o bytes each
                    the analyst's: output labels, 16·o bytes, and in an
@@ -115,23 +124,25 @@ with the coin and stick.
 
 The types in transport.RESERVED, INTEGRITY_PROOF among them, keep their
 numbers and are never sent.  At the paper profile (2048-bit key,
-l = k = 32) a det round's payloads are 4992 bytes: the node (512),
-GC_PAYLOAD (3840: 69 AND gates at 32 bytes, 34 owner labels at 16, the
-OT reply's 34 pairs at 32), the analyst's SHARES (32), the round's
-comparator's decode hashes in the owner's SHARES (64) and the round's
-34 rows of the OT_MSG (544); framing adds 21 bytes per frame, three
-per round and five per session.
+l = k = 32) a steady det round's payloads are 1088 bytes: the node
+(512), GC_PAYLOAD (544: 34 owner labels at 16) and the analyst's
+SHARES (32).  Round 1 sends those and, for each of the session's h
+comparators, 3904 bytes more: its tables in GC_PAYLOAD (2208: 69 AND
+gates at 32), its part of the OT reply there (1088: 34 pairs at 32),
+its decode hashes in the owner's SHARES (64) and its 34 rows of the
+OT_MSG (544).  So a session's payloads come to 4992 bytes per round,
+and framing adds 21 bytes per frame, three per round and five per
+session.
 
 The commitment ends the upload, and so its SHARES, because the server
 does not know g; the analyst checks its width when the node's
 INTEGRITY_TAG comes back.
 The server parses a node tag once, as the upload arrives, and stores it
 parsed.  One exact-length reader (_fields) cuts each session frame,
-RANDOM_OFFSET's records included, so a frame of any other length aborts
-its session instead of reaching the table or a decryption.  A frame has
-at most one field of no fixed width, which its user checks: the
-garbled circuit in GC_PAYLOAD (garbling.parse_payload) or the upload's
-commitment.
+RANDOM_OFFSET's records and GC_PAYLOAD's h comparators included, so a
+frame of any other length aborts its session instead of reaching the
+table, a decryption or an evaluation.  Only the upload's commitment
+has no fixed width there.
 
 No exponentiation waits on a peer where it need not.  Encryptions use
 short exponents (paillier): each raises the key's fixed h^N to a
@@ -182,10 +193,11 @@ rebalanced and, from the stall's length, roughly the table's size.
 
 Garbled labels are numpy uint8 rows of 16 bytes between the wire and
 the gate loops, and 128-bit ints only inside those loops (garbling).
-The owner hands its OT sender an instance's label pairs as rows, and
-the analyst gets rows back from its OT receiver and from the payload,
-which garbling.evaluate turns into ints.  Gates and IKNP rows hash with
-fixed-key AES through libcrypto (garbling, ot).
+The owner hands its OT sender every comparator's label pairs as rows,
+and the analyst gets rows back from its OT receiver and the owner's
+labels as payload bytes, which garbling.evaluate turns into ints.
+Gates and IKNP rows hash with fixed-key AES through libcrypto
+(garbling, ot).
 
 In frequency-hiding mode the circuit emits a single traversal bit that
 hides equality behind a coin (comparator.build_fh_comparator), and
@@ -760,11 +772,10 @@ class DoEngine:
     def serve(self):
         """Serve the server's blinded nodes until its channel closes; the
         wait for the next one has no time limit.  A node under a new
-        session id starts that session, whose OT batch and garbled
-        comparators round 1 makes; no frame ends one.  The server's
-        aborts are passed on to the analyst, which waits on this engine
-        alone between rounds."""
-        sid, batch, garbled = NULL_SESSION, None, None
+        session id starts that session, whose garbled comparators round 1
+        makes; no frame ends one.  The server's aborts are passed on to
+        the analyst, which waits on this engine alone between rounds."""
+        sid, garbled, rnd = NULL_SESSION, None, 0
         while True:
             try:
                 frame = self.csp_ch.recv(RANDOMIZED_NODE, idle=True)
@@ -778,9 +789,9 @@ class DoEngine:
                     return
                 continue
             if frame.session_id != sid:
-                sid, batch, garbled = frame.session_id, None, None
+                sid, garbled, rnd = frame.session_id, None, 0
             try:
-                batch, garbled = self._round(frame, batch, garbled)
+                garbled = self._round(frame, garbled, rnd)
             except OopeError as e:
                 # a frame this engine cannot use aborts its session, and
                 # a peer's abort goes on to the other; a dead channel
@@ -788,11 +799,11 @@ class DoEngine:
                 if self.csp_ch.poisoned or self.da_ch.poisoned:
                     return
                 _abort(e, sid, ROLE_DO, self.csp_ch, self.da_ch)
+            rnd += 1
 
-    def _round(self, frame, batch, garbled):
-        """Serve one node of the session whose OT batch and garbled
-        comparators are batch and garbled, both None before round 1
-        makes them; returns both."""
+    def _round(self, frame, garbled, rnd):
+        """Serve node rnd of the session whose garbled comparators are
+        garbled, None before round 1 makes them; returns them."""
         sid = frame.session_id
         p = self.params
         pedersen = p.integrity == integrity.SCHEME_PEDERSEN
@@ -819,27 +830,30 @@ class DoEngine:
         gen_bits = int_to_bits(v, p.width)
         if p.mode == MODE_FH:
             gen_bits.append(self.rng.getrandbits(1))  # r_x, the owner's coin
-        if batch is None:
+        n = len(self.circuit.eval_inputs)
+        rest = b""
+        if garbled is None:
             # round 1 reads the session's extension batch only now, and
             # garbles a comparator per round, h = m // n of them (exact,
-            # as n >= 8), whose decode hashes go to the server first
-            n = len(self.circuit.eval_inputs)
-            batch = self.ot_sender.extend(
+            # as n >= 8), whose decode hashes go to the server first; its
+            # GC_PAYLOAD carries every comparator's tables and the reply
+            # of all h·n OTs, which spends the batch
+            pads = self.ot_sender.extend(
                 self.da_ch.recv(OT_MSG, session=sid).payload,
                 p.m.bit_length() * n)
-            if len(batch) < n:
+            if len(pads) < n:
                 raise ProtocolError("OT extension batch too small for a round")
             garbled = garbling.GarbledCircuit(self.circuit, self.rng,
-                                              len(batch) // n)
+                                              len(pads) // n)
             self.csp_ch.send(Frame(SHARES, sid, garbled.decode_hashes))
-        if not garbled:
+            rest = garbled.tables + self.ot_sender.send_pairs(
+                pads, garbled.eval_pairs)
+        if rnd >= len(garbled.eval_pairs) // n:
             raise ProtocolError("session's garbled comparators used up")
-        gc = garbled.pop()
-        # the Pedersen opening, the garbled circuit, the OT reply
-        self.da_ch.send(Frame(
-            GC_PAYLOAD, sid, opening + garbling.payload(gc, gen_bits) +
-            self.ot_sender.send_pairs(batch, gc.eval_label_pairs())))
-        return batch, garbled
+        # the Pedersen opening, the round's owner labels[, the rest]
+        self.da_ch.send(Frame(GC_PAYLOAD, sid, opening + garbling.payload(
+            garbled, rnd, gen_bits) + rest))
+        return garbled
 
 
 # ---------------------------------------------------------------------------
@@ -855,6 +869,11 @@ class DaEngine:
         self.rng = rng or make_rng()
         self.ot_group = ot_group
         self.circuit = params.build_circuit()
+        # a comparator's owner labels and its tables in GC_PAYLOAD
+        self._labels_width = garbling.LABEL_BYTES * len(
+            self.circuit.gen_inputs)
+        self._tables_width = 2 * garbling.LABEL_BYTES * len(
+            self.circuit.nonfree_gates())
 
     def attach(self, csp_ch, do_ch):
         self.csp_ch, self.da_do_ch = csp_ch, do_ch
@@ -917,8 +936,11 @@ class DaEngine:
             tails = [b""] * len(records)
             if op == OP_ENCRYPT:
                 tails[-1] = self._cipher_upload(xbar)
-            for record, tail in zip(records, tails):
-                self._round(sid, batch, record, tail)
+            # round 1 brings every comparator's tables and the labels of
+            # every round's choices
+            garbled = None
+            for rnd, tail in enumerate(tails):
+                garbled = self._round(sid, records, rnd, tail, batch, garbled)
             (ybar,), = _read_offsets(
                 self.csp_ch.recv(ORDER_RESULT, session=sid), (p.m + 1,), 1)
             return ybar
@@ -941,28 +963,37 @@ class DaEngine:
                 [op - OP_BOUND_LOW, 1]
         return bits
 
-    def _round(self, sid, batch, record, tail):
-        """The round blinded by record, (r[, r']), whose OT choices batch
-        holds; tail follows the output labels in its SHARES.  Under
-        Pedersen the node's opening is checked against its commitment
-        before anything is evaluated."""
+    def _round(self, sid, records, rnd, tail, batch, garbled):
+        """Round rnd of the session blinded by records, (r[, r']) each,
+        whose OT choices batch holds; tail follows the output labels in
+        its SHARES.  garbled is every comparator's tables and the labels
+        of all h·n analyst inputs, which round 1's GC_PAYLOAD brings, None
+        before; returns it.  Under Pedersen the node's opening is checked
+        against its commitment before anything is evaluated."""
         commit = _fields(self.csp_ch.recv(INTEGRITY_TAG, session=sid),
                          *self._opening) if self._opening else ()
-        # [the opening,] the garbled circuit, the OT reply, one label
-        # pair per input
-        n = len(self.circuit.eval_inputs)
-        *opening, payload, reply = _fields(
+        # [the opening,] the owner's labels, and in round 1 alone the h
+        # comparators' tables and the OT reply, a label pair per input
+        h, n, width = len(records), len(self.circuit.eval_inputs), \
+            self._tables_width
+        first = rnd == 0
+        *opening, gen_labels, tables, reply = _fields(
             self.da_do_ch.recv(GC_PAYLOAD, session=sid), *self._opening,
-            None, 2 * garbling.LABEL_BYTES * n)
-        tables, gen_labels = garbling.parse_payload(self.circuit, payload)
+            self._labels_width, first * h * width,
+            first * h * 2 * garbling.LABEL_BYTES * n)
         if opening and not integrity.ped_verify(
-                int.from_bytes(commit[0], "big"), *record,
+                int.from_bytes(commit[0], "big"), *records[rnd],
                 int.from_bytes(opening[0], "big"), self.mac_params):
             raise IntegrityError("node authentication failed")
-        eval_labels = self.ot_receiver.receive_pairs(batch, reply, n)
+        if first:
+            garbled = tables, self.ot_receiver.receive_pairs(batch, reply,
+                                                             h * n)
+        tables, eval_labels = garbled
         # the output labels, which only the server can decode
         self.csp_ch.send(Frame(SHARES, sid, garbling.evaluate(
-            self.circuit, tables, gen_labels, eval_labels) + tail))
+            self.circuit, tables[rnd * width:(rnd + 1) * width], gen_labels,
+            eval_labels[rnd * n:(rnd + 1) * n]) + tail))
+        return garbled
 
     def _cipher_upload(self, xbar):
         """The upload: Enc(xbar), then under Pedersen Enc(a) and the

@@ -4,13 +4,13 @@ any number of instances garbled at once under a fixed-key AES hash.
 Inside the gate loops of GarbledCircuit and evaluate, labels are
 128-bit Python ints, so XORing two labels is one native operation.
 Everywhere else they are numpy uint8 rows of 16 bytes, each row the
-label's big-endian bytes as GC_PAYLOAD and the OT reply carry it: an
-instance's generator labels (encode), its evaluator label pairs
-(eval_label_pairs, an (n, 2, 16) array for the OT), the generator
-labels parse_payload reads and the evaluator labels the OT delivers.
-evaluate returns the output labels as the bytes the analyst sends.  A
-GarbledCircuit cuts each lane's rows, its garbled tables and its decode
-hashes out of the batch-wide ints once per batch.
+label's big-endian bytes as GC_PAYLOAD and the OT reply carry it: a
+lane's generator labels (encode), every lane's evaluator label pairs
+(eval_pairs, an (lanes·n, 2, 16) array for the OT) and the evaluator
+labels the OT delivers; evaluate reads the generator labels as payload
+bytes and returns the output labels as the bytes the analyst sends.  A
+GarbledCircuit cuts the lanes' rows, garbled tables and decode hashes
+out of the batch-wide ints once per batch.
 
 The generator draws a global offset Δ with its low bit set, so every
 wire's one-label is its zero-label XOR Δ and a label's low bit is its
@@ -64,9 +64,9 @@ schedule for its one instance, one pair of AES calls per level.  Each
 level's tweaks are packed into bytes once per circuit and lane count
 (circuit.hash_tweaks), one lane wide for the evaluator and a batch's
 lanes wide for the generator, which hashes a level's zero-labels and
-then its one-labels under the tweaks twice over.  pop() hands each
-instance out once; the owner garbles one batch per session, a lane per
-round (engine).
+then its one-labels under the tweaks twice over.  The owner garbles
+one batch per session, a lane per round, and sends every lane's tables
+in round 1 (engine).
 
 The evaluator reads the tables as the payload's bytes and converts a
 ciphertext to an int only where a permute bit selects it: T_G of gate j
@@ -86,20 +86,19 @@ honest evaluation's.
 The AES calls go through the libcrypto that hashlib loads (aes); a
 Python without OpenSSL cannot garble or evaluate.
 
-Wire format (the GC_PAYLOAD frame), big-endian:
+Wire format (in GC_PAYLOAD), big-endian:
 
-  T_G || T_E per AND gate, 32 bytes each
-  one 16-byte label per generator input
+  a lane's labels (payload): one 16-byte label per generator input
+  every lane's tables (tables): T_G || T_E per AND gate, 32 bytes each
 
-so a payload is exactly 32·tables + 16·labels bytes long, whatever the
-input bits.  An instance's decode hashes travel apart from it, as
+so a lane's labels are exactly 16·labels bytes long, whatever the input
+bits, and its tables 32·gates.  The decode hashes travel apart, as
 SHA-256("out" || zero-label)[:16] || the same of the one-label, 32
-bytes per output (GarbledInstance.decode_hashes), a whole batch's at
-once (GarbledCircuit.decode_hashes), and the output labels as 16 bytes
-each.  Nothing names the circuit: every end builds it from
-the parameters whose digest HELLO checked.
+bytes per output of each lane, lane by lane (decode_hashes), and the
+output labels as 16 bytes each.  Nothing names the circuit: every end
+builds it from the parameters whose digest HELLO checked.
 
-Correctness contract: decode(d, evaluate(F, T, encode(x), labels of
+Correctness contract: decode(d, evaluate(F, T, payload of x, labels of
 y)) equals the gate-by-gate evaluation of the circuit on (x, y) for
 every input (eval_plain in tests/oracles.py), in every lane of a
 batch, checked exhaustively in the tests for small widths.
@@ -111,7 +110,7 @@ import numpy as np
 
 from . import aes
 from .comparator import ONE, BooleanCircuit
-from .errors import IntegrityError, ProtocolError
+from .errors import IntegrityError
 
 LABEL_BYTES = 16
 _LABEL_BITS = 8 * LABEL_BYTES
@@ -146,9 +145,11 @@ def _split(blob: bytes, width: int) -> list:
 
 class GarbledCircuit:
     """`lanes` garbled instances of one circuit, garbled in one pass
-    (module docstring); pop() hands each out once, as a GarbledInstance,
-    and decode_hashes holds every instance's decode hashes in that
-    order."""
+    (module docstring).  tables holds every lane's T_G || T_E of each
+    AND gate, eval_pairs every lane's (zero-label, one-label) rows per
+    evaluator input wire, an (lanes·n, 2, 16) array for the OT, and
+    decode_hashes every lane's decode hashes of each output, all lane by
+    lane; encode(lane, bits) gives a lane's generator labels."""
 
     def __init__(self, circuit: BooleanCircuit, rng, lanes: int):
         width = lanes * LABEL_BYTES  # the bytes of a batch-wide int
@@ -192,57 +193,22 @@ class GarbledCircuit:
         gen0, eval0, out0 = (_lanes([label0[w] for w in ws], lanes)
                              for ws in (circuit.gen_inputs,
                                         circuit.eval_inputs, circuit.outputs))
-        eval_pairs = np.stack((eval0, eval0 ^ deltas[:, None]), axis=2)
-        # per lane: T_G || T_E of each gate, and apart from them the
-        # decode hashes of each output's zero-label and one-label
+        self.tables = np.frombuffer(tables, dtype=np.uint8).reshape(
+            -1, lanes, LABEL_BYTES).swapaxes(0, 1).tobytes()
+        self.eval_pairs = np.stack((eval0, eval0 ^ deltas[:, None]),
+                                   axis=2).reshape(-1, 2, LABEL_BYTES)
         outs = np.stack((out0, out0 ^ deltas[:, None]), axis=2).tobytes()
-        hashes = b"".join([_decode_hash(outs[i:i + LABEL_BYTES])
-                           for i in range(0, len(outs), LABEL_BYTES)])
-        # every instance's decode hashes, in the order pop() hands the
-        # instances out, for the server in one frame
-        self.decode_hashes = hashes
-        lane_hashes = len(hashes) // lanes
-        grid = np.frombuffer(tables, dtype=np.uint8).reshape(
-            -1, lanes, LABEL_BYTES).swapaxes(0, 1)
-        self._instances = [
-            GarbledInstance(grid[i].tobytes(),
-                            hashes[i * lane_hashes:(i + 1) * lane_hashes],
-                            gen0[i], eval_pairs[i], deltas[i])
-            for i in reversed(range(lanes))]
+        self.decode_hashes = b"".join([_decode_hash(outs[i:i + LABEL_BYTES])
+                                       for i in range(0, len(outs),
+                                                      LABEL_BYTES)])
+        self._gen0 = gen0  # (lanes, len(gen_inputs), 16)
+        self._deltas = deltas  # (lanes, 16)
 
-    def __len__(self):
-        return len(self._instances)
-
-    def pop(self) -> "GarbledInstance":
-        """The next instance, which leaves the batch; IndexError once
-        all are taken."""
-        return self._instances.pop()
-
-
-class GarbledInstance:
-    """One lane of a GarbledCircuit: `prefix` is its GC_PAYLOAD up to the
-    generator labels, T_G || T_E of each AND gate, and `decode_hashes`
-    the decode hashes of each output, which go to the server alone, in
-    the batch's; its generator zero-labels, evaluator label pairs and Δ
-    are 16-byte rows."""
-
-    def __init__(self, prefix, decode_hashes, gen0, eval_pairs, delta):
-        self.prefix = prefix
-        self.decode_hashes = decode_hashes
-        self._gen0 = gen0  # (len(gen_inputs), 16)
-        self._eval_pairs = eval_pairs  # (len(eval_inputs), 2, 16)
-        self._delta = delta  # (16,)
-
-    def encode(self, bits):
-        """The label rows of the generator's own input bits, one per wire
-        of circuit.gen_inputs."""
-        return self._gen0 ^ (np.asarray(bits, dtype=np.uint8)[:, None] *
-                             self._delta)
-
-    def eval_label_pairs(self):
-        """(zero-label, one-label) rows per evaluator input wire, an
-        (n, 2, 16) array for the OT."""
-        return self._eval_pairs
+    def encode(self, lane, bits):
+        """The label rows of lane's generator input bits, one per wire of
+        circuit.gen_inputs."""
+        return self._gen0[lane] ^ (np.asarray(bits, dtype=np.uint8)[:, None] *
+                                   self._deltas[lane])
 
 
 def evaluate(circuit: BooleanCircuit, tables: bytes, gen_labels,
@@ -251,14 +217,15 @@ def evaluate(circuit: BooleanCircuit, tables: bytes, gen_labels,
     GC_PAYLOAD carries them; returns the output labels, 16 bytes per
     wire of circuit.outputs.
 
-    gen_labels and eval_labels are uint8 arrays of one 16-byte row per
-    wire of circuit.gen_inputs and circuit.eval_inputs, in that order.
-    A ciphertext is read only where a permute bit selects it.
+    gen_labels are the bytes of a lane's payload, a 16-byte label per
+    wire of circuit.gen_inputs, and eval_labels a uint8 array of one
+    16-byte row per wire of circuit.eval_inputs.  A ciphertext is read
+    only where a permute bit selects it.
     """
     labels = [0] * circuit.n_wires  # ONE's included (module docstring)
-    # each row's two 64-bit halves, high then low
-    halves = iter(np.concatenate((gen_labels, eval_labels)).view(
-        ">u8").ravel().tolist())
+    # each label's two 64-bit halves, high then low
+    halves = iter(np.frombuffer(gen_labels + eval_labels.tobytes(),
+                                dtype=">u8").tolist())
     for w, hi, lo in zip(circuit.gen_inputs + circuit.eval_inputs, halves,
                          halves):
         labels[w] = hi << 64 | lo
@@ -309,21 +276,7 @@ def decode(hashes: bytes, labels: bytes) -> tuple:
 
 # --- wire format (module docstring) -----------------------------------------
 
-def payload(gc: GarbledInstance, gen_bits) -> bytes:
-    return gc.prefix + gc.encode(gen_bits).tobytes()
-
-
-def parse_payload(circuit: BooleanCircuit, buf: bytes):
-    """Returns (tables, generator label rows in gen_inputs order), tables
-    being the payload's T_G || T_E bytes, for evaluate; a payload of any
-    length but the circuit's is a ProtocolError."""
-    # the AND gates, counted from the cached schedule
-    labels_at = 2 * LABEL_BYTES * sum(len(nonfree)
-                                      for _, nonfree in circuit.schedule)
-    expected = labels_at + LABEL_BYTES * len(circuit.gen_inputs)
-    if len(buf) != expected:
-        raise ProtocolError(f"garbled payload of {len(buf)} bytes, "
-                            f"expected {expected}")
-    labels = np.frombuffer(buf, dtype=np.uint8, offset=labels_at).reshape(
-        -1, LABEL_BYTES)
-    return buf[:labels_at], labels
+def payload(garbled: GarbledCircuit, lane: int, gen_bits) -> bytes:
+    """The generator labels of gen_bits in lane, as GC_PAYLOAD carries
+    them."""
+    return garbled.encode(lane, gen_bits).tobytes()

@@ -52,8 +52,8 @@ Labels and the extension's one-time pads are numpy uint8 rows of 16
 bytes, each row the big-endian bytes it has on the wire, so nothing
 here turns a label into an int.  Each extension batch runs the column
 step t XOR (u AND s), the row step q XOR s and the hashing as single
-numpy operations over the whole matrix, and each transfer is one XOR
-or one gather over its rows.
+numpy operations over the whole matrix, and its transfer is one XOR at
+the sender and one gather at the receiver.
 
 A batch is a value that serves one session of the caller's; neither end
 keeps anything of it but its index.  The receiver knows every choice of
@@ -68,12 +68,12 @@ and the sender refuses one not above the last it took, so no tweak
 repeats under s.  Only base OT (`setup`) runs over send/recv callables;
 the caller carries every other message.
 
-A transfer spends the batch's next n OTs at both ends.  The sender's
-`send_pairs(batch, pairs)` returns the reply, the (n, 2, 16) rows of
-(zero-label, one-label) pairs XOR their pad pairs, as bytes; a batch
-with too few OTs left, as when the receiver sent one too small, is a
-ProtocolError.  The receiver's `receive_pairs(batch, reply, n)` returns
-the chosen labels as an (n, 16) array.
+One transfer serves a whole batch.  The sender's `send_pairs(pads,
+pairs)` returns the reply, the (n, 2, 16) rows of (zero-label,
+one-label) pairs XOR the first n pad pairs, as bytes; more pairs than
+pads, as when the receiver sent too small a batch, is a ProtocolError.
+The receiver's `receive_pairs(batch, reply, n)` returns the labels of
+its first n choices as an (n, 16) array.
 
 The choices and s are bit vectors in the order of wire.pack_bits,
 least significant bit first, and the bit matrices are transposed in
@@ -243,28 +243,9 @@ def _transpose_bits(cols):
                        bitorder="little")
 
 
-class _Batch:
-    """One session's extension batch at one end: arrays whose row j
-    belongs to OT j, spent in order by take."""
-
-    def __init__(self, *arrays):
-        self._arrays = arrays
-        self._spent = 0
-
-    def __len__(self):
-        """m, the batch's OTs, spent or not."""
-        return len(self._arrays[0])
-
-    def take(self, n) -> list:
-        """Spends the next n OTs, or all left if fewer: their rows."""
-        self._spent += n
-        return [a[self._spent - n:self._spent] for a in self._arrays]
-
-
 class OtExtSender:
     """Holds label pairs; the peer picks one of each without revealing
-    which.  Per session: extend, then per transfer send_pairs (module
-    docstring)."""
+    which.  Per session: extend, then send_pairs (module docstring)."""
 
     def __init__(self, rng=None, group=GROUP_DEFAULT):
         self._rng = rng or make_rng()
@@ -281,11 +262,11 @@ class OtExtSender:
         self._s_row = np.frombuffer(pack_bits(s_bits), dtype=np.uint8)
         self._seeds = base_ot_recv(send, recv, s_bits, self._group, self._rng)
 
-    def extend(self, blob, most) -> _Batch:
-        """The batch of the receiver's blob, its u32 index then KAPPA
-        columns of m/8 bytes.  An index not above the last one taken, or m
-        above most rounded up to whole bytes, is a ProtocolError; the
-        index rule keeps row tweaks unique under s."""
+    def extend(self, blob, most):
+        """The (m, 2, 16) pad pairs of the receiver's blob, its u32 index
+        then KAPPA columns of m/8 bytes.  An index not above the last one
+        taken, or m above most rounded up to whole bytes, is a
+        ProtocolError; the index rule keeps row tweaks unique under s."""
         row_bytes, rest = divmod(len(blob) - 4, KAPPA)
         if not 0 < row_bytes <= (most + 7) // 8 or rest:
             raise ProtocolError("OT extension matrix has wrong size")
@@ -297,23 +278,21 @@ class OtExtSender:
         q = _prg_matrix(self._seeds, row_bytes, index) ^ (u & self._s_mask)
         rows = _transpose_bits(q)
         self._batch = index
-        return _Batch(_row_hashes(index, np.stack((rows, rows ^ self._s_row),
-                                                  axis=1)))
+        return _row_hashes(index, np.stack((rows, rows ^ self._s_row), axis=1))
 
-    def send_pairs(self, batch, pairs) -> bytes:
+    def send_pairs(self, pads, pairs) -> bytes:
         """The reply that obliviously transfers one label of each of pairs,
-        (n, 2, 16) rows of (zero-label, one-label), under batch's next n
-        pad pairs; too few left is a ProtocolError (module docstring)."""
-        pads, = batch.take(len(pairs))
-        if len(pads) < len(pairs):
-            raise ProtocolError("OT extension batch used up")
-        return (pairs ^ pads).tobytes()
+        (n, 2, 16) rows of (zero-label, one-label), under the first n of
+        pads; more pairs than pads is a ProtocolError (module
+        docstring)."""
+        if len(pairs) > len(pads):
+            raise ProtocolError("OT extension batch too small")
+        return (pairs ^ pads[:len(pairs)]).tobytes()
 
 
 class OtExtReceiver:
     """Chooses one label per pair by choice bit; sender stays oblivious.
-    Per session: extend, then per transfer receive_pairs (module
-    docstring)."""
+    Per session: extend, then receive_pairs (module docstring)."""
 
     def __init__(self, rng=None, group=GROUP_DEFAULT):
         self._rng = rng or make_rng()
@@ -330,9 +309,10 @@ class OtExtReceiver:
         base_ot_send(send, recv, self._seed_pairs, self._group, self._rng)
 
     def extend(self, choice_bits) -> tuple:
-        """(blob, batch): a batch of one OT per choice bit, rounded up to a
-        multiple of 8 with zeros, under the next batch index, and blob,
-        the index as a u32 then the u matrix, for the sender."""
+        """(blob, (bits, pads)): a batch of one OT per choice bit, rounded
+        up to a multiple of 8 with zeros, under the next batch index, its
+        m choice bits and (m, 16) pads, and blob, the index as a u32 then
+        the u matrix, for the sender."""
         m = (len(choice_bits) + 7) // 8 * 8
         self._batch += 1
         bits = np.zeros(m, dtype=np.uint8)
@@ -341,17 +321,18 @@ class OtExtReceiver:
                         self._batch)
         u = t ^ _prg_matrix([k1 for _, k1 in self._seed_pairs], m // 8,
                             self._batch) ^ np.packbits(bits, bitorder="little")
-        batch = _Batch(bits, _row_hashes(self._batch, _transpose_bits(t)))
-        return u32(self._batch) + u.tobytes(), batch
+        return u32(self._batch) + u.tobytes(), \
+            (bits, _row_hashes(self._batch, _transpose_bits(t)))
 
     def receive_pairs(self, batch, reply, n):
-        """The labels of batch's next n choices, from the sender's reply,
-        as an (n, 16) array of rows; a batch with too few OTs left is a
+        """The labels of batch's first n choices, from the sender's reply
+        of n pairs, as an (n, 16) array of rows; a reply of any other
+        length is a ProtocolError, and n above the batch's m a
         UsageError."""
+        bits, pads = batch
+        if n > len(pads):
+            raise UsageError("more transfers than the batch's OTs")
         if len(reply) != 2 * n * LABEL_BYTES:
             raise ProtocolError("OT response length mismatch")
-        bits, pads = batch.take(n)
-        if len(pads) < n:
-            raise UsageError("OT extension batch used up")
         pairs = np.frombuffer(reply, dtype=np.uint8).reshape(n, 2, LABEL_BYTES)
-        return pairs[np.arange(n), bits] ^ pads
+        return pairs[np.arange(n), bits[:n]] ^ pads[:n]

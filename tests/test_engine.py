@@ -40,6 +40,18 @@ def flip_label_bit(blob: bytes) -> bytes:
     return bytes([blob[0] ^ 0b0100]) + blob[1:]
 
 
+def flip_tables(cluster, lane):
+    """A GC_PAYLOAD edit that flips every byte of comparator lane's
+    tables (lanes counted from 0), which round 1 carries behind the
+    owner's labels; a later round's payload, the labels alone, passes
+    unchanged."""
+    circuit = cluster.da.circuit
+    width = 32 * len(circuit.nonfree_gates())
+    at = 16 * len(circuit.gen_inputs) + width * lane
+    return lambda blob: blob[:at] + bytes(
+        b ^ 0xff for b in blob[at:at + width]) + blob[at + width:]
+
+
 def small_params(**kw):
     base = dict(l=16, k=16, m=(1 << 20) - 3, key_bits=256)
     base.update(kw)
@@ -371,23 +383,23 @@ def test_malformed_garbled_payload_aborts_at_analyst(damage):
     cluster, ctx = make_cluster(EXAMPLE, seed=53, params=params)
     try:
         orders_before = ctx["table"].orders()
-        tables_end = 32 * len(cluster.da.circuit.nonfree_gates())
+        edit = {"short": lambda blob: blob[:-1],
+                "long": lambda blob: blob + b"\0",
+                "tables": flip_tables(cluster, 0)}[damage]
         orig_send = cluster.do.da_ch.send
 
         def damaged(frame):
             if frame.ftype == transport.GC_PAYLOAD:
-                blob = frame.payload
-                blob = {"short": blob[:-1], "long": blob + b"\0",
-                        "tables": bytes(b ^ 0xff for b in blob[:tables_end]) +
-                        blob[tables_end:]}[damage]
-                frame = Frame(frame.ftype, frame.session_id, blob)
+                frame = Frame(frame.ftype, frame.session_id,
+                              edit(frame.payload))
             orig_send(frame)
 
         cluster.do.da_ch.send = damaged
         t0 = time.monotonic()
         # damaged tables evaluate to labels that the server fails to
         # decode
-        match = DECODE_FAILED if damage == "tables" else "garbled payload"
+        match = DECODE_FAILED if damage == "tables" else \
+            "malformed GC_PAYLOAD"
         with pytest.raises(SessionAborted, match=match):
             cluster.encrypt(15)
         assert time.monotonic() - t0 < 5
@@ -605,9 +617,9 @@ def test_no_blind_is_sent_twice():
 
 def test_no_garbled_instance_is_sent_twice(monkeypatch):
     # the owner garbles a session's h instances in its first round and
-    # pops one per round; the rest of an aborted session's are dropped
-    # with it, so no garbled table repeats across sessions and aborts,
-    # and no instance's decode hashes decode two rounds
+    # sends all their tables then, and the session's rounds evaluate one
+    # each, so no garbled table repeats across sessions and aborts, and
+    # no instance's decode hashes decode two rounds
     params = small_params()
     data = list(range(100, 3100, 100))
     cluster, ctx = make_cluster(data, seed=52, params=params, record=True)
@@ -618,7 +630,9 @@ def test_no_garbled_instance_is_sent_twice(monkeypatch):
         decoded.append(hashes), real_decode(hashes, labels))[1])
     try:
         ch = next(c for c in cluster.channels if c.name == "do->da")
-        tables_end = 32 * len(cluster.da.circuit.nonfree_gates())
+        circuit = cluster.da.circuit
+        labels = 16 * len(circuit.gen_inputs)
+        width = 32 * len(circuit.nonfree_gates())
         orig_send = cluster.da.csp_ch.send
         orig_ot_send = cluster.da.da_do_ch.send
 
@@ -651,8 +665,16 @@ def test_no_garbled_instance_is_sent_twice(monkeypatch):
         # goes on
         for xbar in (250, 350, 1000, 5000, 7000, 9000, 11000):
             assert cluster.encrypt(xbar) == oracle.encrypt(xbar)
-        tables = [transport.decode_frame(b[4:]).payload[:tables_end]
-                  for b in ch.transcript if b[4] == transport.GC_PAYLOAD]
+        # round 1's GC_PAYLOAD: the owner's labels, h comparators' tables,
+        # then the OT reply, 32 bytes per analyst input of each
+        tables = []
+        for b in ch.transcript:
+            if b[4] == transport.GC_PAYLOAD:
+                payload = transport.decode_frame(b[4:]).payload
+                h = (len(payload) - labels) // (
+                    width + 32 * len(circuit.eval_inputs))
+                tables += [payload[labels + width * i:labels + width * (i + 1)]
+                           for i in range(h)]
         assert len(tables) > 32
         assert len(set(tables)) == len(tables)
         assert len(decoded) > 32
@@ -751,7 +773,7 @@ ABORT_FINDERS = {
     "owner": (transport.ROLE_DO, "csp->do", transport.RANDOMIZED_NODE, None,
               "out of range", ["da->csp", "do->csp", "do->da"]),
     "analyst": (transport.ROLE_DA, "do->da", transport.GC_PAYLOAD,
-                lambda blob: blob[:-1], "garbled payload",
+                lambda blob: blob[:-1], "malformed GC_PAYLOAD",
                 ["csp->do", "da->csp", "da->do"]),
 }
 
@@ -831,15 +853,13 @@ def test_no_session_state_outlives_its_session(mode):
             transport.Channel.send(end, frame)
         return send
 
-    tables_end = 32 * len(cluster.da.circuit.nonfree_gates())
-    # the owner's SHARES, the last case, carries the session's decode
-    # hashes in its first round
+    # round 1's GC_PAYLOAD carries the second comparator's tables, and
+    # the owner's SHARES, the last case, the session's decode hashes
     aborts = [
         (cluster.csp.do_ch, transport.RANDOMIZED_NODE,
          _node_out_of_range(params, ctx["pk"]), 2, "out of range"),
-        (cluster.do.da_ch, transport.GC_PAYLOAD,
-         lambda blob: bytes(b ^ 0xff for b in blob[:tables_end]) +
-         blob[tables_end:], 2, DECODE_FAILED),
+        (cluster.do.da_ch, transport.GC_PAYLOAD, flip_tables(cluster, 1), 1,
+         DECODE_FAILED),
         (cluster.da.csp_ch, transport.SHARES, flip_label_bit, 2,
          DECODE_FAILED),
         (cluster.do.csp_ch, transport.SHARES, lambda blob: blob[:-1], 1,
@@ -889,8 +909,9 @@ def test_an_ot_batch_too_small_for_the_rounds_aborts_where_it_runs_out(
         mode):
     # the analyst's batch holds the choices of every round but the last,
     # so the owner reads h - 1 rounds from its size and garbles as many
-    # comparators; the server, which reads h rounds' decode hashes in
-    # round 1, aborts there, and the next sessions, each with its own
+    # comparators; the analyst, which reads h comparators' tables from
+    # round 1's GC_PAYLOAD, aborts there, before the server reads h
+    # rounds' decode hashes, and the next sessions, each with its own
     # batch, run as before
     params = small_params(mode=mode)
     data = list(range(100, 3100, 100))
@@ -903,7 +924,7 @@ def test_an_ot_batch_too_small_for_the_rounds_aborts_where_it_runs_out(
             ch.timeout = 3
         receiver.extend = lambda bits: type(receiver).extend(receiver,
                                                              bits[:-n])
-        with pytest.raises(SessionAborted, match="SHARES of"):
+        with pytest.raises(SessionAborted, match="malformed GC_PAYLOAD"):
             cluster.encrypt(250)
         del receiver.extend
         assert len(ctx["table"]) == len(data)
@@ -949,8 +970,8 @@ def test_damaged_ot_batch_aborts_its_session_alone(damage):
     # byte of the matrix flipped, with a matrix of more OTs than
     # M.bit_length() rounds need, with each column one round longer, so
     # that m names h + 1 rounds: the owner garbles h + 1 comparators, and
-    # the server refuses their decode hashes, or with m = 8 OTs, fewer
-    # than one round's n
+    # the analyst refuses round 1's GC_PAYLOAD, which carries their
+    # tables, or with m = 8 OTs, fewer than one round's n
     params = small_params()
     data = list(range(100, 3100, 100))
     cluster, ctx = make_cluster(data, seed=59, params=params)
@@ -995,7 +1016,7 @@ def test_damaged_ot_batch_aborts_its_session_alone(damage):
 
         end.send = damaged
         t0 = time.monotonic()
-        reason = {"flipped": "decode", "round-more": "SHARES of",
+        reason = {"flipped": "decode", "round-more": "malformed GC_PAYLOAD",
                   "no-round": "too small"}.get(damage, "wrong size")
         with pytest.raises(SessionAborted, match=reason):
             cluster.encrypt(250)
@@ -1015,11 +1036,11 @@ def test_damaged_ot_batch_aborts_its_session_alone(damage):
 
 def test_a_node_past_the_sessions_comparators_aborts_at_the_owner():
     # a server that sends the owner one node more than the session's h
-    # rounds finds it out of garbled comparators: the owner aborts, the
-    # analyst, done with its rounds, still gets its order, and the owner
-    # goes on serving
+    # rounds finds it out of garbled comparators: the owner aborts "used
+    # up", the analyst, done with its rounds, still gets its order, and
+    # the owner goes on serving
     params = small_params()
-    cluster, ctx = make_cluster(EXAMPLE, seed=67, params=params)
+    cluster, ctx = make_cluster(EXAMPLE, seed=67, params=params, record=True)
     oracle = Mope2Oracle(params.m).load(EXAMPLE)
     h = ctx["table"].height
     real = cluster.csp._blind_node
@@ -1037,6 +1058,15 @@ def test_a_node_past_the_sessions_comparators_aborts_at_the_owner():
         cluster.csp._blind_node = one_more
         assert cluster.encrypt(15) == oracle.encrypt(15)
         del cluster.csp._blind_node
+        from_owner = next(c for c in cluster.channels if c.name == "do->csp")
+        deadline = time.monotonic() + 3
+        while time.monotonic() < deadline and not any(
+                b[4] == transport.ABORT for b in from_owner.transcript):
+            time.sleep(0.001)
+        abort, = [frame for b in from_owner.transcript
+                  for frame in [transport.decode_frame(b[4:])]
+                  if frame.ftype == transport.ABORT]
+        assert b"used up" in abort.payload
         for xbar in (25, 40):
             assert cluster.encrypt(xbar) == oracle.encrypt(xbar)
         assert not cluster.errors
@@ -1685,26 +1715,25 @@ def test_a_plaintext_that_is_not_an_int_is_refused_before_any_frame():
         cluster.close()
 
 
-def test_cleanup_warns_only_for_a_session_no_column_holds():
-    # an entry lives in one column; the other columns not holding it is
-    # no cause to warn, and an id that no column holds is one warning
+def test_cleanup_counts_only_the_sessions_a_column_holds():
+    # an entry lives in one column, and an id that no column holds
+    # removes nothing: the count tells the analyst, and the server's
+    # serve thread, which nothing warns on, serves the next session
     params = small_params()
     _, sk = paillier.keygen(params.key_bits, rng=make_rng(64))
     tables = {col: ope_state.init_state([10, 20, 30], params.m, sk.public,
                                         l=params.l, rng=make_rng(65))[1]
               for col in ("a", "b")}
     cluster = LocalCluster(tables, sk, params, seed=66, ot_group=GROUP_TEST)
-    unknown = bytes(16)
     try:
         cluster.da.csp_ch.timeout = 5
         cluster.encrypt(15, column="a")
         sid, = [e.tag for e in tables["a"].entries() if e.tag is not None]
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert cluster.da.cleanup([sid, unknown]) == 1
-        assert [str(w.message) for w in caught] == \
-            [f"no analyst entry for session {unknown.hex()}"]
+        assert cluster.da.cleanup([sid, bytes(16)]) == 1
+        assert cluster.da.cleanup([bytes(16)]) == 0
         assert [len(t) for t in tables.values()] == [3, 3]
+        assert cluster.encrypt(25, column="b") == \
+            Mope2Oracle(params.m).load([10, 20, 30]).encrypt(25)
         assert not cluster.errors
     finally:
         cluster.close()

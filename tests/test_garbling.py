@@ -8,18 +8,39 @@ from oracles import eval_plain
 
 from oope import garbling
 from oope.comparator import build_comparator, build_fh_comparator, int_to_bits
-from oope.errors import IntegrityError, ProtocolError
+from oope.errors import IntegrityError
 from oope.rng import make_rng
 
 
+class Lane:
+    """Lane i of a GarbledCircuit, cut as the analyst cuts round 1's
+    GC_PAYLOAD and the server the owner's SHARES."""
+
+    def __init__(self, circuit, garbled, i):
+        tables, n = 32 * len(circuit.nonfree_gates()), len(circuit.eval_inputs)
+        hashes = 32 * len(circuit.outputs)
+        self.garbled, self.i = garbled, i
+        self.tables = garbled.tables[i * tables:(i + 1) * tables]
+        self.eval_pairs = garbled.eval_pairs[i * n:(i + 1) * n]
+        self.decode_hashes = garbled.decode_hashes[i * hashes:
+                                                   (i + 1) * hashes]
+
+    def payload(self, gen_bits):
+        return garbling.payload(self.garbled, self.i, gen_bits)
+
+
 def instances(circuit, rng, count, lanes=10):
-    """count garbled instances of circuit, popped from as many batches
-    of `lanes` lanes as it takes."""
-    batch = garbling.GarbledCircuit(circuit, rng, lanes)
-    for _ in range(count):
-        if not batch:
-            batch = garbling.GarbledCircuit(circuit, rng, lanes)
-        yield batch.pop()
+    """count garbled instances of circuit, lane by lane from as many
+    batches of `lanes` lanes as it takes."""
+    for i in range(count):
+        if i % lanes == 0:
+            garbled = garbling.GarbledCircuit(circuit, rng, lanes)
+        yield Lane(circuit, garbled, i % lanes)
+
+
+def one_instance(circuit, rng):
+    """The one lane of a batch of one."""
+    return Lane(circuit, garbling.GarbledCircuit(circuit, rng, 1), 0)
 
 
 def chosen(pairs, bits):
@@ -31,18 +52,9 @@ def chosen(pairs, bits):
 def garbled_run(circuit, gc, gen_bits, eval_bits):
     """Evaluate one instance through its payload, as the analyst does,
     and decode its output labels, as the server does."""
-    tables, gen_labels = garbling.parse_payload(
-        circuit, garbling.payload(gc, gen_bits))
-    eval_labels = chosen(gc.eval_label_pairs(), eval_bits)
+    eval_labels = chosen(gc.eval_pairs, eval_bits)
     return garbling.decode(gc.decode_hashes, garbling.evaluate(
-        circuit, tables, gen_labels, eval_labels))
-
-
-def tables_of(circuit, gc):
-    """The T_G || T_E bytes the analyst reads from gc's payload."""
-    tables, _ = garbling.parse_payload(
-        circuit, garbling.payload(gc, [0] * len(circuit.gen_inputs)))
-    return tables
+        circuit, gc.tables, gc.payload(gen_bits), eval_labels))
 
 
 def test_garbled_matches_plain_random_inputs():
@@ -69,14 +81,10 @@ def test_exhaustive_width2():
     n_gen, n_ev = len(c.gen_inputs), len(c.eval_inputs)
     for gc in [gc for lanes in (1, 33)
                for gc in instances(c, make_rng(7), lanes, lanes)]:
-        tables, dec = tables_of(c, gc), gc.decode_hashes
-        pairs = gc.eval_label_pairs()
         for assign in range(1 << (n_gen + n_ev)):
             gen = [(assign >> i) & 1 for i in range(n_gen)]
             ev = [(assign >> (n_gen + i)) & 1 for i in range(n_ev)]
-            out = garbling.evaluate(c, tables, gc.encode(gen),
-                                    chosen(pairs, ev))
-            assert garbling.decode(dec, out) == eval_plain(c, gen, ev)
+            assert garbled_run(c, gc, gen, ev) == eval_plain(c, gen, ev)
 
 
 def test_exhaustive_width2_fh_across_a_batch():
@@ -86,51 +94,54 @@ def test_exhaustive_width2_fh_across_a_batch():
     assert n_gen + n_ev == 7
     for gc in [gc for lanes in (1, 33)
                for gc in instances(c, make_rng(8), lanes, lanes)]:
-        tables, dec = tables_of(c, gc), gc.decode_hashes
-        pairs = gc.eval_label_pairs()
         for assign in range(1 << (n_gen + n_ev)):
             gen = [(assign >> i) & 1 for i in range(n_gen)]
             ev = [(assign >> (n_gen + i)) & 1 for i in range(n_ev)]
-            out = garbling.evaluate(c, tables, gc.encode(gen),
-                                    chosen(pairs, ev))
-            assert garbling.decode(dec, out) == eval_plain(c, gen, ev)
+            assert garbled_run(c, gc, gen, ev) == eval_plain(c, gen, ev)
 
 
 @pytest.mark.parametrize("count", [2, 10, 33])
 def test_batch_hands_out_each_instance_once(count):
     c = build_comparator(4)
-    batch = garbling.GarbledCircuit(c, make_rng(4), count)
-    assert len(batch) == count
-    lanes = [batch.pop() for _ in range(count)]
-    assert not batch
-    with pytest.raises(IndexError):
-        batch.pop()
+    garbled = garbling.GarbledCircuit(c, make_rng(4), count)
+    n, gates = len(c.eval_inputs), len(c.nonfree_gates())
+    assert garbled.eval_pairs.shape == (count * n, 2, 16)
+    assert len(garbled.tables) == count * 32 * gates
+    assert len(garbled.decode_hashes) == count * 32 * len(c.outputs)
+    lanes = [Lane(c, garbled, i) for i in range(count)]
     # every lane has its own offset, labels, tables and decode hashes,
-    # which the batch's decode_hashes holds in the order of pop()
+    # the batch's tables, label pairs and decode hashes in lane order
     zeros = [0] * len(c.gen_inputs)
-    assert len({(gc.eval_label_pairs()[0, 1] ^
-                 gc.eval_label_pairs()[0, 0]).tobytes()
+    assert len({(gc.eval_pairs[0, 1] ^ gc.eval_pairs[0, 0]).tobytes()
                 for gc in lanes}) == count
-    assert len({gc.encode(zeros)[0].tobytes() for gc in lanes}) == count
-    assert len({tables_of(c, gc) for gc in lanes}) == count
+    assert len({garbled.encode(i, zeros)[0].tobytes()
+                for i in range(count)}) == count
+    assert len({gc.tables for gc in lanes}) == count
     assert len({gc.decode_hashes for gc in lanes}) == count
-    assert batch.decode_hashes == b"".join(gc.decode_hashes for gc in lanes)
+    assert garbled.tables == b"".join(gc.tables for gc in lanes)
+    assert garbled.decode_hashes == b"".join(gc.decode_hashes
+                                             for gc in lanes)
+    # and each lane evaluates as a circuit garbled alone
+    rng = make_rng(5)
+    for gc in lanes:
+        gen = [rng.getrandbits(1) for _ in c.gen_inputs]
+        ev = [rng.getrandbits(1) for _ in c.eval_inputs]
+        assert garbled_run(c, gc, gen, ev) == eval_plain(c, gen, ev)
 
 
 def test_fresh_seeds_give_fresh_labels():
     c = build_comparator(4)
-    gc1 = garbling.GarbledCircuit(c, make_rng(1), 1).pop()
-    gc2 = garbling.GarbledCircuit(c, make_rng(2), 1).pop()
+    gc1, gc2 = (one_instance(c, make_rng(seed)) for seed in (1, 2))
     zeros = [0] * len(c.gen_inputs)
-    assert not np.array_equal(gc1.encode(zeros)[0], gc2.encode(zeros)[0])
-    assert tables_of(c, gc1) != tables_of(c, gc2)
+    assert gc1.payload(zeros)[:16] != gc2.payload(zeros)[:16]
+    assert gc1.tables != gc2.tables
 
 
 def test_decode_rejects_corrupted_label():
     c = build_comparator(4)
-    gc = garbling.GarbledCircuit(c, make_rng(9), 1).pop()
-    out = garbling.evaluate(c, tables_of(c, gc), gc.encode([0] * 4),
-                            gc.eval_label_pairs()[:, 0])
+    gc = one_instance(c, make_rng(9))
+    out = garbling.evaluate(c, gc.tables, gc.payload([0] * 4),
+                            gc.eval_pairs[:, 0])
     for at in (0, 16):  # bit 120 of each output label
         corrupted = bytearray(out)
         corrupted[at] ^= 1
@@ -141,38 +152,34 @@ def test_decode_rejects_corrupted_label():
 def test_wrong_label_fails_decoding():
     # evaluating with a non-chosen input label cannot produce decodable output
     c = build_comparator(4)
-    gc = garbling.GarbledCircuit(c, make_rng(11), 1).pop()
-    eval_labels = gc.eval_label_pairs()[:, 0].copy()
+    gc = one_instance(c, make_rng(11))
+    eval_labels = gc.eval_pairs[:, 0].copy()
     # swap one evaluator label for garbage
     eval_labels[0] = 0
-    out = garbling.evaluate(c, tables_of(c, gc), gc.encode([0] * 4),
-                            eval_labels)
+    out = garbling.evaluate(c, gc.tables, gc.payload([0] * 4), eval_labels)
     with pytest.raises(IntegrityError):
         garbling.decode(gc.decode_hashes, out)
 
 
 def test_payload_roundtrip():
     c = build_comparator(4)
-    gc = garbling.GarbledCircuit(c, make_rng(13), 1).pop()
+    gc = one_instance(c, make_rng(13))
     gen_bits = int_to_bits(9, 4)
-    blob = garbling.payload(gc, gen_bits)
-    tables, gen_labels = garbling.parse_payload(c, blob)
-    assert tables == gc.prefix
-    assert len(tables) == 32 * len(c.nonfree_gates())
-    # the decode hashes travel apart, to the server
+    blob = gc.payload(gen_bits)
+    # the owner's labels alone; the tables and decode hashes travel apart
+    assert len(blob) == 16 * len(c.gen_inputs)
+    assert len(gc.tables) == 32 * len(c.nonfree_gates())
     assert len(gc.decode_hashes) == 32 * len(c.outputs)
     assert gc.decode_hashes not in blob
-    assert np.array_equal(gen_labels, gc.encode(gen_bits))
-    with pytest.raises(ProtocolError):
-        garbling.parse_payload(build_comparator(5), blob)
+    assert blob == gc.garbled.encode(0, gen_bits).tobytes()
 
 
 def test_payload_size_is_input_independent():
     # frame sizes must not depend on the plaintext bits
     c = build_comparator(8)
-    gc = garbling.GarbledCircuit(c, make_rng(15), 1).pop()
-    a = garbling.payload(gc, int_to_bits(0, 8))
-    b = garbling.payload(gc, int_to_bits(255, 8))
+    gc = one_instance(c, make_rng(15))
+    a = gc.payload(int_to_bits(0, 8))
+    b = gc.payload(int_to_bits(255, 8))
     assert len(a) == len(b)
 
 
@@ -188,34 +195,23 @@ def test_wide_circuits_match_plain(kind, seed, gen, ev):
     c = WIDE[kind]
     gen_bits = int_to_bits(gen, len(c.gen_inputs))
     eval_bits = int_to_bits(ev, len(c.eval_inputs))
-    gc = garbling.GarbledCircuit(c, make_rng(seed), 1).pop()
+    gc = one_instance(c, make_rng(seed))
     assert garbled_run(c, gc, gen_bits, eval_bits) == \
         eval_plain(c, gen_bits, eval_bits)
 
 
 @pytest.mark.parametrize("kind", sorted(WIDE))
 def test_payload_length_formula(kind):
-    # two ciphertexts per non-free gate, one label per generator input,
-    # and nothing else
+    # two ciphertexts per non-free gate in each lane's tables, one label
+    # per generator input in its payload, and nothing else
     c = WIDE[kind]
-    expected = 32 * len(c.nonfree_gates()) + 16 * len(c.gen_inputs)
     rng = make_rng(21)
     for gc in instances(c, rng, 4):
         gen_bits = [rng.getrandbits(1) for _ in c.gen_inputs]
-        assert len(garbling.payload(gc, gen_bits)) == expected
-    assert len(garbling.payload(gc, [0] * len(c.gen_inputs))) == expected
-    assert len(garbling.payload(gc, [1] * len(c.gen_inputs))) == expected
-
-
-@pytest.mark.parametrize("kind", sorted(WIDE))
-def test_payload_of_wrong_length_rejected(kind):
-    c = WIDE[kind]
-    blob = garbling.payload(garbling.GarbledCircuit(c, make_rng(23), 1).pop(),
-                            [1] * len(c.gen_inputs))
-    garbling.parse_payload(c, blob)
-    for bad in (blob[:-1], blob + b"\0"):
-        with pytest.raises(ProtocolError):
-            garbling.parse_payload(c, bad)
+        assert len(gc.payload(gen_bits)) == 16 * len(c.gen_inputs)
+        assert len(gc.tables) == 32 * len(c.nonfree_gates())
+    assert len(gc.payload([0] * len(c.gen_inputs))) == 16 * len(c.gen_inputs)
+    assert len(gc.payload([1] * len(c.gen_inputs))) == 16 * len(c.gen_inputs)
 
 
 @pytest.mark.parametrize("kind", sorted(WIDE))
@@ -228,10 +224,10 @@ def test_flipped_ciphertext_in_use_fails_decoding(kind):
     rng = make_rng(25)
     gen_bits = [rng.getrandbits(1) for _ in c.gen_inputs]
     eval_bits = [rng.getrandbits(1) for _ in c.eval_inputs]
-    gc = garbling.GarbledCircuit(c, rng, 1).pop()
-    gen_labels = gc.encode(gen_bits)
-    eval_labels = chosen(gc.eval_label_pairs(), eval_bits)
-    tables, dec = tables_of(c, gc), gc.decode_hashes
+    gc = one_instance(c, rng)
+    gen_labels = gc.payload(gen_bits)
+    eval_labels = chosen(gc.eval_pairs, eval_bits)
+    tables, dec = gc.tables, gc.decode_hashes
     honest = garbling.evaluate(c, tables, gen_labels, eval_labels)
     assert garbling.decode(dec, honest) == eval_plain(c, gen_bits, eval_bits)
     used = []

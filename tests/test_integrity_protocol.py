@@ -115,9 +115,9 @@ def test_upload_without_a_commitment_aborts():
 # damage -> (sending end, frame type, payload edit, abort reason).  Under
 # Pedersen a node is Enc(x + r) | Enc(a + r'), cipher_width bytes each,
 # its tag the commitment, and GC_PAYLOAD opens with the proof, the
-# opening; both are one group element of the MAC group's width.  The
-# garbled payload is GC_PAYLOAD's one field of no fixed width, so a
-# proof one byte long shows there.
+# opening; both are one group element of the MAC group's width.  Every
+# field of GC_PAYLOAD has a fixed width, so a proof with a leading zero
+# byte makes the frame one byte too long.
 PEDERSEN_DAMAGE = {
     "node-trailing": ("csp->do", transport.RANDOMIZED_NODE,
                       lambda p: p + b"\0",
@@ -126,7 +126,7 @@ PEDERSEN_DAMAGE = {
                      "INTEGRITY_TAG of \\d+ bytes, expected"),
     "proof-leading-zero": ("do->da", transport.GC_PAYLOAD,
                            lambda p: b"\0" + p,
-                           "garbled payload of \\d+ bytes, expected"),
+                           "GC_PAYLOAD of \\d+ bytes, expected"),
     "proof-flipped": ("do->da", transport.GC_PAYLOAD,
                       lambda p: bytes([p[0] ^ 1]) + p[1:], "authentication"),
 }

@@ -65,7 +65,7 @@ def linked_pair(seed, group=ot.GROUP_TEST):
 
 def new_batch(sender, receiver, bits):
     """A fresh extension batch of one OT per choice bit: the sender's
-    side and the receiver's."""
+    side, its pad pairs, and the receiver's, its choices and pads."""
     blob, r_batch = receiver.extend(bits)
     return sender.extend(blob, len(bits)), r_batch
 
@@ -82,7 +82,7 @@ def label_ints(rows):
 
 
 def transfer(sender, receiver, batches, pairs):
-    """One transfer of int label pairs over the batches' next OTs, the
+    """The transfer of int label pairs over the batches' first OTs, the
     reply carried by the caller as an engine carries it in its frames;
     returns the received labels as ints."""
     s_batch, r_batch = batches
@@ -199,17 +199,15 @@ def test_ot_exchange_length_mismatch():
 
 def test_extension_survives_multiple_batches():
     # four batches over one base-OT setup, of 1 and of 25 bytes per PRG
-    # row, neither a multiple of 32 bytes; each serves its transfers
+    # row, neither a multiple of 32 bytes; each serves its transfer
     rng = make_rng(3)
     sender, receiver = linked_pair(1)
-    for n, transfers in ((6, 1), (40, 5)) * 2:
-        rounds = [random_round(rng, n) for _ in range(transfers)]
-        bits = [b for _, round_bits in rounds for b in round_bits]
-        s_batch, r_batch = new_batch(sender, receiver, bits)
+    for n in (6, 200) * 2:
+        pairs, bits = random_round(rng, n)
+        pad_pairs, (choices, pads) = batches = new_batch(sender, receiver,
+                                                         bits)
         # both sides hold the pad row of each chosen label, and only it;
         # the rows past the choices, up to a multiple of 8, choose 0
-        pad_pairs, = s_batch._arrays
-        choices, pads = r_batch._arrays
         m = len(pads)
         assert m == -(-len(bits) // 8) * 8 and len(pad_pairs) == m
         assert choices.tolist() == bits + [0] * (m - len(bits))
@@ -217,9 +215,8 @@ def test_extension_survives_multiple_batches():
         other = pad_pairs[np.arange(m), 1 - choices]
         assert np.array_equal(held, pads)
         assert (other != pads).any(axis=1).all()
-        for pairs, round_bits in rounds:
-            assert transfer(sender, receiver, (s_batch, r_batch), pairs) == \
-                [p[b] for p, b in zip(pairs, round_bits)]
+        assert transfer(sender, receiver, batches, pairs) == \
+            [p[b] for p, b in zip(pairs, bits)]
     assert sender._batch == receiver._batch == 4
 
 
@@ -284,41 +281,26 @@ def shared_pair():
 
 
 @settings(max_examples=40, deadline=None)
-@given(sizes=st.lists(st.integers(1, 40), min_size=1, max_size=5).filter(
-           lambda sizes: sum(sizes) % 8),
-       overdraw=st.booleans(), seed=st.integers(0, 2**64 - 1))
+@given(size=st.integers(1, 200).filter(lambda size: size % 8),
+       spare=st.booleans(), seed=st.integers(0, 2**64 - 1))
 def test_transfers_take_the_chosen_labels_and_keep_pads_in_step(
-        sizes, overdraw, seed):
-    # one chosen-input batch serves one to five transfers, its count not
-    # a multiple of 8, so m rounds it up and leaves 1 to 7 spare OTs;
-    # each transfer spends its OTs at both ends, so each takes exactly
-    # the chosen labels
+        size, spare, seed):
+    # one transfer takes every row of a chosen-input batch at both ends,
+    # its count not a multiple of 8, so m rounds it up and leaves 1 to 7
+    # spare OTs, which chose 0; a reply or a pair count past m is refused
     sender, receiver = shared_pair()
     rng = make_rng(seed)
-    rounds = [random_round(rng, n) for n in sizes]
-    batches = new_batch(sender, receiver,
-                        [b for _, bits in rounds for b in bits])
-    s_batch, r_batch = batches
-    for pairs, bits in rounds:
-        assert transfer(sender, receiver, batches, pairs) == \
-            [p[b] for p, b in zip(pairs, bits)]
-    spare = -sum(sizes) % 8
-    pairs, _ = random_round(rng, spare + overdraw)
-    if overdraw:
-        # a transfer beyond the batch spends its rest at both ends
-        with pytest.raises(ProtocolError, match="used up"):
-            sender.send_pairs(s_batch, label_rows(pairs))
-        with pytest.raises(UsageError, match="used up"):
-            receiver.receive_pairs(r_batch, bytes(32 * len(pairs)),
-                                   len(pairs))
-    else:
-        # the spare OTs chose 0
-        assert transfer(sender, receiver, batches, pairs) == \
-            [p[0] for p in pairs]
-    with pytest.raises(ProtocolError, match="used up"):
-        sender.send_pairs(s_batch, label_rows(pairs[:1]))
-    with pytest.raises(UsageError, match="used up"):
-        receiver.receive_pairs(r_batch, bytes(32), 1)
+    pairs, bits = random_round(rng, size)
+    pads, r_batch = batches = new_batch(sender, receiver, bits)
+    m = len(pads)
+    extra, _ = random_round(rng, (m - size) * spare)
+    assert transfer(sender, receiver, batches, pairs + extra) == \
+        [p[b] for p, b in zip(pairs, bits)] + [p[0] for p in extra]
+    more, _ = random_round(rng, m + 1)
+    with pytest.raises(ProtocolError, match="too small"):
+        sender.send_pairs(pads, label_rows(more))
+    with pytest.raises(UsageError, match="more transfers"):
+        receiver.receive_pairs(r_batch, bytes(32 * (m + 1)), m + 1)
 
 
 def test_phantom_transfers_then_real_ones():
@@ -329,9 +311,9 @@ def test_phantom_transfers_then_real_ones():
     rng = make_rng(9)
     for phantoms in (1, 2, 0, 3):
         pairs, bits = random_round(rng, 7)
-        s_batch, _ = new_batch(sender, receiver, bits * (phantoms + 1))
-        for _ in range(phantoms):
-            sender.send_pairs(s_batch, label_rows(pairs))
+        pads, _ = new_batch(sender, receiver, bits * (phantoms + 1))
+        if phantoms:
+            sender.send_pairs(pads, label_rows(pairs * phantoms))
         batches = new_batch(sender, receiver, bits)
         assert transfer(sender, receiver, batches, pairs) == \
             [p[b] for p, b in zip(pairs, bits)]
@@ -339,17 +321,16 @@ def test_phantom_transfers_then_real_ones():
 
 
 def test_a_transfer_beyond_the_batch_is_refused():
-    # 9 OTs make a batch of 16: a transfer of 9 leaves 7, too few for 8;
-    # the sender's check holds against a receiver that sent too small a
-    # batch
+    # 9 OTs make a batch of 16: a transfer of 16 pairs spends it, and the
+    # sender refuses 17, which holds against a receiver that sent too
+    # small a batch
     sender, receiver, batches = linked_batch(10, [1] * 9)
-    s_batch, r_batch = batches
-    pairs, _ = random_round(make_rng(11), 9)
-    assert transfer(sender, receiver, batches, pairs) == [p[1] for p in pairs]
-    with pytest.raises(ProtocolError, match="used up"):
-        sender.send_pairs(s_batch, label_rows(pairs[:8]))
-    with pytest.raises(UsageError, match="used up"):
-        receiver.receive_pairs(r_batch, bytes(8 * 32), 8)
+    pads, _ = batches
+    pairs, _ = random_round(make_rng(11), 17)
+    assert transfer(sender, receiver, batches, pairs[:16]) == \
+        [p[1] for p in pairs[:9]] + [p[0] for p in pairs[9:16]]
+    with pytest.raises(ProtocolError, match="too small"):
+        sender.send_pairs(pads, label_rows(pairs))
 
 
 def test_malformed_group_element_rejected():

@@ -126,7 +126,7 @@ def test_loopback_and_tcp_identical_under_integrity(scheme):
 
 
 # SHA-256 of each channel's transcript, its sent frames concatenated, in
-# seeded runs of protocol 17: det, fh and Pedersen on a 256-bit key, det
+# seeded runs of protocol 18: det, fh and Pedersen on a 256-bit key, det
 # on a 1024-bit key, whose N^2 of 2048 bits takes encryption through
 # modexp.FixedBase, and det with a session the server aborts in its
 # second round, then two good ones, so the ABORT frames and the OT
@@ -147,87 +147,87 @@ PINNED_CASES = {
 PINNED_DIGESTS = {
     "det": {
         "csp->da":
-            "575952b15147703d8f4a8238ca2a1a935ac3753849cb357b2a2bb89382ece207",
+            "82ed0efbd3629c790ab93c218149daf15835549028e582483d4ea5933f525113",
         "csp->do":
-            "4caa4b9ac9373b027ada5b55dbcb352b06670d14dc364c60b848fe1fefdd2c27",
+            "f99491e18ed5b1af0586cf065f258165e42a7b4e35534cd97c55cc3c436a5787",
         "da->csp":
-            "90c1e22aadcc471b24cdeaefd0535a10f3beaed3ec38abf3a565c6b5fa28db83",
+            "9a7cd08de47a52dae2b3b9b8e299c236d45ff5605b3990ef0c8fd23b7ca95750",
         "da->do":
-            "49a6957e00bc69f77be9f72355e430a30028b8fb46f72d12cde17a30efea43cf",
+            "d48786c2067579d81dcd480d5a7cfb34ff23d053a870b237e0a891d25e0d13b3",
         "do->csp":
-            "9080f9936a8ca28830489dd888df62987733dd2aafa2a7f075d63e811923ef8c",
+            "034b775c40225bd32f451d0b111065ead93ed476a13c6bab1cc51cddb2bb9b53",
         "do->da":
-            "6e65dbac7ed53881257602d7cbc40e08a8a07ae605b61ba33378dac8c2558cb0",
+            "5c46cba44db1f7fbfedd1e056b421b8970a303214eaa5135932fbfd006ce6bfe",
     },
     "fh": {
         "csp->da":
-            "dda094269f8e1034cc59f9e20b816f69ae5007ccb03a8422e7659c739f20341b",
+            "b793abcf4b5138db3c5bfa8c91675653095967169b348fa393a7478e24b8bfba",
         "csp->do":
-            "e895d61d5c7c5af5cef7b082bc8af7f74e791deea512216f145e701aebccf862",
+            "3d13ab74a18d28d01c3aa852dd75b16e0b1b3dcfaf90e7a46cf7d666472e2472",
         "da->csp":
-            "002487bf02f2f967ce47c117738df719748dd8cc282f241834207da8a25e0ba7",
+            "60480a7c4fd091329b5247b0362b2fca4d82799ac443440a8574a55fc4b0ec5f",
         "da->do":
-            "6186ce37adbed71f5746134f1785f84185d17f04e73f6fb17218548bd4f5d619",
+            "ad5b76be2a362697c7e3c07012d7986bfb6a87afccac8e423bd63512e14d4ab9",
         "do->csp":
-            "4f12cdc688655e6be9c302493906dc4d751c610cff7e1d01b7bca81fb757ed44",
+            "4fef9217aa838893980f0e2fe3f2998ecced72be358cd14eba5a7d51cefdcb86",
         "do->da":
-            "58d2c3fc6e671ac1deafb6a0fec1cb7c13fc51322e6c4fb750cc7e38067a6178",
+            "ff28c284da292e044d0cee4fd79db166222cc6f570e259a0d35a2123cfd35805",
     },
     "pedersen": {
         "csp->da":
-            "2b36e3cb098221d3d6a667b94f5880e7edfe29397598022df032f5603963497e",
+            "7e0503316d70bda833ad287644c2aff38ad716d4886e5cbe6f49e08c59189a0c",
         "csp->do":
-            "c68a435e7b8f29489b14ff7f7a2f7842dbedeb617cd3ee57582e0d2aa3193d4d",
+            "a5d5a13fb88dbdc69b7a5079f1a49c78ffce4c82c434d6fb2c9e18038fcd0dcb",
         "da->csp":
-            "d98bf5a400830ee67dc370f92b51133fe2b62213377f1b53279e05b99c26b31d",
+            "281182fb62c108f178a5368ea8cc0e026ee5ee0d5aca19021d0652044b807a91",
         "da->do":
-            "3afb0307b2704ba9e0e75ab5ff57efaf454ccdf4078e06f19bffc40a072770c4",
+            "d34f35c63ff0044c2e56b129e1349dd626aebb51b5dc641b1848914da79f8061",
         "do->csp":
-            "029906352bad67328980956e9e58c22fac3c1e71d55f4a5aa0b6c16e7e12ce95",
+            "99bf87e31118af03579d08b808c60a67670353778b736d22d0f2f1db9e3fed43",
         "do->da":
-            "948dc78ee084f0d29515c7b95aef11109ee1b5f99675d24f0f7bcaf5aa716616",
+            "865fa44ee33bc5fbd33338f6f28332f72f10d5dd3c6fcd87ac0d19ed5c16f5bd",
     },
     "det-1024": {
         "csp->da":
-            "8bccae1f7bba5d4d943bdb2e03dffcad06c5d3dfa8bb1908b501448819c9b896",
+            "ed62944cde6639582182f2d1f8e61695d29c6dca53e495679640256e2fb06252",
         "csp->do":
-            "a7e9ba9d1a0d44d3f7993c3dabb4bbc3b4929e1e86480811f53d92c87fabdf3b",
+            "410bb2172548498e6ec5a5dcad2138a87162fc1daf6ec6d5253afc4b5d3bdc69",
         "da->csp":
-            "d42ab895b1184359ce842152e7788525fe80960a2a7c8e1333837586a72f3cf7",
+            "59e41eef1c70182f8eddd3ad2fc6ee1b0db163b924fecc5cae9cfbc248b08b5e",
         "da->do":
-            "58e43ff0e367f7dbfeecad02f3899991483f56478e99aa4f05bad1e6e440ebda",
+            "72f2f0da201e9879fb08ab389f1ad97dac58e835d0a2bfad587c244ff7f54ce5",
         "do->csp":
-            "4dc4d939fb3ad5b85f038544abe56b32f463380c3998e64a9c96cd68005bd011",
+            "ca51318bdbe64f72a463e5ded84b1aa4e8fcac37ed4549ef92fcbc80e460a681",
         "do->da":
-            "3087e46f281acfa00a48acab1cd4bb1c4a047e8e3054167a76afa10117a45ac5",
+            "53e1df70c9a481325a395e91207b8faaf8da160997ce76fe43263e7104b06094",
     },
     "abort": {
         "csp->da":
-            "6bce6392f8f8f64b70f9ee2d09842d0926741eb59ca5cb3742d45c340902fde1",
+            "bb2df556352ec6a4f2626a78880d1fa73c259a81a8d32c56e3debd32cfe295f5",
         "csp->do":
-            "a192dffda069e6c7279a6f01f6ef2d883536aa6a5017ae5fb8fecbde0c25e5f0",
+            "e7867720cbc8bfc16589147f5053e6a38944da51c5abcda3195a70bdf92cc744",
         "da->csp":
-            "7db682015b4f42b806f170f51bf4c384256e65a7f619bcce0ce589f817c7f622",
+            "595d61e727886b335bebf34e4ee7e31a0d1515e76881f007cdd34e02323ca179",
         "da->do":
-            "4e248a7226fb1d123cdef8ab6d45005c01b8a1df327a9e42808a20abcab0a754",
+            "8d675442528438c6f8ef50c280c14fc4eb4b2bdff30fcd402e0e21a51f698235",
         "do->csp":
-            "012bff22a49be8ecf42c4ae24506ba493695d331b1cc1708df2a579490ef369d",
+            "2d2550054ed631f3de3ebd22c8dfc4d22f067940e6ed6c69ff46fc24584231f4",
         "do->da":
-            "4b485e94c2da3336e27b953c8d01eaa8bbbcba95a132310bce35c6caca6b933d",
+            "c372e92120a5af31ef643b367b447eadbfd5024361187fcd6a59d14669bff006",
     },
     "fh-stop": {
         "csp->da":
-            "c8291b272b526dcb628b356dce5e9964ac8d9b13b7b81fb06f9eb51bbeee0c69",
+            "4b1f01270b29ca56c7960d21df0d1c7dde256c8d08073fcf2dedccb3a3ef191b",
         "csp->do":
-            "313e1e0cffdbed52e5e75014b0689e1634c03db1f1898f8a5e7ce729eaf40a77",
+            "0f6c002badb23e01257f810789ebd4dfae292fab5bdd5b920b88b651a4d44c25",
         "da->csp":
-            "1a56bc20760fc9a654e5f4704409da3a7d1d4819e8073a6b0c1a9219eb66aa3d",
+            "804a3c63d0409fb3be4c44bb2bba715a96db82f3ce4490bf5717517958d7213a",
         "da->do":
-            "783132267897110b21035a68f197935b3fd7fc21e72a003270bc4ef1a6dd6e96",
+            "f2ea403d8d3160821d70b533a7b5249c461c0e5174bc4f491450e88e2d2b2f46",
         "do->csp":
-            "ed76563834609c398da8667d058488faf759861209720cf37277d998cd3207fe",
+            "675832ea388e8ded8c7040a1ee26e3cfe31ec403b87b2e3cabe031a6fcf6ae8c",
         "do->da":
-            "69561fb8c54b572f7128d677e338ab296352572aa967cb5e0f5372d4ac72066a",
+            "848724e1a346371f3e7991d28141962913c97c35bc539187ec9d8e173a275fab",
     },
 }
 
@@ -252,11 +252,14 @@ def test_session_frames_have_the_v16_lengths(mode, scheme):
     # every session frame has one layout, whose length follows from h,
     # the key and MAC group widths and the circuit alone: under Pedersen
     # an offset record is r and r', INTEGRITY_TAG the commitment alone
-    # and GC_PAYLOAD opens with the opening; GC_PAYLOAD carries no
-    # decode hashes; the owner's one SHARES carries those of the
-    # session's h comparators, 32 bytes per output of each, and the
-    # analyst's SHARES is 16 bytes per output, the upload behind it in
-    # an encrypt's last round: 3h + 5 frames, 4h + 5 under Pedersen
+    # and GC_PAYLOAD opens with the opening; GC_PAYLOAD carries the
+    # round's owner labels, and round 1's behind them every comparator's
+    # tables and the whole OT reply, but no decode hashes; the owner's
+    # one SHARES carries those of the session's h comparators, 32 bytes
+    # per output of each, and the analyst's SHARES is 16 bytes per
+    # output, the upload behind it in an encrypt's last round: 3h + 5
+    # frames, 4h + 5 under Pedersen, and as many GC_PAYLOAD bytes as
+    # when each round carried its own tables and reply
     params = ProtocolParams(l=16, k=16, m=(1 << 20) - 3, key_bits=256,
                             mode=mode, integrity=scheme,
                             mac_subgroup_bits=160)
@@ -287,14 +290,15 @@ def test_session_frames_have_the_v16_lengths(mode, scheme):
                 session = [(name, f) for name, f in frames
                            if f.session_id == sid]
                 m = 8 * -(-h * n // 8)
+                labels = g * pedersen + 16 * len(circuit.gen_inputs)
+                garbled = 32 * len(circuit.nonfree_gates()) + 32 * n
                 want = {
                     transport.SESSION_START: [1],
                     transport.RANDOM_OFFSET: [(16 + 64 * pedersen) * h],
                     transport.OT_MSG: [4 + 16 * m],
                     transport.RANDOMIZED_NODE: [w * (1 + pedersen)] * h,
-                    transport.GC_PAYLOAD: [
-                        g * pedersen + 32 * len(circuit.nonfree_gates()) +
-                        16 * len(circuit.gen_inputs) + 32 * n] * h,
+                    transport.GC_PAYLOAD: [labels + h * garbled] +
+                    [labels] * (h - 1),
                     transport.ORDER_RESULT: [16]}
                 if pedersen:
                     want[transport.INTEGRITY_TAG] = [g] * h
@@ -305,6 +309,8 @@ def test_session_frames_have_the_v16_lengths(mode, scheme):
                     else:
                         got.setdefault(f.ftype, []).append(len(f.payload))
                 assert got == want
+                assert sum(got[transport.GC_PAYLOAD]) == \
+                    h * (labels + garbled)
                 assert len(session) == (3 + pedersen) * h + 5
                 labels = [16 * outputs] * h
                 op_byte, = {f.payload[0] for _, f in session

@@ -49,19 +49,27 @@ def role_view(role, mode, scheme, data, op, xbar):
 @pytest.mark.parametrize("mode", ["det", "fh"])
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_a_round_is_three_flights(mode, scheme):
-    # node, garbled circuit with the OT reply, the analyst's SHARES: the
-    # first round adds the offsets, the session's OT batch, which holds
-    # every round's choices, and the owner's SHARES of the decode hashes
-    # of the session's h comparators, the first frame it sends; the
-    # session adds SESSION_START and ORDER_RESULT, its last frame: 3h + 5
-    # frames.  Pedersen adds one frame per round, the node's commitment
-    # in INTEGRITY_TAG, since its opening rides in GC_PAYLOAD: 4h + 5
+    # node, the owner's labels, the analyst's SHARES: the first round
+    # adds the offsets, the session's OT batch, which holds every
+    # round's choices, every comparator's tables and the whole OT reply
+    # behind the owner's labels, and the owner's SHARES of the decode
+    # hashes of the session's h comparators, the first frame it sends;
+    # the session adds SESSION_START and ORDER_RESULT, its last frame:
+    # 3h + 5 frames.  Pedersen adds one frame per round, the node's
+    # commitment in INTEGRITY_TAG, since its opening rides in
+    # GC_PAYLOAD: 4h + 5
     data = list(range(100, 2100, 100))
     pedersen = scheme == integrity.SCHEME_PEDERSEN
     with views.tap() as tap:
         cluster, ctx = build(mode, scheme, data)
         oracle = Mope2Oracle(cluster.da.params.m).load(data)
-        outputs = len(cluster.da.circuit.outputs)
+        circuit = cluster.da.circuit
+        outputs, n = len(circuit.outputs), len(circuit.eval_inputs)
+        # [the opening, a MAC group element, then] the owner's labels,
+        # and a comparator's tables and OT reply
+        labels = (MAC_PARAMS.p.bit_length() + 7) // 8 * pedersen + \
+            16 * len(circuit.gen_inputs)
+        garbled = 32 * len(circuit.nonfree_gates()) + 32 * n
         try:
             for op, xbar in (("encrypt", 1050), ("bound-low", 1050),
                              ("bound-high", 1050), ("encrypt", 700)) * 3:
@@ -92,6 +100,9 @@ def test_a_round_is_three_flights(mode, scheme):
                          for f in tap.session_frames(sid, "do")]
                 assert owner[0] == (transport.SHARES, 32 * outputs * h)
                 assert [t for t, _ in owner].count(transport.SHARES) == 1
+                assert [size for t, size in owner
+                        if t == transport.GC_PAYLOAD] == \
+                    [labels + h * garbled] + [labels] * (h - 1)
             assert not cluster.errors
         finally:
             cluster.close()
